@@ -323,9 +323,10 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
     return 0
 
 
-def _refine_level(cfg: RunConfig, n: int):
+def _refine_level(cfg: RunConfig, shape: tuple[int, int]):
+    nx, ny = shape
     level_cfg = RunConfig(
-        domain=dataclasses.replace(cfg.domain, nx=n, ny=n),
+        domain=dataclasses.replace(cfg.domain, nx=nx, ny=ny),
         problem=dataclasses.replace(cfg.problem),
         solver=dataclasses.replace(cfg.solver),
     )
@@ -337,24 +338,25 @@ def _refine_level(cfg: RunConfig, n: int):
 def cmd_refine(cfg: RunConfig, quiet: bool, levels: int) -> int:
     if levels < 2:
         raise ConfigError(f"refinement needs at least 2 levels, got {levels}")
-    sizes = [cfg.domain.nx]
+    # each axis refines on its own, so a rectangle keeps its aspect ratio
+    shapes = [(cfg.domain.nx, cfg.domain.ny)]
     for _ in range(levels - 1):
-        sizes.append(2 * sizes[-1] + 1)
+        shapes.append(tuple(2 * n + 1 for n in shapes[-1]))
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda n: _refine_level(cfg, n), sizes))
+            results = list(pool.map(lambda shape: _refine_level(cfg, shape), shapes))
     else:
-        results = [_refine_level(cfg, n) for n in sizes]
+        results = [_refine_level(cfg, shape) for shape in shapes]
 
     rows = []
     values = [rep.critical_value for _, rep in results]
     diffs = [float("nan")] + [abs(values[i] - values[i - 1]) for i in range(1, len(values))]
     for i, (problem, rep) in enumerate(results):
         ratio = diffs[i - 1] / diffs[i] if i >= 2 and diffs[i] > 0 else float("nan")
-        rows.append((i, sizes[i], problem.grid.h[0], rep.critical_value,
+        rows.append((i, shapes[i][0], problem.grid.h[0], rep.critical_value,
                      rep.gradient_norm, rep.converged, diffs[i], ratio))
-        _say(quiet, f"level {i}: n={sizes[i]}, value {rep.critical_value:.10g}, "
+        _say(quiet, f"level {i}: n={shapes[i][0]}, value {rep.critical_value:.10g}, "
                     f"diff {diffs[i]:.3e}, ratio {ratio:.3g}")
     write_csv(
         _out_path(cfg, "refine_table.csv"),

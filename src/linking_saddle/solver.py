@@ -18,6 +18,7 @@ energy norm across the iterates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
@@ -27,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EnergyOverflowError, InvalidSpecError
-from .functional import Problem, evaluate_J, riesz_gradient
+from .functional import EnergyBreakdown, Problem, evaluate_J, riesz_gradient
 from .linking import DeformationGamma, LinkingFrame
 from .splitting import DiagonalSplitting
 from .state import StatePair, pair_norm
@@ -229,11 +230,55 @@ def _initial_state(
     return tau * direction
 
 
-def _ray_energy(problem: Problem, base: StatePair, direction: StatePair, tau: float) -> float:
-    try:
-        return evaluate_J(problem, base + tau * direction).total
-    except EnergyOverflowError:
+@dataclass(frozen=True)
+class _Ray:
+    """The line base + tau*direction, with its cross term c0 + tau (c1 + tau c2)."""
+
+    base_u: np.ndarray
+    base_v: np.ndarray
+    dir_u: np.ndarray
+    dir_v: np.ndarray
+    c0: float
+    c1: float
+    c2: float
+
+
+def _ray(problem: Problem, base: StatePair, direction: StatePair) -> _Ray:
+    """Validate a ray once and expand the bilinear cross term along it."""
+    grid, op = problem.grid, problem.op
+    bu, bv, du, dv = (grid.check_field(w) for w in (base.u, base.v, direction.u, direction.v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kbu, kbv, kdu, kdv = (op.apply(w) for w in (bu, bv, du, dv))
+        # each coefficient pairs a u-product with its v-mirror, so swapping
+        # the components leaves it bitwise unchanged
+        c0 = 0.5 * (bu @ kbv + bv @ kbu)
+        c1 = 0.5 * ((bu @ kdv + du @ kbv) + (bv @ kdu + dv @ kbu))
+        c2 = 0.5 * (du @ kdv + dv @ kdu)
+    return _Ray(bu, bv, du, dv, float(c0), float(c1), float(c2))
+
+
+def _ray_energy(problem: Problem, ray: _Ray, tau: float) -> float:
+    """``evaluate_J(problem, base + tau*direction).total``, or -inf where that overflows.
+
+    The nodal values, the quadratic and potential terms and their grouping
+    are those of :func:`evaluate_J`; only the cross term comes from the
+    ray's coefficients instead of two stiffness products.
+    """
+    grid, nl = problem.grid, problem.nl
+    vol = grid.cell_volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = ray.base_u + ray.dir_u * tau
+        v = ray.base_v + ray.dir_v * tau
+        terms = (
+            ray.c0 + tau * (ray.c1 + tau * ray.c2),
+            0.5 * problem.lam * vol * float(u @ u),
+            0.5 * problem.delta * vol * float(v @ v),
+            vol * float(np.sum(nl.F(grid.coords, u))),
+            vol * float(np.sum(nl.G(grid.coords, v))),
+        )
+    if not all(map(math.isfinite, terms)):
         return -np.inf
+    return EnergyBreakdown(*terms).total
 
 
 def _ray_argmax(
@@ -244,18 +289,19 @@ def _ray_argmax(
     A geometric probe grid brackets the crest; a far probe distinguishes
     a genuine crest from a quadratic-type ray whose energy keeps rising.
     """
+    ray = _ray(problem, base, direction)
     scale = max(abs(t_current), 1.0)
     taus = np.concatenate([[0.0], np.geomspace(scale / 256.0, 64.0 * scale, 33)])
-    vals = np.array([_ray_energy(problem, base, direction, t) for t in taus])
+    vals = np.array([_ray_energy(problem, ray, t) for t in taus])
     far_tau = 64.0 * scale * 2.0**14
-    far = _ray_energy(problem, base, direction, far_tau)
+    far = _ray_energy(problem, ray, far_tau)
     k = int(np.argmax(vals))
     if k == taus.size - 1:
         if far >= vals[-1]:
             return None  # still rising past the far probe: no crest to pin
         taus = np.concatenate([taus, np.geomspace(64.0 * scale, far_tau, 33)[1:]])
         vals = np.concatenate([vals, [
-            _ray_energy(problem, base, direction, t) for t in taus[34:]
+            _ray_energy(problem, ray, t) for t in taus[34:]
         ]])
         k = int(np.argmax(vals))
         if k == taus.size - 1:
@@ -268,7 +314,7 @@ def _ray_argmax(
     else:
         lo, hi = taus[k - 1], taus[min(k + 1, taus.size - 1)]
     result = sopt.minimize_scalar(
-        lambda t: -_ray_energy(problem, base, direction, t),
+        lambda t: -_ray_energy(problem, ray, t),
         bounds=(lo, hi), method="bounded",
         options={"xatol": 1e-12 * max(1.0, hi)},
     )
@@ -471,6 +517,9 @@ def solve_saddle(
     trace = IterateTrace()
     trace.extend(first.trace)
     trace.extend(second.trace)
+    message = second.message
+    if not first.converged:
+        message = f"flow stage: {first.message}; newton stage: {second.message}"
     return SaddleReport(
         state=second.state,
         critical_value=second.critical_value,
@@ -481,7 +530,7 @@ def solve_saddle(
         nontrivial=second.nontrivial,
         iterations=first.iterations + second.iterations,
         method="flow-then-newton",
-        message=second.message,
+        message=message,
         trace=trace,
     )
 

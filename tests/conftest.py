@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from linking_saddle import (
     DomainSpec,
@@ -7,6 +8,11 @@ from linking_saddle import (
     discretize,
     power_nonlinearity,
 )
+
+# Property tests draw the same examples on every run, and a loaded host
+# cannot fail them on time.
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

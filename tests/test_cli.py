@@ -1,12 +1,14 @@
 import csv
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from linking_saddle import ConfigError, RunConfig, load_config, parse_config
+from linking_saddle import ConfigError, RunConfig, cli, load_config, parse_config
 from linking_saddle.cli import main, worker_count
-from linking_saddle.config import format_config, to_problem_spec
+from linking_saddle.config import INITS, METHODS, PRESETS, format_config, to_problem_spec
 from linking_saddle.reporting import write_csv, write_manifest, write_pgm, write_svg_trace
 
 TOY = """
@@ -60,6 +62,31 @@ def test_parse_accepts_lambda_alias():
     cfg = parse_config("problem.lambda = 0.25\n")
     assert cfg.problem.lam == 0.25
     assert "problem.lambda = 0.25" in format_config(cfg)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a comment that only names values: "1 or 2", "power | zero", "or eigen | zero"
+VALUE_LIST = re.compile(r"^(?:or\s+)?[\w.-]+(?:\s*(?:\||\bor\b)\s*[\w.-]+)+$")
+
+
+def test_readme_config_values_parse():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("All keys with their defaults:", 1)[1].split("```", 2)[1]
+    assert format_config(parse_config(block)) == format_config(RunConfig())
+    named = {}
+    for line in block.strip().splitlines():
+        body, _, comment = line.partition("#")
+        key, value = (part.strip() for part in body.split("=", 1))
+        values = [value]
+        comment = comment.strip()
+        if VALUE_LIST.match(comment):
+            values = re.split(r"\s*(?:\||\bor\b)\s*", comment.removeprefix("or ").strip())
+            named[key] = set(values)
+        for val in values:
+            parse_config(f"{key} = {val}\n")
+    assert named["problem.preset"] == set(PRESETS)
+    assert named["solver.method"] == set(METHODS)
+    assert named["solver.init"] == set(INITS)
 
 
 def test_parse_rejects_unknown_key():
@@ -188,6 +215,22 @@ def test_cli_refine(tmp_path):
     assert [r["n"] for r in rows] == ["1", "3", "7"]
     assert all(r["converged"] == "true" for r in rows)
     assert float(rows[-1]["cauchy_ratio"]) > 1.0
+
+
+def test_cli_refine_keeps_rectangle_aspect(tmp_path, monkeypatch):
+    shapes = []
+    solve_level = cli._refine_level
+
+    def recording(cfg, shape):
+        problem, report = solve_level(cfg, shape)
+        shapes.append(problem.grid.shape)
+        return problem, report
+
+    monkeypatch.setattr(cli, "_refine_level", recording)
+    text = "domain.dimension = 2\ndomain.nx = 12\ndomain.ny = 5\nproblem.preset = power\n"
+    assert main(["refine", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "r"),
+                 "--levels", "2", "--quiet"]) == 0
+    assert sorted(shapes) == [(12, 5), (25, 11)]
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linking_saddle import (
@@ -125,6 +126,35 @@ def test_solve_round_trip(spec):
     rhs = rng.standard_normal(grid.n_interior)
     x = op.solve(rhs)
     assert np.linalg.norm(op.apply(x) - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=1, max_value=24),
+    st.floats(min_value=0.2, max_value=5.0),
+    st.floats(min_value=0.2, max_value=5.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_2d_solve_matches_sparse_lu(nx, ny, lx, ly, seed):
+    assume(nx != ny)
+    grid, op = build_grid(DomainSpec.rectangle(nx, ny, lx, ly))
+    assume(grid.h[0] != grid.h[1])
+    rhs = np.random.default_rng(seed).standard_normal(grid.n_interior)
+    w = op.solve(rhs)
+    ref = spla.spsolve(op.matrix.tocsc(), rhs)
+    assert np.linalg.norm(w - ref) <= op.rtol * np.linalg.norm(ref)
+    assert np.array_equal(op.solve(rhs), w)
+    # an equal right-hand side in another buffer, 8 bytes off its alignment
+    shifted = np.concatenate([[0.0], rhs])[1:]
+    assert np.array_equal(op.solve(shifted), w)
+
+
+def test_2d_solve_keeps_residual_check():
+    grid, _ = build_grid(DomainSpec.rectangle(11, 7, 1.0, 2.0))
+    strict = StiffnessOperator(grid, rtol=1e-18)
+    with pytest.raises(LinearSolveError):
+        strict.solve(np.random.default_rng(4).standard_normal(grid.n_interior))
 
 
 def test_iterative_solver_agrees_with_direct():

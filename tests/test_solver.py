@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linking_saddle import (
     DomainSpec,
+    EnergyOverflowError,
     InvalidSpecError,
     ProblemSpec,
     SolverConfig,
@@ -26,7 +29,7 @@ from linking_saddle import (
     zero_nonlinearity,
     deformation_witness_search,
 )
-from linking_saddle.solver import IterateTrace
+from linking_saddle.solver import IterateTrace, _ray, _ray_energy
 
 from conftest import random_state
 
@@ -88,6 +91,57 @@ def test_newton_keeps_swap_symmetry_bitwise(line_problem):
         assert np.array_equal(state.u, state.v)
 
 
+def test_newton_keeps_swap_symmetry_bitwise_2d(square_problem):
+    w = np.sin(np.linspace(0.1, 3.0, square_problem.n))
+    report = newton_solve(square_problem, x0=StatePair(w.copy(), w.copy()))
+    assert len(report.trace) > 1
+    for state in report.trace.states:
+        assert np.array_equal(state.u, state.v)
+
+
+RAY_GRIDS = (
+    DomainSpec.interval(1),
+    DomainSpec.interval(23),
+    DomainSpec.square(5),
+    DomainSpec.rectangle(6, 3, 1.0, 2.5),
+    DomainSpec.rectangle(4, 7, 0.3, 1.1),
+)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(RAY_GRIDS),
+    st.floats(min_value=-30.0, max_value=30.0),
+    st.floats(min_value=-30.0, max_value=30.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=80.0),
+)
+def test_ray_energy_matches_evaluate_J(domain, lam, delta, seed, log_scale):
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
+    rng = np.random.default_rng(seed)
+    base, direction = (StatePair(*rng.standard_normal((2, problem.n))) for _ in range(2))
+    ray = _ray(problem, base, direction)
+    mirror = _ray(problem, StatePair(base.v, base.u), StatePair(direction.v, direction.u))
+    assert (mirror.c0, mirror.c1, mirror.c2) == (ray.c0, ray.c1, ray.c2)
+    # the probes of _ray_argmax, far probe last; at t_current = 1e72 the far
+    # probe overflows the potential and the others do not
+    taus = np.concatenate([
+        np.concatenate([[0.0], np.geomspace(scale / 256.0, 64.0 * scale, 33),
+                        [64.0 * scale * 2.0**14]])
+        for scale in (10.0**log_scale, 1e72)
+    ])
+    for tau in taus:
+        got = _ray_energy(problem, ray, tau)
+        try:
+            ref = evaluate_J(problem, base + tau * direction)
+        except EnergyOverflowError:
+            assert got == -np.inf
+            continue
+        size = (abs(ref.cross) + abs(ref.quad_u) + abs(ref.quad_v)
+                + abs(ref.potential_u) + abs(ref.potential_v))
+        assert abs(got - ref.total) <= 1e-12 * size
+
+
 def test_signflow_zero_preset_contracts_exactly(zero_problem):
     rng = np.random.default_rng(3)
     w = rng.standard_normal(zero_problem.n)
@@ -114,6 +168,7 @@ def test_signflow_toy_reaches_crest_level(toy_problem):
 def test_default_pipeline_toy(toy_problem):
     report = solve_saddle(toy_problem)
     assert report.method == "flow-then-newton"
+    assert report.message == "gradient tolerance reached"
     assert report.converged and report.nontrivial
     assert report.critical_value == pytest.approx(16.0, abs=1e-10)
     assert report.state.u[0] == pytest.approx(CREST, abs=1e-10)
@@ -125,6 +180,14 @@ def test_line_solution_solves_equations(line_problem, solved_line):
     # symmetric data: both components are the same positive bump
     assert np.array_equal(solved_line.state.u, solved_line.state.v)
     assert np.all(solved_line.state.u > 0.0)
+
+
+def test_flow_then_newton_reports_failed_flow_stage(line_problem):
+    report = solve_saddle(line_problem, SolverConfig(flow_max_iter=1))
+    assert report.converged
+    assert report.message == (
+        "flow stage: iteration budget exhausted; newton stage: gradient tolerance reached"
+    )
 
 
 def test_zero_preset_converges_to_trivial(zero_problem):
