@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence
 
 from . import __version__
@@ -40,23 +39,7 @@ from .solver import (
     solve_saddle,
 )
 
-__all__ = ["main", "worker_count"]
-
-THREADS_ENV = "LINKING_SADDLE_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap from the environment; parallel sections must respect it."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV} must be at least 1, got {value}")
-    return value
+__all__ = ["main"]
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -101,6 +84,27 @@ def _frame_for(cfg: RunConfig, problem: Problem, r: float, rho: float):
     return build_frame(problem, r, rho, d_y=cfg.frame.d_y, mode_count=count)
 
 
+def _frame_and_samples(cfg: RunConfig, problem: Problem, command: str, failed_steps,
+                       boundary_count: int, interior_count: int):
+    """Radii, frame and samples, the prelude of geometry, intersect and solve.
+
+    Returns ``(frame, samples, radii_choice)``. If the radii cannot be
+    certified, it writes ``failed_steps`` to the manifest, reports the
+    failure at stage 'geometry' and returns None.
+    """
+    try:
+        r, rho, choice = _resolve_radii(cfg, problem)
+    except GeometryCertificationError as exc:
+        _write_run_manifest(cfg, command, failed_steps)
+        _fail("geometry", str(exc))
+        return None
+    frame = _frame_for(cfg, problem, r, rho)
+    samples = sample_sets(frame, sphere_count=cfg.frame.sphere_samples,
+                          boundary_count=boundary_count, interior_count=interior_count,
+                          seed=cfg.frame.seed)
+    return frame, samples, choice
+
+
 def _out_path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.output.dir, name)
 
@@ -109,8 +113,7 @@ def _write_run_manifest(cfg: RunConfig, command: str, steps) -> None:
     write_manifest(
         _out_path(cfg, "manifest.cfg"),
         cfg,
-        {"command": command, "version": __version__,
-         "seed": str(cfg.frame.seed), "workers": str(worker_count())},
+        {"command": command, "version": __version__, "seed": str(cfg.frame.seed)},
         steps,
     )
 
@@ -142,17 +145,11 @@ def cmd_check(cfg: RunConfig, quiet: bool) -> int:
 def cmd_geometry(cfg: RunConfig, quiet: bool) -> int:
     problem = discretize(to_problem_spec(cfg))
     hyp = validate_hypotheses(problem.nl)
-    try:
-        r, rho, choice = _resolve_radii(cfg, problem)
-    except GeometryCertificationError as exc:
-        _write_run_manifest(cfg, "geometry", [("radii", "failed")])
-        return _fail("geometry", str(exc))
-    frame = _frame_for(cfg, problem, r, rho)
-    samples = sample_sets(
-        frame, sphere_count=cfg.frame.sphere_samples,
-        boundary_count=cfg.frame.boundary_samples,
-        interior_count=cfg.frame.interior_samples, seed=cfg.frame.seed,
-    )
+    prelude = _frame_and_samples(cfg, problem, "geometry", [("radii", "failed")],
+                                 cfg.frame.boundary_samples, cfg.frame.interior_samples)
+    if prelude is None:
+        return 1
+    frame, samples, choice = prelude
     geo = estimate_geometry(frame, samples)
     signs_ok = problem.lam >= 0 and problem.delta >= 0
     certified = geo.certified and hyp.all_ok and signs_ok
@@ -183,14 +180,10 @@ def cmd_geometry(cfg: RunConfig, quiet: bool) -> int:
 
 def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
     problem = discretize(to_problem_spec(cfg))
-    try:
-        r, rho, _ = _resolve_radii(cfg, problem)
-    except GeometryCertificationError as exc:
-        _write_run_manifest(cfg, "intersect", [("radii", "failed")])
-        return _fail("geometry", str(exc))
-    frame = _frame_for(cfg, problem, r, rho)
-    samples = sample_sets(frame, sphere_count=cfg.frame.sphere_samples,
-                          boundary_count=16, interior_count=12, seed=cfg.frame.seed)
+    prelude = _frame_and_samples(cfg, problem, "intersect", [("radii", "failed")], 16, 12)
+    if prelude is None:
+        return 1
+    frame, samples, _ = prelude
     sphere_min = min(evaluate_J(problem, s).total for s in samples.sphere_states)
     rows = []
     failures = []
@@ -242,18 +235,11 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
         bad = ", ".join(sorted(hyp.witnesses)) or "sampled growth checks"
         return _fail("hypotheses", f"preset fails: {bad}")
 
-    try:
-        r, rho, _ = _resolve_radii(cfg, problem)
-    except GeometryCertificationError as exc:
-        steps.append(("geometry", "failed"))
-        _write_run_manifest(cfg, "solve", steps)
-        return _fail("geometry", str(exc))
-    frame = _frame_for(cfg, problem, r, rho)
-    samples = sample_sets(
-        frame, sphere_count=cfg.frame.sphere_samples,
-        boundary_count=cfg.frame.boundary_samples,
-        interior_count=cfg.frame.interior_samples, seed=cfg.frame.seed,
-    )
+    prelude = _frame_and_samples(cfg, problem, "solve", steps + [("geometry", "failed")],
+                                 cfg.frame.boundary_samples, cfg.frame.interior_samples)
+    if prelude is None:
+        return 1
+    frame, samples, _ = prelude
     geo = estimate_geometry(frame, samples)
     geo_ok = geo.certified and problem.lam >= 0 and problem.delta >= 0
     steps.append(("geometry", "certified" if geo_ok else "failed"))
@@ -324,15 +310,9 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
 
 
 def _refine_level(cfg: RunConfig, shape: tuple[int, int]):
-    nx, ny = shape
-    level_cfg = RunConfig(
-        domain=dataclasses.replace(cfg.domain, nx=nx, ny=ny),
-        problem=dataclasses.replace(cfg.problem),
-        solver=dataclasses.replace(cfg.solver),
-    )
-    problem = discretize(to_problem_spec(level_cfg))
-    report = solve_saddle(problem, _solver_config(level_cfg))
-    return problem, report
+    domain = dataclasses.replace(cfg.domain, nx=shape[0], ny=shape[1])
+    problem = discretize(to_problem_spec(dataclasses.replace(cfg, domain=domain)))
+    return problem, solve_saddle(problem, _solver_config(cfg))
 
 
 def cmd_refine(cfg: RunConfig, quiet: bool, levels: int) -> int:
@@ -342,12 +322,7 @@ def cmd_refine(cfg: RunConfig, quiet: bool, levels: int) -> int:
     shapes = [(cfg.domain.nx, cfg.domain.ny)]
     for _ in range(levels - 1):
         shapes.append(tuple(2 * n + 1 for n in shapes[-1]))
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda shape: _refine_level(cfg, shape), shapes))
-    else:
-        results = [_refine_level(cfg, shape) for shape in shapes]
+    results = [_refine_level(cfg, shape) for shape in shapes]
 
     rows = []
     values = [rep.critical_value for _, rep in results]
@@ -368,6 +343,9 @@ def cmd_refine(cfg: RunConfig, quiet: bool, levels: int) -> int:
     bad = [i for i, (_, rep) in enumerate(results) if not rep.converged]
     if bad:
         return _fail("refine", f"levels {bad} did not converge")
+    trivial = [i for i, (_, rep) in enumerate(results) if not rep.nontrivial]
+    if trivial:
+        return _fail("refine", f"levels {trivial} converged to the trivial state")
     _say(quiet, f"all {levels} levels converged")
     return 0
 
@@ -402,7 +380,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load(args)
-        worker_count()  # validate the env override before any work
         if args.command == "check":
             return cmd_check(cfg, args.quiet)
         if args.command == "geometry":

@@ -34,7 +34,7 @@ class GridMismatchError(LinkingSaddleError, ValueError):
 
 
 class LinearSolveError(LinkingSaddleError, RuntimeError):
-    """A linear or eigen solve exhausted its budget or lost accuracy."""
+    """A linear or eigen solve failed or missed its residual bound."""
 
 
 class EnergyOverflowError(LinkingSaddleError, FloatingPointError):

@@ -164,9 +164,9 @@ class ProblemSpec:
 class Problem:
     """A discretized :class:`ProblemSpec`: grid, stiffness operator, eigen cache."""
 
-    def __init__(self, spec: ProblemSpec, method: str = "direct") -> None:
+    def __init__(self, spec: ProblemSpec) -> None:
         self.spec = spec
-        self.grid, self.op = build_grid(spec.domain, method=method)
+        self.grid, self.op = build_grid(spec.domain)
         self.lam = float(spec.lam)
         self.delta = float(spec.delta)
         self.nl = spec.nonlinearity
@@ -191,8 +191,8 @@ class Problem:
         return pair_norm(self.op, x)
 
 
-def discretize(spec: ProblemSpec, method: str = "direct") -> Problem:
-    return Problem(spec, method=method)
+def discretize(spec: ProblemSpec) -> Problem:
+    return Problem(spec)
 
 
 @dataclass(frozen=True)

@@ -167,24 +167,17 @@ class StiffnessOperator:
     """Sparse SPD matrix realizing the Dirichlet form on a grid.
 
     ``product`` evaluates the form, ``apply`` the matrix-vector product,
-    and ``solve`` inverts it. The default direct solve is built once per
+    and ``solve`` inverts it. The direct solve is built once per
     operator: fast diagonalization in the 1D eigenbases of both axes on
     2D grids (four dense matrix products per solve, no factorization),
     and a sparse LU factorization of the tridiagonal matrix on 1D grids.
-    ``method="cg"`` switches to conjugate gradients with a budget of
-    ``budget_factor * n_interior`` iterations at relative tolerance
-    ``rtol``. Either way the returned solution is rejected with
-    :class:`LinearSolveError` if its relative residual exceeds ``rtol``.
+    The returned solution is rejected with :class:`LinearSolveError` if
+    its relative residual exceeds ``rtol``.
     """
 
-    def __init__(self, grid: Grid, method: str = "direct",
-                 rtol: float = 1e-10, budget_factor: int = 10):
-        if method not in ("direct", "cg"):
-            raise InvalidSpecError(f"unknown solve method {method!r}")
+    def __init__(self, grid: Grid, rtol: float = 1e-10):
         self.grid = grid
-        self.method = method
         self.rtol = float(rtol)
-        self.budget_factor = int(budget_factor)
         spec = grid.spec
         if spec.dimension == 1:
             self.matrix = _stiffness_1d(spec.interior_counts[0], grid.h[0])
@@ -228,15 +221,7 @@ class StiffnessOperator:
     def solve(self, rhs) -> np.ndarray:
         """Solve K w = rhs to relative residual <= rtol."""
         rhs = self.grid.check_field(rhs, require_finite=True)
-        if self.method == "direct":
-            w = self._factor(rhs)
-        else:
-            budget = self.budget_factor * self.grid.n_interior
-            w, info = spla.cg(self.matrix, rhs, rtol=self.rtol, atol=0.0, maxiter=budget)
-            if info != 0:
-                raise LinearSolveError(
-                    f"cg failed to reach rtol={self.rtol} within {budget} iterations"
-                )
+        w = self._factor(rhs)
         scale = float(np.linalg.norm(rhs))
         if scale > 0.0:
             resid = float(np.linalg.norm(self.matrix @ w - rhs))
@@ -247,10 +232,10 @@ class StiffnessOperator:
         return w
 
 
-def build_grid(spec: DomainSpec, method: str = "direct") -> tuple[Grid, StiffnessOperator]:
+def build_grid(spec: DomainSpec) -> tuple[Grid, StiffnessOperator]:
     """Construct the grid and its stiffness operator for a domain."""
     grid = Grid(spec)
-    return grid, StiffnessOperator(grid, method=method)
+    return grid, StiffnessOperator(grid)
 
 
 def _eigen_factors_1d(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:

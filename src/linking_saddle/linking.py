@@ -478,16 +478,21 @@ class DeformationGamma:
         return self.fn(x)
 
 
-def _interior_taper(frame: LinkingFrame, xi: np.ndarray, margin: float = 1e-6) -> float:
-    """Continuous weight in [0, ~1/4], exactly zero on the frame boundary.
+def _boundary_clearance(frame: LinkingFrame, xi: np.ndarray) -> tuple[float, float]:
+    """Clearance of xi from the base and from the cap of the frame, clamped at 0.
 
     The margin clamps boundary-sample float noise to an exact 0.0, so
-    boundary identity holds bitwise, not just to rounding.
+    deformations built on it fix the boundary bitwise, not just to rounding.
     """
+    margin = 1e-6
     lam_rel = xi[-1] / frame.rho
     slack = 1.0 - float(np.dot(xi, xi)) / frame.rho**2
-    q1 = max(0.0, lam_rel - margin)
-    q2 = max(0.0, slack - margin)
+    return max(0.0, lam_rel - margin), max(0.0, slack - margin)
+
+
+def _interior_taper(frame: LinkingFrame, xi: np.ndarray) -> float:
+    """Continuous weight in [0, ~1/4], exactly zero on the frame boundary."""
+    q1, q2 = _boundary_clearance(frame, xi)
     return q1 * q2
 
 
@@ -553,16 +558,19 @@ def displacement_residual(
     """
     if gamma.displacement_modes is None:
         return 0.0
-    split = frame.splitting
     worst = 0.0
     for s in states:
-        disp = gamma(s) - s
-        recon = StatePair.zeros(s.size)
-        coeffs = frame.basis.coefficients(disp)
-        for k in gamma.displacement_modes:
-            recon = recon + coeffs[k] * frame.basis.direction(k)
-        worst = max(worst, split.pair_norm(disp - recon))
+        worst = max(worst, _span_residual(frame, gamma(s) - s, gamma.displacement_modes))
     return worst
+
+
+def _span_residual(frame: LinkingFrame, x: StatePair, modes: Sequence[int]) -> float:
+    """Energy norm of x minus its reconstruction from the listed antidiagonal modes."""
+    coeffs = frame.basis.coefficients(x)
+    recon = StatePair.zeros(x.size)
+    for k in modes:
+        recon = recon + coeffs[k] * frame.basis.direction(k)
+    return frame.splitting.pair_norm(x - recon)
 
 
 def linking_homotopy(
@@ -614,12 +622,7 @@ def _verify_chart_span(
     split = frame.splitting
     for row in probes:
         gu = gamma(frame.state_from_chart(row))
-        p_part = split.antidiagonal_part(gu)
-        coeffs = frame.basis.coefficients(p_part)[: frame.d_y]
-        recon = StatePair.zeros(gu.size)
-        for k in range(frame.d_y):
-            recon = recon + coeffs[k] * frame.basis.direction(k)
-        err = split.pair_norm(p_part - recon)
+        err = _span_residual(frame, split.antidiagonal_part(gu), range(frame.d_y))
         if err > tol * max(1.0, split.pair_norm(gu)):
             raise DomainMembershipError(
                 f"deformation '{gamma.name}' leaves the chart span "
@@ -641,12 +644,24 @@ def _start_lattice(frame: LinkingFrame, per_axis: int) -> np.ndarray:
     return pts[keep]
 
 
-def _dedupe_rows(rows: List[np.ndarray], tol: float) -> List[np.ndarray]:
-    out: List[np.ndarray] = []
-    for row in rows:
-        if all(np.linalg.norm(row - kept) > tol for kept in out):
-            out.append(row)
-    return out
+def _root_sweep(map_fn: Callable[[np.ndarray], np.ndarray], frame: LinkingFrame,
+                per_axis: int, residual_tol: float) -> List[np.ndarray]:
+    """Distinct interior roots of map_fn found from the start lattice, in sorted order."""
+    scale = max(1.0, frame.r)
+    tol = max(1e-6, 1e-5 * frame.rho)
+    roots: List[np.ndarray] = []
+    for start in _start_lattice(frame, per_axis):
+        root = sopt.root(map_fn, start, method="hybr", tol=1e-13).x
+        if not np.all(np.isfinite(root)):
+            continue
+        if np.max(np.abs(map_fn(root))) > residual_tol * scale:
+            continue
+        if root[-1] < 1e-9 * frame.r or np.linalg.norm(root) > frame.rho * (1 - 1e-9):
+            continue
+        if all(np.linalg.norm(root - kept) > tol for kept in roots):
+            roots.append(root)
+    roots.sort(key=lambda row: tuple(np.round(row, 9)))
+    return roots
 
 
 @dataclass
@@ -683,20 +698,7 @@ def intersection_point(
     _verify_chart_span(frame, gamma, probes)
 
     chart_map = homotopy_chart_map(frame, gamma, 1.0)
-    scale = max(1.0, frame.r)
-    roots: List[np.ndarray] = []
-    for start in _start_lattice(frame, starts_per_axis):
-        sol = sopt.root(chart_map, start, method="hybr", tol=1e-13)
-        root = sol.x
-        if not np.all(np.isfinite(root)):
-            continue
-        if np.max(np.abs(chart_map(root))) > residual_tol * scale:
-            continue
-        if root[-1] < 1e-9 * frame.r or np.linalg.norm(root) > frame.rho * (1 - 1e-9):
-            continue
-        roots.append(root)
-    roots = _dedupe_rows(roots, tol=max(1e-6, 1e-5 * frame.rho))
-    roots.sort(key=lambda row: tuple(np.round(row, 9)))
+    roots = _root_sweep(chart_map, frame, starts_per_axis, residual_tol)
 
     split = frame.splitting
     for root in roots:
@@ -776,20 +778,7 @@ def brouwer_degree_small(
             f"at sample {int(np.argmin(boundary_vals))})"
         )
 
-    scale = max(1.0, frame.r)
-    roots: List[np.ndarray] = []
-    for start in _start_lattice(frame, starts_per_axis):
-        sol = sopt.root(map_fn, start, method="hybr", tol=1e-13)
-        root = sol.x
-        if not np.all(np.isfinite(root)):
-            continue
-        if np.max(np.abs(map_fn(root))) > residual_tol * scale:
-            continue
-        if root[-1] < 1e-9 * frame.r or np.linalg.norm(root) > frame.rho * (1 - 1e-9):
-            continue
-        roots.append(root)
-    roots = _dedupe_rows(roots, tol=max(1e-6, 1e-5 * frame.rho))
-    roots.sort(key=lambda row: tuple(np.round(row, 9)))
+    roots = _root_sweep(map_fn, frame, starts_per_axis, residual_tol)
 
     dets = []
     for root in roots:

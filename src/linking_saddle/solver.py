@@ -29,7 +29,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import EnergyOverflowError, InvalidSpecError
 from .functional import EnergyBreakdown, Problem, evaluate_J, riesz_gradient
-from .linking import DeformationGamma, LinkingFrame
+from .linking import (DeformationGamma, LinkingFrame, _boundary_clearance,
+                      _boundary_corner_rows, _interior_rows)
 from .splitting import DiagonalSplitting
 from .state import StatePair, pair_norm
 
@@ -564,15 +565,10 @@ def flow_deformation(
     so deep interior points are moved by the full flow map. Displacement
     is certified against the full discrete space, not a modal span.
     """
-    margin = 1e-6
 
     def fn(x: StatePair) -> StatePair:
-        xi = frame.chart_from_state(x)
-        lam_rel = xi[-1] / frame.rho
-        slack = 1.0 - float(np.dot(xi, xi)) / frame.rho**2
-        w1 = min(1.0, max(0.0, lam_rel - margin) / ramp)
-        w2 = min(1.0, max(0.0, slack - margin) / ramp)
-        w = w1 * w2
+        q1, q2 = _boundary_clearance(frame, frame.chart_from_state(x))
+        w = min(1.0, q1 / ramp) * min(1.0, q2 / ramp)
         if w == 0.0:
             return x.copy()
         return x + w * (flow_map(problem, x, steps, step, frame) - x)
@@ -738,8 +734,6 @@ def deformation_witness_search(
         )
     if not (prox > 0 and np.isfinite(prox)):
         raise InvalidSpecError(f"prox must be positive, got {prox}")
-
-    from .linking import _boundary_corner_rows, _interior_rows
 
     rng = np.random.default_rng(seed)
     rows = np.vstack([

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from linking_saddle import ConfigError, RunConfig, cli, load_config, parse_config
-from linking_saddle.cli import main, worker_count
+from linking_saddle.cli import main
 from linking_saddle.config import INITS, METHODS, PRESETS, format_config, to_problem_spec
 from linking_saddle.reporting import write_csv, write_manifest, write_pgm, write_svg_trace
 
@@ -244,36 +244,71 @@ def test_cli_missing_config_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("LINKING_SADDLE_THREADS", raising=False)
-    assert worker_count() >= 1
-    monkeypatch.setenv("LINKING_SADDLE_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("LINKING_SADDLE_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.setenv("LINKING_SADDLE_THREADS", "0")
-    with pytest.raises(ConfigError):
-        worker_count()
-
-
-def test_cli_bad_thread_env_exit(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LINKING_SADDLE_THREADS", "nope")
-    rc = main(["check", "--config", cfg_file(tmp_path, TOY), "--out", str(tmp_path / "c")])
-    assert rc == 2
-
-
-def test_cli_threaded_refine_matches_serial(tmp_path, monkeypatch):
+def test_cli_refine_deterministic(tmp_path):
     cfg = cfg_file(tmp_path, TOY)
-    monkeypatch.setenv("LINKING_SADDLE_THREADS", "1")
-    assert main(["refine", "--config", cfg, "--out", str(tmp_path / "r1"),
-                 "--levels", "3", "--quiet"]) == 0
-    monkeypatch.setenv("LINKING_SADDLE_THREADS", "3")
-    assert main(["refine", "--config", cfg, "--out", str(tmp_path / "r3"),
-                 "--levels", "3", "--quiet"]) == 0
+    for name in ("r1", "r2"):
+        assert main(["refine", "--config", cfg, "--out", str(tmp_path / name),
+                     "--levels", "3", "--quiet"]) == 0
     a = (tmp_path / "r1" / "refine_table.csv").read_bytes()
-    b = (tmp_path / "r3" / "refine_table.csv").read_bytes()
+    b = (tmp_path / "r2" / "refine_table.csv").read_bytes()
     assert a == b
+
+
+def test_cli_solve_rerun_rewrites_identical_files(tmp_path):
+    cfg = cfg_file(tmp_path, SQUARE + "frame.seed = 41\noutput.svg = true\n")
+    out = tmp_path / "same"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"manifest.cfg", "solution_u.pgm", "solution_v.pgm", "trace.svg",
+            "saddle_report.csv", "trace.csv", "solution.csv"} <= set(first)
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    second = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert second == first
+
+
+# configurations near the edge of what the pipeline accepts
+RESONANT = "domain.dimension = 1\ndomain.nx = 31\nproblem.lambda = 9.8696\nproblem.delta = 9.8696\n"
+NEAR_QUADRATIC = "domain.dimension = 1\ndomain.nx = 31\nproblem.p = 2.000001\nproblem.mu = 2.000001\n"
+HUGE_EXTENT = "domain.dimension = 1\ndomain.nx = 31\ndomain.extent_x = 1e8\n"
+ZERO_SQUARE = "domain.dimension = 2\ndomain.nx = 8\ndomain.ny = 8\nproblem.preset = zero\n"
+SINGLE_SQUARE = "domain.dimension = 2\ndomain.nx = 1\ndomain.ny = 1\n"
+WIDE_CHART = TOY + "frame.d_y = 5\n"
+
+
+@pytest.mark.parametrize("command, text, expected", [
+    ("solve", TOY, 0),
+    ("solve", SINGLE_SQUARE, 0),
+    ("solve", NEAR_QUADRATIC, 1),
+    ("solve", ZERO_SQUARE, 1),
+    ("solve", RESONANT, 1),
+    ("solve", HUGE_EXTENT, 1),
+    ("intersect", WIDE_CHART, 1),
+    ("refine", NEAR_QUADRATIC, 1),
+    ("refine", ZERO_SQUARE, 1),
+    ("refine", RESONANT, 1),
+    ("refine", HUGE_EXTENT, 1),
+], ids=["solve-1d-nx1", "solve-2d-1x1", "solve-p-near-2", "solve-zero-2d", "solve-resonant",
+        "solve-huge-extent", "intersect-d_y5", "refine-p-near-2", "refine-zero-2d",
+        "refine-resonant", "refine-huge-extent"])
+def test_cli_adversarial_configs_exit_cleanly(tmp_path, capsys, command, text, expected):
+    extra = ["--levels", "2"] if command == "refine" else []
+    rc = main([command, "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "o"),
+               "--quiet", *extra])
+    assert rc == expected
+    if rc:
+        assert capsys.readouterr().err
+
+
+def test_cli_refine_fails_on_trivial_levels(tmp_path, capsys):
+    out = tmp_path / "r"
+    rc = main(["refine", "--config", cfg_file(tmp_path, NEAR_QUADRATIC), "--out", str(out),
+               "--levels", "2", "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "FAILED at stage 'refine'" in err
+    assert "levels [0, 1] converged to the trivial state" in err
+    rows = read_csv(out / "refine_table.csv")
+    assert all(r["converged"] == "true" for r in rows)
 
 
 def test_seed_override_lands_in_manifest(tmp_path):

@@ -157,22 +157,6 @@ def test_2d_solve_keeps_residual_check():
         strict.solve(np.random.default_rng(4).standard_normal(grid.n_interior))
 
 
-def test_iterative_solver_agrees_with_direct():
-    spec = DomainSpec.interval(64)
-    _, direct = build_grid(spec, method="direct")
-    _, iterative = build_grid(spec, method="cg")
-    rng = np.random.default_rng(3)
-    rhs = rng.standard_normal(64)
-    assert iterative.solve(rhs) == pytest.approx(direct.solve(rhs), rel=1e-7, abs=1e-9)
-
-
-def test_iterative_budget_failure():
-    grid, _ = build_grid(DomainSpec.interval(200))
-    strangled = StiffnessOperator(grid, method="cg", budget_factor=0)
-    with pytest.raises(LinearSolveError):
-        strangled.solve(np.ones(200))
-
-
 def test_coercivity_on_random_fields():
     grid, op = build_grid(DomainSpec.interval(31))
     lam1, _ = principal_eigenpair(grid, op)
