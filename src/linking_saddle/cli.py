@@ -21,6 +21,7 @@ from .diagnostics import run_all_checks
 from .errors import ConfigError, GeometryCertificationError, LinkingSaddleError
 from .functional import Problem, discretize, evaluate_J, validate_hypotheses
 from .linking import (
+    MAX_DEGREE_DIMENSION,
     build_frame,
     choose_radii,
     displacement_residual,
@@ -32,12 +33,7 @@ from .linking import (
     shipped_deformations,
 )
 from .reporting import write_csv, write_manifest, write_pgm, write_svg_trace
-from .solver import (
-    SolverConfig,
-    minimax_consistency,
-    ps_monitor,
-    solve_saddle,
-)
+from .solver import minimax_consistency, ps_monitor, solve_saddle
 
 __all__ = ["main"]
 
@@ -59,15 +55,6 @@ def _load(args: argparse.Namespace) -> RunConfig:
     if args.out is not None:
         cfg.output.dir = args.out
     return cfg
-
-
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    s = cfg.solver
-    return SolverConfig(
-        method=s.method, grad_tol=s.grad_tol, max_iter=s.max_iter,
-        flow_max_iter=s.flow_max_iter, flow_step=s.flow_step,
-        flow_tol=s.flow_tol, init=s.init, eta=s.eta,
-    )
 
 
 def _resolve_radii(cfg: RunConfig, problem: Problem):
@@ -179,6 +166,11 @@ def cmd_geometry(cfg: RunConfig, quiet: bool) -> int:
 
 
 def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
+    if cfg.frame.d_y + 1 > MAX_DEGREE_DIMENSION:
+        raise ConfigError(
+            f"intersect counts degrees on charts of dimension d_y + 1 <= {MAX_DEGREE_DIMENSION}, "
+            f"got frame.d_y = {cfg.frame.d_y}"
+        )
     problem = discretize(to_problem_spec(cfg))
     prelude = _frame_and_samples(cfg, problem, "intersect", [("radii", "failed")], 16, 12)
     if prelude is None:
@@ -247,7 +239,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
         _write_run_manifest(cfg, "solve", steps)
         return _fail("geometry", f"margin {geo.margin:.6g} not certifiable")
 
-    report = solve_saddle(problem, _solver_config(cfg), frame)
+    report = solve_saddle(problem, cfg.solver, frame)
     solve_ok = report.converged and report.nontrivial
     steps.append(("solve", report.message if not solve_ok else "converged"))
 
@@ -312,7 +304,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
 def _refine_level(cfg: RunConfig, shape: tuple[int, int]):
     domain = dataclasses.replace(cfg.domain, nx=shape[0], ny=shape[1])
     problem = discretize(to_problem_spec(dataclasses.replace(cfg, domain=domain)))
-    return problem, solve_saddle(problem, _solver_config(cfg))
+    return problem, solve_saddle(problem, cfg.solver)
 
 
 def cmd_refine(cfg: RunConfig, quiet: bool, levels: int) -> int:

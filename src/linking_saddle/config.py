@@ -10,12 +10,13 @@ manifests self-describing.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field, fields
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidSpecError
 from .functional import (
     NonlinearitySpec,
     ProblemSpec,
@@ -23,12 +24,12 @@ from .functional import (
     zero_nonlinearity,
 )
 from .grid import DomainSpec
+from .solver import SolverConfig
 
 __all__ = [
     "DomainBlock",
     "ProblemBlock",
     "FrameBlock",
-    "SolverBlock",
     "OutputBlock",
     "RunConfig",
     "parse_config",
@@ -38,8 +39,6 @@ __all__ = [
 ]
 
 PRESETS = ("power", "zero")
-METHODS = ("newton", "signflow", "flow-then-newton")
-INITS = ("anchor", "eigen", "zero")
 
 
 @dataclass
@@ -74,18 +73,6 @@ class FrameBlock:
 
 
 @dataclass
-class SolverBlock:
-    method: str = "flow-then-newton"
-    grad_tol: float = 1e-10
-    max_iter: int = 60
-    flow_max_iter: int = 400
-    flow_step: float = 0.25
-    flow_tol: float = 1e-4
-    init: str = "anchor"
-    eta: float = 0.1
-
-
-@dataclass
 class OutputBlock:
     dir: str = "out"
     heatmaps: bool = True
@@ -97,7 +84,7 @@ class RunConfig:
     domain: DomainBlock = field(default_factory=DomainBlock)
     problem: ProblemBlock = field(default_factory=ProblemBlock)
     frame: FrameBlock = field(default_factory=FrameBlock)
-    solver: SolverBlock = field(default_factory=SolverBlock)
+    solver: SolverConfig = field(default_factory=SolverConfig)
     output: OutputBlock = field(default_factory=OutputBlock)
 
 
@@ -105,7 +92,7 @@ _BLOCKS = {
     "domain": DomainBlock,
     "problem": ProblemBlock,
     "frame": FrameBlock,
-    "solver": SolverBlock,
+    "solver": SolverConfig,
     "output": OutputBlock,
 }
 
@@ -194,6 +181,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("frame.r and frame.rho must both be 'auto' or both numeric")
     if f.d_y < 1:
         raise ConfigError(f"frame.d_y must be at least 1, got {f.d_y}")
+    nodes = d.nx if d.dimension == 1 else d.nx * d.ny
+    if f.d_y > nodes:
+        raise ConfigError(f"frame.d_y must not exceed the grid's node count {nodes}, got {f.d_y}")
     if f.modes < f.d_y:
         raise ConfigError(f"frame.modes must be at least d_y={f.d_y}, got {f.modes}")
     for label, val in (
@@ -204,21 +194,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         if val < 2:
             raise ConfigError(f"{label} must be at least 2, got {val}")
 
-    s = cfg.solver
-    if s.method not in METHODS:
-        raise ConfigError(f"solver.method must be one of {METHODS}, got {s.method!r}")
-    if s.init not in INITS:
-        raise ConfigError(f"solver.init must be one of {INITS}, got {s.init!r}")
-    for label, val in (("solver.grad_tol", s.grad_tol), ("solver.flow_tol", s.flow_tol)):
-        if not val > 0:
-            raise ConfigError(f"{label} must be positive, got {val:g}")
-    if not 0 < s.flow_step < 1:
-        raise ConfigError(f"solver.flow_step must lie in (0, 1), got {s.flow_step:g}")
-    for label, val in (("solver.max_iter", s.max_iter), ("solver.flow_max_iter", s.flow_max_iter)):
-        if val < 1:
-            raise ConfigError(f"{label} must be at least 1, got {val}")
-    if s.eta < 0:
-        raise ConfigError(f"solver.eta must be nonnegative, got {s.eta:g}")
+    try:
+        dataclasses.replace(cfg.solver)  # runs SolverConfig's own validation
+    except InvalidSpecError as exc:
+        raise ConfigError(f"solver.{exc}") from exc
     return cfg
 
 

@@ -55,8 +55,9 @@ class NonlinearitySpec:
 
     Evaluators take (points, values) and broadcast over values; the
     point argument lets spatially varying couplings share the interface
-    even though the shipped presets are autonomous. ``p`` is the growth
-    exponent, ``mu`` the superquadraticity exponent, ``radius`` the
+    even though the shipped presets are autonomous. ``df`` and ``dg`` are
+    the derivatives of f and g, which the Newton step needs. ``p`` is the
+    growth exponent, ``mu`` the superquadraticity exponent, ``radius`` the
     threshold beyond which the superquadratic inequality is required,
     and ``scale`` the growth constant.
     """
@@ -66,12 +67,12 @@ class NonlinearitySpec:
     F: TermFn
     g: TermFn
     G: TermFn
+    df: TermFn
+    dg: TermFn
     p: float
     mu: float
     radius: float = 1.0
     scale: float = 1.0
-    df: Optional[TermFn] = None
-    dg: Optional[TermFn] = None
 
     def __post_init__(self) -> None:
         if not (self.p > 2.0 and np.isfinite(self.p)):

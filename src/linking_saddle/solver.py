@@ -18,9 +18,10 @@ energy norm across the iterates.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 import scipy.optimize as sopt
@@ -53,56 +54,68 @@ __all__ = [
     "deformation_witness_search",
 ]
 
-SOLVER_METHODS = ("newton", "signflow", "flow-then-newton")
+METHODS = ("newton", "signflow", "flow-then-newton")
+INITS = ("anchor", "eigen", "zero")
+
+# the flow gives up once backtracking halves its step below this
+_MIN_FLOW_STEP = 1e-6
 
 
 @dataclass
 class SolverConfig:
+    """Solver settings; the field order is the order of the ``solver.*`` config keys."""
+
     method: str = "flow-then-newton"
     grad_tol: float = 1e-10
     max_iter: int = 60
     flow_max_iter: int = 400
     flow_step: float = 0.25
     flow_tol: float = 1e-4
-    min_step: float = 1e-6
-    init: Union[str, StatePair] = "anchor"
+    init: str = "anchor"
     eta: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.method not in SOLVER_METHODS:
-            raise InvalidSpecError(
-                f"method must be one of {SOLVER_METHODS}, got {self.method!r}"
-            )
-        for label, val in (
-            ("grad_tol", self.grad_tol), ("flow_step", self.flow_step),
-            ("flow_tol", self.flow_tol), ("min_step", self.min_step),
-        ):
+        # each message starts with its field name, so the config parser can
+        # prefix the section and report it as the key
+        if self.method not in METHODS:
+            raise InvalidSpecError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.init not in INITS:
+            raise InvalidSpecError(f"init must be one of {INITS}, got {self.init!r}")
+        for label, val in (("grad_tol", self.grad_tol), ("flow_tol", self.flow_tol)):
             if not (val > 0 and np.isfinite(val)):
-                raise InvalidSpecError(f"{label} must be positive, got {val}")
+                raise InvalidSpecError(f"{label} must be positive, got {val:g}")
         if not 0 < self.flow_step < 1:
-            raise InvalidSpecError(f"flow_step must lie in (0, 1), got {self.flow_step}")
+            raise InvalidSpecError(f"flow_step must lie in (0, 1), got {self.flow_step:g}")
+        for label, val in (("max_iter", self.max_iter), ("flow_max_iter", self.flow_max_iter)):
+            if val < 1:
+                raise InvalidSpecError(f"{label} must be at least 1, got {val}")
         if self.eta < 0:
-            raise InvalidSpecError(f"eta must be nonnegative, got {self.eta}")
-        if isinstance(self.init, str) and self.init not in ("anchor", "eigen", "zero"):
-            raise InvalidSpecError(f"unknown init policy {self.init!r}")
+            raise InvalidSpecError(f"eta must be nonnegative, got {self.eta:g}")
 
 
 @dataclass
 class IterateTrace:
-    """Per-iterate history; states are kept so compactness checks can run after the fact."""
+    """Per-iterate numbers for the compactness checks, and the last two states.
+
+    ``mu_norms`` holds vol * (sum |u|^mu + sum |v|^mu) of each iterate, the
+    superquadratic norm that :func:`ps_monitor` fits against ``state_norms``.
+    """
 
     energies: List[float] = field(default_factory=list)
     gradient_norms: List[float] = field(default_factory=list)
     step_sizes: List[float] = field(default_factory=list)
     state_norms: List[float] = field(default_factory=list)
-    states: List[StatePair] = field(default_factory=list)
+    mu_norms: List[float] = field(default_factory=list)
+    last_states: List[StatePair] = field(default_factory=list)
 
-    def append(self, energy: float, grad: float, step: float, norm: float, state: StatePair) -> None:
+    def append(self, energy: float, grad: float, step: float, norm: float, mu_norm: float,
+               state: StatePair) -> None:
         self.energies.append(float(energy))
         self.gradient_norms.append(float(grad))
         self.step_sizes.append(float(step))
         self.state_norms.append(float(norm))
-        self.states.append(state)
+        self.mu_norms.append(float(mu_norm))
+        self.last_states = [*self.last_states[-1:], state]
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -112,7 +125,8 @@ class IterateTrace:
         self.gradient_norms.extend(other.gradient_norms)
         self.step_sizes.extend(other.step_sizes)
         self.state_norms.extend(other.state_norms)
-        self.states.extend(other.states)
+        self.mu_norms.extend(other.mu_norms)
+        self.last_states = [*self.last_states, *other.last_states][-2:]
 
 
 @dataclass
@@ -159,19 +173,6 @@ def residual_dual_norm(problem: Problem, res: StatePair) -> float:
     return pair_norm(op, lifted)
 
 
-def _derivative(problem: Problem, which: str, values: np.ndarray) -> np.ndarray:
-    pts = problem.grid.coords
-    nl = problem.nl
-    fn = nl.df if which == "f" else nl.dg
-    if fn is not None:
-        return np.asarray(fn(pts, values), dtype=float)
-    term = nl.f if which == "f" else nl.g
-    h = 1e-6 * (1.0 + np.abs(values))
-    hi = np.asarray(term(pts, values + h), dtype=float)
-    lo = np.asarray(term(pts, values - h), dtype=float)
-    return (hi - lo) / (2.0 * h)
-
-
 def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     """Solve the second-variation system in sum/difference variables.
 
@@ -179,11 +180,12 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     decouples with an exactly zero right-hand side, so the step (and
     hence every Newton iterate) keeps u == v bitwise.
     """
-    op = problem.op
+    op, nl = problem.op, problem.nl
     vol = problem.grid.cell_volume
+    pts = problem.grid.coords
     n = problem.n
-    a = vol * (problem.lam + _derivative(problem, "f", x.u))
-    b = vol * (problem.delta + _derivative(problem, "g", x.v))
+    a = vol * (problem.lam + np.asarray(nl.df(pts, x.u), dtype=float))
+    b = vol * (problem.delta + np.asarray(nl.dg(pts, x.v), dtype=float))
     avg = 0.5 * (a + b)
     off = 0.5 * (b - a)
     k = op.matrix
@@ -211,8 +213,6 @@ def _initial_state(
 ) -> StatePair:
     if x0 is not None:
         return x0.copy()
-    if isinstance(config.init, StatePair):
-        return config.init.copy()
     if config.init == "zero":
         return StatePair.zeros(problem.n)
     if config.init == "eigen":
@@ -395,6 +395,64 @@ def _finish(
     )
 
 
+class _StepFailed(Exception):
+    """A step rule has no trial left; the message says why."""
+
+
+def _mu_norm(problem: Problem, x: StatePair) -> float:
+    mu = problem.nl.mu
+    return problem.grid.cell_volume * (np.sum(np.abs(x.u) ** mu) + np.sum(np.abs(x.v) ** mu))
+
+
+def _iterate(
+    problem: Problem,
+    x: StatePair,
+    trials: Callable[[StatePair, StatePair, float, float], Iterator[tuple]],
+    tol: float,
+    budget: int,
+    step: float,
+    method: str,
+    eta: float,
+) -> SaddleReport:
+    """The iteration loop of :func:`newton_solve` and :func:`signflow_solve`.
+
+    ``trials(x, g, gn, step)`` yields the backtracking trials of one step as
+    ``(trial, bound, next_step)``; the first trial whose gradient norm is at
+    most ``bound`` is accepted, and its gradient carries into the next
+    iterate. A trial whose energy overflows is rejected. The rule raises
+    :class:`_StepFailed` when it has no trial left. ``step`` is the step
+    size recorded with the starting iterate.
+    """
+    trace = IterateTrace()
+    converged = False
+    message = "gradient tolerance reached"
+    g, gn = _grad_and_norm(problem, x)
+    it = 0
+    while True:
+        trace.append(evaluate_J(problem, x).total, gn, step, pair_norm(problem.op, x),
+                     _mu_norm(problem, x), x.copy())
+        if gn <= tol:
+            converged = True
+            break
+        if it >= budget:
+            message = "iteration budget exhausted"
+            break
+        try:
+            for trial, bound, next_step in trials(x, g, gn, step):
+                try:
+                    g_trial, gn_trial = _grad_and_norm(problem, trial)
+                except EnergyOverflowError:
+                    continue
+                if gn_trial <= bound:
+                    break
+        except _StepFailed as exc:
+            message = str(exc)
+            break
+        x, g, gn, step = trial, g_trial, gn_trial, next_step
+        it += 1
+    return _finish(problem, x, converged, it, method, message, trace, eta)
+
+
 def newton_solve(
     problem: Problem,
     config: Optional[SolverConfig] = None,
@@ -408,45 +466,19 @@ def newton_solve(
     improve criticality.
     """
     cfg = config if config is not None else SolverConfig(method="newton")
-    x = _initial_state(problem, cfg, frame, x0)
-    trace = IterateTrace()
-    converged = False
-    message = "gradient tolerance reached"
-    last_step = 0.0
-    it = 0
-    while True:
-        g, gn = _grad_and_norm(problem, x)
-        trace.append(evaluate_J(problem, x).total, gn, last_step, pair_norm(problem.op, x), x.copy())
-        if gn <= cfg.grad_tol:
-            converged = True
-            break
-        if it >= cfg.max_iter:
-            message = "iteration budget exhausted"
-            break
-        res = euler_lagrange_residual(problem, x)
-        step = _newton_step(problem, x, res)
-        if not step.is_finite():
-            message = "second-variation system is singular"
-            break
+
+    def trials(x, g, gn, step):
+        direction = _newton_step(problem, x, euler_lagrange_residual(problem, x))
+        if not direction.is_finite():
+            raise _StepFailed("second-variation system is singular")
         alpha = 1.0
-        accepted = False
         while alpha >= 1e-4:
-            trial = x + alpha * step
-            try:
-                _, gn_trial = _grad_and_norm(problem, trial)
-            except EnergyOverflowError:
-                gn_trial = np.inf
-            if gn_trial <= (1.0 - 1e-4 * alpha) * gn:
-                accepted = True
-                break
+            yield x + alpha * direction, (1.0 - 1e-4 * alpha) * gn, alpha
             alpha *= 0.5
-        if not accepted:
-            message = "line search stalled"
-            break
-        x = trial
-        last_step = alpha
-        it += 1
-    return _finish(problem, x, converged, it, "newton", message, trace, cfg.eta)
+        raise _StepFailed("line search stalled")
+
+    x = _initial_state(problem, cfg, frame, x0)
+    return _iterate(problem, x, trials, cfg.grad_tol, cfg.max_iter, 0.0, "newton", cfg.eta)
 
 
 def signflow_solve(
@@ -466,39 +498,18 @@ def signflow_solve(
     cfg = config if config is not None else SolverConfig(method="signflow")
     tol = cfg.grad_tol if grad_tol is None else float(grad_tol)
     split = DiagonalSplitting(problem.grid, problem.op)
-    x = _initial_state(problem, cfg, frame, x0)
-    trace = IterateTrace()
-    converged = False
-    message = "gradient tolerance reached"
-    s = cfg.flow_step
-    it = 0
-    while True:
-        g, gn = _grad_and_norm(problem, x)
-        trace.append(evaluate_J(problem, x).total, gn, s, pair_norm(problem.op, x), x.copy())
-        if gn <= tol:
-            converged = True
-            break
-        if it >= cfg.flow_max_iter:
-            message = "iteration budget exhausted"
-            break
-        accepted = False
-        while s >= cfg.min_step:
-            trial = _flow_update(split, problem, frame, x, g, s)
-            try:
-                _, gn_trial = _grad_and_norm(problem, trial)
-            except EnergyOverflowError:
-                gn_trial = np.inf
-            if gn_trial <= 1.5 * gn:  # tolerance band: mild transients allowed
-                accepted = True
-                break
+
+    def trials(x, g, gn, s):
+        while s >= _MIN_FLOW_STEP:
+            # tolerance band: mild transients allowed
+            yield (_flow_update(split, problem, frame, x, g, s), 1.5 * gn,
+                   min(s * 1.25, cfg.flow_step))
             s *= 0.5
-        if not accepted:
-            message = "step size collapsed"
-            break
-        x = trial
-        s = min(s * 1.25, cfg.flow_step)
-        it += 1
-    return _finish(problem, x, converged, it, "signflow", message, trace, cfg.eta)
+        raise _StepFailed("step size collapsed")
+
+    x = _initial_state(problem, cfg, frame, x0)
+    return _iterate(problem, x, trials, tol, cfg.flow_max_iter, cfg.flow_step, "signflow",
+                    cfg.eta)
 
 
 def solve_saddle(
@@ -515,24 +526,13 @@ def solve_saddle(
         return signflow_solve(problem, cfg, frame, x0)
     first = signflow_solve(problem, cfg, frame, x0, grad_tol=cfg.flow_tol)
     second = newton_solve(problem, cfg, frame, x0=first.state)
-    trace = IterateTrace()
-    trace.extend(first.trace)
-    trace.extend(second.trace)
+    first.trace.extend(second.trace)
     message = second.message
     if not first.converged:
         message = f"flow stage: {first.message}; newton stage: {second.message}"
-    return SaddleReport(
-        state=second.state,
-        critical_value=second.critical_value,
-        gradient_norm=second.gradient_norm,
-        residual_dual=second.residual_dual,
-        residual_euclidean=second.residual_euclidean,
-        converged=second.converged,
-        nontrivial=second.nontrivial,
-        iterations=first.iterations + second.iterations,
-        method="flow-then-newton",
-        message=message,
-        trace=trace,
+    return dataclasses.replace(
+        second, iterations=first.iterations + second.iterations,
+        method="flow-then-newton", message=message, trace=first.trace,
     )
 
 
@@ -607,7 +607,7 @@ def ps_monitor(
     """Check the trace for the compactness pattern of a converging sequence.
 
     Energies must stay bounded, the final gradient must meet tolerance,
-    the last ten states must be Cauchy in the energy norm, and the
+    the last two states must be Cauchy in the energy norm, and the
     superquadratic norms of the iterates must admit a nonnegative affine
     bound in the energy norm (fit by linear programming, reported with
     its worst slack).
@@ -623,19 +623,14 @@ def ps_monitor(
     # a convergent subsequence is all that is claimed, so only the final
     # iterates have to cluster; earlier ones may roam, and the step into
     # the terminal state is the measurable proxy for clustering
-    tail = trace.states[-2:]
+    tail = trace.last_states
     diam = 0.0
     for i in range(len(tail)):
         for j in range(i + 1, len(tail)):
             diam = max(diam, pair_norm(problem.op, tail[i] - tail[j]))
     tail_cauchy = bool(diam <= tail_tol)
 
-    vol = problem.grid.cell_volume
-    mu = problem.nl.mu
-    a = np.array([
-        vol * (np.sum(np.abs(s.u) ** mu) + np.sum(np.abs(s.v) ** mu))
-        for s in trace.states
-    ])
+    a = np.array(trace.mu_norms)
     b = np.array(trace.state_norms)
     from scipy.optimize import linprog
 
@@ -734,6 +729,8 @@ def deformation_witness_search(
         )
     if not (prox > 0 and np.isfinite(prox)):
         raise InvalidSpecError(f"prox must be positive, got {prox}")
+    if flow_steps < 0:
+        raise InvalidSpecError(f"flow_steps must be nonnegative, got {flow_steps}")
 
     rng = np.random.default_rng(seed)
     rows = np.vstack([
@@ -752,7 +749,6 @@ def deformation_witness_search(
 
     split = DiagonalSplitting(problem.grid, problem.op)
     x = images[int(np.argmax(image_vals))].copy()
-    best_reason = "iteration budget exhausted"
     for it in range(flow_steps + 1):
         energy = evaluate_J(problem, x).total
         g, gn = _grad_and_norm(problem, x)
@@ -762,13 +758,9 @@ def deformation_witness_search(
                 True, x, float(energy), float(gn), float(distance), it,
                 precondition_ok, sup_value, "witness found",
             )
-        if it == flow_steps:
-            break
-        x = _flow_update(split, problem, frame, x, g, flow_step)
-    energy = evaluate_J(problem, x).total
-    g, gn = _grad_and_norm(problem, x)
-    distance = min(pair_norm(problem.op, x - img) for img in images)
+        if it < flow_steps:
+            x = _flow_update(split, problem, frame, x, g, flow_step)
     return WitnessReport(
         False, None, float(energy), float(gn), float(distance), flow_steps,
-        precondition_ok, sup_value, best_reason,
+        precondition_ok, sup_value, "iteration budget exhausted",
     )

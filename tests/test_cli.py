@@ -8,8 +8,9 @@ import pytest
 
 from linking_saddle import ConfigError, RunConfig, cli, load_config, parse_config
 from linking_saddle.cli import main
-from linking_saddle.config import INITS, METHODS, PRESETS, format_config, to_problem_spec
+from linking_saddle.config import PRESETS, format_config, to_problem_spec
 from linking_saddle.reporting import write_csv, write_manifest, write_pgm, write_svg_trace
+from linking_saddle.solver import INITS, METHODS
 
 TOY = """
 domain.dimension = 1
@@ -273,6 +274,8 @@ HUGE_EXTENT = "domain.dimension = 1\ndomain.nx = 31\ndomain.extent_x = 1e8\n"
 ZERO_SQUARE = "domain.dimension = 2\ndomain.nx = 8\ndomain.ny = 8\nproblem.preset = zero\n"
 SINGLE_SQUARE = "domain.dimension = 2\ndomain.nx = 1\ndomain.ny = 1\n"
 WIDE_CHART = TOY + "frame.d_y = 5\n"
+WIDE_CHART_31 = "domain.dimension = 1\ndomain.nx = 31\nframe.d_y = 5\n"
+NO_NEWTON_BUDGET = TOY + "solver.max_iter = 0\n"
 
 
 @pytest.mark.parametrize("command, text, expected", [
@@ -282,13 +285,18 @@ WIDE_CHART = TOY + "frame.d_y = 5\n"
     ("solve", ZERO_SQUARE, 1),
     ("solve", RESONANT, 1),
     ("solve", HUGE_EXTENT, 1),
-    ("intersect", WIDE_CHART, 1),
+    ("intersect", WIDE_CHART, 2),
+    ("intersect", WIDE_CHART_31, 2),
+    ("geometry", WIDE_CHART_31, 0),
+    ("solve", WIDE_CHART_31, 0),
+    ("solve", NO_NEWTON_BUDGET, 2),
     ("refine", NEAR_QUADRATIC, 1),
     ("refine", ZERO_SQUARE, 1),
     ("refine", RESONANT, 1),
     ("refine", HUGE_EXTENT, 1),
 ], ids=["solve-1d-nx1", "solve-2d-1x1", "solve-p-near-2", "solve-zero-2d", "solve-resonant",
-        "solve-huge-extent", "intersect-d_y5", "refine-p-near-2", "refine-zero-2d",
+        "solve-huge-extent", "intersect-d_y5", "intersect-d_y5-nx31", "geometry-d_y5-nx31",
+        "solve-d_y5-nx31", "solve-max_iter0", "refine-p-near-2", "refine-zero-2d",
         "refine-resonant", "refine-huge-extent"])
 def test_cli_adversarial_configs_exit_cleanly(tmp_path, capsys, command, text, expected):
     extra = ["--levels", "2"] if command == "refine" else []
@@ -297,6 +305,26 @@ def test_cli_adversarial_configs_exit_cleanly(tmp_path, capsys, command, text, e
     assert rc == expected
     if rc:
         assert capsys.readouterr().err
+
+
+def test_cli_intersect_rejects_wide_chart_before_any_work(tmp_path, capsys, monkeypatch):
+    def unreachable(spec):
+        raise AssertionError("intersect discretized a config it cannot certify")
+
+    monkeypatch.setattr(cli, "discretize", unreachable)
+    rc = main(["intersect", "--config", cfg_file(tmp_path, WIDE_CHART_31),
+               "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    assert "d_y + 1 <= 4" in capsys.readouterr().err
+
+
+def test_parse_rejects_d_y_above_node_count():
+    with pytest.raises(ConfigError, match="node count 3"):
+        parse_config("domain.nx = 3\nframe.d_y = 4\n")
+    with pytest.raises(ConfigError, match="node count 6"):
+        parse_config("domain.dimension = 2\ndomain.nx = 3\ndomain.ny = 2\nframe.d_y = 7\n")
+    assert parse_config("domain.dimension = 2\ndomain.nx = 3\ndomain.ny = 2\n"
+                        "frame.d_y = 6\n").frame.d_y == 6
 
 
 def test_cli_refine_fails_on_trivial_levels(tmp_path, capsys):

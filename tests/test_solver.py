@@ -29,6 +29,7 @@ from linking_saddle import (
     zero_nonlinearity,
     deformation_witness_search,
 )
+from linking_saddle import solver
 from linking_saddle.solver import IterateTrace, _ray, _ray_energy
 
 from conftest import random_state
@@ -84,19 +85,55 @@ def test_newton_from_low_ground_reports_trivial(toy_problem):
     assert np.max(np.abs(report.state.u)) <= 1e-8
 
 
-def test_newton_keeps_swap_symmetry_bitwise(line_problem):
-    w = np.sin(np.linspace(0.1, 3.0, line_problem.n))
-    report = newton_solve(line_problem, x0=StatePair(w.copy(), w.copy()))
-    for state in report.trace.states:
-        assert np.array_equal(state.u, state.v)
+def _newton_symmetric_steps(problem, monkeypatch):
+    """Newton from a symmetric start; every iterate and step must keep u == v bitwise."""
+    newton_step = solver._newton_step
+    steps = []
+
+    def checked(problem, x, res):
+        step = newton_step(problem, x, res)
+        assert np.array_equal(x.u, x.v)
+        assert np.array_equal(step.u, step.v)
+        steps.append(step)
+        return step
+
+    monkeypatch.setattr(solver, "_newton_step", checked)
+    w = np.sin(np.linspace(0.1, 3.0, problem.n))
+    report = newton_solve(problem, x0=StatePair(w.copy(), w.copy()))
+    assert np.array_equal(report.state.u, report.state.v)
+    return report, steps
 
 
-def test_newton_keeps_swap_symmetry_bitwise_2d(square_problem):
-    w = np.sin(np.linspace(0.1, 3.0, square_problem.n))
-    report = newton_solve(square_problem, x0=StatePair(w.copy(), w.copy()))
+def test_newton_keeps_swap_symmetry_bitwise(line_problem, monkeypatch):
+    report, steps = _newton_symmetric_steps(line_problem, monkeypatch)
+    assert len(steps) == report.iterations >= 1
+
+
+def test_newton_keeps_swap_symmetry_bitwise_2d(square_problem, monkeypatch):
+    report, steps = _newton_symmetric_steps(square_problem, monkeypatch)
     assert len(report.trace) > 1
-    for state in report.trace.states:
-        assert np.array_equal(state.u, state.v)
+    assert len(steps) == report.iterations
+
+
+@pytest.mark.parametrize("method", ["signflow", "newton"])
+def test_accepted_gradient_is_not_recomputed(line_problem, monkeypatch, method):
+    riesz = solver.riesz_gradient
+    seen = []
+
+    def recording(problem, x):
+        key = (x.u.tobytes(), x.v.tobytes())
+        assert key not in seen, "gradient computed twice at one state"
+        seen.append(key)
+        return riesz(problem, x)
+
+    monkeypatch.setattr(solver, "riesz_gradient", recording)
+    if method == "signflow":
+        report = signflow_solve(line_problem, grad_tol=1e-4)
+    else:
+        w = np.sin(np.linspace(0.1, 3.0, line_problem.n))
+        report = newton_solve(line_problem, x0=StatePair(w, w))
+    assert report.converged and report.iterations >= 2
+    assert len(seen) > report.iterations
 
 
 RAY_GRIDS = (
@@ -209,15 +246,22 @@ def test_solver_config_validation():
         SolverConfig(grad_tol=0.0)
     with pytest.raises(InvalidSpecError):
         SolverConfig(eta=-0.5)
+    with pytest.raises(InvalidSpecError, match="max_iter"):
+        SolverConfig(max_iter=0)
+    with pytest.raises(InvalidSpecError, match="flow_max_iter"):
+        SolverConfig(flow_max_iter=0)
 
 
 def test_trace_bookkeeping():
     trace = IterateTrace()
     assert len(trace) == 0
-    trace.append(1.0, 0.5, 0.1, 2.0, StatePair.zeros(3))
-    trace.append(1.1, 0.4, 0.1, 2.1, StatePair.zeros(3))
-    assert len(trace) == 2
-    assert trace.energies == [1.0, 1.1]
+    states = [StatePair.zeros(3) for _ in range(3)]
+    for k, state in enumerate(states):
+        trace.append(1.0 + k, 0.5, 0.1, 2.0, 3.0 + k, state)
+    assert len(trace) == 3
+    assert trace.energies == [1.0, 2.0, 3.0]
+    assert trace.mu_norms == [3.0, 4.0, 5.0]
+    assert trace.last_states == states[1:]
 
 
 def test_ps_monitor_healthy_trace(line_problem, solved_line):
@@ -234,7 +278,8 @@ def test_ps_monitor_constant_trace(toy_problem):
     trace = IterateTrace()
     x = StatePair(np.array([CREST]), np.array([CREST]))
     for _ in range(5):
-        trace.append(16.0, 1e-12, 0.0, 8.0, x.copy())
+        trace.append(16.0, 1e-12, 0.0, 8.0, toy_problem.grid.cell_volume * 2.0 * CREST**4,
+                     x.copy())
     report = ps_monitor(toy_problem, trace, grad_tol=1e-10)
     assert report.tail_diameter == 0.0
     assert report.ok
@@ -248,7 +293,7 @@ def test_ps_monitor_empty_trace(toy_problem):
 def test_ps_monitor_flags_unbounded(toy_problem):
     trace = IterateTrace()
     x = StatePair(np.array([1.0]), np.array([1.0]))
-    trace.append(float("inf"), 1.0, 0.1, 1.0, x)
+    trace.append(float("inf"), 1.0, 0.1, 1.0, 2.0, x)
     report = ps_monitor(toy_problem, trace, grad_tol=1e-10)
     assert not report.bounded
     assert not report.ok
@@ -323,6 +368,9 @@ def test_witness_search_validates_inputs(line_problem, witness_setup):
         deformation_witness_search(line_problem, frame, gamma, 10.0, 9.99, eps=5.0, prox=1.0)
     with pytest.raises(InvalidSpecError):
         deformation_witness_search(line_problem, frame, gamma, 10.0, 0.0, eps=1.0, prox=0.0)
+    with pytest.raises(InvalidSpecError, match="flow_steps"):
+        deformation_witness_search(line_problem, frame, gamma, 10.0, 0.0, eps=1.0, prox=1.0,
+                                   flow_steps=-1)
 
 
 def test_flow_map_keeps_crest_fixed(toy_problem):
