@@ -177,17 +177,24 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
         return 1
     frame, samples, _ = prelude
     sphere_min = min(evaluate_J(problem, s).total for s in samples.sphere_states)
+    gammas = shipped_deformations(frame)
+    interior = [frame.state_from_chart(row) for row in samples.interior_chart]
     rows = []
     failures = []
-    for gamma in shipped_deformations(frame):
+    try:
+        # H_0 weighs gamma by exactly 0, so one sweep serves every deformation
+        deg_start = brouwer_degree_small(homotopy_chart_map(frame, gammas[0], 0.0), frame)
+        start_error = None
+    except LinkingSaddleError as exc:
+        start_error = exc
+    for gamma in gammas:
         try:
-            cert = intersection_point(frame, gamma)
+            if start_error is not None:
+                raise start_error
+            # the end degree and the certificate share the t = 1 root sweep
             deg_end = brouwer_degree_small(homotopy_chart_map(frame, gamma, 1.0), frame)
-            deg_start = brouwer_degree_small(homotopy_chart_map(frame, gamma, 0.0), frame)
-            disp = displacement_residual(
-                frame, gamma,
-                [frame.state_from_chart(row) for row in samples.interior_chart],
-            )
+            cert = intersection_point(frame, gamma, roots=deg_end.roots)
+            disp = displacement_residual(frame, gamma, interior)
             ok = (deg_end.degree == deg_start.degree == 1
                   and cert.energy >= sphere_min - 1e-8)
             rows.append((gamma.name, cert.antidiagonal_residual, cert.radius_residual,

@@ -16,11 +16,23 @@ when gamma(u) hits the sphere N. Roots are located by a multistart
 sweep; degrees are sums of Jacobian determinant signs at the roots, so
 they are exact provided the sweep finds every root, which the lattice is
 sized for in the shipped frames.
+
+H_0 weighs gamma by exactly zero, so for a finite gamma its values do
+not depend on gamma: the start degree is that of the affine map, and
+the CLI counts it once per frame. At t = 1 the end degree and the
+intersection certificate need the same roots, so they share one sweep
+(``intersection_point(..., roots=degree.roots)``).
+
+The chart is linear: xi maps to the state xi . B, where the rows of B
+are the first d_y antidiagonal mode directions and anchor / r. Each
+chart map is one dense product: xi . B with the mode rows, and the
+inverse with K B, which the frame builds on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -73,7 +85,8 @@ class LinkingFrame:
     the anchor coefficient scaled so that the Euclidean norm of xi
     equals the energy norm of the state. The frame set M is the chart
     half-ball {|xi| <= rho, xi_last >= 0}; the small sphere N is the
-    radius-r sphere of the full diagonal subspace.
+    radius-r sphere of the full diagonal subspace. K B is cached on
+    first use, so a frame's fields are not reassigned.
     """
 
     problem: Problem
@@ -104,25 +117,52 @@ class LinkingFrame:
     def chart_dim(self) -> int:
         return self.d_y + 1
 
-    def state_from_chart(self, xi: np.ndarray) -> StatePair:
+    @cached_property
+    def _k_chart_rows(self) -> np.ndarray:
+        """K B, one ``[K u | K v]`` row per row of B.
+
+        The rows of B are the chart directions dir_0 .. dir_(d_y-1) and
+        anchor / r. Built on first use: a solve never calls
+        ``chart_from_state``.
+        """
+        n = self.problem.n
+        k = self.splitting.op.matrix
+        k_phi = (k @ self.basis.modes[: self.d_y].T).T / np.sqrt(2.0)
+        rows = np.empty((self.chart_dim, 2 * n))
+        rows[:-1, :n] = -k_phi
+        rows[:-1, n:] = k_phi
+        rows[-1, :n] = k @ (self.anchor.u / self.r)
+        rows[-1, n:] = k @ (self.anchor.v / self.r)
+        return rows
+
+    def _check_chart(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (self.chart_dim,):
             raise InvalidSpecError(f"chart point must have shape ({self.chart_dim},)")
-        out = (xi[-1] / self.r) * self.anchor
-        for k in range(self.d_y):
-            out = out + xi[k] * self.basis.direction(k)
-        return out
+        return xi
+
+    def _antidiagonal_field(self, xi: np.ndarray) -> np.ndarray:
+        """w such that sum_k xi[k] dir_k = (-w, w)."""
+        return (xi[:-1] / np.sqrt(2.0)) @ self.basis.modes[: self.d_y]
+
+    def state_from_chart(self, xi: np.ndarray) -> StatePair:
+        """The state xi . B."""
+        xi = self._check_chart(xi)
+        w = self._antidiagonal_field(xi)
+        a = xi[-1] / self.r
+        return StatePair(a * self.anchor.u - w, a * self.anchor.v + w)
 
     def chart_from_state(self, x: StatePair) -> np.ndarray:
-        coeffs = self.basis.coefficients(x)[: self.d_y]
-        last = self.splitting.pair_dot(x, self.anchor) / self.r
-        return np.concatenate([coeffs, [last]])
+        """Energy inner products of x with the rows of B: (K B) . [u; v]."""
+        grid = self.problem.grid
+        n = grid.n_interior
+        kb = self._k_chart_rows
+        return kb[:, :n] @ grid.check_field(x.u) + kb[:, n:] @ grid.check_field(x.v)
 
     def antidiagonal_from_chart(self, xi: np.ndarray) -> StatePair:
         """The pure antidiagonal part y encoded by the chart point."""
-        flat = np.asarray(xi, dtype=float).copy()
-        flat[-1] = 0.0
-        return self.state_from_chart(flat)
+        w = self._antidiagonal_field(self._check_chart(xi))
+        return StatePair(-w, w)
 
     def contains(self, xi: np.ndarray, tol: float = 1e-9) -> bool:
         xi = np.asarray(xi, dtype=float)
@@ -610,7 +650,7 @@ def homotopy_chart_map(
 
     def chart_map(xi: np.ndarray) -> np.ndarray:
         y_out, coeff = linking_homotopy(frame, gamma, t, xi)
-        head = frame.basis.coefficients(y_out)[: frame.d_y]
+        head = frame.chart_from_state(y_out)[: frame.d_y]
         return np.concatenate([head, [coeff * frame.r]])
 
     return chart_map
@@ -682,6 +722,7 @@ def intersection_point(
     starts_per_axis: int = 4,
     residual_tol: float = 1e-10,
     certificate_tol: float = 1e-8,
+    roots: Optional[np.ndarray] = None,
 ) -> IntersectionCertificate:
     """Find and certify a chart point whose image under gamma lies on N.
 
@@ -689,6 +730,12 @@ def intersection_point(
     the chart algebra used to locate the root: the antidiagonal part of
     the image must vanish and its norm must equal r, both to within
     ``certificate_tol``.
+
+    ``roots`` are candidate roots of the t = 1 chart map, one per row.
+    ``brouwer_degree_small`` on that map finds exactly these with the same
+    ``starts_per_axis`` and ``residual_tol``, so its ``DegreeReport.roots``
+    can be passed to skip a second sweep. With ``None`` the roots are
+    swept here. The chart checks run first either way.
     """
     if not gamma.chart_compatible:
         raise DomainMembershipError(
@@ -697,8 +744,11 @@ def intersection_point(
     probes = _interior_rows(np.random.default_rng(3), frame.chart_dim, frame.rho, 8)
     _verify_chart_span(frame, gamma, probes)
 
-    chart_map = homotopy_chart_map(frame, gamma, 1.0)
-    roots = _root_sweep(chart_map, frame, starts_per_axis, residual_tol)
+    if roots is None:
+        chart_map = homotopy_chart_map(frame, gamma, 1.0)
+        roots = _root_sweep(chart_map, frame, starts_per_axis, residual_tol)
+    else:
+        roots = np.array(roots, dtype=float).reshape(-1, frame.chart_dim)
 
     split = frame.splitting
     for root in roots:

@@ -17,6 +17,7 @@ energy norm on the diagonal part, whichever is larger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -98,12 +99,21 @@ class ModalBasis:
         phi = self.modes[k] / np.sqrt(2.0)
         return StatePair(phi.copy(), phi)
 
+    @cached_property
+    def _k_modes(self) -> np.ndarray:
+        """Rows K phi_k / sqrt(2), built on the first ``coefficients`` call.
+
+        Lazy because a solve never asks for coefficients, and the
+        ``(count, n)`` array would only add to its peak memory.
+        """
+        return (self.splitting.op.matrix @ self.modes.T).T / np.sqrt(2.0)
+
     def coefficients(self, x: StatePair) -> np.ndarray:
-        """Inner products of x with every antidiagonal direction."""
-        op = self.splitting.op
-        ku = op.apply(x.u)
-        kv = op.apply(x.v)
-        return (self.modes @ kv - self.modes @ ku) / np.sqrt(2.0)
+        """Inner products of x with every antidiagonal direction.
+
+        <x, (-phi, phi)/sqrt(2)> = (K phi / sqrt(2)) . (v - u), as K is symmetric.
+        """
+        return self._k_modes @ self.splitting.grid.check_field(x.v - x.u)
 
 
 def build_modal_basis(

@@ -1,0 +1,147 @@
+"""The dense chart kernels against the StatePair formulas they replaced.
+
+``LinkingFrame`` evaluates its chart as dense products with the mode
+rows and with K B, and ``ModalBasis.coefficients`` as one product with
+the rows K phi_k / sqrt(2). The
+oracles below are the loops over ``StatePair`` algebra and sparse
+stiffness applies that those kernels replaced; every kernel must agree
+with its oracle to 1e-12 relative to the size of its inputs.
+"""
+
+import dataclasses
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linking_saddle import (
+    DomainSpec,
+    LinkingFrame,
+    ProblemSpec,
+    StatePair,
+    build_frame,
+    discretize,
+    homotopy_chart_map,
+    power_nonlinearity,
+    shipped_deformations,
+)
+
+REL = 1e-12
+
+GRIDS = (
+    DomainSpec.interval(7),
+    DomainSpec.interval(31),
+    DomainSpec.rectangle(6, 3, 1.0, 2.5),
+    DomainSpec.rectangle(4, 7, 0.3, 1.1),
+)
+
+
+def oracle_coefficients(basis, x):
+    op = basis.splitting.op
+    return (basis.modes @ op.apply(x.v) - basis.modes @ op.apply(x.u)) / np.sqrt(2.0)
+
+
+class OracleFrame(LinkingFrame):
+    """A frame whose chart maps are the StatePair loops."""
+
+    def state_from_chart(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        out = (xi[-1] / self.r) * self.anchor
+        for k in range(self.d_y):
+            out = out + xi[k] * self.basis.direction(k)
+        return out
+
+    def chart_from_state(self, x):
+        coeffs = oracle_coefficients(self.basis, x)[: self.d_y]
+        last = self.splitting.pair_dot(x, self.anchor) / self.r
+        return np.concatenate([coeffs, [last]])
+
+    def antidiagonal_from_chart(self, xi):
+        flat = np.asarray(xi, dtype=float).copy()
+        flat[-1] = 0.0
+        return self.state_from_chart(flat)
+
+
+def oracle_chart_map(frame, gamma, t, xi):
+    split = frame.splitting
+    gu = gamma(frame.state_from_chart(xi))
+    p_part = split.antidiagonal_part(gu)
+    q_norm = split.pair_norm(split.diagonal_part(gu))
+    y_out = t * p_part + (1.0 - t) * frame.antidiagonal_from_chart(xi)
+    coeff = (t / frame.r) * q_norm + (1.0 - t) * xi[-1] / frame.r - 1.0
+    head = oracle_coefficients(frame.basis, y_out)[: frame.d_y]
+    return np.concatenate([head, [coeff * frame.r]])
+
+
+@lru_cache(maxsize=None)
+def frames(grid_index, d_y, anchor_seed):
+    """The kernel frame and its oracle twin; a seed gives a random anchor direction."""
+    problem = discretize(ProblemSpec(GRIDS[grid_index], power_nonlinearity()))
+    anchor = None
+    if anchor_seed is not None:
+        rng = np.random.default_rng(anchor_seed)
+        anchor = StatePair(*rng.standard_normal((2, problem.n)))
+    frame = build_frame(problem, 0.7, 3.0, d_y=d_y, mode_count=min(8, problem.n),
+                        anchor_direction=anchor)
+    twin = OracleFrame(**{f.name: getattr(frame, f.name) for f in dataclasses.fields(frame)})
+    return frame, twin
+
+
+def half_ball_point(frame, rng, fraction):
+    g = rng.standard_normal(frame.chart_dim)
+    g[-1] = abs(g[-1])
+    return (fraction * frame.rho / max(np.linalg.norm(g), 1e-300)) * g
+
+
+def assert_state_close(got, want, scale):
+    assert np.max(np.abs(got.u - want.u)) <= REL * scale
+    assert np.max(np.abs(got.v - want.v)) <= REL * scale
+
+
+frame_args = (
+    st.integers(0, len(GRIDS) - 1),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=60)
+@given(*frame_args, st.integers(0, 2**32 - 1), st.floats(0.0, 0.999))
+def test_chart_kernels_match_statepair_loops(grid_index, d_y, anchor_seed, seed, fraction):
+    frame, twin = frames(grid_index, d_y, anchor_seed)
+    rng = np.random.default_rng(seed)
+    xi = half_ball_point(frame, rng, fraction)
+    # bound on the nodal entries of xi . B over the whole half-ball
+    entry = max(np.max(np.abs(frame.basis.modes[:d_y])),
+                np.max(np.abs(frame.anchor.u)) / frame.r)
+    reach = np.sqrt(frame.chart_dim) * frame.rho * entry
+
+    assert_state_close(frame.state_from_chart(xi), twin.state_from_chart(xi), reach)
+    assert_state_close(frame.antidiagonal_from_chart(xi), twin.antidiagonal_from_chart(xi), reach)
+
+    x = StatePair(*rng.standard_normal((2, frame.problem.n)))
+    # every chart row and mode direction has unit energy norm
+    size = frame.splitting.pair_norm(x)
+    got = frame.chart_from_state(x)
+    assert got.shape == (frame.chart_dim,)
+    assert np.max(np.abs(got - twin.chart_from_state(x))) <= REL * size
+    coeffs = frame.basis.coefficients(x)
+    assert coeffs.shape == (frame.basis.count,)
+    assert np.max(np.abs(coeffs - oracle_coefficients(frame.basis, x))) <= REL * size
+
+
+@settings(max_examples=60)
+@given(*frame_args, st.integers(0, 2**32 - 1), st.floats(0.0, 0.999),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+def test_homotopy_chart_map_matches_statepair_loops(grid_index, d_y, anchor_seed, seed,
+                                                    fraction, t):
+    frame, twin = frames(grid_index, d_y, anchor_seed)
+    xi = half_ball_point(frame, np.random.default_rng(seed), fraction)
+    # the chart is an isometry, so each value is of the size of rho and r
+    scale = frame.rho + frame.r
+    for gamma, oracle_gamma in zip(shipped_deformations(frame), shipped_deformations(twin)):
+        got = homotopy_chart_map(frame, gamma, t)(xi)
+        want = oracle_chart_map(twin, oracle_gamma, t, xi)
+        assert got.shape == (frame.chart_dim,)
+        assert np.max(np.abs(got - want)) <= REL * scale, gamma.name

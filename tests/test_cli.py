@@ -6,7 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linking_saddle import ConfigError, RunConfig, cli, load_config, parse_config
+from linking_saddle import (
+    ConfigError,
+    RunConfig,
+    brouwer_degree_small,
+    cli,
+    discretize,
+    homotopy_chart_map,
+    linking,
+    load_config,
+    parse_config,
+    shipped_deformations,
+)
 from linking_saddle.cli import main
 from linking_saddle.config import PRESETS, format_config, to_problem_spec
 from linking_saddle.reporting import write_csv, write_manifest, write_pgm, write_svg_trace
@@ -22,6 +33,13 @@ ZERO = """
 domain.dimension = 1
 domain.nx = 7
 problem.preset = zero
+"""
+
+LINE_D2 = """
+domain.dimension = 1
+domain.nx = 15
+problem.preset = power
+frame.d_y = 2
 """
 
 SQUARE = """
@@ -162,6 +180,58 @@ def test_cli_intersect(tmp_path):
     assert len(rows) == 3
     assert all(r["degree_end"] == "1" for r in rows)
     assert all(r["ok"] == "true" for r in rows)
+
+
+def test_cli_intersect_sweeps_each_distinct_map_once(tmp_path, monkeypatch):
+    sweeps = []
+    sweep = linking._root_sweep
+
+    def counting_sweep(*args, **kwargs):
+        sweeps.append(args[0])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(linking, "_root_sweep", counting_sweep)
+    rc = main(["intersect", "--config", cfg_file(tmp_path, TOY), "--out", str(tmp_path / "i"),
+               "--quiet"])
+    assert rc == 0
+    # one t = 0 sweep for the frame, one t = 1 sweep per shipped deformation
+    assert len(sweeps) == 1 + 3
+
+
+def test_cli_intersect_degree_start_is_each_deformations_own(tmp_path):
+    path = cfg_file(tmp_path, LINE_D2)
+    rc = main(["intersect", "--config", path, "--out", str(tmp_path / "i"), "--quiet"])
+    assert rc == 0
+    rows = read_csv(tmp_path / "i" / "intersection_report.csv")
+    cfg = load_config(path)
+    frame, _, _ = cli._frame_and_samples(cfg, discretize(to_problem_spec(cfg)), "intersect",
+                                         [], 16, 12)
+    gammas = shipped_deformations(frame)
+    assert [r["deformation"] for r in rows] == [g.name for g in gammas]
+    for row, gamma in zip(rows, gammas):
+        own = brouwer_degree_small(homotopy_chart_map(frame, gamma, 0.0), frame)
+        assert int(row["degree_start"]) == own.degree
+
+
+def test_cli_intersect_start_degree_failure_fails_every_row(tmp_path, monkeypatch, capsys):
+    chart_map = cli.homotopy_chart_map
+
+    def vanishing_start(frame, gamma, t):
+        if t == 0.0:
+            return lambda xi: np.zeros(frame.chart_dim)
+        return chart_map(frame, gamma, t)
+
+    monkeypatch.setattr(cli, "homotopy_chart_map", vanishing_start)
+    rc = main(["intersect", "--config", cfg_file(tmp_path, TOY), "--out", str(tmp_path / "i"),
+               "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    rows = read_csv(tmp_path / "i" / "intersection_report.csv")
+    assert len(rows) == 3
+    for row in rows:
+        assert row["ok"] == "false"
+        assert f"{row['deformation']} (map vanishes on the frame boundary" in err
 
 
 def test_cli_solve_toy(tmp_path, capsys):

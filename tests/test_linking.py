@@ -8,6 +8,7 @@ from linking_saddle import (
     DomainMembershipError,
     DomainSpec,
     GeometryCertificationError,
+    IntersectionNotFoundError,
     InvalidSpecError,
     ProblemSpec,
     StatePair,
@@ -280,6 +281,30 @@ def test_out_of_span_deformation_rejected(line_frame):
     gamma = DeformationGamma(name="stray", fn=fn)
     with pytest.raises(DomainMembershipError):
         intersection_point(line_frame, gamma)
+
+
+def test_start_map_does_not_depend_on_the_deformation(line_frame):
+    maps = [homotopy_chart_map(line_frame, g, 0.0) for g in shipped_deformations(line_frame)]
+    for xi in sample_sets(line_frame, interior_count=16, seed=9).interior_chart:
+        first = maps[0](xi)
+        for chart_map in maps[1:]:
+            assert np.array_equal(chart_map(xi), first)
+
+
+def test_intersection_point_takes_the_degree_roots(line_frame):
+    for gamma in shipped_deformations(line_frame):
+        deg = brouwer_degree_small(homotopy_chart_map(line_frame, gamma, 1.0), line_frame)
+        shared = intersection_point(line_frame, gamma, roots=deg.roots)
+        swept = intersection_point(line_frame, gamma)
+        assert np.array_equal(shared.chart, swept.chart)
+        assert shared.energy == swept.energy
+    with pytest.raises(IntersectionNotFoundError):
+        intersection_point(line_frame, gamma, roots=np.empty((0, line_frame.chart_dim)))
+    # the chart checks run before any given root is certified
+    stray = line_frame.basis.direction(line_frame.d_y + 3)
+    gamma = DeformationGamma(name="stray", fn=lambda x: x + (0.3 * line_frame.r) * stray)
+    with pytest.raises(DomainMembershipError):
+        intersection_point(line_frame, gamma, roots=deg.roots)
 
 
 def test_intersection_certificate_reconstructs_state(line_frame):
