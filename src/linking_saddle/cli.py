@@ -178,7 +178,6 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
     frame, samples, _ = prelude
     sphere_min = min(evaluate_J(problem, s).total for s in samples.sphere_states)
     gammas = shipped_deformations(frame)
-    interior = [frame.state_from_chart(row) for row in samples.interior_chart]
     rows = []
     failures = []
     try:
@@ -194,7 +193,7 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
             # the end degree and the certificate share the t = 1 root sweep
             deg_end = brouwer_degree_small(homotopy_chart_map(frame, gamma, 1.0), frame)
             cert = intersection_point(frame, gamma, roots=deg_end.roots)
-            disp = displacement_residual(frame, gamma, interior)
+            disp = displacement_residual(frame, gamma, samples.interior_chart)
             ok = (deg_end.degree == deg_start.degree == 1
                   and cert.energy >= sphere_min - 1e-8)
             rows.append((gamma.name, cert.antidiagonal_residual, cert.radius_residual,

@@ -9,13 +9,15 @@ whose Euclidean norm agrees with the energy norm.
 
 Intersection and degree certificates work on the chart homotopy
 
-    H_t(u) = [t P gamma(u) + (1 - t) y] + [(t/r) |Q gamma(u)| + (1 - t) l - 1] z,
+    H_t(xi) = t (c(gamma(xi))[:d_y], |Q gamma(xi)|) + (1 - t) xi - r e_last,
 
-which at t = 0 is the affine map u - z and at t = 1 vanishes exactly
-when gamma(u) hits the sphere N. Roots are located by a multistart
-sweep; degrees are sums of Jacobian determinant signs at the roots, so
-they are exact provided the sweep finds every root, which the lattice is
-sized for in the shipped frames.
+where c is the inverse chart and Q the diagonal projection; the mode
+rows of B are K-orthogonal to the diagonal, so c needs no P projection.
+At t = 0 this is the affine map xi - r e_last, and at t = 1 it vanishes
+exactly when gamma(xi) hits the sphere N. Roots are located by a
+multistart sweep; degrees are sums of Jacobian determinant signs at the
+roots, so they are exact provided the sweep finds every root, which the
+lattice is sized for in the shipped frames.
 
 H_0 weighs gamma by exactly zero, so for a finite gamma its values do
 not depend on gamma: the start degree is that of the affine map, and
@@ -65,7 +67,6 @@ __all__ = [
     "anchor_shear_deformation",
     "shipped_deformations",
     "displacement_residual",
-    "linking_homotopy",
     "homotopy_chart_map",
     "IntersectionCertificate",
     "intersection_point",
@@ -74,6 +75,11 @@ __all__ = [
 ]
 
 MAX_DEGREE_DIMENSION = 4
+# The root sweep behind both the degree count and the intersection
+# certificate: lattice points per chart axis, and the largest map residual
+# (relative to max(1, r)) of a root it keeps.
+SWEEP_STARTS_PER_AXIS = 4
+SWEEP_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -141,14 +147,11 @@ class LinkingFrame:
             raise InvalidSpecError(f"chart point must have shape ({self.chart_dim},)")
         return xi
 
-    def _antidiagonal_field(self, xi: np.ndarray) -> np.ndarray:
-        """w such that sum_k xi[k] dir_k = (-w, w)."""
-        return (xi[:-1] / np.sqrt(2.0)) @ self.basis.modes[: self.d_y]
-
     def state_from_chart(self, xi: np.ndarray) -> StatePair:
         """The state xi . B."""
         xi = self._check_chart(xi)
-        w = self._antidiagonal_field(xi)
+        # sum_k xi[k] dir_k = (-w, w)
+        w = (xi[:-1] / np.sqrt(2.0)) @ self.basis.modes[: self.d_y]
         a = xi[-1] / self.r
         return StatePair(a * self.anchor.u - w, a * self.anchor.v + w)
 
@@ -158,11 +161,6 @@ class LinkingFrame:
         n = grid.n_interior
         kb = self._k_chart_rows
         return kb[:, :n] @ grid.check_field(x.u) + kb[:, n:] @ grid.check_field(x.v)
-
-    def antidiagonal_from_chart(self, xi: np.ndarray) -> StatePair:
-        """The pure antidiagonal part y encoded by the chart point."""
-        w = self._antidiagonal_field(self._check_chart(xi))
-        return StatePair(-w, w)
 
     def contains(self, xi: np.ndarray, tol: float = 1e-9) -> bool:
         xi = np.asarray(xi, dtype=float)
@@ -288,6 +286,16 @@ def _boundary_corner_rows(frame: LinkingFrame) -> np.ndarray:
     return np.array(rows)
 
 
+def _boundary_rows(frame: LinkingFrame, rng: np.random.Generator, cap: int,
+                   base: int) -> np.ndarray:
+    """The corner probes, then ``cap`` cap rows and ``base`` base rows, drawn in that order."""
+    return np.vstack([
+        _boundary_corner_rows(frame),
+        _cap_rows(rng, frame.chart_dim, frame.rho, cap),
+        _base_rows(rng, frame.chart_dim, frame.rho, base),
+    ])
+
+
 def sample_sets(
     frame: LinkingFrame,
     sphere_count: int = 64,
@@ -313,11 +321,9 @@ def sample_sets(
                 sphere.append(-cand)
     # n == 1: the diagonal sphere is exactly the two signed anchor points.
 
-    corners = _boundary_corner_rows(frame)
-    fill = max(boundary_count - corners.shape[0], 0)
-    cap = _cap_rows(rng, frame.chart_dim, frame.rho, (fill + 1) // 2)
-    base = _base_rows(rng, frame.chart_dim, frame.rho, fill // 2)
-    boundary = np.vstack([corners, cap, base])
+    # there are 2 * chart_dim corner probes
+    fill = max(boundary_count - 2 * frame.chart_dim, 0)
+    boundary = _boundary_rows(frame, rng, (fill + 1) // 2, fill // 2)
     interior = _interior_rows(rng, frame.chart_dim, frame.rho, interior_count)
     return SampleSets(sphere, boundary, interior)
 
@@ -396,7 +402,14 @@ def _looks_identically_zero(problem: Problem) -> bool:
     return all(float(np.max(np.abs(v))) == 0.0 for v in vals)
 
 
-def _sampled_embedding_constant(problem: Problem, seed: int, count: int) -> float:
+# choose_radii: random fields behind the sampled embedding constant, the
+# most doublings of r it tries for rho, and boundary rows per pilot sweep
+RADII_FIELD_SAMPLES = 64
+RADII_MAX_DOUBLINGS = 40
+RADII_PILOT_BOUNDARY = 96
+
+
+def _sampled_embedding_constant(problem: Problem, seed: int) -> float:
     """Sampled sup of vol*sum|w|^p over |w|_K^p on the grid.
 
     Candidates: the principal mode (the smooth extremizer), smoothed
@@ -414,20 +427,13 @@ def _sampled_embedding_constant(problem: Problem, seed: int, count: int) -> floa
         return float(vol * np.sum(np.abs(w) ** p) / energy ** (p / 2.0))
 
     best = ratio(problem.eigenpairs(1)[1][0])
-    for _ in range(count):
+    for _ in range(RADII_FIELD_SAMPLES):
         w = rng.standard_normal(problem.n)
         best = max(best, ratio(w), ratio(op.solve(w)))
     return best
 
 
-def choose_radii(
-    problem: Problem,
-    d_y: int = 1,
-    seed: int = 0,
-    field_samples: int = 64,
-    max_doublings: int = 40,
-    pilot_boundary: int = 96,
-) -> RadiiChoice:
+def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     """Pick (r, rho) that the sampled bound certifies.
 
     The small-sphere floor is  s^2/2 - 2 k c0 s^p  in the diagonal
@@ -455,7 +461,7 @@ def choose_radii(
             f"linear shifts resonate with the principal eigenvalue {lam1:.6g}; "
             "no small-sphere floor exists"
         )
-    c0 = _sampled_embedding_constant(problem, seed, field_samples)
+    c0 = _sampled_embedding_constant(problem, seed)
     k_small = small_t_constants(problem.nl, eps)
     amp = 2.0 * k_small * c0
     p = problem.nl.p
@@ -476,11 +482,11 @@ def choose_radii(
         )
     r = float(np.sqrt(2.0) * s_chosen)
 
-    for k in range(1, max_doublings + 1):
+    for k in range(1, RADII_MAX_DOUBLINGS + 1):
         rho = r * 2.0**k
         pilot = build_frame(problem, r, rho, d_y=d_y)
         samples = sample_sets(
-            pilot, sphere_count=2, boundary_count=pilot_boundary,
+            pilot, sphere_count=2, boundary_count=RADII_PILOT_BOUNDARY,
             interior_count=2, seed=seed + 1,
         )
         boundary_max = max(
@@ -494,28 +500,30 @@ def choose_radii(
                 boundary_pilot_max=float(boundary_max),
             )
     raise GeometryCertificationError(
-        f"no doubling of r={r:.6g} gave a nonpositive boundary within {max_doublings} tries"
+        f"no doubling of r={r:.6g} gave a nonpositive boundary within {RADII_MAX_DOUBLINGS} tries"
     )
 
 
 @dataclass
 class DeformationGamma:
-    """A continuous map of the frame that fixes its boundary pointwise.
+    """A map of the frame chart to states, identity on the frame boundary.
 
-    ``displacement_modes`` lists the antidiagonal mode indices spanning
-    gamma(u) - u; ``None`` means the displacement is only certified
+    ``fn`` takes a chart point xi of the half-ball M and returns the
+    state gamma(xi); on the boundary of M it returns xi . B. The
+    ``displacement_modes`` list the antidiagonal mode indices spanning
+    gamma(xi) - xi . B; ``None`` means the displacement is only certified
     against the full discrete space (flow-based maps). Maps with all
     modes below the frame's d_y stay inside the chart, which the
     intersection solver requires.
     """
 
     name: str
-    fn: Callable[[StatePair], StatePair]
+    fn: Callable[[np.ndarray], StatePair]
     displacement_modes: Optional[Sequence[int]] = ()
     chart_compatible: bool = True
 
-    def __call__(self, x: StatePair) -> StatePair:
-        return self.fn(x)
+    def __call__(self, xi: np.ndarray) -> StatePair:
+        return self.fn(xi)
 
 
 def _boundary_clearance(frame: LinkingFrame, xi: np.ndarray) -> tuple[float, float]:
@@ -537,46 +545,40 @@ def _interior_taper(frame: LinkingFrame, xi: np.ndarray) -> float:
 
 
 def identity_deformation(frame: LinkingFrame) -> DeformationGamma:
-    return DeformationGamma("identity", lambda x: x.copy(), displacement_modes=())
+    return DeformationGamma("identity", frame.state_from_chart, displacement_modes=())
+
+
+def _modal_push(frame: LinkingFrame, name: str, mode: int, scale: float,
+                sheared: bool) -> DeformationGamma:
+    """Push xi . B along one antidiagonal mode by a weight that vanishes on the boundary."""
+    direction = frame.basis.direction(mode)
+    amplitude = scale * frame.r
+
+    def fn(xi: np.ndarray) -> StatePair:
+        x = frame.state_from_chart(xi)
+        w = _interior_taper(frame, xi) * (xi[-1] / frame.rho if sheared else 1.0)
+        if w == 0.0:
+            return x
+        return x + (amplitude * w) * direction
+
+    return DeformationGamma(
+        f"{name}(mode={mode})", fn,
+        displacement_modes=(mode,), chart_compatible=mode < frame.d_y,
+    )
 
 
 def modal_shift_deformation(
     frame: LinkingFrame, mode: int = 0, scale: float = 0.25
 ) -> DeformationGamma:
     """Push interior points along one antidiagonal mode, tapered to zero at the boundary."""
-    direction = frame.basis.direction(mode)
-    amplitude = scale * frame.r
-
-    def fn(x: StatePair) -> StatePair:
-        w = _interior_taper(frame, frame.chart_from_state(x))
-        if w == 0.0:
-            return x.copy()
-        return x + (amplitude * w) * direction
-
-    return DeformationGamma(
-        f"shift(mode={mode})", fn,
-        displacement_modes=(mode,), chart_compatible=mode < frame.d_y,
-    )
+    return _modal_push(frame, "shift", mode, scale, sheared=False)
 
 
 def anchor_shear_deformation(
     frame: LinkingFrame, mode: int = 0, scale: float = 0.25
 ) -> DeformationGamma:
     """Shear: the modal push grows with the anchor coordinate."""
-    direction = frame.basis.direction(mode)
-    amplitude = scale * frame.r
-
-    def fn(x: StatePair) -> StatePair:
-        xi = frame.chart_from_state(x)
-        w = _interior_taper(frame, xi) * (xi[-1] / frame.rho)
-        if w == 0.0:
-            return x.copy()
-        return x + (amplitude * w) * direction
-
-    return DeformationGamma(
-        f"shear(mode={mode})", fn,
-        displacement_modes=(mode,), chart_compatible=mode < frame.d_y,
-    )
+    return _modal_push(frame, "shear", mode, scale, sheared=True)
 
 
 def shipped_deformations(frame: LinkingFrame, scale: float = 0.25) -> List[DeformationGamma]:
@@ -589,18 +591,19 @@ def shipped_deformations(frame: LinkingFrame, scale: float = 0.25) -> List[Defor
 
 
 def displacement_residual(
-    frame: LinkingFrame, gamma: DeformationGamma, states: Sequence[StatePair]
+    frame: LinkingFrame, gamma: DeformationGamma, rows: np.ndarray
 ) -> float:
-    """Worst reconstruction error of gamma(u) - u from its declared mode span.
+    """Worst reconstruction error of gamma(xi) - xi . B from its declared mode span.
 
-    A ``None`` span certifies against the whole discrete space, where
-    reconstruction is trivially exact.
+    ``rows`` are chart points. A ``None`` span certifies against the
+    whole discrete space, where reconstruction is trivially exact.
     """
     if gamma.displacement_modes is None:
         return 0.0
     worst = 0.0
-    for s in states:
-        worst = max(worst, _span_residual(frame, gamma(s) - s, gamma.displacement_modes))
+    for row in rows:
+        moved = gamma(row) - frame.state_from_chart(row)
+        worst = max(worst, _span_residual(frame, moved, gamma.displacement_modes))
     return worst
 
 
@@ -613,44 +616,25 @@ def _span_residual(frame: LinkingFrame, x: StatePair, modes: Sequence[int]) -> f
     return frame.splitting.pair_norm(x - recon)
 
 
-def linking_homotopy(
-    frame: LinkingFrame, gamma: DeformationGamma, t: float, xi: np.ndarray
-) -> tuple[StatePair, float]:
-    """Evaluate the boundary homotopy at chart point xi.
-
-    Returns the antidiagonal part as a state and the anchor coefficient
-    as a scalar; the pair is zero exactly at an intersection witness
-    when t = 1, and at the known affine root when t = 0.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise InvalidSpecError(f"homotopy time must lie in [0, 1], got {t}")
-    xi = frame.require_member(xi)
-    split = frame.splitting
-    u = frame.state_from_chart(xi)
-    gu = gamma(u)
-    p_part = split.antidiagonal_part(gu)
-    q_norm = split.pair_norm(split.diagonal_part(gu))
-    y = frame.antidiagonal_from_chart(xi)
-    lam0 = xi[-1] / frame.r
-    y_out = t * p_part + (1.0 - t) * y
-    coeff = (t / frame.r) * q_norm + (1.0 - t) * lam0 - 1.0
-    return y_out, coeff
-
-
 def homotopy_chart_map(
     frame: LinkingFrame, gamma: DeformationGamma, t: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Chart representation of the homotopy, valued in R^(d_y + 1).
+    """The homotopy H_t of the module docstring, valued in R^(d_y + 1).
 
-    Componentwise this is (modal coefficients of the antidiagonal part,
-    anchor coefficient times r), so its Euclidean norm equals the energy
-    norm of the homotopy value whenever the antidiagonal part stays in
-    the chart span.
+    Its Euclidean norm equals the energy norm of the homotopy value
+    whenever the antidiagonal part of gamma stays in the chart span. A
+    zero is an intersection witness at t = 1 and the affine root at t = 0.
     """
+    if not (0.0 <= t <= 1.0):
+        raise InvalidSpecError(f"homotopy time must lie in [0, 1], got {t}")
+    split = frame.splitting
 
     def chart_map(xi: np.ndarray) -> np.ndarray:
-        y_out, coeff = linking_homotopy(frame, gamma, t, xi)
-        head = frame.chart_from_state(y_out)[: frame.d_y]
+        xi = frame.require_member(xi)
+        image = gamma(xi)
+        head = t * frame.chart_from_state(image)[: frame.d_y] + (1.0 - t) * xi[: frame.d_y]
+        q_norm = split.pair_norm(split.diagonal_part(image))
+        coeff = (t / frame.r) * q_norm + (1.0 - t) * (xi[-1] / frame.r) - 1.0
         return np.concatenate([head, [coeff * frame.r]])
 
     return chart_map
@@ -661,7 +645,7 @@ def _verify_chart_span(
 ) -> None:
     split = frame.splitting
     for row in probes:
-        gu = gamma(frame.state_from_chart(row))
+        gu = gamma(row)
         err = _span_residual(frame, split.antidiagonal_part(gu), range(frame.d_y))
         if err > tol * max(1.0, split.pair_norm(gu)):
             raise DomainMembershipError(
@@ -684,17 +668,17 @@ def _start_lattice(frame: LinkingFrame, per_axis: int) -> np.ndarray:
     return pts[keep]
 
 
-def _root_sweep(map_fn: Callable[[np.ndarray], np.ndarray], frame: LinkingFrame,
-                per_axis: int, residual_tol: float) -> List[np.ndarray]:
+def _root_sweep(map_fn: Callable[[np.ndarray], np.ndarray],
+                frame: LinkingFrame) -> List[np.ndarray]:
     """Distinct interior roots of map_fn found from the start lattice, in sorted order."""
     scale = max(1.0, frame.r)
     tol = max(1e-6, 1e-5 * frame.rho)
     roots: List[np.ndarray] = []
-    for start in _start_lattice(frame, per_axis):
+    for start in _start_lattice(frame, SWEEP_STARTS_PER_AXIS):
         root = sopt.root(map_fn, start, method="hybr", tol=1e-13).x
         if not np.all(np.isfinite(root)):
             continue
-        if np.max(np.abs(map_fn(root))) > residual_tol * scale:
+        if np.max(np.abs(map_fn(root))) > SWEEP_RESIDUAL_TOL * scale:
             continue
         if root[-1] < 1e-9 * frame.r or np.linalg.norm(root) > frame.rho * (1 - 1e-9):
             continue
@@ -716,26 +700,18 @@ class IntersectionCertificate:
     energy: float
 
 
-def intersection_point(
-    frame: LinkingFrame,
-    gamma: DeformationGamma,
-    starts_per_axis: int = 4,
-    residual_tol: float = 1e-10,
-    certificate_tol: float = 1e-8,
-    roots: Optional[np.ndarray] = None,
-) -> IntersectionCertificate:
+def intersection_point(frame: LinkingFrame, gamma: DeformationGamma,
+                       roots: Optional[np.ndarray] = None) -> IntersectionCertificate:
     """Find and certify a chart point whose image under gamma lies on N.
 
     The certificate is computed on the state itself, independently of
     the chart algebra used to locate the root: the antidiagonal part of
-    the image must vanish and its norm must equal r, both to within
-    ``certificate_tol``.
+    the image must vanish and its norm must equal r, both to within 1e-8.
 
-    ``roots`` are candidate roots of the t = 1 chart map, one per row.
-    ``brouwer_degree_small`` on that map finds exactly these with the same
-    ``starts_per_axis`` and ``residual_tol``, so its ``DegreeReport.roots``
-    can be passed to skip a second sweep. With ``None`` the roots are
-    swept here. The chart checks run first either way.
+    ``roots`` are candidate roots of the t = 1 chart map, one per row:
+    ``brouwer_degree_small`` on that map sweeps exactly these, so its
+    ``DegreeReport.roots`` can be passed to skip a second sweep. With
+    ``None`` the roots are swept here. The chart checks run first either way.
     """
     if not gamma.chart_compatible:
         raise DomainMembershipError(
@@ -746,20 +722,19 @@ def intersection_point(
 
     if roots is None:
         chart_map = homotopy_chart_map(frame, gamma, 1.0)
-        roots = _root_sweep(chart_map, frame, starts_per_axis, residual_tol)
+        roots = _root_sweep(chart_map, frame)
     else:
         roots = np.array(roots, dtype=float).reshape(-1, frame.chart_dim)
 
     split = frame.splitting
     for root in roots:
-        state = frame.state_from_chart(root)
-        image = gamma(state)
+        image = gamma(root)
         anti = split.pair_norm(split.antidiagonal_part(image))
         rad = abs(split.pair_norm(image) - frame.r)
-        if anti <= certificate_tol and rad <= certificate_tol:
+        if anti <= 1e-8 and rad <= 1e-8:
             return IntersectionCertificate(
                 chart=root,
-                state=state,
+                state=frame.state_from_chart(root),
                 image=image,
                 antidiagonal_residual=anti,
                 radius_residual=rad,
@@ -781,11 +756,11 @@ class DegreeReport:
     boundary_min: float
 
 
-def _fd_jacobian(map_fn, xi: np.ndarray, step: float) -> np.ndarray:
+def _fd_jacobian(map_fn, xi: np.ndarray) -> np.ndarray:
     d = xi.size
     jac = np.empty((d, d))
     for j in range(d):
-        h = step * max(1.0, abs(xi[j]))
+        h = 1e-6 * max(1.0, abs(xi[j]))
         e = np.zeros(d)
         e[j] = h
         jac[:, j] = (map_fn(xi + e) - map_fn(xi - e)) / (2.0 * h)
@@ -793,47 +768,36 @@ def _fd_jacobian(map_fn, xi: np.ndarray, step: float) -> np.ndarray:
 
 
 def brouwer_degree_small(
-    map_fn: Callable[[np.ndarray], np.ndarray],
-    frame: LinkingFrame,
-    starts_per_axis: int = 4,
-    residual_tol: float = 1e-10,
-    det_tol: float = 1e-8,
-    boundary_tol: float = 1e-6,
-    boundary_count: int = 300,
-    seed: int = 7,
-    fd_step: float = 1e-6,
+    map_fn: Callable[[np.ndarray], np.ndarray], frame: LinkingFrame
 ) -> DegreeReport:
     """Degree of a chart map on the open half-ball, by root counting.
 
     Requires chart dimension at most 4 so the multistart sweep can be
-    dense enough to be treated as exhaustive. The map must be bounded
-    away from zero on the sampled boundary; roots must have Jacobian
-    determinants bounded away from zero.
+    dense enough to be treated as exhaustive. The map must stay at least
+    1e-6 away from zero on 300 seeded boundary samples plus the corner
+    probes; each root must have a central-difference Jacobian
+    determinant of size at least 1e-8.
     """
     if frame.chart_dim > MAX_DEGREE_DIMENSION:
         raise InvalidSpecError(
             f"degree counting supports chart dimension <= {MAX_DEGREE_DIMENSION}, "
             f"got {frame.chart_dim}"
         )
-    rng = np.random.default_rng(seed)
-    corners = _boundary_corner_rows(frame)
-    cap = _cap_rows(rng, frame.chart_dim, frame.rho, boundary_count // 2)
-    base = _base_rows(rng, frame.chart_dim, frame.rho, boundary_count // 2)
-    boundary = np.vstack([corners, cap, base])
+    boundary = _boundary_rows(frame, np.random.default_rng(7), 150, 150)
     boundary_vals = np.array([np.linalg.norm(map_fn(row)) for row in boundary])
     boundary_min = float(np.min(boundary_vals))
-    if boundary_min < boundary_tol:
+    if boundary_min < 1e-6:
         raise BoundaryZeroError(
             f"map vanishes on the frame boundary (min {boundary_min:.3e} "
             f"at sample {int(np.argmin(boundary_vals))})"
         )
 
-    roots = _root_sweep(map_fn, frame, starts_per_axis, residual_tol)
+    roots = _root_sweep(map_fn, frame)
 
     dets = []
     for root in roots:
-        det = float(np.linalg.det(_fd_jacobian(map_fn, root, fd_step)))
-        if abs(det) < det_tol:
+        det = float(np.linalg.det(_fd_jacobian(map_fn, root)))
+        if abs(det) < 1e-8:
             raise DegenerateRootError(
                 f"root {np.round(root, 6)} has near-singular Jacobian (|det|={abs(det):.3e})"
             )

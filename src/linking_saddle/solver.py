@@ -59,6 +59,9 @@ INITS = ("anchor", "eigen", "zero")
 
 # the flow gives up once backtracking halves its step below this
 _MIN_FLOW_STEP = 1e-6
+# flow_deformation moves a chart point by the full flow map once both of its
+# boundary clearances (``linking._boundary_clearance``) reach this
+FLOW_RAMP = 0.05
 
 
 @dataclass
@@ -552,25 +555,22 @@ def flow_map(
     return x
 
 
-def flow_deformation(
-    problem: Problem,
-    frame: LinkingFrame,
-    steps: int = 12,
-    step: float = 0.2,
-    ramp: float = 0.05,
-) -> DeformationGamma:
+def flow_deformation(problem: Problem, frame: LinkingFrame, steps: int = 12,
+                     step: float = 0.2) -> DeformationGamma:
     """Deform frame interior points along the flow, frozen at the boundary.
 
-    The weight ramps from an exact 0.0 on the boundary to 1 well inside,
-    so deep interior points are moved by the full flow map. Displacement
-    is certified against the full discrete space, not a modal span.
+    The weight ramps from an exact 0.0 on the boundary to 1 at clearance
+    ``FLOW_RAMP`` from base and cap, so deep interior points are moved by
+    the full flow map. Displacement is certified against the full
+    discrete space, not a modal span.
     """
 
-    def fn(x: StatePair) -> StatePair:
-        q1, q2 = _boundary_clearance(frame, frame.chart_from_state(x))
-        w = min(1.0, q1 / ramp) * min(1.0, q2 / ramp)
+    def fn(xi: np.ndarray) -> StatePair:
+        x = frame.state_from_chart(xi)
+        q1, q2 = _boundary_clearance(frame, xi)
+        w = min(1.0, q1 / FLOW_RAMP) * min(1.0, q2 / FLOW_RAMP)
         if w == 0.0:
-            return x.copy()
+            return x
         return x + w * (flow_map(problem, x, steps, step, frame) - x)
 
     return DeformationGamma(
@@ -737,7 +737,7 @@ def deformation_witness_search(
         _boundary_corner_rows(frame),
         _interior_rows(rng, frame.chart_dim, frame.rho, sample_count),
     ])
-    images = [gamma(frame.state_from_chart(row)) for row in rows]
+    images = [gamma(row) for row in rows]
     image_vals = np.array([evaluate_J(problem, img).total for img in images])
     sup_value = float(np.max(image_vals))
     precondition_ok = bool(sup_value <= level + eps + 1e-9 * (1.0 + abs(level)))

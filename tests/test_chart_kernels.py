@@ -2,10 +2,13 @@
 
 ``LinkingFrame`` evaluates its chart as dense products with the mode
 rows and with K B, and ``ModalBasis.coefficients`` as one product with
-the rows K phi_k / sqrt(2). The
-oracles below are the loops over ``StatePair`` algebra and sparse
-stiffness applies that those kernels replaced; every kernel must agree
-with its oracle to 1e-12 relative to the size of its inputs.
+the rows K phi_k / sqrt(2). Deformations take chart points and read
+their weights from them, and the homotopy takes its head from the inverse
+chart of gamma. The oracles below are the loops over ``StatePair``
+algebra and sparse stiffness applies that those kernels replaced, and
+the state-to-state deformations that mapped each state back to the
+chart; every kernel must agree with its oracle to 1e-12 relative to the
+size of its inputs.
 """
 
 import dataclasses
@@ -22,6 +25,8 @@ from linking_saddle import (
     StatePair,
     build_frame,
     discretize,
+    flow_deformation,
+    flow_map,
     homotopy_chart_map,
     power_nonlinearity,
     shipped_deformations,
@@ -61,6 +66,39 @@ class OracleFrame(LinkingFrame):
         flat = np.asarray(xi, dtype=float).copy()
         flat[-1] = 0.0
         return self.state_from_chart(flat)
+
+
+def oracle_weight(frame, xi, ramp=None):
+    """The boundary weight: the taper, or the flow's ramp when ``ramp`` is given."""
+    q1 = max(0.0, xi[-1] / frame.rho - 1e-6)
+    q2 = max(0.0, 1.0 - float(np.dot(xi, xi)) / frame.rho**2 - 1e-6)
+    if ramp is None:
+        return q1 * q2
+    return min(1.0, q1 / ramp) * min(1.0, q2 / ramp)
+
+
+def oracle_deformations(frame, scale=0.25):
+    """Identity, shift and shear as maps of states, each mapping its state back to the chart."""
+    direction = frame.basis.direction(0)
+    amplitude = scale * frame.r
+
+    def push(sheared):
+        def fn(x):
+            xi = frame.chart_from_state(x)
+            w = oracle_weight(frame, xi) * (xi[-1] / frame.rho if sheared else 1.0)
+            return x.copy() if w == 0.0 else x + (amplitude * w) * direction
+        return fn
+
+    return [lambda x: x.copy(), push(False), push(True)]
+
+
+def oracle_flow_deformation(problem, frame, steps, step):
+    def fn(x):
+        w = oracle_weight(frame, frame.chart_from_state(x), ramp=0.05)
+        if w == 0.0:
+            return x.copy()
+        return x + w * (flow_map(problem, x, steps, step, frame) - x)
+    return fn
 
 
 def oracle_chart_map(frame, gamma, t, xi):
@@ -118,7 +156,6 @@ def test_chart_kernels_match_statepair_loops(grid_index, d_y, anchor_seed, seed,
     reach = np.sqrt(frame.chart_dim) * frame.rho * entry
 
     assert_state_close(frame.state_from_chart(xi), twin.state_from_chart(xi), reach)
-    assert_state_close(frame.antidiagonal_from_chart(xi), twin.antidiagonal_from_chart(xi), reach)
 
     x = StatePair(*rng.standard_normal((2, frame.problem.n)))
     # every chart row and mode direction has unit energy norm
@@ -140,8 +177,26 @@ def test_homotopy_chart_map_matches_statepair_loops(grid_index, d_y, anchor_seed
     xi = half_ball_point(frame, np.random.default_rng(seed), fraction)
     # the chart is an isometry, so each value is of the size of rho and r
     scale = frame.rho + frame.r
-    for gamma, oracle_gamma in zip(shipped_deformations(frame), shipped_deformations(twin)):
+    for gamma, oracle_gamma in zip(shipped_deformations(frame), oracle_deformations(twin)):
         got = homotopy_chart_map(frame, gamma, t)(xi)
         want = oracle_chart_map(twin, oracle_gamma, t, xi)
         assert got.shape == (frame.chart_dim,)
         assert np.max(np.abs(got - want)) <= REL * scale, gamma.name
+
+
+@settings(max_examples=40)
+@given(*frame_args, st.integers(0, 2**32 - 1), st.floats(0.0, 0.999))
+def test_deformations_match_statepair_maps(grid_index, d_y, anchor_seed, seed, fraction):
+    frame, _ = frames(grid_index, d_y, anchor_seed)
+    problem = frame.problem
+    xi = half_ball_point(frame, np.random.default_rng(seed), fraction)
+    # the oracles take the state xi . B, as every caller passed them
+    x = frame.state_from_chart(xi)
+    pairs = list(zip(shipped_deformations(frame), oracle_deformations(frame)))
+    pairs.append((flow_deformation(problem, frame, steps=2, step=0.2),
+                  oracle_flow_deformation(problem, frame, 2, 0.2)))
+    for gamma, oracle_gamma in pairs:
+        got, want = gamma(xi), oracle_gamma(x)
+        scale = max(np.max(np.abs(x.u)), np.max(np.abs(x.v)),
+                    np.max(np.abs((want - x).u)), np.max(np.abs((want - x).v)), frame.r)
+        assert_state_close(got, want, scale)

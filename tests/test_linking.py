@@ -20,10 +20,10 @@ from linking_saddle import (
     displacement_residual,
     estimate_geometry,
     evaluate_J,
+    flow_deformation,
     homotopy_chart_map,
     identity_deformation,
     intersection_point,
-    linking_homotopy,
     modal_shift_deformation,
     power_nonlinearity,
     sample_sets,
@@ -176,11 +176,11 @@ def test_homotopy_start_is_affine(line_frame):
 
 def test_homotopy_time_bounds(line_frame):
     gamma = identity_deformation(line_frame)
-    xi = np.zeros(line_frame.chart_dim)
+    # the time is checked once, when the map is built
     with pytest.raises(InvalidSpecError):
-        linking_homotopy(line_frame, gamma, -0.1, xi)
+        homotopy_chart_map(line_frame, gamma, -0.1)
     with pytest.raises(InvalidSpecError):
-        linking_homotopy(line_frame, gamma, 1.5, xi)
+        homotopy_chart_map(line_frame, gamma, 1.5)
 
 
 def test_identity_intersection_is_on_the_ray(line_frame, line_problem):
@@ -215,8 +215,22 @@ def test_boundary_points_are_fixed_bitwise(line_frame):
             continue
         for row in samples.boundary_chart:
             x = line_frame.state_from_chart(row)
-            gx = gamma(x)
+            gx = gamma(row)
             assert np.array_equal(gx.u, x.u) and np.array_equal(gx.v, x.v)
+
+
+def test_deformations_never_map_states_back_to_the_chart(line_problem, monkeypatch):
+    choice = choose_radii(line_problem)
+    frame = build_frame(line_problem, choice.r, choice.rho, d_y=2)
+    gammas = shipped_deformations(frame) + [flow_deformation(line_problem, frame, steps=2)]
+
+    def refuse(x):
+        raise AssertionError("a deformation called chart_from_state")
+
+    monkeypatch.setattr(frame, "chart_from_state", refuse)
+    for row in sample_sets(frame, interior_count=6, seed=4).interior_chart:
+        for gamma in gammas:
+            assert gamma(row).is_finite(), gamma.name
 
 
 def test_interior_points_do_move(line_frame):
@@ -224,15 +238,14 @@ def test_interior_points_do_move(line_frame):
     mid = np.zeros(line_frame.chart_dim)
     mid[-1] = 0.5 * line_frame.rho
     x = line_frame.state_from_chart(mid)
-    gx = gamma(x)
+    gx = gamma(mid)
     assert np.max(np.abs(gx.u - x.u)) > 1e-6
 
 
 def test_displacement_residual_accounts_for_motion(line_frame):
     samples = sample_sets(line_frame, interior_count=16, seed=5)
-    states = [line_frame.state_from_chart(row) for row in samples.interior_chart]
     for gamma in shipped_deformations(line_frame):
-        assert displacement_residual(line_frame, gamma, states) <= 1e-10
+        assert displacement_residual(line_frame, gamma, samples.interior_chart) <= 1e-10
 
 
 def test_affine_degree_conventions(line_frame):
@@ -274,9 +287,9 @@ def test_boundary_zero_detected(line_frame):
 def test_out_of_span_deformation_rejected(line_frame):
     stray = line_frame.basis.direction(line_frame.d_y + 3)
 
-    def fn(x):
+    def fn(xi):
         bump = 0.3 * line_frame.r
-        return x + bump * stray
+        return line_frame.state_from_chart(xi) + bump * stray
 
     gamma = DeformationGamma(name="stray", fn=fn)
     with pytest.raises(DomainMembershipError):
@@ -302,7 +315,8 @@ def test_intersection_point_takes_the_degree_roots(line_frame):
         intersection_point(line_frame, gamma, roots=np.empty((0, line_frame.chart_dim)))
     # the chart checks run before any given root is certified
     stray = line_frame.basis.direction(line_frame.d_y + 3)
-    gamma = DeformationGamma(name="stray", fn=lambda x: x + (0.3 * line_frame.r) * stray)
+    gamma = DeformationGamma(
+        name="stray", fn=lambda xi: line_frame.state_from_chart(xi) + (0.3 * line_frame.r) * stray)
     with pytest.raises(DomainMembershipError):
         intersection_point(line_frame, gamma, roots=deg.roots)
 
@@ -310,6 +324,6 @@ def test_intersection_point_takes_the_degree_roots(line_frame):
 def test_intersection_certificate_reconstructs_state(line_frame):
     gamma = anchor_shear_deformation(line_frame)
     cert = intersection_point(line_frame, gamma)
-    rebuilt = gamma(line_frame.state_from_chart(cert.chart))
+    rebuilt = gamma(cert.chart)
     assert np.max(np.abs(rebuilt.u - cert.image.u)) <= 1e-12
     assert np.max(np.abs(rebuilt.v - cert.image.v)) <= 1e-12

@@ -387,5 +387,5 @@ def test_flow_deformation_fixes_boundary(line_problem, witness_setup):
     samples = sample_sets(frame, boundary_count=24, seed=8)
     for row in samples.boundary_chart:
         x = frame.state_from_chart(row)
-        gx = gamma(x)
+        gx = gamma(row)
         assert np.array_equal(gx.u, x.u) and np.array_equal(gx.v, x.v)
