@@ -627,13 +627,15 @@ def homotopy_chart_map(
     """
     if not (0.0 <= t <= 1.0):
         raise InvalidSpecError(f"homotopy time must lie in [0, 1], got {t}")
-    split = frame.splitting
+    op = frame.splitting.op
 
     def chart_map(xi: np.ndarray) -> np.ndarray:
         xi = frame.require_member(xi)
         image = gamma(xi)
         head = t * frame.chart_from_state(image)[: frame.d_y] + (1.0 - t) * xi[: frame.d_y]
-        q_norm = split.pair_norm(split.diagonal_part(image))
+        # |Q image| = sqrt(<m, m> + <m, m>) with m = (u + v)/2, one K product
+        m = 0.5 * (image.u + image.v)
+        q_norm = float(np.sqrt(max(2.0 * op.product(m, m), 0.0)))
         coeff = (t / frame.r) * q_norm + (1.0 - t) * (xi[-1] / frame.r) - 1.0
         return np.concatenate([head, [coeff * frame.r]])
 

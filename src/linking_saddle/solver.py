@@ -10,6 +10,15 @@ the energy along the current diagonal ray, so it escapes the trivial
 basin whenever the coupling is genuinely superquadratic. The default
 pipeline runs the flow to a loose tolerance and lets Newton finish.
 
+The crest of a ray is found from the slope of the ray energy: a
+safeguarded Newton iteration, started at the current amplitude, inside
+a bracket that doubles until the slope turns negative. A far probe
+tells a crest from a ray that keeps rising. On a ray with more than one
+crest the search returns the one it reaches from the current amplitude.
+The Newton step solves the second variation in sum and difference
+variables; where those decouple it solves two n x n systems instead of
+one 2n x 2n block.
+
 Convergence bookkeeping follows the compactness template: bounded
 energies along the trace, gradient norm under tolerance, a Cauchy tail,
 and a nonnegative-coefficient fit of the superquadratic norm against the
@@ -24,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
-import scipy.optimize as sopt
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -59,6 +67,8 @@ INITS = ("anchor", "eigen", "zero")
 
 # the flow gives up once backtracking halves its step below this
 _MIN_FLOW_STEP = 1e-6
+# slope evaluations one crest search may take
+_RAY_MAX_STEPS = 200
 # flow_deformation moves a chart point by the full flow map once both of its
 # boundary clearances (``linking._boundary_clearance``) reach this
 FLOW_RAMP = 0.05
@@ -179,9 +189,20 @@ def residual_dual_norm(problem: Problem, res: StatePair) -> float:
 def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     """Solve the second-variation system in sum/difference variables.
 
-    For a symmetric problem at a symmetric iterate the difference block
-    decouples with an exactly zero right-hand side, so the step (and
-    hence every Newton iterate) keeps u == v bitwise.
+    With A = diag((a + b)/2) and D = diag((b - a)/2), where a and b are
+    vol * (lam + f'(u)) and vol * (delta + g'(v)), the sum p and the
+    difference q of the step solve
+
+        [K - A   D       ] [p]   [-(r_u + r_v)]
+        [D       -(K + A)] [q] = [-(r_u - r_v)].
+
+    Where D is identically zero (lam = delta, f' = g' and f'(u) = g'(v)
+    at every node, as at a symmetric iterate of a symmetric problem) the
+    system is two n x n blocks, and the q block is solved only if its
+    right-hand side is nonzero. At a symmetric iterate with a symmetric
+    residual q is exactly 0, so the step (and hence every Newton
+    iterate) keeps u == v bitwise. Otherwise the 2n x 2n block is
+    factored whole.
     """
     op, nl = problem.op, problem.nl
     vol = problem.grid.cell_volume
@@ -189,17 +210,22 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     n = problem.n
     a = vol * (problem.lam + np.asarray(nl.df(pts, x.u), dtype=float))
     b = vol * (problem.delta + np.asarray(nl.dg(pts, x.v), dtype=float))
-    avg = 0.5 * (a + b)
+    diag_avg = sp.diags(0.5 * (a + b))
     off = 0.5 * (b - a)
     k = op.matrix
-    diag_avg = sp.diags(avg)
-    off_block = sp.diags(off) if np.any(off != 0.0) else None
-    system = sp.bmat(
-        [[k - diag_avg, off_block], [off_block, -(k + diag_avg)]], format="csc"
-    )
-    rhs = np.concatenate([-(res.u + res.v), -(res.u - res.v)])
-    sol = spla.spsolve(system, rhs)
-    p, q = sol[:n], sol[n:]
+    rhs_p = -(res.u + res.v)
+    rhs_q = -(res.u - res.v)
+    if np.any(off != 0.0):
+        off_block = sp.diags(off)
+        system = sp.bmat(
+            [[k - diag_avg, off_block], [off_block, -(k + diag_avg)]], format="csc"
+        )
+        sol = spla.spsolve(system, np.concatenate([rhs_p, rhs_q]))
+        p, q = sol[:n], sol[n:]
+    else:
+        p = spla.spsolve((k - diag_avg).tocsc(), rhs_p)
+        q = (spla.spsolve((-(k + diag_avg)).tocsc(), rhs_q) if np.any(rhs_q != 0.0)
+             else np.zeros(n))
     return StatePair(0.5 * (p + q), 0.5 * (p - q))
 
 
@@ -285,44 +311,83 @@ def _ray_energy(problem: Problem, ray: _Ray, tau: float) -> float:
     return EnergyBreakdown(*terms).total
 
 
+def _ray_slope(problem: Problem, ray: _Ray, tau: float) -> tuple[float, float]:
+    """First and second derivative of :func:`_ray_energy` in tau, or (-inf, -inf) on overflow.
+
+    Each u-term is grouped with its v-mirror, as in :func:`_ray`, so
+    swapping the components leaves both values bitwise unchanged.
+    """
+    grid, nl = problem.grid, problem.nl
+    pts, vol = grid.coords, grid.cell_volume
+    du, dv = ray.dir_u, ray.dir_v
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = ray.base_u + du * tau
+        v = ray.base_v + dv * tau
+        slope = (ray.c1 + 2.0 * tau * ray.c2) - vol * (
+            (problem.lam * float(u @ du) + problem.delta * float(v @ dv))
+            + (float(nl.f(pts, u) @ du) + float(nl.g(pts, v) @ dv))
+        )
+        curvature = 2.0 * ray.c2 - vol * (
+            (problem.lam * float(du @ du) + problem.delta * float(dv @ dv))
+            + (float(nl.df(pts, u) @ (du * du)) + float(nl.dg(pts, v) @ (dv * dv)))
+        )
+    if not (math.isfinite(slope) and math.isfinite(curvature)):
+        return -np.inf, -np.inf
+    return slope, curvature
+
+
 def _ray_argmax(
     problem: Problem, base: StatePair, direction: StatePair, t_current: float
 ) -> Optional[float]:
-    """Crest of the energy along base + tau*direction, or None if there is none.
+    """Crest of the energy along base + tau*direction reached from ``t_current``, or None.
 
-    A geometric probe grid brackets the crest; a far probe distinguishes
-    a genuine crest from a quadratic-type ray whose energy keeps rising.
+    A safeguarded Newton iteration on the slope phi' of the ray energy
+    (:func:`_ray_slope`), started at max(|t_current|, scale/256) with
+    scale = max(|t_current|, 1). It keeps a bracket [lo, hi] with
+    phi'(lo) > 0 >= phi'(hi); lo starts at 0 and hi at infinity. Until hi
+    is finite the iterate grows by at most a factor of 2, doubling where
+    the Newton step does not land in between; after that, a Newton step
+    that leaves the bracket, or one taken where phi'' >= 0, becomes a
+    bisection. The search stops when the Newton step or the bracket is
+    at most 1e-12 * max(1, hi). A collapsed bracket returns lo, which is
+    0.0 on a ray whose energy falls from the base on.
+
+    A ray still rising past 64 * scale is compared with a far probe
+    2**14 times further out: if the far probe is not lower, or the ray
+    still rises at the far probe, the ray keeps rising and there is no
+    crest to pin. On a ray with several crests the search returns the
+    one it reaches from ``t_current``, which need not be the highest.
     """
     ray = _ray(problem, base, direction)
     scale = max(abs(t_current), 1.0)
-    taus = np.concatenate([[0.0], np.geomspace(scale / 256.0, 64.0 * scale, 33)])
-    vals = np.array([_ray_energy(problem, ray, t) for t in taus])
-    far_tau = 64.0 * scale * 2.0**14
-    far = _ray_energy(problem, ray, far_tau)
-    k = int(np.argmax(vals))
-    if k == taus.size - 1:
-        if far >= vals[-1]:
-            return None  # still rising past the far probe: no crest to pin
-        taus = np.concatenate([taus, np.geomspace(64.0 * scale, far_tau, 33)[1:]])
-        vals = np.concatenate([vals, [
-            _ray_energy(problem, ray, t) for t in taus[34:]
-        ]])
-        k = int(np.argmax(vals))
-        if k == taus.size - 1:
-            return None
-    if k == 0:
-        if vals[0] >= vals[1]:
-            lo, hi = 0.0, taus[1]
+    top = 64.0 * scale
+    far = top * 2.0**14
+    lo, hi = 0.0, math.inf
+    t = max(abs(t_current), scale / 256.0)
+    # Newton steps inside the bracket shrink it; the cap only bounds rays
+    # where they shrink it slowly
+    for _ in range(_RAY_MAX_STEPS):
+        slope, curvature = _ray_slope(problem, ray, t)
+        if slope > 0.0:
+            if hi == math.inf and t > top:
+                # lo <= top: the first rising iterate past top runs the far-probe test
+                if lo <= top and _ray_energy(problem, ray, far) >= _ray_energy(problem, ray, top):
+                    return None  # still rising past the far probe: no crest to pin
+                if t >= far:
+                    return None
+            lo = t
         else:
-            lo, hi = 0.0, taus[2]
-    else:
-        lo, hi = taus[k - 1], taus[min(k + 1, taus.size - 1)]
-    result = sopt.minimize_scalar(
-        lambda t: -_ray_energy(problem, ray, t),
-        bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12 * max(1.0, hi)},
-    )
-    return float(result.x)
+            hi = t
+        tol = 1e-12 * max(1.0, hi if hi < math.inf else t)
+        if hi - lo <= tol:
+            return lo  # lo is 0.0 where the energy falls from the base on
+        t_new = t - slope / curvature if curvature < 0.0 else math.nan
+        if abs(t_new - t) <= tol:
+            return t_new
+        if not lo < t_new < (hi if hi < math.inf else 2.0 * t):
+            t_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * t
+        t = t_new
+    return t
 
 
 def _flow_update(

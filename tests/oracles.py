@@ -2,8 +2,10 @@
 
 Everything here is deliberately built from different numerics than the
 package: fixed-step RK4 plus bisection for the boundary-value problem,
-composite Simpson for integrals, dense O(n^2) arithmetic elsewhere. No
-imports from linking_saddle are allowed in this module.
+composite Simpson for integrals, dense O(n^2) arithmetic elsewhere, and
+the algorithms that faster package kernels replaced (the probe-grid
+crest search and the whole-block Newton solve). No imports from
+linking_saddle are allowed in this module.
 """
 
 from __future__ import annotations
@@ -106,3 +108,57 @@ def dirichlet_eigenvalue_1d(k: int, n: int, length: float = 1.0) -> float:
     scaled the way the package scales its eigenproblem (per unit cell volume)."""
     h = length / (n + 1)
     return (2.0 - 2.0 * np.cos(k * np.pi / (n + 1))) / (h * h)
+
+
+def ray_argmax_grid(energy, t_current: float):
+    """Crest of a ray energy by the probe grid the package searched with before.
+
+    ``energy(tau)`` is the energy at base + tau*direction, -inf where it
+    overflows. A geometric probe grid brackets the highest crest it
+    resolves and a bounded Brent search refines it; a far probe tells a
+    crest from a ray that keeps rising, for which the result is None.
+    Comparing energies resolves a crest to about the square root of the
+    machine epsilon, relative.
+    """
+    from scipy.optimize import minimize_scalar
+
+    scale = max(abs(t_current), 1.0)
+    taus = np.concatenate([[0.0], np.geomspace(scale / 256.0, 64.0 * scale, 33)])
+    vals = np.array([energy(t) for t in taus])
+    far_tau = 64.0 * scale * 2.0**14
+    far = energy(far_tau)
+    k = int(np.argmax(vals))
+    if k == taus.size - 1:
+        if far >= vals[-1]:
+            return None
+        taus = np.concatenate([taus, np.geomspace(64.0 * scale, far_tau, 33)[1:]])
+        vals = np.concatenate([vals, [energy(t) for t in taus[34:]]])
+        k = int(np.argmax(vals))
+        if k == taus.size - 1:
+            return None
+    if k == 0:
+        lo, hi = 0.0, taus[1] if vals[0] >= vals[1] else taus[2]
+    else:
+        lo, hi = taus[k - 1], taus[min(k + 1, taus.size - 1)]
+    result = minimize_scalar(lambda t: -energy(t), bounds=(lo, hi), method="bounded",
+                             options={"xatol": 1e-12 * max(1.0, hi)})
+    return float(result.x)
+
+
+def newton_block_step(k, a: np.ndarray, b: np.ndarray, res_u: np.ndarray,
+                      res_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton step (u, v) from the full 2n x 2n sum/difference system.
+
+    ``k`` is the sparse stiffness matrix, ``a`` and ``b`` the nodal
+    weights vol * (lam + f'(u)) and vol * (delta + g'(v)); the sum p and
+    the difference q of the step solve one sparse LU of the whole block.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    n = a.size
+    avg, off = sp.diags(0.5 * (a + b)), sp.diags(0.5 * (b - a))
+    system = sp.bmat([[k - avg, off], [off, -(k + avg)]], format="csc")
+    sol = spsolve(system, np.concatenate([-(res_u + res_v), -(res_u - res_v)]))
+    p, q = sol[:n], sol[n:]
+    return 0.5 * (p + q), 0.5 * (p - q)

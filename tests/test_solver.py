@@ -160,8 +160,9 @@ def test_ray_energy_matches_evaluate_J(domain, lam, delta, seed, log_scale):
     ray = _ray(problem, base, direction)
     mirror = _ray(problem, StatePair(base.v, base.u), StatePair(direction.v, direction.u))
     assert (mirror.c0, mirror.c1, mirror.c2) == (ray.c0, ray.c1, ray.c2)
-    # the probes of _ray_argmax, far probe last; at t_current = 1e72 the far
-    # probe overflows the potential and the others do not
+    # the probe grid of the replaced crest search, then the far probe that
+    # _ray_argmax still compares; at t_current = 1e72 the far probe
+    # overflows the potential and the others do not
     taus = np.concatenate([
         np.concatenate([[0.0], np.geomspace(scale / 256.0, 64.0 * scale, 33),
                         [64.0 * scale * 2.0**14]])
