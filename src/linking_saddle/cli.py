@@ -66,9 +66,7 @@ def _resolve_radii(cfg: RunConfig, problem: Problem):
 
 
 def _frame_for(cfg: RunConfig, problem: Problem, r: float, rho: float):
-    # basis cannot outnumber the truncation modes on coarse grids
-    count = min(cfg.frame.modes, problem.n)
-    return build_frame(problem, r, rho, d_y=cfg.frame.d_y, mode_count=count)
+    return build_frame(problem, r, rho, d_y=cfg.frame.d_y)
 
 
 def _frame_and_samples(cfg: RunConfig, problem: Problem, command: str, failed_steps,

@@ -65,7 +65,6 @@ class FrameBlock:
     r: Union[str, float] = "auto"
     rho: Union[str, float] = "auto"
     d_y: int = 1
-    modes: int = 32
     seed: int = 12345
     sphere_samples: int = 64
     boundary_samples: int = 128
@@ -184,8 +183,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
     nodes = d.nx if d.dimension == 1 else d.nx * d.ny
     if f.d_y > nodes:
         raise ConfigError(f"frame.d_y must not exceed the grid's node count {nodes}, got {f.d_y}")
-    if f.modes < f.d_y:
-        raise ConfigError(f"frame.modes must be at least d_y={f.d_y}, got {f.modes}")
     for label, val in (
         ("frame.sphere_samples", f.sphere_samples),
         ("frame.boundary_samples", f.boundary_samples),

@@ -7,28 +7,32 @@ stays strictly above its maximum on the frame boundary. The frame is
 finite dimensional, so every claim here is checked in an explicit chart
 whose Euclidean norm agrees with the energy norm.
 
-Intersection and degree certificates work on the chart homotopy
+The chart is linear: xi maps to the state xi . B, where the rows of B
+are the first d_y antidiagonal mode directions and anchor / r. The
+frame's modal basis holds exactly those d_y modes. G = B K B^T is the
+(d_y + 1)-square Gram matrix of the rows in the energy inner product:
+the identity, up to the rounding of the eigenvectors.
 
-    H_t(xi) = t (c(gamma(xi))[:d_y], |Q gamma(xi)|) + (1 - t) xi - r e_last,
+A chart-compatible deformation gamma is a map of the chart, xi -> eta,
+with gamma(xi) = eta . B. Intersection and degree certificates work on
+the chart homotopy
 
-where c is the inverse chart and Q the diagonal projection; the mode
-rows of B are K-orthogonal to the diagonal, so c needs no P projection.
-At t = 0 this is the affine map xi - r e_last, and at t = 1 it vanishes
-exactly when gamma(xi) hits the sphere N. Roots are located by a
-multistart sweep; degrees are sums of Jacobian determinant signs at the
-roots, so they are exact provided the sweep finds every root, which the
-lattice is sized for in the shipped frames.
+    H_t(xi) = t ((G eta)[:d_y], |eta_last| sqrt(G[-1, -1])) + (1 - t) xi - r e_last,
+
+the energy inner products of gamma(xi) with the mode rows, and the norm
+of its diagonal part, which is eta_last times the anchor row. No state
+is built. At t = 0 this is the affine map xi - r e_last, and at t = 1
+it vanishes exactly when gamma(xi) hits the sphere N. Roots are located
+by a multistart sweep; degrees are sums of Jacobian determinant signs
+at the roots, so they are exact provided the sweep finds every root,
+which the lattice is sized for in the shipped frames.
 
 H_0 weighs gamma by exactly zero, so for a finite gamma its values do
 not depend on gamma: the start degree is that of the affine map, and
 the CLI counts it once per frame. At t = 1 the end degree and the
 intersection certificate need the same roots, so they share one sweep
-(``intersection_point(..., roots=degree.roots)``).
-
-The chart is linear: xi maps to the state xi . B, where the rows of B
-are the first d_y antidiagonal mode directions and anchor / r. Each
-chart map is one dense product: xi . B with the mode rows, and the
-inverse with K B, which the frame builds on first use.
+(``intersection_point(..., roots=degree.roots)``). The certificate
+itself is checked on the state gamma(xi), independently of G.
 """
 
 from __future__ import annotations
@@ -91,8 +95,9 @@ class LinkingFrame:
     the anchor coefficient scaled so that the Euclidean norm of xi
     equals the energy norm of the state. The frame set M is the chart
     half-ball {|xi| <= rho, xi_last >= 0}; the small sphere N is the
-    radius-r sphere of the full diagonal subspace. K B is cached on
-    first use, so a frame's fields are not reassigned.
+    radius-r sphere of the full diagonal subspace. ``basis`` holds
+    exactly the d_y chart modes. The Gram matrix of the chart is cached
+    on first use, so a frame's fields are not reassigned.
     """
 
     problem: Problem
@@ -108,9 +113,10 @@ class LinkingFrame:
             raise InvalidSpecError(
                 f"radii must satisfy 0 < r < rho, got r={self.r}, rho={self.rho}"
             )
-        if not 1 <= self.d_y <= self.basis.count:
+        if not 1 <= self.d_y == self.basis.count:
             raise InvalidSpecError(
-                f"d_y must lie in [1, {self.basis.count}], got {self.d_y}"
+                f"the modal basis must hold exactly the d_y >= 1 chart modes, "
+                f"got d_y={self.d_y} and {self.basis.count} modes"
             )
         split = self.splitting
         stray = split.pair_norm(split.antidiagonal_part(self.anchor))
@@ -124,22 +130,15 @@ class LinkingFrame:
         return self.d_y + 1
 
     @cached_property
-    def _k_chart_rows(self) -> np.ndarray:
-        """K B, one ``[K u | K v]`` row per row of B.
+    def _chart_gram(self) -> np.ndarray:
+        """G = B K B^T, the energy inner products of the rows of B.
 
-        The rows of B are the chart directions dir_0 .. dir_(d_y-1) and
-        anchor / r. Built on first use: a solve never calls
-        ``chart_from_state``.
+        The identity up to the rounding of the eigenvectors, about
+        eps * cond(K), which the homotopy keeps rather than drops. Built
+        on first use: a solve never evaluates the homotopy.
         """
-        n = self.problem.n
-        k = self.splitting.op.matrix
-        k_phi = (k @ self.basis.modes[: self.d_y].T).T / np.sqrt(2.0)
-        rows = np.empty((self.chart_dim, 2 * n))
-        rows[:-1, :n] = -k_phi
-        rows[:-1, n:] = k_phi
-        rows[-1, :n] = k @ (self.anchor.u / self.r)
-        rows[-1, n:] = k @ (self.anchor.v / self.r)
-        return rows
+        rows = [self.basis.direction(k) for k in range(self.d_y)] + [self.anchor / self.r]
+        return np.array([[self.splitting.pair_dot(a, b) for b in rows] for a in rows])
 
     def _check_chart(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -151,16 +150,9 @@ class LinkingFrame:
         """The state xi . B."""
         xi = self._check_chart(xi)
         # sum_k xi[k] dir_k = (-w, w)
-        w = (xi[:-1] / np.sqrt(2.0)) @ self.basis.modes[: self.d_y]
+        w = (xi[:-1] / np.sqrt(2.0)) @ self.basis.modes
         a = xi[-1] / self.r
         return StatePair(a * self.anchor.u - w, a * self.anchor.v + w)
-
-    def chart_from_state(self, x: StatePair) -> np.ndarray:
-        """Energy inner products of x with the rows of B: (K B) . [u; v]."""
-        grid = self.problem.grid
-        n = grid.n_interior
-        kb = self._k_chart_rows
-        return kb[:, :n] @ grid.check_field(x.u) + kb[:, n:] @ grid.check_field(x.v)
 
     def contains(self, xi: np.ndarray, tol: float = 1e-9) -> bool:
         xi = np.asarray(xi, dtype=float)
@@ -185,20 +177,16 @@ def build_frame(
     r: float,
     rho: float,
     d_y: int = 1,
-    mode_count: Optional[int] = None,
     anchor_direction: Optional[StatePair] = None,
 ) -> LinkingFrame:
-    """Assemble a frame on the problem's grid.
+    """Assemble a frame on the problem's grid, with a basis of its d_y chart modes.
 
     The default anchor points along the principal mode; an explicit
     direction is projected onto the diagonal subspace and normalized, so
     re-anchoring along a computed solution is a one-liner.
     """
     split = DiagonalSplitting(problem.grid, problem.op)
-    if mode_count is None:
-        mode_count = min(32, problem.n)
-    mode_count = max(mode_count, d_y)
-    basis = build_modal_basis(split, mode_count)
+    basis = build_modal_basis(split, d_y)
     if anchor_direction is None:
         anchor = float(r) * basis.diagonal_direction(0)
     else:
@@ -509,18 +497,19 @@ class DeformationGamma:
     """A map of the frame chart to states, identity on the frame boundary.
 
     ``fn`` takes a chart point xi of the half-ball M and returns the
-    state gamma(xi); on the boundary of M it returns xi . B. The
+    state gamma(xi); on the boundary of M it returns xi . B. A chart
+    compatible deformation also has a ``chart`` map xi -> eta with
+    gamma(xi) = eta . B, which the homotopy and the intersection solver
+    require; ``None`` means gamma leaves the chart (flow-based maps). The
     ``displacement_modes`` list the antidiagonal mode indices spanning
     gamma(xi) - xi . B; ``None`` means the displacement is only certified
-    against the full discrete space (flow-based maps). Maps with all
-    modes below the frame's d_y stay inside the chart, which the
-    intersection solver requires.
+    against the full discrete space.
     """
 
     name: str
     fn: Callable[[np.ndarray], StatePair]
     displacement_modes: Optional[Sequence[int]] = ()
-    chart_compatible: bool = True
+    chart: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, xi: np.ndarray) -> StatePair:
         return self.fn(xi)
@@ -545,25 +534,28 @@ def _interior_taper(frame: LinkingFrame, xi: np.ndarray) -> float:
 
 
 def identity_deformation(frame: LinkingFrame) -> DeformationGamma:
-    return DeformationGamma("identity", frame.state_from_chart, displacement_modes=())
+    return DeformationGamma("identity", frame.state_from_chart, displacement_modes=(),
+                            chart=lambda xi: xi)
 
 
 def _modal_push(frame: LinkingFrame, name: str, mode: int, scale: float,
                 sheared: bool) -> DeformationGamma:
-    """Push xi . B along one antidiagonal mode by a weight that vanishes on the boundary."""
-    direction = frame.basis.direction(mode)
+    """Push xi along chart mode ``mode`` by a weight that vanishes on the boundary."""
+    if not 0 <= mode < frame.d_y:
+        raise InvalidSpecError(f"mode must lie in [0, {frame.d_y}), got {mode}")
     amplitude = scale * frame.r
 
-    def fn(xi: np.ndarray) -> StatePair:
-        x = frame.state_from_chart(xi)
+    def chart(xi: np.ndarray) -> np.ndarray:
         w = _interior_taper(frame, xi) * (xi[-1] / frame.rho if sheared else 1.0)
         if w == 0.0:
-            return x
-        return x + (amplitude * w) * direction
+            return xi
+        eta = np.array(xi, dtype=float)
+        eta[mode] += amplitude * w
+        return eta
 
     return DeformationGamma(
-        f"{name}(mode={mode})", fn,
-        displacement_modes=(mode,), chart_compatible=mode < frame.d_y,
+        f"{name}(mode={mode})", lambda xi: frame.state_from_chart(chart(xi)),
+        displacement_modes=(mode,), chart=chart,
     )
 
 
@@ -621,23 +613,23 @@ def homotopy_chart_map(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The homotopy H_t of the module docstring, valued in R^(d_y + 1).
 
-    Its Euclidean norm equals the energy norm of the homotopy value
-    whenever the antidiagonal part of gamma stays in the chart span. A
-    zero is an intersection witness at t = 1 and the affine root at t = 0.
+    Its Euclidean norm equals the energy norm of the homotopy value. A
+    zero is an intersection witness at t = 1 and the affine root at
+    t = 0. Only a chart-compatible gamma has one.
     """
     if not (0.0 <= t <= 1.0):
         raise InvalidSpecError(f"homotopy time must lie in [0, 1], got {t}")
-    op = frame.splitting.op
+    if gamma.chart is None:
+        raise DomainMembershipError(f"deformation '{gamma.name}' is not chart compatible")
+    gram, d_y, r = frame._chart_gram, frame.d_y, frame.r
+    anchor_norm = float(np.sqrt(gram[-1, -1]))
 
     def chart_map(xi: np.ndarray) -> np.ndarray:
         xi = frame.require_member(xi)
-        image = gamma(xi)
-        head = t * frame.chart_from_state(image)[: frame.d_y] + (1.0 - t) * xi[: frame.d_y]
-        # |Q image| = sqrt(<m, m> + <m, m>) with m = (u + v)/2, one K product
-        m = 0.5 * (image.u + image.v)
-        q_norm = float(np.sqrt(max(2.0 * op.product(m, m), 0.0)))
-        coeff = (t / frame.r) * q_norm + (1.0 - t) * (xi[-1] / frame.r) - 1.0
-        return np.concatenate([head, [coeff * frame.r]])
+        eta = gamma.chart(xi)
+        out = t * np.append(gram[:d_y] @ eta, abs(eta[-1]) * anchor_norm) + (1.0 - t) * xi
+        out[-1] -= r
+        return out
 
     return chart_map
 
@@ -715,10 +707,8 @@ def intersection_point(frame: LinkingFrame, gamma: DeformationGamma,
     ``DegreeReport.roots`` can be passed to skip a second sweep. With
     ``None`` the roots are swept here. The chart checks run first either way.
     """
-    if not gamma.chart_compatible:
-        raise DomainMembershipError(
-            f"deformation '{gamma.name}' is not chart compatible"
-        )
+    if gamma.chart is None:
+        raise DomainMembershipError(f"deformation '{gamma.name}' is not chart compatible")
     probes = _interior_rows(np.random.default_rng(3), frame.chart_dim, frame.rho, 8)
     _verify_chart_span(frame, gamma, probes)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional
 
@@ -69,6 +70,7 @@ INITS = ("anchor", "eigen", "zero")
 _MIN_FLOW_STEP = 1e-6
 # slope evaluations one crest search may take
 _RAY_MAX_STEPS = 200
+_SINGULAR = "second-variation system is singular"
 # flow_deformation moves a chart point by the full flow map once both of its
 # boundary clearances (``linking._boundary_clearance``) reach this
 FLOW_RAMP = 0.05
@@ -186,6 +188,10 @@ def residual_dual_norm(problem: Problem, res: StatePair) -> float:
     return pair_norm(op, lifted)
 
 
+class _StepFailed(Exception):
+    """A step rule has no trial left; the message says why."""
+
+
 def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     """Solve the second-variation system in sum/difference variables.
 
@@ -202,7 +208,7 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     right-hand side is nonzero. At a symmetric iterate with a symmetric
     residual q is exactly 0, so the step (and hence every Newton
     iterate) keeps u == v bitwise. Otherwise the 2n x 2n block is
-    factored whole.
+    factored whole. A singular system raises :class:`_StepFailed`.
     """
     op, nl = problem.op, problem.nl
     vol = problem.grid.cell_volume
@@ -215,18 +221,27 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     k = op.matrix
     rhs_p = -(res.u + res.v)
     rhs_q = -(res.u - res.v)
-    if np.any(off != 0.0):
-        off_block = sp.diags(off)
-        system = sp.bmat(
-            [[k - diag_avg, off_block], [off_block, -(k + diag_avg)]], format="csc"
-        )
-        sol = spla.spsolve(system, np.concatenate([rhs_p, rhs_q]))
-        p, q = sol[:n], sol[n:]
-    else:
-        p = spla.spsolve((k - diag_avg).tocsc(), rhs_p)
-        q = (spla.spsolve((-(k + diag_avg)).tocsc(), rhs_q) if np.any(rhs_q != 0.0)
-             else np.zeros(n))
-    return StatePair(0.5 * (p + q), 0.5 * (p - q))
+    with warnings.catch_warnings():
+        # an exactly singular factor is a failed step, not a library warning
+        warnings.simplefilter("error", spla.MatrixRankWarning)
+        try:
+            if np.any(off != 0.0):
+                off_block = sp.diags(off)
+                system = sp.bmat(
+                    [[k - diag_avg, off_block], [off_block, -(k + diag_avg)]], format="csc"
+                )
+                sol = spla.spsolve(system, np.concatenate([rhs_p, rhs_q]))
+                p, q = sol[:n], sol[n:]
+            else:
+                p = spla.spsolve((k - diag_avg).tocsc(), rhs_p)
+                q = (spla.spsolve((-(k + diag_avg)).tocsc(), rhs_q) if np.any(rhs_q != 0.0)
+                     else np.zeros(n))
+        except spla.MatrixRankWarning:
+            raise _StepFailed(_SINGULAR) from None
+    step = StatePair(0.5 * (p + q), 0.5 * (p - q))
+    if not step.is_finite():
+        raise _StepFailed(_SINGULAR)
+    return step
 
 
 def _grad_and_norm(problem: Problem, x: StatePair) -> tuple[StatePair, float]:
@@ -443,28 +458,21 @@ def _finish(
     trace: IterateTrace,
     eta: float,
 ) -> SaddleReport:
+    # x is the trace's last entry, whose gradient norm is the dual residual norm
     res = euler_lagrange_residual(problem, x)
-    dual = residual_dual_norm(problem, res)
-    raw = float(np.sqrt(res.u @ res.u + res.v @ res.v))
-    grad_norm = trace.gradient_norms[-1] if len(trace) else dual
-    norm = pair_norm(problem.op, x)
     return SaddleReport(
         state=x,
-        critical_value=evaluate_J(problem, x).total,
-        gradient_norm=float(grad_norm),
-        residual_dual=dual,
-        residual_euclidean=raw,
+        critical_value=trace.energies[-1],
+        gradient_norm=trace.gradient_norms[-1],
+        residual_dual=trace.gradient_norms[-1],
+        residual_euclidean=float(np.sqrt(res.u @ res.u + res.v @ res.v)),
         converged=converged,
-        nontrivial=bool(converged and norm >= eta),
+        nontrivial=bool(converged and trace.state_norms[-1] >= eta),
         iterations=iterations,
         method=method,
         message=message,
         trace=trace,
     )
-
-
-class _StepFailed(Exception):
-    """A step rule has no trial left; the message says why."""
 
 
 def _mu_norm(problem: Problem, x: StatePair) -> float:
@@ -537,8 +545,6 @@ def newton_solve(
 
     def trials(x, g, gn, step):
         direction = _newton_step(problem, x, euler_lagrange_residual(problem, x))
-        if not direction.is_finite():
-            raise _StepFailed("second-variation system is singular")
         alpha = 1.0
         while alpha >= 1e-4:
             yield x + alpha * direction, (1.0 - 1e-4 * alpha) * gn, alpha
@@ -627,7 +633,7 @@ def flow_deformation(problem: Problem, frame: LinkingFrame, steps: int = 12,
     The weight ramps from an exact 0.0 on the boundary to 1 at clearance
     ``FLOW_RAMP`` from base and cap, so deep interior points are moved by
     the full flow map. Displacement is certified against the full
-    discrete space, not a modal span.
+    discrete space, not a modal span, and the map has no chart form.
     """
 
     def fn(xi: np.ndarray) -> StatePair:
@@ -638,9 +644,7 @@ def flow_deformation(problem: Problem, frame: LinkingFrame, steps: int = 12,
             return x
         return x + w * (flow_map(problem, x, steps, step, frame) - x)
 
-    return DeformationGamma(
-        f"flow(steps={steps})", fn, displacement_modes=None, chart_compatible=False
-    )
+    return DeformationGamma(f"flow(steps={steps})", fn, displacement_modes=None)
 
 
 @dataclass

@@ -1,14 +1,15 @@
 """The dense chart kernels against the StatePair formulas they replaced.
 
-``LinkingFrame`` evaluates its chart as dense products with the mode
-rows and with K B, and ``ModalBasis.coefficients`` as one product with
-the rows K phi_k / sqrt(2). Deformations take chart points and read
-their weights from them, and the homotopy takes its head from the inverse
-chart of gamma. The oracles below are the loops over ``StatePair``
-algebra and sparse stiffness applies that those kernels replaced, and
-the state-to-state deformations that mapped each state back to the
-chart; every kernel must agree with its oracle to 1e-12 relative to the
-size of its inputs.
+``LinkingFrame`` evaluates its chart as a dense product with the mode
+rows, and ``ModalBasis.coefficients`` as one product with the rows
+K phi_k / sqrt(2). Deformations take chart points and read their
+weights from them, and the homotopy evaluates a deformation's chart map
+with the chart's Gram matrix G, building no state. The oracles below
+are the loops over ``StatePair`` algebra and sparse stiffness applies
+that those kernels replaced, the inverse chart of the ``OracleFrame``
+twin, and the state-to-state deformations that mapped each state back
+to the chart; every kernel must agree with its oracle to 1e-12 relative
+to the size of its inputs.
 """
 
 import dataclasses
@@ -120,8 +121,7 @@ def frames(grid_index, d_y, anchor_seed):
     if anchor_seed is not None:
         rng = np.random.default_rng(anchor_seed)
         anchor = StatePair(*rng.standard_normal((2, problem.n)))
-    frame = build_frame(problem, 0.7, 3.0, d_y=d_y, mode_count=min(8, problem.n),
-                        anchor_direction=anchor)
+    frame = build_frame(problem, 0.7, 3.0, d_y=d_y, anchor_direction=anchor)
     twin = OracleFrame(**{f.name: getattr(frame, f.name) for f in dataclasses.fields(frame)})
     return frame, twin
 
@@ -157,12 +157,15 @@ def test_chart_kernels_match_statepair_loops(grid_index, d_y, anchor_seed, seed,
 
     assert_state_close(frame.state_from_chart(xi), twin.state_from_chart(xi), reach)
 
-    x = StatePair(*rng.standard_normal((2, frame.problem.n)))
-    # every chart row and mode direction has unit energy norm
-    size = frame.splitting.pair_norm(x)
-    got = frame.chart_from_state(x)
+    # G xi is the inverse chart of xi . B; the chart is an isometry
+    got = frame._chart_gram @ xi
+    want = twin.chart_from_state(twin.state_from_chart(xi))
     assert got.shape == (frame.chart_dim,)
-    assert np.max(np.abs(got - twin.chart_from_state(x))) <= REL * size
+    assert np.max(np.abs(got - want)) <= REL * frame.rho
+
+    x = StatePair(*rng.standard_normal((2, frame.problem.n)))
+    # every mode direction has unit energy norm
+    size = frame.splitting.pair_norm(x)
     coeffs = frame.basis.coefficients(x)
     assert coeffs.shape == (frame.basis.count,)
     assert np.max(np.abs(coeffs - oracle_coefficients(frame.basis, x))) <= REL * size
@@ -187,14 +190,14 @@ def test_homotopy_chart_map_matches_statepair_loops(grid_index, d_y, anchor_seed
 @settings(max_examples=40)
 @given(*frame_args, st.integers(0, 2**32 - 1), st.floats(0.0, 0.999))
 def test_deformations_match_statepair_maps(grid_index, d_y, anchor_seed, seed, fraction):
-    frame, _ = frames(grid_index, d_y, anchor_seed)
+    frame, twin = frames(grid_index, d_y, anchor_seed)
     problem = frame.problem
     xi = half_ball_point(frame, np.random.default_rng(seed), fraction)
     # the oracles take the state xi . B, as every caller passed them
     x = frame.state_from_chart(xi)
-    pairs = list(zip(shipped_deformations(frame), oracle_deformations(frame)))
+    pairs = list(zip(shipped_deformations(frame), oracle_deformations(twin)))
     pairs.append((flow_deformation(problem, frame, steps=2, step=0.2),
-                  oracle_flow_deformation(problem, frame, 2, 0.2)))
+                  oracle_flow_deformation(problem, twin, 2, 0.2)))
     for gamma, oracle_gamma in pairs:
         got, want = gamma(xi), oracle_gamma(x)
         scale = max(np.max(np.abs(x.u)), np.max(np.abs(x.v)),

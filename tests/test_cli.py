@@ -364,10 +364,11 @@ NO_NEWTON_BUDGET = TOY + "solver.max_iter = 0\n"
     ("refine", ZERO_SQUARE, 1),
     ("refine", RESONANT, 1),
     ("refine", HUGE_EXTENT, 1),
+    ("geometry", TOY + "frame.modes = 32\n", 2),
 ], ids=["solve-1d-nx1", "solve-2d-1x1", "solve-p-near-2", "solve-zero-2d", "solve-resonant",
         "solve-huge-extent", "intersect-d_y5", "intersect-d_y5-nx31", "geometry-d_y5-nx31",
         "solve-d_y5-nx31", "solve-max_iter0", "refine-p-near-2", "refine-zero-2d",
-        "refine-resonant", "refine-huge-extent"])
+        "refine-resonant", "refine-huge-extent", "geometry-frame-modes"])
 def test_cli_adversarial_configs_exit_cleanly(tmp_path, capsys, command, text, expected):
     extra = ["--levels", "2"] if command == "refine" else []
     rc = main([command, "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "o"),

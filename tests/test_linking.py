@@ -15,6 +15,7 @@ from linking_saddle import (
     anchor_shear_deformation,
     brouwer_degree_small,
     build_frame,
+    build_modal_basis,
     choose_radii,
     discretize,
     displacement_residual,
@@ -141,14 +142,23 @@ def test_frame_validation(line_problem):
 
 
 def test_chart_round_trip(line_frame):
+    # the energy inner products of xi . B with the rows of B give back G xi,
+    # and the chart Gram G is the identity up to eigenvector rounding
+    gram = line_frame._chart_gram
+    assert np.max(np.abs(gram - np.eye(line_frame.chart_dim))) <= 1e-10
+    split = line_frame.splitting
+    rows = [line_frame.basis.direction(k) for k in range(line_frame.d_y)]
+    rows.append(line_frame.anchor / line_frame.r)
     rng = np.random.default_rng(21)
     for _ in range(10):
         xi = rng.uniform(-0.3, 0.3, line_frame.chart_dim) * line_frame.rho
         xi[-1] = abs(xi[-1]) + 0.05 * line_frame.r
         if np.linalg.norm(xi) >= line_frame.rho:
             continue
-        back = line_frame.chart_from_state(line_frame.state_from_chart(xi))
+        x = line_frame.state_from_chart(xi)
+        back = np.array([split.pair_dot(x, row) for row in rows])
         assert back == pytest.approx(xi, rel=1e-10, abs=1e-12)
+        assert back == pytest.approx(gram @ xi, rel=1e-12, abs=1e-12)
 
 
 def test_membership_guards(line_frame):
@@ -174,13 +184,16 @@ def test_homotopy_start_is_affine(line_frame):
         assert h0(xi) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
-def test_homotopy_time_bounds(line_frame):
+def test_homotopy_time_bounds(line_frame, line_problem):
     gamma = identity_deformation(line_frame)
     # the time is checked once, when the map is built
     with pytest.raises(InvalidSpecError):
         homotopy_chart_map(line_frame, gamma, -0.1)
     with pytest.raises(InvalidSpecError):
         homotopy_chart_map(line_frame, gamma, 1.5)
+    # so is the chart map: the flow leaves the chart
+    with pytest.raises(DomainMembershipError):
+        homotopy_chart_map(line_frame, flow_deformation(line_problem, line_frame), 1.0)
 
 
 def test_identity_intersection_is_on_the_ray(line_frame, line_problem):
@@ -192,6 +205,19 @@ def test_identity_intersection_is_on_the_ray(line_frame, line_problem):
     assert cert.radius_residual <= 1e-8
     anchor_energy = evaluate_J(line_problem, line_frame.anchor).total
     assert cert.energy == pytest.approx(anchor_energy, rel=1e-8)
+
+
+@pytest.mark.parametrize("d_y", [1, 2])
+def test_certificate_residuals_on_the_benchmark_grid(d_y):
+    # on n = 255 the rows of B are energy-orthonormal only to about 1e-12;
+    # the homotopy's Gram matrix keeps both residuals at rounding level
+    problem = discretize(ProblemSpec(DomainSpec.interval(255), power_nonlinearity()))
+    choice = choose_radii(problem, d_y=d_y)
+    frame = build_frame(problem, choice.r, choice.rho, d_y=d_y)
+    for gamma in shipped_deformations(frame):
+        cert = intersection_point(frame, gamma)
+        assert cert.antidiagonal_residual <= 1e-13, gamma.name
+        assert cert.radius_residual <= 1e-13, gamma.name
 
 
 @pytest.mark.parametrize("d_y", [1, 2])
@@ -217,20 +243,6 @@ def test_boundary_points_are_fixed_bitwise(line_frame):
             x = line_frame.state_from_chart(row)
             gx = gamma(row)
             assert np.array_equal(gx.u, x.u) and np.array_equal(gx.v, x.v)
-
-
-def test_deformations_never_map_states_back_to_the_chart(line_problem, monkeypatch):
-    choice = choose_radii(line_problem)
-    frame = build_frame(line_problem, choice.r, choice.rho, d_y=2)
-    gammas = shipped_deformations(frame) + [flow_deformation(line_problem, frame, steps=2)]
-
-    def refuse(x):
-        raise AssertionError("a deformation called chart_from_state")
-
-    monkeypatch.setattr(frame, "chart_from_state", refuse)
-    for row in sample_sets(frame, interior_count=6, seed=4).interior_chart:
-        for gamma in gammas:
-            assert gamma(row).is_finite(), gamma.name
 
 
 def test_interior_points_do_move(line_frame):
@@ -284,16 +296,25 @@ def test_boundary_zero_detected(line_frame):
         brouwer_degree_small(lambda xi: xi - top, line_frame)
 
 
+def stray_direction(frame):
+    """An antidiagonal mode direction outside the frame's chart."""
+    return build_modal_basis(frame.splitting, frame.d_y + 4).direction(frame.d_y + 3)
+
+
 def test_out_of_span_deformation_rejected(line_frame):
-    stray = line_frame.basis.direction(line_frame.d_y + 3)
+    stray = stray_direction(line_frame)
 
     def fn(xi):
         bump = 0.3 * line_frame.r
         return line_frame.state_from_chart(xi) + bump * stray
 
-    gamma = DeformationGamma(name="stray", fn=fn)
+    # a chart map that misdescribes gamma is caught on the states
+    gamma = DeformationGamma(name="stray", fn=fn, chart=lambda xi: xi)
     with pytest.raises(DomainMembershipError):
         intersection_point(line_frame, gamma)
+    # a modal push outside the chart is refused when it is built
+    with pytest.raises(InvalidSpecError):
+        modal_shift_deformation(line_frame, mode=line_frame.d_y)
 
 
 def test_start_map_does_not_depend_on_the_deformation(line_frame):
@@ -314,9 +335,10 @@ def test_intersection_point_takes_the_degree_roots(line_frame):
     with pytest.raises(IntersectionNotFoundError):
         intersection_point(line_frame, gamma, roots=np.empty((0, line_frame.chart_dim)))
     # the chart checks run before any given root is certified
-    stray = line_frame.basis.direction(line_frame.d_y + 3)
+    stray = stray_direction(line_frame)
     gamma = DeformationGamma(
-        name="stray", fn=lambda xi: line_frame.state_from_chart(xi) + (0.3 * line_frame.r) * stray)
+        name="stray", fn=lambda xi: line_frame.state_from_chart(xi) + (0.3 * line_frame.r) * stray,
+        chart=lambda xi: xi)
     with pytest.raises(DomainMembershipError):
         intersection_point(line_frame, gamma, roots=deg.roots)
 

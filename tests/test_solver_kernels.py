@@ -209,10 +209,15 @@ def test_newton_step_matches_block_solve(grid_index, preset, lam, delta, iterate
 
 
 def test_newton_reports_a_singular_decoupled_block():
-    # at u = v = 1 on the one-node grid, K - vol * (lam + f'(u)) = 4 - (5 + 3) / 2 = 0
-    problem = make_problem(0, "power", 5.0, None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = newton_solve(problem, x0=StatePair(np.ones(1), np.ones(1)))
-    assert report.message == "second-variation system is singular"
-    assert not report.converged
+    # one node: K = 4 and vol = 1/2, so at u = v = 1 a = vol * (lam + 3) and
+    # b = vol * (delta + 3). lam = delta = 5 decouples with K - a = 0; lam = 1 and
+    # delta = 13 give a = 2, b = 8, and the 2 x 2 block has determinant ab - K^2 = 0
+    for lam, delta in ((5.0, None), (1.0, 13.0)):
+        problem = make_problem(0, "power", lam, delta)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = newton_solve(problem, x0=StatePair(np.ones(1), np.ones(1)))
+        assert report.message == "second-variation system is singular"
+        assert not report.converged
+        # the failure is named once, with no library warning on the way
+        assert not caught, [str(w.message) for w in caught]
