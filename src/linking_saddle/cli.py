@@ -257,8 +257,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
     write_csv(
         _out_path(cfg, "solution.csv"),
         coord_headers + ["u", "v"],
-        [tuple(grid.coords[i]) + (report.state.u[i], report.state.v[i])
-         for i in range(grid.n_interior)],
+        zip(*grid.coords.T.tolist(), report.state.u.tolist(), report.state.v.tolist()),
     )
     write_csv(
         _out_path(cfg, "trace.csv"),

@@ -54,9 +54,14 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One line per row; a row of floats only is formatted by one template."""
+    floats = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+        if all(isinstance(v, float) for v in row):
+            lines.append(floats % tuple(row))
+        else:
+            lines.append(",".join(_cell(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -17,7 +17,14 @@ tells a crest from a ray that keeps rising. On a ray with more than one
 crest the search returns the one it reaches from the current amplitude.
 The Newton step solves the second variation in sum and difference
 variables; where those decouple it solves two n x n systems instead of
-one 2n x 2n block.
+one 2n x 2n block. On 2D grids each system is solved matrix-free by
+MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975) with the
+block-diagonal preconditioner diag(K^-1, K^-1) (Benzi, Golub and Liesen,
+Acta Numerica 2005), applied by the stiffness operator's fast
+diagonalization solve; K^-1 (K -/+ A) is the identity plus a compact
+operator, so the iteration count does not grow with the mesh. The true
+residual is checked after every solve. 1D grids keep a sparse LU, which
+is O(n) there.
 
 Convergence bookkeeping follows the compactness template: bounded
 energies along the trace, gradient norm under tolerance, a Cauchy tail,
@@ -39,6 +46,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EnergyOverflowError, InvalidSpecError
 from .functional import EnergyBreakdown, Problem, evaluate_J, riesz_gradient
+from .grid import StiffnessOperator
 from .linking import (DeformationGamma, LinkingFrame, _boundary_clearance,
                       _boundary_corner_rows, _interior_rows)
 from .splitting import DiagonalSplitting
@@ -71,6 +79,9 @@ _MIN_FLOW_STEP = 1e-6
 # slope evaluations one crest search may take
 _RAY_MAX_STEPS = 200
 _SINGULAR = "second-variation system is singular"
+# MINRES iterations one 2D second-variation solve may take. K^-1 (K -/+ A) is
+# the identity plus a compact operator, so the count does not grow with the mesh.
+_MINRES_MAX_ITER = 200
 # flow_deformation moves a chart point by the full flow map once both of its
 # boundary clearances (``linking._boundary_clearance``) reach this
 FLOW_RAMP = 0.05
@@ -207,8 +218,10 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     system is two n x n blocks, and the q block is solved only if its
     right-hand side is nonzero. At a symmetric iterate with a symmetric
     residual q is exactly 0, so the step (and hence every Newton
-    iterate) keeps u == v bitwise. Otherwise the 2n x 2n block is
-    factored whole. A singular system raises :class:`_StepFailed`.
+    iterate) keeps u == v bitwise. Otherwise the 2n x 2n block is solved
+    whole. 2D grids solve by MINRES preconditioned with K^-1 on each
+    block (:func:`_minres_solve`), 1D grids by sparse LU
+    (:func:`_lu_solve`). A singular system raises :class:`_StepFailed`.
     """
     op, nl = problem.op, problem.nl
     vol = problem.grid.cell_volume
@@ -216,32 +229,80 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     n = problem.n
     a = vol * (problem.lam + np.asarray(nl.df(pts, x.u), dtype=float))
     b = vol * (problem.delta + np.asarray(nl.dg(pts, x.v), dtype=float))
-    diag_avg = sp.diags(0.5 * (a + b))
+    avg = 0.5 * (a + b)
     off = 0.5 * (b - a)
-    k = op.matrix
     rhs_p = -(res.u + res.v)
     rhs_q = -(res.u - res.v)
-    with warnings.catch_warnings():
-        # an exactly singular factor is a failed step, not a library warning
-        warnings.simplefilter("error", spla.MatrixRankWarning)
-        try:
-            if np.any(off != 0.0):
-                off_block = sp.diags(off)
-                system = sp.bmat(
-                    [[k - diag_avg, off_block], [off_block, -(k + diag_avg)]], format="csc"
-                )
-                sol = spla.spsolve(system, np.concatenate([rhs_p, rhs_q]))
-                p, q = sol[:n], sol[n:]
-            else:
-                p = spla.spsolve((k - diag_avg).tocsc(), rhs_p)
-                q = (spla.spsolve((-(k + diag_avg)).tocsc(), rhs_q) if np.any(rhs_q != 0.0)
-                     else np.zeros(n))
-        except spla.MatrixRankWarning:
-            raise _StepFailed(_SINGULAR) from None
+    solve = _minres_solve if problem.grid.dimension == 2 else _lu_solve
+    if np.any(off != 0.0):
+        sol = solve(op, (1.0, -1.0), avg, off, np.concatenate([rhs_p, rhs_q]))
+        p, q = sol[:n], sol[n:]
+    else:
+        p = solve(op, (1.0,), avg, off, rhs_p)
+        q = (solve(op, (-1.0,), avg, off, rhs_q) if np.any(rhs_q != 0.0)
+             else np.zeros(n))
     step = StatePair(0.5 * (p + q), 0.5 * (p - q))
     if not step.is_finite():
         raise _StepFailed(_SINGULAR)
     return step
+
+
+def _minres_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarray,
+                  off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """MINRES on one or two blocks of the second variation, applied matrix-free.
+
+    Block i is signs[i] * K - A; two blocks are coupled by D = diag(off).
+    The preconditioner is K^-1 on each block, by the operator's fast
+    diagonalization solve. MINRES stops on its own residual estimate, so
+    the true residual is checked against ``op.rtol`` * |rhs| afterwards,
+    as :meth:`StiffnessOperator.solve` does; a miss raises
+    :class:`_StepFailed`.
+    """
+    k, k_inv, n = op.matrix, op._factor, avg.size
+
+    def apply(w: np.ndarray) -> np.ndarray:
+        parts = w.reshape(len(signs), n)
+        out = np.concatenate([sign * (k @ part) - avg * part
+                              for sign, part in zip(signs, parts)])
+        if len(signs) == 2:
+            out += np.concatenate([off * parts[1], off * parts[0]])
+        return out
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return np.concatenate([k_inv(part) for part in r.reshape(len(signs), n)])
+
+    size = rhs.size
+    # the estimate runs ahead of the true residual; asking 1e-14 of it brings
+    # the true residual under op.rtol
+    sol, _ = spla.minres(spla.LinearOperator((size, size), matvec=apply, dtype=float), rhs,
+                         rtol=1e-14, maxiter=_MINRES_MAX_ITER,
+                         M=spla.LinearOperator((size, size), matvec=precondition, dtype=float))
+    resid = float(np.linalg.norm(apply(sol) - rhs))
+    scale = float(np.linalg.norm(rhs))
+    # written so that a NaN residual fails too
+    if not resid <= op.rtol * scale:
+        raise _StepFailed(f"{_SINGULAR}: MINRES residual {resid:.3e} exceeds "
+                          f"{op.rtol:.1e} * |rhs| = {op.rtol * scale:.3e}")
+    return sol
+
+
+def _lu_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarray,
+              off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The system of :func:`_minres_solve` by sparse LU; on 1D grids the LU is O(n)."""
+    diag = sp.diags(avg)
+    blocks = [sign * op.matrix - diag for sign in signs]
+    if len(signs) == 2:
+        coupling = sp.diags(off)
+        system = sp.bmat([[blocks[0], coupling], [coupling, blocks[1]]], format="csc")
+    else:
+        system = blocks[0].tocsc()
+    with warnings.catch_warnings():
+        # an exactly singular factor is a failed step, not a library warning
+        warnings.simplefilter("error", spla.MatrixRankWarning)
+        try:
+            return spla.spsolve(system, rhs)
+        except spla.MatrixRankWarning:
+            raise _StepFailed(_SINGULAR) from None
 
 
 def _grad_and_norm(problem: Problem, x: StatePair) -> tuple[StatePair, float]:

@@ -1,6 +1,8 @@
 import csv
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,8 @@ from linking_saddle import (
 )
 from linking_saddle.cli import main
 from linking_saddle.config import PRESETS, format_config, to_problem_spec
-from linking_saddle.reporting import write_csv, write_manifest, write_pgm, write_svg_trace
+from linking_saddle.reporting import (_cell, write_csv, write_manifest, write_pgm,
+                                     write_svg_trace)
 from linking_saddle.solver import INITS, METHODS
 
 TOY = """
@@ -277,6 +280,25 @@ def test_cli_solve_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_cli_solve_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    cfg = cfg_file(tmp_path, "domain.dimension = 2\ndomain.nx = 32\ndomain.ny = 32\n"
+                             "problem.preset = power\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                     else []))
+        out = tmp_path / f"threads{threads}"
+        done = subprocess.run([sys.executable, "-m", "linking_saddle", "solve", "--config", cfg,
+                               "--out", str(out), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        outs.append(out)
+    for name in ("saddle_report.csv", "trace.csv", "solution.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_cli_refine(tmp_path):
     out = tmp_path / "r"
     rc = main(["refine", "--config", cfg_file(tmp_path, TOY), "--out", str(out),
@@ -425,6 +447,14 @@ def test_write_csv_formats(tmp_path):
     assert lines[1] == "1.5,true,x"
     # shortest-exact float formatting keeps every bit
     assert float(lines[2].split(",")[0]) == 0.1 + 0.2
+    # all-float rows take one format template, rows with other types go cell by cell
+    rows = [(-0.0, np.inf, -np.inf, np.nan), (np.float64(0.1) + 0.2, 1e-300, -2.5e17, 3.0),
+            (1.5, True, np.bool_(False), 7), (2, np.int64(-3), "z", np.float64(-0.0))]
+    write_csv(str(path), ["a", "b", "c", "d"], rows)
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [",".join(_cell(v) for v in row) for row in rows]
+    assert lines[1] == "-0,inf,-inf,nan"
+    assert lines[3] == "1.5,true,false,7"
 
 
 def test_write_pgm_constant_field(tmp_path):

@@ -4,14 +4,18 @@
 iteration on its slope ``_ray_slope``; before, a geometric probe grid of
 energies and a bounded Brent search found it (``oracles.ray_argmax_grid``).
 ``_newton_step`` solves two n x n blocks where the second variation
-decouples; before, it always factored the 2n x 2n block
-(``oracles.newton_block_step``).
+decouples, on 2D grids by K^-1-preconditioned MINRES with a check of the
+true residual and on 1D grids by sparse LU; before, it always factored
+the 2n x 2n block by sparse LU (``oracles.newton_block_step``).
 """
 
+import re
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +32,7 @@ from linking_saddle import (
     power_nonlinearity,
     zero_nonlinearity,
 )
+from linking_saddle import solver
 from linking_saddle.solver import _newton_step, _ray, _ray_argmax, _ray_energy, _ray_slope
 
 from oracles import newton_block_step, ray_argmax_grid
@@ -221,3 +226,51 @@ def test_newton_reports_a_singular_decoupled_block():
         assert not report.converged
         # the failure is named once, with no library warning on the way
         assert not caught, [str(w.message) for w in caught]
+
+
+# (domain, lam, delta): the first decouples at its symmetric iterates, the
+# second always solves the coupled block
+KRYLOV_PROBLEMS = ((DomainSpec.square(10), 0.0, 0.0),
+                   (DomainSpec.rectangle(12, 9), 1.0, 3.0))
+
+
+@pytest.mark.parametrize("domain, lam, delta", KRYLOV_PROBLEMS, ids=("symmetric", "coupled"))
+def test_newton_on_2d_grids_factors_nothing(domain, lam, delta, monkeypatch):
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
+
+    def refusing(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} ran on a 2D grid")
+        return refuse
+
+    for module, name in ((spla, "spsolve"), (spla, "splu"), (spla, "factorized"),
+                         (sp, "bmat"), (sp, "diags")):
+        monkeypatch.setattr(module, name, refusing(name))
+    report = newton_solve(problem)
+    assert report.converged and report.nontrivial
+    assert report.iterations >= 2
+
+
+@pytest.mark.parametrize("lam, delta", ((0.0, 0.0), (1.0, 3.0)), ids=("symmetric", "coupled"))
+@pytest.mark.parametrize("nx, ny", ((24, 18), (96, 72)))
+def test_minres_count_does_not_grow_with_the_mesh(nx, ny, lam, delta, monkeypatch):
+    # K^-1 (K -/+ A) is the identity plus a compact operator: about a dozen
+    # iterations per n x n solve and under 33 per coupled block on both grids;
+    # without the preconditioner the same solves take 48 to over 200
+    monkeypatch.setattr(solver, "_MINRES_MAX_ITER", 40)
+    problem = discretize(ProblemSpec(DomainSpec.rectangle(nx, ny), power_nonlinearity(),
+                                     lam=lam, delta=delta))
+    assert newton_solve(problem).converged
+
+
+@pytest.mark.parametrize("domain, lam, delta", KRYLOV_PROBLEMS, ids=("symmetric", "coupled"))
+def test_newton_names_a_minres_miss(domain, lam, delta, monkeypatch):
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
+    monkeypatch.setattr(solver, "_MINRES_MAX_ITER", 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = newton_solve(problem)
+    assert not report.converged and report.iterations == 0
+    assert re.fullmatch(r"second-variation system is singular: MINRES residual \S+ exceeds "
+                        r"1\.0e-10 \* \|rhs\| = \S+", report.message), report.message
+    assert not caught, [str(w.message) for w in caught]
