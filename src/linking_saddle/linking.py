@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 import scipy.optimize as sopt
@@ -48,11 +48,12 @@ from .errors import (
     BoundaryZeroError,
     DegenerateRootError,
     DomainMembershipError,
+    EnergyOverflowError,
     GeometryCertificationError,
     IntersectionNotFoundError,
     InvalidSpecError,
 )
-from .functional import Problem, evaluate_J, small_t_constants
+from .functional import Problem, _energy_from_cross, evaluate_J, small_t_constants
 from .splitting import DiagonalSplitting, ModalBasis, build_modal_basis
 from .state import StatePair
 
@@ -139,6 +140,20 @@ class LinkingFrame:
         """
         rows = [self.basis.direction(k) for k in range(self.d_y)] + [self.anchor / self.r]
         return np.array([[self.splitting.pair_dot(a, b) for b in rows] for a in rows])
+
+    @cached_property
+    def _chart_cross(self) -> np.ndarray:
+        """C = (B_u K B_v^T + B_v K B_u^T) / 2, so that <u, v> of xi . B is xi^T C xi.
+
+        B_u and B_v are the u and v components of the rows of B. K is
+        symmetric, so the d_y + 1 products K B_v^T build it.
+        """
+        phi = self.basis.modes / np.sqrt(2.0)
+        rows_u = np.vstack([-phi, self.anchor.u / self.r])
+        k_rows_v = np.array([self.problem.op.apply(row)
+                             for row in np.vstack([phi, self.anchor.v / self.r])])
+        half = rows_u @ k_rows_v.T
+        return 0.5 * (half + half.T)
 
     def _check_chart(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -299,11 +314,10 @@ def sample_sets(
     if n > 1:
         while len(sphere) < max(sphere_count, 2):
             w = rng.standard_normal(n)
-            cand = StatePair.diagonal(w)
-            norm = split.pair_norm(cand)
+            norm = split.diagonal_norm(w)
             if norm < 1e-12:
                 continue
-            cand = (frame.r / norm) * cand
+            cand = (frame.r / norm) * StatePair.diagonal(w)
             sphere.append(cand)
             if len(sphere) < sphere_count:
                 sphere.append(-cand)
@@ -314,6 +328,26 @@ def sample_sets(
     boundary = _boundary_rows(frame, rng, (fill + 1) // 2, fill // 2)
     interior = _interior_rows(rng, frame.chart_dim, frame.rho, interior_count)
     return SampleSets(sphere, boundary, interior)
+
+
+def _chart_energies(frame: LinkingFrame, rows: np.ndarray) -> Iterator[float]:
+    """J(xi . B) for each chart row xi, one row at a time.
+
+    The nodal fields are those of ``state_from_chart``, and all terms
+    but the cross term are those of ``evaluate_J``. The cross term is
+    xi^T C xi with the frame's cached cross Gram C, so a row takes no
+    stiffness product. A term that is not finite raises
+    :class:`EnergyOverflowError` naming the term and the row.
+    """
+    problem, cross = frame.problem, frame._chart_cross
+    for i, xi in enumerate(rows):
+        x = frame.state_from_chart(xi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(xi @ cross @ xi)
+        try:
+            yield _energy_from_cross(problem, x.u, x.v, value).total
+        except EnergyOverflowError as exc:
+            raise EnergyOverflowError(f"{exc} (chart row {i})") from None
 
 
 @dataclass
@@ -337,16 +371,18 @@ def estimate_geometry(
 ) -> GeometryReport:
     """Estimate the linking separation from seeded samples.
 
-    On a one-node grid the diagonal sphere is just the signed anchor
-    pair, so the sphere minimum is exact rather than sampled.
+    Sphere states are evaluated with ``evaluate_J``. Boundary rows are
+    chart points, evaluated by ``_chart_energies`` with no stiffness
+    product per row, so the cost of a larger ``boundary_count`` is the
+    nodal work alone. On a one-node grid the diagonal sphere is just
+    the signed anchor pair, so the sphere minimum is exact rather than
+    sampled.
     """
     if samples is None:
         samples = sample_sets(frame, seed=seed)
     problem = frame.problem
     sphere_vals = [evaluate_J(problem, s).total for s in samples.sphere_states]
-    boundary_vals = np.array(
-        [evaluate_J(problem, frame.state_from_chart(row)).total for row in samples.boundary_chart]
-    )
+    boundary_vals = np.array(list(_chart_energies(frame, samples.boundary_chart)))
     base_mask = samples.boundary_chart[:, -1] == 0.0
     sphere_min = float(np.min(sphere_vals))
     boundary_max = float(np.max(boundary_vals))
@@ -386,7 +422,9 @@ def _looks_identically_zero(problem: Problem) -> bool:
     pts = problem.grid.coords
     probe = np.array([-10.0, -1.0, -1e-3, 1e-3, 1.0, 10.0])
     nl = problem.nl
-    vals = [nl.f(pts[:1], probe), nl.F(pts[:1], probe), nl.g(pts[:1], probe), nl.G(pts[:1], probe)]
+    with np.errstate(over="ignore"):  # inf at a large p, which is not zero either
+        vals = [nl.f(pts[:1], probe), nl.F(pts[:1], probe), nl.g(pts[:1], probe),
+                nl.G(pts[:1], probe)]
     return all(float(np.max(np.abs(v))) == 0.0 for v in vals)
 
 
@@ -412,13 +450,24 @@ def _sampled_embedding_constant(problem: Problem, seed: int) -> float:
         energy = op.product(w, w)
         if energy <= 0:
             return 0.0
-        return float(vol * np.sum(np.abs(w) ** p) / energy ** (p / 2.0))
+        with np.errstate(over="ignore"):
+            top = vol * np.sum(np.abs(w) ** p)
+        try:
+            return float(top / energy ** (p / 2.0))
+        except OverflowError:
+            return float("nan")
 
-    best = ratio(problem.eigenpairs(1)[1][0])
+    ratios = [ratio(problem.eigenpairs(1)[1][0])]
     for _ in range(RADII_FIELD_SAMPLES):
         w = rng.standard_normal(problem.n)
-        best = max(best, ratio(w), ratio(op.solve(w)))
-    return best
+        ratios += [ratio(w), ratio(op.solve(w))]
+    # np.max, unlike max, keeps a nan, which choose_radii then rejects
+    return float(np.max(ratios))
+
+
+def _require_finite(label: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise GeometryCertificationError(f"{label} is not finite: {value}")
 
 
 def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
@@ -428,7 +477,12 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     factor norm s, where c0 is the sampled embedding constant and k the
     small-amplitude constant at eps equal to half the spectral gap. The
     returned r halves the maximizing s for safety; rho doubles r until a
-    pilot boundary sweep is nonpositive.
+    pilot boundary sweep is nonpositive. A sweep evaluates its chart rows
+    with ``_chart_energies`` and stops at its first positive energy, as
+    only ``max <= 0`` is decided; a passing sweep evaluates every row.
+
+    Raises :class:`GeometryCertificationError` when c0, k, the floor or
+    r is not finite, as a large p makes them.
     """
     if _looks_identically_zero(problem):
         return RadiiChoice(
@@ -450,7 +504,9 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
             "no small-sphere floor exists"
         )
     c0 = _sampled_embedding_constant(problem, seed)
+    _require_finite("sampled embedding constant c0", c0)
     k_small = small_t_constants(problem.nl, eps)
+    _require_finite("small-amplitude constant k", k_small)
     amp = 2.0 * k_small * c0
     p = problem.nl.p
 
@@ -459,16 +515,20 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     else:
         s_best = (1.0 / (p * amp)) ** (1.0 / (p - 2.0))
     grid_s = np.geomspace(1e-4, 1e4, 400)
-    floors = 0.5 * grid_s**2 - amp * grid_s**p
+    # s^p overflows at a large p; the floor there is -inf, or nan when amp is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        floors = 0.5 * grid_s**2 - amp * grid_s**p
     if floors.max() > 0.5 * s_best**2 - amp * s_best**p:
         s_best = float(grid_s[np.argmax(floors)])
     s_chosen = 0.5 * s_best
     floor_value = 0.5 * s_chosen**2 - amp * s_chosen**p
+    _require_finite("small-sphere floor", floor_value)
     if floor_value <= 0:
         raise GeometryCertificationError(
             f"sampled small-sphere floor is nonpositive (best {floor_value:.6g})"
         )
     r = float(np.sqrt(2.0) * s_chosen)
+    _require_finite("radius r", r)
 
     for k in range(1, RADII_MAX_DOUBLINGS + 1):
         rho = r * 2.0**k
@@ -477,10 +537,11 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
             pilot, sphere_count=2, boundary_count=RADII_PILOT_BOUNDARY,
             interior_count=2, seed=seed + 1,
         )
-        boundary_max = max(
-            evaluate_J(problem, pilot.state_from_chart(row)).total
-            for row in samples.boundary_chart
-        )
+        boundary_max = -np.inf
+        for value in _chart_energies(pilot, samples.boundary_chart):
+            boundary_max = max(boundary_max, value)
+            if value > 0:
+                break
         if boundary_max <= 0:
             return RadiiChoice(
                 r=r, rho=rho, doublings=k, floor_value=floor_value,

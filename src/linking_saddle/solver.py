@@ -487,14 +487,16 @@ def _flow_update(
     gp = split.antidiagonal_part(g)
     gq = split.diagonal_part(g)
     p_new = p + s * gp
-    t_cur = split.pair_norm(q)
+    # q, gq and q_tent are diagonal pairs, one product each
+    qq = split.diagonal_dot(q.u, q.u)
+    t_cur = float(np.sqrt(max(qq, 0.0)))
     if t_cur > 1e-300:
-        coeff = split.pair_dot(gq, q) / split.pair_dot(q, q)
+        coeff = split.diagonal_dot(gq.u, q.u) / qq
         transverse = gq - coeff * q
         q_tent = q - s * transverse
     else:
         q_tent = q + s * gq
-    t_tent = split.pair_norm(q_tent)
+    t_tent = split.diagonal_norm(q_tent.u)
     if t_tent <= 1e-300:
         if frame is None:
             return p_new

@@ -4,8 +4,9 @@ Everything here is deliberately built from different numerics than the
 package: fixed-step RK4 plus bisection for the boundary-value problem,
 composite Simpson for integrals, dense O(n^2) arithmetic elsewhere, and
 the algorithms that faster package kernels replaced (the probe-grid
-crest search and the whole-block Newton solve). No imports from
-linking_saddle are allowed in this module.
+crest search, the whole-block Newton solve and the full pilot sweeps of
+the radii search). No imports from linking_saddle are allowed in this
+module.
 """
 
 from __future__ import annotations
@@ -162,3 +163,19 @@ def newton_block_step(k, a: np.ndarray, b: np.ndarray, res_u: np.ndarray,
     sol = spsolve(system, np.concatenate([-(res_u + res_v), -(res_u - res_v)]))
     p, q = sol[:n], sol[n:]
     return 0.5 * (p + q), 0.5 * (p - q)
+
+
+def doubling_pilot(boundary_energies, r: float, max_doublings: int):
+    """The outer radius by the pilot loop ``choose_radii`` ran before.
+
+    ``boundary_energies(rho)`` returns the energies of every pilot
+    boundary row at outer radius rho. rho = r * 2^k for k = 1, 2, ...
+    until the full sweep's maximum is nonpositive. Returns
+    ``(rho, k, maximum)``, or None when no doubling passes.
+    """
+    for k in range(1, max_doublings + 1):
+        rho = r * 2.0**k
+        top = max(boundary_energies(rho))
+        if top <= 0:
+            return rho, k, top
+    return None

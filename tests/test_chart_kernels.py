@@ -9,29 +9,37 @@ are the loops over ``StatePair`` algebra and sparse stiffness applies
 that those kernels replaced, the inverse chart of the ``OracleFrame``
 twin, and the state-to-state deformations that mapped each state back
 to the chart; every kernel must agree with its oracle to 1e-12 relative
-to the size of its inputs.
+to the size of its inputs. The chart-row energies of the geometry
+certificate take the cross term from the frame's cross Gram matrix;
+their oracle is ``evaluate_J`` on the state xi . B.
 """
 
 import dataclasses
+import re
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linking_saddle import (
     DomainSpec,
+    EnergyOverflowError,
     LinkingFrame,
     ProblemSpec,
     StatePair,
     build_frame,
     discretize,
+    evaluate_J,
     flow_deformation,
     flow_map,
     homotopy_chart_map,
     power_nonlinearity,
+    sample_sets,
     shipped_deformations,
 )
+from linking_saddle.linking import _chart_energies
 
 REL = 1e-12
 
@@ -203,3 +211,55 @@ def test_deformations_match_statepair_maps(grid_index, d_y, anchor_seed, seed, f
         scale = max(np.max(np.abs(x.u)), np.max(np.abs(x.v)),
                     np.max(np.abs((want - x).u)), np.max(np.abs((want - x).v)), frame.r)
         assert_state_close(got, want, scale)
+
+
+ENERGY_GRIDS = GRIDS + (DomainSpec.square(5),)
+
+
+def overflowing_term(message):
+    return re.search(r"energy term '([^']+)'", message).group(1)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, len(ENERGY_GRIDS) - 1), st.integers(1, 3),
+       st.one_of(st.none(), st.integers(0, 2**32 - 1)), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 30.0), st.floats(0.0, 30.0))
+def test_chart_energies_match_evaluate_J(grid_index, d_y, anchor_seed, seed, lam, delta):
+    problem = discretize(ProblemSpec(ENERGY_GRIDS[grid_index], power_nonlinearity(),
+                                     lam=lam, delta=delta))
+    anchor = None
+    if anchor_seed is not None:
+        anchor = StatePair(*np.random.default_rng(anchor_seed).standard_normal((2, problem.n)))
+    frame = build_frame(problem, 0.7, 3.0, d_y=d_y, anchor_direction=anchor)
+    samples = sample_sets(frame, sphere_count=2, boundary_count=16, interior_count=6, seed=seed)
+    # corner probes, cap rows, base rows, then interior rows
+    rows = np.vstack([samples.boundary_chart, samples.interior_chart])
+
+    got = list(_chart_energies(frame, rows))
+    assert len(got) == len(rows)
+    for xi, value in zip(rows, got):
+        want = evaluate_J(problem, frame.state_from_chart(xi))
+        size = (abs(want.cross) + abs(want.quad_u) + abs(want.quad_v)
+                + abs(want.potential_u) + abs(want.potential_v))
+        assert abs(value - want.total) <= REL * size
+
+    # rows scaled from a drawn index on overflow a term: the quartic
+    # potentials at 1e100, the cross term itself at 1e200; the first
+    # failing row is named
+    start = 1 + seed % (len(rows) - 1)
+    for scale in (1e100, 1e200):
+        big = rows.copy()
+        big[start:] *= scale
+        expected = None
+        for i, xi in enumerate(big):
+            try:
+                evaluate_J(problem, frame.state_from_chart(xi))
+            except EnergyOverflowError as exc:
+                expected = (overflowing_term(str(exc)), i)
+                break
+        assert expected is not None
+        with pytest.raises(EnergyOverflowError) as caught:
+            list(_chart_energies(frame, big))
+        message = str(caught.value)
+        assert overflowing_term(message) == expected[0]
+        assert message.endswith(f"(chart row {expected[1]})")

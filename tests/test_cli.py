@@ -400,6 +400,28 @@ def test_cli_adversarial_configs_exit_cleanly(tmp_path, capsys, command, text, e
         assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p, expected, stderr", [
+    (80, 0, ""),
+    (120, 1, "FAILED at stage 'geometry': small-amplitude constant k is not finite: nan\n"),
+    (200, 1, "FAILED at stage 'geometry': small-amplitude constant k is not finite: nan\n"),
+    (400, 1, "FAILED at stage 'geometry': sampled embedding constant c0 is not finite: nan\n"),
+])
+def test_cli_geometry_at_a_large_power_names_the_constant(tmp_path, p, expected, stderr):
+    # a subprocess, so that numpy warnings and tracebacks reach its stderr
+    cfg = cfg_file(tmp_path, f"domain.dimension = 1\ndomain.nx = 15\nproblem.preset = power\n"
+                             f"problem.p = {p}\nproblem.mu = {p}\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
+    done = subprocess.run([sys.executable, "-m", "linking_saddle", "geometry", "--config", cfg,
+                           "--out", str(tmp_path / "o"), "--quiet"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (expected, stderr)
+    if expected:
+        assert "# step radii: failed" in (tmp_path / "o" / "manifest.cfg").read_text()
+
+
 def test_cli_intersect_rejects_wide_chart_before_any_work(tmp_path, capsys, monkeypatch):
     def unreachable(spec):
         raise AssertionError("intersect discretized a config it cannot certify")

@@ -25,12 +25,14 @@ from linking_saddle import (
     homotopy_chart_map,
     identity_deformation,
     intersection_point,
+    linking,
     modal_shift_deformation,
     power_nonlinearity,
     sample_sets,
     shipped_deformations,
     zero_nonlinearity,
 )
+from oracles import doubling_pilot
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +130,58 @@ def test_choose_radii_rejects_bad_shifts():
     crowded = ProblemSpec(domain=base, nonlinearity=power_nonlinearity(), lam=lam1, delta=lam1)
     with pytest.raises(GeometryCertificationError):
         choose_radii(discretize(crowded))
+
+
+@pytest.mark.parametrize("domain, d_y", [
+    (DomainSpec.interval(255), 1), (DomainSpec.interval(255), 2),
+    (DomainSpec.square(32), 1), (DomainSpec.square(32), 2),
+    (DomainSpec.rectangle(12, 5), 1), (DomainSpec.rectangle(12, 5), 2),
+    (DomainSpec.interval(1), 1),
+])
+def test_choose_radii_matches_the_full_pilot_sweep(domain, d_y):
+    # the sweeps stop at their first positive energy and take the cross
+    # term from the chart; the radii are those of the full evaluate_J sweeps
+    problem = discretize(ProblemSpec(domain, power_nonlinearity()))
+    seed = 5
+    choice = choose_radii(problem, d_y=d_y, seed=seed)
+
+    def boundary_energies(rho):
+        pilot = build_frame(problem, choice.r, rho, d_y=d_y)
+        rows = sample_sets(pilot, sphere_count=2, boundary_count=linking.RADII_PILOT_BOUNDARY,
+                           interior_count=2, seed=seed + 1).boundary_chart
+        return [evaluate_J(problem, pilot.state_from_chart(row)).total for row in rows]
+
+    rho, doublings, top = doubling_pilot(boundary_energies, choice.r,
+                                         linking.RADII_MAX_DOUBLINGS)
+    assert (choice.rho, choice.doublings, choice.boundary_pilot_max) == (rho, doublings, top)
+
+
+class CountingMatrix:
+    """A stiffness matrix that counts the vectors it multiplies."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.vectors = 0
+
+    def __matmul__(self, x):
+        self.vectors += 1 if np.ndim(x) == 1 else np.shape(x)[1]
+        return self.matrix @ x
+
+
+@pytest.mark.parametrize("d_y", [1, 2])
+def test_geometry_matvecs_do_not_grow_with_the_boundary_count(square_problem, monkeypatch,
+                                                              d_y):
+    counts = []
+    for boundary_count in (32, 128):
+        frame = build_frame(square_problem, 1.0, 4.0, d_y=d_y)
+        samples = sample_sets(frame, sphere_count=8, boundary_count=boundary_count, seed=3)
+        counter = CountingMatrix(square_problem.op.matrix)
+        with monkeypatch.context() as patch:
+            patch.setattr(square_problem.op, "matrix", counter)
+            estimate_geometry(frame, samples)
+        counts.append(counter.vectors)
+    # two per sphere state, and the d_y + 1 rows of the cross Gram matrix
+    assert counts == [2 * 8 + d_y + 1] * 2
 
 
 def test_frame_validation(line_problem):
