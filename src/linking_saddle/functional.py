@@ -329,7 +329,8 @@ def _symmetric_log_grid(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 # At a large p the far samples overflow to inf, with no warning for each.
-# A comparison of inf with inf does not fail, so such a sample passes.
+# A sample that is not finite on either side of an inequality cannot be
+# judged, so it fails that inequality and becomes its witness.
 @np.errstate(over="ignore", invalid="ignore")
 def validate_hypotheses(
     nl: NonlinearitySpec,
@@ -357,6 +358,7 @@ def validate_hypotheses(
     for label, term in (("f", nl.f), ("g", nl.g)):
         vals = np.abs(np.asarray(term(pts, main), dtype=float))
         excess = vals - slack * bound
+        excess[~np.isfinite(excess)] = np.inf  # inf - inf is nan
         k = int(np.argmax(excess))
         if excess[k] > 0:
             growth_ok = False
@@ -365,6 +367,7 @@ def validate_hypotheses(
     small_ok = True
     for label, term in (("f", nl.f), ("g", nl.g)):
         ratios = np.abs(np.asarray(term(pts, small), dtype=float) / small)
+        ratios[~np.isfinite(ratios)] = np.inf
         k = int(np.argmax(ratios))
         if ratios[k] > small_t_tol:
             small_ok = False
@@ -375,9 +378,8 @@ def validate_hypotheses(
     for label, term, prim in (("f", nl.f, nl.F), ("g", nl.g, nl.G)):
         primitive = nl.mu * np.asarray(prim(pts, far), dtype=float)
         paired = far * np.asarray(term(pts, far), dtype=float)
-        bad_pos = primitive <= 0
-        bad_dom = primitive > slack * paired
-        bad = bad_pos | bad_dom
+        judged = np.isfinite(primitive) & np.isfinite(paired)
+        bad = ~(judged & (primitive > 0) & (primitive <= slack * paired))
         if np.any(bad):
             super_ok = False
             k = int(np.argmax(bad))

@@ -8,7 +8,19 @@ exploits the saddle structure instead: it ascends the energy along the
 antidiagonal factor while pinning the diagonal amplitude to the crest of
 the energy along the current diagonal ray, so it escapes the trivial
 basin whenever the coupling is genuinely superquadratic. The default
-pipeline runs the flow to a loose tolerance and lets Newton finish.
+pipeline runs the flow until it reaches Newton's basin and lets Newton
+finish.
+
+The handoff is an affine-covariant basin test (Deuflhard, Newton Methods
+for Nonlinear Problems, 2004, ch. 2). At the flow's first iterate, and
+again each time the gradient norm has halved since the last failed try,
+one full Newton step d is tried. The flow hands off at x + d when that
+step contracts the gradient norm tenfold, leaves a nontrivial state, and
+moves the energy by at most |grad J(x)| |d|_E; the quadratic model
+predicts half of that. The flow tolerance stays the latest point of
+handoff. Newton stops only once its iterates cluster: the gradient norm
+meets its tolerance and the step just accepted has energy norm at most
+``TAIL_TOL``, the bound :func:`ps_monitor` puts on the trace's tail.
 
 The crest of a ray is found from the slope of the ray energy: a
 safeguarded Newton iteration, started at the current amplitude, inside
@@ -17,14 +29,12 @@ tells a crest from a ray that keeps rising. On a ray with more than one
 crest the search returns the one it reaches from the current amplitude.
 The Newton step solves the second variation in sum and difference
 variables; where those decouple it solves two n x n systems instead of
-one 2n x 2n block. On 2D grids each system is solved matrix-free by
-MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975) with the
-block-diagonal preconditioner diag(K^-1, K^-1) (Benzi, Golub and Liesen,
-Acta Numerica 2005), applied by the stiffness operator's fast
-diagonalization solve; K^-1 (K -/+ A) is the identity plus a compact
-operator, so the iteration count does not grow with the mesh. The true
-residual is checked after every solve. 1D grids keep a sparse LU, which
-is O(n) there.
+one 2n x 2n block. Each system is solved matrix-free by MINRES (Paige
+and Saunders, SIAM J. Numer. Anal. 12, 1975) with the block-diagonal
+preconditioner diag(K^-1, K^-1) (Benzi, Golub and Liesen, Acta Numerica
+2005), applied by the stiffness operator's direct solve; K^-1 (K -/+ A)
+is the identity plus a compact operator, so the iteration count does not
+grow with the mesh. The true residual is checked after every solve.
 
 Convergence bookkeeping follows the compactness template: bounded
 energies along the trace, gradient norm under tolerance, a Cauchy tail,
@@ -35,13 +45,12 @@ energy norm across the iterates.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EnergyOverflowError, InvalidSpecError
@@ -79,9 +88,12 @@ _MIN_FLOW_STEP = 1e-6
 # slope evaluations one crest search may take
 _RAY_MAX_STEPS = 200
 _SINGULAR = "second-variation system is singular"
-# MINRES iterations one 2D second-variation solve may take. K^-1 (K -/+ A) is
+# MINRES iterations one second-variation solve may take. K^-1 (K -/+ A) is
 # the identity plus a compact operator, so the count does not grow with the mesh.
 _MINRES_MAX_ITER = 200
+# energy norm of the last step of a converged Newton run, and the tail
+# diameter ps_monitor accepts by default
+TAIL_TOL = 1e-6
 # flow_deformation moves a chart point by the full flow map once both of its
 # boundary clearances (``linking._boundary_clearance``) reach this
 FLOW_RAMP = 0.05
@@ -219,9 +231,8 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     right-hand side is nonzero. At a symmetric iterate with a symmetric
     residual q is exactly 0, so the step (and hence every Newton
     iterate) keeps u == v bitwise. Otherwise the 2n x 2n block is solved
-    whole. 2D grids solve by MINRES preconditioned with K^-1 on each
-    block (:func:`_minres_solve`), 1D grids by sparse LU
-    (:func:`_lu_solve`). A singular system raises :class:`_StepFailed`.
+    whole, by MINRES preconditioned with K^-1 on each block
+    (:func:`_minres_solve`). A singular system raises :class:`_StepFailed`.
     """
     op, nl = problem.op, problem.nl
     vol = problem.grid.cell_volume
@@ -233,13 +244,12 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     off = 0.5 * (b - a)
     rhs_p = -(res.u + res.v)
     rhs_q = -(res.u - res.v)
-    solve = _minres_solve if problem.grid.dimension == 2 else _lu_solve
     if np.any(off != 0.0):
-        sol = solve(op, (1.0, -1.0), avg, off, np.concatenate([rhs_p, rhs_q]))
+        sol = _minres_solve(op, (1.0, -1.0), avg, off, np.concatenate([rhs_p, rhs_q]))
         p, q = sol[:n], sol[n:]
     else:
-        p = solve(op, (1.0,), avg, off, rhs_p)
-        q = (solve(op, (-1.0,), avg, off, rhs_q) if np.any(rhs_q != 0.0)
+        p = _minres_solve(op, (1.0,), avg, off, rhs_p)
+        q = (_minres_solve(op, (-1.0,), avg, off, rhs_q) if np.any(rhs_q != 0.0)
              else np.zeros(n))
     step = StatePair(0.5 * (p + q), 0.5 * (p - q))
     if not step.is_finite():
@@ -252,11 +262,11 @@ def _minres_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarr
     """MINRES on one or two blocks of the second variation, applied matrix-free.
 
     Block i is signs[i] * K - A; two blocks are coupled by D = diag(off).
-    The preconditioner is K^-1 on each block, by the operator's fast
-    diagonalization solve. MINRES stops on its own residual estimate, so
-    the true residual is checked against ``op.rtol`` * |rhs| afterwards,
-    as :meth:`StiffnessOperator.solve` does; a miss raises
-    :class:`_StepFailed`.
+    The preconditioner is K^-1 on each block, by the operator's direct
+    solve: fast diagonalization on 2D grids, the tridiagonal LU on 1D.
+    MINRES stops on its own residual estimate, so the true residual is
+    checked against ``op.rtol`` * |rhs| afterwards, as
+    :meth:`StiffnessOperator.solve` does; a miss raises :class:`_StepFailed`.
     """
     k, k_inv, n = op.matrix, op._factor, avg.size
 
@@ -284,25 +294,6 @@ def _minres_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarr
         raise _StepFailed(f"{_SINGULAR}: MINRES residual {resid:.3e} exceeds "
                           f"{op.rtol:.1e} * |rhs| = {op.rtol * scale:.3e}")
     return sol
-
-
-def _lu_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarray,
-              off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The system of :func:`_minres_solve` by sparse LU; on 1D grids the LU is O(n)."""
-    diag = sp.diags(avg)
-    blocks = [sign * op.matrix - diag for sign in signs]
-    if len(signs) == 2:
-        coupling = sp.diags(off)
-        system = sp.bmat([[blocks[0], coupling], [coupling, blocks[1]]], format="csc")
-    else:
-        system = blocks[0].tocsc()
-    with warnings.catch_warnings():
-        # an exactly singular factor is a failed step, not a library warning
-        warnings.simplefilter("error", spla.MatrixRankWarning)
-        try:
-            return spla.spsolve(system, rhs)
-        except spla.MatrixRankWarning:
-            raise _StepFailed(_SINGULAR) from None
 
 
 def _grad_and_norm(problem: Problem, x: StatePair) -> tuple[StatePair, float]:
@@ -552,6 +543,8 @@ def _iterate(
     step: float,
     method: str,
     eta: float,
+    step_tol: float = math.inf,
+    basin: Optional[Callable[[StatePair, float, float], Optional[tuple]]] = None,
 ) -> SaddleReport:
     """The iteration loop of :func:`newton_solve` and :func:`signflow_solve`.
 
@@ -561,21 +554,43 @@ def _iterate(
     iterate. A trial whose energy overflows is rejected. The rule raises
     :class:`_StepFailed` when it has no trial left. ``step`` is the step
     size recorded with the starting iterate.
+
+    The loop converges once the gradient norm is at most ``tol`` and the
+    step just accepted has energy norm at most ``step_tol``; a finite
+    ``step_tol`` asks for at least one step. ``basin(x, gn, energy)``, when
+    given, is asked before the first step, and again before each step
+    whose gradient norm is at most half the one it last said None to. A
+    ``(trial, g, gn)`` it returns is taken as a full step, recorded with
+    step size 1, and ends the loop there as converged.
     """
     trace = IterateTrace()
     converged = False
     message = "gradient tolerance reached"
     g, gn = _grad_and_norm(problem, x)
+    last_step = math.inf
+    basin_due = math.inf
+    handed_off = False
     it = 0
     while True:
-        trace.append(evaluate_J(problem, x).total, gn, step, pair_norm(problem.op, x),
-                     _mu_norm(problem, x), x.copy())
-        if gn <= tol:
+        energy = evaluate_J(problem, x).total
+        trace.append(energy, gn, step, pair_norm(problem.op, x), _mu_norm(problem, x), x.copy())
+        if gn <= tol and last_step <= step_tol:
             converged = True
+            break
+        if handed_off:
+            converged, message = True, "Newton basin reached"
             break
         if it >= budget:
             message = "iteration budget exhausted"
             break
+        if basin is not None and gn <= basin_due:
+            jump = basin(x, gn, energy)
+            if jump is not None:
+                x, g, gn = jump
+                step, handed_off = 1.0, True
+                it += 1
+                continue
+            basin_due = 0.5 * gn
         try:
             for trial, bound, next_step in trials(x, g, gn, step):
                 try:
@@ -587,9 +602,37 @@ def _iterate(
         except _StepFailed as exc:
             message = str(exc)
             break
+        if step_tol < math.inf:
+            # the same difference ps_monitor measures between the last two states
+            last_step = pair_norm(problem.op, trial - x)
         x, g, gn, step = trial, g_trial, gn_trial, next_step
         it += 1
     return _finish(problem, x, converged, it, method, message, trace, eta)
+
+
+def _basin_trial(
+    problem: Problem, x: StatePair, gn: float, energy: float, eta: float
+) -> Optional[tuple[StatePair, StatePair, float]]:
+    """One full Newton step from ``x`` as ``(x + d, gradient, its norm)``, if it shows the basin.
+
+    The step must contract the gradient norm ``gn`` at ``x`` at least
+    tenfold, land on a state of energy norm at least ``eta``, and change
+    the energy ``J(x)`` by at most gn * |d|_E. Near a nondegenerate
+    critical point the quadratic model gives J(x + d) - J(x) = <grad J, d>/2,
+    within half that bound. A step that fails, or overflows, shows nothing.
+    """
+    op = problem.op
+    try:
+        d = _newton_step(problem, x, euler_lagrange_residual(problem, x))
+        trial = x + d
+        g, gn_trial = _grad_and_norm(problem, trial)
+        jump = evaluate_J(problem, trial).total - energy
+    except (_StepFailed, EnergyOverflowError):
+        return None
+    if (gn_trial <= 0.1 * gn and pair_norm(op, trial) >= eta
+            and abs(jump) <= gn * pair_norm(op, d)):
+        return trial, g, gn_trial
+    return None
 
 
 def newton_solve(
@@ -601,8 +644,12 @@ def newton_solve(
     """Damped Newton iteration on the first-order system.
 
     The merit function for the damping is the dual residual norm, which
-    coincides with the gradient norm, so accepted steps monotonically
-    improve criticality.
+    coincides with the gradient norm: a step is accepted once it lowers
+    that norm by a factor 1 - 1e-4 * alpha, or keeps it within
+    ``grad_tol``. The iteration stops once the gradient norm meets
+    ``grad_tol`` and the step just accepted has energy norm at most
+    ``TAIL_TOL``, so it always takes at least one step, and a converged
+    run ends on two iterates that cluster.
     """
     cfg = config if config is not None else SolverConfig(method="newton")
 
@@ -610,12 +657,13 @@ def newton_solve(
         direction = _newton_step(problem, x, euler_lagrange_residual(problem, x))
         alpha = 1.0
         while alpha >= 1e-4:
-            yield x + alpha * direction, (1.0 - 1e-4 * alpha) * gn, alpha
+            yield x + alpha * direction, max((1.0 - 1e-4 * alpha) * gn, cfg.grad_tol), alpha
             alpha *= 0.5
         raise _StepFailed("line search stalled")
 
     x = _initial_state(problem, cfg, frame, x0)
-    return _iterate(problem, x, trials, cfg.grad_tol, cfg.max_iter, 0.0, "newton", cfg.eta)
+    return _iterate(problem, x, trials, cfg.grad_tol, cfg.max_iter, 0.0, "newton", cfg.eta,
+                    step_tol=TAIL_TOL)
 
 
 def signflow_solve(
@@ -624,6 +672,8 @@ def signflow_solve(
     frame: Optional[LinkingFrame] = None,
     x0: Optional[StatePair] = None,
     grad_tol: Optional[float] = None,
+    *,
+    _basin: Optional[Callable[[StatePair, float, float], Optional[tuple]]] = None,
 ) -> SaddleReport:
     """Sign-respecting ascent/pinning flow with adaptive step halving.
 
@@ -631,6 +681,7 @@ def signflow_solve(
     exactly (1 - step) per iteration, so the trivial state is reached
     monotonically; superquadratic couplings instead pin the diagonal
     amplitude to the crest of the ray energy, away from zero.
+    ``_basin`` is :func:`solve_saddle`'s handoff test (see :func:`_iterate`).
     """
     cfg = config if config is not None else SolverConfig(method="signflow")
     tol = cfg.grad_tol if grad_tol is None else float(grad_tol)
@@ -646,7 +697,7 @@ def signflow_solve(
 
     x = _initial_state(problem, cfg, frame, x0)
     return _iterate(problem, x, trials, tol, cfg.flow_max_iter, cfg.flow_step, "signflow",
-                    cfg.eta)
+                    cfg.eta, basin=_basin)
 
 
 def solve_saddle(
@@ -655,13 +706,19 @@ def solve_saddle(
     frame: Optional[LinkingFrame] = None,
     x0: Optional[StatePair] = None,
 ) -> SaddleReport:
-    """Dispatch on the configured method; the default flows first, then polishes."""
+    """Dispatch on the configured method; the default flows to Newton's basin, then polishes.
+
+    The flow hands off at its first full Newton step that passes
+    :func:`_basin_trial`, or at ``flow_tol`` if none does, and Newton
+    starts from there.
+    """
     cfg = config if config is not None else SolverConfig()
     if cfg.method == "newton":
         return newton_solve(problem, cfg, frame, x0)
     if cfg.method == "signflow":
         return signflow_solve(problem, cfg, frame, x0)
-    first = signflow_solve(problem, cfg, frame, x0, grad_tol=cfg.flow_tol)
+    first = signflow_solve(problem, cfg, frame, x0, grad_tol=cfg.flow_tol,
+                           _basin=functools.partial(_basin_trial, problem, eta=cfg.eta))
     second = newton_solve(problem, cfg, frame, x0=first.state)
     first.trace.extend(second.trace)
     message = second.message
@@ -734,7 +791,7 @@ def ps_monitor(
     problem: Problem,
     trace: IterateTrace,
     grad_tol: float,
-    tail_tol: float = 1e-6,
+    tail_tol: float = TAIL_TOL,
 ) -> PSReport:
     """Check the trace for the compactness pattern of a converging sequence.
 

@@ -359,6 +359,43 @@ def test_cli_solve_rerun_rewrites_identical_files(tmp_path):
     assert second == first
 
 
+# runs whose Newton stage does most of the work; each converged to the
+# reference level, but stopped on a step of energy norm 2.3e-05, 2.1e-05,
+# 1.1e-06 and 3.3e-06, so the compactness check failed their tail
+NEWTON_FINISHED = {
+    "newton-32sq": "domain.dimension = 2\ndomain.nx = 32\ndomain.ny = 32\nsolver.method = newton\n",
+    "newton-128sq": "domain.dimension = 2\ndomain.nx = 128\ndomain.ny = 128\n"
+                    "solver.method = newton\n",
+    "flow_tol-1d63": "domain.dimension = 1\ndomain.nx = 63\nsolver.flow_tol = 0.01\n",
+    "flow_tol-20x13": "domain.dimension = 2\ndomain.nx = 20\ndomain.ny = 13\nsolver.flow_tol = 0.01\n",
+}
+
+
+@pytest.mark.parametrize("text", NEWTON_FINISHED.values(), ids=NEWTON_FINISHED.keys())
+def test_cli_solve_newton_finish_passes_compactness(tmp_path, text):
+    out = tmp_path / "s"
+    assert main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    (row,) = read_csv(out / "saddle_report.csv")
+    assert (row["converged"], row["ps_tail_cauchy"], row["minimax_ok"]) == ("true",) * 3
+    # the default route reaches the same level
+    default = "".join(line + "\n" for line in text.splitlines() if not line.startswith("solver."))
+    assert main(["solve", "--config", cfg_file(tmp_path, default, "default.cfg"),
+                 "--out", str(tmp_path / "d"), "--quiet"]) == 0
+    (ref,) = read_csv(tmp_path / "d" / "saddle_report.csv")
+    level = float(ref["critical_value"])
+    assert abs(float(row["critical_value"]) - level) <= 1e-12 * level
+
+
+def test_cli_solve_newton_cut_off_fails_its_tail(tmp_path, capsys):
+    text = NEWTON_FINISHED["newton-32sq"] + "solver.max_iter = 3\n"
+    out = tmp_path / "s"
+    assert main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "FAILED at stage 'solve': iteration budget exhausted\n"
+    (row,) = read_csv(out / "saddle_report.csv")
+    assert (row["converged"], row["ps_tail_cauchy"]) == ("false", "false")
+    assert "# step compactness: failed" in (out / "manifest.cfg").read_text()
+
+
 # configurations near the edge of what the pipeline accepts
 RESONANT = "domain.dimension = 1\ndomain.nx = 31\nproblem.lambda = 9.8696\nproblem.delta = 9.8696\n"
 NEAR_QUADRATIC = "domain.dimension = 1\ndomain.nx = 31\nproblem.p = 2.000001\nproblem.mu = 2.000001\n"

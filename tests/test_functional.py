@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,34 @@ def test_hypotheses_linear_fails_small_amplitude():
     # the witness records a sample point where |f(t)/t| stays order one
     t, ratio = report.witnesses[witness_keys[0]]
     assert abs(ratio) > 0.5
+
+
+@pytest.mark.parametrize("p, ok", [(4.0, True), (80.0, True), (120.0, True),
+                                   (200.0, False), (400.0, False)])
+def test_hypotheses_fail_samples_they_cannot_judge(p, ok):
+    # from p = 200 on, |t|^(p - 1) overflows at the far samples; inf - inf is
+    # nan there, and a sample that is not finite must fail, not pass
+    report = validate_hypotheses(power_nonlinearity(p=p, mu=p))
+    assert report.all_ok is ok
+    assert report.small_amplitude_ok
+    if ok:
+        assert report.witnesses == {}
+    else:
+        assert not report.growth_ok and not report.superquadratic_ok
+        assert sorted(report.witnesses) == ["growth-f", "growth-g",
+                                            "superquadratic-f", "superquadratic-g"]
+        for t, measured in report.witnesses.values():
+            assert np.isfinite(t) and not np.isfinite(measured)
+
+
+def test_hypotheses_fail_a_nan_sample():
+    nl = power_nonlinearity()
+    spoiled = dataclasses.replace(nl, f=lambda pts, t: np.where(t == t.max(), np.nan, nl.f(pts, t)))
+    report = validate_hypotheses(spoiled)
+    assert not report.growth_ok and not report.superquadratic_ok
+    assert report.witnesses["growth-f"][0] == 100.0
+    assert np.isnan(report.witnesses["growth-f"][1])
+    assert "growth-g" not in report.witnesses
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,12 +222,153 @@ def test_line_solution_solves_equations(line_problem, solved_line):
     assert np.all(solved_line.state.u > 0.0)
 
 
+def _sine_start(problem, amplitude):
+    """A diagonal sine bump, its gradient norm and its energy."""
+    w = amplitude * np.sin(np.pi * problem.grid.coords[:, 0])
+    x = StatePair(w, w.copy())
+    return x, problem.pair_norm(riesz_gradient(problem, x)), evaluate_J(problem, x).total
+
+
 def test_flow_then_newton_reports_failed_flow_stage(line_problem):
-    report = solve_saddle(line_problem, SolverConfig(flow_max_iter=1))
-    assert report.converged
+    # Newton's full step from the unit sine bump fails the basin test even with
+    # the triviality screen off, so the one flow step the budget allows is taken
+    x0, gn, energy = _sine_start(line_problem, 1.0)
+    assert solver._basin_trial(line_problem, x0, gn, energy, eta=0.0) is None
+    report = solve_saddle(line_problem, SolverConfig(flow_max_iter=1), x0=x0)
+    assert report.converged and report.nontrivial
     assert report.message == (
         "flow stage: iteration budget exhausted; newton stage: gradient tolerance reached"
     )
+
+
+def _guards(problem, x, step, gn, energy, eta):
+    """The three handoff conditions for the trial x + step, measured independently."""
+    trial = x + step
+    return (problem.pair_norm(riesz_gradient(problem, trial)) <= 0.1 * gn,
+            problem.pair_norm(trial) >= eta,
+            abs(evaluate_J(problem, trial).total - energy) <= gn * problem.pair_norm(step))
+
+
+def test_basin_trial_fails_on_each_guard(line_problem, monkeypatch):
+    # from a small bump Newton heads for the trivial state
+    x, gn, energy = _sine_start(line_problem, 0.1)
+    step = solver._newton_step(line_problem, x, euler_lagrange_residual(line_problem, x))
+    assert _guards(line_problem, x, step, gn, energy, eta=0.1) == (True, False, True)
+    assert solver._basin_trial(line_problem, x, gn, energy, eta=0.1) is None
+    trial, g, gn_trial = solver._basin_trial(line_problem, x, gn, energy, eta=0.0)
+    assert np.array_equal(trial.u, (x + step).u) and np.array_equal(trial.v, (x + step).v)
+    assert gn_trial == line_problem.pair_norm(g) <= 0.1 * gn
+
+    # half the Newton step contracts the gradient only about twofold
+    newton_step = solver._newton_step
+    monkeypatch.setattr(solver, "_newton_step", lambda *args: 0.5 * newton_step(*args))
+    assert _guards(line_problem, x, 0.5 * step, gn, energy, eta=0.0) == (False, True, True)
+    assert solver._basin_trial(line_problem, x, gn, energy, eta=0.0) is None
+    monkeypatch.undo()
+
+    # an energy that leaves the quadratic model at the trial
+    def shifted(problem, state):
+        out = evaluate_J(problem, state)
+        return dataclasses.replace(out, cross=out.cross + 10.0 * gn * problem.pair_norm(step))
+
+    monkeypatch.setattr(solver, "evaluate_J", shifted)
+    assert _guards(line_problem, x, step, gn, energy, eta=0.0)[:2] == (True, True)
+    assert solver._basin_trial(line_problem, x, gn, energy, eta=0.0) is None
+
+
+def test_basin_trial_treats_a_failed_step_as_outside(line_problem, monkeypatch):
+    x, gn, energy = _sine_start(line_problem, 0.1)
+
+    def failing(*args):
+        raise solver._StepFailed("second-variation system is singular")
+
+    monkeypatch.setattr(solver, "_newton_step", failing)
+    assert solver._basin_trial(line_problem, x, gn, energy, eta=0.0) is None
+    monkeypatch.setattr(solver, "_newton_step", lambda problem, x, res: 1e300 * x)
+    assert solver._basin_trial(line_problem, x, gn, energy, eta=0.0) is None
+
+
+def test_basin_trials_are_due_when_the_gradient_halves(line_problem, monkeypatch):
+    tried = []
+
+    def outside(problem, x, gn, energy, eta):
+        tried.append(gn)
+        return None
+
+    monkeypatch.setattr(solver, "_basin_trial", outside)
+    report = solve_saddle(line_problem)
+    assert report.converged and report.nontrivial
+    # no trial passes, so the flow runs to flow_tol as it does on its own; a
+    # trial is due at its first iterate and wherever the gradient norm has
+    # halved since the last one, and none at the iterate that meets flow_tol
+    cfg = SolverConfig()
+    flow = signflow_solve(line_problem, cfg, grad_tol=cfg.flow_tol)
+    due, want = np.inf, []
+    for gn in flow.trace.gradient_norms[:-1]:
+        if gn <= due:
+            want.append(gn)
+            due = 0.5 * gn
+    assert tried == want and len(want) >= 3
+
+
+def test_newton_starts_from_the_accepted_trial(square_problem, monkeypatch):
+    basin_trial = solver._basin_trial
+    jumps = []
+
+    def recording(*args, **kwargs):
+        jump = basin_trial(*args, **kwargs)
+        if jump is not None:
+            jumps.append(jump[0])
+        return jump
+
+    monkeypatch.setattr(solver, "_basin_trial", recording)
+    report = solve_saddle(square_problem)
+    assert report.converged and report.nontrivial
+    (trial,) = jumps
+    # the trial ends the flow stage as a full step, and Newton's first row repeats it
+    energy = evaluate_J(square_problem, trial).total
+    k = report.trace.energies.index(energy)
+    assert report.trace.energies[k + 1] == energy
+    assert report.trace.step_sizes[k:k + 2] == [1.0, 0.0]
+    assert report.iterations == len(report.trace) - 2
+
+
+def test_newton_stops_once_its_iterates_cluster(line_problem, solved_line):
+    # at a converged state Newton still takes a step; the gradient norm may
+    # rise there by rounding, and staying within grad_tol accepts the step
+    report = newton_solve(line_problem, x0=solved_line.state)
+    assert report.converged and report.iterations >= 1
+    assert report.message == "gradient tolerance reached"
+    ps = ps_monitor(line_problem, report.trace, 1e-10)
+    assert ps.tail_cauchy and ps.tail_diameter <= solver.TAIL_TOL
+    assert ps_monitor(line_problem, solved_line.trace, 1e-10).tail_diameter <= solver.TAIL_TOL
+
+
+LINE_GRIDS = (DomainSpec.interval(1), DomainSpec.interval(7), DomainSpec.interval(23))
+HANDOFF_GRIDS = LINE_GRIDS + (DomainSpec.square(5), DomainSpec.square(8),
+                              DomainSpec.rectangle(6, 3, 1.0, 2.5),
+                              DomainSpec.rectangle(4, 7, 0.3, 1.1))
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(HANDOFF_GRIDS),
+    st.floats(0.0, 10.0),
+    st.one_of(st.none(), st.floats(0.0, 10.0)),
+    st.integers(1, 2),
+)
+def test_basin_handoff_matches_the_full_flow(domain, lam, delta, d_y):
+    # the route the handoff replaces: flow to flow_tol, then Newton from there
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam,
+                                     delta=lam if delta is None else delta))
+    frame = build_frame(problem, 0.5, 4.0, min(d_y, problem.n))
+    cfg = SolverConfig()
+    fast = solve_saddle(problem, cfg, frame)
+    flow = signflow_solve(problem, cfg, frame, grad_tol=cfg.flow_tol)
+    full = newton_solve(problem, cfg, frame, x0=flow.state)
+    assert (fast.converged, fast.nontrivial) == (full.converged, full.nontrivial)
+    assert fast.converged
+    assert abs(fast.critical_value - full.critical_value) <= 1e-12 * abs(full.critical_value)
 
 
 def test_zero_preset_converges_to_trivial(zero_problem):

@@ -4,9 +4,9 @@
 iteration on its slope ``_ray_slope``; before, a geometric probe grid of
 energies and a bounded Brent search found it (``oracles.ray_argmax_grid``).
 ``_newton_step`` solves two n x n blocks where the second variation
-decouples, on 2D grids by K^-1-preconditioned MINRES with a check of the
-true residual and on 1D grids by sparse LU; before, it always factored
-the 2n x 2n block by sparse LU (``oracles.newton_block_step``).
+decouples, by K^-1-preconditioned MINRES with a check of the true
+residual; before, it always factored the 2n x 2n block by sparse LU
+(``oracles.newton_block_step``).
 """
 
 import re
@@ -222,7 +222,7 @@ def test_newton_reports_a_singular_decoupled_block():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = newton_solve(problem, x0=StatePair(np.ones(1), np.ones(1)))
-        assert report.message == "second-variation system is singular"
+        assert report.message.startswith("second-variation system is singular: MINRES residual ")
         assert not report.converged
         # the failure is named once, with no library warning on the way
         assert not caught, [str(w.message) for w in caught]
@@ -246,6 +246,22 @@ def test_newton_on_2d_grids_factors_nothing(domain, lam, delta, monkeypatch):
     for module, name in ((spla, "spsolve"), (spla, "splu"), (spla, "factorized"),
                          (sp, "bmat"), (sp, "diags")):
         monkeypatch.setattr(module, name, refusing(name))
+    report = newton_solve(problem)
+    assert report.converged and report.nontrivial
+    assert report.iterations >= 2
+
+
+@pytest.mark.parametrize("lam, delta", ((0.0, 0.0), (1.0, 3.0)), ids=("symmetric", "coupled"))
+def test_newton_on_1d_grids_assembles_no_block(lam, delta, monkeypatch):
+    # 1D grids take the same MINRES path; only K itself is factored, once
+    problem = discretize(ProblemSpec(DomainSpec.interval(63), power_nonlinearity(),
+                                     lam=lam, delta=delta))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the second variation was assembled or factored")
+
+    for module, name in ((spla, "spsolve"), (sp, "bmat"), (sp, "diags")):
+        monkeypatch.setattr(module, name, refuse)
     report = newton_solve(problem)
     assert report.converged and report.nontrivial
     assert report.iterations >= 2
