@@ -32,7 +32,7 @@ from .linking import (
     sample_sets,
     shipped_deformations,
 )
-from .reporting import write_csv, write_manifest, write_pgm, write_svg_trace
+from .reporting import write_csv, write_float_csv, write_manifest, write_pgm, write_svg_trace
 from .solver import minimax_consistency, ps_monitor, solve_saddle
 
 __all__ = ["main"]
@@ -254,11 +254,8 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
 
     grid = problem.grid
     coord_headers = ["x"] if grid.dimension == 1 else ["x", "y"]
-    write_csv(
-        _out_path(cfg, "solution.csv"),
-        coord_headers + ["u", "v"],
-        zip(*grid.coords.T.tolist(), report.state.u.tolist(), report.state.v.tolist()),
-    )
+    write_float_csv(_out_path(cfg, "solution.csv"), coord_headers + ["u", "v"],
+                    [*grid.coords.T, report.state.u, report.state.v])
     write_csv(
         _out_path(cfg, "trace.csv"),
         ["iteration", "energy", "gradient_norm", "step_size", "state_norm"],

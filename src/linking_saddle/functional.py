@@ -88,7 +88,11 @@ class NonlinearitySpec:
 def power_nonlinearity(
     p: float = 4.0, scale: float = 1.0, mu: Optional[float] = None
 ) -> NonlinearitySpec:
-    """Odd power coupling |t|^(p-2) t, the canonical superquadratic case."""
+    """Odd power coupling s |t|^(p-2) t, the canonical superquadratic case.
+
+    F is (s/p) |t|^(p-2) t^2 = t f(t) / p, within a few ulp of (s/p) |t|^p:
+    its power is that of f, which numpy takes by squaring at p = 4.
+    """
     p = float(p)
     if not p > 2.0:
         raise InvalidSpecError(f"power preset requires p > 2, got {p}")
@@ -102,7 +106,7 @@ def power_nonlinearity(
 
     def F(pts, t):
         t = np.asarray(t, dtype=float)
-        return (s / p) * np.abs(t) ** p
+        return (s / p) * np.abs(t) ** (p - 2.0) * (t * t)
 
     def df(pts, t):
         t = np.asarray(t, dtype=float)

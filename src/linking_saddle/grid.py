@@ -156,23 +156,24 @@ class Grid:
         return f"Grid(shape={self.shape}, h={self.h})"
 
 
-def _stiffness_1d(n: int, h: float) -> sp.csr_matrix:
+def _stiffness_1d(n: int, h: float) -> sp.dia_matrix:
     # (1/h) tridiag(-1, 2, -1): the 1D Dirichlet edge sum in matrix form.
     main = np.full(n, 2.0 / h)
     off = np.full(n - 1, -1.0 / h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    return sp.diags([off, main, off], [-1, 0, 1], format="dia")
 
 
 class StiffnessOperator:
     """Sparse SPD matrix realizing the Dirichlet form on a grid.
 
-    ``product`` evaluates the form, ``apply`` the matrix-vector product,
-    and ``solve`` inverts it. The direct solve is built once per
-    operator: fast diagonalization in the 1D eigenbases of both axes on
-    2D grids (four dense matrix products per solve, no factorization),
-    and a sparse LU factorization of the tridiagonal matrix on 1D grids.
-    The returned solution is rejected with :class:`LinearSolveError` if
-    its relative residual exceeds ``rtol``.
+    ``matrix`` is stored by its diagonals (scipy DIA), whose product is
+    bitwise that of compressed rows at about half the cost. ``product``
+    evaluates the form, ``apply`` the matrix-vector product, and ``solve``
+    inverts it, by a direct solve built once per operator: on 2D grids fast
+    diagonalization in the axes' 1D eigenbases (also built once), on 1D
+    grids a sparse LU of the tridiagonal matrix, so no dense eigenbasis is
+    kept. A solution is rejected with :class:`LinearSolveError` if its
+    relative residual exceeds ``rtol``.
     """
 
     def __init__(self, grid: Grid, rtol: float = 1e-10):
@@ -189,7 +190,16 @@ class StiffnessOperator:
             self.matrix = (
                 hy * sp.kron(kx, sp.identity(ny, format="csr"))
                 + hx * sp.kron(sp.identity(nx, format="csr"), ky)
-            ).tocsr()
+            ).todia()
+
+    @cached_property
+    def _eigen_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``_eigen_factors_1d`` of each axis of a 2D grid, read-only; equal axes share one pair."""
+        axes = tuple(zip(self.grid.shape, self.grid.h))
+        pairs = {axis: _eigen_factors_1d(*axis) for axis in dict.fromkeys(axes)}
+        for w, v in pairs.values():
+            w.flags.writeable = v.flags.writeable = False
+        return tuple(pairs[axis] for axis in axes)
 
     @cached_property
     def _factor(self):
@@ -197,8 +207,7 @@ class StiffnessOperator:
             # tridiagonal: the LU is O(n), a dense eigenbasis O(n^2) per solve
             return spla.factorized(self.matrix.tocsc())
         (nx, ny), (hx, hy) = self.grid.shape, self.grid.h
-        wx, vx = _eigen_factors_1d(nx, hx)
-        wy, vy = _eigen_factors_1d(ny, hy)
+        (wx, vx), (wy, vy) = self._eigen_factors
         # K = hy (K1x (x) I) + hx (I (x) K1y) with K1 = h V diag(w) V^T per axis
         lam = hx * hy * (wx[:, None] + wy[None, :])
 
@@ -261,9 +270,11 @@ def _eigen_factors_1d(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
 def eigenpairs(grid: Grid, op: StiffnessOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """First ``count`` eigenpairs of K phi = lam * h^d * phi.
 
+    On 2D grids it reads the axis eigenpairs ``op`` builds once, so a
+    second call factors nothing; a 1D grid factors its axis on each call.
     Eigenvalues ascend; ties in 2D resolve by axis mode order, so the
-    result is deterministic even on symmetric squares. Each returned
-    eigenvector is normalized against the Dirichlet form,
+    result is deterministic even on symmetric squares.
+    Each returned eigenvector is normalized against the Dirichlet form,
     ``op.product(phi, phi) == 1``.
 
     Returns
@@ -281,8 +292,7 @@ def eigenpairs(grid: Grid, op: StiffnessOperator, count: int) -> tuple[np.ndarra
         vecs = v[:, :count].T.copy()
     else:
         nx, ny = grid.shape
-        wx, vx = _eigen_factors_1d(nx, grid.h[0])
-        wy, vy = _eigen_factors_1d(ny, grid.h[1])
+        (wx, vx), (wy, vy) = op._eigen_factors
         lam = wx[:, None] + wy[None, :]
         order = np.lexsort((np.tile(np.arange(ny), nx),
                             np.repeat(np.arange(nx), ny),
@@ -299,9 +309,8 @@ def eigenpairs(grid: Grid, op: StiffnessOperator, count: int) -> tuple[np.ndarra
         resid = np.linalg.norm(op.apply(vecs[k]) - evals[k] * vol * vecs[k])
         scale = np.linalg.norm(op.apply(vecs[k]))
         if resid > 1e-10 * scale:
-            raise LinearSolveError(
-                f"eigenpair {k} residual {resid:.3e} exceeds 1e-10 relative"
-            )
+            raise LinearSolveError(f"modal basis: eigenpair {k} relative residual "
+                                   f"{resid / scale:.3e} exceeds 1e-10")
     return evals, vecs
 
 

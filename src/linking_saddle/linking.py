@@ -97,8 +97,9 @@ class LinkingFrame:
     equals the energy norm of the state. The frame set M is the chart
     half-ball {|xi| <= rho, xi_last >= 0}; the small sphere N is the
     radius-r sphere of the full diagonal subspace. ``basis`` holds
-    exactly the d_y chart modes. The Gram matrix of the chart is cached
-    on first use, so a frame's fields are not reassigned.
+    exactly the d_y chart modes. The Gram matrices of the chart are
+    cached on first use. They do not depend on rho, so rho is the one
+    field that may be reassigned, to a value above r.
     """
 
     problem: Problem
@@ -451,7 +452,7 @@ def _sampled_embedding_constant(problem: Problem, seed: int) -> float:
         if energy <= 0:
             return 0.0
         with np.errstate(over="ignore"):
-            top = vol * np.sum(np.abs(w) ** p)
+            top = vol * np.sum(np.abs(w) ** (p - 2.0) * (w * w))
         try:
             return float(top / energy ** (p / 2.0))
         except OverflowError:
@@ -477,9 +478,10 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     factor norm s, where c0 is the sampled embedding constant and k the
     small-amplitude constant at eps equal to half the spectral gap. The
     returned r halves the maximizing s for safety; rho doubles r until a
-    pilot boundary sweep is nonpositive. A sweep evaluates its chart rows
-    with ``_chart_energies`` and stops at its first positive energy, as
-    only ``max <= 0`` is decided; a passing sweep evaluates every row.
+    pilot boundary sweep is nonpositive. One pilot frame serves every
+    doubling, which changes only its rho. A sweep evaluates its chart
+    rows with ``_chart_energies`` and stops at its first positive energy,
+    as only ``max <= 0`` is decided; a passing sweep evaluates every row.
 
     Raises :class:`GeometryCertificationError` when c0, k, the floor or
     r is not finite, as a large p makes them.
@@ -530,9 +532,9 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     r = float(np.sqrt(2.0) * s_chosen)
     _require_finite("radius r", r)
 
+    pilot = build_frame(problem, r, 2.0 * r, d_y=d_y)
     for k in range(1, RADII_MAX_DOUBLINGS + 1):
-        rho = r * 2.0**k
-        pilot = build_frame(problem, r, rho, d_y=d_y)
+        rho = pilot.rho = r * 2.0**k
         samples = sample_sets(
             pilot, sphere_count=2, boundary_count=RADII_PILOT_BOUNDARY,
             interior_count=2, seed=seed + 1,

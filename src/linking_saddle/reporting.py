@@ -20,6 +20,7 @@ __all__ = [
     "format_float",
     "atomic_write_text",
     "write_csv",
+    "write_float_csv",
     "write_pgm",
     "write_svg_trace",
     "write_manifest",
@@ -54,15 +55,17 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """One line per row; a row of floats only is formatted by one template."""
-    floats = ",".join(["%.17g"] * len(header))
+    """One line per row, each cell formatted by its type."""
     lines = [",".join(header)]
-    for row in rows:
-        if all(isinstance(v, float) for v in row):
-            lines.append(floats % tuple(row))
-        else:
-            lines.append(",".join(_cell(v) for v in row))
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_float_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Float columns side by side, by one template for the block: ``write_csv``'s bytes."""
+    block = np.column_stack(columns)
+    template = "%s\n" + (",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)
+    atomic_write_text(path, template % (",".join(header), *block.ravel().tolist()))
 
 
 def write_pgm(path: str, mesh: np.ndarray, comment: str = "") -> None:
@@ -84,8 +87,7 @@ def write_pgm(path: str, mesh: np.ndarray, comment: str = "") -> None:
         lines.append("# " + comment)
     lines.append(f"{mesh.shape[1]} {mesh.shape[0]}")
     lines.append("255")
-    for row in gray:
-        lines.append(" ".join(str(v) for v in row))
+    lines.extend(" ".join(map(str, row)) for row in gray.tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -545,6 +545,7 @@ def _iterate(
     eta: float,
     step_tol: float = math.inf,
     basin: Optional[Callable[[StatePair, float, float], Optional[tuple]]] = None,
+    start: Optional[tuple[float, float]] = None,
 ) -> SaddleReport:
     """The iteration loop of :func:`newton_solve` and :func:`signflow_solve`.
 
@@ -561,18 +562,21 @@ def _iterate(
     given, is asked before the first step, and again before each step
     whose gradient norm is at most half the one it last said None to. A
     ``(trial, g, gn)`` it returns is taken as a full step, recorded with
-    step size 1, and ends the loop there as converged.
+    step size 1, and ends the loop there as converged. ``start``, when
+    given, is the gradient norm and energy known at x; the gradient itself
+    is then not computed, so ``trials`` must not read it.
     """
     trace = IterateTrace()
     converged = False
     message = "gradient tolerance reached"
-    g, gn = _grad_and_norm(problem, x)
+    g, gn = (None, start[0]) if start else _grad_and_norm(problem, x)
+    energy = start[1] if start else None
     last_step = math.inf
     basin_due = math.inf
     handed_off = False
     it = 0
     while True:
-        energy = evaluate_J(problem, x).total
+        energy = evaluate_J(problem, x).total if energy is None else energy
         trace.append(energy, gn, step, pair_norm(problem.op, x), _mu_norm(problem, x), x.copy())
         if gn <= tol and last_step <= step_tol:
             converged = True
@@ -586,7 +590,7 @@ def _iterate(
         if basin is not None and gn <= basin_due:
             jump = basin(x, gn, energy)
             if jump is not None:
-                x, g, gn = jump
+                (x, g, gn), energy = jump, None
                 step, handed_off = 1.0, True
                 it += 1
                 continue
@@ -605,7 +609,7 @@ def _iterate(
         if step_tol < math.inf:
             # the same difference ps_monitor measures between the last two states
             last_step = pair_norm(problem.op, trial - x)
-        x, g, gn, step = trial, g_trial, gn_trial, next_step
+        x, g, gn, step, energy = trial, g_trial, gn_trial, next_step, None
         it += 1
     return _finish(problem, x, converged, it, method, message, trace, eta)
 
@@ -640,6 +644,8 @@ def newton_solve(
     config: Optional[SolverConfig] = None,
     frame: Optional[LinkingFrame] = None,
     x0: Optional[StatePair] = None,
+    *,
+    _start: Optional[tuple[float, float]] = None,
 ) -> SaddleReport:
     """Damped Newton iteration on the first-order system.
 
@@ -649,7 +655,8 @@ def newton_solve(
     ``grad_tol``. The iteration stops once the gradient norm meets
     ``grad_tol`` and the step just accepted has energy norm at most
     ``TAIL_TOL``, so it always takes at least one step, and a converged
-    run ends on two iterates that cluster.
+    run ends on two iterates that cluster. ``_start`` is the gradient norm
+    and energy at ``x0``, where :func:`solve_saddle` knows them.
     """
     cfg = config if config is not None else SolverConfig(method="newton")
 
@@ -663,7 +670,7 @@ def newton_solve(
 
     x = _initial_state(problem, cfg, frame, x0)
     return _iterate(problem, x, trials, cfg.grad_tol, cfg.max_iter, 0.0, "newton", cfg.eta,
-                    step_tol=TAIL_TOL)
+                    step_tol=TAIL_TOL, start=_start)
 
 
 def signflow_solve(
@@ -710,7 +717,9 @@ def solve_saddle(
 
     The flow hands off at its first full Newton step that passes
     :func:`_basin_trial`, or at ``flow_tol`` if none does, and Newton
-    starts from there.
+    starts from there, with the gradient norm and energy of the flow's
+    last trace row. Its own first row repeats that row, and the
+    compactness fit counts both.
     """
     cfg = config if config is not None else SolverConfig()
     if cfg.method == "newton":
@@ -719,7 +728,8 @@ def solve_saddle(
         return signflow_solve(problem, cfg, frame, x0)
     first = signflow_solve(problem, cfg, frame, x0, grad_tol=cfg.flow_tol,
                            _basin=functools.partial(_basin_trial, problem, eta=cfg.eta))
-    second = newton_solve(problem, cfg, frame, x0=first.state)
+    second = newton_solve(problem, cfg, frame, x0=first.state,
+                          _start=(first.trace.gradient_norms[-1], first.trace.energies[-1]))
     first.trace.extend(second.trace)
     message = second.message
     if not first.converged:

@@ -104,6 +104,22 @@ def dense_dirichlet_matrix(n: int, length: float = 1.0) -> np.ndarray:
     return mat
 
 
+def csr_stiffness(counts: tuple[int, ...], widths: tuple[float, ...]):
+    """The stiffness matrix in the compressed-row form the package stored before.
+
+    (1/h) tridiag(-1, 2, -1) per axis; in 2D hy kron(K1x, I) + hx kron(I, K1y).
+    """
+    import scipy.sparse as sp
+
+    factors = [sp.diags([np.full(n - 1, -1.0 / h), np.full(n, 2.0 / h), np.full(n - 1, -1.0 / h)],
+                        [-1, 0, 1], format="csr") for n, h in zip(counts, widths)]
+    if len(counts) == 1:
+        return factors[0]
+    (nx, ny), (hx, hy) = counts, widths
+    return (hy * sp.kron(factors[0], sp.identity(ny, format="csr"))
+            + hx * sp.kron(sp.identity(nx, format="csr"), factors[1])).tocsr()
+
+
 def dirichlet_eigenvalue_1d(k: int, n: int, length: float = 1.0) -> float:
     """Closed-form k-th eigenvalue of the n-point second-difference matrix,
     scaled the way the package scales its eigenproblem (per unit cell volume)."""

@@ -506,7 +506,7 @@ def test_write_csv_formats(tmp_path):
     assert lines[1] == "1.5,true,x"
     # shortest-exact float formatting keeps every bit
     assert float(lines[2].split(",")[0]) == 0.1 + 0.2
-    # all-float rows take one format template, rows with other types go cell by cell
+    # every row goes cell by cell, each cell formatted by its type
     rows = [(-0.0, np.inf, -np.inf, np.nan), (np.float64(0.1) + 0.2, 1e-300, -2.5e17, 3.0),
             (1.5, True, np.bool_(False), 7), (2, np.int64(-3), "z", np.float64(-0.0))]
     write_csv(str(path), ["a", "b", "c", "d"], rows)

@@ -67,7 +67,7 @@ def test_matrix_is_symmetric():
     for spec in (DomainSpec.interval(31), DomainSpec.rectangle(12, 9)):
         _, op = build_grid(spec)
         mat = op.matrix
-        gap = abs(mat - mat.T)
+        gap = abs((mat - mat.T).tocsr())
         assert gap.max() <= 1e-12
 
 

@@ -156,6 +156,18 @@ def test_choose_radii_matches_the_full_pilot_sweep(domain, d_y):
     assert (choice.rho, choice.doublings, choice.boundary_pilot_max) == (rho, doublings, top)
 
 
+def test_choose_radii_builds_one_pilot_frame(square_problem, monkeypatch):
+    # each doubling changes only the pilot's rho; its chart does not depend on rho
+    built = []
+    real = linking.build_frame
+    monkeypatch.setattr(linking, "build_frame",
+                        lambda *args, **kwargs: built.append(real(*args, **kwargs)) or built[-1])
+    choice = choose_radii(square_problem, d_y=2, seed=5)
+    assert choice.doublings >= 2
+    (pilot,) = built
+    assert (pilot.r, pilot.rho) == (choice.r, choice.rho)
+
+
 class CountingMatrix:
     """A stiffness matrix that counts the vectors it multiplies."""
 

@@ -1,0 +1,213 @@
+"""The kernels every stage shares, against the code they replaced.
+
+The stiffness matrix is stored by its diagonals; before, it was a
+compressed-row matrix (``oracles.csr_stiffness``). On 2D grids the 1D
+eigenpairs of the axes are built once per operator and shared by
+``eigenpairs`` and the fast-diagonalization solve; before, every call
+factored each axis, as it still does on 1D grids. The
+power potential is (s/p) |t|^(p-2) t^2; before, it was (s/p) |t|^p. The
+solution and heatmap writers format whole blocks; before, they
+formatted one row at a time.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linking_saddle.grid as grid_module
+from linking_saddle import (
+    DiagonalSplitting,
+    DomainSpec,
+    LinearSolveError,
+    ProblemSpec,
+    build_frame,
+    build_grid,
+    build_modal_basis,
+    choose_radii,
+    discretize,
+    eigenpairs,
+    estimate_geometry,
+    power_nonlinearity,
+    solve_saddle,
+)
+from linking_saddle.reporting import write_float_csv, write_pgm
+
+from oracles import csr_stiffness
+
+domains = st.one_of(
+    st.integers(1, 300).map(DomainSpec.interval),
+    st.integers(1, 48).map(DomainSpec.square),
+    st.tuples(st.integers(1, 40), st.integers(1, 40),
+              st.floats(0.5, 3.0), st.floats(0.5, 3.0)).map(lambda a: DomainSpec.rectangle(*a)),
+)
+
+
+def same_bits(a, b) -> bool:
+    """Equal floats, with the sign of zero and NaN in the same places."""
+    a, b = np.asarray(a), np.asarray(b)
+    return bool(np.array_equal(a, b, equal_nan=True)
+                and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@settings(max_examples=80)
+@given(domains, st.integers(-200, 200), st.integers(-200, 200), st.integers(0, 2**32 - 1))
+def test_stiffness_products_match_the_csr_assembly(spec, scale_u, scale_v, seed):
+    grid, op = build_grid(spec)
+    ref = csr_stiffness(spec.interior_counts, spec.mesh_widths)
+    assert op.matrix.format == "dia"
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(grid.n_interior) * 10.0**scale_u
+    v = rng.standard_normal(grid.n_interior) * 10.0**scale_v
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(op.apply(u), ref @ u)
+        assert same_bits(op.product(u, v), float(u @ (ref @ v)))
+
+
+def fresh_eigenpairs(grid, count, factors_1d):
+    """``eigenpairs`` as built before: each axis factored anew, the 2D modes sorted in Python."""
+    factors = [factors_1d(n, h) for n, h in zip(grid.shape, grid.h)]
+    if grid.dimension == 1:
+        ((w, v),) = factors
+        evals, vecs = w[:count], v[:, :count].T
+    else:
+        (wx, vx), (wy, vy) = factors
+        lam = (wx[:, None] + wy[None, :]).ravel()
+        # ascending, ties broken by the x mode, then the y mode
+        modes = sorted(range(lam.size), key=lambda f: (lam[f], *divmod(f, wy.size)))[:count]
+        evals = lam[modes]
+        vecs = np.array([np.outer(vx[:, i], vy[:, j]).ravel()
+                         for i, j in (divmod(f, wy.size) for f in modes)])
+    return evals, vecs / np.sqrt(evals * grid.cell_volume)[:, None]
+
+
+def counting_factors(monkeypatch):
+    """Patch the 1D factorization to record its (n, h); return the record and the original."""
+    fresh = grid_module._eigen_factors_1d
+    calls = []
+
+    def counting(n, h):
+        calls.append((n, h))
+        return fresh(n, h)
+
+    monkeypatch.setattr(grid_module, "_eigen_factors_1d", counting)
+    return calls, fresh
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec.interval(255), DomainSpec.interval(1), DomainSpec.square(24),
+    DomainSpec.rectangle(12, 5), DomainSpec.rectangle(9, 9, 1.0, 2.0),
+])
+def test_eigenpairs_match_a_fresh_factorization(spec, monkeypatch):
+    grid, op = build_grid(spec)
+    calls, fresh = counting_factors(monkeypatch)
+    count = min(7, grid.n_interior)
+    evals, vecs = eigenpairs(grid, op, count)
+    ref_evals, ref_vecs = fresh_eigenpairs(grid, count, fresh)
+    assert np.array_equal(evals, ref_evals) and np.array_equal(vecs, ref_vecs)
+    # an axis equal to the other, in count and mesh width, shares its pair
+    assert calls == list(dict.fromkeys(zip(grid.shape, grid.h)))
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec.square(24), DomainSpec.rectangle(12, 5), DomainSpec.rectangle(9, 9, 1.0, 2.0),
+])
+def test_2d_operators_factor_each_axis_once(spec, monkeypatch):
+    grid, op = build_grid(spec)
+    calls, _ = counting_factors(monkeypatch)
+    eigenpairs(grid, op, 3)
+    build_modal_basis(DiagonalSplitting(grid, op), 5)
+    op.solve(np.ones(grid.n_interior))
+    assert calls == list(dict.fromkeys(zip(grid.shape, grid.h)))
+    # the shared factors are read-only, so no caller can change them
+    for w, v in op._eigen_factors:
+        assert not (w.flags.writeable or v.flags.writeable)
+
+
+def test_1d_operators_keep_no_dense_eigenbasis(monkeypatch):
+    # the 1D solve is an LU; each eigenpairs call factors the axis and drops it
+    grid, op = build_grid(DomainSpec.interval(255))
+    calls, _ = counting_factors(monkeypatch)
+    eigenpairs(grid, op, 3)
+    build_modal_basis(DiagonalSplitting(grid, op), 5)
+    op.solve(np.ones(grid.n_interior))
+    assert calls == [(255, 1.0 / 256)] * 2
+    assert "_eigen_factors" not in vars(op)
+
+
+def test_a_2d_pipeline_factors_its_axis_once(monkeypatch):
+    calls, _ = counting_factors(monkeypatch)
+    problem = discretize(ProblemSpec(DomainSpec.square(16), power_nonlinearity()))
+    choice = choose_radii(problem, d_y=2, seed=7)
+    frame = build_frame(problem, choice.r, choice.rho, d_y=2)
+    assert estimate_geometry(frame, seed=7).certified
+    assert solve_saddle(problem, frame=frame).converged
+    assert calls == [(16, 1.0 / 17)]
+
+
+def test_eigenpair_failure_names_the_relative_residual():
+    # at 1023 nodes the LAPACK modes miss the 1e-10 residual check
+    grid, op = build_grid(DomainSpec.interval(1023))
+    with pytest.raises(LinearSolveError) as info:
+        eigenpairs(grid, op, 1)
+    match = re.fullmatch(r"modal basis: eigenpair 0 relative residual (\S+) exceeds 1e-10",
+                         str(info.value))
+    assert match
+    vec = fresh_eigenpairs(grid, 1, grid_module._eigen_factors_1d)[1][0]
+    ref = csr_stiffness(grid.shape, grid.h)
+    w, _ = grid_module._eigen_factors_1d(grid.shape[0], grid.h[0])
+    relative = np.linalg.norm(ref @ vec - w[0] * grid.cell_volume * vec) / np.linalg.norm(ref @ vec)
+    assert float(match.group(1)) == pytest.approx(relative, rel=1e-3)
+    assert relative > 1e-10
+
+
+# Each form rounds one power (under one ulp) and then one product (the
+# direct power) or three: their relative gap stays under 4 eps.
+@settings(max_examples=200)
+@given(st.sampled_from([2.5, 3.0, 4.0, 5.5]), st.floats(0.1, 10.0),
+       st.lists(st.floats(1e-50, 1e50), min_size=1, max_size=64), st.booleans())
+def test_power_potential_matches_the_direct_power(p, scale, magnitudes, negative):
+    nl = power_nonlinearity(p, scale=scale)
+    t = np.array(magnitudes) * (-1.0 if negative else 1.0)
+    direct = (scale / p) * np.abs(t) ** p
+    potential = nl.F(None, t)
+    assert np.all(np.abs(potential - direct) <= 4.0 * np.finfo(float).eps * direct)
+    assert np.array_equal(nl.G(None, t), potential)
+    assert np.array_equal(nl.F(None, np.zeros(3)), np.zeros(3))
+
+
+def test_power_potential_at_the_default_exponent_is_within_2_ulp():
+    # at p = 4 numpy squares for |t|^2; the two forms then stay within 2 ulp
+    t = np.random.default_rng(3).standard_normal(20000) * 10.0 ** np.linspace(-60, 60, 20000)
+    np.testing.assert_array_max_ulp(power_nonlinearity().F(None, t), 0.25 * np.abs(t) ** 4.0,
+                                    maxulp=2)
+
+
+float_cells = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(st.lists(float_cells, min_size=k, max_size=k),
+                                                     min_size=1, max_size=30)))
+def test_float_block_matches_the_row_format(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "block.csv"
+    header = [f"c{k}" for k in range(len(rows[0]))]
+    write_float_csv(str(path), header, [np.array(col) for col in zip(*rows)])
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+def test_heatmap_rows_match_the_row_format(tmp_path_factory, rows, cols, seed, flat):
+    path = tmp_path_factory.mktemp("pgm") / "map.pgm"
+    mesh = np.full((rows, cols), 0.5) if flat else np.random.default_rng(seed).standard_normal((rows, cols))
+    write_pgm(str(path), mesh, comment="u component")
+    lo, hi = mesh.min(), mesh.max()
+    gray = (np.rint((mesh - lo) / (hi - lo) * 255.0).astype(int) if hi > lo
+            else np.full(mesh.shape, 128, dtype=int))
+    lines = ["P2", "# u component", f"{cols} {rows}", "255"]
+    lines += [" ".join(str(v) for v in row) for row in gray]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -333,6 +333,38 @@ def test_newton_starts_from_the_accepted_trial(square_problem, monkeypatch):
     assert report.iterations == len(report.trace) - 2
 
 
+def test_newton_starts_from_the_handoff_gradient_norm_and_energy(monkeypatch):
+    # the default solve equals its flow stage followed by a Newton run from the
+    # handoff state, row for row, but does not recompute that state's
+    # gradient and energy
+    problem = discretize(ProblemSpec(DomainSpec.square(32), power_nonlinearity()))
+    counts = {"riesz_gradient": 0, "evaluate_J": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    report = solve_saddle(problem)
+    together = dict(counts)
+    counts.update(riesz_gradient=0, evaluate_J=0)
+    cfg = SolverConfig()
+    flow = signflow_solve(problem, cfg, grad_tol=cfg.flow_tol,
+                          _basin=lambda x, gn, energy: solver._basin_trial(problem, x, gn,
+                                                                            energy, cfg.eta))
+    assert flow.message == "Newton basin reached"
+    newton = newton_solve(problem, cfg, x0=flow.state)
+    assert together == {"riesz_gradient": counts["riesz_gradient"] - 1,
+                        "evaluate_J": counts["evaluate_J"] - 1}
+    for name in ("energies", "gradient_norms", "step_sizes", "state_norms", "mu_norms"):
+        assert getattr(report.trace, name) == getattr(flow.trace, name) + getattr(newton.trace, name)
+    assert np.array_equal(report.state.u, newton.state.u)
+    assert report.converged and report.nontrivial
+
+
 def test_newton_stops_once_its_iterates_cluster(line_problem, solved_line):
     # at a converged state Newton still takes a step; the gradient norm may
     # rise there by rounding, and staying within grad_tol accepts the step
