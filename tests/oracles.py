@@ -4,9 +4,10 @@ Everything here is deliberately built from different numerics than the
 package: fixed-step RK4 plus bisection for the boundary-value problem,
 composite Simpson for integrals, dense O(n^2) arithmetic elsewhere, and
 the algorithms that faster package kernels replaced (the probe-grid
-crest search, the whole-block Newton solve and the full pilot sweeps of
-the radii search). No imports from linking_saddle are allowed in this
-module.
+crest search, the whole-block Newton solve, the full pilot sweeps of
+the radii search, LAPACK's tridiagonal eigensolver and the numpy forms
+of the chart kernels). No imports from linking_saddle are allowed in
+this module.
 """
 
 from __future__ import annotations
@@ -125,6 +126,38 @@ def dirichlet_eigenvalue_1d(k: int, n: int, length: float = 1.0) -> float:
     scaled the way the package scales its eigenproblem (per unit cell volume)."""
     h = length / (n + 1)
     return (2.0 - 2.0 * np.cos(k * np.pi / (n + 1))) / (h * h)
+
+
+def tridiagonal_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Ascending eigenvalues of tridiag(-1, 2, -1) / h^2 by LAPACK (``eigh_tridiagonal``)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(np.full(n, 2.0 / (h * h)), np.full(n - 1, -1.0 / (h * h)),
+                            eigvals_only=True)
+
+
+def chart_contains(xi, chart_dim: int, rho: float, tol: float = 1e-9) -> bool:
+    """Membership of a chart point in the half-ball, as ``np.linalg.norm`` computed it."""
+    xi = np.asarray(xi, dtype=float)
+    return bool(xi.shape == (chart_dim,) and xi[-1] >= -tol * rho
+                and np.linalg.norm(xi) <= rho * (1.0 + tol))
+
+
+def boundary_clearance(xi: np.ndarray, rho: float) -> tuple[float, float]:
+    """Base and cap clearance of a chart point, clamped at 0, with numpy scalars."""
+    lam_rel = xi[-1] / rho
+    slack = 1.0 - float(np.dot(xi, xi)) / rho**2
+    return max(0.0, lam_rel - 1e-6), max(0.0, slack - 1e-6)
+
+
+def homotopy_chart_value(gram: np.ndarray, r: float, t: float, xi: np.ndarray,
+                         eta: np.ndarray) -> np.ndarray:
+    """H_t(xi) from the deformed chart point eta, assembled with ``np.append``."""
+    d_y = gram.shape[0] - 1
+    anchor_norm = float(np.sqrt(gram[-1, -1]))
+    out = t * np.append(gram[:d_y] @ eta, abs(eta[-1]) * anchor_norm) + (1.0 - t) * xi
+    out[-1] -= r
+    return out
 
 
 def ray_argmax_grid(energy, t_current: float):

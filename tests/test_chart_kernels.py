@@ -11,7 +11,10 @@ twin, and the state-to-state deformations that mapped each state back
 to the chart; every kernel must agree with its oracle to 1e-12 relative
 to the size of its inputs. The chart-row energies of the geometry
 certificate take the cross term from the frame's cross Gram matrix;
-their oracle is ``evaluate_J`` on the state xi . B.
+their oracle is ``evaluate_J`` on the state xi . B. The homotopy, the
+half-ball membership test and the boundary clearance of the tapers take
+Python scalars and ``x @ x`` norms on their chart vectors; they must
+agree bitwise with the numpy forms they replaced.
 """
 
 import dataclasses
@@ -24,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linking_saddle import (
+    DomainMembershipError,
     DomainSpec,
     EnergyOverflowError,
     LinkingFrame,
@@ -39,7 +43,8 @@ from linking_saddle import (
     sample_sets,
     shipped_deformations,
 )
-from linking_saddle.linking import _chart_energies
+from linking_saddle.linking import _boundary_clearance, _chart_energies
+from oracles import boundary_clearance, chart_contains, homotopy_chart_value
 
 REL = 1e-12
 
@@ -211,6 +216,30 @@ def test_deformations_match_statepair_maps(grid_index, d_y, anchor_seed, seed, f
         scale = max(np.max(np.abs(x.u)), np.max(np.abs(x.v)),
                     np.max(np.abs((want - x).u)), np.max(np.abs((want - x).v)), frame.r)
         assert_state_close(got, want, scale)
+
+
+@settings(max_examples=80)
+@given(*frame_args, st.integers(0, 2**32 - 1), st.floats(0.0, 1.05), st.booleans(),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+def test_lean_chart_kernels_match_the_numpy_forms(grid_index, d_y, anchor_seed, seed,
+                                                  fraction, below, t):
+    frame, _ = frames(grid_index, d_y, anchor_seed)
+    xi = half_ball_point(frame, np.random.default_rng(seed), fraction)
+    if below:
+        # on or under the base: inside the membership tolerance, at it, or past it
+        xi[-1] = -(seed % 4) * 0.5e-9 * frame.rho
+    inside = chart_contains(xi, frame.chart_dim, frame.rho)
+    assert frame.contains(xi) is inside
+    assert _boundary_clearance(frame, xi) == boundary_clearance(xi, frame.rho)
+    for gamma in shipped_deformations(frame):
+        chart_map = homotopy_chart_map(frame, gamma, t)
+        if not inside:
+            with pytest.raises(DomainMembershipError):
+                chart_map(xi)
+            continue
+        got = chart_map(xi)
+        want = homotopy_chart_value(frame._chart_gram, frame.r, t, xi, gamma.chart(xi))
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 ENERGY_GRIDS = GRIDS + (DomainSpec.square(5),)

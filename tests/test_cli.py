@@ -201,6 +201,28 @@ def test_cli_intersect_sweeps_each_distinct_map_once(tmp_path, monkeypatch):
     assert len(sweeps) == 1 + 3
 
 
+def test_cli_intersect_draws_the_degree_boundary_once_per_frame(tmp_path, monkeypatch):
+    draws, degrees = [], []
+    boundary_rows, degree = linking._boundary_rows, cli.brouwer_degree_small
+
+    def counting_rows(frame, rng, cap, base):
+        draws.append((id(frame), frame.rho, cap, base))
+        return boundary_rows(frame, rng, cap, base)
+
+    def counting_degree(map_fn, frame):
+        degrees.append((id(frame), frame.rho))
+        return degree(map_fn, frame)
+
+    monkeypatch.setattr(linking, "_boundary_rows", counting_rows)
+    monkeypatch.setattr(cli, "brouwer_degree_small", counting_degree)
+    rc = main(["intersect", "--config", cfg_file(tmp_path, LINE_D2), "--out",
+               str(tmp_path / "i"), "--quiet"])
+    assert rc == 0
+    # four degree counts on one frame and rho; the 150 + 150 rows are drawn once
+    assert len(degrees) == 4 and len(set(degrees)) == 1
+    assert [d for d in draws if d[2:] == (150, 150)] == [degrees[0] + (150, 150)]
+
+
 def test_cli_intersect_degree_start_is_each_deformations_own(tmp_path):
     path = cfg_file(tmp_path, LINE_D2)
     rc = main(["intersect", "--config", path, "--out", str(tmp_path / "i"), "--quiet"])
@@ -324,6 +346,26 @@ def test_cli_refine_keeps_rectangle_aspect(tmp_path, monkeypatch):
     assert main(["refine", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "r"),
                  "--levels", "2", "--quiet"]) == 0
     assert sorted(shapes) == [(12, 5), (25, 11)]
+
+
+LINE = "domain.dimension = 1\ndomain.nx = {}\nproblem.preset = power\n"
+
+
+def test_cli_solve_runs_on_a_1023_node_line(tmp_path):
+    # the closed-form sine modes pass the modal residual check at 1023 nodes
+    out = tmp_path / "s"
+    assert main(["solve", "--config", cfg_file(tmp_path, LINE.format(1023)), "--out", str(out),
+                 "--quiet"]) == 0
+    assert read_csv(out / "saddle_report.csv")[0]["converged"] == "true"
+
+
+def test_cli_refine_reaches_1023_nodes_from_255(tmp_path):
+    out = tmp_path / "r"
+    assert main(["refine", "--config", cfg_file(tmp_path, LINE.format(255)), "--out", str(out),
+                 "--levels", "3", "--quiet"]) == 0
+    rows = read_csv(out / "refine_table.csv")
+    assert [r["n"] for r in rows] == ["255", "511", "1023"]
+    assert all(r["converged"] == "true" for r in rows)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -15,7 +15,10 @@ from linking_saddle import (
     principal_eigenpair,
 )
 
-from oracles import dense_dirichlet_matrix, dirichlet_eigenvalue_1d
+from linking_saddle.grid import _eigen_factors_1d
+from oracles import dense_dirichlet_matrix, dirichlet_eigenvalue_1d, tridiagonal_eigenvalues
+
+EPS = np.finfo(float).eps
 
 
 def test_single_node_matrix_is_4():
@@ -86,6 +89,33 @@ def test_eigenvalues_match_closed_form(n):
     evals, _ = eigenpairs(grid, op, min(n, 7))
     for k, lam in enumerate(evals, start=1):
         assert lam == pytest.approx(dirichlet_eigenvalue_1d(k, n), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 255, 1023])
+def test_closed_form_factors_are_orthonormal_sine_columns(n):
+    w, v = _eigen_factors_1d(n, 1.0 / (n + 1))
+    # the first row, sqrt(2/(n+1)) sin(pi k/(n+1)), is positive before any
+    # sign flip, so it recovers the symmetric sine matrix bitwise
+    assert np.all(v[0] != 0.0)
+    sine = v * np.sign(v[0])
+    assert np.array_equal(sine, sine.T)
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 4.0 * np.sqrt(n) * EPS
+    # sign convention: the largest-magnitude entry of each column is positive
+    assert np.all(v[np.argmax(np.abs(v), axis=0), np.arange(n)] > 0.0)
+    # a leading block of columns is bitwise the full factor's
+    count = min(n, 5)
+    w_head, v_head = _eigen_factors_1d(n, 1.0 / (n + 1), count)
+    assert np.array_equal(w_head, w[:count]) and np.array_equal(v_head, v[:, :count])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 255, 1023])
+def test_closed_form_eigenvalues_match_lapack(n):
+    h = 1.0 / (n + 1)
+    w, _ = _eigen_factors_1d(n, h)
+    ref = tridiagonal_eigenvalues(n, h)
+    assert np.all(np.diff(w) > 0.0)
+    # a backward-stable solver is exact to a few eps times the largest eigenvalue
+    assert np.max(np.abs(w - ref)) <= 32.0 * EPS * ref[-1]
 
 
 def test_fine_grid_approaches_continuum():

@@ -362,6 +362,24 @@ def test_boundary_zero_detected(line_frame):
         brouwer_degree_small(lambda xi: xi - top, line_frame)
 
 
+def test_degree_boundary_is_drawn_once_per_rho(line_problem):
+    frame = build_frame(line_problem, 0.7, 3.0, d_y=2)
+    map_fn = homotopy_chart_map(frame, identity_deformation(frame), 1.0)
+    report = brouwer_degree_small(map_fn, frame)
+    (rows,) = frame._degree_rows.values()
+    assert not rows.flags.writeable
+    assert np.array_equal(rows, linking._boundary_rows(frame, np.random.default_rng(7), 150, 150))
+    # the boundary minimum is the least Euclidean norm of the map on those rows
+    assert report.boundary_min == min(np.linalg.norm(map_fn(row)) for row in rows)
+    brouwer_degree_small(map_fn, frame)
+    assert list(frame._degree_rows) == [3.0] and frame._degree_rows[3.0] is rows
+    # a new rho draws new rows, on the new cap
+    frame.rho = 4.0
+    brouwer_degree_small(homotopy_chart_map(frame, identity_deformation(frame), 1.0), frame)
+    wider = frame._degree_rows[4.0]
+    assert wider is not rows and np.max(np.linalg.norm(wider, axis=1)) == pytest.approx(4.0)
+
+
 def stray_direction(frame):
     """An antidiagonal mode direction outside the frame's chart."""
     return build_modal_basis(frame.splitting, frame.d_y + 4).direction(frame.d_y + 3)

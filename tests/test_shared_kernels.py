@@ -4,7 +4,7 @@ The stiffness matrix is stored by its diagonals; before, it was a
 compressed-row matrix (``oracles.csr_stiffness``). On 2D grids the 1D
 eigenpairs of the axes are built once per operator and shared by
 ``eigenpairs`` and the fast-diagonalization solve; before, every call
-factored each axis, as it still does on 1D grids. The
+factored each axis, as 1D grids still build their modes on each call. The
 power potential is (s/p) |t|^(p-2) t^2; before, it was (s/p) |t|^p. The
 solution and heatmap writers format whole blocks; before, they
 formatted one row at a time.
@@ -88,9 +88,9 @@ def counting_factors(monkeypatch):
     fresh = grid_module._eigen_factors_1d
     calls = []
 
-    def counting(n, h):
+    def counting(n, h, *count):
         calls.append((n, h))
-        return fresh(n, h)
+        return fresh(n, h, *count)
 
     monkeypatch.setattr(grid_module, "_eigen_factors_1d", counting)
     return calls, fresh
@@ -148,8 +148,8 @@ def test_a_2d_pipeline_factors_its_axis_once(monkeypatch):
 
 
 def test_eigenpair_failure_names_the_relative_residual():
-    # at 1023 nodes the LAPACK modes miss the 1e-10 residual check
-    grid, op = build_grid(DomainSpec.interval(1023))
+    # at 2047 nodes even the exact sine modes miss the 1e-10 residual check
+    grid, op = build_grid(DomainSpec.interval(2047))
     with pytest.raises(LinearSolveError) as info:
         eigenpairs(grid, op, 1)
     match = re.fullmatch(r"modal basis: eigenpair 0 relative residual (\S+) exceeds 1e-10",
