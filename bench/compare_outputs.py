@@ -1,0 +1,204 @@
+"""Run a fixed CLI matrix in two checkouts and compare every output file.
+
+Usage (from anywhere):
+
+    python3 bench/compare_outputs.py PARENT CHANGE [--work DIR]
+
+PARENT and CHANGE are checkout roots, each with the package under
+``src/``. Every run of ``RUNS`` starts ``python -m linking_saddle`` in a
+fresh subprocess with ``PYTHONPATH=<checkout>/src`` and
+``OPENBLAS_NUM_THREADS=1``, and writes its files, its exit code
+(``exit_code``) and its stderr (``stderr``) to ``<work>/<side>/<run>/``.
+The manifest's ``output.dir`` line names that path, so it is dropped
+before comparing.
+
+A file is reported as identical, or for a CSV file as the largest
+relative move |a - b| / max(|a|, |b|) in each numeric column that moved.
+The exit status is 1 if a value moves by more than 1e-12 relative, if a
+non-numeric cell or any other file differs (exit codes and stderr
+included), if a CSV row is not as wide as its header, or if a file is
+missing on one side; 0 otherwise. With no
+``--work`` the runs go to a temporary directory that is removed at the
+end. Standard library only.
+"""
+
+import argparse
+import csv
+import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+REL_TOL = 1e-12
+DROPPED_PREFIX = "output.dir ="
+
+
+def _domain(nx, ny=None):
+    if ny is None:
+        return ["domain.dimension = 1", f"domain.nx = {nx}"]
+    return ["domain.dimension = 2", f"domain.nx = {nx}", f"domain.ny = {ny}"]
+
+
+# (name, CLI arguments, configuration lines)
+RUNS = (
+    ("solve-sq128", ["solve"], _domain(128, 128)),
+    ("solve-sq32", ["solve"], _domain(32, 32)),
+    ("solve-line255", ["solve"], _domain(255)),
+    ("solve-newton-sq32", ["solve"], _domain(32, 32) + ["solver.method = newton"]),
+    ("solve-newton-line255", ["solve"], _domain(255) + ["solver.method = newton"]),
+    ("solve-signflow-line63", ["solve"], _domain(63) + ["solver.method = signflow"]),
+    ("solve-shifted-sq32", ["solve"],
+     _domain(32, 32) + ["problem.lambda = 3.0", "problem.delta = 1.5"]),
+    ("solve-shifted-line255", ["solve"],
+     _domain(255) + ["problem.lambda = 2.0", "problem.delta = 4.0"]),
+    ("solve-p120-line63", ["solve"], _domain(63) + ["problem.p = 120", "problem.mu = 120"]),
+    ("intersect-line255-dy1", ["intersect"], _domain(255) + ["frame.d_y = 1"]),
+    ("intersect-line255-dy2", ["intersect"], _domain(255) + ["frame.d_y = 2"]),
+    ("intersect-rect12x5-dy1", ["intersect"], _domain(12, 5) + ["frame.d_y = 1"]),
+    ("intersect-rect12x5-dy2", ["intersect"], _domain(12, 5) + ["frame.d_y = 2"]),
+    ("geometry-sq16", ["geometry"], _domain(16, 16)),
+    ("check-sq16", ["check"], _domain(16, 16)),
+    ("refine-sq16", ["refine", "--levels", "4"], _domain(16, 16)),
+)
+
+
+def write_configs(config_dir):
+    """Write the configuration of each run to ``<config_dir>/<run>.cfg``."""
+    os.makedirs(config_dir)
+    for name, _, lines in RUNS:
+        with open(os.path.join(config_dir, f"{name}.cfg"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+
+def run_matrix(checkout, config_dir, out_root):
+    """Run every entry of ``RUNS`` against ``<checkout>/src``, one subprocess each."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"),
+               OPENBLAS_NUM_THREADS="1")
+    for name, args, _ in RUNS:
+        run_dir = os.path.join(out_root, name)
+        os.makedirs(run_dir)
+        config = os.path.join(config_dir, f"{name}.cfg")
+        # cwd is the run directory, so nothing is imported from the caller's tree
+        proc = subprocess.run(
+            [sys.executable, "-m", "linking_saddle", *args, "--config", config,
+             "--out", run_dir, "--quiet"],
+            cwd=run_dir, env=env, capture_output=True, text=True)
+        with open(os.path.join(run_dir, "exit_code"), "w", encoding="utf-8") as fh:
+            fh.write(f"{proc.returncode}\n")
+        with open(os.path.join(run_dir, "stderr"), "w", encoding="utf-8") as fh:
+            fh.write(proc.stderr)
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "manifest.cfg":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(DROPPED_PREFIX.encode()))
+    return data
+
+
+def _relative_move(a, b):
+    """|a - b| / max(|a|, |b|) of two numeric cells, or None if either is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare_csv(old, new):
+    """(largest relative move per numeric column, description of a failure or None)."""
+    old_rows = list(csv.reader(old.decode("utf-8").splitlines()))
+    new_rows = list(csv.reader(new.decode("utf-8").splitlines()))
+    if len(old_rows) != len(new_rows) or (old_rows and old_rows[0] != new_rows[0]):
+        return {}, "header or row count differs"
+    header = old_rows[0] if old_rows else []
+    moves = {}
+    for i, (old_row, new_row) in enumerate(zip(old_rows[1:], new_rows[1:]), start=1):
+        if not len(old_row) == len(new_row) == len(header):
+            return moves, f"row {i} is not as wide as the header"
+        for column, a, b in zip(header, old_row, new_row):
+            if a == b:
+                continue
+            move = _relative_move(a, b)
+            if move is None:
+                return moves, f"row {i} column {column!r}: {a!r} -> {b!r}"
+            moves[column] = max(moves.get(column, 0.0), move)
+    return moves, None
+
+
+def compare_dirs(old_root, new_root):
+    """Compare two matrix output trees; returns (report lines, True if nothing failed)."""
+    lines, ok = [], True
+    counts = {"identical": 0, "moved": 0, "failed": 0}
+    for run in sorted(set(os.listdir(old_root)) | set(os.listdir(new_root))):
+        old_dir, new_dir = os.path.join(old_root, run), os.path.join(new_root, run)
+        if not (os.path.isdir(old_dir) and os.path.isdir(new_dir)):
+            lines.append(f"{run}: present on one side only  [FAIL]")
+            counts["failed"] += 1
+            ok = False
+            continue
+        lines.append(f"{run}:")
+        for name in sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir))):
+            old_path, new_path = os.path.join(old_dir, name), os.path.join(new_dir, name)
+            if not (os.path.isfile(old_path) and os.path.isfile(new_path)):
+                verdict, failed = "present on one side only", True
+            else:
+                old, new = _read(old_path), _read(new_path)
+                if old == new:
+                    verdict, failed = "identical", False
+                elif name.endswith(".csv"):
+                    moves, problem = compare_csv(old, new)
+                    worst = max(moves.values(), default=0.0)
+                    failed = problem is not None or worst > REL_TOL
+                    verdict = ", ".join(f"{col} {move:.3e}" for col, move in sorted(moves.items()))
+                    verdict = "max relative move: " + (verdict or "none")
+                    if problem is not None:
+                        verdict += f"; {problem}"
+                else:
+                    verdict, failed = "differs", True
+            kind = "failed" if failed else ("identical" if verdict == "identical" else "moved")
+            counts[kind] += 1
+            ok = ok and not failed
+            lines.append(f"  {name}: {verdict}" + ("  [FAIL]" if failed else ""))
+    total = sum(counts.values())
+    lines.append(f"{total} files: {counts['identical']} identical, {counts['moved']} moved "
+                 f"within {REL_TOL:g}, {counts['failed']} failed")
+    return lines, ok
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="checkout root of the parent commit")
+    parser.add_argument("change", help="checkout root of the change")
+    parser.add_argument("--work", help="directory for the runs (kept); default: a temporary one")
+    args = parser.parse_args(argv)
+    for root in (args.parent, args.change):
+        if not os.path.isfile(os.path.join(root, "src", "linking_saddle", "__init__.py")):
+            parser.error(f"no package under {os.path.join(root, 'src')}")
+    work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
+    try:
+        config_dir = os.path.join(work, "configs")
+        write_configs(config_dir)
+        sides = {}
+        for side, root in (("parent", args.parent), ("change", args.change)):
+            sides[side] = os.path.join(work, side)
+            os.makedirs(sides[side])
+            run_matrix(root, config_dir, sides[side])
+        lines, ok = compare_dirs(sides["parent"], sides["change"])
+    finally:
+        if not args.work:
+            shutil.rmtree(work, ignore_errors=True)
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

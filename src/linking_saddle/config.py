@@ -97,7 +97,7 @@ _BLOCKS = {
 
 # problem.lambda on disk maps to ProblemBlock.lam (keyword clash in Python).
 _KEY_ALIASES = {("problem", "lambda"): "lam"}
-_FIELD_ALIASES = {("problem", "lam"): "lambda"}
+_FIELD_ALIASES = {(section, attr): key for (section, key), attr in _KEY_ALIASES.items()}
 
 
 def _parse_bool(raw: str, where: str) -> bool:

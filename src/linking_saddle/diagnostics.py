@@ -19,13 +19,14 @@ from .functional import (
     Problem,
     ProblemSpec,
     directional_derivative,
+    euler_lagrange_residual,
     evaluate_J,
     power_nonlinearity,
     riesz_gradient,
     validate_hypotheses,
 )
 from .grid import DomainSpec, build_grid, eigenpairs
-from .solver import euler_lagrange_residual, residual_dual_norm
+from .solver import residual_dual_norm
 from .splitting import DiagonalSplitting, build_modal_basis, mixed_weak_norm, weighted_modal_norm
 from .state import StatePair, pair_norm
 
@@ -42,8 +43,8 @@ class CheckRow:
     required: bool = True
 
 
-def _row(suite: str, name: str, measured: float, bound: float, required: bool = True) -> CheckRow:
-    return CheckRow(suite, name, float(measured), float(bound), bool(measured <= bound), required)
+def _row(suite: str, name: str, measured: float, bound: float) -> CheckRow:
+    return CheckRow(suite, name, float(measured), float(bound), bool(measured <= bound))
 
 
 def _edge_sum_form(grid, u: np.ndarray, v: np.ndarray) -> float:
@@ -210,14 +211,11 @@ def splitting_rows(seed: int = 0) -> List[CheckRow]:
 def hypothesis_rows(problem: Problem) -> List[CheckRow]:
     """Informational: sampled growth hypotheses for the active preset."""
     report = validate_hypotheses(problem.nl)
-    return [
-        CheckRow("hypotheses", "growth-bound", 0.0 if report.growth_ok else 1.0, 0.0,
-                 report.growth_ok, required=False),
-        CheckRow("hypotheses", "small-amplitude-flatness", 0.0 if report.small_amplitude_ok else 1.0,
-                 0.0, report.small_amplitude_ok, required=False),
-        CheckRow("hypotheses", "superquadratic-beyond-radius", 0.0 if report.superquadratic_ok else 1.0,
-                 0.0, report.superquadratic_ok, required=False),
-    ]
+    flags = (("growth-bound", report.growth_ok),
+             ("small-amplitude-flatness", report.small_amplitude_ok),
+             ("superquadratic-beyond-radius", report.superquadratic_ok))
+    return [CheckRow("hypotheses", name, 0.0 if ok else 1.0, 0.0, ok, required=False)
+            for name, ok in flags]
 
 
 def run_all_checks(problem: Problem | None = None, seed: int = 0) -> List[CheckRow]:

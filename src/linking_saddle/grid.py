@@ -300,9 +300,10 @@ def eigenpairs(grid: Grid, op: StiffnessOperator, count: int) -> tuple[np.ndarra
             vecs[row] = np.outer(vx[:, i], vy[:, j]).ravel()
     # Dirichlet-form normalization: phi^T K phi = lam * vol for unit phi.
     vecs /= np.sqrt(evals * vol)[:, None]
-    for k in range(count):
-        resid = np.linalg.norm(op.apply(vecs[k]) - evals[k] * vol * vecs[k])
-        scale = np.linalg.norm(op.apply(vecs[k]))
+    for k, phi in enumerate(vecs):
+        k_phi = op.apply(phi)
+        resid = np.linalg.norm(k_phi - evals[k] * vol * phi)
+        scale = np.linalg.norm(k_phi)
         if resid > 1e-10 * scale:
             raise LinearSolveError(f"modal basis: eigenpair {k} relative residual "
                                    f"{resid / scale:.3e} exceeds 1e-10")

@@ -176,10 +176,11 @@ class LinkingFrame:
         """The read-only boundary rows of ``brouwer_degree_small`` by rho, drawn once each."""
         return {}
 
-    def contains(self, xi: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, xi: np.ndarray) -> bool:
+        """Membership of the half-ball, with a slack of 1e-9 rho for rounding."""
         xi = np.asarray(xi, dtype=float)
-        return bool(xi.shape == (self.chart_dim,) and xi[-1] >= -tol * self.rho
-                    and math.sqrt(xi @ xi) <= self.rho * (1.0 + tol))
+        return bool(xi.shape == (self.chart_dim,) and xi[-1] >= -1e-9 * self.rho
+                    and math.sqrt(xi @ xi) <= self.rho * (1.0 + 1e-9))
 
     def require_member(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -597,12 +598,11 @@ def identity_deformation(frame: LinkingFrame) -> DeformationGamma:
                             chart=lambda xi: xi)
 
 
-def _modal_push(frame: LinkingFrame, name: str, mode: int, scale: float,
-                sheared: bool) -> DeformationGamma:
-    """Push xi along chart mode ``mode`` by a weight that vanishes on the boundary."""
+def _modal_push(frame: LinkingFrame, name: str, mode: int, sheared: bool) -> DeformationGamma:
+    """Push xi along chart mode ``mode`` by r/4 times a taper that vanishes on the boundary."""
     if not 0 <= mode < frame.d_y:
         raise InvalidSpecError(f"mode must lie in [0, {frame.d_y}), got {mode}")
-    amplitude = scale * frame.r
+    amplitude = 0.25 * frame.r
 
     def chart(xi: np.ndarray) -> np.ndarray:
         # the taper q1 q2 is continuous, in [0, 1/4] and exactly 0 on the frame boundary
@@ -620,26 +620,22 @@ def _modal_push(frame: LinkingFrame, name: str, mode: int, scale: float,
     )
 
 
-def modal_shift_deformation(
-    frame: LinkingFrame, mode: int = 0, scale: float = 0.25
-) -> DeformationGamma:
+def modal_shift_deformation(frame: LinkingFrame, mode: int = 0) -> DeformationGamma:
     """Push interior points along one antidiagonal mode, tapered to zero at the boundary."""
-    return _modal_push(frame, "shift", mode, scale, sheared=False)
+    return _modal_push(frame, "shift", mode, sheared=False)
 
 
-def anchor_shear_deformation(
-    frame: LinkingFrame, mode: int = 0, scale: float = 0.25
-) -> DeformationGamma:
+def anchor_shear_deformation(frame: LinkingFrame, mode: int = 0) -> DeformationGamma:
     """Shear: the modal push grows with the anchor coordinate."""
-    return _modal_push(frame, "shear", mode, scale, sheared=True)
+    return _modal_push(frame, "shear", mode, sheared=True)
 
 
-def shipped_deformations(frame: LinkingFrame, scale: float = 0.25) -> List[DeformationGamma]:
+def shipped_deformations(frame: LinkingFrame) -> List[DeformationGamma]:
     """Identity, modal shift, and anchor shear, all chart compatible."""
     return [
         identity_deformation(frame),
-        modal_shift_deformation(frame, mode=0, scale=scale),
-        anchor_shear_deformation(frame, mode=0, scale=scale),
+        modal_shift_deformation(frame, mode=0),
+        anchor_shear_deformation(frame, mode=0),
     ]
 
 
@@ -698,14 +694,13 @@ def homotopy_chart_map(
     return chart_map
 
 
-def _verify_chart_span(
-    frame: LinkingFrame, gamma: DeformationGamma, probes: np.ndarray, tol: float = 1e-8
-) -> None:
+def _verify_chart_span(frame: LinkingFrame, gamma: DeformationGamma, probes: np.ndarray) -> None:
+    """Require the antidiagonal part of gamma at each probe to lie in the chart modes, to 1e-8."""
     split = frame.splitting
     for row in probes:
         gu = gamma(row)
         err = _span_residual(frame, split.antidiagonal_part(gu), range(frame.d_y))
-        if err > tol * max(1.0, split.pair_norm(gu)):
+        if err > 1e-8 * max(1.0, split.pair_norm(gu)):
             raise DomainMembershipError(
                 f"deformation '{gamma.name}' leaves the chart span "
                 f"(antidiagonal residual {err:.3e})"
@@ -862,7 +857,6 @@ def brouwer_degree_small(
                 f"root {np.round(root, 6)} has near-singular Jacobian (|det|={abs(det):.3e})"
             )
         dets.append(det)
-    dets_arr = np.array(dets) if dets else np.empty(0)
-    degree = int(np.sum(np.sign(dets_arr))) if dets else 0
-    roots_arr = np.array(roots) if roots else np.empty((0, frame.chart_dim))
-    return DegreeReport(degree, roots_arr, dets_arr, boundary_min)
+    dets = np.array(dets, dtype=float)
+    roots = np.array(roots, dtype=float).reshape(-1, frame.chart_dim)
+    return DegreeReport(int(np.sum(np.sign(dets))), roots, dets, boundary_min)

@@ -54,7 +54,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import EnergyOverflowError, InvalidSpecError
-from .functional import EnergyBreakdown, Problem, evaluate_J, riesz_gradient
+from .functional import (Problem, _energy_from_cross, euler_lagrange_residual, evaluate_J,
+                         riesz_gradient)
 from .grid import StiffnessOperator
 from .linking import (DeformationGamma, LinkingFrame, _boundary_clearance,
                       _boundary_corner_rows, _interior_rows)
@@ -65,7 +66,6 @@ __all__ = [
     "SolverConfig",
     "IterateTrace",
     "SaddleReport",
-    "euler_lagrange_residual",
     "residual_dual_norm",
     "newton_solve",
     "signflow_solve",
@@ -92,8 +92,10 @@ _SINGULAR = "second-variation system is singular"
 # the identity plus a compact operator, so the count does not grow with the mesh.
 _MINRES_MAX_ITER = 200
 # energy norm of the last step of a converged Newton run, and the tail
-# diameter ps_monitor accepts by default
+# diameter ps_monitor accepts
 TAIL_TOL = 1e-6
+# slack by which a critical value may undercut the sampled sphere minimum
+MINIMAX_TOL = 1e-8
 # flow_deformation moves a chart point by the full flow map once both of its
 # boundary clearances (``linking._boundary_clearance``) reach this
 FLOW_RAMP = 0.05
@@ -180,28 +182,6 @@ class SaddleReport:
     method: str
     message: str
     trace: IterateTrace
-
-
-def euler_lagrange_residual(problem: Problem, x: StatePair) -> StatePair:
-    """First-order system in nodal (Euclidean) form.
-
-    Components are the partial gradients of the energy with respect to
-    the nodal values of u and v; the component paired with u reads
-    K v - vol (lam u + f(u)), the discrete form of the cross-coupled
-    elliptic system. Zero residual is exactly a critical point.
-    """
-    grid, op = problem.grid, problem.op
-    u = grid.check_field(x.u)
-    v = grid.check_field(x.v)
-    pts = grid.coords
-    vol = grid.cell_volume
-    with np.errstate(over="ignore", invalid="ignore"):
-        res_u = op.apply(v) - vol * (problem.lam * u + problem.nl.f(pts, u))
-        res_v = op.apply(u) - vol * (problem.delta * v + problem.nl.g(pts, v))
-    out = StatePair(res_u, res_v)
-    if not out.is_finite():
-        raise EnergyOverflowError("energy term 'first-order residual' is not finite")
-    return out
 
 
 def residual_dual_norm(problem: Problem, res: StatePair) -> float:
@@ -357,25 +337,18 @@ def _ray(problem: Problem, base: StatePair, direction: StatePair) -> _Ray:
 def _ray_energy(problem: Problem, ray: _Ray, tau: float) -> float:
     """``evaluate_J(problem, base + tau*direction).total``, or -inf where that overflows.
 
-    The nodal values, the quadratic and potential terms and their grouping
-    are those of :func:`evaluate_J`; only the cross term comes from the
-    ray's coefficients instead of two stiffness products.
+    The nodal values and the energy kernel are those of :func:`evaluate_J`;
+    only the cross term comes from the ray's coefficients instead of two
+    stiffness products.
     """
-    grid, nl = problem.grid, problem.nl
-    vol = grid.cell_volume
     with np.errstate(over="ignore", invalid="ignore"):
         u = ray.base_u + ray.dir_u * tau
         v = ray.base_v + ray.dir_v * tau
-        terms = (
-            ray.c0 + tau * (ray.c1 + tau * ray.c2),
-            0.5 * problem.lam * vol * float(u @ u),
-            0.5 * problem.delta * vol * float(v @ v),
-            vol * float(np.sum(nl.F(grid.coords, u))),
-            vol * float(np.sum(nl.G(grid.coords, v))),
-        )
-    if not all(map(math.isfinite, terms)):
+        cross = ray.c0 + tau * (ray.c1 + tau * ray.c2)
+    try:
+        return _energy_from_cross(problem, u, v, cross).total
+    except EnergyOverflowError:
         return -np.inf
-    return EnergyBreakdown(*terms).total
 
 
 def _ray_slope(problem: Problem, ray: _Ray, tau: float) -> tuple[float, float]:
@@ -797,19 +770,14 @@ class PSReport:
         return self.bounded and self.grad_converged and self.tail_cauchy and self.fit_ok
 
 
-def ps_monitor(
-    problem: Problem,
-    trace: IterateTrace,
-    grad_tol: float,
-    tail_tol: float = TAIL_TOL,
-) -> PSReport:
+def ps_monitor(problem: Problem, trace: IterateTrace, grad_tol: float) -> PSReport:
     """Check the trace for the compactness pattern of a converging sequence.
 
     Energies must stay bounded, the final gradient must meet tolerance,
-    the last two states must be Cauchy in the energy norm, and the
-    superquadratic norms of the iterates must admit a nonnegative affine
-    bound in the energy norm (fit by linear programming, reported with
-    its worst slack).
+    the last two states must lie within ``TAIL_TOL`` in the energy norm,
+    and the superquadratic norms of the iterates must admit a nonnegative
+    affine bound in the energy norm (fit by linear programming, reported
+    with its worst slack).
     """
     if len(trace) == 0:
         raise InvalidSpecError("cannot monitor an empty trace")
@@ -827,7 +795,7 @@ def ps_monitor(
     for i in range(len(tail)):
         for j in range(i + 1, len(tail)):
             diam = max(diam, pair_norm(problem.op, tail[i] - tail[j]))
-    tail_cauchy = bool(diam <= tail_tol)
+    tail_cauchy = bool(diam <= TAIL_TOL)
 
     a = np.array(trace.mu_norms)
     b = np.array(trace.state_norms)
@@ -867,9 +835,9 @@ def ps_monitor(
     )
 
 
-def minimax_consistency(critical_value: float, sphere_min: float, tol: float = 1e-8) -> bool:
-    """The computed level must not undercut the sampled sphere minimum."""
-    return bool(critical_value >= sphere_min - tol)
+def minimax_consistency(critical_value: float, sphere_min: float) -> bool:
+    """The computed level must not undercut the sampled sphere minimum, less ``MINIMAX_TOL``."""
+    return bool(critical_value >= sphere_min - MINIMAX_TOL)
 
 
 def witness_predicate(
@@ -909,7 +877,6 @@ def deformation_witness_search(
     boundary_max: float,
     eps: float,
     prox: float,
-    sample_count: int = 48,
     seed: int = 11,
     flow_steps: int = 120,
     flow_step: float = 0.2,
@@ -917,9 +884,10 @@ def deformation_witness_search(
     """Hunt for an almost-critical point near the deformed frame.
 
     Preconditions: 0 < eps < (level - boundary_max)/2, and the deformed
-    frame samples must not exceed level + eps. The search flows downhill
-    from the highest deformed sample; not finding a witness within the
-    budget is a valid (reported) outcome, not an error.
+    frame samples (its boundary corners and 48 seeded interior points)
+    must not exceed level + eps. The search flows downhill from the
+    highest deformed sample; not finding a witness within the budget is
+    a valid (reported) outcome, not an error.
     """
     if not (eps > 0 and 2.0 * eps < level - boundary_max):
         raise InvalidSpecError(
@@ -934,7 +902,7 @@ def deformation_witness_search(
     rng = np.random.default_rng(seed)
     rows = np.vstack([
         _boundary_corner_rows(frame),
-        _interior_rows(rng, frame.chart_dim, frame.rho, sample_count),
+        _interior_rows(rng, frame.chart_dim, frame.rho, 48),
     ])
     images = [gamma(row) for row in rows]
     image_vals = np.array([evaluate_J(problem, img).total for img in images])

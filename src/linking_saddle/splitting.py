@@ -140,16 +140,16 @@ def build_modal_basis(
     return ModalBasis(splitting, vecs, evals)
 
 
-def weighted_modal_norm(basis: ModalBasis, y: StatePair, tol: float = 1e-10) -> float:
+def weighted_modal_norm(basis: ModalBasis, y: StatePair) -> float:
     """Weighted sum of |modal coefficients| of an antidiagonal element.
 
     Only defined on the antidiagonal subspace: the diagonal component of
-    ``y`` must vanish to within ``tol`` relative to its size.
+    ``y`` must vanish to within 1e-10 relative to its size.
     """
     split = basis.splitting
     stray = split.pair_norm(split.diagonal_part(y))
     scale = max(split.pair_norm(y), 1e-300)
-    if stray > tol * scale:
+    if stray > 1e-10 * scale:
         raise DomainMembershipError(
             f"weighted modal norm needs an antidiagonal element; "
             f"diagonal component has relative size {stray / scale:.3e}"
@@ -160,6 +160,6 @@ def weighted_modal_norm(basis: ModalBasis, y: StatePair, tol: float = 1e-10) -> 
 def mixed_weak_norm(basis: ModalBasis, x: StatePair) -> float:
     """max(weighted modal norm of the antidiagonal part, energy norm of the diagonal part)."""
     split = basis.splitting
-    weak = float(np.sum(basis.weights * np.abs(basis.coefficients(split.antidiagonal_part(x)))))
+    weak = weighted_modal_norm(basis, split.antidiagonal_part(x))
     strong = split.pair_norm(split.diagonal_part(x))
     return max(weak, strong)

@@ -343,6 +343,8 @@ def test_affine_degree_conventions(line_frame):
     far[-1] = -2.0 * line_frame.rho
     none = brouwer_degree_small(lambda xi: xi - far, line_frame)
     assert none.degree == 0 and len(none.roots) == 0
+    assert none.roots.shape == (0, line_frame.chart_dim) and none.determinants.shape == (0,)
+    assert none.roots.dtype == none.determinants.dtype == np.float64
 
 
 def test_degenerate_root_detected(line_frame):

@@ -68,6 +68,16 @@ def test_dual_norm_matches_gradient_norm(square_problem):
         assert residual_dual_norm(square_problem, res) == pytest.approx(
             square_problem.pair_norm(g), rel=1e-9
         )
+        # the gradient is the stiffness solve of each residual component
+        assert np.array_equal(g.u, square_problem.op.solve(res.u))
+        assert np.array_equal(g.v, square_problem.op.solve(res.v))
+
+
+def test_first_variation_overflow_names_the_residual(square_problem):
+    x = 1e200 * random_state(square_problem, 0)
+    for fn in (euler_lagrange_residual, riesz_gradient):
+        with pytest.raises(EnergyOverflowError, match="first-order residual"):
+            fn(square_problem, x)
 
 
 def test_newton_from_near_crest(toy_problem):
