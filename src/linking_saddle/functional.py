@@ -310,14 +310,16 @@ def euler_lagrange_residual(problem: Problem, x: StatePair) -> StatePair:
     return out
 
 
-def riesz_gradient(problem: Problem, x: StatePair) -> StatePair:
+def riesz_gradient(problem: Problem, x: StatePair, *,
+                   _residual: Optional[StatePair] = None) -> StatePair:
     """Gradient of the energy in the product Dirichlet inner product.
 
     Each component solves K g = r for the matching component r of
     :func:`euler_lagrange_residual`, so <grad, d> recovers the first
-    variation for every direction d.
+    variation for every direction d. ``_residual`` is that residual at
+    x, where the caller has it already.
     """
-    res = euler_lagrange_residual(problem, x)
+    res = euler_lagrange_residual(problem, x) if _residual is None else _residual
     return StatePair(problem.op.solve(res.u), problem.op.solve(res.v))
 
 

@@ -23,7 +23,11 @@ the energy inner products of gamma(xi) with the mode rows, and the norm
 of its diagonal part, which is eta_last times the anchor row. No state
 is built. At t = 0 this is the affine map xi - r e_last, and at t = 1
 it vanishes exactly when gamma(xi) hits the sphere N. Roots are located
-by a multistart sweep; degrees are sums of Jacobian determinant signs
+by a damped Newton iteration run from every point of a start lattice at
+once: the chart maps take an (m, d_y + 1) block of chart rows, so one
+map call serves a whole batch of iterates, trial points or
+central-difference stencils, and the iteration never evaluates the map
+outside the half-ball. Degrees are sums of Jacobian determinant signs
 at the roots, so they are exact provided the sweep finds every root,
 which the lattice is sized for in the shipped frames.
 
@@ -43,7 +47,6 @@ from functools import cached_property
 from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
-import scipy.optimize as sopt
 
 from .errors import (
     BoundaryZeroError,
@@ -86,6 +89,21 @@ MAX_DEGREE_DIMENSION = 4
 # (relative to max(1, r)) of a root it keeps.
 SWEEP_STARTS_PER_AXIS = 4
 SWEEP_RESIDUAL_TOL = 1e-10
+# The Newton iteration of the sweep: iterations per sweep, the smallest
+# damping factor a backtracking step tries, and the step size, relative to
+# max(1, |xi|), below which an iterate has converged
+SWEEP_MAX_STEPS = 50
+SWEEP_MIN_DAMPING = 2.0**-16
+SWEEP_STEP_TOL = 1e-13
+
+
+def _row_dots(xi: np.ndarray) -> np.ndarray:
+    """x @ x of each row of xi, bitwise as for the row alone.
+
+    A stacked matmul calls the same BLAS dot once per row, so a block of
+    rows gets the bits a single row gets; a summed product would not.
+    """
+    return (xi[..., None, :] @ xi[..., :, None])[..., 0, 0]
 
 
 @dataclass
@@ -176,18 +194,33 @@ class LinkingFrame:
         """The read-only boundary rows of ``brouwer_degree_small`` by rho, drawn once each."""
         return {}
 
+    def _inside(self, xi: np.ndarray) -> np.ndarray:
+        """Half-ball membership of each chart row, with a slack of 1e-9 rho for rounding."""
+        return ((xi[..., -1] >= -1e-9 * self.rho)
+                & (np.sqrt(_row_dots(xi)) <= self.rho * (1.0 + 1e-9)))
+
     def contains(self, xi: np.ndarray) -> bool:
         """Membership of the half-ball, with a slack of 1e-9 rho for rounding."""
         xi = np.asarray(xi, dtype=float)
-        return bool(xi.shape == (self.chart_dim,) and xi[-1] >= -1e-9 * self.rho
-                    and math.sqrt(xi @ xi) <= self.rho * (1.0 + 1e-9))
+        return bool(xi.shape == (self.chart_dim,) and self._inside(xi))
 
     def require_member(self, xi: np.ndarray) -> np.ndarray:
+        """The chart rows xi, an (m, d_y + 1) block or one row, once each lies in the half-ball.
+
+        A failure names the first row outside, its norm and its last coordinate.
+        """
         xi = np.asarray(xi, dtype=float)
-        if not self.contains(xi):
+        d = self.chart_dim
+        if xi.ndim not in (1, 2) or xi.shape[-1] != d:
             raise DomainMembershipError(
-                f"chart point outside the frame half-ball: |xi|={np.linalg.norm(xi):.6g}, "
-                f"last={xi[-1] if xi.size else float('nan'):.6g}, rho={self.rho:.6g}"
+                f"chart rows must have shape (m, {d}) or ({d},), got {xi.shape}")
+        inside = self._inside(xi).reshape(-1)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            row = xi.reshape(-1, d)[i]
+            raise DomainMembershipError(
+                f"chart row {i} outside the frame half-ball: |xi|={math.sqrt(row @ row):.6g}, "
+                f"last={row[-1]:.6g}, rho={self.rho:.6g}"
             )
         return xi
 
@@ -567,7 +600,10 @@ class DeformationGamma:
     state gamma(xi); on the boundary of M it returns xi . B. A chart
     compatible deformation also has a ``chart`` map xi -> eta with
     gamma(xi) = eta . B, which the homotopy and the intersection solver
-    require; ``None`` means gamma leaves the chart (flow-based maps). The
+    require; ``None`` means gamma leaves the chart (flow-based maps).
+    ``chart`` takes an (m, d_y + 1) block of chart rows and returns the
+    block of their images, row by row; a single row of shape (d_y + 1,)
+    maps to a single row. The
     ``displacement_modes`` list the antidiagonal mode indices spanning
     gamma(xi) - xi . B; ``None`` means the displacement is only certified
     against the full discrete space.
@@ -582,15 +618,15 @@ class DeformationGamma:
         return self.fn(xi)
 
 
-def _boundary_clearance(frame: LinkingFrame, xi: np.ndarray) -> tuple[float, float]:
-    """Clearance of xi from the base and from the cap of the frame, clamped at 0.
+def _boundary_clearance(frame: LinkingFrame, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clearance of each chart row xi from the base and from the cap of the frame, clamped at 0.
 
     The 1e-6 margin clamps boundary-sample float noise to an exact 0.0, so
     deformations built on it fix the boundary bitwise, not just to rounding.
     """
-    lam_rel = float(xi[-1]) / frame.rho
-    slack = 1.0 - float(xi @ xi) / frame.rho**2
-    return max(0.0, lam_rel - 1e-6), max(0.0, slack - 1e-6)
+    lam_rel = xi[..., -1] / frame.rho
+    slack = 1.0 - _row_dots(xi) / frame.rho**2
+    return np.maximum(0.0, lam_rel - 1e-6), np.maximum(0.0, slack - 1e-6)
 
 
 def identity_deformation(frame: LinkingFrame) -> DeformationGamma:
@@ -607,11 +643,10 @@ def _modal_push(frame: LinkingFrame, name: str, mode: int, sheared: bool) -> Def
     def chart(xi: np.ndarray) -> np.ndarray:
         # the taper q1 q2 is continuous, in [0, 1/4] and exactly 0 on the frame boundary
         q1, q2 = _boundary_clearance(frame, xi)
-        w = q1 * q2 * (xi[-1] / frame.rho if sheared else 1.0)
-        if w == 0.0:
-            return xi
+        w = q1 * q2 * (xi[..., -1] / frame.rho if sheared else 1.0)
         eta = np.array(xi, dtype=float)
-        eta[mode] += amplitude * w
+        # a row of weight 0 keeps its coordinate bitwise, a -0.0 included
+        eta[..., mode] = np.where(w == 0.0, eta[..., mode], eta[..., mode] + amplitude * w)
         return eta
 
     return DeformationGamma(
@@ -672,7 +707,11 @@ def homotopy_chart_map(
 
     Its Euclidean norm equals the energy norm of the homotopy value. A
     zero is an intersection witness at t = 1 and the affine root at
-    t = 0. Only a chart-compatible gamma has one.
+    t = 0. Only a chart-compatible gamma has one. The returned map takes
+    an (m, d_y + 1) block of chart rows, each of which must lie in the
+    half-ball (:meth:`LinkingFrame.require_member`), and returns the
+    (m, d_y + 1) block of their values; each row is bitwise the value of
+    that row alone, and a single row of shape (d_y + 1,) maps to one row.
     """
     if not (0.0 <= t <= 1.0):
         raise InvalidSpecError(f"homotopy time must lie in [0, 1], got {t}")
@@ -684,11 +723,13 @@ def homotopy_chart_map(
     def chart_map(xi: np.ndarray) -> np.ndarray:
         xi = frame.require_member(xi)
         eta = gamma.chart(xi)
-        out = np.empty(d_y + 1)
-        out[:d_y], out[d_y] = head @ eta, abs(eta[-1]) * anchor_norm
+        out = np.empty(xi.shape)
+        # a stacked matmul runs the BLAS matrix-vector product of one row per row
+        out[..., :d_y] = (head @ eta[..., None])[..., 0]
+        out[..., d_y] = np.abs(eta[..., -1]) * anchor_norm
         out *= t
         out += s * xi
-        out[-1] -= r
+        out[..., -1] -= r
         return out
 
     return chart_map
@@ -721,25 +762,103 @@ def _start_lattice(frame: LinkingFrame, per_axis: int) -> np.ndarray:
     return pts[keep]
 
 
+def _stencil(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference points of each chart row, (m, 2d, d), and the steps h, (m, d).
+
+    Point j of a row is xi + h_j e_j and point d + j is xi - h_j e_j, with
+    h_j = 1e-6 max(1, |xi_j|).
+    """
+    h = 1e-6 * np.maximum(1.0, np.abs(xi))
+    shift = h[:, :, None] * np.eye(xi.shape[1])
+    return np.concatenate([xi[:, None, :] + shift, xi[:, None, :] - shift], axis=1), h
+
+
+def _central_jacobians(map_fn: Callable[[np.ndarray], np.ndarray],
+                       xi: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians of ``map_fn`` at the chart rows xi, (m, d, d).
+
+    The whole stencil of every row is mapped in one call.
+    """
+    m, d = xi.shape
+    points, h = _stencil(xi)
+    values = map_fn(points.reshape(-1, d)).reshape(m, 2, d, d)
+    # values[i, 0, j] - values[i, 1, j] is column j of row i's Jacobian
+    return np.swapaxes((values[:, 0] - values[:, 1]) / (2.0 * h[:, :, None]), 1, 2)
+
+
+def _newton_sweep(map_fn: Callable[[np.ndarray], np.ndarray], frame: LinkingFrame,
+                  starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on every start row at once; the last iterates and their map values.
+
+    Each step solves J d = -H at every running row, with J by central
+    differences, and takes the first of xi + d, xi + d/2, ... whose
+    |H|^2 is lower, down to ``SWEEP_MIN_DAMPING``. A trial point outside
+    the half-ball is not evaluated and counts as no better. A row stops
+    when its step is at most ``SWEEP_STEP_TOL`` max(1, |xi|) (that step
+    is still taken if |H|^2 does not rise), when no trial improves, when
+    its Jacobian is singular or its stencil leaves the half-ball, or
+    after ``SWEEP_MAX_STEPS`` steps.
+    """
+    x = np.array(starts, dtype=float)
+    values = map_fn(x)
+    sq = _row_dots(values)
+    running = np.flatnonzero(np.isfinite(sq))
+    for _ in range(SWEEP_MAX_STEPS):
+        points, _ = _stencil(x[running])
+        running = running[frame._inside(points).all(axis=1)]
+        if running.size == 0:
+            break
+        jac = _central_jacobians(map_fn, x[running])
+        det = np.linalg.det(jac)
+        solvable = np.isfinite(det) & (det != 0.0)
+        running, jac = running[solvable], jac[solvable]
+        if running.size == 0:
+            break
+        step = np.linalg.solve(jac, -values[running][:, :, None])[:, :, 0]
+        reach = np.maximum(1.0, np.sqrt(_row_dots(x[running])))
+        done = np.sqrt(_row_dots(step)) <= SWEEP_STEP_TOL * reach
+        damping = 1.0
+        pending = np.ones(running.size, dtype=bool)
+        while damping >= SWEEP_MIN_DAMPING and pending.any():
+            trial = x[running] + damping * step
+            # _inside is False on a row that is not finite
+            idx = np.flatnonzero(pending & frame._inside(trial))
+            if idx.size:
+                trial_values = map_fn(trial[idx])
+                sq_trial = _row_dots(trial_values)
+                rows = running[idx]
+                better = np.where(done[idx], sq_trial <= sq[rows], sq_trial < sq[rows])
+                rows, idx = rows[better], idx[better]
+                x[rows], values[rows] = trial[idx], trial_values[better]
+                sq[rows] = sq_trial[better]
+                pending[idx] = False
+            # a converged row tries only the full step
+            pending &= ~done
+            damping *= 0.5
+        running = running[~pending & ~done]
+        if running.size == 0:
+            break
+    return x, values
+
+
 def _root_sweep(map_fn: Callable[[np.ndarray], np.ndarray],
-                frame: LinkingFrame) -> List[np.ndarray]:
-    """Distinct interior roots of map_fn found from the start lattice, in sorted order."""
+                frame: LinkingFrame) -> np.ndarray:
+    """Distinct interior roots of map_fn found from the start lattice, in sorted order, (k, d)."""
     scale = max(1.0, frame.r)
     tol = max(1e-6, 1e-5 * frame.rho)
+    ends, values = _newton_sweep(map_fn, frame, _start_lattice(frame, SWEEP_STARTS_PER_AXIS))
+    # a start whose value is not finite never moves, and is no root
+    keep = (np.isfinite(ends).all(axis=1)
+            & (np.abs(values).max(axis=1) <= SWEEP_RESIDUAL_TOL * scale)
+            & (ends[:, -1] >= 1e-9 * frame.r)
+            & (np.sqrt(_row_dots(ends)) <= frame.rho * (1 - 1e-9)))
     roots: List[np.ndarray] = []
-    for start in _start_lattice(frame, SWEEP_STARTS_PER_AXIS):
-        root = sopt.root(map_fn, start, method="hybr", tol=1e-13).x
-        if not np.isfinite(root).all():
-            continue
-        if np.abs(map_fn(root)).max() > SWEEP_RESIDUAL_TOL * scale:
-            continue
-        if root[-1] < 1e-9 * frame.r or math.sqrt(root @ root) > frame.rho * (1 - 1e-9):
-            continue
+    for root in ends[keep]:
         gaps = [root - kept for kept in roots]
         if all(math.sqrt(gap @ gap) > tol for gap in gaps):
             roots.append(root)
     roots.sort(key=lambda row: tuple(np.round(row, 9)))
-    return roots
+    return np.array(roots, dtype=float).reshape(-1, frame.chart_dim)
 
 
 @dataclass
@@ -808,27 +927,19 @@ class DegreeReport:
     boundary_min: float
 
 
-def _fd_jacobian(map_fn, xi: np.ndarray) -> np.ndarray:
-    d = xi.size
-    jac = np.empty((d, d))
-    for j in range(d):
-        h = 1e-6 * max(1.0, abs(xi[j]))
-        e = np.zeros(d)
-        e[j] = h
-        jac[:, j] = (map_fn(xi + e) - map_fn(xi - e)) / (2.0 * h)
-    return jac
-
-
 def brouwer_degree_small(
     map_fn: Callable[[np.ndarray], np.ndarray], frame: LinkingFrame
 ) -> DegreeReport:
     """Degree of a chart map on the open half-ball, by root counting.
 
-    Requires chart dimension at most 4 so the multistart sweep can be
-    dense enough to be treated as exhaustive. The map must stay at least
-    1e-6 away from zero on 300 seeded boundary samples plus the corner
-    probes; each root must have a central-difference Jacobian
-    determinant of size at least 1e-8.
+    ``map_fn`` takes an (m, d_y + 1) block of chart rows and returns the
+    block of its values, row by row, as the maps of
+    :func:`homotopy_chart_map` do. Requires chart dimension at most 4 so
+    the multistart sweep can be dense enough to be treated as
+    exhaustive. The map must stay at least 1e-6 away from zero on 300
+    seeded boundary samples plus the corner probes, which it maps in one
+    call; each root must have a central-difference Jacobian determinant
+    of size at least 1e-8.
     """
     if frame.chart_dim > MAX_DEGREE_DIMENSION:
         raise InvalidSpecError(
@@ -839,7 +950,7 @@ def brouwer_degree_small(
     if frame.rho not in rows:  # the rows depend only on the chart and rho
         rows[frame.rho] = _boundary_rows(frame, np.random.default_rng(7), 150, 150)
         rows[frame.rho].flags.writeable = False
-    boundary_vals = np.array([math.sqrt(y @ y) for y in map(map_fn, rows[frame.rho])])
+    boundary_vals = np.sqrt(_row_dots(map_fn(rows[frame.rho])))
     boundary_min = float(np.min(boundary_vals))
     if boundary_min < 1e-6:
         raise BoundaryZeroError(
@@ -848,15 +959,10 @@ def brouwer_degree_small(
         )
 
     roots = _root_sweep(map_fn, frame)
-
-    dets = []
-    for root in roots:
-        det = float(np.linalg.det(_fd_jacobian(map_fn, root)))
+    dets = np.linalg.det(_central_jacobians(map_fn, roots)) if len(roots) else np.empty(0)
+    for root, det in zip(roots, dets):
         if abs(det) < 1e-8:
             raise DegenerateRootError(
                 f"root {np.round(root, 6)} has near-singular Jacobian (|det|={abs(det):.3e})"
             )
-        dets.append(det)
-    dets = np.array(dets, dtype=float)
-    roots = np.array(roots, dtype=float).reshape(-1, frame.chart_dim)
     return DegreeReport(int(np.sum(np.sign(dets))), roots, dets, boundary_min)

@@ -182,6 +182,8 @@ class SaddleReport:
     method: str
     message: str
     trace: IterateTrace
+    # the first-order residual at ``state``; residual_euclidean is its norm
+    residual: StatePair
 
 
 def residual_dual_norm(problem: Problem, res: StatePair) -> float:
@@ -276,9 +278,11 @@ def _minres_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarr
     return sol
 
 
-def _grad_and_norm(problem: Problem, x: StatePair) -> tuple[StatePair, float]:
-    g = riesz_gradient(problem, x)
-    return g, pair_norm(problem.op, g)
+def _grad_and_norm(problem: Problem, x: StatePair) -> tuple[StatePair, StatePair, float]:
+    """The first-order residual at x, the gradient solved from it, and the gradient's norm."""
+    res = euler_lagrange_residual(problem, x)
+    g = riesz_gradient(problem, x, _residual=res)
+    return res, g, pair_norm(problem.op, g)
 
 
 def _initial_state(
@@ -478,6 +482,7 @@ def _flow_update(
 def _finish(
     problem: Problem,
     x: StatePair,
+    res: StatePair,
     converged: bool,
     iterations: int,
     method: str,
@@ -485,8 +490,8 @@ def _finish(
     trace: IterateTrace,
     eta: float,
 ) -> SaddleReport:
-    # x is the trace's last entry, whose gradient norm is the dual residual norm
-    res = euler_lagrange_residual(problem, x)
+    # x is the trace's last entry, whose gradient norm is the dual residual
+    # norm; res is the first-order residual at x
     return SaddleReport(
         state=x,
         critical_value=trace.energies[-1],
@@ -499,6 +504,7 @@ def _finish(
         method=method,
         message=message,
         trace=trace,
+        residual=res,
     )
 
 
@@ -510,40 +516,43 @@ def _mu_norm(problem: Problem, x: StatePair) -> float:
 def _iterate(
     problem: Problem,
     x: StatePair,
-    trials: Callable[[StatePair, StatePair, float, float], Iterator[tuple]],
+    trials: Callable[[StatePair, StatePair, Optional[StatePair], float, float],
+                     Iterator[tuple]],
     tol: float,
     budget: int,
     step: float,
     method: str,
     eta: float,
     step_tol: float = math.inf,
-    basin: Optional[Callable[[StatePair, float, float], Optional[tuple]]] = None,
-    start: Optional[tuple[float, float]] = None,
+    basin: Optional[Callable[[StatePair, StatePair, float, float], Optional[tuple]]] = None,
+    start: Optional[tuple[StatePair, float, float]] = None,
 ) -> SaddleReport:
     """The iteration loop of :func:`newton_solve` and :func:`signflow_solve`.
 
-    ``trials(x, g, gn, step)`` yields the backtracking trials of one step as
-    ``(trial, bound, next_step)``; the first trial whose gradient norm is at
-    most ``bound`` is accepted, and its gradient carries into the next
-    iterate. A trial whose energy overflows is rejected. The rule raises
-    :class:`_StepFailed` when it has no trial left. ``step`` is the step
-    size recorded with the starting iterate.
+    ``trials(x, res, g, gn, step)`` yields the backtracking trials of one
+    step as ``(trial, bound, next_step)``, from the first-order residual
+    ``res`` at x and the gradient ``g`` solved from it; the first trial
+    whose gradient norm is at most ``bound`` is accepted, and its residual
+    and gradient carry into the next iterate. A trial whose energy
+    overflows is rejected. The rule raises :class:`_StepFailed` when it
+    has no trial left. ``step`` is the step size recorded with the
+    starting iterate.
 
     The loop converges once the gradient norm is at most ``tol`` and the
     step just accepted has energy norm at most ``step_tol``; a finite
-    ``step_tol`` asks for at least one step. ``basin(x, gn, energy)``, when
-    given, is asked before the first step, and again before each step
+    ``step_tol`` asks for at least one step. ``basin(x, res, gn, energy)``,
+    when given, is asked before the first step, and again before each step
     whose gradient norm is at most half the one it last said None to. A
-    ``(trial, g, gn)`` it returns is taken as a full step, recorded with
-    step size 1, and ends the loop there as converged. ``start``, when
-    given, is the gradient norm and energy known at x; the gradient itself
-    is then not computed, so ``trials`` must not read it.
+    ``(trial, res, g, gn)`` it returns is taken as a full step, recorded
+    with step size 1, and ends the loop there as converged. ``start``, when
+    given, is the residual, gradient norm and energy known at x; the
+    gradient itself is then not computed, so ``trials`` must not read it.
     """
     trace = IterateTrace()
     converged = False
     message = "gradient tolerance reached"
-    g, gn = (None, start[0]) if start else _grad_and_norm(problem, x)
-    energy = start[1] if start else None
+    res, g, gn = (start[0], None, start[1]) if start else _grad_and_norm(problem, x)
+    energy = start[2] if start else None
     last_step = math.inf
     basin_due = math.inf
     handed_off = False
@@ -561,17 +570,17 @@ def _iterate(
             message = "iteration budget exhausted"
             break
         if basin is not None and gn <= basin_due:
-            jump = basin(x, gn, energy)
+            jump = basin(x, res, gn, energy)
             if jump is not None:
-                (x, g, gn), energy = jump, None
+                (x, res, g, gn), energy = jump, None
                 step, handed_off = 1.0, True
                 it += 1
                 continue
             basin_due = 0.5 * gn
         try:
-            for trial, bound, next_step in trials(x, g, gn, step):
+            for trial, bound, next_step in trials(x, res, g, gn, step):
                 try:
-                    g_trial, gn_trial = _grad_and_norm(problem, trial)
+                    res_trial, g_trial, gn_trial = _grad_and_norm(problem, trial)
                 except EnergyOverflowError:
                     continue
                 if gn_trial <= bound:
@@ -582,33 +591,36 @@ def _iterate(
         if step_tol < math.inf:
             # the same difference ps_monitor measures between the last two states
             last_step = pair_norm(problem.op, trial - x)
-        x, g, gn, step, energy = trial, g_trial, gn_trial, next_step, None
+        x, res, g, gn, step, energy = trial, res_trial, g_trial, gn_trial, next_step, None
         it += 1
-    return _finish(problem, x, converged, it, method, message, trace, eta)
+    return _finish(problem, x, res, converged, it, method, message, trace, eta)
 
 
 def _basin_trial(
-    problem: Problem, x: StatePair, gn: float, energy: float, eta: float
-) -> Optional[tuple[StatePair, StatePair, float]]:
-    """One full Newton step from ``x`` as ``(x + d, gradient, its norm)``, if it shows the basin.
+    problem: Problem, x: StatePair, res: StatePair, gn: float, energy: float, eta: float
+) -> Optional[tuple[StatePair, StatePair, StatePair, float]]:
+    """One full Newton step from ``x``, if it shows the basin.
+
+    It returns ``(x + d, residual, gradient, gradient norm)`` at x + d.
 
     The step must contract the gradient norm ``gn`` at ``x`` at least
     tenfold, land on a state of energy norm at least ``eta``, and change
     the energy ``J(x)`` by at most gn * |d|_E. Near a nondegenerate
     critical point the quadratic model gives J(x + d) - J(x) = <grad J, d>/2,
     within half that bound. A step that fails, or overflows, shows nothing.
+    ``res`` is the first-order residual at ``x``.
     """
     op = problem.op
     try:
-        d = _newton_step(problem, x, euler_lagrange_residual(problem, x))
+        d = _newton_step(problem, x, res)
         trial = x + d
-        g, gn_trial = _grad_and_norm(problem, trial)
+        res_trial, g, gn_trial = _grad_and_norm(problem, trial)
         jump = evaluate_J(problem, trial).total - energy
     except (_StepFailed, EnergyOverflowError):
         return None
     if (gn_trial <= 0.1 * gn and pair_norm(op, trial) >= eta
             and abs(jump) <= gn * pair_norm(op, d)):
-        return trial, g, gn_trial
+        return trial, res_trial, g, gn_trial
     return None
 
 
@@ -618,7 +630,7 @@ def newton_solve(
     frame: Optional[LinkingFrame] = None,
     x0: Optional[StatePair] = None,
     *,
-    _start: Optional[tuple[float, float]] = None,
+    _start: Optional[tuple[StatePair, float, float]] = None,
 ) -> SaddleReport:
     """Damped Newton iteration on the first-order system.
 
@@ -628,13 +640,14 @@ def newton_solve(
     ``grad_tol``. The iteration stops once the gradient norm meets
     ``grad_tol`` and the step just accepted has energy norm at most
     ``TAIL_TOL``, so it always takes at least one step, and a converged
-    run ends on two iterates that cluster. ``_start`` is the gradient norm
-    and energy at ``x0``, where :func:`solve_saddle` knows them.
+    run ends on two iterates that cluster. ``_start`` is the first-order
+    residual, gradient norm and energy at ``x0``, where :func:`solve_saddle`
+    knows them.
     """
     cfg = config if config is not None else SolverConfig(method="newton")
 
-    def trials(x, g, gn, step):
-        direction = _newton_step(problem, x, euler_lagrange_residual(problem, x))
+    def trials(x, res, g, gn, step):
+        direction = _newton_step(problem, x, res)
         alpha = 1.0
         while alpha >= 1e-4:
             yield x + alpha * direction, max((1.0 - 1e-4 * alpha) * gn, cfg.grad_tol), alpha
@@ -653,7 +666,7 @@ def signflow_solve(
     x0: Optional[StatePair] = None,
     grad_tol: Optional[float] = None,
     *,
-    _basin: Optional[Callable[[StatePair, float, float], Optional[tuple]]] = None,
+    _basin: Optional[Callable[[StatePair, StatePair, float, float], Optional[tuple]]] = None,
 ) -> SaddleReport:
     """Sign-respecting ascent/pinning flow with adaptive step halving.
 
@@ -667,7 +680,7 @@ def signflow_solve(
     tol = cfg.grad_tol if grad_tol is None else float(grad_tol)
     split = DiagonalSplitting(problem.grid, problem.op)
 
-    def trials(x, g, gn, s):
+    def trials(x, res, g, gn, s):
         while s >= _MIN_FLOW_STEP:
             # tolerance band: mild transients allowed
             yield (_flow_update(split, problem, frame, x, g, s), 1.5 * gn,
@@ -690,9 +703,9 @@ def solve_saddle(
 
     The flow hands off at its first full Newton step that passes
     :func:`_basin_trial`, or at ``flow_tol`` if none does, and Newton
-    starts from there, with the gradient norm and energy of the flow's
-    last trace row. Its own first row repeats that row, and the
-    compactness fit counts both.
+    starts from there, with the first-order residual, gradient norm and
+    energy of the flow's last trace row. Its own first row repeats that
+    row, and the compactness fit counts both.
     """
     cfg = config if config is not None else SolverConfig()
     if cfg.method == "newton":
@@ -702,7 +715,8 @@ def solve_saddle(
     first = signflow_solve(problem, cfg, frame, x0, grad_tol=cfg.flow_tol,
                            _basin=functools.partial(_basin_trial, problem, eta=cfg.eta))
     second = newton_solve(problem, cfg, frame, x0=first.state,
-                          _start=(first.trace.gradient_norms[-1], first.trace.energies[-1]))
+                          _start=(first.residual, first.trace.gradient_norms[-1],
+                                  first.trace.energies[-1]))
     first.trace.extend(second.trace)
     message = second.message
     if not first.converged:
@@ -741,7 +755,7 @@ def flow_deformation(problem: Problem, frame: LinkingFrame, steps: int = 12,
 
     def fn(xi: np.ndarray) -> StatePair:
         x = frame.state_from_chart(xi)
-        q1, q2 = _boundary_clearance(frame, xi)
+        q1, q2 = map(float, _boundary_clearance(frame, xi))
         w = min(1.0, q1 / FLOW_RAMP) * min(1.0, q2 / FLOW_RAMP)
         if w == 0.0:
             return x
@@ -770,14 +784,49 @@ class PSReport:
         return self.bounded and self.grad_converged and self.tail_cauchy and self.fit_ok
 
 
+def _affine_fit(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The least c1 mean(b) + c2 over c1, c2 >= 0 with c1 b_i + c2 >= a_i, for b >= 0.
+
+    At a fixed c1 the best c2 is max(0, max_i (a_i - c1 b_i)), so the
+    objective is convex and piecewise linear in c1, and least at c1 = 0 or
+    at a kink: where the upper envelope of the lines a_i - c1 b_i and 0
+    passes from one line to the next. That happens at c1 = a_i / b_i, where
+    line i crosses 0, or at (a_i - a_j) / (b_i - b_j), where two lines
+    meet. The envelope is walked from c1 = 0 towards smaller slopes, and
+    the lowest objective among its kinks is kept (the first on a tie).
+    """
+    mean_b = float(np.mean(b))
+    # the lines a_i - c1 b_i, and the line 0 as (a, b) = (0, 0)
+    lines_a, lines_b = np.append(a, 0.0), np.append(b, 0.0)
+    # on top at c1 = 0: the highest line, of the smallest slope on a tie
+    k = int(np.lexsort((lines_b, -lines_a))[0])
+    kinks = [0.0]
+    while True:
+        lower = np.flatnonzero(lines_b < lines_b[k])
+        if lower.size == 0:
+            break
+        with np.errstate(over="ignore"):  # lines of nearly equal slope meet far out
+            meets = (lines_a[k] - lines_a[lower]) / (lines_b[k] - lines_b[lower])
+        first = meets.min()
+        if first == math.inf:
+            break
+        # on a tie the line of the smallest slope stays on top longest
+        tied = lower[meets == first]
+        k = int(tied[np.argmin(lines_b[tied])])
+        kinks.append(max(float(first), 0.0))
+    fits = [(c1, max(0.0, float(np.max(a - c1 * b)))) for c1 in kinks]
+    return min(fits, key=lambda fit: fit[0] * mean_b + fit[1])
+
+
 def ps_monitor(problem: Problem, trace: IterateTrace, grad_tol: float) -> PSReport:
     """Check the trace for the compactness pattern of a converging sequence.
 
     Energies must stay bounded, the final gradient must meet tolerance,
     the last two states must lie within ``TAIL_TOL`` in the energy norm,
     and the superquadratic norms of the iterates must admit a nonnegative
-    affine bound in the energy norm (fit by linear programming, reported
-    with its worst slack).
+    affine bound in the energy norm (the least such bound on average,
+    fit in closed form by :func:`_affine_fit` and reported with its worst
+    slack). Norms that are not finite admit no fit.
     """
     if len(trace) == 0:
         raise InvalidSpecError("cannot monitor an empty trace")
@@ -799,19 +848,9 @@ def ps_monitor(problem: Problem, trace: IterateTrace, grad_tol: float) -> PSRepo
 
     a = np.array(trace.mu_norms)
     b = np.array(trace.state_norms)
-    from scipy.optimize import linprog
-
-    lp = linprog(
-        c=[float(np.mean(b)), 1.0],
-        A_ub=np.column_stack([-b, -np.ones_like(b)]),
-        b_ub=-a,
-        bounds=[(0.0, None), (0.0, None)],
-        method="highs",
-    )
-    if lp.success:
-        c1, c2 = float(lp.x[0]), float(lp.x[1])
-        # the LP solver leaves feasibility noise; lift the intercept so the
-        # returned pair satisfies every constraint outright
+    if np.isfinite(a).all() and np.isfinite(b).all():
+        c1, c2 = _affine_fit(a, b)
+        # c2 is rounded; lift it so the pair satisfies every constraint outright
         violation = float(np.max(a - (c1 * b + c2), initial=0.0))
         if violation > 0.0:
             c2 += violation
@@ -918,7 +957,7 @@ def deformation_witness_search(
     x = images[int(np.argmax(image_vals))].copy()
     for it in range(flow_steps + 1):
         energy = evaluate_J(problem, x).total
-        g, gn = _grad_and_norm(problem, x)
+        _, g, gn = _grad_and_norm(problem, x)
         distance = min(pair_norm(problem.op, x - img) for img in images)
         if witness_predicate(energy, gn, distance, level, eps, prox):
             return WitnessReport(

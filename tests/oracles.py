@@ -5,37 +5,44 @@ package: fixed-step RK4 plus bisection for the boundary-value problem,
 composite Simpson for integrals, dense O(n^2) arithmetic elsewhere, and
 the algorithms that faster package kernels replaced (the probe-grid
 crest search, the whole-block Newton solve, the full pilot sweeps of
-the radii search, LAPACK's tridiagonal eigensolver and the numpy forms
-of the chart kernels). No imports from linking_saddle are allowed in
-this module.
+the radii search, LAPACK's tridiagonal eigensolver, the numpy forms
+of the chart kernels, the hybr multistart root sweep of the degree
+count and the linear program of the compactness fit). No imports from
+linking_saddle are allowed in this module.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 
 def _integrate(slope: float, n_steps: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 for w'' = -(lam*w + w^3) on [0,1] from w(0)=0, w'(0)=slope."""
+    """RK4 for w'' = -(lam*w + w^3) on [0,1] from w(0)=0, w'(0)=slope.
+
+    On Python floats: each stage is y + (h/2) k, and the update is
+    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), componentwise.
+    """
     h = 1.0 / n_steps
-    w = np.empty(n_steps + 1)
-    dw = np.empty(n_steps + 1)
+    half, sixth = 0.5 * h, h / 6.0
+    w = [0.0] * (n_steps + 1)
+    dw = [0.0] * (n_steps + 1)
     w[0], dw[0] = 0.0, slope
-
-    def rhs(y):
-        return np.array([y[1], -(lam * y[0] + y[0] ** 3)])
-
-    y = np.array([0.0, slope])
+    y0, y1 = 0.0, slope
     for i in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        w[i + 1], dw[i + 1] = y
-    return w, dw
+        a1, b1 = y1, -(lam * y0 + y0 ** 3)
+        t0, t1 = y0 + half * a1, y1 + half * b1
+        a2, b2 = t1, -(lam * t0 + t0 ** 3)
+        t0, t1 = y0 + half * a2, y1 + half * b2
+        a3, b3 = t1, -(lam * t0 + t0 ** 3)
+        t0, t1 = y0 + h * a3, y1 + h * b3
+        a4, b4 = t1, -(lam * t0 + t0 ** 3)
+        y0 = y0 + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        y1 = y1 + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        w[i + 1], dw[i + 1] = y0, y1
+    return np.array(w), np.array(dw)
 
 
 def _end_value(slope: float, n_steps: int, lam: float) -> float:
@@ -150,6 +157,18 @@ def boundary_clearance(xi: np.ndarray, rho: float) -> tuple[float, float]:
     return max(0.0, lam_rel - 1e-6), max(0.0, slack - 1e-6)
 
 
+def modal_push_chart(xi: np.ndarray, rho: float, amplitude: float, mode: int,
+                     sheared: bool) -> np.ndarray:
+    """The modal push of one chart point: xi moved along ``mode`` by its tapered weight."""
+    q1, q2 = boundary_clearance(xi, rho)
+    w = q1 * q2 * (xi[-1] / rho if sheared else 1.0)
+    if w == 0.0:
+        return xi
+    eta = np.array(xi, dtype=float)
+    eta[mode] += amplitude * w
+    return eta
+
+
 def homotopy_chart_value(gram: np.ndarray, r: float, t: float, xi: np.ndarray,
                          eta: np.ndarray) -> np.ndarray:
     """H_t(xi) from the deformed chart point eta, assembled with ``np.append``."""
@@ -228,3 +247,66 @@ def doubling_pilot(boundary_energies, r: float, max_doublings: int):
         if top <= 0:
             return rho, k, top
     return None
+
+
+def fd_jacobian(map_fn, xi: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of a map of one chart point, one column at a time."""
+    d = xi.size
+    jac = np.empty((d, d))
+    for j in range(d):
+        h = 1e-6 * max(1.0, abs(xi[j]))
+        e = np.zeros(d)
+        e[j] = h
+        jac[:, j] = (map_fn(xi + e) - map_fn(xi - e)) / (2.0 * h)
+    return jac
+
+
+def hybr_root_sweep(map_fn, starts: np.ndarray, r: float, rho: float,
+                    residual_tol: float) -> np.ndarray:
+    """The degree count's root sweep as it ran before: MINPACK hybr from each start.
+
+    ``map_fn`` maps one chart point. A root is kept when it is finite, its
+    residual is at most ``residual_tol`` max(1, r), it lies inside the
+    half-ball of radius rho (last coordinate at least 1e-9 r, norm at most
+    rho (1 - 1e-9)), and it is farther than max(1e-6, 1e-5 rho) from every
+    root kept before it. The roots are returned in sorted order, (k, d).
+    """
+    from scipy.optimize import root as find_root
+
+    scale = max(1.0, r)
+    tol = max(1e-6, 1e-5 * rho)
+    roots = []
+    for start in starts:
+        root = find_root(map_fn, start, method="hybr", tol=1e-13).x
+        if not np.isfinite(root).all():
+            continue
+        if np.abs(map_fn(root)).max() > residual_tol * scale:
+            continue
+        if root[-1] < 1e-9 * r or math.sqrt(root @ root) > rho * (1 - 1e-9):
+            continue
+        if all(math.sqrt((root - kept) @ (root - kept)) > tol for kept in roots):
+            roots.append(root)
+    roots.sort(key=lambda row: tuple(np.round(row, 9)))
+    return np.array(roots, dtype=float).reshape(-1, len(starts[0]))
+
+
+def linprog_affine_fit(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """min c1 mean(b) + c2 over c1, c2 >= 0 with c1 b + c2 >= a, by HiGHS, as (c1, c2, objective).
+
+    HiGHS meets the constraints to its feasibility tolerance, so c2 is
+    lifted by the worst violation left, as the compactness fit did.
+    """
+    from scipy.optimize import linprog
+
+    lp = linprog(
+        c=[float(np.mean(b)), 1.0],
+        A_ub=np.column_stack([-b, -np.ones_like(b)]),
+        b_ub=-a,
+        bounds=[(0.0, None), (0.0, None)],
+        method="highs",
+    )
+    if not lp.success:
+        raise RuntimeError(f"linprog failed: {lp.message}")
+    c1, c2 = float(lp.x[0]), float(lp.x[1])
+    c2 += max(float(np.max(a - (c1 * b + c2))), 0.0)
+    return c1, c2, c1 * float(np.mean(b)) + c2

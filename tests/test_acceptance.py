@@ -37,7 +37,7 @@ from linking_saddle import (
 )
 from linking_saddle.cli import main as cli_main
 
-from oracles import reference_critical_value, shooting_ground_state
+from oracles import _integrate, reference_critical_value, shooting_ground_state
 
 CREST = 2.0 * np.sqrt(2.0)
 
@@ -176,6 +176,36 @@ def test_c05_pde_oracle_convergence(line_solutions):
     report("C05", ok,
            f"node errors {errs[127]:.2e} -> {errs[255]:.2e}, ratio {ratio:.3f}, "
            f"level gap to shooting oracle {c_gap:.2e}")
+
+
+def _integrate_arrays(slope, n_steps, lam):
+    """The RK4 oracle in the numpy-array form it had before it ran on Python floats."""
+    h = 1.0 / n_steps
+    w = np.empty(n_steps + 1)
+    dw = np.empty(n_steps + 1)
+    w[0], dw[0] = 0.0, slope
+
+    def rhs(y):
+        return np.array([y[1], -(lam * y[0] + y[0] ** 3)])
+
+    y = np.array([0.0, slope])
+    for i in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w[i + 1], dw[i + 1] = y
+    return w, dw
+
+
+@pytest.mark.parametrize("lam", [0.0, 5.0])
+@pytest.mark.parametrize("slope", [1e-3, 0.5, 3.0, 10.0, 40.0])
+def test_rk4_oracle_matches_the_array_form(slope, lam):
+    # the C05 oracle is bitwise its array form, on a short integration
+    got, want = _integrate(slope, 512, lam), _integrate_arrays(slope, 512, lam)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_c06_geometry_certificate(square32):

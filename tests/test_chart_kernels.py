@@ -14,7 +14,9 @@ certificate take the cross term from the frame's cross Gram matrix;
 their oracle is ``evaluate_J`` on the state xi . B. The homotopy, the
 half-ball membership test and the boundary clearance of the tapers take
 Python scalars and ``x @ x`` norms on their chart vectors; they must
-agree bitwise with the numpy forms they replaced.
+agree bitwise with the numpy forms they replaced. The homotopy and the
+modal pushes map a block of chart rows in one call; each row of the
+block must be bitwise the single-row numpy form of that row.
 """
 
 import dataclasses
@@ -44,7 +46,7 @@ from linking_saddle import (
     shipped_deformations,
 )
 from linking_saddle.linking import _boundary_clearance, _chart_energies
-from oracles import boundary_clearance, chart_contains, homotopy_chart_value
+from oracles import boundary_clearance, chart_contains, homotopy_chart_value, modal_push_chart
 
 REL = 1e-12
 
@@ -240,6 +242,37 @@ def test_lean_chart_kernels_match_the_numpy_forms(grid_index, d_y, anchor_seed, 
         got = chart_map(xi)
         want = homotopy_chart_value(frame._chart_gram, frame.r, t, xi, gamma.chart(xi))
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=80)
+@given(*frame_args, st.integers(0, 2**32 - 1), st.integers(1, 8),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+def test_batched_homotopy_rows_match_the_single_row_forms(grid_index, d_y, anchor_seed, seed,
+                                                          m, t):
+    frame, _ = frames(grid_index, d_y, anchor_seed)
+    rng = np.random.default_rng(seed)
+    rows = np.array([half_ball_point(frame, rng, f) for f in rng.uniform(0.0, 1.05, m)])
+    # rows on or under the base: inside the membership tolerance, at it, or past it
+    below = rng.integers(0, 2, m).astype(bool)
+    rows[below, -1] = -rng.integers(0, 4, int(below.sum())) * 0.5e-9 * frame.rho
+    inside = [chart_contains(row, frame.chart_dim, frame.rho) for row in rows]
+    amplitude = 0.25 * frame.r
+    oracle_charts = [lambda xi: xi,
+                     lambda xi: modal_push_chart(xi, frame.rho, amplitude, 0, False),
+                     lambda xi: modal_push_chart(xi, frame.rho, amplitude, 0, True)]
+    for gamma, oracle_chart in zip(shipped_deformations(frame), oracle_charts):
+        chart_map = homotopy_chart_map(frame, gamma, t)
+        if not all(inside):
+            with pytest.raises(DomainMembershipError, match=rf"^chart row {inside.index(False)} "):
+                chart_map(rows)
+            continue
+        got, etas = chart_map(rows), gamma.chart(rows)
+        assert got.shape == etas.shape == rows.shape
+        for xi, eta, value in zip(rows, etas, got):
+            want_eta = oracle_chart(xi)
+            want = homotopy_chart_value(frame._chart_gram, frame.r, t, xi, want_eta)
+            for a, b in ((eta, want_eta), (value, want)):
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 ENERGY_GRIDS = GRIDS + (DomainSpec.square(5),)

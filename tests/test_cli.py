@@ -243,7 +243,7 @@ def test_cli_intersect_start_degree_failure_fails_every_row(tmp_path, monkeypatc
 
     def vanishing_start(frame, gamma, t):
         if t == 0.0:
-            return lambda xi: np.zeros(frame.chart_dim)
+            return lambda xi: np.zeros_like(xi)
         return chart_map(frame, gamma, t)
 
     monkeypatch.setattr(cli, "homotopy_chart_map", vanishing_start)
@@ -574,3 +574,23 @@ def test_write_svg_trace(tmp_path):
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.count("<polyline") == 2
+
+
+def test_cli_leaves_scipy_optimize_unimported(tmp_path):
+    # a fresh interpreter: the suite's own oracles import scipy.optimize
+    script = (
+        "import sys\n"
+        "from linking_saddle.cli import main\n"
+        "for i, cmd in enumerate(sys.argv[2:]):\n"
+        "    assert main([cmd, '--config', sys.argv[1], '--out', f'out{i}', '--quiet']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
+    cfg = cfg_file(tmp_path, LINE_D2)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
+    done = subprocess.run([sys.executable, "-c", script, cfg, "solve", "intersect"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

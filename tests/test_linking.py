@@ -32,7 +32,7 @@ from linking_saddle import (
     shipped_deformations,
     zero_nonlinearity,
 )
-from oracles import doubling_pilot
+from oracles import doubling_pilot, fd_jacobian, hybr_root_sweep
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +238,23 @@ def test_membership_guards(line_frame):
         line_frame.require_member(outside)
 
 
+def test_require_member_names_the_first_row_outside(line_frame):
+    r, rho = line_frame.r, line_frame.rho
+    rows = np.zeros((4, line_frame.chart_dim))
+    rows[:, -1] = 0.5 * rho
+    rows[2, -1] = -0.1 * r
+    rows[3, -1] = 2.0 * rho
+    assert line_frame.require_member(rows[:2]) is not None
+    with pytest.raises(DomainMembershipError) as caught:
+        line_frame.require_member(rows)
+    assert str(caught.value) == (f"chart row 2 outside the frame half-ball: |xi|={0.1 * r:.6g}, "
+                                 f"last={-0.1 * r:.6g}, rho={rho:.6g}")
+    with pytest.raises(DomainMembershipError, match="^chart row 0 outside"):
+        line_frame.require_member(rows[3])
+    with pytest.raises(DomainMembershipError, match="chart rows must have shape"):
+        line_frame.require_member(rows[None])
+
+
 def test_homotopy_start_is_affine(line_frame):
     gamma = identity_deformation(line_frame)
     h0 = homotopy_chart_map(line_frame, gamma, 0.0)
@@ -298,6 +315,30 @@ def test_shipped_deformations_certify(line_problem, d_y):
         end = brouwer_degree_small(homotopy_chart_map(frame, gamma, 1.0), frame)
         assert start.degree == 1
         assert end.degree == 1
+
+
+@pytest.mark.parametrize("domain,d_y", [
+    *(pytest.param(DomainSpec.interval(255), d_y, id=f"line255-dy{d_y}") for d_y in (1, 2, 3)),
+    *(pytest.param(DomainSpec.rectangle(12, 5), d_y, id=f"rect12x5-dy{d_y}") for d_y in (1, 2)),
+    *(pytest.param(DomainSpec.square(16), d_y, id=f"sq16-dy{d_y}") for d_y in (1, 2)),
+])
+def test_newton_sweep_matches_the_hybr_sweep(domain, d_y):
+    problem = discretize(ProblemSpec(domain, power_nonlinearity()))
+    choice = choose_radii(problem, d_y=d_y)
+    frame = build_frame(problem, choice.r, choice.rho, d_y=d_y)
+    starts = linking._start_lattice(frame, linking.SWEEP_STARTS_PER_AXIS)
+    for gamma in shipped_deformations(frame):
+        for t in (0.0, 1.0):
+            map_fn = homotopy_chart_map(frame, gamma, t)
+            report = brouwer_degree_small(map_fn, frame)
+            want = hybr_root_sweep(map_fn, starts, frame.r, frame.rho, linking.SWEEP_RESIDUAL_TOL)
+            assert report.roots.shape == want.shape, (gamma.name, t)
+            assert np.max(np.abs(report.roots - want)) <= 1e-12 * frame.rho, (gamma.name, t)
+            dets = [np.linalg.det(fd_jacobian(map_fn, root)) for root in want]
+            assert report.degree == int(np.sum(np.sign(dets)))
+            # the batched Jacobian is the single-row one, bitwise
+            for root, det in zip(report.roots, report.determinants):
+                assert det == np.linalg.det(fd_jacobian(map_fn, root))
 
 
 def test_boundary_points_are_fixed_bitwise(line_frame):

@@ -35,6 +35,7 @@ from linking_saddle import solver
 from linking_saddle.solver import IterateTrace, _ray, _ray_energy
 
 from conftest import random_state
+from oracles import linprog_affine_fit
 
 CREST = 2.0 * np.sqrt(2.0)
 
@@ -132,11 +133,11 @@ def test_accepted_gradient_is_not_recomputed(line_problem, monkeypatch, method):
     riesz = solver.riesz_gradient
     seen = []
 
-    def recording(problem, x):
+    def recording(problem, x, **kwargs):
         key = (x.u.tobytes(), x.v.tobytes())
         assert key not in seen, "gradient computed twice at one state"
         seen.append(key)
-        return riesz(problem, x)
+        return riesz(problem, x, **kwargs)
 
     monkeypatch.setattr(solver, "riesz_gradient", recording)
     if method == "signflow":
@@ -243,7 +244,8 @@ def test_flow_then_newton_reports_failed_flow_stage(line_problem):
     # Newton's full step from the unit sine bump fails the basin test even with
     # the triviality screen off, so the one flow step the budget allows is taken
     x0, gn, energy = _sine_start(line_problem, 1.0)
-    assert solver._basin_trial(line_problem, x0, gn, energy, eta=0.0) is None
+    res = euler_lagrange_residual(line_problem, x0)
+    assert solver._basin_trial(line_problem, x0, res, gn, energy, eta=0.0) is None
     report = solve_saddle(line_problem, SolverConfig(flow_max_iter=1), x0=x0)
     assert report.converged and report.nontrivial
     assert report.message == (
@@ -262,18 +264,21 @@ def _guards(problem, x, step, gn, energy, eta):
 def test_basin_trial_fails_on_each_guard(line_problem, monkeypatch):
     # from a small bump Newton heads for the trivial state
     x, gn, energy = _sine_start(line_problem, 0.1)
-    step = solver._newton_step(line_problem, x, euler_lagrange_residual(line_problem, x))
+    res = euler_lagrange_residual(line_problem, x)
+    step = solver._newton_step(line_problem, x, res)
     assert _guards(line_problem, x, step, gn, energy, eta=0.1) == (True, False, True)
-    assert solver._basin_trial(line_problem, x, gn, energy, eta=0.1) is None
-    trial, g, gn_trial = solver._basin_trial(line_problem, x, gn, energy, eta=0.0)
+    assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.1) is None
+    trial, res_trial, g, gn_trial = solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0)
     assert np.array_equal(trial.u, (x + step).u) and np.array_equal(trial.v, (x + step).v)
     assert gn_trial == line_problem.pair_norm(g) <= 0.1 * gn
+    want = euler_lagrange_residual(line_problem, trial)
+    assert np.array_equal(res_trial.u, want.u) and np.array_equal(res_trial.v, want.v)
 
     # half the Newton step contracts the gradient only about twofold
     newton_step = solver._newton_step
     monkeypatch.setattr(solver, "_newton_step", lambda *args: 0.5 * newton_step(*args))
     assert _guards(line_problem, x, 0.5 * step, gn, energy, eta=0.0) == (False, True, True)
-    assert solver._basin_trial(line_problem, x, gn, energy, eta=0.0) is None
+    assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0) is None
     monkeypatch.undo()
 
     # an energy that leaves the quadratic model at the trial
@@ -283,25 +288,26 @@ def test_basin_trial_fails_on_each_guard(line_problem, monkeypatch):
 
     monkeypatch.setattr(solver, "evaluate_J", shifted)
     assert _guards(line_problem, x, step, gn, energy, eta=0.0)[:2] == (True, True)
-    assert solver._basin_trial(line_problem, x, gn, energy, eta=0.0) is None
+    assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0) is None
 
 
 def test_basin_trial_treats_a_failed_step_as_outside(line_problem, monkeypatch):
     x, gn, energy = _sine_start(line_problem, 0.1)
+    res = euler_lagrange_residual(line_problem, x)
 
     def failing(*args):
         raise solver._StepFailed("second-variation system is singular")
 
     monkeypatch.setattr(solver, "_newton_step", failing)
-    assert solver._basin_trial(line_problem, x, gn, energy, eta=0.0) is None
+    assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0) is None
     monkeypatch.setattr(solver, "_newton_step", lambda problem, x, res: 1e300 * x)
-    assert solver._basin_trial(line_problem, x, gn, energy, eta=0.0) is None
+    assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0) is None
 
 
 def test_basin_trials_are_due_when_the_gradient_halves(line_problem, monkeypatch):
     tried = []
 
-    def outside(problem, x, gn, energy, eta):
+    def outside(problem, x, res, gn, energy, eta):
         tried.append(gn)
         return None
 
@@ -351,9 +357,9 @@ def test_newton_starts_from_the_handoff_gradient_norm_and_energy(monkeypatch):
     counts = {"riesz_gradient": 0, "evaluate_J": 0}
 
     def counting(name, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     for name in counts:
@@ -363,8 +369,8 @@ def test_newton_starts_from_the_handoff_gradient_norm_and_energy(monkeypatch):
     counts.update(riesz_gradient=0, evaluate_J=0)
     cfg = SolverConfig()
     flow = signflow_solve(problem, cfg, grad_tol=cfg.flow_tol,
-                          _basin=lambda x, gn, energy: solver._basin_trial(problem, x, gn,
-                                                                            energy, cfg.eta))
+                          _basin=lambda x, res, gn, energy: solver._basin_trial(
+                              problem, x, res, gn, energy, cfg.eta))
     assert flow.message == "Newton basin reached"
     newton = newton_solve(problem, cfg, x0=flow.state)
     assert together == {"riesz_gradient": counts["riesz_gradient"] - 1,
@@ -448,6 +454,21 @@ def test_trace_bookkeeping():
     assert trace.energies == [1.0, 2.0, 3.0]
     assert trace.mu_norms == [3.0, 4.0, 5.0]
     assert trace.last_states == states[1:]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)), min_size=1, max_size=24),
+       st.floats(0.5, 3.0))
+def test_affine_fit_matches_the_linear_program(pairs, power):
+    # (energy norm, mu norm) pairs; the mu norms grow like a power of the energy norm
+    b = np.array([p[0] for p in pairs])
+    a = np.array([p[1] for p in pairs]) + b**power
+    c1, c2 = solver._affine_fit(a, b)
+    _, _, want = linprog_affine_fit(a, b)
+    assert c1 >= 0.0 and c2 >= 0.0
+    assert abs(c1 * np.mean(b) + c2 - want) <= 1e-12 * max(abs(want), 1e-300)
+    # c2 is max(0, max(a - c1 b)), so only rounding can leave a constraint short
+    assert np.all(c1 * b + c2 - a >= -1e-15 * np.maximum(a, 1.0))
 
 
 def test_ps_monitor_healthy_trace(line_problem, solved_line):
