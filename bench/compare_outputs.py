@@ -59,6 +59,9 @@ RUNS = (
     ("intersect-rect12x5-dy1", ["intersect"], _domain(12, 5) + ["frame.d_y = 1"]),
     ("intersect-rect12x5-dy2", ["intersect"], _domain(12, 5) + ["frame.d_y = 2"]),
     ("geometry-sq16", ["geometry"], _domain(16, 16)),
+    # the sphere is exactly the signed anchor pair; an odd count leaves its last field unpaired
+    ("geometry-line1", ["geometry"], _domain(1)),
+    ("geometry-sq16-odd", ["geometry"], _domain(16, 16) + ["frame.sphere_samples = 7"]),
     ("check-sq16", ["check"], _domain(16, 16)),
     ("refine-sq16", ["refine", "--levels", "4"], _domain(16, 16)),
 )

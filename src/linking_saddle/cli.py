@@ -19,9 +19,10 @@ from . import __version__
 from .config import RunConfig, load_config, to_problem_spec
 from .diagnostics import run_all_checks
 from .errors import ConfigError, GeometryCertificationError, LinkingSaddleError
-from .functional import Problem, discretize, evaluate_J, validate_hypotheses
+from .functional import Problem, discretize, validate_hypotheses
 from .linking import (
     MAX_DEGREE_DIMENSION,
+    _sphere_minimum,
     build_frame,
     choose_radii,
     displacement_residual,
@@ -174,7 +175,7 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
     if prelude is None:
         return 1
     frame, samples, _ = prelude
-    sphere_min = min(evaluate_J(problem, s).total for s in samples.sphere_states)
+    sphere_min = _sphere_minimum(problem, samples.sphere_fields)
     gammas = shipped_deformations(frame)
     rows = []
     failures = []
@@ -237,6 +238,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
         return 1
     frame, samples, _ = prelude
     geo = estimate_geometry(frame, samples)
+    del prelude, samples  # the samples are read by geometry alone
     geo_ok = geo.certified and problem.lam >= 0 and problem.delta >= 0
     steps.append(("geometry", "certified" if geo_ok else "failed"))
     if not geo_ok:

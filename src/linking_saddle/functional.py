@@ -4,7 +4,7 @@ For a pair x = (u, v) on a grid with Dirichlet form ``<.,.>`` and nodal
 quadrature ``integrate``, the energy is
 
     J(x) = <u, v>  -  lam/2 |u|_2^2  -  delta/2 |v|_2^2
-           - integral F(., u) - integral G(., v),
+           - integral F(u) - integral G(v),
 
 where F, G are the primitives of the coupling nonlinearities f, g. The
 cross term <u, v> is indefinite: it is a difference of squares along the
@@ -48,16 +48,16 @@ __all__ = [
     "small_t_constants",
 ]
 
-TermFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+TermFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Coupling terms f, g with primitives F, G and growth metadata.
 
-    Evaluators take (points, values) and broadcast over values; the
-    point argument lets spatially varying couplings share the interface
-    even though the shipped presets are autonomous. ``df`` and ``dg`` are
+    Each evaluator takes an array of values and acts on each value
+    alone, so a coupling is the same at every point of the domain and
+    a sampled certificate in t holds everywhere. ``df`` and ``dg`` are
     the derivatives of f and g, which the Newton step needs. ``p`` is the
     growth exponent, ``mu`` the superquadraticity exponent, ``radius`` the
     threshold beyond which the superquadratic inequality is required,
@@ -102,15 +102,15 @@ def power_nonlinearity(
     if not (s > 0.0 and np.isfinite(s)):
         raise InvalidSpecError(f"power preset requires a positive scale, got {s}")
 
-    def f(pts, t):
+    def f(t):
         t = np.asarray(t, dtype=float)
         return s * np.abs(t) ** (p - 2.0) * t
 
-    def F(pts, t):
+    def F(t):
         t = np.asarray(t, dtype=float)
         return (s / p) * np.abs(t) ** (p - 2.0) * (t * t)
 
-    def df(pts, t):
+    def df(t):
         t = np.asarray(t, dtype=float)
         return s * (p - 1.0) * np.abs(t) ** (p - 2.0)
 
@@ -124,7 +124,7 @@ def power_nonlinearity(
 def zero_nonlinearity() -> NonlinearitySpec:
     """No coupling: the energy is purely quadratic and has only the trivial critical point."""
 
-    def f(pts, t):
+    def f(t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
     return NonlinearitySpec(
@@ -137,14 +137,14 @@ def linear_nonlinearity(slope: float = 1.0) -> NonlinearitySpec:
     """Linear coupling slope*t; fails the small-amplitude hypothesis by design."""
     s = float(slope)
 
-    def f(pts, t):
+    def f(t):
         return s * np.asarray(t, dtype=float)
 
-    def F(pts, t):
+    def F(t):
         t = np.asarray(t, dtype=float)
         return 0.5 * s * t * t
 
-    def df(pts, t):
+    def df(t):
         return np.full_like(np.asarray(t, dtype=float), s)
 
     return NonlinearitySpec(
@@ -256,14 +256,13 @@ def _energy_from_cross(problem: Problem, u: np.ndarray, v: np.ndarray,
     caller that knows it in closed form passes that. The terms are
     checked in the order of ``EnergyBreakdown``'s fields.
     """
-    pts = problem.grid.coords
     vol = problem.grid.cell_volume
     with np.errstate(over="ignore", invalid="ignore"):
         cross = _check_term(cross, "cross")
         quad_u = _check_term(0.5 * problem.lam * vol * float(u @ u), "quadratic-u")
         quad_v = _check_term(0.5 * problem.delta * vol * float(v @ v), "quadratic-v")
-        potential_u = _check_term(vol * float(np.sum(problem.nl.F(pts, u))), "potential-u")
-        potential_v = _check_term(vol * float(np.sum(problem.nl.G(pts, v))), "potential-v")
+        potential_u = _check_term(vol * float(np.sum(problem.nl.F(u))), "potential-u")
+        potential_v = _check_term(vol * float(np.sum(problem.nl.G(v))), "potential-v")
     return EnergyBreakdown(cross, quad_u, quad_v, potential_u, potential_v)
 
 
@@ -274,7 +273,6 @@ def directional_derivative(problem: Problem, x: StatePair, d: StatePair) -> floa
     v = grid.check_field(x.v)
     w = grid.check_field(d.u)
     z = grid.check_field(d.v)
-    pts = grid.coords
     vol = grid.cell_volume
     with np.errstate(over="ignore", invalid="ignore"):
         value = (
@@ -282,8 +280,8 @@ def directional_derivative(problem: Problem, x: StatePair, d: StatePair) -> floa
             + op.product(v, w)
             - problem.lam * vol * float(u @ w)
             - problem.delta * vol * float(v @ z)
-            - vol * float(problem.nl.f(pts, u) @ w)
-            - vol * float(problem.nl.g(pts, v) @ z)
+            - vol * float(problem.nl.f(u) @ w)
+            - vol * float(problem.nl.g(v) @ z)
         )
     return _check_term(value, "directional-derivative")
 
@@ -299,11 +297,10 @@ def euler_lagrange_residual(problem: Problem, x: StatePair) -> StatePair:
     grid, op = problem.grid, problem.op
     u = grid.check_field(x.u)
     v = grid.check_field(x.v)
-    pts = grid.coords
     vol = grid.cell_volume
     with np.errstate(over="ignore", invalid="ignore"):
-        res_u = op.apply(v) - vol * (problem.lam * u + problem.nl.f(pts, u))
-        res_v = op.apply(u) - vol * (problem.delta * v + problem.nl.g(pts, v))
+        res_u = op.apply(v) - vol * (problem.lam * u + problem.nl.f(u))
+        res_v = op.apply(u) - vol * (problem.delta * v + problem.nl.g(v))
     out = StatePair(res_u, res_v)
     if not out.is_finite():
         raise EnergyOverflowError("energy term 'first-order residual' is not finite")
@@ -362,7 +359,6 @@ def validate_hypotheses(nl: NonlinearitySpec) -> HypothesisReport:
     points per sign on [1e-6, max(10 radius, 100)]; the small-amplitude
     ratio |f(t)/t| must stay at most 1e-2 on [1e-10, 1e-4].
     """
-    pts = np.zeros((1, 1))
     main = _symmetric_log_grid(1e-6, max(10.0 * nl.radius, 100.0), 2001)
     small = _symmetric_log_grid(1e-10, 1e-4, 2001)
     slack = 1.0 + 1e-12
@@ -371,7 +367,7 @@ def validate_hypotheses(nl: NonlinearitySpec) -> HypothesisReport:
     growth_ok = True
     bound = nl.scale * (1.0 + np.abs(main) ** (nl.p - 1.0))
     for label, term in (("f", nl.f), ("g", nl.g)):
-        vals = np.abs(np.asarray(term(pts, main), dtype=float))
+        vals = np.abs(np.asarray(term(main), dtype=float))
         excess = vals - slack * bound
         excess[~np.isfinite(excess)] = np.inf  # inf - inf is nan
         k = int(np.argmax(excess))
@@ -381,7 +377,7 @@ def validate_hypotheses(nl: NonlinearitySpec) -> HypothesisReport:
 
     small_ok = True
     for label, term in (("f", nl.f), ("g", nl.g)):
-        ratios = np.abs(np.asarray(term(pts, small), dtype=float) / small)
+        ratios = np.abs(np.asarray(term(small), dtype=float) / small)
         ratios[~np.isfinite(ratios)] = np.inf
         k = int(np.argmax(ratios))
         if ratios[k] > 1e-2:
@@ -391,8 +387,8 @@ def validate_hypotheses(nl: NonlinearitySpec) -> HypothesisReport:
     super_ok = True
     far = main[np.abs(main) >= nl.radius]
     for label, term, prim in (("f", nl.f, nl.F), ("g", nl.g, nl.G)):
-        primitive = nl.mu * np.asarray(prim(pts, far), dtype=float)
-        paired = far * np.asarray(term(pts, far), dtype=float)
+        primitive = nl.mu * np.asarray(prim(far), dtype=float)
+        paired = far * np.asarray(term(far), dtype=float)
         judged = np.isfinite(primitive) & np.isfinite(paired)
         bad = ~(judged & (primitive > 0) & (primitive <= slack * paired))
         if np.any(bad):
@@ -410,12 +406,11 @@ def lower_bound_constant(nl: NonlinearitySpec) -> float:
     Positive for genuinely superquadratic terms; returns 0.0 with a
     warning when no positive constant fits the samples.
     """
-    pts = np.zeros((1, 1))
     t = _symmetric_log_grid(1e-6, 100.0, 2001)
     t = np.concatenate([t, [-1.0, 1.0, -100.0, 100.0]])
     envelope = np.abs(t) ** nl.mu - 1.0
-    fu = np.asarray(nl.F(pts, t), dtype=float)
-    gv = np.asarray(nl.G(pts, t), dtype=float)
+    fu = np.asarray(nl.F(t), dtype=float)
+    gv = np.asarray(nl.G(t), dtype=float)
     low = np.minimum(fu, gv)
 
     grow = envelope > 1e-9
@@ -444,14 +439,13 @@ def small_t_constants(nl: NonlinearitySpec, eps: float) -> float:
     """
     if not (eps > 0 and np.isfinite(eps)):
         raise InvalidSpecError(f"eps must be positive, got {eps}")
-    pts = np.zeros((1, 1))
     t = _symmetric_log_grid(1e-8, 1e3, 4001)
     # At a large p, |t|^p over- or underflows at the ends of the window.
     # A quotient is then -inf where the bound holds trivially, or inf or
     # nan, which makes the result not finite; choose_radii rejects that.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fu = np.abs(np.asarray(nl.F(pts, t), dtype=float))
-        gv = np.abs(np.asarray(nl.G(pts, t), dtype=float))
+        fu = np.abs(np.asarray(nl.F(t), dtype=float))
+        gv = np.abs(np.asarray(nl.G(t), dtype=float))
         top = np.maximum(fu, gv) - 0.5 * eps * t * t
         ratios = top / np.abs(t) ** nl.p
     return float(max(np.max(ratios), 0.0))

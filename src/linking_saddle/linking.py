@@ -255,14 +255,14 @@ def build_frame(
 class SampleSets:
     """Seeded sample families for geometry estimates.
 
-    ``sphere_states`` lie on the small diagonal sphere N (the two signed
-    anchor points always lead). ``boundary_chart`` rows cover the frame
-    boundary: base rows carry an exact 0.0 last coordinate, cap rows
-    have Euclidean norm exactly scaled to rho. ``interior_chart`` rows
-    are strictly inside the half-ball.
+    Each row w of ``sphere_fields`` stands for the point (w, w) of the
+    small diagonal sphere N; the anchor and its negative always lead.
+    ``boundary_chart`` rows cover the frame boundary: base rows carry an
+    exact 0.0 last coordinate, cap rows have Euclidean norm exactly scaled
+    to rho. ``interior_chart`` rows are strictly inside the half-ball.
     """
 
-    sphere_states: List[StatePair]
+    sphere_fields: np.ndarray
     boundary_chart: np.ndarray
     interior_chart: np.ndarray
 
@@ -345,27 +345,35 @@ def sample_sets(
     seed: int = 0,
 ) -> SampleSets:
     rng = np.random.default_rng(seed)
-    split = frame.splitting
     n = frame.problem.n
 
-    sphere: List[StatePair] = [frame.anchor.copy(), -frame.anchor]
-    if n > 1:
-        while len(sphere) < max(sphere_count, 2):
-            w = rng.standard_normal(n)
-            norm = split.diagonal_norm(w)
-            if norm < 1e-12:
-                continue
-            cand = (frame.r / norm) * StatePair.diagonal(w)
-            sphere.append(cand)
-            if len(sphere) < sphere_count:
-                sphere.append(-cand)
     # n == 1: the diagonal sphere is exactly the two signed anchor points.
+    sphere = np.empty((max(sphere_count, 2) if n > 1 else 2, n))
+    sphere[0] = 0.5 * (frame.anchor.u + frame.anchor.v)
+    sphere[1] = -sphere[0]
+    for k in range(2, len(sphere), 2):
+        w = rng.standard_normal(n)
+        while (norm := frame.splitting.diagonal_norm(w)) < 1e-12:
+            w = rng.standard_normal(n)
+        sphere[k] = (frame.r / norm) * w
+        sphere[k + 1:k + 2] = -sphere[k]  # an odd last row has no partner
 
     # there are 2 * chart_dim corner probes
     fill = max(boundary_count - 2 * frame.chart_dim, 0)
     boundary = _boundary_rows(frame, rng, (fill + 1) // 2, fill // 2)
     interior = _interior_rows(rng, frame.chart_dim, frame.rho, interior_count)
     return SampleSets(sphere, boundary, interior)
+
+
+def _sphere_minimum(problem: Problem, fields: np.ndarray) -> float:
+    """The least ``evaluate_J`` at (w, w) over the rows w of ``fields``, bitwise.
+
+    At u = v its two cross products are one, so a row takes one stiffness
+    product, doubled and halved as their sum is, overflow included.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return min(_energy_from_cross(problem, w, w, 0.5 * (2.0 * (w @ problem.op.apply(w)))).total
+                   for w in fields)
 
 
 def _chart_energies(frame: LinkingFrame, rows: np.ndarray) -> Iterator[float]:
@@ -409,7 +417,7 @@ def estimate_geometry(
 ) -> GeometryReport:
     """Estimate the linking separation from seeded samples.
 
-    Sphere states are evaluated with ``evaluate_J``. Boundary rows are
+    Sphere fields are evaluated by ``_sphere_minimum``. Boundary rows are
     chart points, evaluated by ``_chart_energies`` with no stiffness
     product per row, so the cost of a larger ``boundary_count`` is the
     nodal work alone. On a one-node grid the diagonal sphere is just
@@ -419,10 +427,9 @@ def estimate_geometry(
     if samples is None:
         samples = sample_sets(frame, seed=seed)
     problem = frame.problem
-    sphere_vals = [evaluate_J(problem, s).total for s in samples.sphere_states]
+    sphere_min = _sphere_minimum(problem, samples.sphere_fields)
     boundary_vals = np.array(list(_chart_energies(frame, samples.boundary_chart)))
     base_mask = samples.boundary_chart[:, -1] == 0.0
-    sphere_min = float(np.min(sphere_vals))
     boundary_max = float(np.max(boundary_vals))
     base_max = float(np.max(boundary_vals[base_mask])) if np.any(base_mask) else -np.inf
     cap_max = float(np.max(boundary_vals[~base_mask])) if np.any(~base_mask) else -np.inf
@@ -434,7 +441,7 @@ def estimate_geometry(
         certified=bool(margin > 0),
         base_max=base_max,
         cap_max=cap_max,
-        sphere_count=len(samples.sphere_states),
+        sphere_count=len(samples.sphere_fields),
         boundary_count=int(samples.boundary_chart.shape[0]),
         r=frame.r,
         rho=frame.rho,
@@ -457,12 +464,10 @@ class RadiiChoice:
 
 
 def _looks_identically_zero(problem: Problem) -> bool:
-    pts = problem.grid.coords
     probe = np.array([-10.0, -1.0, -1e-3, 1e-3, 1.0, 10.0])
     nl = problem.nl
     with np.errstate(over="ignore"):  # inf at a large p, which is not zero either
-        vals = [nl.f(pts[:1], probe), nl.F(pts[:1], probe), nl.g(pts[:1], probe),
-                nl.G(pts[:1], probe)]
+        vals = [term(probe) for term in (nl.f, nl.F, nl.g, nl.G)]
     return all(float(np.max(np.abs(v))) == 0.0 for v in vals)
 
 
@@ -570,14 +575,13 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     _require_finite("radius r", r)
 
     pilot = build_frame(problem, r, 2.0 * r, d_y=d_y)
+    # the boundary rows of sample_sets(pilot, boundary_count=RADII_PILOT_BOUNDARY, seed=seed + 1)
+    fill = max(RADII_PILOT_BOUNDARY - 2 * pilot.chart_dim, 0)
     for k in range(1, RADII_MAX_DOUBLINGS + 1):
         rho = pilot.rho = r * 2.0**k
-        samples = sample_sets(
-            pilot, sphere_count=2, boundary_count=RADII_PILOT_BOUNDARY,
-            interior_count=2, seed=seed + 1,
-        )
+        rows = _boundary_rows(pilot, np.random.default_rng(seed + 1), (fill + 1) // 2, fill // 2)
         boundary_max = -np.inf
-        for value in _chart_energies(pilot, samples.boundary_chart):
+        for value in _chart_energies(pilot, rows):
             boundary_max = max(boundary_max, value)
             if value > 0:
                 break

@@ -218,10 +218,9 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     """
     op, nl = problem.op, problem.nl
     vol = problem.grid.cell_volume
-    pts = problem.grid.coords
     n = problem.n
-    a = vol * (problem.lam + np.asarray(nl.df(pts, x.u), dtype=float))
-    b = vol * (problem.delta + np.asarray(nl.dg(pts, x.v), dtype=float))
+    a = vol * (problem.lam + np.asarray(nl.df(x.u), dtype=float))
+    b = vol * (problem.delta + np.asarray(nl.dg(x.v), dtype=float))
     avg = 0.5 * (a + b)
     off = 0.5 * (b - a)
     rhs_p = -(res.u + res.v)
@@ -361,19 +360,18 @@ def _ray_slope(problem: Problem, ray: _Ray, tau: float) -> tuple[float, float]:
     Each u-term is grouped with its v-mirror, as in :func:`_ray`, so
     swapping the components leaves both values bitwise unchanged.
     """
-    grid, nl = problem.grid, problem.nl
-    pts, vol = grid.coords, grid.cell_volume
+    nl, vol = problem.nl, problem.grid.cell_volume
     du, dv = ray.dir_u, ray.dir_v
     with np.errstate(over="ignore", invalid="ignore"):
         u = ray.base_u + du * tau
         v = ray.base_v + dv * tau
         slope = (ray.c1 + 2.0 * tau * ray.c2) - vol * (
             (problem.lam * float(u @ du) + problem.delta * float(v @ dv))
-            + (float(nl.f(pts, u) @ du) + float(nl.g(pts, v) @ dv))
+            + (float(nl.f(u) @ du) + float(nl.g(v) @ dv))
         )
         curvature = 2.0 * ray.c2 - vol * (
             (problem.lam * float(du @ du) + problem.delta * float(dv @ dv))
-            + (float(nl.df(pts, u) @ (du * du)) + float(nl.dg(pts, v) @ (dv * dv)))
+            + (float(nl.df(u) @ (du * du)) + float(nl.dg(v) @ (dv * dv)))
         )
     if not (math.isfinite(slope) and math.isfinite(curvature)):
         return -np.inf, -np.inf

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,28 @@ def test_cli_solve_square_writes_heatmaps(tmp_path):
     sol = read_csv(out / "solution.csv")
     assert len(sol) == 64
     assert set(sol[0]) == {"x", "y", "u", "v"}
+
+
+def test_cli_solve_releases_its_samples_before_the_solve(tmp_path, monkeypatch):
+    # only geometry reads the samples; the sphere fields are n floats per sample
+    drawn, solved = [], []
+    draw, solve = cli.sample_sets, cli.solve_saddle
+
+    def tracked_draw(*args, **kwargs):
+        samples = draw(*args, **kwargs)
+        drawn.append(weakref.ref(samples))
+        return samples
+
+    def checked_solve(*args, **kwargs):
+        solved.append([ref() is None for ref in drawn])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_sets", tracked_draw)
+    monkeypatch.setattr(cli, "solve_saddle", checked_solve)
+    rc = main(["solve", "--config", cfg_file(tmp_path, SQUARE), "--out", str(tmp_path / "sq"),
+               "--quiet"])
+    assert rc == 0
+    assert solved == [[True]]
 
 
 def test_cli_solve_deterministic(tmp_path):

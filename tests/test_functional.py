@@ -142,7 +142,7 @@ def test_hypotheses_fail_samples_they_cannot_judge(p, ok):
 
 def test_hypotheses_fail_a_nan_sample():
     nl = power_nonlinearity()
-    spoiled = dataclasses.replace(nl, f=lambda pts, t: np.where(t == t.max(), np.nan, nl.f(pts, t)))
+    spoiled = dataclasses.replace(nl, f=lambda t: np.where(t == t.max(), np.nan, nl.f(t)))
     report = validate_hypotheses(spoiled)
     assert not report.growth_ok and not report.superquadratic_ok
     assert report.witnesses["growth-f"][0] == 100.0
@@ -156,7 +156,7 @@ def test_power_growth_bound_resampled(p):
     rng = np.random.default_rng(17)
     t = np.concatenate([rng.uniform(-50, 50, 400), rng.uniform(-1e-3, 1e-3, 100)])
     bound = nl.scale * (1.0 + np.abs(t) ** (p - 1.0))
-    assert np.all(np.abs(nl.f(None, t)) <= bound * (1.0 + 1e-12))
+    assert np.all(np.abs(nl.f(t)) <= bound * (1.0 + 1e-12))
 
 
 def test_lower_bound_constant_power():
@@ -170,7 +170,7 @@ def test_lower_bound_constant_resampled():
     rng = np.random.default_rng(19)
     t = rng.uniform(1.0, 90.0, 500)  # inside the sampled envelope window
     floor = c * (np.abs(t) ** nl.mu - 1.0)
-    lower = np.minimum(nl.F(None, t), nl.G(None, t))
+    lower = np.minimum(nl.F(t), nl.G(t))
     assert np.all(lower >= floor - 1e-9 * (1.0 + np.abs(floor)))
 
 
@@ -193,7 +193,7 @@ def test_small_t_constants_resampled():
     t = rng.uniform(-900.0, 900.0, 800)
     t = t[np.abs(t) > 1e-6]
     cap = 0.5 * eps * t**2 + c_eps * np.abs(t) ** nl.p
-    top = np.maximum(np.abs(nl.F(None, t)), np.abs(nl.G(None, t)))
+    top = np.maximum(np.abs(nl.F(t)), np.abs(nl.G(t)))
     assert np.all(top <= cap * (1.0 + 1e-9))
 
 
@@ -223,8 +223,8 @@ def test_problem_spec_rejects_nonfinite():
 def test_power_derivative_matches_slope(t):
     nl = power_nonlinearity()
     h = 1e-6 * (1.0 + abs(t))
-    fd = (nl.f(None, t + h) - nl.f(None, t - h)) / (2.0 * h)
-    assert nl.df(None, t) == pytest.approx(fd, rel=1e-5, abs=1e-4)
+    fd = (nl.f(t + h) - nl.f(t - h)) / (2.0 * h)
+    assert nl.df(t) == pytest.approx(fd, rel=1e-5, abs=1e-4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,7 +236,7 @@ def test_power_potential_is_antiderivative(p, scale):
     nl = power_nonlinearity(p=p, scale=scale)
     t = np.linspace(-4.0, 4.0, 401)
     mid = 0.5 * (t[1:] + t[:-1])
-    increments = nl.f(None, mid) * np.diff(t)
-    rebuilt = nl.F(None, t[0]) + np.concatenate([[0.0], np.cumsum(increments)])
-    have = nl.F(None, t)
+    increments = nl.f(mid) * np.diff(t)
+    rebuilt = nl.F(t[0]) + np.concatenate([[0.0], np.cumsum(increments)])
+    have = nl.F(t)
     assert np.max(np.abs(rebuilt - have)) <= 1e-3 * (1.0 + np.max(np.abs(have)))

@@ -55,11 +55,11 @@ def zero_problem():
 def test_sample_sets_contracts(line_problem, line_frame):
     samples = sample_sets(line_frame, sphere_count=40, boundary_count=60, interior_count=30, seed=4)
     r, rho = line_frame.r, line_frame.rho
-    norms = [line_problem.pair_norm(s) for s in samples.sphere_states]
+    norms = [line_problem.pair_norm(StatePair.diagonal(w)) for w in samples.sphere_fields]
     assert np.allclose(norms, r, rtol=1e-10)
     # the anchor and its negative are always among the sphere probes
-    diffs = [np.max(np.abs(s.u - line_frame.anchor.u)) for s in samples.sphere_states]
-    sums = [np.max(np.abs(s.u + line_frame.anchor.u)) for s in samples.sphere_states]
+    diffs = [np.max(np.abs(w - line_frame.anchor.u)) for w in samples.sphere_fields]
+    sums = [np.max(np.abs(w + line_frame.anchor.u)) for w in samples.sphere_fields]
     assert min(diffs) == 0.0 and min(sums) == 0.0
 
     chart_norms = np.linalg.norm(samples.boundary_chart, axis=1)
@@ -80,8 +80,7 @@ def test_sample_sets_deterministic(line_frame):
     b = sample_sets(line_frame, seed=9)
     assert np.array_equal(a.boundary_chart, b.boundary_chart)
     assert np.array_equal(a.interior_chart, b.interior_chart)
-    for sa, sb in zip(a.sphere_states, b.sphere_states):
-        assert np.array_equal(sa.u, sb.u) and np.array_equal(sa.v, sb.v)
+    assert np.array_equal(a.sphere_fields, b.sphere_fields)
 
 
 def test_toy_sphere_minimum_closed_form(toy_problem, toy_frame):
@@ -192,8 +191,8 @@ def test_geometry_matvecs_do_not_grow_with_the_boundary_count(square_problem, mo
             patch.setattr(square_problem.op, "matrix", counter)
             estimate_geometry(frame, samples)
         counts.append(counter.vectors)
-    # two per sphere state, and the d_y + 1 rows of the cross Gram matrix
-    assert counts == [2 * 8 + d_y + 1] * 2
+    # one per sphere field, and the d_y + 1 rows of the cross Gram matrix
+    assert counts == [8 + d_y + 1] * 2
 
 
 def test_frame_validation(line_problem):

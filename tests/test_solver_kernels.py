@@ -103,10 +103,10 @@ def test_ray_slope_matches_directional_derivative(grid_index, preset, lam, delta
     ray = _ray(problem, base, direction)
     slope, curvature = _ray_slope(problem, ray, tau)
     x = base + tau * direction
-    pts, vol, nl, op = problem.grid.coords, problem.grid.cell_volume, problem.nl, problem.op
+    vol, nl, op = problem.grid.cell_volume, problem.nl, problem.op
     du, dv = direction.u, direction.v
-    fu, gv = nl.f(pts, x.u), nl.g(pts, x.v)
-    dfu, dgv = nl.df(pts, x.u), nl.dg(pts, x.v)
+    fu, gv = nl.f(x.u), nl.g(x.v)
+    dfu, dgv = nl.df(x.u), nl.dg(x.v)
     kbu, kbv, kdu, kdv = (op.apply(w) for w in (base.u, base.v, du, dv))
     # every product of the expanded formulas, in absolute value
     cross_size = (np.abs(base.u * kdv).sum() + np.abs(base.v * kdu).sum()
@@ -200,9 +200,9 @@ def test_newton_step_matches_block_solve(grid_index, preset, lam, delta, iterate
     w, z = rng.standard_normal((2, problem.n))
     x = StatePair(w, {"symmetric": w, "antisymmetric": -w, "random": z}[iterate].copy())
     res = StatePair(*rng.standard_normal((2, problem.n)))
-    vol, pts, nl = problem.grid.cell_volume, problem.grid.coords, problem.nl
-    a = vol * (problem.lam + nl.df(pts, x.u))
-    b = vol * (problem.delta + nl.dg(pts, x.v))
+    vol, nl = problem.grid.cell_volume, problem.nl
+    a = vol * (problem.lam + nl.df(x.u))
+    b = vol * (problem.delta + nl.dg(x.v))
     want_u, want_v = newton_block_step(problem.op.matrix, a, b, res.u, res.v)
     got = _newton_step(problem, x, res)
     size = max(np.max(np.abs(want_u)), np.max(np.abs(want_v)))
