@@ -58,10 +58,14 @@ RUNS = (
     ("intersect-line255-dy2", ["intersect"], _domain(255) + ["frame.d_y = 2"]),
     ("intersect-rect12x5-dy1", ["intersect"], _domain(12, 5) + ["frame.d_y = 1"]),
     ("intersect-rect12x5-dy2", ["intersect"], _domain(12, 5) + ["frame.d_y = 2"]),
+    # chart dimension 4, the largest intersect counts degrees on
+    ("intersect-line63-dy3", ["intersect"], _domain(63) + ["frame.d_y = 3"]),
     ("geometry-sq16", ["geometry"], _domain(16, 16)),
     # the sphere is exactly the signed anchor pair; an odd count leaves its last field unpaired
     ("geometry-line1", ["geometry"], _domain(1)),
     ("geometry-sq16-odd", ["geometry"], _domain(16, 16) + ["frame.sphere_samples = 7"]),
+    # explicit radii build no pilot frame
+    ("geometry-sq16-radii", ["geometry"], _domain(16, 16) + ["frame.r = 6.5", "frame.rho = 26.0"]),
     ("check-sq16", ["check"], _domain(16, 16)),
     ("refine-sq16", ["refine", "--levels", "4"], _domain(16, 16)),
 )

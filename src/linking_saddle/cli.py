@@ -132,7 +132,7 @@ def cmd_geometry(cfg: RunConfig, quiet: bool) -> int:
     problem = discretize(to_problem_spec(cfg))
     hyp = validate_hypotheses(problem.nl)
     prelude = _frame_and_samples(cfg, problem, "geometry", [("radii", "failed")],
-                                 cfg.frame.boundary_samples, cfg.frame.interior_samples)
+                                 cfg.frame.boundary_samples, 0)
     if prelude is None:
         return 1
     frame, samples, choice = prelude
@@ -171,7 +171,8 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
             f"got frame.d_y = {cfg.frame.d_y}"
         )
     problem = discretize(to_problem_spec(cfg))
-    prelude = _frame_and_samples(cfg, problem, "intersect", [("radii", "failed")], 16, 12)
+    # the displacements are checked on 12 interior rows; no boundary row is read
+    prelude = _frame_and_samples(cfg, problem, "intersect", [("radii", "failed")], 0, 12)
     if prelude is None:
         return 1
     frame, samples, _ = prelude
@@ -233,7 +234,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
         return _fail("hypotheses", f"preset fails: {bad}")
 
     prelude = _frame_and_samples(cfg, problem, "solve", steps + [("geometry", "failed")],
-                                 cfg.frame.boundary_samples, cfg.frame.interior_samples)
+                                 cfg.frame.boundary_samples, 0)
     if prelude is None:
         return 1
     frame, samples, _ = prelude

@@ -68,7 +68,6 @@ class FrameBlock:
     seed: int = 12345
     sphere_samples: int = 64
     boundary_samples: int = 128
-    interior_samples: int = 64
 
 
 @dataclass
@@ -186,7 +185,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for label, val in (
         ("frame.sphere_samples", f.sphere_samples),
         ("frame.boundary_samples", f.boundary_samples),
-        ("frame.interior_samples", f.interior_samples),
     ):
         if val < 2:
             raise ConfigError(f"{label} must be at least 2, got {val}")

@@ -106,9 +106,9 @@ def _row_dots(xi: np.ndarray) -> np.ndarray:
     return (xi[..., None, :] @ xi[..., :, None])[..., 0, 0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkingFrame:
-    """Chart data for one linking configuration.
+    """Chart data for one linking configuration; no field changes once built.
 
     The chart coordinate is xi in R^(d_y + 1): the first d_y entries are
     coefficients along antidiagonal mode directions, the last entry is
@@ -116,9 +116,9 @@ class LinkingFrame:
     equals the energy norm of the state. The frame set M is the chart
     half-ball {|xi| <= rho, xi_last >= 0}; the small sphere N is the
     radius-r sphere of the full diagonal subspace. ``basis`` holds
-    exactly the d_y chart modes. The Gram matrices of the chart are
-    cached on first use. They do not depend on rho, so rho is the one
-    field that may be reassigned, to a value above r.
+    exactly the d_y chart modes, so d_y is its mode count. The Gram
+    matrices of the chart and the boundary rows of the degree count are
+    cached on first use.
     """
 
     problem: Problem
@@ -127,24 +127,24 @@ class LinkingFrame:
     anchor: StatePair
     r: float
     rho: float
-    d_y: int = 1
 
     def __post_init__(self) -> None:
         if not (0 < self.r < self.rho and np.isfinite(self.rho)):
             raise InvalidSpecError(
                 f"radii must satisfy 0 < r < rho, got r={self.r}, rho={self.rho}"
             )
-        if not 1 <= self.d_y == self.basis.count:
-            raise InvalidSpecError(
-                f"the modal basis must hold exactly the d_y >= 1 chart modes, "
-                f"got d_y={self.d_y} and {self.basis.count} modes"
-            )
+        if self.basis.count < 1:
+            raise InvalidSpecError("the modal basis must hold at least one chart mode")
         split = self.splitting
         stray = split.pair_norm(split.antidiagonal_part(self.anchor))
         if stray > 1e-10 * self.r:
             raise InvalidSpecError("anchor must lie in the diagonal subspace")
         if abs(split.pair_norm(self.anchor) - self.r) > 1e-8 * self.r:
             raise InvalidSpecError("anchor norm must equal r")
+
+    @property
+    def d_y(self) -> int:
+        return self.basis.count
 
     @property
     def chart_dim(self) -> int:
@@ -190,9 +190,11 @@ class LinkingFrame:
         return StatePair(a * self.anchor.u - w, a * self.anchor.v + w)
 
     @cached_property
-    def _degree_rows(self) -> dict:
-        """The read-only boundary rows of ``brouwer_degree_small`` by rho, drawn once each."""
-        return {}
+    def _degree_rows(self) -> np.ndarray:
+        """The read-only boundary rows of ``brouwer_degree_small``, drawn once per frame."""
+        rows = _boundary_rows(np.random.default_rng(7), self.chart_dim, self.rho, 150, 150)
+        rows.flags.writeable = False
+        return rows
 
     def _inside(self, xi: np.ndarray) -> np.ndarray:
         """Half-ball membership of each chart row, with a slack of 1e-9 rho for rounding."""
@@ -248,18 +250,19 @@ def build_frame(
         if norm <= 0 or not np.isfinite(norm):
             raise InvalidSpecError("anchor direction has no diagonal component")
         anchor = (float(r) / norm) * diag
-    return LinkingFrame(problem, split, basis, anchor, float(r), float(rho), int(d_y))
+    return LinkingFrame(problem, split, basis, anchor, float(r), float(rho))
 
 
 @dataclass
 class SampleSets:
-    """Seeded sample families for geometry estimates.
+    """Seeded sample families of the linking sets.
 
     Each row w of ``sphere_fields`` stands for the point (w, w) of the
     small diagonal sphere N; the anchor and its negative always lead.
     ``boundary_chart`` rows cover the frame boundary: base rows carry an
     exact 0.0 last coordinate, cap rows have Euclidean norm exactly scaled
     to rho. ``interior_chart`` rows are strictly inside the half-ball.
+    A family that was not asked for is an empty (0, d_y + 1) block.
     """
 
     sphere_fields: np.ndarray
@@ -312,28 +315,27 @@ def _interior_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -
     return rows
 
 
-def _boundary_corner_rows(frame: LinkingFrame) -> np.ndarray:
+def _boundary_corner_rows(dim: int, rho: float) -> np.ndarray:
     """Deterministic boundary probes: cap top, base center, base edge points."""
-    d = frame.chart_dim
-    rows = [np.zeros(d)]
-    top = np.zeros(d)
-    top[-1] = frame.rho
+    rows = [np.zeros(dim)]
+    top = np.zeros(dim)
+    top[-1] = rho
     rows.append(top)
-    for k in range(frame.d_y):
+    for k in range(dim - 1):
         for sign in (1.0, -1.0):
-            edge = np.zeros(d)
-            edge[k] = sign * frame.rho
+            edge = np.zeros(dim)
+            edge[k] = sign * rho
             rows.append(edge)
     return np.array(rows)
 
 
-def _boundary_rows(frame: LinkingFrame, rng: np.random.Generator, cap: int,
+def _boundary_rows(rng: np.random.Generator, dim: int, rho: float, cap: int,
                    base: int) -> np.ndarray:
     """The corner probes, then ``cap`` cap rows and ``base`` base rows, drawn in that order."""
     return np.vstack([
-        _boundary_corner_rows(frame),
-        _cap_rows(rng, frame.chart_dim, frame.rho, cap),
-        _base_rows(rng, frame.chart_dim, frame.rho, base),
+        _boundary_corner_rows(dim, rho),
+        _cap_rows(rng, dim, rho, cap),
+        _base_rows(rng, dim, rho, base),
     ])
 
 
@@ -341,9 +343,13 @@ def sample_sets(
     frame: LinkingFrame,
     sphere_count: int = 64,
     boundary_count: int = 128,
-    interior_count: int = 64,
+    interior_count: int = 0,
     seed: int = 0,
 ) -> SampleSets:
+    """Sphere fields, then boundary rows, then interior rows, from one seeded stream.
+
+    A family of count 0 draws nothing, so the rows drawn before it do not depend on it.
+    """
     rng = np.random.default_rng(seed)
     n = frame.problem.n
 
@@ -358,10 +364,12 @@ def sample_sets(
         sphere[k] = (frame.r / norm) * w
         sphere[k + 1:k + 2] = -sphere[k]  # an odd last row has no partner
 
-    # there are 2 * chart_dim corner probes
-    fill = max(boundary_count - 2 * frame.chart_dim, 0)
-    boundary = _boundary_rows(frame, rng, (fill + 1) // 2, fill // 2)
-    interior = _interior_rows(rng, frame.chart_dim, frame.rho, interior_count)
+    d = frame.chart_dim
+    boundary = np.empty((0, d))
+    if boundary_count > 0:
+        fill = max(boundary_count - 2 * d, 0)
+        boundary = _boundary_rows(rng, d, frame.rho, (fill + 1) // 2, fill // 2)
+    interior = _interior_rows(rng, d, frame.rho, interior_count)
     return SampleSets(sphere, boundary, interior)
 
 
@@ -521,7 +529,7 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     small-amplitude constant at eps equal to half the spectral gap. The
     returned r halves the maximizing s for safety; rho doubles r until a
     pilot boundary sweep is nonpositive. One pilot frame serves every
-    doubling, which changes only its rho. A sweep evaluates its chart
+    doubling, which draws rows on its own rho. A sweep evaluates its chart
     rows with ``_chart_energies`` and stops at its first positive energy,
     as only ``max <= 0`` is decided; a passing sweep evaluates every row.
 
@@ -575,11 +583,12 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     _require_finite("radius r", r)
 
     pilot = build_frame(problem, r, 2.0 * r, d_y=d_y)
-    # the boundary rows of sample_sets(pilot, boundary_count=RADII_PILOT_BOUNDARY, seed=seed + 1)
+    # the rows sample_sets(boundary_count=RADII_PILOT_BOUNDARY, seed=seed + 1) draws at rho
     fill = max(RADII_PILOT_BOUNDARY - 2 * pilot.chart_dim, 0)
     for k in range(1, RADII_MAX_DOUBLINGS + 1):
-        rho = pilot.rho = r * 2.0**k
-        rows = _boundary_rows(pilot, np.random.default_rng(seed + 1), (fill + 1) // 2, fill // 2)
+        rho = r * 2.0**k
+        rows = _boundary_rows(np.random.default_rng(seed + 1), pilot.chart_dim, rho,
+                              (fill + 1) // 2, fill // 2)
         boundary_max = -np.inf
         for value in _chart_energies(pilot, rows):
             boundary_max = max(boundary_max, value)
@@ -950,11 +959,7 @@ def brouwer_degree_small(
             f"degree counting supports chart dimension <= {MAX_DEGREE_DIMENSION}, "
             f"got {frame.chart_dim}"
         )
-    rows = frame._degree_rows
-    if frame.rho not in rows:  # the rows depend only on the chart and rho
-        rows[frame.rho] = _boundary_rows(frame, np.random.default_rng(7), 150, 150)
-        rows[frame.rho].flags.writeable = False
-    boundary_vals = np.sqrt(_row_dots(map_fn(rows[frame.rho])))
+    boundary_vals = np.sqrt(_row_dots(map_fn(frame._degree_rows)))
     boundary_min = float(np.min(boundary_vals))
     if boundary_min < 1e-6:
         raise BoundaryZeroError(

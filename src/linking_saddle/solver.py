@@ -511,6 +511,42 @@ def _mu_norm(problem: Problem, x: StatePair) -> float:
     return problem.grid.cell_volume * (np.sum(np.abs(x.u) ** mu) + np.sum(np.abs(x.v) ** mu))
 
 
+def _accept(problem: Problem, trials: Iterator[tuple]) -> tuple:
+    """``(trial, res, g, gn, next_step)`` of the first trial with gradient norm gn <= its bound.
+
+    ``trials`` yields ``(trial, bound, next_step)`` and raises
+    :class:`_StepFailed` once it has no trial left; a trial whose energy
+    overflows is rejected.
+    """
+    for trial, bound, next_step in trials:
+        try:
+            res, g, gn = _grad_and_norm(problem, trial)
+        except EnergyOverflowError:
+            continue
+        if gn <= bound:
+            return trial, res, g, gn, next_step
+
+
+def _flow_trials(problem: Problem, frame: Optional[LinkingFrame], max_step: float):
+    """The trial rule of the flow, shared by :func:`signflow_solve` and :func:`flow_map`.
+
+    From step size s it tries the flow update of size s, s/2, ... down to
+    ``_MIN_FLOW_STEP``, each accepted at a gradient norm up to 1.5 times
+    the current one, and an accepted step s lets the next one grow to
+    min(1.25 s, ``max_step``).
+    """
+    split = DiagonalSplitting(problem.grid, problem.op)
+
+    def trials(x, res, g, gn, s):
+        while s >= _MIN_FLOW_STEP:
+            # tolerance band: mild transients allowed
+            yield _flow_update(split, problem, frame, x, g, s), 1.5 * gn, min(s * 1.25, max_step)
+            s *= 0.5
+        raise _StepFailed("step size collapsed")
+
+    return trials
+
+
 def _iterate(
     problem: Problem,
     x: StatePair,
@@ -529,20 +565,20 @@ def _iterate(
 
     ``trials(x, res, g, gn, step)`` yields the backtracking trials of one
     step as ``(trial, bound, next_step)``, from the first-order residual
-    ``res`` at x and the gradient ``g`` solved from it; the first trial
-    whose gradient norm is at most ``bound`` is accepted, and its residual
-    and gradient carry into the next iterate. A trial whose energy
-    overflows is rejected. The rule raises :class:`_StepFailed` when it
-    has no trial left. ``step`` is the step size recorded with the
-    starting iterate.
+    ``res`` at x and the gradient ``g`` solved from it; :func:`_accept`
+    picks the trial to take, and its residual and gradient carry into the
+    next iterate. The rule raises :class:`_StepFailed` when it has no
+    trial left. ``step`` is the step size recorded with the starting
+    iterate.
 
     The loop converges once the gradient norm is at most ``tol`` and the
     step just accepted has energy norm at most ``step_tol``; a finite
     ``step_tol`` asks for at least one step. ``basin(x, res, gn, energy)``,
     when given, is asked before the first step, and again before each step
     whose gradient norm is at most half the one it last said None to. A
-    ``(trial, res, g, gn)`` it returns is taken as a full step, recorded
-    with step size 1, and ends the loop there as converged. ``start``, when
+    ``(trial, res, g, gn, energy)`` it returns is taken as a full step,
+    recorded with step size 1 and that energy, and ends the loop there as
+    converged. ``start``, when
     given, is the residual, gradient norm and energy known at x; the
     gradient itself is then not computed, so ``trials`` must not read it.
     """
@@ -570,36 +606,30 @@ def _iterate(
         if basin is not None and gn <= basin_due:
             jump = basin(x, res, gn, energy)
             if jump is not None:
-                (x, res, g, gn), energy = jump, None
+                x, res, g, gn, energy = jump
                 step, handed_off = 1.0, True
                 it += 1
                 continue
             basin_due = 0.5 * gn
         try:
-            for trial, bound, next_step in trials(x, res, g, gn, step):
-                try:
-                    res_trial, g_trial, gn_trial = _grad_and_norm(problem, trial)
-                except EnergyOverflowError:
-                    continue
-                if gn_trial <= bound:
-                    break
+            trial, res, g, gn, step = _accept(problem, trials(x, res, g, gn, step))
         except _StepFailed as exc:
             message = str(exc)
             break
         if step_tol < math.inf:
             # the same difference ps_monitor measures between the last two states
             last_step = pair_norm(problem.op, trial - x)
-        x, res, g, gn, step, energy = trial, res_trial, g_trial, gn_trial, next_step, None
+        x, energy = trial, None
         it += 1
     return _finish(problem, x, res, converged, it, method, message, trace, eta)
 
 
 def _basin_trial(
     problem: Problem, x: StatePair, res: StatePair, gn: float, energy: float, eta: float
-) -> Optional[tuple[StatePair, StatePair, StatePair, float]]:
+) -> Optional[tuple[StatePair, StatePair, StatePair, float, float]]:
     """One full Newton step from ``x``, if it shows the basin.
 
-    It returns ``(x + d, residual, gradient, gradient norm)`` at x + d.
+    It returns ``(x + d, residual, gradient, gradient norm, energy)`` at x + d.
 
     The step must contract the gradient norm ``gn`` at ``x`` at least
     tenfold, land on a state of energy norm at least ``eta``, and change
@@ -613,12 +643,12 @@ def _basin_trial(
         d = _newton_step(problem, x, res)
         trial = x + d
         res_trial, g, gn_trial = _grad_and_norm(problem, trial)
-        jump = evaluate_J(problem, trial).total - energy
+        energy_trial = evaluate_J(problem, trial).total
     except (_StepFailed, EnergyOverflowError):
         return None
     if (gn_trial <= 0.1 * gn and pair_norm(op, trial) >= eta
-            and abs(jump) <= gn * pair_norm(op, d)):
-        return trial, res_trial, g, gn_trial
+            and abs(energy_trial - energy) <= gn * pair_norm(op, d)):
+        return trial, res_trial, g, gn_trial, energy_trial
     return None
 
 
@@ -666,7 +696,7 @@ def signflow_solve(
     *,
     _basin: Optional[Callable[[StatePair, StatePair, float, float], Optional[tuple]]] = None,
 ) -> SaddleReport:
-    """Sign-respecting ascent/pinning flow with adaptive step halving.
+    """Sign-respecting ascent/pinning flow with adaptive step halving (:func:`_flow_trials`).
 
     On a purely quadratic energy the update contracts the state by
     exactly (1 - step) per iteration, so the trivial state is reached
@@ -676,19 +706,9 @@ def signflow_solve(
     """
     cfg = config if config is not None else SolverConfig(method="signflow")
     tol = cfg.grad_tol if grad_tol is None else float(grad_tol)
-    split = DiagonalSplitting(problem.grid, problem.op)
-
-    def trials(x, res, g, gn, s):
-        while s >= _MIN_FLOW_STEP:
-            # tolerance band: mild transients allowed
-            yield (_flow_update(split, problem, frame, x, g, s), 1.5 * gn,
-                   min(s * 1.25, cfg.flow_step))
-            s *= 0.5
-        raise _StepFailed("step size collapsed")
-
     x = _initial_state(problem, cfg, frame, x0)
-    return _iterate(problem, x, trials, tol, cfg.flow_max_iter, cfg.flow_step, "signflow",
-                    cfg.eta, basin=_basin)
+    return _iterate(problem, x, _flow_trials(problem, frame, cfg.flow_step), tol,
+                    cfg.flow_max_iter, cfg.flow_step, "signflow", cfg.eta, basin=_basin)
 
 
 def solve_saddle(
@@ -732,12 +752,24 @@ def flow_map(
     step: float = 0.2,
     frame: Optional[LinkingFrame] = None,
 ) -> StatePair:
-    """Fixed number of undamped flow steps; deterministic, used as a deformation."""
-    split = DiagonalSplitting(problem.grid, problem.op)
+    """Up to ``steps`` accepted flow steps of size at most ``step``, used as a deformation.
+
+    Each step takes the trial rule of :func:`signflow_solve`
+    (:func:`_flow_trials`), so a trial whose gradient norm grows past 1.5
+    times the current one, or whose energy overflows, is halved instead
+    of taken. Where no trial is rejected this is ``steps`` flow updates of
+    size ``step``. The map stops early, at its last accepted state, where
+    the step size collapses.
+    """
+    trials = _flow_trials(problem, frame, step)
     x = x0.copy()
+    _, g, gn = _grad_and_norm(problem, x)
+    s = step
     for _ in range(steps):
-        g = riesz_gradient(problem, x)
-        x = _flow_update(split, problem, frame, x, g, step)
+        try:
+            x, _, g, gn, s = _accept(problem, trials(x, None, g, gn, s))
+        except _StepFailed:
+            break
     return x
 
 
@@ -922,9 +954,11 @@ def deformation_witness_search(
 
     Preconditions: 0 < eps < (level - boundary_max)/2, and the deformed
     frame samples (its boundary corners and 48 seeded interior points)
-    must not exceed level + eps. The search flows downhill from the
-    highest deformed sample; not finding a witness within the budget is
-    a valid (reported) outcome, not an error.
+    must not exceed level + eps. The search flows from the highest
+    deformed sample, one :func:`flow_map` step of at most ``flow_step`` at
+    a time, so a step that would overflow is halved instead of taken; not
+    finding a witness within the budget is a valid (reported) outcome,
+    not an error.
     """
     if not (eps > 0 and 2.0 * eps < level - boundary_max):
         raise InvalidSpecError(
@@ -938,7 +972,7 @@ def deformation_witness_search(
 
     rng = np.random.default_rng(seed)
     rows = np.vstack([
-        _boundary_corner_rows(frame),
+        _boundary_corner_rows(frame.chart_dim, frame.rho),
         _interior_rows(rng, frame.chart_dim, frame.rho, 48),
     ])
     images = [gamma(row) for row in rows]
@@ -951,11 +985,10 @@ def deformation_witness_search(
             precondition_ok, sup_value, "deformed samples exceed level + eps",
         )
 
-    split = DiagonalSplitting(problem.grid, problem.op)
-    x = images[int(np.argmax(image_vals))].copy()
+    top = int(np.argmax(image_vals))
+    x, energy = images[top].copy(), image_vals[top]
     for it in range(flow_steps + 1):
-        energy = evaluate_J(problem, x).total
-        _, g, gn = _grad_and_norm(problem, x)
+        _, _, gn = _grad_and_norm(problem, x)
         distance = min(pair_norm(problem.op, x - img) for img in images)
         if witness_predicate(energy, gn, distance, level, eps, prox):
             return WitnessReport(
@@ -963,7 +996,8 @@ def deformation_witness_search(
                 precondition_ok, sup_value, "witness found",
             )
         if it < flow_steps:
-            x = _flow_update(split, problem, frame, x, g, flow_step)
+            x = flow_map(problem, x, 1, flow_step, frame)
+            energy = evaluate_J(problem, x).total
     return WitnessReport(
         False, None, float(energy), float(gn), float(distance), flow_steps,
         precondition_ok, sup_value, "iteration budget exhausted",

@@ -7,8 +7,8 @@ the algorithms that faster package kernels replaced (the probe-grid
 crest search, the whole-block Newton solve, the full pilot sweeps of
 the radii search, LAPACK's tridiagonal eigensolver, the numpy forms
 of the chart kernels, the hybr multistart root sweep of the degree
-count and the linear program of the compactness fit). No imports from
-linking_saddle are allowed in this module.
+count, the linear program of the compactness fit and the fixed-step
+flow map). No imports from linking_saddle are allowed in this module.
 """
 
 from __future__ import annotations
@@ -247,6 +247,18 @@ def doubling_pilot(boundary_energies, r: float, max_doublings: int):
         if top <= 0:
             return rho, k, top
     return None
+
+
+def fixed_step_flow(gradient, update, x0, steps: int, step: float):
+    """The undamped flow map: ``steps`` updates of size ``step``, none of them checked.
+
+    ``gradient(x)`` is the gradient at x and ``update(x, g, s)`` one flow
+    update of size s from x along g.
+    """
+    x = x0.copy()
+    for _ in range(steps):
+        x = update(x, gradient(x), step)
+    return x
 
 
 def fd_jacobian(map_fn, xi: np.ndarray) -> np.ndarray:

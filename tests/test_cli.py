@@ -206,9 +206,9 @@ def test_cli_intersect_draws_the_degree_boundary_once_per_frame(tmp_path, monkey
     draws, degrees = [], []
     boundary_rows, degree = linking._boundary_rows, cli.brouwer_degree_small
 
-    def counting_rows(frame, rng, cap, base):
-        draws.append((id(frame), frame.rho, cap, base))
-        return boundary_rows(frame, rng, cap, base)
+    def counting_rows(rng, dim, rho, cap, base):
+        draws.append((dim, rho, cap, base))
+        return boundary_rows(rng, dim, rho, cap, base)
 
     def counting_degree(map_fn, frame):
         degrees.append((id(frame), frame.rho))
@@ -221,7 +221,7 @@ def test_cli_intersect_draws_the_degree_boundary_once_per_frame(tmp_path, monkey
     assert rc == 0
     # four degree counts on one frame and rho; the 150 + 150 rows are drawn once
     assert len(degrees) == 4 and len(set(degrees)) == 1
-    assert [d for d in draws if d[2:] == (150, 150)] == [degrees[0] + (150, 150)]
+    assert [d for d in draws if d[2:] == (150, 150)] == [(3, degrees[0][1], 150, 150)]
 
 
 def test_cli_intersect_degree_start_is_each_deformations_own(tmp_path):
@@ -231,7 +231,7 @@ def test_cli_intersect_degree_start_is_each_deformations_own(tmp_path):
     rows = read_csv(tmp_path / "i" / "intersection_report.csv")
     cfg = load_config(path)
     frame, _, _ = cli._frame_and_samples(cfg, discretize(to_problem_spec(cfg)), "intersect",
-                                         [], 16, 12)
+                                         [], 0, 12)
     gammas = shipped_deformations(frame)
     assert [r["deformation"] for r in rows] == [g.name for g in gammas]
     for row, gamma in zip(rows, gammas):
@@ -395,6 +395,44 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = main(["solve", "--config", cfg_file(tmp_path, "problem.p = 2.0\n")])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["geometry", "solve", "intersect"])
+def test_cli_rejects_the_interior_sample_count(tmp_path, capsys, command):
+    # no command reads a configured interior count, so there is no key for one
+    rc = main([command, "--config", cfg_file(tmp_path, TOY + "frame.interior_samples = 8\n"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "frame.interior_samples: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, boundary, interior", [
+    ("geometry", 128, 0), ("solve", 128, 0), ("intersect", 0, 12),
+])
+def test_cli_draws_only_the_sample_families_it_reads(tmp_path, monkeypatch, command, boundary,
+                                                     interior):
+    drawn = []
+    draw = cli.sample_sets
+
+    def recorded_draw(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "sample_sets", recorded_draw)
+    rc = main([command, "--config", cfg_file(tmp_path, LINE_D2), "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 0
+    (samples,) = drawn
+    assert samples.boundary_chart.shape == (boundary, 3)
+    assert samples.interior_chart.shape == (interior, 3)
+
+
+def test_cli_solve_from_the_zero_start_fails_at_solve(tmp_path, capsys):
+    text = LINE.format(63) + "solver.init = zero\n"
+    rc = main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "z")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "FAILED at stage 'solve': converged to the trivial state" in err
 
 
 def test_cli_missing_config_exit_code(tmp_path, capsys):

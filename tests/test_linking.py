@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ def test_choose_radii_matches_the_full_pilot_sweep(domain, d_y):
 
 
 def test_choose_radii_builds_one_pilot_frame(square_problem, monkeypatch):
-    # each doubling changes only the pilot's rho; its chart does not depend on rho
+    # each doubling draws rows of its own rho; the pilot's chart does not depend on rho
     built = []
     real = linking.build_frame
     monkeypatch.setattr(linking, "build_frame",
@@ -164,7 +166,7 @@ def test_choose_radii_builds_one_pilot_frame(square_problem, monkeypatch):
     choice = choose_radii(square_problem, d_y=2, seed=5)
     assert choice.doublings >= 2
     (pilot,) = built
-    assert (pilot.r, pilot.rho) == (choice.r, choice.rho)
+    assert pilot.r == choice.r
 
 
 class CountingMatrix:
@@ -404,22 +406,26 @@ def test_boundary_zero_detected(line_frame):
         brouwer_degree_small(lambda xi: xi - top, line_frame)
 
 
-def test_degree_boundary_is_drawn_once_per_rho(line_problem):
+def test_degree_boundary_is_drawn_once_per_frame(line_problem, monkeypatch):
+    draws = []
+    boundary_rows = linking._boundary_rows
+    monkeypatch.setattr(linking, "_boundary_rows",
+                        lambda *args: draws.append(args[1:]) or boundary_rows(*args))
     frame = build_frame(line_problem, 0.7, 3.0, d_y=2)
     map_fn = homotopy_chart_map(frame, identity_deformation(frame), 1.0)
     report = brouwer_degree_small(map_fn, frame)
-    (rows,) = frame._degree_rows.values()
+    rows = frame._degree_rows
     assert not rows.flags.writeable
-    assert np.array_equal(rows, linking._boundary_rows(frame, np.random.default_rng(7), 150, 150))
+    assert np.array_equal(rows, boundary_rows(np.random.default_rng(7), 3, 3.0, 150, 150))
+    assert np.max(np.linalg.norm(rows, axis=1)) == pytest.approx(3.0)
     # the boundary minimum is the least Euclidean norm of the map on those rows
     assert report.boundary_min == min(np.linalg.norm(map_fn(row)) for row in rows)
     brouwer_degree_small(map_fn, frame)
-    assert list(frame._degree_rows) == [3.0] and frame._degree_rows[3.0] is rows
-    # a new rho draws new rows, on the new cap
-    frame.rho = 4.0
-    brouwer_degree_small(homotopy_chart_map(frame, identity_deformation(frame), 1.0), frame)
-    wider = frame._degree_rows[4.0]
-    assert wider is not rows and np.max(np.linalg.norm(wider, axis=1)) == pytest.approx(4.0)
+    assert frame._degree_rows is rows and draws == [(3, 3.0, 150, 150)]
+    # the radius is fixed when the frame is built
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frame.rho = 4.0
+    assert frame.rho == 3.0 and frame._degree_rows is rows
 
 
 def stray_direction(frame):

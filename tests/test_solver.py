@@ -15,6 +15,7 @@ from linking_saddle import (
     build_frame,
     choose_radii,
     discretize,
+    estimate_geometry,
     euler_lagrange_residual,
     evaluate_J,
     flow_deformation,
@@ -25,6 +26,7 @@ from linking_saddle import (
     ps_monitor,
     residual_dual_norm,
     riesz_gradient,
+    sample_sets,
     signflow_solve,
     solve_saddle,
     witness_predicate,
@@ -35,7 +37,7 @@ from linking_saddle import solver
 from linking_saddle.solver import IterateTrace, _ray, _ray_energy
 
 from conftest import random_state
-from oracles import linprog_affine_fit
+from oracles import fixed_step_flow, linprog_affine_fit
 
 CREST = 2.0 * np.sqrt(2.0)
 
@@ -268,9 +270,11 @@ def test_basin_trial_fails_on_each_guard(line_problem, monkeypatch):
     step = solver._newton_step(line_problem, x, res)
     assert _guards(line_problem, x, step, gn, energy, eta=0.1) == (True, False, True)
     assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.1) is None
-    trial, res_trial, g, gn_trial = solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0)
+    trial, res_trial, g, gn_trial, energy_trial = solver._basin_trial(line_problem, x, res, gn,
+                                                                      energy, eta=0.0)
     assert np.array_equal(trial.u, (x + step).u) and np.array_equal(trial.v, (x + step).v)
     assert gn_trial == line_problem.pair_norm(g) <= 0.1 * gn
+    assert energy_trial == evaluate_J(line_problem, trial).total
     want = euler_lagrange_residual(line_problem, trial)
     assert np.array_equal(res_trial.u, want.u) and np.array_equal(res_trial.v, want.v)
 
@@ -584,6 +588,121 @@ def test_flow_map_keeps_crest_fixed(toy_problem):
     x = StatePair(np.array([CREST]), np.array([CREST]))
     moved = flow_map(toy_problem, x, steps=5, step=0.2)
     assert moved.u == pytest.approx(x.u, rel=1e-8)
+
+
+def test_flow_map_is_the_fixed_step_flow_where_no_trial_is_rejected(line_problem, solved_line,
+                                                                    monkeypatch):
+    frame = build_frame(line_problem, 4.0, 16.0, anchor_direction=solved_line.state)
+    split = frame.splitting
+    updates = []
+    update = solver._flow_update
+    monkeypatch.setattr(solver, "_flow_update",
+                        lambda *args: updates.append(args[-1]) or update(*args))
+    rows = sample_sets(frame, boundary_count=0, interior_count=6, seed=3).interior_chart
+    for xi in rows:
+        x0 = frame.state_from_chart(xi)
+        updates.clear()
+        moved = flow_map(line_problem, x0, 12, 0.2, frame)
+        # twelve trials, each of the full step: none was rejected
+        assert updates == [0.2] * 12
+        want = fixed_step_flow(lambda x: riesz_gradient(line_problem, x),
+                               lambda x, g, s: update(split, line_problem, frame, x, g, s),
+                               x0, 12, 0.2)
+        assert np.array_equal(moved.u, want.u) and np.array_equal(moved.v, want.v)
+
+
+@pytest.fixture(scope="module")
+def square32_solved():
+    problem = discretize(ProblemSpec(DomainSpec.square(32), power_nonlinearity()))
+    report = solve_saddle(problem)
+    assert report.converged and report.nontrivial
+    return problem, report
+
+
+def test_witness_search_reports_where_the_undamped_flow_overflows(square32_solved):
+    # twice the certified rho: the undamped flow map overflowed on frame samples
+    # this wide, and the search raised EnergyOverflowError instead of reporting
+    problem, rep = square32_solved
+    radii = choose_radii(problem)
+    frame = build_frame(problem, radii.r, 2.0 * radii.rho, anchor_direction=rep.state)
+    geo = estimate_geometry(frame)
+    gamma = flow_deformation(problem, frame)
+    eps = 0.1 * rep.critical_value
+    report = deformation_witness_search(problem, frame, gamma, rep.critical_value,
+                                        geo.boundary_max, eps=eps, prox=1.0)
+    assert report.precondition_ok and report.found
+    assert np.isfinite([report.energy, report.gradient_norm, report.sup_value]).all()
+    assert abs(report.energy - rep.critical_value) <= 2.0 * eps
+    assert report.gradient_norm < 8.0 * eps
+
+
+def _evaluated_states(monkeypatch):
+    """The (u, v) bytes of each state ``solver.evaluate_J`` is called on, in call order."""
+    states = []
+    evaluate = solver.evaluate_J
+
+    def counting(problem, x):
+        states.append((x.u.tobytes(), x.v.tobytes()))
+        return evaluate(problem, x)
+
+    monkeypatch.setattr(solver, "evaluate_J", counting)
+    return states
+
+
+def test_solve_evaluates_each_energy_once(line_problem, monkeypatch):
+    jumps = []
+    basin = solver._basin_trial
+    monkeypatch.setattr(solver, "_basin_trial",
+                        lambda *args, **kwargs: jumps.append(basin(*args, **kwargs)) or jumps[-1])
+    states = _evaluated_states(monkeypatch)
+    report = solve_saddle(line_problem)
+    assert report.converged and report.nontrivial
+    # the flow hands off, and the energy of the handoff state is the basin trial's
+    assert jumps[-1] is not None
+    assert report.trace.energies.count(jumps[-1][4]) == 2  # the last flow row and Newton's first
+    assert len(states) == len(set(states))
+
+
+def test_witness_search_evaluates_each_energy_once(line_problem, witness_setup, solved_line,
+                                                   monkeypatch):
+    frame, geo = witness_setup
+    gamma = flow_deformation(line_problem, frame, steps=2, step=1e-4)
+    level = solved_line.critical_value
+    states = _evaluated_states(monkeypatch)
+    report = deformation_witness_search(line_problem, frame, gamma, level, geo.boundary_max,
+                                        eps=0.1 * abs(level), prox=1e6, flow_steps=2,
+                                        flow_step=1e-4)
+    assert report.iterations == 2
+    # the images, then one energy per flow step
+    assert len(states) == len(set(states)) == frame.chart_dim * 2 + 48 + 2
+
+
+@pytest.fixture(scope="module")
+def line63():
+    return discretize(ProblemSpec(DomainSpec.interval(63), power_nonlinearity()))
+
+
+def test_eigen_start_reaches_the_anchor_starts_critical_value(line63):
+    anchor = solve_saddle(line63)
+    assert anchor.converged and anchor.nontrivial
+    for method in ("flow-then-newton", "signflow"):
+        report = solve_saddle(line63, SolverConfig(method=method, init="eigen"))
+        assert report.method == method and report.converged and report.nontrivial
+        assert report.critical_value == pytest.approx(anchor.critical_value, rel=1e-14)
+
+
+def test_newton_alone_from_the_eigen_start_falls_to_the_trivial_state(line63):
+    # the sign-respecting flow is what escapes the trivial basin
+    report = solve_saddle(line63, SolverConfig(method="newton", init="eigen"))
+    assert report.converged and not report.nontrivial
+    assert abs(report.critical_value) < 1e-30 and report.trace.state_norms[-1] < 1e-10
+
+
+def test_zero_start_stays_trivial(line63):
+    for method in ("flow-then-newton", "signflow", "newton"):
+        report = solve_saddle(line63, SolverConfig(method=method, init="zero"))
+        assert report.converged and not report.nontrivial
+        assert report.critical_value == 0.0
 
 
 def test_flow_deformation_fixes_boundary(line_problem, witness_setup):
