@@ -66,6 +66,10 @@ RUNS = (
     ("geometry-sq16-odd", ["geometry"], _domain(16, 16) + ["frame.sphere_samples = 7"]),
     # explicit radii build no pilot frame
     ("geometry-sq16-radii", ["geometry"], _domain(16, 16) + ["frame.r = 6.5", "frame.rho = 26.0"]),
+    # a large power: certified; on a wide interval the radius search overflows and exits 1
+    ("geometry-line15-p80", ["geometry"], _domain(15) + ["problem.p = 80", "problem.mu = 80"]),
+    ("geometry-line15-wide-p80", ["geometry"],
+     _domain(15) + ["problem.p = 80", "problem.mu = 80", "domain.extent_x = 1e6"]),
     ("check-sq16", ["check"], _domain(16, 16)),
     ("refine-sq16", ["refine", "--levels", "4"], _domain(16, 16)),
 )

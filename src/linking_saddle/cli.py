@@ -34,7 +34,7 @@ from .linking import (
     shipped_deformations,
 )
 from .reporting import write_csv, write_float_csv, write_manifest, write_pgm, write_svg_trace
-from .solver import MINIMAX_TOL, minimax_consistency, ps_monitor, solve_saddle
+from .solver import minimax_consistency, ps_monitor, solve_saddle
 
 __all__ = ["main"]
 
@@ -195,7 +195,7 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
             cert = intersection_point(frame, gamma, roots=deg_end.roots)
             disp = displacement_residual(frame, gamma, samples.interior_chart)
             ok = (deg_end.degree == deg_start.degree == 1
-                  and cert.energy >= sphere_min - MINIMAX_TOL)
+                  and minimax_consistency(cert.energy, sphere_min))
             rows.append((gamma.name, cert.antidiagonal_residual, cert.radius_residual,
                          cert.energy, sphere_min, deg_start.degree, deg_end.degree,
                          deg_end.boundary_min, disp, ok))

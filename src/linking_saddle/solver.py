@@ -955,10 +955,10 @@ def deformation_witness_search(
     Preconditions: 0 < eps < (level - boundary_max)/2, and the deformed
     frame samples (its boundary corners and 48 seeded interior points)
     must not exceed level + eps. The search flows from the highest
-    deformed sample, one :func:`flow_map` step of at most ``flow_step`` at
-    a time, so a step that would overflow is halved instead of taken; not
-    finding a witness within the budget is a valid (reported) outcome,
-    not an error.
+    deformed sample by one-step :func:`flow_map` steps of size at most
+    ``flow_step``, each reusing the gradient solved at the last, so a step
+    that would overflow is halved instead of taken; not finding a witness
+    within the budget is a valid (reported) outcome, not an error.
     """
     if not (eps > 0 and 2.0 * eps < level - boundary_max):
         raise InvalidSpecError(
@@ -987,8 +987,9 @@ def deformation_witness_search(
 
     top = int(np.argmax(image_vals))
     x, energy = images[top].copy(), image_vals[top]
+    trials = _flow_trials(problem, frame, flow_step)
+    res, g, gn = _grad_and_norm(problem, x)
     for it in range(flow_steps + 1):
-        _, _, gn = _grad_and_norm(problem, x)
         distance = min(pair_norm(problem.op, x - img) for img in images)
         if witness_predicate(energy, gn, distance, level, eps, prox):
             return WitnessReport(
@@ -996,7 +997,10 @@ def deformation_witness_search(
                 precondition_ok, sup_value, "witness found",
             )
         if it < flow_steps:
-            x = flow_map(problem, x, 1, flow_step, frame)
+            try:
+                x, res, g, gn, _ = _accept(problem, trials(x, res, g, gn, flow_step))
+            except _StepFailed:
+                continue  # x stays, and so do its energy and gradient
             energy = evaluate_J(problem, x).total
     return WitnessReport(
         False, None, float(energy), float(gn), float(distance), flow_steps,

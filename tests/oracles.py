@@ -5,10 +5,11 @@ package: fixed-step RK4 plus bisection for the boundary-value problem,
 composite Simpson for integrals, dense O(n^2) arithmetic elsewhere, and
 the algorithms that faster package kernels replaced (the probe-grid
 crest search, the whole-block Newton solve, the full pilot sweeps of
-the radii search, LAPACK's tridiagonal eigensolver, the numpy forms
-of the chart kernels, the hybr multistart root sweep of the degree
-count, the linear program of the compactness fit and the fixed-step
-flow map). No imports from linking_saddle are allowed in this module.
+the radii search and its sampled embedding constant, LAPACK's
+tridiagonal eigensolver, the numpy forms of the chart kernels, the hybr
+multistart root sweep of the degree count, the linear program of the
+compactness fit and the fixed-step flow map). No imports from
+linking_saddle are allowed in this module.
 """
 
 from __future__ import annotations
@@ -247,6 +248,36 @@ def doubling_pilot(boundary_energies, r: float, max_doublings: int):
         if top <= 0:
             return rho, k, top
     return None
+
+
+def sampled_embedding_constant(problem, seed: int, field_samples: int = 64) -> float:
+    """Sampled sup of vol*sum|w|^p over |w|_K^p on the grid.
+
+    Candidates: the principal mode (the smooth extremizer), smoothed
+    random fields (one stiffness solve), and raw random fields.
+    """
+    rng = np.random.default_rng(seed)
+    grid, op = problem.grid, problem.op
+    p = problem.nl.p
+    vol = grid.cell_volume
+
+    def ratio(w: np.ndarray) -> float:
+        energy = op.product(w, w)
+        if energy <= 0:
+            return 0.0
+        with np.errstate(over="ignore"):
+            top = vol * np.sum(np.abs(w) ** (p - 2.0) * (w * w))
+        try:
+            return float(top / energy ** (p / 2.0))
+        except OverflowError:
+            return float("nan")
+
+    ratios = [ratio(problem.eigenpairs(1)[1][0])]
+    for _ in range(field_samples):
+        w = rng.standard_normal(problem.n)
+        ratios += [ratio(w), ratio(op.solve(w))]
+    # np.max, unlike max, keeps a nan
+    return float(np.max(ratios))
 
 
 def fixed_step_flow(gradient, update, x0, steps: int, step: float):

@@ -544,12 +544,27 @@ def test_cli_adversarial_configs_exit_cleanly(tmp_path, capsys, command, text, e
     (80, 0, ""),
     (120, 1, "FAILED at stage 'geometry': small-amplitude constant k is not finite: nan\n"),
     (200, 1, "FAILED at stage 'geometry': small-amplitude constant k is not finite: nan\n"),
-    (400, 1, "FAILED at stage 'geometry': sampled embedding constant c0 is not finite: nan\n"),
+    # the iterated c0 is finite here (about 2.4e-122); k is not
+    (400, 1, "FAILED at stage 'geometry': small-amplitude constant k is not finite: nan\n"),
 ])
 def test_cli_geometry_at_a_large_power_names_the_constant(tmp_path, p, expected, stderr):
-    # a subprocess, so that numpy warnings and tracebacks reach its stderr
-    cfg = cfg_file(tmp_path, f"domain.dimension = 1\ndomain.nx = 15\nproblem.preset = power\n"
-                             f"problem.p = {p}\nproblem.mu = {p}\n")
+    _check_geometry_run(tmp_path, f"problem.p = {p}\nproblem.mu = {p}\n", expected, stderr)
+
+
+def test_cli_geometry_names_an_overflowing_embedding_constant(tmp_path):
+    # on a wide interval the power iteration overflows at its first solve
+    _check_geometry_run(
+        tmp_path, "problem.p = 80\nproblem.mu = 80\ndomain.extent_x = 1e6\n", 1,
+        "FAILED at stage 'geometry': iterated embedding constant c0 is not finite: inf\n")
+
+
+def _check_geometry_run(tmp_path, lines, expected, stderr):
+    """Run ``geometry`` on the power preset over 1D nx = 15 plus ``lines``, in a subprocess.
+
+    A subprocess, so that numpy warnings and tracebacks reach its stderr.
+    """
+    cfg = cfg_file(tmp_path, "domain.dimension = 1\ndomain.nx = 15\nproblem.preset = power\n"
+                             + lines)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linking_saddle import (
     BoundaryZeroError,
@@ -34,7 +36,7 @@ from linking_saddle import (
     shipped_deformations,
     zero_nonlinearity,
 )
-from oracles import doubling_pilot, fd_jacobian, hybr_root_sweep
+from oracles import doubling_pilot, fd_jacobian, hybr_root_sweep, sampled_embedding_constant
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +169,69 @@ def test_choose_radii_builds_one_pilot_frame(square_problem, monkeypatch):
     assert choice.doublings >= 2
     (pilot,) = built
     assert pilot.r == choice.r
+
+
+def _power_problem(domain, p=4.0):
+    return discretize(ProblemSpec(domain, power_nonlinearity(p=p, mu=p)))
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.builds(DomainSpec.interval, st.integers(1, 300)),
+                 st.builds(DomainSpec.rectangle, st.integers(1, 40), st.integers(1, 40))),
+       st.floats(2.0, 12.0, exclude_min=True), st.integers(0, 2**32 - 1))
+@example(DomainSpec.interval(15), 80.0, 0)
+@example(DomainSpec.interval(15), 80.0, 7)
+@example(DomainSpec.interval(63), 120.0, 0)
+@example(DomainSpec.interval(63), 120.0, 12345)
+@example(DomainSpec.interval(2), 8.0, 0)
+@example(DomainSpec.interval(4), 12.0, 0)
+@example(DomainSpec.rectangle(2, 2), 4.0, 0)
+@example(DomainSpec.rectangle(1, 2), 7.9, 0)
+def test_embedding_constant_is_at_least_the_sampled_one(domain, p, seed):
+    # at p = 80 and 120 a smoothed random field beats the principal mode by far,
+    # and on two nodes, 2 x 2 or 1D n = 4 at p = 12 so does its iterated field;
+    # where the principal mode is the extremal field a random field can beat
+    # its rounding by an ulp
+    problem = _power_problem(domain, p)
+    sampled = sampled_embedding_constant(problem, seed)
+    assert linking._embedding_constant(problem) >= sampled - 4.0 * np.spacing(sampled)
+
+
+def test_choose_radii_does_not_depend_on_the_seed_through_c0():
+    problem = _power_problem(DomainSpec.interval(15), 80.0)
+    choices = [choose_radii(problem, seed=seed) for seed in (0, 7, 12345)]
+    assert len({(c.embedding_constant, c.r) for c in choices}) == 1
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.interval(255), DomainSpec.square(32),
+                                    DomainSpec.square(128), DomainSpec.rectangle(12, 5)])
+def test_embedding_constant_takes_at_most_its_step_cap(domain, monkeypatch):
+    problem = _power_problem(domain)
+    solves, per_start = [], []
+    solve, power_ratio = problem.op.solve, linking._power_ratio
+    monkeypatch.setattr(problem.op, "solve", lambda rhs: solves.append(1) or solve(rhs))
+
+    def counting(problem, w):
+        before = len(solves)
+        value = power_ratio(problem, w)
+        per_start.append(len(solves) - before)
+        return value
+
+    monkeypatch.setattr(linking, "_power_ratio", counting)
+    linking._embedding_constant(problem)
+    assert len(per_start) == 2 and max(per_start) <= linking.RADII_POWER_STEPS
+    # from the principal mode the ratio stops rising before the cap
+    assert per_start[0] < linking.RADII_POWER_STEPS
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0, 7.0, 12.0])
+def test_embedding_constant_on_one_node_is_closed_form(p):
+    # h = 1/2, K = 4 and vol = 1/2: the field w = 1/2 has |w|_K = 1
+    exact = 0.5 * 0.5**p
+    c0 = linking._embedding_constant(_power_problem(DomainSpec.interval(1), p))
+    assert abs(c0 - exact) <= 2.0 * np.spacing(exact)
+    if p == 4.0:
+        assert c0 == 0.03125
 
 
 class CountingMatrix:

@@ -677,6 +677,31 @@ def test_witness_search_evaluates_each_energy_once(line_problem, witness_setup, 
     assert len(states) == len(set(states)) == frame.chart_dim * 2 + 48 + 2
 
 
+def test_witness_search_solves_one_gradient_per_flow_step(line_problem, witness_setup,
+                                                         solved_line, monkeypatch):
+    frame, geo = witness_setup
+    gamma = flow_deformation(line_problem, frame, steps=2, step=1e-4)
+    level = solved_line.critical_value
+    gradients, updates = [], []
+    riesz, update = solver.riesz_gradient, solver._flow_update
+    monkeypatch.setattr(solver, "riesz_gradient",
+                        lambda *args, **kwargs: gradients.append(1) or riesz(*args, **kwargs))
+    monkeypatch.setattr(solver, "_flow_update", lambda *args: updates.append(1) or update(*args))
+    counts = {}
+    for steps in (0, 2, 10):
+        gradients.clear()
+        updates.clear()
+        report = deformation_witness_search(line_problem, frame, gamma, level, geo.boundary_max,
+                                            eps=0.1 * abs(level), prox=1e6, flow_steps=steps,
+                                            flow_step=1e-4)
+        assert not report.found and report.iterations == steps
+        counts[steps] = (len(gradients), len(updates))
+    # the images cost the same at every budget; past them, each step takes one
+    # trial and solves one gradient, at that trial
+    for steps in (2, 10):
+        assert (counts[steps][0] - counts[0][0], counts[steps][1] - counts[0][1]) == (steps, steps)
+
+
 @pytest.fixture(scope="module")
 def line63():
     return discretize(ProblemSpec(DomainSpec.interval(63), power_nonlinearity()))
