@@ -60,6 +60,9 @@ RUNS = (
     ("intersect-rect12x5-dy2", ["intersect"], _domain(12, 5) + ["frame.d_y = 2"]),
     # chart dimension 4, the largest intersect counts degrees on
     ("intersect-line63-dy3", ["intersect"], _domain(63) + ["frame.d_y = 3"]),
+    # explicit radii skip the radius search
+    ("intersect-line63-dy2-radii", ["intersect"],
+     _domain(63) + ["frame.d_y = 2", "frame.r = 4.0", "frame.rho = 32.0"]),
     ("geometry-sq16", ["geometry"], _domain(16, 16)),
     # the sphere is exactly the signed anchor pair; an odd count leaves its last field unpaired
     ("geometry-line1", ["geometry"], _domain(1)),

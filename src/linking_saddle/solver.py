@@ -791,7 +791,7 @@ def flow_deformation(problem: Problem, frame: LinkingFrame, steps: int = 12,
             return x
         return x + w * (flow_map(problem, x, steps, step, frame) - x)
 
-    return DeformationGamma(f"flow(steps={steps})", fn, displacement_modes=None)
+    return DeformationGamma(f"flow(steps={steps})", frame, fn=fn)
 
 
 @dataclass
@@ -957,8 +957,9 @@ def deformation_witness_search(
     must not exceed level + eps. The search flows from the highest
     deformed sample by one-step :func:`flow_map` steps of size at most
     ``flow_step``, each reusing the gradient solved at the last, so a step
-    that would overflow is halved instead of taken; not finding a witness
-    within the budget is a valid (reported) outcome, not an error.
+    that would overflow is halved instead of taken. Not finding a witness
+    is a reported outcome, not an error: the budget runs out, the step size
+    collapses, or a deformed sample overflows (an infinite sup).
     """
     if not (eps > 0 and 2.0 * eps < level - boundary_max):
         raise InvalidSpecError(
@@ -976,19 +977,27 @@ def deformation_witness_search(
         _interior_rows(rng, frame.chart_dim, frame.rho, 48),
     ])
     images = [gamma(row) for row in rows]
-    image_vals = np.array([evaluate_J(problem, img).total for img in images])
+    image_vals = np.full(len(images), math.inf)  # an overflowing energy exceeds level + eps
+    reason = "deformed samples exceed level + eps"
+    for i, img in enumerate(images):
+        try:
+            image_vals[i] = evaluate_J(problem, img).total
+        except EnergyOverflowError as exc:
+            reason = f"deformed sample {i} overflows: {exc}"
+            break
     sup_value = float(np.max(image_vals))
     precondition_ok = bool(sup_value <= level + eps + 1e-9 * (1.0 + abs(level)))
     if not precondition_ok:
         return WitnessReport(
             False, None, sup_value, float("nan"), float("nan"), 0,
-            precondition_ok, sup_value, "deformed samples exceed level + eps",
+            precondition_ok, sup_value, reason,
         )
 
     top = int(np.argmax(image_vals))
     x, energy = images[top].copy(), image_vals[top]
     trials = _flow_trials(problem, frame, flow_step)
     res, g, gn = _grad_and_norm(problem, x)
+    reason = "iteration budget exhausted"
     for it in range(flow_steps + 1):
         distance = min(pair_norm(problem.op, x - img) for img in images)
         if witness_predicate(energy, gn, distance, level, eps, prox):
@@ -996,13 +1005,15 @@ def deformation_witness_search(
                 True, x, float(energy), float(gn), float(distance), it,
                 precondition_ok, sup_value, "witness found",
             )
-        if it < flow_steps:
-            try:
-                x, res, g, gn, _ = _accept(problem, trials(x, res, g, gn, flow_step))
-            except _StepFailed:
-                continue  # x stays, and so do its energy and gradient
-            energy = evaluate_J(problem, x).total
+        if it == flow_steps:
+            break
+        try:
+            x, res, g, gn, _ = _accept(problem, trials(x, res, g, gn, flow_step))
+        except _StepFailed as exc:
+            reason = str(exc)  # x stays, so every later step would fail alike
+            break
+        energy = evaluate_J(problem, x).total
     return WitnessReport(
-        False, None, float(energy), float(gn), float(distance), flow_steps,
-        precondition_ok, sup_value, "iteration budget exhausted",
+        False, None, float(energy), float(gn), float(distance), it,
+        precondition_ok, sup_value, reason,
     )

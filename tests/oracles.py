@@ -6,9 +6,10 @@ composite Simpson for integrals, dense O(n^2) arithmetic elsewhere, and
 the algorithms that faster package kernels replaced (the probe-grid
 crest search, the whole-block Newton solve, the full pilot sweeps of
 the radii search and its sampled embedding constant, LAPACK's
-tridiagonal eigensolver, the numpy forms of the chart kernels, the hybr
-multistart root sweep of the degree count, the linear program of the
-compactness fit and the fixed-step flow map). No imports from
+tridiagonal eigensolver, the numpy forms of the chart kernels, the
+state-space displacement residual, the hybr multistart root sweep of
+the degree count, the linear program of the compactness fit and the
+fixed-step flow map). No imports from
 linking_saddle are allowed in this module.
 """
 
@@ -178,6 +179,31 @@ def homotopy_chart_value(gram: np.ndarray, r: float, t: float, xi: np.ndarray,
     out = t * np.append(gram[:d_y] @ eta, abs(eta[-1]) * anchor_norm) + (1.0 - t) * xi
     out[-1] -= r
     return out
+
+
+def statepair_displacement_residual(frame, gamma, rows) -> float:
+    """Worst reconstruction error of gamma(xi) - xi . B from its declared mode span.
+
+    The row loop of states that ``displacement_residual`` replaced: each
+    displacement is built as a state and measured against its
+    reconstruction from the declared antidiagonal modes.
+    """
+    if gamma.displacement_modes is None:
+        return 0.0
+    worst = 0.0
+    for row in rows:
+        moved = gamma(row) - frame.state_from_chart(row)
+        worst = max(worst, _span_residual(frame, moved, gamma.displacement_modes))
+    return worst
+
+
+def _span_residual(frame, x, modes) -> float:
+    """Energy norm of x minus its reconstruction from the listed antidiagonal modes."""
+    coeffs = frame.basis.coefficients(x)
+    recon = type(x).zeros(x.size)
+    for k in modes:
+        recon = recon + coeffs[k] * frame.basis.direction(k)
+    return frame.splitting.pair_norm(x - recon)
 
 
 def ray_argmax_grid(energy, t_current: float):

@@ -11,7 +11,10 @@ twin, and the state-to-state deformations that mapped each state back
 to the chart; every kernel must agree with its oracle to 1e-12 relative
 to the size of its inputs. The chart-row energies of the geometry
 certificate take the cross term from the frame's cross Gram matrix;
-their oracle is ``evaluate_J`` on the state xi . B. The homotopy, the
+their oracle is ``evaluate_J`` on the state xi . B. The displacement
+residual of a chart map is sqrt(z^T G z) of its chart displacement z off
+the declared modes; its oracle is the state-space residual it replaced,
+to 1e-12 max(1, r). The homotopy, the
 half-ball membership test and the boundary clearance of the tapers take
 Python scalars and ``x @ x`` norms on their chart vectors; they must
 agree bitwise with the numpy forms they replaced. The homotopy and the
@@ -29,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linking_saddle import (
+    DeformationGamma,
     DomainMembershipError,
     DomainSpec,
     EnergyOverflowError,
@@ -37,6 +41,7 @@ from linking_saddle import (
     StatePair,
     build_frame,
     discretize,
+    displacement_residual,
     evaluate_J,
     flow_deformation,
     flow_map,
@@ -46,7 +51,8 @@ from linking_saddle import (
     shipped_deformations,
 )
 from linking_saddle.linking import _boundary_clearance, _chart_energies
-from oracles import boundary_clearance, chart_contains, homotopy_chart_value, modal_push_chart
+from oracles import (boundary_clearance, chart_contains, homotopy_chart_value, modal_push_chart,
+                     statepair_displacement_residual)
 
 REL = 1e-12
 
@@ -218,6 +224,32 @@ def test_deformations_match_statepair_maps(grid_index, d_y, anchor_seed, seed, f
         scale = max(np.max(np.abs(x.u)), np.max(np.abs(x.v)),
                     np.max(np.abs((want - x).u)), np.max(np.abs((want - x).v)), frame.r)
         assert_state_close(got, want, scale)
+
+
+@settings(max_examples=60)
+@given(*frame_args, st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_displacement_residual_matches_the_state_space_residual(grid_index, d_y, anchor_seed,
+                                                                 seed, m):
+    frame, _ = frames(grid_index, d_y, anchor_seed)
+    rng = np.random.default_rng(seed)
+    rows = np.array([half_ball_point(frame, rng, f) for f in rng.uniform(0.0, 0.999, m)])
+    gammas = shipped_deformations(frame)
+    # a constant shift of r times up to one on a random set of chart coordinates, the
+    # anchor coordinate included, with a random set of declared modes
+    shift = frame.r * rng.uniform(-1.0, 1.0, frame.chart_dim) * rng.integers(0, 2, frame.chart_dim)
+    modes = tuple(int(k) for k in np.flatnonzero(rng.integers(0, 2, d_y)))
+    gammas.append(DeformationGamma("shift", frame, chart=lambda xi: xi + shift,
+                                   displacement_modes=modes))
+    for gamma in gammas:
+        got = displacement_residual(frame, gamma, rows)
+        want = statepair_displacement_residual(frame, gamma, rows)
+        assert abs(got - want) <= REL * max(1.0, frame.r), gamma.name
+    off = np.delete(shift, modes)
+    # the shipped pushes move only their declared mode, and exactly
+    assert [displacement_residual(frame, g, rows) for g in gammas[:-1]] == [0.0] * 3
+    # a move off the declared modes is seen, at its energy norm
+    assert (got > 0.0) is bool(np.any(off != 0.0))
+    assert got == pytest.approx(np.sqrt(off @ off), rel=1e-12)
 
 
 @settings(max_examples=80)

@@ -159,6 +159,36 @@ def test_choose_radii_matches_the_full_pilot_sweep(domain, d_y):
     assert (choice.rho, choice.doublings, choice.boundary_pilot_max) == (rho, doublings, top)
 
 
+@pytest.mark.parametrize("d_y, seed", [(1, 0), (2, 5), (3, 11), (4, 123)])
+def test_choose_radii_draws_the_pilot_rows_once(square_problem, monkeypatch, d_y, seed):
+    # the rows at rho = 2^k r are those at 2r times 2^(k - 1), bitwise
+    draws = []
+    boundary_rows = linking._boundary_rows
+    monkeypatch.setattr(linking, "_boundary_rows",
+                        lambda *args: draws.append(args[1:]) or boundary_rows(*args))
+    choice = choose_radii(square_problem, d_y=d_y, seed=seed)
+    fill = max(linking.RADII_PILOT_BOUNDARY - 2 * (d_y + 1), 0)
+    assert draws == [(d_y + 1, 2.0 * choice.r, (fill + 1) // 2, fill // 2)]
+    # the per-doubling draw: each doubling fails on its own rows but the last
+    pilot = build_frame(square_problem, choice.r, 2.0 * choice.r, d_y=d_y)
+    for k in range(1, choice.doublings + 1):
+        rows = boundary_rows(np.random.default_rng(seed + 1), d_y + 1, choice.r * 2.0**k,
+                             (fill + 1) // 2, fill // 2)
+        top = max(linking._chart_energies(pilot, rows))
+        assert (top <= 0) is (k == choice.doublings)
+    assert (choice.rho, choice.boundary_pilot_max) == (choice.r * 2.0**choice.doublings, top)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 11),
+       st.floats(1e-3, 1e3))
+def test_pilot_rows_scale_exactly_with_rho(seed, dim, k, r):
+    def draw(rho):
+        return linking._boundary_rows(np.random.default_rng(seed), dim, rho, 45, 44)
+
+    assert np.array_equal(draw(2.0 * r) * 2.0**(k - 1), draw(r * 2.0**k))
+
+
 def test_choose_radii_builds_one_pilot_frame(square_problem, monkeypatch):
     # each doubling draws rows of its own rho; the pilot's chart does not depend on rho
     built = []
@@ -505,13 +535,35 @@ def test_out_of_span_deformation_rejected(line_frame):
         bump = 0.3 * line_frame.r
         return line_frame.state_from_chart(xi) + bump * stray
 
-    # a chart map that misdescribes gamma is caught on the states
-    gamma = DeformationGamma(name="stray", fn=fn, chart=lambda xi: xi)
-    with pytest.raises(DomainMembershipError):
-        intersection_point(line_frame, gamma)
+    # a deformation is one map: a state map beside a chart map is refused when built
+    with pytest.raises(InvalidSpecError, match="exactly one"):
+        DeformationGamma(name="stray", frame=line_frame, fn=fn, chart=lambda xi: xi)
+    # a state map leaves the chart, so the intersection solver refuses it
+    with pytest.raises(DomainMembershipError, match="not chart compatible"):
+        intersection_point(line_frame, DeformationGamma("stray", line_frame, fn=fn))
     # a modal push outside the chart is refused when it is built
     with pytest.raises(InvalidSpecError):
         modal_shift_deformation(line_frame, mode=line_frame.d_y)
+
+
+def test_a_deformation_is_one_map(line_problem, line_frame):
+    state_map = flow_deformation(line_problem, line_frame, steps=1)
+    assert state_map.chart is None and state_map.displacement_modes is None
+    with pytest.raises(InvalidSpecError, match="exactly one"):
+        DeformationGamma("none", line_frame)
+    with pytest.raises(InvalidSpecError, match="declares no modes"):
+        DeformationGamma("flow", line_frame, fn=state_map.fn, displacement_modes=(0,))
+    for modes in (None, (line_frame.d_y,), (-1,), (0.0,), "0", np.arange(1)):
+        with pytest.raises(InvalidSpecError, match="mode indices"):
+            DeformationGamma("push", line_frame, chart=lambda xi: xi, displacement_modes=modes)
+    # a chart map's state is its image row times B, and it is frozen
+    gamma = DeformationGamma("push", line_frame, chart=lambda xi: 2.0 * xi,
+                             displacement_modes=range(line_frame.d_y))
+    xi = np.full(line_frame.chart_dim, 0.1 * line_frame.rho)
+    want = line_frame.state_from_chart(2.0 * xi)
+    assert np.array_equal(gamma(xi).u, want.u) and np.array_equal(gamma(xi).v, want.v)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gamma.fn = state_map.fn
 
 
 def test_start_map_does_not_depend_on_the_deformation(line_frame):
@@ -531,13 +583,13 @@ def test_intersection_point_takes_the_degree_roots(line_frame):
         assert shared.energy == swept.energy
     with pytest.raises(IntersectionNotFoundError):
         intersection_point(line_frame, gamma, roots=np.empty((0, line_frame.chart_dim)))
-    # the chart checks run before any given root is certified
+    # a state map beside the chart map is refused before any root is certified
     stray = stray_direction(line_frame)
-    gamma = DeformationGamma(
-        name="stray", fn=lambda xi: line_frame.state_from_chart(xi) + (0.3 * line_frame.r) * stray,
-        chart=lambda xi: xi)
-    with pytest.raises(DomainMembershipError):
-        intersection_point(line_frame, gamma, roots=deg.roots)
+    with pytest.raises(InvalidSpecError, match="exactly one"):
+        DeformationGamma(
+            name="stray", frame=line_frame,
+            fn=lambda xi: line_frame.state_from_chart(xi) + (0.3 * line_frame.r) * stray,
+            chart=lambda xi: xi)
 
 
 def test_intersection_certificate_reconstructs_state(line_frame):

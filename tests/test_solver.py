@@ -20,6 +20,7 @@ from linking_saddle import (
     evaluate_J,
     flow_deformation,
     flow_map,
+    identity_deformation,
     minimax_consistency,
     newton_solve,
     power_nonlinearity,
@@ -700,6 +701,42 @@ def test_witness_search_solves_one_gradient_per_flow_step(line_problem, witness_
     # trial and solves one gradient, at that trial
     for steps in (2, 10):
         assert (counts[steps][0] - counts[0][0], counts[steps][1] - counts[0][1]) == (steps, steps)
+
+
+def test_witness_search_stops_where_the_step_collapses(line_problem, witness_setup,
+                                                       solved_line, monkeypatch):
+    frame, geo = witness_setup
+    level = solved_line.critical_value
+    tried = []
+    update = solver._flow_update
+    # every trial overflows the energy, so every trial is rejected
+    monkeypatch.setattr(solver, "_flow_update",
+                        lambda *args: tried.append(args[-1]) or 1e300 * update(*args))
+    chain, s = [], 0.2
+    while s >= solver._MIN_FLOW_STEP:
+        chain.append(s)
+        s *= 0.5
+    for steps in (1, 10, 119):
+        tried.clear()
+        report = deformation_witness_search(line_problem, frame, identity_deformation(frame),
+                                            level, geo.boundary_max, eps=0.1 * abs(level),
+                                            prox=1e6, flow_steps=steps, flow_step=0.2)
+        assert report.precondition_ok and not report.found
+        assert (report.reason, report.iterations) == ("step size collapsed", 0)
+        # one chain of halvings, not one per step of the budget
+        assert tried == chain
+
+
+def test_witness_search_reports_an_overflowing_image():
+    problem = discretize(ProblemSpec(DomainSpec.interval(15), power_nonlinearity(p=80)))
+    frame = build_frame(problem, 1.0, 1e6)
+    report = deformation_witness_search(problem, frame, identity_deformation(frame), 10.0, 0.0,
+                                        eps=1.0, prox=1.0)
+    assert not report.found and not report.precondition_ok
+    assert report.sup_value == report.energy == np.inf and report.iterations == 0
+    # the overflowing row is the cap top, the second corner probe
+    assert report.reason == ("deformed sample 1 overflows: "
+                             "energy term 'potential-u' is not finite: inf")
 
 
 @pytest.fixture(scope="module")
