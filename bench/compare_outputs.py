@@ -73,6 +73,9 @@ RUNS = (
     ("geometry-line15-p80", ["geometry"], _domain(15) + ["problem.p = 80", "problem.mu = 80"]),
     ("geometry-line15-wide-p80", ["geometry"],
      _domain(15) + ["problem.p = 80", "problem.mu = 80", "domain.extent_x = 1e6"]),
+    # near p = 2 the floor's maximizing s is about 4e187: the radius search exits 1
+    ("geometry-line15-p2.05-overflow", ["geometry"],
+     _domain(15) + ["problem.p = 2.05", "problem.mu = 2.05", "problem.scale = 3.5694218829"]),
     ("check-sq16", ["check"], _domain(16, 16)),
     ("refine-sq16", ["refine", "--levels", "4"], _domain(16, 16)),
 )

@@ -29,9 +29,9 @@ print(f"frame: r = {frame.r:.4f}, rho = {frame.rho:.4f}, "
 print(f"sphere minimum b = {geo.sphere_min:.6f}\n")
 
 for gamma in shipped_deformations(frame):
-    deg0 = brouwer_degree_small(homotopy_chart_map(frame, gamma, 0.0), frame)
-    deg1 = brouwer_degree_small(homotopy_chart_map(frame, gamma, 1.0), frame)
-    cert = intersection_point(frame, gamma)
+    deg0 = brouwer_degree_small(homotopy_chart_map(gamma, 0.0), frame)
+    deg1 = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), frame)
+    cert = intersection_point(gamma)
     print(f"{gamma.name:12s} deg(H0) = {deg0.degree}, deg(H1) = {deg1.degree}")
     print(f"             antidiagonal residual {cert.antidiagonal_residual:.2e}, "
           f"radius residual {cert.radius_residual:.2e}")

@@ -182,7 +182,7 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
     failures = []
     try:
         # H_0 weighs gamma by exactly 0, so one sweep serves every deformation
-        deg_start = brouwer_degree_small(homotopy_chart_map(frame, gammas[0], 0.0), frame)
+        deg_start = brouwer_degree_small(homotopy_chart_map(gammas[0], 0.0), frame)
         start_error = None
     except LinkingSaddleError as exc:
         start_error = exc
@@ -191,9 +191,9 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
             if start_error is not None:
                 raise start_error
             # the end degree and the certificate share the t = 1 root sweep
-            deg_end = brouwer_degree_small(homotopy_chart_map(frame, gamma, 1.0), frame)
-            cert = intersection_point(frame, gamma, roots=deg_end.roots)
-            disp = displacement_residual(frame, gamma, samples.interior_chart)
+            deg_end = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), frame)
+            cert = intersection_point(gamma, roots=deg_end.roots)
+            disp = displacement_residual(gamma, samples.interior_chart)
             ok = (deg_end.degree == deg_start.degree == 1
                   and minimax_consistency(cert.energy, sphere_min))
             rows.append((gamma.name, cert.antidiagonal_residual, cert.radius_residual,

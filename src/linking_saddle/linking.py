@@ -13,9 +13,9 @@ frame's modal basis holds exactly those d_y modes. G = B K B^T is the
 (d_y + 1)-square Gram matrix of the rows in the energy inner product:
 the identity, up to the rounding of the eigenvectors.
 
-A chart-compatible deformation gamma is a map of the chart, xi -> eta,
-with gamma(xi) = eta . B. Intersection and degree certificates work on
-the chart homotopy
+A deformation gamma is its chart map xi -> eta, gamma(xi) = eta . B,
+and carries its frame; the certificates read the frame from it. They
+work on the chart homotopy
 
     H_t(xi) = t ((G eta)[:d_y], |eta_last| sqrt(G[-1, -1])) + (1 - t) xi - r e_last,
 
@@ -35,9 +35,9 @@ H_0 weighs gamma by exactly zero, so for a finite gamma its values do
 not depend on gamma: the start degree is that of the affine map, and
 the CLI counts it once per frame. At t = 1 the end degree and the
 intersection certificate need the same roots, so they share one sweep
-(``intersection_point(..., roots=degree.roots)``). gamma is its chart
-map alone, so its displacement (eta - xi) . B is measured with G. The
-certificate itself is checked on the state gamma(xi), independently of G.
+(``intersection_point(gamma, roots=degree.roots)``). The displacement
+(eta - xi) . B of gamma is measured with G. The certificate itself is
+checked on the state gamma(xi), independently of G.
 """
 
 from __future__ import annotations
@@ -581,18 +581,16 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     amp = 2.0 * k_small * c0
     p = problem.nl.p
 
-    if amp <= 1e-300:
-        s_best = 1.0
-    else:
-        s_best = (1.0 / (p * amp)) ** (1.0 / (p - 2.0))
     grid_s = np.geomspace(1e-4, 1e4, 400)
-    # s^p overflows at a large p; the floor there is -inf, or nan when amp is 0
+    # s^p overflows at a large p, and s_best^2 at a tiny amp (p near 2); the
+    # floor there is -inf, or nan, which _require_finite reports
     with np.errstate(over="ignore", invalid="ignore"):
+        s_best = (1.0 / (p * np.float64(amp))) ** (1.0 / (p - 2.0)) if amp > 1e-300 else 1.0
         floors = 0.5 * grid_s**2 - amp * grid_s**p
-    if floors.max() > 0.5 * s_best**2 - amp * s_best**p:
-        s_best = float(grid_s[np.argmax(floors)])
-    s_chosen = 0.5 * s_best
-    floor_value = 0.5 * s_chosen**2 - amp * s_chosen**p
+        if floors.max() > 0.5 * s_best**2 - amp * s_best**p:
+            s_best = grid_s[np.argmax(floors)]
+        s_chosen = 0.5 * s_best
+        floor_value = float(0.5 * s_chosen**2 - amp * s_chosen**p)
     _require_finite("small-sphere floor", floor_value)
     if floor_value <= 0:
         raise GeometryCertificationError(
@@ -626,38 +624,36 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
 
 @dataclass(frozen=True)
 class DeformationGamma:
-    """A map of the frame chart to states, identity on the frame boundary.
+    """A deformation of the frame, identity on its boundary: the chart map xi -> eta.
 
-    It is exactly one map. A chart-compatible gamma is its ``chart`` map
-    xi -> eta, with gamma(xi) = eta . B, which the homotopy and the
-    intersection solver require; ``chart`` takes an (m, d_y + 1) block
-    of chart rows and returns the block of their images, row by row, and
-    a single row maps to a single row. ``displacement_modes`` lists the
-    chart modes eta - xi may move. Any other gamma (a flow map) is a
-    state map ``fn`` that leaves the chart and declares no modes.
+    gamma(xi) is the state eta . B of the chart rows B of ``frame``, and
+    every certificate reads the frame from here. ``chart`` takes an
+    (m, d_y + 1) block of chart rows and returns the block of their
+    images, row by row, and a single row maps to a single row.
+    ``displacement_modes`` lists the chart modes eta - xi may move.
     """
 
     name: str
     frame: LinkingFrame
-    chart: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fn: Optional[Callable[[np.ndarray], StatePair]] = None
-    displacement_modes: Optional[Sequence[int]] = None
+    chart: Callable[[np.ndarray], np.ndarray]
+    displacement_modes: Sequence[int]
 
     def __post_init__(self) -> None:
         modes, d_y = self.displacement_modes, self.frame.d_y
-        if (self.chart is None) == (self.fn is None):
-            raise InvalidSpecError(f"deformation '{self.name}' needs exactly one map")
-        if self.fn is not None and modes is not None:
-            raise InvalidSpecError(f"state map '{self.name}' declares no modes")
-        if self.chart is not None and not (isinstance(modes, Sequence) and all(
+        if not (isinstance(modes, Sequence) and all(
                 isinstance(k, (int, np.integer)) and 0 <= k < d_y for k in modes)):
             raise InvalidSpecError(f"chart map '{self.name}' needs mode indices in "
                                    f"[0, {d_y}), got {modes!r}")
 
     def __call__(self, xi: np.ndarray) -> StatePair:
-        if self.fn is not None:
-            return self.fn(xi)
         return self.frame.state_from_chart(self.chart(xi))
+
+
+def _require_chart_map(gamma: object) -> DeformationGamma:
+    """``gamma`` itself, once it is a chart map; any other map (a flow) leaves the chart."""
+    if not isinstance(gamma, DeformationGamma):
+        raise DomainMembershipError(f"deformation {gamma!r} is not chart compatible")
+    return gamma
 
 
 def _boundary_clearance(frame: LinkingFrame, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -672,7 +668,7 @@ def _boundary_clearance(frame: LinkingFrame, xi: np.ndarray) -> tuple[np.ndarray
 
 
 def identity_deformation(frame: LinkingFrame) -> DeformationGamma:
-    return DeformationGamma("identity", frame, chart=lambda xi: xi, displacement_modes=())
+    return DeformationGamma("identity", frame, lambda xi: xi, ())
 
 
 def _modal_push(frame: LinkingFrame, name: str, mode: int, sheared: bool) -> DeformationGamma:
@@ -690,8 +686,7 @@ def _modal_push(frame: LinkingFrame, name: str, mode: int, sheared: bool) -> Def
         eta[..., mode] = np.where(w == 0.0, eta[..., mode], eta[..., mode] + amplitude * w)
         return eta
 
-    return DeformationGamma(f"{name}(mode={mode})", frame, chart=chart,
-                            displacement_modes=(mode,))
+    return DeformationGamma(f"{name}(mode={mode})", frame, chart, (mode,))
 
 
 def modal_shift_deformation(frame: LinkingFrame, mode: int = 0) -> DeformationGamma:
@@ -713,40 +708,34 @@ def shipped_deformations(frame: LinkingFrame) -> List[DeformationGamma]:
     ]
 
 
-def displacement_residual(
-    frame: LinkingFrame, gamma: DeformationGamma, rows: np.ndarray
-) -> float:
+def displacement_residual(gamma: DeformationGamma, rows: np.ndarray) -> float:
     """Worst energy norm of gamma(xi) - xi . B off its declared modes, over the chart rows.
 
     That is z . B with z = eta - xi and its declared mode columns zeroed,
-    of energy norm sqrt(z^T G z), from one chart map call on the block. A
-    state map is certified against the whole discrete space: 0.
+    of energy norm sqrt(z^T G z), from one chart map call on the block.
     """
-    if gamma.chart is None:
-        return 0.0
+    _require_chart_map(gamma)
     rows = np.asarray(rows, dtype=float)
     z = gamma.chart(rows) - rows
     z[:, list(gamma.displacement_modes)] = 0.0
-    return math.sqrt(np.max(np.einsum("ij,jk,ik->i", z, frame._chart_gram, z), initial=0.0))
+    return math.sqrt(np.max(np.einsum("ij,jk,ik->i", z, gamma.frame._chart_gram, z),
+                            initial=0.0))
 
 
-def homotopy_chart_map(
-    frame: LinkingFrame, gamma: DeformationGamma, t: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The homotopy H_t of the module docstring, valued in R^(d_y + 1).
+def homotopy_chart_map(gamma: DeformationGamma, t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The homotopy H_t of the module docstring on gamma's frame, valued in R^(d_y + 1).
 
     Its Euclidean norm equals the energy norm of the homotopy value. A
     zero is an intersection witness at t = 1 and the affine root at
-    t = 0. Only a chart-compatible gamma has one. The returned map takes
-    an (m, d_y + 1) block of chart rows, each of which must lie in the
-    half-ball (:meth:`LinkingFrame.require_member`), and returns the
-    (m, d_y + 1) block of their values; each row is bitwise the value of
-    that row alone, and a single row of shape (d_y + 1,) maps to one row.
+    t = 0. The returned map takes an (m, d_y + 1) block of chart rows,
+    each of which must lie in the half-ball
+    (:meth:`LinkingFrame.require_member`), and returns the (m, d_y + 1)
+    block of their values; each row is bitwise the value of that row
+    alone, and a single row of shape (d_y + 1,) maps to one row.
     """
     if not (0.0 <= t <= 1.0):
         raise InvalidSpecError(f"homotopy time must lie in [0, 1], got {t}")
-    if gamma.chart is None:
-        raise DomainMembershipError(f"deformation '{gamma.name}' is not chart compatible")
+    frame = _require_chart_map(gamma).frame
     gram, d_y, r = frame._chart_gram, frame.d_y, frame.r
     head, anchor_norm, s = gram[:d_y], math.sqrt(gram[-1, -1]), 1.0 - t
 
@@ -890,9 +879,9 @@ class IntersectionCertificate:
     energy: float
 
 
-def intersection_point(frame: LinkingFrame, gamma: DeformationGamma,
+def intersection_point(gamma: DeformationGamma,
                        roots: Optional[np.ndarray] = None) -> IntersectionCertificate:
-    """Find and certify a chart point whose image under gamma lies on N.
+    """Find and certify a chart point of gamma's frame whose image under gamma lies on N.
 
     The certificate is computed on the state itself, independently of
     the chart algebra used to locate the root: the antidiagonal part of
@@ -903,11 +892,9 @@ def intersection_point(frame: LinkingFrame, gamma: DeformationGamma,
     ``DegreeReport.roots`` can be passed to skip a second sweep. With
     ``None`` the roots are swept here.
     """
-    if gamma.chart is None:
-        raise DomainMembershipError(f"deformation '{gamma.name}' is not chart compatible")
+    frame = _require_chart_map(gamma).frame
     if roots is None:
-        chart_map = homotopy_chart_map(frame, gamma, 1.0)
-        roots = _root_sweep(chart_map, frame)
+        roots = _root_sweep(homotopy_chart_map(gamma, 1.0), frame)
     else:
         roots = np.array(roots, dtype=float).reshape(-1, frame.chart_dim)
 

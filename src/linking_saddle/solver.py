@@ -57,8 +57,7 @@ from .errors import EnergyOverflowError, InvalidSpecError
 from .functional import (Problem, _energy_from_cross, euler_lagrange_residual, evaluate_J,
                          riesz_gradient)
 from .grid import StiffnessOperator
-from .linking import (DeformationGamma, LinkingFrame, _boundary_clearance,
-                      _boundary_corner_rows, _interior_rows)
+from .linking import LinkingFrame, _boundary_clearance, _boundary_corner_rows, _interior_rows
 from .splitting import DiagonalSplitting
 from .state import StatePair, pair_norm
 
@@ -774,16 +773,17 @@ def flow_map(
 
 
 def flow_deformation(problem: Problem, frame: LinkingFrame, steps: int = 12,
-                     step: float = 0.2) -> DeformationGamma:
-    """Deform frame interior points along the flow, frozen at the boundary.
+                     step: float = 0.2) -> Callable[[np.ndarray], StatePair]:
+    """The state map xi -> state that moves frame points along the flow, frozen at the boundary.
 
     The weight ramps from an exact 0.0 on the boundary to 1 at clearance
     ``FLOW_RAMP`` from base and cap, so deep interior points are moved by
-    the full flow map. Displacement is certified against the full
-    discrete space, not a modal span, and the map has no chart form.
+    the full flow map. It leaves the chart, so only the witness search takes it.
     """
+    if frame.problem is not problem:
+        raise InvalidSpecError("the frame is built on another problem")
 
-    def fn(xi: np.ndarray) -> StatePair:
+    def flow(xi: np.ndarray) -> StatePair:
         x = frame.state_from_chart(xi)
         q1, q2 = map(float, _boundary_clearance(frame, xi))
         w = min(1.0, q1 / FLOW_RAMP) * min(1.0, q2 / FLOW_RAMP)
@@ -791,7 +791,7 @@ def flow_deformation(problem: Problem, frame: LinkingFrame, steps: int = 12,
             return x
         return x + w * (flow_map(problem, x, steps, step, frame) - x)
 
-    return DeformationGamma(f"flow(steps={steps})", frame, fn=fn)
+    return flow
 
 
 @dataclass
@@ -941,7 +941,7 @@ class WitnessReport:
 def deformation_witness_search(
     problem: Problem,
     frame: LinkingFrame,
-    gamma: DeformationGamma,
+    gamma: Callable[[np.ndarray], StatePair],
     level: float,
     boundary_max: float,
     eps: float,
@@ -950,7 +950,10 @@ def deformation_witness_search(
     flow_steps: int = 120,
     flow_step: float = 0.2,
 ) -> WitnessReport:
-    """Hunt for an almost-critical point near the deformed frame.
+    """Hunt for an almost-critical point near the frame deformed by ``gamma``.
+
+    ``gamma`` maps chart points to states: a :func:`flow_deformation` or a
+    ``DeformationGamma``. ``frame`` must be built on ``problem``.
 
     Preconditions: 0 < eps < (level - boundary_max)/2, and the deformed
     frame samples (its boundary corners and 48 seeded interior points)
@@ -961,6 +964,8 @@ def deformation_witness_search(
     is a reported outcome, not an error: the budget runs out, the step size
     collapses, or a deformed sample overflows (an infinite sup).
     """
+    if frame.problem is not problem:
+        raise InvalidSpecError("the frame is built on another problem")
     if not (eps > 0 and 2.0 * eps < level - boundary_max):
         raise InvalidSpecError(
             f"eps must lie in (0, (level - boundary_max)/2), got eps={eps}, "

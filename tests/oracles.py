@@ -181,16 +181,14 @@ def homotopy_chart_value(gram: np.ndarray, r: float, t: float, xi: np.ndarray,
     return out
 
 
-def statepair_displacement_residual(frame, gamma, rows) -> float:
+def statepair_displacement_residual(gamma, rows) -> float:
     """Worst reconstruction error of gamma(xi) - xi . B from its declared mode span.
 
     The row loop of states that ``displacement_residual`` replaced: each
     displacement is built as a state and measured against its
     reconstruction from the declared antidiagonal modes.
     """
-    if gamma.displacement_modes is None:
-        return 0.0
-    worst = 0.0
+    frame, worst = gamma.frame, 0.0
     for row in rows:
         moved = gamma(row) - frame.state_from_chart(row)
         worst = max(worst, _span_residual(frame, moved, gamma.displacement_modes))

@@ -228,9 +228,9 @@ def test_c07_intersection_and_degree():
         gammas = shipped_deformations(frame)
         assert sum(1 for g in gammas if g.name != "identity") >= 2
         for gamma in gammas:
-            cert = intersection_point(frame, gamma)
-            deg0 = brouwer_degree_small(homotopy_chart_map(frame, gamma, 0.0), frame).degree
-            deg1 = brouwer_degree_small(homotopy_chart_map(frame, gamma, 1.0), frame).degree
+            cert = intersection_point(gamma)
+            deg0 = brouwer_degree_small(homotopy_chart_map(gamma, 0.0), frame).degree
+            deg1 = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), frame).degree
             ok = (cert.antidiagonal_residual <= 1e-8 and cert.radius_residual <= 1e-8
                   and deg0 == 1 and deg1 == 1
                   and cert.energy >= geo.sphere_min - 1e-8)

@@ -202,7 +202,7 @@ def test_homotopy_chart_map_matches_statepair_loops(grid_index, d_y, anchor_seed
     # the chart is an isometry, so each value is of the size of rho and r
     scale = frame.rho + frame.r
     for gamma, oracle_gamma in zip(shipped_deformations(frame), oracle_deformations(twin)):
-        got = homotopy_chart_map(frame, gamma, t)(xi)
+        got = homotopy_chart_map(gamma, t)(xi)
         want = oracle_chart_map(twin, oracle_gamma, t, xi)
         assert got.shape == (frame.chart_dim,)
         assert np.max(np.abs(got - want)) <= REL * scale, gamma.name
@@ -241,12 +241,12 @@ def test_displacement_residual_matches_the_state_space_residual(grid_index, d_y,
     gammas.append(DeformationGamma("shift", frame, chart=lambda xi: xi + shift,
                                    displacement_modes=modes))
     for gamma in gammas:
-        got = displacement_residual(frame, gamma, rows)
-        want = statepair_displacement_residual(frame, gamma, rows)
+        got = displacement_residual(gamma, rows)
+        want = statepair_displacement_residual(gamma, rows)
         assert abs(got - want) <= REL * max(1.0, frame.r), gamma.name
     off = np.delete(shift, modes)
     # the shipped pushes move only their declared mode, and exactly
-    assert [displacement_residual(frame, g, rows) for g in gammas[:-1]] == [0.0] * 3
+    assert [displacement_residual(g, rows) for g in gammas[:-1]] == [0.0] * 3
     # a move off the declared modes is seen, at its energy norm
     assert (got > 0.0) is bool(np.any(off != 0.0))
     assert got == pytest.approx(np.sqrt(off @ off), rel=1e-12)
@@ -266,7 +266,7 @@ def test_lean_chart_kernels_match_the_numpy_forms(grid_index, d_y, anchor_seed, 
     assert frame.contains(xi) is inside
     assert _boundary_clearance(frame, xi) == boundary_clearance(xi, frame.rho)
     for gamma in shipped_deformations(frame):
-        chart_map = homotopy_chart_map(frame, gamma, t)
+        chart_map = homotopy_chart_map(gamma, t)
         if not inside:
             with pytest.raises(DomainMembershipError):
                 chart_map(xi)
@@ -293,7 +293,7 @@ def test_batched_homotopy_rows_match_the_single_row_forms(grid_index, d_y, ancho
                      lambda xi: modal_push_chart(xi, frame.rho, amplitude, 0, False),
                      lambda xi: modal_push_chart(xi, frame.rho, amplitude, 0, True)]
     for gamma, oracle_chart in zip(shipped_deformations(frame), oracle_charts):
-        chart_map = homotopy_chart_map(frame, gamma, t)
+        chart_map = homotopy_chart_map(gamma, t)
         if not all(inside):
             with pytest.raises(DomainMembershipError, match=rf"^chart row {inside.index(False)} "):
                 chart_map(rows)

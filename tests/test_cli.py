@@ -235,17 +235,17 @@ def test_cli_intersect_degree_start_is_each_deformations_own(tmp_path):
     gammas = shipped_deformations(frame)
     assert [r["deformation"] for r in rows] == [g.name for g in gammas]
     for row, gamma in zip(rows, gammas):
-        own = brouwer_degree_small(homotopy_chart_map(frame, gamma, 0.0), frame)
+        own = brouwer_degree_small(homotopy_chart_map(gamma, 0.0), frame)
         assert int(row["degree_start"]) == own.degree
 
 
 def test_cli_intersect_start_degree_failure_fails_every_row(tmp_path, monkeypatch, capsys):
     chart_map = cli.homotopy_chart_map
 
-    def vanishing_start(frame, gamma, t):
+    def vanishing_start(gamma, t):
         if t == 0.0:
             return lambda xi: np.zeros_like(xi)
-        return chart_map(frame, gamma, t)
+        return chart_map(gamma, t)
 
     monkeypatch.setattr(cli, "homotopy_chart_map", vanishing_start)
     rc = main(["intersect", "--config", cfg_file(tmp_path, TOY), "--out", str(tmp_path / "i"),
@@ -556,6 +556,14 @@ def test_cli_geometry_names_an_overflowing_embedding_constant(tmp_path):
     _check_geometry_run(
         tmp_path, "problem.p = 80\nproblem.mu = 80\ndomain.extent_x = 1e6\n", 1,
         "FAILED at stage 'geometry': iterated embedding constant c0 is not finite: inf\n")
+
+
+def test_cli_geometry_names_a_floor_that_overflows_near_p_2(tmp_path):
+    # at p = 2.05 the maximizing s of the floor is about 4e187, and its square
+    # overflowed a Python float with a raw OverflowError and no manifest
+    _check_geometry_run(
+        tmp_path, "problem.p = 2.05\nproblem.mu = 2.05\nproblem.scale = 3.5694218829\n", 1,
+        "FAILED at stage 'geometry': small-sphere floor is not finite: nan\n")
 
 
 def _check_geometry_run(tmp_path, lines, expected, stderr):

@@ -353,7 +353,7 @@ def test_require_member_names_the_first_row_outside(line_frame):
 
 def test_homotopy_start_is_affine(line_frame):
     gamma = identity_deformation(line_frame)
-    h0 = homotopy_chart_map(line_frame, gamma, 0.0)
+    h0 = homotopy_chart_map(gamma, 0.0)
     rng = np.random.default_rng(31)
     for _ in range(8):
         xi = rng.uniform(-0.2, 0.2, line_frame.chart_dim) * line_frame.rho
@@ -363,20 +363,17 @@ def test_homotopy_start_is_affine(line_frame):
         assert h0(xi) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
-def test_homotopy_time_bounds(line_frame, line_problem):
+def test_homotopy_time_bounds(line_frame):
     gamma = identity_deformation(line_frame)
     # the time is checked once, when the map is built
     with pytest.raises(InvalidSpecError):
-        homotopy_chart_map(line_frame, gamma, -0.1)
+        homotopy_chart_map(gamma, -0.1)
     with pytest.raises(InvalidSpecError):
-        homotopy_chart_map(line_frame, gamma, 1.5)
-    # so is the chart map: the flow leaves the chart
-    with pytest.raises(DomainMembershipError):
-        homotopy_chart_map(line_frame, flow_deformation(line_problem, line_frame), 1.0)
+        homotopy_chart_map(gamma, 1.5)
 
 
 def test_identity_intersection_is_on_the_ray(line_frame, line_problem):
-    cert = intersection_point(line_frame, identity_deformation(line_frame))
+    cert = intersection_point(identity_deformation(line_frame))
     want = np.zeros(line_frame.chart_dim)
     want[-1] = line_frame.r
     assert cert.chart == pytest.approx(want, abs=1e-8 * line_frame.r)
@@ -394,7 +391,7 @@ def test_certificate_residuals_on_the_benchmark_grid(d_y):
     choice = choose_radii(problem, d_y=d_y)
     frame = build_frame(problem, choice.r, choice.rho, d_y=d_y)
     for gamma in shipped_deformations(frame):
-        cert = intersection_point(frame, gamma)
+        cert = intersection_point(gamma)
         assert cert.antidiagonal_residual <= 1e-13, gamma.name
         assert cert.radius_residual <= 1e-13, gamma.name
 
@@ -404,11 +401,11 @@ def test_shipped_deformations_certify(line_problem, d_y):
     choice = choose_radii(line_problem, d_y=d_y)
     frame = build_frame(line_problem, choice.r, choice.rho, d_y=d_y)
     for gamma in shipped_deformations(frame):
-        cert = intersection_point(frame, gamma)
+        cert = intersection_point(gamma)
         assert cert.antidiagonal_residual <= 1e-8
         assert cert.radius_residual <= 1e-8
-        start = brouwer_degree_small(homotopy_chart_map(frame, gamma, 0.0), frame)
-        end = brouwer_degree_small(homotopy_chart_map(frame, gamma, 1.0), frame)
+        start = brouwer_degree_small(homotopy_chart_map(gamma, 0.0), frame)
+        end = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), frame)
         assert start.degree == 1
         assert end.degree == 1
 
@@ -425,7 +422,7 @@ def test_newton_sweep_matches_the_hybr_sweep(domain, d_y):
     starts = linking._start_lattice(frame, linking.SWEEP_STARTS_PER_AXIS)
     for gamma in shipped_deformations(frame):
         for t in (0.0, 1.0):
-            map_fn = homotopy_chart_map(frame, gamma, t)
+            map_fn = homotopy_chart_map(gamma, t)
             report = brouwer_degree_small(map_fn, frame)
             want = hybr_root_sweep(map_fn, starts, frame.r, frame.rho, linking.SWEEP_RESIDUAL_TOL)
             assert report.roots.shape == want.shape, (gamma.name, t)
@@ -460,7 +457,7 @@ def test_interior_points_do_move(line_frame):
 def test_displacement_residual_accounts_for_motion(line_frame):
     samples = sample_sets(line_frame, interior_count=16, seed=5)
     for gamma in shipped_deformations(line_frame):
-        assert displacement_residual(line_frame, gamma, samples.interior_chart) <= 1e-10
+        assert displacement_residual(gamma, samples.interior_chart) <= 1e-10
 
 
 def test_affine_degree_conventions(line_frame):
@@ -507,7 +504,7 @@ def test_degree_boundary_is_drawn_once_per_frame(line_problem, monkeypatch):
     monkeypatch.setattr(linking, "_boundary_rows",
                         lambda *args: draws.append(args[1:]) or boundary_rows(*args))
     frame = build_frame(line_problem, 0.7, 3.0, d_y=2)
-    map_fn = homotopy_chart_map(frame, identity_deformation(frame), 1.0)
+    map_fn = homotopy_chart_map(identity_deformation(frame), 1.0)
     report = brouwer_degree_small(map_fn, frame)
     rows = frame._degree_rows
     assert not rows.flags.writeable
@@ -535,24 +532,15 @@ def test_out_of_span_deformation_rejected(line_frame):
         bump = 0.3 * line_frame.r
         return line_frame.state_from_chart(xi) + bump * stray
 
-    # a deformation is one map: a state map beside a chart map is refused when built
-    with pytest.raises(InvalidSpecError, match="exactly one"):
-        DeformationGamma(name="stray", frame=line_frame, fn=fn, chart=lambda xi: xi)
     # a state map leaves the chart, so the intersection solver refuses it
     with pytest.raises(DomainMembershipError, match="not chart compatible"):
-        intersection_point(line_frame, DeformationGamma("stray", line_frame, fn=fn))
+        intersection_point(fn)
     # a modal push outside the chart is refused when it is built
     with pytest.raises(InvalidSpecError):
         modal_shift_deformation(line_frame, mode=line_frame.d_y)
 
 
-def test_a_deformation_is_one_map(line_problem, line_frame):
-    state_map = flow_deformation(line_problem, line_frame, steps=1)
-    assert state_map.chart is None and state_map.displacement_modes is None
-    with pytest.raises(InvalidSpecError, match="exactly one"):
-        DeformationGamma("none", line_frame)
-    with pytest.raises(InvalidSpecError, match="declares no modes"):
-        DeformationGamma("flow", line_frame, fn=state_map.fn, displacement_modes=(0,))
+def test_a_deformation_is_one_map(line_frame):
     for modes in (None, (line_frame.d_y,), (-1,), (0.0,), "0", np.arange(1)):
         with pytest.raises(InvalidSpecError, match="mode indices"):
             DeformationGamma("push", line_frame, chart=lambda xi: xi, displacement_modes=modes)
@@ -563,11 +551,38 @@ def test_a_deformation_is_one_map(line_problem, line_frame):
     want = line_frame.state_from_chart(2.0 * xi)
     assert np.array_equal(gamma(xi).u, want.u) and np.array_equal(gamma(xi).v, want.v)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        gamma.fn = state_map.fn
+        gamma.chart = lambda xi: xi
+
+
+def test_certificates_refuse_the_flow_map(line_problem, line_frame):
+    flow = flow_deformation(line_problem, line_frame, steps=1)
+    rows = sample_sets(line_frame, interior_count=4, seed=5).interior_chart
+    for certify in (lambda: homotopy_chart_map(flow, 1.0), lambda: intersection_point(flow),
+                    lambda: displacement_residual(flow, rows)):
+        with pytest.raises(DomainMembershipError, match="not chart compatible"):
+            certify()
+
+
+def test_certificates_read_the_frame_of_the_deformation(line_problem):
+    # a shift built on one frame is certified on that frame, beside a second
+    # frame of the same problem and d_y with twice the radii
+    frame = build_frame(line_problem, 0.7, 3.0)
+    other = build_frame(line_problem, 1.4, 6.0)
+    gamma = modal_shift_deformation(frame)
+    assert other.d_y == frame.d_y and gamma.frame is frame
+    start = brouwer_degree_small(homotopy_chart_map(gamma, 0.0), frame)
+    want = np.zeros(frame.chart_dim)
+    want[-1] = 0.7
+    assert start.degree == 1
+    assert start.roots == pytest.approx(want[None], abs=1e-12)
+    cert = intersection_point(gamma)
+    assert frame.splitting.pair_norm(cert.image) == pytest.approx(0.7, rel=1e-10)
+    rows = sample_sets(frame, interior_count=8, seed=3).interior_chart
+    assert displacement_residual(gamma, rows) == 0.0
 
 
 def test_start_map_does_not_depend_on_the_deformation(line_frame):
-    maps = [homotopy_chart_map(line_frame, g, 0.0) for g in shipped_deformations(line_frame)]
+    maps = [homotopy_chart_map(g, 0.0) for g in shipped_deformations(line_frame)]
     for xi in sample_sets(line_frame, interior_count=16, seed=9).interior_chart:
         first = maps[0](xi)
         for chart_map in maps[1:]:
@@ -576,25 +591,18 @@ def test_start_map_does_not_depend_on_the_deformation(line_frame):
 
 def test_intersection_point_takes_the_degree_roots(line_frame):
     for gamma in shipped_deformations(line_frame):
-        deg = brouwer_degree_small(homotopy_chart_map(line_frame, gamma, 1.0), line_frame)
-        shared = intersection_point(line_frame, gamma, roots=deg.roots)
-        swept = intersection_point(line_frame, gamma)
+        deg = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), line_frame)
+        shared = intersection_point(gamma, roots=deg.roots)
+        swept = intersection_point(gamma)
         assert np.array_equal(shared.chart, swept.chart)
         assert shared.energy == swept.energy
     with pytest.raises(IntersectionNotFoundError):
-        intersection_point(line_frame, gamma, roots=np.empty((0, line_frame.chart_dim)))
-    # a state map beside the chart map is refused before any root is certified
-    stray = stray_direction(line_frame)
-    with pytest.raises(InvalidSpecError, match="exactly one"):
-        DeformationGamma(
-            name="stray", frame=line_frame,
-            fn=lambda xi: line_frame.state_from_chart(xi) + (0.3 * line_frame.r) * stray,
-            chart=lambda xi: xi)
+        intersection_point(gamma, roots=np.empty((0, line_frame.chart_dim)))
 
 
 def test_intersection_certificate_reconstructs_state(line_frame):
     gamma = anchor_shear_deformation(line_frame)
-    cert = intersection_point(line_frame, gamma)
+    cert = intersection_point(gamma)
     rebuilt = gamma(cert.chart)
     assert np.max(np.abs(rebuilt.u - cert.image.u)) <= 1e-12
     assert np.max(np.abs(rebuilt.v - cert.image.v)) <= 1e-12

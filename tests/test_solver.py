@@ -585,6 +585,21 @@ def test_witness_search_validates_inputs(line_problem, witness_setup):
                                    flow_steps=-1)
 
 
+def test_witness_search_refuses_a_problem_that_is_not_the_frames(line_problem, solved_line):
+    # a search on p = 4 with a frame and flow built on p = 6 reported "witness found"
+    other = discretize(ProblemSpec(DomainSpec.interval(31), power_nonlinearity(p=6.0)))
+    choice = choose_radii(other)
+    frame = build_frame(other, choice.r, choice.rho)
+    geo = estimate_geometry(frame)
+    level = solved_line.critical_value
+    with pytest.raises(InvalidSpecError, match="another problem"):
+        flow_deformation(line_problem, frame)
+    gamma = flow_deformation(other, frame)
+    with pytest.raises(InvalidSpecError, match="another problem"):
+        deformation_witness_search(line_problem, frame, gamma, level, geo.boundary_max,
+                                   eps=0.1 * abs(level), prox=1.0)
+
+
 def test_flow_map_keeps_crest_fixed(toy_problem):
     x = StatePair(np.array([CREST]), np.array([CREST]))
     moved = flow_map(toy_problem, x, steps=5, step=0.2)
