@@ -32,8 +32,7 @@ problem = cubic(63)
 rep = solve_saddle(problem)
 print(f"solver: {rep.method}, {rep.iterations} iterations, converged = {rep.converged}")
 print(f"critical value      c = {rep.critical_value:.10f}")
-print(f"gradient norm           {rep.gradient_norm:.3e}")
-print(f"Euler-Lagrange residual {rep.residual_dual:.3e} (dual norm)")
+print(f"gradient norm           {rep.gradient_norm:.3e} (dual norm of the Euler-Lagrange residual)")
 print(f"nontrivial: {rep.nontrivial}, peak amplitude {np.max(rep.state.u):.4f}")
 
 radii = choose_radii(problem)

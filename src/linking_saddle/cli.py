@@ -272,8 +272,9 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
          "residual_dual", "residual_euclidean", "iterations", "state_norm",
          "sphere_min", "boundary_max", "margin", "minimax_ok",
          "ps_bounded", "ps_tail_cauchy", "ps_fit_c1", "ps_fit_c2", "ps_fit_slack"],
+        # residual_dual: the dual norm of the residual is the gradient norm
         [(report.method, report.converged, report.nontrivial, report.critical_value,
-          report.gradient_norm, report.residual_dual, report.residual_euclidean,
+          report.gradient_norm, report.gradient_norm, report.residual_euclidean,
           report.iterations, report.trace.state_norms[-1],
           geo.sphere_min, geo.boundary_max, geo.margin, mm_ok,
           ps.bounded, ps.tail_cauchy, ps.fit_c1, ps.fit_c2, ps.fit_slack)],

@@ -54,7 +54,6 @@ class DomainBlock:
 class ProblemBlock:
     preset: str = "power"
     p: float = 4.0
-    mu: float = 4.0
     scale: float = 1.0
     lam: float = 0.0
     delta: float = 0.0
@@ -164,8 +163,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"problem.preset must be one of {PRESETS}, got {p.preset!r}")
     if not p.p > 2.0:
         raise ConfigError(f"problem.p requires p > 2, got {p.p:g}")
-    if not p.mu > 2.0:
-        raise ConfigError(f"problem.mu requires mu > 2, got {p.mu:g}")
     if not p.scale > 0:
         raise ConfigError(f"problem.scale must be positive, got {p.scale:g}")
 
@@ -244,7 +241,7 @@ def format_config(cfg: RunConfig) -> str:
 def _nonlinearity_from(block: ProblemBlock) -> NonlinearitySpec:
     if block.preset == "zero":
         return zero_nonlinearity()
-    return power_nonlinearity(p=block.p, scale=block.scale, mu=block.mu)
+    return power_nonlinearity(p=block.p, scale=block.scale)
 
 
 def to_problem_spec(cfg: RunConfig) -> ProblemSpec:

@@ -19,7 +19,6 @@ are mesh-consistent and comparable across refinement levels.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,7 +32,6 @@ __all__ = [
     "NonlinearitySpec",
     "power_nonlinearity",
     "zero_nonlinearity",
-    "linear_nonlinearity",
     "ProblemSpec",
     "Problem",
     "discretize",
@@ -44,7 +42,6 @@ __all__ = [
     "riesz_gradient",
     "HypothesisReport",
     "validate_hypotheses",
-    "lower_bound_constant",
     "small_t_constants",
 ]
 
@@ -59,9 +56,9 @@ class NonlinearitySpec:
     alone, so a coupling is the same at every point of the domain and
     a sampled certificate in t holds everywhere. ``df`` and ``dg`` are
     the derivatives of f and g, which the Newton step needs. ``p`` is the
-    growth exponent, ``mu`` the superquadraticity exponent, ``radius`` the
-    threshold beyond which the superquadratic inequality is required,
-    and ``scale`` the growth constant.
+    growth exponent and ``scale`` the growth constant. ``mu`` is the
+    Ambrosetti-Rabinowitz exponent: 0 < mu F(t) <= t f(t), and likewise
+    for G and g, is required for |t| >= ``radius``.
     """
 
     name: str
@@ -87,13 +84,13 @@ class NonlinearitySpec:
             raise InvalidSpecError(f"scale must be positive, got {self.scale}")
 
 
-def power_nonlinearity(
-    p: float = 4.0, scale: float = 1.0, mu: Optional[float] = None
-) -> NonlinearitySpec:
+def power_nonlinearity(p: float = 4.0, scale: float = 1.0) -> NonlinearitySpec:
     """Odd power coupling s |t|^(p-2) t, the canonical superquadratic case.
 
     F is (s/p) |t|^(p-2) t^2 = t f(t) / p, within a few ulp of (s/p) |t|^p:
-    its power is that of f, which numpy takes by squaring at p = 4.
+    its power is that of f, which numpy takes by squaring at p = 4. Since
+    p F = t f, the Ambrosetti-Rabinowitz exponent ``mu`` is p, the
+    largest that holds.
     """
     p = float(p)
     if not p > 2.0:
@@ -117,7 +114,7 @@ def power_nonlinearity(
     return NonlinearitySpec(
         name=f"power(p={p:g})",
         f=f, F=F, g=f, G=F, df=df, dg=df,
-        p=p, mu=p if mu is None else float(mu), radius=1.0, scale=max(s, 1.0),
+        p=p, mu=p, radius=1.0, scale=max(s, 1.0),
     )
 
 
@@ -130,26 +127,6 @@ def zero_nonlinearity() -> NonlinearitySpec:
     return NonlinearitySpec(
         name="zero", f=f, F=f, g=f, G=f, df=f, dg=f,
         p=4.0, mu=4.0, radius=1.0, scale=1.0,
-    )
-
-
-def linear_nonlinearity(slope: float = 1.0) -> NonlinearitySpec:
-    """Linear coupling slope*t; fails the small-amplitude hypothesis by design."""
-    s = float(slope)
-
-    def f(t):
-        return s * np.asarray(t, dtype=float)
-
-    def F(t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * s * t * t
-
-    def df(t):
-        return np.full_like(np.asarray(t, dtype=float), s)
-
-    return NonlinearitySpec(
-        name=f"linear(slope={s:g})", f=f, F=F, g=f, G=F, df=df, dg=df,
-        p=3.0, mu=3.0, radius=1.0, scale=max(abs(s), 1.0),
     )
 
 
@@ -397,36 +374,6 @@ def validate_hypotheses(nl: NonlinearitySpec) -> HypothesisReport:
             witnesses[f"superquadratic-{label}"] = (float(far[k]), float(primitive[k]))
 
     return HypothesisReport(growth_ok, small_ok, super_ok, witnesses)
-
-
-def lower_bound_constant(nl: NonlinearitySpec) -> float:
-    """Largest sampled constant k with F, G >= k (|t|^mu - 1) everywhere.
-
-    Sampled at 2001 points per sign on [1e-6, 100], plus +-1 and +-100.
-    Positive for genuinely superquadratic terms; returns 0.0 with a
-    warning when no positive constant fits the samples.
-    """
-    t = _symmetric_log_grid(1e-6, 100.0, 2001)
-    t = np.concatenate([t, [-1.0, 1.0, -100.0, 100.0]])
-    envelope = np.abs(t) ** nl.mu - 1.0
-    fu = np.asarray(nl.F(t), dtype=float)
-    gv = np.asarray(nl.G(t), dtype=float)
-    low = np.minimum(fu, gv)
-
-    grow = envelope > 1e-9
-    if not np.any(grow):
-        warnings.warn("sample window too small to fit a superquadratic floor")
-        return 0.0
-    candidate = float(np.min(low[grow] / envelope[grow]))
-    if candidate <= 0:
-        warnings.warn("no positive superquadratic floor fits the sampled primitives")
-        return 0.0
-    # Feasibility on the full grid, including the flat region |t| <= 1.
-    margin = low - candidate * envelope
-    if np.min(margin + 1e-12 * (1.0 + np.abs(candidate * envelope))) < 0:
-        warnings.warn("no positive superquadratic floor fits the sampled primitives")
-        return 0.0
-    return candidate
 
 
 def small_t_constants(nl: NonlinearitySpec, eps: float) -> float:

@@ -202,11 +202,6 @@ class LinkingFrame:
         return ((xi[..., -1] >= -1e-9 * self.rho)
                 & (np.sqrt(_row_dots(xi)) <= self.rho * (1.0 + 1e-9)))
 
-    def contains(self, xi: np.ndarray) -> bool:
-        """Membership of the half-ball, with a slack of 1e-9 rho for rounding."""
-        xi = np.asarray(xi, dtype=float)
-        return bool(xi.shape == (self.chart_dim,) and self._inside(xi))
-
     def require_member(self, xi: np.ndarray) -> np.ndarray:
         """The chart rows xi, an (m, d_y + 1) block or one row, once each lies in the half-ball.
 
@@ -587,7 +582,8 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     with np.errstate(over="ignore", invalid="ignore"):
         s_best = (1.0 / (p * np.float64(amp))) ** (1.0 / (p - 2.0)) if amp > 1e-300 else 1.0
         floors = 0.5 * grid_s**2 - amp * grid_s**p
-        if floors.max() > 0.5 * s_best**2 - amp * s_best**p:
+        # a closed-form floor that is not finite loses to the grid's best
+        if not 0.5 * s_best**2 - amp * s_best**p >= floors.max():
             s_best = grid_s[np.argmax(floors)]
         s_chosen = 0.5 * s_best
         floor_value = float(0.5 * s_chosen**2 - amp * s_chosen**p)

@@ -65,7 +65,6 @@ __all__ = [
     "SolverConfig",
     "IterateTrace",
     "SaddleReport",
-    "residual_dual_norm",
     "newton_solve",
     "signflow_solve",
     "solve_saddle",
@@ -80,7 +79,6 @@ __all__ = [
 ]
 
 METHODS = ("newton", "signflow", "flow-then-newton")
-INITS = ("anchor", "eigen", "zero")
 
 # the flow gives up once backtracking halves its step below this
 _MIN_FLOW_STEP = 1e-6
@@ -110,7 +108,6 @@ class SolverConfig:
     flow_max_iter: int = 400
     flow_step: float = 0.25
     flow_tol: float = 1e-4
-    init: str = "anchor"
     eta: float = 0.1
 
     def __post_init__(self) -> None:
@@ -118,8 +115,6 @@ class SolverConfig:
         # prefix the section and report it as the key
         if self.method not in METHODS:
             raise InvalidSpecError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.init not in INITS:
-            raise InvalidSpecError(f"init must be one of {INITS}, got {self.init!r}")
         for label, val in (("grad_tol", self.grad_tol), ("flow_tol", self.flow_tol)):
             if not (val > 0 and np.isfinite(val)):
                 raise InvalidSpecError(f"{label} must be positive, got {val:g}")
@@ -173,7 +168,6 @@ class SaddleReport:
     state: StatePair
     critical_value: float
     gradient_norm: float
-    residual_dual: float
     residual_euclidean: float
     converged: bool
     nontrivial: bool
@@ -183,13 +177,6 @@ class SaddleReport:
     trace: IterateTrace
     # the first-order residual at ``state``; residual_euclidean is its norm
     residual: StatePair
-
-
-def residual_dual_norm(problem: Problem, res: StatePair) -> float:
-    """Residual in the dual (inverse-stiffness) norm; equals the gradient norm."""
-    op = problem.op
-    lifted = StatePair(op.solve(res.u), op.solve(res.v))
-    return pair_norm(op, lifted)
 
 
 class _StepFailed(Exception):
@@ -284,20 +271,16 @@ def _grad_and_norm(problem: Problem, x: StatePair) -> tuple[StatePair, StatePair
 
 
 def _initial_state(
-    problem: Problem,
-    config: SolverConfig,
-    frame: Optional[LinkingFrame],
-    x0: Optional[StatePair],
+    problem: Problem, frame: Optional[LinkingFrame], x0: Optional[StatePair]
 ) -> StatePair:
+    """``x0``, or else the crest of the energy along the anchor ray.
+
+    Without a frame the anchor is the principal mode on the diagonal. The
+    start is the trivial state when the ray has no crest (purely quadratic
+    energies).
+    """
     if x0 is not None:
         return x0.copy()
-    if config.init == "zero":
-        return StatePair.zeros(problem.n)
-    if config.init == "eigen":
-        phi = problem.eigenpairs(1)[1][0]
-        return StatePair.diagonal(phi / np.sqrt(2.0))
-    # "anchor": crest of the energy along the anchor ray; the trivial
-    # state when the ray has no crest (purely quadratic energies).
     if frame is not None:
         direction = (1.0 / frame.r) * frame.anchor
     else:
@@ -493,7 +476,6 @@ def _finish(
         state=x,
         critical_value=trace.energies[-1],
         gradient_norm=trace.gradient_norms[-1],
-        residual_dual=trace.gradient_norms[-1],
         residual_euclidean=float(np.sqrt(res.u @ res.u + res.v @ res.v)),
         converged=converged,
         nontrivial=bool(converged and trace.state_norms[-1] >= eta),
@@ -681,7 +663,7 @@ def newton_solve(
             alpha *= 0.5
         raise _StepFailed("line search stalled")
 
-    x = _initial_state(problem, cfg, frame, x0)
+    x = _initial_state(problem, frame, x0)
     return _iterate(problem, x, trials, cfg.grad_tol, cfg.max_iter, 0.0, "newton", cfg.eta,
                     step_tol=TAIL_TOL, start=_start)
 
@@ -705,7 +687,7 @@ def signflow_solve(
     """
     cfg = config if config is not None else SolverConfig(method="signflow")
     tol = cfg.grad_tol if grad_tol is None else float(grad_tol)
-    x = _initial_state(problem, cfg, frame, x0)
+    x = _initial_state(problem, frame, x0)
     return _iterate(problem, x, _flow_trials(problem, frame, cfg.flow_step), tol,
                     cfg.flow_max_iter, cfg.flow_step, "signflow", cfg.eta, basin=_basin)
 

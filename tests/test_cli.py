@@ -25,7 +25,7 @@ from linking_saddle.cli import main
 from linking_saddle.config import PRESETS, format_config, to_problem_spec
 from linking_saddle.reporting import (_cell, write_csv, write_manifest, write_pgm,
                                      write_svg_trace)
-from linking_saddle.solver import INITS, METHODS
+from linking_saddle.solver import METHODS
 
 TOY = """
 domain.dimension = 1
@@ -109,7 +109,6 @@ def test_readme_config_values_parse():
             parse_config(f"{key} = {val}\n")
     assert named["problem.preset"] == set(PRESETS)
     assert named["solver.method"] == set(METHODS)
-    assert named["solver.init"] == set(INITS)
 
 
 def test_parse_rejects_unknown_key():
@@ -427,12 +426,23 @@ def test_cli_draws_only_the_sample_families_it_reads(tmp_path, monkeypatch, comm
     assert samples.interior_chart.shape == (interior, 3)
 
 
-def test_cli_solve_from_the_zero_start_fails_at_solve(tmp_path, capsys):
-    text = LINE.format(63) + "solver.init = zero\n"
-    rc = main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "z")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "FAILED at stage 'solve': converged to the trivial state" in err
+@pytest.mark.parametrize("key, value", [("problem.mu", "4"), ("solver.init", "anchor")])
+def test_cli_rejects_the_exponent_and_start_keys(tmp_path, capsys, key, value):
+    # the power preset's exponent mu is p, and a solve starts at the anchor crest
+    text = LINE.format(63) + f"{key} = {value}\n"
+    rc = main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{key}: unknown key" in capsys.readouterr().err
+
+
+def test_cli_power_preset_reads_mu_from_p(tmp_path):
+    text = LINE.format(63) + "problem.p = 3\n"
+    assert to_problem_spec(parse_config(text)).nonlinearity.mu == 3.0
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    (row,) = read_csv(out / "saddle_report.csv")
+    assert (row["converged"], row["nontrivial"], row["minimax_ok"]) == ("true", "true", "true")
+    assert float(row["critical_value"]) == pytest.approx(218.748056896, rel=1e-9)
 
 
 def test_cli_missing_config_exit_code(tmp_path, capsys):
@@ -501,7 +511,7 @@ def test_cli_solve_newton_cut_off_fails_its_tail(tmp_path, capsys):
 
 # configurations near the edge of what the pipeline accepts
 RESONANT = "domain.dimension = 1\ndomain.nx = 31\nproblem.lambda = 9.8696\nproblem.delta = 9.8696\n"
-NEAR_QUADRATIC = "domain.dimension = 1\ndomain.nx = 31\nproblem.p = 2.000001\nproblem.mu = 2.000001\n"
+NEAR_QUADRATIC = "domain.dimension = 1\ndomain.nx = 31\nproblem.p = 2.000001\n"
 HUGE_EXTENT = "domain.dimension = 1\ndomain.nx = 31\ndomain.extent_x = 1e8\n"
 ZERO_SQUARE = "domain.dimension = 2\ndomain.nx = 8\ndomain.ny = 8\nproblem.preset = zero\n"
 SINGLE_SQUARE = "domain.dimension = 2\ndomain.nx = 1\ndomain.ny = 1\n"
@@ -548,25 +558,30 @@ def test_cli_adversarial_configs_exit_cleanly(tmp_path, capsys, command, text, e
     (400, 1, "FAILED at stage 'geometry': small-amplitude constant k is not finite: nan\n"),
 ])
 def test_cli_geometry_at_a_large_power_names_the_constant(tmp_path, p, expected, stderr):
-    _check_geometry_run(tmp_path, f"problem.p = {p}\nproblem.mu = {p}\n", expected, stderr)
+    _check_geometry_run(tmp_path, f"problem.p = {p}\n", expected, stderr)
 
 
 def test_cli_geometry_names_an_overflowing_embedding_constant(tmp_path):
     # on a wide interval the power iteration overflows at its first solve
     _check_geometry_run(
-        tmp_path, "problem.p = 80\nproblem.mu = 80\ndomain.extent_x = 1e6\n", 1,
+        tmp_path, "problem.p = 80\ndomain.extent_x = 1e6\n", 1,
         "FAILED at stage 'geometry': iterated embedding constant c0 is not finite: inf\n")
 
 
-def test_cli_geometry_names_a_floor_that_overflows_near_p_2(tmp_path):
-    # at p = 2.05 the maximizing s of the floor is about 4e187, and its square
-    # overflowed a Python float with a raw OverflowError and no manifest
+def test_cli_geometry_takes_the_grid_floor_near_p_2(tmp_path):
+    # at p = 2.05 the closed-form maximizer of the floor (about 2.7e251) overflows
+    # when squared, so the grid's best s = 1e4 sets the radii. The run then fails
+    # only on small amplitudes: |f(t)/t| = 3.57 |t|^0.05 exceeds 1e-2
     _check_geometry_run(
-        tmp_path, "problem.p = 2.05\nproblem.mu = 2.05\nproblem.scale = 3.5694218829\n", 1,
-        "FAILED at stage 'geometry': small-sphere floor is not finite: nan\n")
+        tmp_path, "problem.p = 2.05\nproblem.scale = 3.5694218829\n", 1,
+        "FAILED at stage 'geometry': not certified: growth hypotheses failed\n",
+        step="geometry: not certified")
+    (row,) = read_csv(tmp_path / "o" / "geometry_report.csv")
+    assert float(row["r"]) == pytest.approx(np.sqrt(2.0) * 0.5e4, rel=1e-15)
+    assert float(row["margin"]) > 0 and row["certified"] == "false"
 
 
-def _check_geometry_run(tmp_path, lines, expected, stderr):
+def _check_geometry_run(tmp_path, lines, expected, stderr, step="radii: failed"):
     """Run ``geometry`` on the power preset over 1D nx = 15 plus ``lines``, in a subprocess.
 
     A subprocess, so that numpy warnings and tracebacks reach its stderr.
@@ -582,7 +597,7 @@ def _check_geometry_run(tmp_path, lines, expected, stderr):
                           env=env, capture_output=True, text=True, timeout=300)
     assert (done.returncode, done.stderr) == (expected, stderr)
     if expected:
-        assert "# step radii: failed" in (tmp_path / "o" / "manifest.cfg").read_text()
+        assert f"# step {step}" in (tmp_path / "o" / "manifest.cfg").read_text()
 
 
 def test_cli_intersect_rejects_wide_chart_before_any_work(tmp_path, capsys, monkeypatch):

@@ -10,13 +10,12 @@ from linking_saddle import (
     EnergyOverflowError,
     GridMismatchError,
     InvalidSpecError,
+    NonlinearitySpec,
     ProblemSpec,
     StatePair,
     directional_derivative,
     discretize,
     evaluate_J,
-    linear_nonlinearity,
-    lower_bound_constant,
     power_nonlinearity,
     riesz_gradient,
     small_t_constants,
@@ -113,7 +112,15 @@ def test_hypotheses_zero_fails_superquadratic():
 
 
 def test_hypotheses_linear_fails_small_amplitude():
-    report = validate_hypotheses(linear_nonlinearity())
+    def f(t):
+        return np.asarray(t, dtype=float)
+
+    def F(t):
+        return 0.5 * np.asarray(t, dtype=float) ** 2
+
+    linear = NonlinearitySpec(name="linear", f=f, F=F, g=f, G=F, df=np.ones_like,
+                              dg=np.ones_like, p=3.0, mu=3.0)
+    report = validate_hypotheses(linear)
     assert not report.small_amplitude_ok
     witness_keys = [k for k in report.witnesses if "small-amplitude" in k]
     assert witness_keys
@@ -127,7 +134,7 @@ def test_hypotheses_linear_fails_small_amplitude():
 def test_hypotheses_fail_samples_they_cannot_judge(p, ok):
     # from p = 200 on, |t|^(p - 1) overflows at the far samples; inf - inf is
     # nan there, and a sample that is not finite must fail, not pass
-    report = validate_hypotheses(power_nonlinearity(p=p, mu=p))
+    report = validate_hypotheses(power_nonlinearity(p=p))
     assert report.all_ok is ok
     assert report.small_amplitude_ok
     if ok:
@@ -157,27 +164,6 @@ def test_power_growth_bound_resampled(p):
     t = np.concatenate([rng.uniform(-50, 50, 400), rng.uniform(-1e-3, 1e-3, 100)])
     bound = nl.scale * (1.0 + np.abs(t) ** (p - 1.0))
     assert np.all(np.abs(nl.f(t)) <= bound * (1.0 + 1e-12))
-
-
-def test_lower_bound_constant_power():
-    c = lower_bound_constant(power_nonlinearity())
-    assert c == pytest.approx(0.25, abs=1e-6)
-
-
-def test_lower_bound_constant_resampled():
-    nl = power_nonlinearity()
-    c = lower_bound_constant(nl)
-    rng = np.random.default_rng(19)
-    t = rng.uniform(1.0, 90.0, 500)  # inside the sampled envelope window
-    floor = c * (np.abs(t) ** nl.mu - 1.0)
-    lower = np.minimum(nl.F(t), nl.G(t))
-    assert np.all(lower >= floor - 1e-9 * (1.0 + np.abs(floor)))
-
-
-def test_lower_bound_constant_zero_warns():
-    with pytest.warns(UserWarning):
-        c = lower_bound_constant(zero_nonlinearity())
-    assert c == 0.0
 
 
 def test_small_t_constants_power():

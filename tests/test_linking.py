@@ -202,7 +202,7 @@ def test_choose_radii_builds_one_pilot_frame(square_problem, monkeypatch):
 
 
 def _power_problem(domain, p=4.0):
-    return discretize(ProblemSpec(domain, power_nonlinearity(p=p, mu=p)))
+    return discretize(ProblemSpec(domain, power_nonlinearity(p=p)))
 
 
 @settings(max_examples=60)

@@ -25,7 +25,6 @@ from linking_saddle import (
     newton_solve,
     power_nonlinearity,
     ps_monitor,
-    residual_dual_norm,
     riesz_gradient,
     sample_sets,
     signflow_solve,
@@ -69,9 +68,8 @@ def test_dual_norm_matches_gradient_norm(square_problem):
         x = random_state(square_problem, seed)
         res = euler_lagrange_residual(square_problem, x)
         g = riesz_gradient(square_problem, x)
-        assert residual_dual_norm(square_problem, res) == pytest.approx(
-            square_problem.pair_norm(g), rel=1e-9
-        )
+        # the gradient norm the solver reports is the dual norm of the residual
+        assert solver._grad_and_norm(square_problem, x)[2] == square_problem.pair_norm(g)
         # the gradient is the stiffness solve of each residual component
         assert np.array_equal(g.u, square_problem.op.solve(res.u))
         assert np.array_equal(g.v, square_problem.op.solve(res.v))
@@ -229,8 +227,8 @@ def test_default_pipeline_toy(toy_problem):
 
 
 def test_line_solution_solves_equations(line_problem, solved_line):
-    res = euler_lagrange_residual(line_problem, solved_line.state)
-    assert residual_dual_norm(line_problem, res) <= 1e-9
+    gradient_norm = line_problem.pair_norm(riesz_gradient(line_problem, solved_line.state))
+    assert gradient_norm == solved_line.gradient_norm <= 1e-9
     # symmetric data: both components are the same positive bump
     assert np.array_equal(solved_line.state.u, solved_line.state.v)
     assert np.all(solved_line.state.u > 0.0)
@@ -435,8 +433,6 @@ def test_zero_preset_converges_to_trivial(zero_problem):
 def test_solver_config_validation():
     with pytest.raises(InvalidSpecError):
         SolverConfig(method="trust-region")
-    with pytest.raises(InvalidSpecError):
-        SolverConfig(init="warm")
     with pytest.raises(InvalidSpecError):
         SolverConfig(flow_step=1.0)
     with pytest.raises(InvalidSpecError):
@@ -759,25 +755,30 @@ def line63():
     return discretize(ProblemSpec(DomainSpec.interval(63), power_nonlinearity()))
 
 
+def _eigen_start(problem):
+    """The principal mode on the diagonal, each component scaled by 1/sqrt(2)."""
+    return StatePair.diagonal(problem.eigenpairs(1)[1][0] / np.sqrt(2.0))
+
+
 def test_eigen_start_reaches_the_anchor_starts_critical_value(line63):
     anchor = solve_saddle(line63)
     assert anchor.converged and anchor.nontrivial
     for method in ("flow-then-newton", "signflow"):
-        report = solve_saddle(line63, SolverConfig(method=method, init="eigen"))
+        report = solve_saddle(line63, SolverConfig(method=method), x0=_eigen_start(line63))
         assert report.method == method and report.converged and report.nontrivial
         assert report.critical_value == pytest.approx(anchor.critical_value, rel=1e-14)
 
 
 def test_newton_alone_from_the_eigen_start_falls_to_the_trivial_state(line63):
     # the sign-respecting flow is what escapes the trivial basin
-    report = solve_saddle(line63, SolverConfig(method="newton", init="eigen"))
+    report = solve_saddle(line63, SolverConfig(method="newton"), x0=_eigen_start(line63))
     assert report.converged and not report.nontrivial
     assert abs(report.critical_value) < 1e-30 and report.trace.state_norms[-1] < 1e-10
 
 
 def test_zero_start_stays_trivial(line63):
     for method in ("flow-then-newton", "signflow", "newton"):
-        report = solve_saddle(line63, SolverConfig(method=method, init="zero"))
+        report = solve_saddle(line63, SolverConfig(method=method), x0=StatePair.zeros(63))
         assert report.converged and not report.nontrivial
         assert report.critical_value == 0.0
 
