@@ -46,9 +46,10 @@ RUNS = (
     ("solve-sq128", ["solve"], _domain(128, 128)),
     ("solve-sq32", ["solve"], _domain(32, 32)),
     ("solve-line255", ["solve"], _domain(255)),
-    ("solve-newton-sq32", ["solve"], _domain(32, 32) + ["solver.method = newton"]),
-    ("solve-newton-line255", ["solve"], _domain(255) + ["solver.method = newton"]),
-    ("solve-signflow-line63", ["solve"], _domain(63) + ["solver.method = signflow"]),
+    # the late handoff: the flow runs to flow_tol and Newton does most of the work
+    ("solve-flowtol-rect20x13", ["solve"], _domain(20, 13) + ["solver.flow_tol = 0.01"]),
+    # the modal residual check fails; the run exits 1 at stage 'geometry' with a manifest
+    ("solve-line2047", ["solve"], _domain(2047)),
     ("solve-shifted-sq32", ["solve"],
      _domain(32, 32) + ["problem.lambda = 3.0", "problem.delta = 1.5"]),
     ("solve-shifted-line255", ["solve"],

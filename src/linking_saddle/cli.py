@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .config import RunConfig, load_config, to_problem_spec
 from .diagnostics import run_all_checks
-from .errors import ConfigError, GeometryCertificationError, LinkingSaddleError
+from .errors import ConfigError, LinkingSaddleError
 from .functional import Problem, discretize, validate_hypotheses
 from .linking import (
     MAX_DEGREE_DIMENSION,
@@ -74,17 +74,19 @@ def _frame_and_samples(cfg: RunConfig, problem: Problem, command: str, failed_st
                        boundary_count: int, interior_count: int):
     """Radii, frame and samples, the prelude of geometry, intersect and solve.
 
-    Returns ``(frame, samples, radii_choice)``. If the radii cannot be
-    certified, it writes ``failed_steps`` to the manifest, reports the
-    failure at stage 'geometry' and returns None.
+    Returns ``(frame, samples, radii_choice)``. If the radii or the frame
+    fail with a library error, it writes ``failed_steps`` to the manifest,
+    reports the failure at stage 'geometry' and returns None.
     """
     try:
         r, rho, choice = _resolve_radii(cfg, problem)
-    except GeometryCertificationError as exc:
+        frame = _frame_for(cfg, problem, r, rho)
+    except ConfigError:
+        raise
+    except LinkingSaddleError as exc:
         _write_run_manifest(cfg, command, failed_steps)
         _fail("geometry", str(exc))
         return None
-    frame = _frame_for(cfg, problem, r, rho)
     samples = sample_sets(frame, sphere_count=cfg.frame.sphere_samples,
                           boundary_count=boundary_count, interior_count=interior_count,
                           seed=cfg.frame.seed)
@@ -246,7 +248,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
         _write_run_manifest(cfg, "solve", steps)
         return _fail("geometry", f"margin {geo.margin:.6g} not certifiable")
 
-    report = solve_saddle(problem, cfg.solver, frame)
+    report = solve_saddle(problem, cfg.solver)
     solve_ok = report.converged and report.nontrivial
     steps.append(("solve", report.message if not solve_ok else "converged"))
 

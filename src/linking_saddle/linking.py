@@ -192,8 +192,9 @@ class LinkingFrame:
 
     @cached_property
     def _degree_rows(self) -> np.ndarray:
-        """The read-only boundary rows of ``brouwer_degree_small``, drawn once per frame."""
-        rows = _boundary_rows(np.random.default_rng(7), self.chart_dim, self.rho, 150, 150)
+        """The corners, 150 cap and 150 base rows of ``brouwer_degree_small``, drawn once."""
+        rows = _boundary_rows(np.random.default_rng(7), self.chart_dim, self.rho,
+                              300 + 2 * self.chart_dim)
         rows.flags.writeable = False
         return rows
 
@@ -325,13 +326,17 @@ def _boundary_corner_rows(dim: int, rho: float) -> np.ndarray:
     return np.array(rows)
 
 
-def _boundary_rows(rng: np.random.Generator, dim: int, rho: float, cap: int,
-                   base: int) -> np.ndarray:
-    """The corner probes, then ``cap`` cap rows and ``base`` base rows, drawn in that order."""
+def _boundary_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
+    """``count`` boundary rows, and never fewer than the 2 * dim corner probes.
+
+    The corner probes come first; the rest is filled by ceil(fill/2) cap
+    rows and then floor(fill/2) base rows, drawn in that order.
+    """
+    fill = max(count - 2 * dim, 0)
     return np.vstack([
         _boundary_corner_rows(dim, rho),
-        _cap_rows(rng, dim, rho, cap),
-        _base_rows(rng, dim, rho, base),
+        _cap_rows(rng, dim, rho, (fill + 1) // 2),
+        _base_rows(rng, dim, rho, fill // 2),
     ])
 
 
@@ -363,8 +368,7 @@ def sample_sets(
     d = frame.chart_dim
     boundary = np.empty((0, d))
     if boundary_count > 0:
-        fill = max(boundary_count - 2 * d, 0)
-        boundary = _boundary_rows(rng, d, frame.rho, (fill + 1) // 2, fill // 2)
+        boundary = _boundary_rows(rng, d, frame.rho, boundary_count)
     interior = _interior_rows(rng, d, frame.rho, interior_count)
     return SampleSets(sphere, boundary, interior)
 
@@ -556,7 +560,8 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
             embedding_constant=0.0, small_constant=0.0,
             eps=problem.principal_eigenvalue() / 2.0,
             boundary_pilot_max=0.0,
-            note="no coupling: any radius certifies; defaults returned",
+            note="no coupling: no radius certifies, as J is r^2/2 on the sphere and "
+                 "rho^2/2 > r^2/2 at the cap top; defaults returned",
         )
     if problem.lam < 0 or problem.delta < 0:
         raise GeometryCertificationError(
@@ -597,9 +602,8 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
 
     pilot = build_frame(problem, r, 2.0 * r, d_y=d_y)
     # the rows sample_sets(boundary_count=RADII_PILOT_BOUNDARY, seed=seed + 1) draws at 2r
-    fill = max(RADII_PILOT_BOUNDARY - 2 * pilot.chart_dim, 0)
     pilot_rows = _boundary_rows(np.random.default_rng(seed + 1), pilot.chart_dim, 2.0 * r,
-                                (fill + 1) // 2, fill // 2)
+                                RADII_PILOT_BOUNDARY)
     for k in range(1, RADII_MAX_DOUBLINGS + 1):
         rho = r * 2.0**k
         boundary_max = -np.inf

@@ -1,15 +1,14 @@
-"""Saddle-point solvers and convergence certificates.
+"""Saddle-point solver and convergence certificates.
 
-Two complementary iterations. The Newton solver attacks the first-order
-system directly with a damped sparse Newton method; it is quadratically
-convergent near any nondegenerate critical point but happily converges
-to the trivial state from inside its basin. The sign-respecting flow
-exploits the saddle structure instead: it ascends the energy along the
-antidiagonal factor while pinning the diagonal amplitude to the crest of
-the energy along the current diagonal ray, so it escapes the trivial
-basin whenever the coupling is genuinely superquadratic. The default
-pipeline runs the flow until it reaches Newton's basin and lets Newton
-finish.
+One route, in two stages. The sign-respecting flow exploits the saddle
+structure: it ascends the energy along the antidiagonal factor while
+pinning the diagonal amplitude to the crest of the energy along the
+current diagonal ray, so it escapes the trivial basin whenever the
+coupling is genuinely superquadratic. A damped sparse Newton method
+then finishes; it is quadratically convergent near any nondegenerate
+critical point, but from inside the trivial state's basin it converges
+there, so it starts only where the flow hands off. Every solve starts at
+the crest of the energy along the ray of the principal diagonal mode.
 
 The handoff is an affine-covariant basin test (Deuflhard, Newton Methods
 for Nonlinear Problems, 2004, ch. 2). At the flow's first iterate, and
@@ -78,8 +77,6 @@ __all__ = [
     "deformation_witness_search",
 ]
 
-METHODS = ("newton", "signflow", "flow-then-newton")
-
 # the flow gives up once backtracking halves its step below this
 _MIN_FLOW_STEP = 1e-6
 # slope evaluations one crest search may take
@@ -102,7 +99,6 @@ FLOW_RAMP = 0.05
 class SolverConfig:
     """Solver settings; the field order is the order of the ``solver.*`` config keys."""
 
-    method: str = "flow-then-newton"
     grad_tol: float = 1e-10
     max_iter: int = 60
     flow_max_iter: int = 400
@@ -113,8 +109,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         # each message starts with its field name, so the config parser can
         # prefix the section and report it as the key
-        if self.method not in METHODS:
-            raise InvalidSpecError(f"method must be one of {METHODS}, got {self.method!r}")
         for label, val in (("grad_tol", self.grad_tol), ("flow_tol", self.flow_tol)):
             if not (val > 0 and np.isfinite(val)):
                 raise InvalidSpecError(f"{label} must be positive, got {val:g}")
@@ -270,22 +264,20 @@ def _grad_and_norm(problem: Problem, x: StatePair) -> tuple[StatePair, StatePair
     return res, g, pair_norm(problem.op, g)
 
 
-def _initial_state(
-    problem: Problem, frame: Optional[LinkingFrame], x0: Optional[StatePair]
-) -> StatePair:
-    """``x0``, or else the crest of the energy along the anchor ray.
+def _principal_direction(problem: Problem) -> StatePair:
+    """The principal mode on the diagonal, (phi_1, phi_1)/sqrt(2), of energy norm 1."""
+    return StatePair.diagonal(problem.eigenpairs(1)[1][0] / np.sqrt(2.0))
 
-    Without a frame the anchor is the principal mode on the diagonal. The
-    start is the trivial state when the ray has no crest (purely quadratic
-    energies).
+
+def _initial_state(problem: Problem, x0: Optional[StatePair]) -> StatePair:
+    """``x0``, or else the crest of the energy along the principal diagonal ray.
+
+    The start is the trivial state when the ray has no crest (purely
+    quadratic energies).
     """
     if x0 is not None:
         return x0.copy()
-    if frame is not None:
-        direction = (1.0 / frame.r) * frame.anchor
-    else:
-        phi = problem.eigenpairs(1)[1][0]
-        direction = StatePair.diagonal(phi / np.sqrt(2.0))
+    direction = _principal_direction(problem)
     tau = _ray_argmax(problem, StatePair.zeros(problem.n), direction, 1.0)
     if tau is None:
         return StatePair.zeros(problem.n)
@@ -417,7 +409,6 @@ def _ray_argmax(
 def _flow_update(
     split: DiagonalSplitting,
     problem: Problem,
-    frame: Optional[LinkingFrame],
     x: StatePair,
     g: StatePair,
     s: float,
@@ -428,7 +419,8 @@ def _flow_update(
     transverse to the current ray; those directions carry positive
     curvature, so ascent there diverges while descent walks the crest
     manifold down to the saddle. The ray amplitude itself is re-pinned
-    to the crest after every shape change.
+    to the crest after every shape change, along the principal diagonal
+    mode where the diagonal part collapses.
     """
     p = split.antidiagonal_part(x)
     q = split.diagonal_part(x)
@@ -445,12 +437,7 @@ def _flow_update(
     else:
         q_tent = q + s * gq
     t_tent = split.diagonal_norm(q_tent.u)
-    if t_tent <= 1e-300:
-        if frame is None:
-            return p_new
-        qhat = (1.0 / frame.r) * frame.anchor
-    else:
-        qhat = (1.0 / t_tent) * q_tent
+    qhat = _principal_direction(problem) if t_tent <= 1e-300 else (1.0 / t_tent) * q_tent
     tau_star = _ray_argmax(problem, p_new, qhat, t_cur)
     if tau_star is None:
         tau_new = (1.0 - s) * t_cur
@@ -508,7 +495,7 @@ def _accept(problem: Problem, trials: Iterator[tuple]) -> tuple:
             return trial, res, g, gn, next_step
 
 
-def _flow_trials(problem: Problem, frame: Optional[LinkingFrame], max_step: float):
+def _flow_trials(problem: Problem, max_step: float):
     """The trial rule of the flow, shared by :func:`signflow_solve` and :func:`flow_map`.
 
     From step size s it tries the flow update of size s, s/2, ... down to
@@ -521,7 +508,7 @@ def _flow_trials(problem: Problem, frame: Optional[LinkingFrame], max_step: floa
     def trials(x, res, g, gn, s):
         while s >= _MIN_FLOW_STEP:
             # tolerance band: mild transients allowed
-            yield _flow_update(split, problem, frame, x, g, s), 1.5 * gn, min(s * 1.25, max_step)
+            yield _flow_update(split, problem, x, g, s), 1.5 * gn, min(s * 1.25, max_step)
             s *= 0.5
         raise _StepFailed("step size collapsed")
 
@@ -636,12 +623,11 @@ def _basin_trial(
 def newton_solve(
     problem: Problem,
     config: Optional[SolverConfig] = None,
-    frame: Optional[LinkingFrame] = None,
     x0: Optional[StatePair] = None,
     *,
     _start: Optional[tuple[StatePair, float, float]] = None,
 ) -> SaddleReport:
-    """Damped Newton iteration on the first-order system.
+    """Damped Newton iteration on the first-order system, the second stage of :func:`solve_saddle`.
 
     The merit function for the damping is the dual residual norm, which
     coincides with the gradient norm: a step is accepted once it lowers
@@ -653,7 +639,7 @@ def newton_solve(
     residual, gradient norm and energy at ``x0``, where :func:`solve_saddle`
     knows them.
     """
-    cfg = config if config is not None else SolverConfig(method="newton")
+    cfg = config if config is not None else SolverConfig()
 
     def trials(x, res, g, gn, step):
         direction = _newton_step(problem, x, res)
@@ -663,7 +649,7 @@ def newton_solve(
             alpha *= 0.5
         raise _StepFailed("line search stalled")
 
-    x = _initial_state(problem, frame, x0)
+    x = _initial_state(problem, x0)
     return _iterate(problem, x, trials, cfg.grad_tol, cfg.max_iter, 0.0, "newton", cfg.eta,
                     step_tol=TAIL_TOL, start=_start)
 
@@ -671,34 +657,31 @@ def newton_solve(
 def signflow_solve(
     problem: Problem,
     config: Optional[SolverConfig] = None,
-    frame: Optional[LinkingFrame] = None,
     x0: Optional[StatePair] = None,
-    grad_tol: Optional[float] = None,
     *,
     _basin: Optional[Callable[[StatePair, StatePair, float, float], Optional[tuple]]] = None,
 ) -> SaddleReport:
-    """Sign-respecting ascent/pinning flow with adaptive step halving (:func:`_flow_trials`).
+    """Sign-respecting ascent/pinning flow to ``flow_tol``, the first stage of :func:`solve_saddle`.
 
-    On a purely quadratic energy the update contracts the state by
-    exactly (1 - step) per iteration, so the trivial state is reached
-    monotonically; superquadratic couplings instead pin the diagonal
-    amplitude to the crest of the ray energy, away from zero.
+    Each step takes the trial rule of :func:`_flow_trials`, with adaptive
+    step halving. On a purely quadratic energy the update contracts the
+    state by exactly (1 - step) per iteration, so the trivial state is
+    reached monotonically; superquadratic couplings instead pin the
+    diagonal amplitude to the crest of the ray energy, away from zero.
     ``_basin`` is :func:`solve_saddle`'s handoff test (see :func:`_iterate`).
     """
-    cfg = config if config is not None else SolverConfig(method="signflow")
-    tol = cfg.grad_tol if grad_tol is None else float(grad_tol)
-    x = _initial_state(problem, frame, x0)
-    return _iterate(problem, x, _flow_trials(problem, frame, cfg.flow_step), tol,
+    cfg = config if config is not None else SolverConfig()
+    x = _initial_state(problem, x0)
+    return _iterate(problem, x, _flow_trials(problem, cfg.flow_step), cfg.flow_tol,
                     cfg.flow_max_iter, cfg.flow_step, "signflow", cfg.eta, basin=_basin)
 
 
 def solve_saddle(
     problem: Problem,
     config: Optional[SolverConfig] = None,
-    frame: Optional[LinkingFrame] = None,
     x0: Optional[StatePair] = None,
 ) -> SaddleReport:
-    """Dispatch on the configured method; the default flows to Newton's basin, then polishes.
+    """Flow to Newton's basin, then polish by Newton; from the principal diagonal crest by default.
 
     The flow hands off at its first full Newton step that passes
     :func:`_basin_trial`, or at ``flow_tol`` if none does, and Newton
@@ -707,13 +690,9 @@ def solve_saddle(
     row, and the compactness fit counts both.
     """
     cfg = config if config is not None else SolverConfig()
-    if cfg.method == "newton":
-        return newton_solve(problem, cfg, frame, x0)
-    if cfg.method == "signflow":
-        return signflow_solve(problem, cfg, frame, x0)
-    first = signflow_solve(problem, cfg, frame, x0, grad_tol=cfg.flow_tol,
+    first = signflow_solve(problem, cfg, x0,
                            _basin=functools.partial(_basin_trial, problem, eta=cfg.eta))
-    second = newton_solve(problem, cfg, frame, x0=first.state,
+    second = newton_solve(problem, cfg, x0=first.state,
                           _start=(first.residual, first.trace.gradient_norms[-1],
                                   first.trace.energies[-1]))
     first.trace.extend(second.trace)
@@ -726,13 +705,7 @@ def solve_saddle(
     )
 
 
-def flow_map(
-    problem: Problem,
-    x0: StatePair,
-    steps: int = 12,
-    step: float = 0.2,
-    frame: Optional[LinkingFrame] = None,
-) -> StatePair:
+def flow_map(problem: Problem, x0: StatePair, steps: int = 12, step: float = 0.2) -> StatePair:
     """Up to ``steps`` accepted flow steps of size at most ``step``, used as a deformation.
 
     Each step takes the trial rule of :func:`signflow_solve`
@@ -742,7 +715,7 @@ def flow_map(
     size ``step``. The map stops early, at its last accepted state, where
     the step size collapses.
     """
-    trials = _flow_trials(problem, frame, step)
+    trials = _flow_trials(problem, step)
     x = x0.copy()
     _, g, gn = _grad_and_norm(problem, x)
     s = step
@@ -771,7 +744,7 @@ def flow_deformation(problem: Problem, frame: LinkingFrame, steps: int = 12,
         w = min(1.0, q1 / FLOW_RAMP) * min(1.0, q2 / FLOW_RAMP)
         if w == 0.0:
             return x
-        return x + w * (flow_map(problem, x, steps, step, frame) - x)
+        return x + w * (flow_map(problem, x, steps, step) - x)
 
     return flow
 
@@ -982,7 +955,7 @@ def deformation_witness_search(
 
     top = int(np.argmax(image_vals))
     x, energy = images[top].copy(), image_vals[top]
-    trials = _flow_trials(problem, frame, flow_step)
+    trials = _flow_trials(problem, flow_step)
     res, g, gn = _grad_and_norm(problem, x)
     reason = "iteration budget exhausted"
     for it in range(flow_steps + 1):

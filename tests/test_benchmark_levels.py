@@ -1,8 +1,8 @@
 """The package still reaches the reference levels the benchmark pins.
 
-``perfbench/workloads.py`` holds the critical values of the 32² solve of
-its witness job and of its four-level refine from 16², to ``REL_TOL``
-relative. The benchmark checks them only in a traced run; these tests
+``perfbench/workloads.py`` holds the critical values of its 128² CLI
+solve, of the 32² solve of its witness job and of its four-level refine
+from 16², to ``REL_TOL`` relative. The benchmark checks them only in a traced run; these tests
 read the same constants, so a numerical change that moves them fails in
 the test suite too.
 """
@@ -47,3 +47,16 @@ def test_refine_from_square16_reaches_the_refine_levels(tmp_path):
         assert abs(got - want) <= workloads.REL_TOL * abs(want), levels
     # convergence of every level and the Cauchy ratios of the benchmark's check
     assert job.check(0, str(out)) == []
+
+
+def test_cli_square128_solve_reaches_the_solve_level(tmp_path):
+    # the level every gated solve-square128 job checks, with its flags
+    config = workloads.write_config(str(tmp_path / "run.cfg"), workloads.square_config(128, 7))
+    out = tmp_path / "out"
+    assert linking_saddle.cli.main(["solve", "--config", config, "--out", str(out),
+                                    "--quiet"]) == 0
+    failures = []
+    level = workloads.check_saddle_report(str(out), failures)
+    assert failures == []
+    want = workloads.SOLVE128_LEVEL
+    assert abs(level - want) <= workloads.REL_TOL * abs(want)

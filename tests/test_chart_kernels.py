@@ -119,7 +119,7 @@ def oracle_flow_deformation(problem, frame, steps, step):
         w = oracle_weight(frame, frame.chart_from_state(x), ramp=0.05)
         if w == 0.0:
             return x.copy()
-        return x + w * (flow_map(problem, x, steps, step, frame) - x)
+        return x + w * (flow_map(problem, x, steps, step) - x)
     return fn
 
 

@@ -167,13 +167,12 @@ def test_choose_radii_draws_the_pilot_rows_once(square_problem, monkeypatch, d_y
     monkeypatch.setattr(linking, "_boundary_rows",
                         lambda *args: draws.append(args[1:]) or boundary_rows(*args))
     choice = choose_radii(square_problem, d_y=d_y, seed=seed)
-    fill = max(linking.RADII_PILOT_BOUNDARY - 2 * (d_y + 1), 0)
-    assert draws == [(d_y + 1, 2.0 * choice.r, (fill + 1) // 2, fill // 2)]
+    count = linking.RADII_PILOT_BOUNDARY
+    assert draws == [(d_y + 1, 2.0 * choice.r, count)]
     # the per-doubling draw: each doubling fails on its own rows but the last
     pilot = build_frame(square_problem, choice.r, 2.0 * choice.r, d_y=d_y)
     for k in range(1, choice.doublings + 1):
-        rows = boundary_rows(np.random.default_rng(seed + 1), d_y + 1, choice.r * 2.0**k,
-                             (fill + 1) // 2, fill // 2)
+        rows = boundary_rows(np.random.default_rng(seed + 1), d_y + 1, choice.r * 2.0**k, count)
         top = max(linking._chart_energies(pilot, rows))
         assert (top <= 0) is (k == choice.doublings)
     assert (choice.rho, choice.boundary_pilot_max) == (choice.r * 2.0**choice.doublings, top)
@@ -184,7 +183,7 @@ def test_choose_radii_draws_the_pilot_rows_once(square_problem, monkeypatch, d_y
        st.floats(1e-3, 1e3))
 def test_pilot_rows_scale_exactly_with_rho(seed, dim, k, r):
     def draw(rho):
-        return linking._boundary_rows(np.random.default_rng(seed), dim, rho, 45, 44)
+        return linking._boundary_rows(np.random.default_rng(seed), dim, rho, 2 * dim + 89)
 
     assert np.array_equal(draw(2.0 * r) * 2.0**(k - 1), draw(r * 2.0**k))
 
@@ -508,12 +507,16 @@ def test_degree_boundary_is_drawn_once_per_frame(line_problem, monkeypatch):
     report = brouwer_degree_small(map_fn, frame)
     rows = frame._degree_rows
     assert not rows.flags.writeable
-    assert np.array_equal(rows, boundary_rows(np.random.default_rng(7), 3, 3.0, 150, 150))
+    # the corners, then 150 cap rows and 150 base rows from one stream
+    rng = np.random.default_rng(7)
+    assert np.array_equal(rows, np.vstack([linking._boundary_corner_rows(3, 3.0),
+                                           linking._cap_rows(rng, 3, 3.0, 150),
+                                           linking._base_rows(rng, 3, 3.0, 150)]))
     assert np.max(np.linalg.norm(rows, axis=1)) == pytest.approx(3.0)
     # the boundary minimum is the least Euclidean norm of the map on those rows
     assert report.boundary_min == min(np.linalg.norm(map_fn(row)) for row in rows)
     brouwer_degree_small(map_fn, frame)
-    assert frame._degree_rows is rows and draws == [(3, 3.0, 150, 150)]
+    assert frame._degree_rows is rows and draws == [(3, 3.0, 306)]
     # the radius is fixed when the frame is built
     with pytest.raises(dataclasses.FrozenInstanceError):
         frame.rho = 4.0

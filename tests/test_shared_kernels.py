@@ -148,7 +148,7 @@ def test_a_2d_pipeline_factors_its_axis_once(monkeypatch):
     choice = choose_radii(problem, d_y=2, seed=7)
     frame = build_frame(problem, choice.r, choice.rho, d_y=2)
     assert estimate_geometry(frame, seed=7).certified
-    assert solve_saddle(problem, frame=frame).converged
+    assert solve_saddle(problem).converged
     assert calls == [(16, 1.0 / 17)]
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linking_saddle import (
+    DiagonalSplitting,
     DomainSpec,
     EnergyOverflowError,
     InvalidSpecError,
@@ -142,7 +143,7 @@ def test_accepted_gradient_is_not_recomputed(line_problem, monkeypatch, method):
 
     monkeypatch.setattr(solver, "riesz_gradient", recording)
     if method == "signflow":
-        report = signflow_solve(line_problem, grad_tol=1e-4)
+        report = signflow_solve(line_problem, SolverConfig(flow_tol=1e-4))
     else:
         w = np.sin(np.linspace(0.1, 3.0, line_problem.n))
         report = newton_solve(line_problem, x0=StatePair(w, w))
@@ -198,8 +199,8 @@ def test_signflow_zero_preset_contracts_exactly(zero_problem):
     rng = np.random.default_rng(3)
     w = rng.standard_normal(zero_problem.n)
     x0 = StatePair(w.copy(), w.copy())
-    cfg = SolverConfig(method="signflow", flow_step=0.25, flow_max_iter=60)
-    report = signflow_solve(zero_problem, cfg, x0=x0, grad_tol=1e-12)
+    cfg = SolverConfig(flow_step=0.25, flow_max_iter=60, flow_tol=1e-12)
+    report = signflow_solve(zero_problem, cfg, x0=x0)
     norms = report.trace.state_norms
     assert norms[0] > 0.0
     for a, b in zip(norms, norms[1:]):
@@ -211,8 +212,8 @@ def test_signflow_zero_preset_contracts_exactly(zero_problem):
 
 def test_signflow_toy_reaches_crest_level(toy_problem):
     x0 = StatePair(np.array([2.0]), np.array([2.0]))
-    cfg = SolverConfig(method="signflow", flow_max_iter=400)
-    report = signflow_solve(toy_problem, cfg, x0=x0, grad_tol=1e-8)
+    cfg = SolverConfig(flow_max_iter=400, flow_tol=1e-8)
+    report = signflow_solve(toy_problem, cfg, x0=x0)
     assert report.converged
     assert report.critical_value == pytest.approx(16.0, abs=1e-6)
 
@@ -320,8 +321,7 @@ def test_basin_trials_are_due_when_the_gradient_halves(line_problem, monkeypatch
     # no trial passes, so the flow runs to flow_tol as it does on its own; a
     # trial is due at its first iterate and wherever the gradient norm has
     # halved since the last one, and none at the iterate that meets flow_tol
-    cfg = SolverConfig()
-    flow = signflow_solve(line_problem, cfg, grad_tol=cfg.flow_tol)
+    flow = signflow_solve(line_problem)
     due, want = np.inf, []
     for gn in flow.trace.gradient_norms[:-1]:
         if gn <= due:
@@ -371,9 +371,8 @@ def test_newton_starts_from_the_handoff_gradient_norm_and_energy(monkeypatch):
     together = dict(counts)
     counts.update(riesz_gradient=0, evaluate_J=0)
     cfg = SolverConfig()
-    flow = signflow_solve(problem, cfg, grad_tol=cfg.flow_tol,
-                          _basin=lambda x, res, gn, energy: solver._basin_trial(
-                              problem, x, res, gn, energy, cfg.eta))
+    flow = signflow_solve(problem, cfg, _basin=lambda x, res, gn, energy: solver._basin_trial(
+        problem, x, res, gn, energy, cfg.eta))
     assert flow.message == "Newton basin reached"
     newton = newton_solve(problem, cfg, x0=flow.state)
     assert together == {"riesz_gradient": counts["riesz_gradient"] - 1,
@@ -406,17 +405,14 @@ HANDOFF_GRIDS = LINE_GRIDS + (DomainSpec.square(5), DomainSpec.square(8),
     st.sampled_from(HANDOFF_GRIDS),
     st.floats(0.0, 10.0),
     st.one_of(st.none(), st.floats(0.0, 10.0)),
-    st.integers(1, 2),
 )
-def test_basin_handoff_matches_the_full_flow(domain, lam, delta, d_y):
+def test_basin_handoff_matches_the_full_flow(domain, lam, delta):
     # the route the handoff replaces: flow to flow_tol, then Newton from there
     problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam,
                                      delta=lam if delta is None else delta))
-    frame = build_frame(problem, 0.5, 4.0, min(d_y, problem.n))
-    cfg = SolverConfig()
-    fast = solve_saddle(problem, cfg, frame)
-    flow = signflow_solve(problem, cfg, frame, grad_tol=cfg.flow_tol)
-    full = newton_solve(problem, cfg, frame, x0=flow.state)
+    fast = solve_saddle(problem)
+    flow = signflow_solve(problem)
+    full = newton_solve(problem, x0=flow.state)
     assert (fast.converged, fast.nontrivial) == (full.converged, full.nontrivial)
     assert fast.converged
     assert abs(fast.critical_value - full.critical_value) <= 1e-12 * abs(full.critical_value)
@@ -431,8 +427,6 @@ def test_zero_preset_converges_to_trivial(zero_problem):
 
 
 def test_solver_config_validation():
-    with pytest.raises(InvalidSpecError):
-        SolverConfig(method="trust-region")
     with pytest.raises(InvalidSpecError):
         SolverConfig(flow_step=1.0)
     with pytest.raises(InvalidSpecError):
@@ -596,6 +590,22 @@ def test_witness_search_refuses_a_problem_that_is_not_the_frames(line_problem, s
                                    eps=0.1 * abs(level), prox=1.0)
 
 
+def test_flow_update_repins_a_collapsed_diagonal_on_the_principal_mode(line_problem):
+    # a state and a gradient with no diagonal part leave nothing to pin the
+    # crest along, so the update re-pins it along the principal diagonal mode
+    w = np.sin(np.pi * line_problem.grid.coords[:, 0])
+    x = StatePair(w, -w)
+    split = DiagonalSplitting(line_problem.grid, line_problem.op)
+    moved = solver._flow_update(split, line_problem, x, x, 0.25)
+    p_new = split.antidiagonal_part(x) + 0.25 * split.antidiagonal_part(x)
+    direction = solver._principal_direction(line_problem)
+    assert line_problem.pair_norm(direction) == pytest.approx(1.0, rel=1e-12)
+    tau = solver._ray_argmax(line_problem, p_new, direction, 0.0)
+    assert tau > 0.0
+    want = p_new + (0.5 * tau) * direction
+    assert np.array_equal(moved.u, want.u) and np.array_equal(moved.v, want.v)
+
+
 def test_flow_map_keeps_crest_fixed(toy_problem):
     x = StatePair(np.array([CREST]), np.array([CREST]))
     moved = flow_map(toy_problem, x, steps=5, step=0.2)
@@ -614,11 +624,11 @@ def test_flow_map_is_the_fixed_step_flow_where_no_trial_is_rejected(line_problem
     for xi in rows:
         x0 = frame.state_from_chart(xi)
         updates.clear()
-        moved = flow_map(line_problem, x0, 12, 0.2, frame)
+        moved = flow_map(line_problem, x0, 12, 0.2)
         # twelve trials, each of the full step: none was rejected
         assert updates == [0.2] * 12
         want = fixed_step_flow(lambda x: riesz_gradient(line_problem, x),
-                               lambda x, g, s: update(split, line_problem, frame, x, g, s),
+                               lambda x, g, s: update(split, line_problem, x, g, s),
                                x0, 12, 0.2)
         assert np.array_equal(moved.u, want.u) and np.array_equal(moved.v, want.v)
 
@@ -755,30 +765,27 @@ def line63():
     return discretize(ProblemSpec(DomainSpec.interval(63), power_nonlinearity()))
 
 
-def _eigen_start(problem):
-    """The principal mode on the diagonal, each component scaled by 1/sqrt(2)."""
-    return StatePair.diagonal(problem.eigenpairs(1)[1][0] / np.sqrt(2.0))
-
-
 def test_eigen_start_reaches_the_anchor_starts_critical_value(line63):
+    # the unit principal mode lies off the crest that starts a default solve
     anchor = solve_saddle(line63)
     assert anchor.converged and anchor.nontrivial
-    for method in ("flow-then-newton", "signflow"):
-        report = solve_saddle(line63, SolverConfig(method=method), x0=_eigen_start(line63))
-        assert report.method == method and report.converged and report.nontrivial
+    x0 = solver._principal_direction(line63)
+    for report in (solve_saddle(line63, x0=x0),
+                   signflow_solve(line63, SolverConfig(flow_tol=1e-10), x0=x0)):
+        assert report.converged and report.nontrivial
         assert report.critical_value == pytest.approx(anchor.critical_value, rel=1e-14)
 
 
 def test_newton_alone_from_the_eigen_start_falls_to_the_trivial_state(line63):
     # the sign-respecting flow is what escapes the trivial basin
-    report = solve_saddle(line63, SolverConfig(method="newton"), x0=_eigen_start(line63))
+    report = newton_solve(line63, x0=solver._principal_direction(line63))
     assert report.converged and not report.nontrivial
     assert abs(report.critical_value) < 1e-30 and report.trace.state_norms[-1] < 1e-10
 
 
 def test_zero_start_stays_trivial(line63):
-    for method in ("flow-then-newton", "signflow", "newton"):
-        report = solve_saddle(line63, SolverConfig(method=method), x0=StatePair.zeros(63))
+    for solve in (solve_saddle, signflow_solve, newton_solve):
+        report = solve(line63, x0=StatePair.zeros(63))
         assert report.converged and not report.nontrivial
         assert report.critical_value == 0.0
 
