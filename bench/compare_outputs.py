@@ -46,8 +46,10 @@ RUNS = (
     ("solve-sq128", ["solve"], _domain(128, 128)),
     ("solve-sq32", ["solve"], _domain(32, 32)),
     ("solve-line255", ["solve"], _domain(255)),
-    # the late handoff: the flow runs to flow_tol and Newton does most of the work
-    ("solve-flowtol-rect20x13", ["solve"], _domain(20, 13) + ["solver.flow_tol = 0.01"]),
+    # the late handoff: the flow runs to flow_tol and Newton does most of the work;
+    # unequal shifts keep the problem off the diagonal route, which runs no flow
+    ("solve-flowtol-shifted-rect20x13", ["solve"],
+     _domain(20, 13) + ["solver.flow_tol = 0.01", "problem.lambda = 3.0", "problem.delta = 1.5"]),
     # the modal residual check fails; the run exits 1 at stage 'geometry' with a manifest
     ("solve-line2047", ["solve"], _domain(2047)),
     ("solve-shifted-sq32", ["solve"],
@@ -55,6 +57,11 @@ RUNS = (
     ("solve-shifted-line255", ["solve"],
      _domain(255) + ["problem.lambda = 2.0", "problem.delta = 4.0"]),
     ("solve-p120-line63", ["solve"], _domain(63) + ["problem.p = 120"]),
+    # a large power, where the flow took 39 iterations to the diagonal Newton's 6
+    ("solve-p8-sq32", ["solve"], _domain(32, 32) + ["problem.p = 8"]),
+    # equal shifts keep the problem symmetric, so it is solved on the diagonal
+    ("solve-symshift-sq32", ["solve"],
+     _domain(32, 32) + ["problem.lambda = 3.0", "problem.delta = 3.0"]),
     # the exponent mu of the power preset is p
     ("solve-p3-line63", ["solve"], _domain(63) + ["problem.p = 3"]),
     ("intersect-line255-dy1", ["intersect"], _domain(255) + ["frame.d_y = 1"]),

@@ -320,7 +320,13 @@ def cmd_refine(cfg: RunConfig, quiet: bool, levels: int) -> int:
     shapes = [(cfg.domain.nx, cfg.domain.ny)]
     for _ in range(levels - 1):
         shapes.append(tuple(2 * n + 1 for n in shapes[-1]))
-    results = [_refine_level(cfg, shape) for shape in shapes]
+    try:
+        results = [_refine_level(cfg, shape) for shape in shapes]
+    except ConfigError:
+        raise
+    except LinkingSaddleError as exc:
+        _write_run_manifest(cfg, "refine", [("levels", str(levels)), ("refine", "failed")])
+        return _fail("refine", str(exc))
 
     rows = []
     values = [rep.critical_value for _, rep in results]

@@ -1,14 +1,32 @@
 """Saddle-point solver and convergence certificates.
 
-One route, in two stages. The sign-respecting flow exploits the saddle
-structure: it ascends the energy along the antidiagonal factor while
-pinning the diagonal amplitude to the crest of the energy along the
-current diagonal ray, so it escapes the trivial basin whenever the
-coupling is genuinely superquadratic. A damped sparse Newton method
-then finishes; it is quadratically convergent near any nondegenerate
-critical point, but from inside the trivial state's basin it converges
-there, so it starts only where the flow hands off. Every solve starts at
-the crest of the energy along the ray of the principal diagonal mode.
+Two routes, chosen from the problem and the start. Every solve starts,
+by default, at the crest of the energy along the ray of the principal
+diagonal mode.
+
+A symmetric problem (f = g, F = G, f' = g' as the same objects, and
+lam = delta) from a nonzero start with u == v is solved on the diagonal:
+swapping u and v leaves J unchanged, so by Palais' principle of
+symmetric criticality a critical point of w |-> J(w, w) is one of J.
+Damped Newton runs from the start, and each trial is pinned to the crest
+of the energy along its own ray, which keeps it off the trivial state.
+At a symmetric iterate the Newton step keeps u == v bitwise, so every
+iterate is some (w, w). Newton goes to the nearest critical point, which
+need not be a mountain pass: on coarse, long rectangles it stays symmetric
+about the middle and stops at twice the least level. So the route keeps
+its point only if the second variation of w |-> J(w, w) there has a
+single negative direction, as at a mountain pass; a point that fails
+this, or a run that stalls, hands the solve to the two stages below,
+from the same start.
+
+Every other problem or start takes two stages. The sign-respecting flow
+exploits the saddle structure: it ascends the energy along the
+antidiagonal factor while pinning the diagonal amplitude to the crest of
+the energy along the current diagonal ray, so it escapes the trivial
+basin whenever the coupling is genuinely superquadratic. A damped
+Newton method then finishes; it is quadratically convergent near any
+nondegenerate critical point, but from inside the trivial state's basin
+it converges there, so it starts only where the flow hands off.
 
 The handoff is an affine-covariant basin test (Deuflhard, Newton Methods
 for Nonlinear Problems, 2004, ch. 2). At the flow's first iterate, and
@@ -17,9 +35,10 @@ one full Newton step d is tried. The flow hands off at x + d when that
 step contracts the gradient norm tenfold, leaves a nontrivial state, and
 moves the energy by at most |grad J(x)| |d|_E; the quadratic model
 predicts half of that. The flow tolerance stays the latest point of
-handoff. Newton stops only once its iterates cluster: the gradient norm
-meets its tolerance and the step just accepted has energy norm at most
-``TAIL_TOL``, the bound :func:`ps_monitor` puts on the trace's tail.
+handoff. Newton, on either route, stops only once its iterates cluster:
+the gradient norm meets its tolerance and the step just accepted has
+energy norm at most ``TAIL_TOL``, the bound :func:`ps_monitor` puts on
+the trace's tail.
 
 The crest of a ray is found from the slope of the ray energy: a
 safeguarded Newton iteration, started at the current amplitude, inside
@@ -50,6 +69,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .errors import EnergyOverflowError, InvalidSpecError
@@ -85,6 +105,8 @@ _SINGULAR = "second-variation system is singular"
 # MINRES iterations one second-variation solve may take. K^-1 (K -/+ A) is
 # the identity plus a compact operator, so the count does not grow with the mesh.
 _MINRES_MAX_ITER = 200
+# Lanczos basis size of _second_curvature_ratio; ARPACK needs at least this many nodes
+_LANCZOS_NCV = 5
 # energy norm of the last step of a converged Newton run, and the tail
 # diameter ps_monitor accepts
 TAIL_TOL = 1e-6
@@ -97,7 +119,13 @@ FLOW_RAMP = 0.05
 
 @dataclass
 class SolverConfig:
-    """Solver settings; the field order is the order of the ``solver.*`` config keys."""
+    """Solver settings; the field order is the order of the ``solver.*`` config keys.
+
+    ``max_iter`` is the budget of the diagonal Newton and of the Newton
+    stage after the flow; the ``flow_*`` fields are read by the flow alone,
+    which a symmetric problem from a nonzero diagonal start runs only where
+    the diagonal route declines its point.
+    """
 
     grad_tol: float = 1e-10
     max_iter: int = 60
@@ -159,6 +187,8 @@ class IterateTrace:
 
 @dataclass
 class SaddleReport:
+    """The outcome of a solve; ``method`` is "diagonal-newton" or "flow-then-newton"."""
+
     state: StatePair
     critical_value: float
     gradient_norm: float
@@ -626,6 +656,7 @@ def newton_solve(
     x0: Optional[StatePair] = None,
     *,
     _start: Optional[tuple[StatePair, float, float]] = None,
+    _pin: bool = False,
 ) -> SaddleReport:
     """Damped Newton iteration on the first-order system, the second stage of :func:`solve_saddle`.
 
@@ -637,20 +668,33 @@ def newton_solve(
     ``TAIL_TOL``, so it always takes at least one step, and a converged
     run ends on two iterates that cluster. ``_start`` is the first-order
     residual, gradient norm and energy at ``x0``, where :func:`solve_saddle`
-    knows them.
+    knows them. With ``_pin``, :func:`solve_saddle`'s diagonal route, each
+    trial is scaled to the crest of the energy along its own ray
+    (:func:`_ray_argmax`), and a trial whose ray has no crest above the
+    trivial state is skipped; the report's method is "diagonal-newton".
     """
     cfg = config if config is not None else SolverConfig()
+    zero = StatePair.zeros(problem.n)
 
     def trials(x, res, g, gn, step):
         direction = _newton_step(problem, x, res)
         alpha = 1.0
         while alpha >= 1e-4:
-            yield x + alpha * direction, max((1.0 - 1e-4 * alpha) * gn, cfg.grad_tol), alpha
+            trial = x + alpha * direction
+            bound = max((1.0 - 1e-4 * alpha) * gn, cfg.grad_tol)
+            if not _pin:
+                yield trial, bound, alpha
+            else:
+                tau = _ray_argmax(problem, zero, trial, 1.0)
+                # no crest, or a crest at the trivial state: nothing to pin to
+                if tau is not None and tau > 0.0:
+                    yield tau * trial, bound, alpha
             alpha *= 0.5
         raise _StepFailed("line search stalled")
 
     x = _initial_state(problem, x0)
-    return _iterate(problem, x, trials, cfg.grad_tol, cfg.max_iter, 0.0, "newton", cfg.eta,
+    return _iterate(problem, x, trials, cfg.grad_tol, cfg.max_iter, 0.0,
+                    "diagonal-newton" if _pin else "newton", cfg.eta,
                     step_tol=TAIL_TOL, start=_start)
 
 
@@ -676,20 +720,77 @@ def signflow_solve(
                     cfg.flow_max_iter, cfg.flow_step, "signflow", cfg.eta, basin=_basin)
 
 
+def _symmetric(problem: Problem) -> bool:
+    """Whether swapping u and v leaves J unchanged: f = g, F = G, f' = g' and lam = delta."""
+    nl = problem.nl
+    return nl.f is nl.g and nl.F is nl.G and nl.df is nl.dg and problem.lam == problem.delta
+
+
+def _second_curvature_ratio(problem: Problem, w: np.ndarray) -> float:
+    """nu_2, the second largest eigenvalue of vol (lam + f'(w)) x = nu K x; -inf on one node.
+
+    The second variation of w |-> J(w, w) is 2 (K - vol diag(lam + f'(w))),
+    so it has one negative direction for each nu above 1. At a critical
+    point on the diagonal, w itself is one; nu_2 < 1 says there is no
+    other, the Morse index of a mountain pass, that is of a local minimum
+    of the energy on the Nehari manifold. It is found by Lanczos (ARPACK)
+    on K^-1 vol diag(lam + f'(w)), from a seeded start with components in
+    every mode; grids too small for ARPACK's basis are solved densely.
+    """
+    a = problem.grid.cell_volume * (problem.lam + np.asarray(problem.nl.df(w), dtype=float))
+    op, n = problem.op, problem.n
+    if n == 1:
+        return -math.inf
+    if n < _LANCZOS_NCV:
+        return float(scipy.linalg.eigh(np.diag(a), op.matrix.toarray(), eigvals_only=True)[-2])
+
+    def operator(matvec):
+        return spla.LinearOperator((n, n), matvec=lambda x: matvec(x.ravel()), dtype=float)
+
+    nu = spla.eigsh(operator(lambda x: a * x), k=2, M=operator(op.apply),
+                    Minv=operator(op._factor), which="LA", ncv=_LANCZOS_NCV, tol=1e-4,
+                    v0=np.random.default_rng(0).standard_normal(n), return_eigenvectors=False)
+    return float(nu.min())
+
+
 def solve_saddle(
     problem: Problem,
     config: Optional[SolverConfig] = None,
     x0: Optional[StatePair] = None,
 ) -> SaddleReport:
-    """Flow to Newton's basin, then polish by Newton; from the principal diagonal crest by default.
+    """A saddle point of J, from the principal diagonal crest by default.
 
-    The flow hands off at its first full Newton step that passes
+    A symmetric problem (:func:`_symmetric`) from a nonzero start with
+    u == v is solved on the diagonal: Newton from that start, each trial
+    pinned to the crest of its ray (:func:`newton_solve`). At a symmetric
+    iterate the Newton step keeps u == v bitwise (:func:`_newton_step`),
+    so every iterate stays on the diagonal. The route's report is returned
+    if it converged with one negative direction of the diagonal second
+    variation (:func:`_second_curvature_ratio` below 1), or if the budget
+    cut it short. Otherwise, and for any other problem or start, the zero
+    start included (the default where the principal ray has no crest), the
+    solve takes the flow to Newton's basin, then Newton, and a declined
+    diagonal run leads the message with "diagonal route: " and why. The
+    flow hands off at its first full Newton step that passes
     :func:`_basin_trial`, or at ``flow_tol`` if none does, and Newton
     starts from there, with the first-order residual, gradient norm and
     energy of the flow's last trace row. Its own first row repeats that
     row, and the compactness fit counts both.
     """
     cfg = config if config is not None else SolverConfig()
+    declined = ""
+    if _symmetric(problem):
+        x0 = _initial_state(problem, x0)
+        if np.array_equal(x0.u, x0.v) and np.any(x0.u != 0.0):
+            diagonal = newton_solve(problem, cfg, x0, _pin=True)
+            if not diagonal.converged and diagonal.iterations < cfg.max_iter:
+                declined = f"diagonal route: {diagonal.message}; "
+            elif diagonal.converged and (
+                    ratio := _second_curvature_ratio(problem, diagonal.state.u)) >= 1.0:
+                declined = (f"diagonal route: a second negative curvature direction "
+                            f"(nu_2 = {ratio:.6g}); ")
+            else:
+                return diagonal
     first = signflow_solve(problem, cfg, x0,
                            _basin=functools.partial(_basin_trial, problem, eta=cfg.eta))
     second = newton_solve(problem, cfg, x0=first.state,
@@ -701,7 +802,7 @@ def solve_saddle(
         message = f"flow stage: {first.message}; newton stage: {second.message}"
     return dataclasses.replace(
         second, iterations=first.iterations + second.iterations,
-        method="flow-then-newton", message=message, trace=first.trace,
+        method="flow-then-newton", message=declined + message, trace=first.trace,
     )
 
 

@@ -391,6 +391,18 @@ def test_cli_names_the_stage_where_the_2047_node_modes_fail(tmp_path, capsys, co
         f"# step {step}" for step in steps]
 
 
+def test_cli_refine_names_its_stage_where_the_2047_node_modes_fail(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["refine", "--config", cfg_file(tmp_path, LINE.format(2047)), "--out", str(out),
+                 "--levels", "2", "--quiet"]) == 1
+    assert re.fullmatch(r"FAILED at stage 'refine': modal basis: eigenpair 0 relative "
+                        r"residual \S+ exceeds 1e-10\n", capsys.readouterr().err)
+    manifest = (out / "manifest.cfg").read_text().splitlines()
+    assert [line for line in manifest if line.startswith("# step ")] == [
+        "# step levels: 2", "# step refine: failed"]
+    assert not (out / "refine_table.csv").exists()
+
+
 @pytest.mark.parametrize("text", [
     "domain.dimension = 2\ndomain.nx = 16\ndomain.ny = 16\n", LINE.format(255),
 ], ids=["16sq", "1d255"])
@@ -523,7 +535,7 @@ def test_cli_solve_newton_finish_passes_compactness(tmp_path, text):
 
 
 def test_cli_solve_newton_cut_off_fails_its_tail(tmp_path, capsys):
-    # the flow hands off to Newton, which needs three steps to cluster on 32^2
+    # the diagonal Newton needs four steps to cluster on 32^2
     text = "domain.dimension = 2\ndomain.nx = 32\ndomain.ny = 32\nsolver.max_iter = 2\n"
     out = tmp_path / "s"
     assert main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 1

@@ -2,7 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linking_saddle import (
@@ -47,6 +48,20 @@ CREST = 2.0 * np.sqrt(2.0)
 def zero_problem():
     spec = ProblemSpec(domain=DomainSpec.interval(15), nonlinearity=zero_nonlinearity())
     return discretize(spec)
+
+
+# lam != delta: swapping u and v changes J, so solve_saddle takes the flow
+SHIFTS = {"lam": 3.0, "delta": 1.5}
+
+
+@pytest.fixture(scope="module")
+def shifted_line():
+    return discretize(ProblemSpec(DomainSpec.interval(31), power_nonlinearity(), **SHIFTS))
+
+
+@pytest.fixture(scope="module")
+def shifted_square():
+    return discretize(ProblemSpec(DomainSpec.square(16), power_nonlinearity(), **SHIFTS))
 
 
 @pytest.fixture(scope="module")
@@ -220,11 +235,24 @@ def test_signflow_toy_reaches_crest_level(toy_problem):
 
 def test_default_pipeline_toy(toy_problem):
     report = solve_saddle(toy_problem)
-    assert report.method == "flow-then-newton"
+    assert report.method == "diagonal-newton"
     assert report.message == "gradient tolerance reached"
     assert report.converged and report.nontrivial
     assert report.critical_value == pytest.approx(16.0, abs=1e-10)
     assert report.state.u[0] == pytest.approx(CREST, abs=1e-10)
+
+
+def test_default_pipeline_shifted_toy():
+    problem = discretize(ProblemSpec(DomainSpec.interval(1), power_nonlinearity(), **SHIFTS))
+    report = solve_saddle(problem)
+    assert report.method == "flow-then-newton"
+    assert report.message == "gradient tolerance reached"
+    assert report.converged and report.nontrivial
+    # one node: K = 4 and vol = 1/2, so 8 v = lam u + u^3 and 8 u = delta v + v^3
+    (u,), (v,) = report.state.u, report.state.v
+    assert 8.0 * v == pytest.approx(SHIFTS["lam"] * u + u**3, rel=1e-12)
+    assert 8.0 * u == pytest.approx(SHIFTS["delta"] * v + v**3, rel=1e-12)
+    assert u != v
 
 
 def test_line_solution_solves_equations(line_problem, solved_line):
@@ -242,13 +270,14 @@ def _sine_start(problem, amplitude):
     return x, problem.pair_norm(riesz_gradient(problem, x)), evaluate_J(problem, x).total
 
 
-def test_flow_then_newton_reports_failed_flow_stage(line_problem):
+def test_flow_then_newton_reports_failed_flow_stage(shifted_line):
     # Newton's full step from the unit sine bump fails the basin test even with
     # the triviality screen off, so the one flow step the budget allows is taken
-    x0, gn, energy = _sine_start(line_problem, 1.0)
-    res = euler_lagrange_residual(line_problem, x0)
-    assert solver._basin_trial(line_problem, x0, res, gn, energy, eta=0.0) is None
-    report = solve_saddle(line_problem, SolverConfig(flow_max_iter=1), x0=x0)
+    x0, gn, energy = _sine_start(shifted_line, 1.0)
+    res = euler_lagrange_residual(shifted_line, x0)
+    assert solver._basin_trial(shifted_line, x0, res, gn, energy, eta=0.0) is None
+    report = solve_saddle(shifted_line, SolverConfig(flow_max_iter=1), x0=x0)
+    assert report.method == "flow-then-newton"
     assert report.converged and report.nontrivial
     assert report.message == (
         "flow stage: iteration budget exhausted; newton stage: gradient tolerance reached"
@@ -308,7 +337,7 @@ def test_basin_trial_treats_a_failed_step_as_outside(line_problem, monkeypatch):
     assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0) is None
 
 
-def test_basin_trials_are_due_when_the_gradient_halves(line_problem, monkeypatch):
+def test_basin_trials_are_due_when_the_gradient_halves(shifted_line, monkeypatch):
     tried = []
 
     def outside(problem, x, res, gn, energy, eta):
@@ -316,12 +345,12 @@ def test_basin_trials_are_due_when_the_gradient_halves(line_problem, monkeypatch
         return None
 
     monkeypatch.setattr(solver, "_basin_trial", outside)
-    report = solve_saddle(line_problem)
+    report = solve_saddle(shifted_line)
     assert report.converged and report.nontrivial
     # no trial passes, so the flow runs to flow_tol as it does on its own; a
     # trial is due at its first iterate and wherever the gradient norm has
     # halved since the last one, and none at the iterate that meets flow_tol
-    flow = signflow_solve(line_problem)
+    flow = signflow_solve(shifted_line)
     due, want = np.inf, []
     for gn in flow.trace.gradient_norms[:-1]:
         if gn <= due:
@@ -330,7 +359,7 @@ def test_basin_trials_are_due_when_the_gradient_halves(line_problem, monkeypatch
     assert tried == want and len(want) >= 3
 
 
-def test_newton_starts_from_the_accepted_trial(square_problem, monkeypatch):
+def test_newton_starts_from_the_accepted_trial(shifted_square, monkeypatch):
     basin_trial = solver._basin_trial
     jumps = []
 
@@ -341,11 +370,11 @@ def test_newton_starts_from_the_accepted_trial(square_problem, monkeypatch):
         return jump
 
     monkeypatch.setattr(solver, "_basin_trial", recording)
-    report = solve_saddle(square_problem)
+    report = solve_saddle(shifted_square)
     assert report.converged and report.nontrivial
     (trial,) = jumps
     # the trial ends the flow stage as a full step, and Newton's first row repeats it
-    energy = evaluate_J(square_problem, trial).total
+    energy = evaluate_J(shifted_square, trial).total
     k = report.trace.energies.index(energy)
     assert report.trace.energies[k + 1] == energy
     assert report.trace.step_sizes[k:k + 2] == [1.0, 0.0]
@@ -356,7 +385,7 @@ def test_newton_starts_from_the_handoff_gradient_norm_and_energy(monkeypatch):
     # the default solve equals its flow stage followed by a Newton run from the
     # handoff state, row for row, but does not recompute that state's
     # gradient and energy
-    problem = discretize(ProblemSpec(DomainSpec.square(32), power_nonlinearity()))
+    problem = discretize(ProblemSpec(DomainSpec.square(32), power_nonlinearity(), **SHIFTS))
     counts = {"riesz_gradient": 0, "evaluate_J": 0}
 
     def counting(name, fn):
@@ -401,16 +430,13 @@ HANDOFF_GRIDS = LINE_GRIDS + (DomainSpec.square(5), DomainSpec.square(8),
 
 
 @settings(max_examples=40)
-@given(
-    st.sampled_from(HANDOFF_GRIDS),
-    st.floats(0.0, 10.0),
-    st.one_of(st.none(), st.floats(0.0, 10.0)),
-)
+@given(st.sampled_from(HANDOFF_GRIDS), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
 def test_basin_handoff_matches_the_full_flow(domain, lam, delta):
     # the route the handoff replaces: flow to flow_tol, then Newton from there
-    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam,
-                                     delta=lam if delta is None else delta))
+    assume(lam != delta)
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
     fast = solve_saddle(problem)
+    assert fast.method == "flow-then-newton"
     flow = signflow_solve(problem)
     full = newton_solve(problem, x0=flow.state)
     assert (fast.converged, fast.nontrivial) == (full.converged, full.nontrivial)
@@ -418,8 +444,137 @@ def test_basin_handoff_matches_the_full_flow(domain, lam, delta):
     assert abs(fast.critical_value - full.critical_value) <= 1e-12 * abs(full.critical_value)
 
 
+@settings(max_examples=40)
+@given(st.sampled_from(HANDOFF_GRIDS), st.floats(0.0, 10.0))
+def test_diagonal_route_matches_the_full_flow(domain, lam):
+    # the route the diagonal Newton replaces on symmetric problems
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=lam))
+    fast = solve_saddle(problem)
+    # past the first eigenvalue the principal ray has no crest, and the zero
+    # start takes the flow; the pair route also runs, saying why, where the
+    # diagonal route declines its point
+    crest = np.any(solver._initial_state(problem, None).u != 0.0)
+    declined = fast.message.startswith("diagonal route: ")
+    assert fast.method == ("diagonal-newton" if crest and not declined else "flow-then-newton")
+    assert crest or not declined
+    full = newton_solve(problem, x0=signflow_solve(problem).state)
+    assert (fast.converged, fast.nontrivial) == (full.converged, full.nontrivial)
+    assert abs(fast.critical_value - full.critical_value) <= 1e-12 * abs(full.critical_value)
+
+
+def test_pinned_newton_rejects_a_trial_pinned_to_the_trivial_state():
+    # past the first eigenvalue the energy falls from 0 along the principal
+    # mode, so every Newton trial from the sine bump pins to tau = 0
+    problem = discretize(ProblemSpec(DomainSpec.interval(31), power_nonlinearity(),
+                                     lam=12.0, delta=12.0))
+    assert problem.eigenpairs(1)[0][0] < 12.0
+    w = np.sin(np.pi * problem.grid.coords[:, 0])
+    x0 = StatePair(w, w.copy())
+    report = newton_solve(problem, x0=x0, _pin=True)
+    assert report.method == "diagonal-newton"
+    assert report.message == "line search stalled"
+    assert not report.converged and not report.nontrivial
+    assert np.array_equal(report.state.u, w) and np.array_equal(report.state.v, w)
+    # solve_saddle then takes the pair route from the same start
+    fallback = solve_saddle(problem, x0=x0)
+    assert fallback.method == "flow-then-newton"
+    assert fallback.message == "diagonal route: line search stalled; gradient tolerance reached"
+
+
+def test_diagonal_route_declines_a_second_negative_direction():
+    # on this coarse, long rectangle the pinned Newton from the principal
+    # crest stays symmetric about the middle and stops at a critical point of
+    # twice the least level, whose second variation has two negative directions
+    problem = discretize(ProblemSpec(DomainSpec.rectangle(6, 3, 1.0, 2.5), power_nonlinearity()))
+    diagonal = newton_solve(problem, x0=solver._initial_state(problem, None), _pin=True)
+    assert diagonal.converged and diagonal.nontrivial
+    ratio = solver._second_curvature_ratio(problem, diagonal.state.u)
+    assert ratio > 2.5
+    report = solve_saddle(problem)
+    assert report.method == "flow-then-newton"
+    assert report.message == (f"diagonal route: a second negative curvature direction "
+                              f"(nu_2 = {ratio:.6g}); gradient tolerance reached")
+    assert report.converged and report.nontrivial
+    assert report.critical_value < 0.5 * diagonal.critical_value
+    assert solver._second_curvature_ratio(problem, report.state.u) < 1.0
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.interval(5), DomainSpec.interval(255),
+                                    DomainSpec.square(16), DomainSpec.rectangle(8, 14, 0.3, 1.1)],
+                         ids=["1d5", "1d255", "16sq", "rect8x14"])
+def test_second_curvature_ratio_is_the_second_eigenvalue_of_the_pencil(domain):
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=2.0, delta=2.0))
+    w = signflow_solve(problem).state.u
+    a = problem.grid.cell_volume * (2.0 + problem.nl.df(w))
+    dense = scipy.linalg.eigh(np.diag(a), problem.op.matrix.toarray(), eigvals_only=True)
+    assert solver._second_curvature_ratio(problem, w) == pytest.approx(dense[-2], rel=1e-8)
+
+
+def _twin_coupling():
+    """The power coupling with g an equal function that is a different object."""
+    nl = power_nonlinearity()
+    return dataclasses.replace(nl, g=lambda t: nl.f(t))
+
+
+@pytest.mark.parametrize("nonlinearity, lam, delta, start, method", [
+    (power_nonlinearity, 0.0, 0.0, None, "diagonal-newton"),
+    (power_nonlinearity, 2.0, 2.0, None, "diagonal-newton"),
+    (power_nonlinearity, 0.0, 0.0, "diagonal", "diagonal-newton"),
+    (power_nonlinearity, 3.0, 1.5, None, "flow-then-newton"),
+    (power_nonlinearity, 1.5, 3.0, None, "flow-then-newton"),
+    (power_nonlinearity, 0.0, 0.0, "asymmetric", "flow-then-newton"),
+    (_twin_coupling, 0.0, 0.0, None, "flow-then-newton"),
+], ids=["default", "shifted-equally", "diagonal-start", "lam>delta", "lam<delta",
+        "asymmetric-start", "twin-coupling"])
+def test_solve_takes_the_diagonal_route_exactly_on_symmetric_problems(nonlinearity, lam, delta,
+                                                                      start, method):
+    problem = discretize(ProblemSpec(DomainSpec.interval(31), nonlinearity(), lam=lam,
+                                     delta=delta))
+    w = np.sin(np.pi * problem.grid.coords[:, 0])
+    x0 = {None: None, "diagonal": StatePair(w, w.copy()),
+          "asymmetric": StatePair(w, 1.5 * w)}[start]
+    report = solve_saddle(problem, x0=x0)
+    assert report.method == method
+    assert report.converged and report.nontrivial
+
+
+@pytest.mark.parametrize("domain, p", [(DomainSpec.square(32), 8.0),
+                                       (DomainSpec.interval(63), 120.0)],
+                         ids=["32sq-p8", "1d63-p120"])
+def test_diagonal_newton_converges_where_the_flow_was_slow(domain, p):
+    # the flow took 39 iterations on the first and ran out of its 400 on the second
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(p)))
+    report = solve_saddle(problem)
+    assert report.method == "diagonal-newton"
+    assert report.converged and report.nontrivial
+    assert report.iterations < 10
+    ps = ps_monitor(problem, report.trace, 1e-10)
+    assert ps.ok
+
+
+def test_diagonal_trace_rows_are_the_pair_kernels(square_problem):
+    report = solve_saddle(square_problem)
+    assert report.method == "diagonal-newton" and len(report.trace) >= 2
+    trace = report.trace
+    for k, x in zip((-2, -1), trace.last_states):
+        assert np.array_equal(x.u, x.v)
+        _, _, gn = solver._grad_and_norm(square_problem, x)
+        assert trace.energies[k] == evaluate_J(square_problem, x).total
+        assert trace.gradient_norms[k] == gn
+        assert trace.state_norms[k] == square_problem.pair_norm(x)
+        assert trace.mu_norms[k] == solver._mu_norm(square_problem, x)
+    # the report's residual, critical value and gradient norm are those of the final pair
+    x = report.state
+    res = euler_lagrange_residual(square_problem, x)
+    assert np.array_equal(report.residual.u, res.u) and np.array_equal(report.residual.v, res.v)
+    assert report.critical_value == evaluate_J(square_problem, x).total == trace.energies[-1]
+    assert report.gradient_norm == trace.gradient_norms[-1] <= 1e-10
+    assert report.iterations == len(trace) - 1
+
+
 def test_zero_preset_converges_to_trivial(zero_problem):
     report = solve_saddle(zero_problem)
+    assert report.method == "flow-then-newton"
     assert report.converged
     assert not report.nontrivial
     relaxed = solve_saddle(zero_problem, SolverConfig(eta=0.0))
@@ -671,18 +826,26 @@ def _evaluated_states(monkeypatch):
     return states
 
 
-def test_solve_evaluates_each_energy_once(line_problem, monkeypatch):
+def test_solve_evaluates_each_energy_once(shifted_line, monkeypatch):
     jumps = []
     basin = solver._basin_trial
     monkeypatch.setattr(solver, "_basin_trial",
                         lambda *args, **kwargs: jumps.append(basin(*args, **kwargs)) or jumps[-1])
     states = _evaluated_states(monkeypatch)
-    report = solve_saddle(line_problem)
+    report = solve_saddle(shifted_line)
     assert report.converged and report.nontrivial
     # the flow hands off, and the energy of the handoff state is the basin trial's
     assert jumps[-1] is not None
     assert report.trace.energies.count(jumps[-1][4]) == 2  # the last flow row and Newton's first
     assert len(states) == len(set(states))
+
+
+def test_diagonal_route_evaluates_each_energy_once(line_problem, monkeypatch):
+    states = _evaluated_states(monkeypatch)
+    report = solve_saddle(line_problem)
+    assert report.method == "diagonal-newton" and report.converged and report.nontrivial
+    # one energy per trace row; the crest pins evaluate the ray energy instead
+    assert len(states) == len(set(states)) == len(report.trace)
 
 
 def test_witness_search_evaluates_each_energy_once(line_problem, witness_setup, solved_line,
@@ -788,6 +951,8 @@ def test_zero_start_stays_trivial(line63):
         report = solve(line63, x0=StatePair.zeros(63))
         assert report.converged and not report.nontrivial
         assert report.critical_value == 0.0
+    # the zero start is already critical; solve_saddle keeps it off the diagonal route
+    assert solve_saddle(line63, x0=StatePair.zeros(63)).method == "flow-then-newton"
 
 
 def test_flow_deformation_fixes_boundary(line_problem, witness_setup):

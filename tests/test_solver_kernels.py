@@ -6,7 +6,9 @@ energies and a bounded Brent search found it (``oracles.ray_argmax_grid``).
 ``_newton_step`` solves two n x n blocks where the second variation
 decouples, by K^-1-preconditioned MINRES with a check of the true
 residual; before, it always factored the 2n x 2n block by sparse LU
-(``oracles.newton_block_step``).
+(``oracles.newton_block_step``). On a symmetric problem the diagonal route
+of ``solve_saddle`` relies on that step keeping a symmetric iterate on the
+diagonal bitwise.
 """
 
 import re
@@ -290,3 +292,19 @@ def test_newton_names_a_minres_miss(domain, lam, delta, monkeypatch):
     assert re.fullmatch(r"second-variation system is singular: MINRES residual \S+ exceeds "
                         r"1\.0e-10 \* \|rhs\| = \S+", report.message), report.message
     assert not caught, [str(w.message) for w in caught]
+
+
+@settings(max_examples=80)
+@given(st.integers(0, len(GRIDS) - 1), st.floats(3.0, 8.0), st.floats(0.0, 30.0),
+       st.sampled_from([0.1, 1.0, 4.0]), st.integers(0, 2**32 - 1))
+def test_newton_step_keeps_a_symmetric_iterate_on_the_diagonal(grid_index, p, lam, scale, seed):
+    problem = discretize(ProblemSpec(GRIDS[grid_index], power_nonlinearity(p), lam=lam, delta=lam))
+    w = scale * np.random.default_rng(seed).standard_normal(problem.n)
+    x = StatePair.diagonal(w)
+    res, g, _ = solver._grad_and_norm(problem, x)
+    assert np.array_equal(res.u, res.v) and np.array_equal(g.u, g.v)
+    try:
+        step = _newton_step(problem, x, res)
+    except solver._StepFailed:
+        return
+    assert np.array_equal(step.u, step.v)
