@@ -97,8 +97,13 @@ __all__ = [
     "deformation_witness_search",
 ]
 
+# the flow's first and largest step, and the iterations it may take
+FLOW_STEP = 0.25
+FLOW_MAX_ITER = 400
 # the flow gives up once backtracking halves its step below this
 _MIN_FLOW_STEP = 1e-6
+# a state of energy norm at most this fraction of the principal crest's is trivial
+TRIVIAL_FRACTION = 0.1
 # slope evaluations one crest search may take
 _RAY_MAX_STEPS = 200
 _SINGULAR = "second-variation system is singular"
@@ -122,17 +127,15 @@ class SolverConfig:
     """Solver settings; the field order is the order of the ``solver.*`` config keys.
 
     ``max_iter`` is the budget of the diagonal Newton and of the Newton
-    stage after the flow; the ``flow_*`` fields are read by the flow alone,
-    which a symmetric problem from a nonzero diagonal start runs only where
-    the diagonal route declines its point.
+    stage after the flow. ``flow_tol`` is read by the flow alone, which a
+    symmetric problem from a nonzero diagonal start runs only where the
+    diagonal route declines its point; the flow's step and budget are
+    ``FLOW_STEP`` and ``FLOW_MAX_ITER``.
     """
 
     grad_tol: float = 1e-10
     max_iter: int = 60
-    flow_max_iter: int = 400
-    flow_step: float = 0.25
     flow_tol: float = 1e-4
-    eta: float = 0.1
 
     def __post_init__(self) -> None:
         # each message starts with its field name, so the config parser can
@@ -140,13 +143,8 @@ class SolverConfig:
         for label, val in (("grad_tol", self.grad_tol), ("flow_tol", self.flow_tol)):
             if not (val > 0 and np.isfinite(val)):
                 raise InvalidSpecError(f"{label} must be positive, got {val:g}")
-        if not 0 < self.flow_step < 1:
-            raise InvalidSpecError(f"flow_step must lie in (0, 1), got {self.flow_step:g}")
-        for label, val in (("max_iter", self.max_iter), ("flow_max_iter", self.flow_max_iter)):
-            if val < 1:
-                raise InvalidSpecError(f"{label} must be at least 1, got {val}")
-        if self.eta < 0:
-            raise InvalidSpecError(f"eta must be nonnegative, got {self.eta:g}")
+        if self.max_iter < 1:
+            raise InvalidSpecError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass
@@ -187,7 +185,10 @@ class IterateTrace:
 
 @dataclass
 class SaddleReport:
-    """The outcome of a solve; ``method`` is "diagonal-newton" or "flow-then-newton"."""
+    """The outcome of a solve; ``method`` is "diagonal-newton" or "flow-then-newton".
+
+    ``nontrivial``: converged, to a state past the floor of :func:`_initial_state`.
+    """
 
     state: StatePair
     critical_value: float
@@ -299,59 +300,59 @@ def _principal_direction(problem: Problem) -> StatePair:
     return StatePair.diagonal(problem.eigenpairs(1)[1][0] / np.sqrt(2.0))
 
 
-def _initial_state(problem: Problem, x0: Optional[StatePair]) -> StatePair:
-    """``x0``, or else the crest of the energy along the principal diagonal ray.
+def _initial_state(problem: Problem, x0: Optional[StatePair],
+                   floor: Optional[float] = None) -> tuple[StatePair, float]:
+    """The start, ``x0`` or else the crest x_c of the energy on the principal ray, and a floor.
 
-    The start is the trivial state when the ray has no crest (purely
-    quadratic energies).
+    A state of energy norm at most the floor is trivial. It is ``floor``, or
+    else ``TRIVIAL_FRACTION`` * |x_c|_E = TRIVIAL_FRACTION * tau, the ray's
+    direction having norm 1. Where the ray has no crest (purely quadratic
+    energies) x_c is the trivial state and the floor 0.
     """
-    if x0 is not None:
-        return x0.copy()
-    direction = _principal_direction(problem)
-    tau = _ray_argmax(problem, StatePair.zeros(problem.n), direction, 1.0)
-    if tau is None:
-        return StatePair.zeros(problem.n)
-    return tau * direction
+    if x0 is None or floor is None:
+        direction = _principal_direction(problem)
+        tau = _ray_argmax(problem, np.zeros(problem.n), direction.u, 1.0)
+        crest = StatePair.zeros(problem.n) if tau is None else tau * direction
+        x0 = crest if x0 is None else x0
+        floor = TRIVIAL_FRACTION * (tau or 0.0) if floor is None else floor
+    return x0.copy(), floor
 
 
 @dataclass(frozen=True)
 class _Ray:
-    """The line base + tau*direction, with its cross term c0 + tau (c1 + tau c2)."""
+    """The line (b, -b) + tau (q, q), with its cross term c0 + tau^2 c2.
 
-    base_u: np.ndarray
-    base_v: np.ndarray
-    dir_u: np.ndarray
-    dir_v: np.ndarray
+    Every ray the solver searches has such an antidiagonal (or zero) base
+    and diagonal direction: c0 = -<b, K b>, c2 = <q, K q>, and no linear term.
+    """
+
+    base: np.ndarray
+    direction: np.ndarray
     c0: float
-    c1: float
     c2: float
 
 
-def _ray(problem: Problem, base: StatePair, direction: StatePair) -> _Ray:
-    """Validate a ray once and expand the bilinear cross term along it."""
+def _ray(problem: Problem, base: np.ndarray, direction: np.ndarray) -> _Ray:
+    """Validate the :class:`_Ray` of b = ``base`` and q = ``direction``; expand its cross term."""
     grid, op = problem.grid, problem.op
-    bu, bv, du, dv = (grid.check_field(w) for w in (base.u, base.v, direction.u, direction.v))
+    b, q = grid.check_field(base), grid.check_field(direction)
     with np.errstate(over="ignore", invalid="ignore"):
-        kbu, kbv, kdu, kdv = (op.apply(w) for w in (bu, bv, du, dv))
-        # each coefficient pairs a u-product with its v-mirror, so swapping
-        # the components leaves it bitwise unchanged
-        c0 = 0.5 * (bu @ kbv + bv @ kbu)
-        c1 = 0.5 * ((bu @ kdv + du @ kbv) + (bv @ kdu + dv @ kbu))
-        c2 = 0.5 * (du @ kdv + dv @ kdu)
-    return _Ray(bu, bv, du, dv, float(c0), float(c1), float(c2))
+        c0 = -(b @ op.apply(b))
+        c2 = q @ op.apply(q)
+    return _Ray(b, q, float(c0), float(c2))
 
 
 def _ray_energy(problem: Problem, ray: _Ray, tau: float) -> float:
-    """``evaluate_J(problem, base + tau*direction).total``, or -inf where that overflows.
+    """``evaluate_J`` of the ray's point (b + tau q, tau q - b), or -inf where that overflows.
 
     The nodal values and the energy kernel are those of :func:`evaluate_J`;
     only the cross term comes from the ray's coefficients instead of two
     stiffness products.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        u = ray.base_u + ray.dir_u * tau
-        v = ray.base_v + ray.dir_v * tau
-        cross = ray.c0 + tau * (ray.c1 + tau * ray.c2)
+        qt = ray.direction * tau
+        u, v = ray.base + qt, qt - ray.base
+        cross = ray.c0 + tau * (tau * ray.c2)
     try:
         return _energy_from_cross(problem, u, v, cross).total
     except EnergyOverflowError:
@@ -361,21 +362,23 @@ def _ray_energy(problem: Problem, ray: _Ray, tau: float) -> float:
 def _ray_slope(problem: Problem, ray: _Ray, tau: float) -> tuple[float, float]:
     """First and second derivative of :func:`_ray_energy` in tau, or (-inf, -inf) on overflow.
 
-    Each u-term is grouped with its v-mirror, as in :func:`_ray`, so
-    swapping the components leaves both values bitwise unchanged.
+    Each u-term is grouped with its v-mirror, so on a symmetric problem
+    swapping the components, that is negating the base, leaves both values
+    bitwise unchanged.
     """
     nl, vol = problem.nl, problem.grid.cell_volume
-    du, dv = ray.dir_u, ray.dir_v
+    q = ray.direction
     with np.errstate(over="ignore", invalid="ignore"):
-        u = ray.base_u + du * tau
-        v = ray.base_v + dv * tau
-        slope = (ray.c1 + 2.0 * tau * ray.c2) - vol * (
-            (problem.lam * float(u @ du) + problem.delta * float(v @ dv))
-            + (float(nl.f(u) @ du) + float(nl.g(v) @ dv))
+        qt = q * tau
+        u, v = ray.base + qt, qt - ray.base
+        qq, q2 = float(q @ q), q * q
+        slope = 2.0 * tau * ray.c2 - vol * (
+            (problem.lam * float(u @ q) + problem.delta * float(v @ q))
+            + (float(nl.f(u) @ q) + float(nl.g(v) @ q))
         )
         curvature = 2.0 * ray.c2 - vol * (
-            (problem.lam * float(du @ du) + problem.delta * float(dv @ dv))
-            + (float(nl.df(u) @ (du * du)) + float(nl.dg(v) @ (dv * dv)))
+            (problem.lam * qq + problem.delta * qq)
+            + (float(nl.df(u) @ q2) + float(nl.dg(v) @ q2))
         )
     if not (math.isfinite(slope) and math.isfinite(curvature)):
         return -np.inf, -np.inf
@@ -383,9 +386,11 @@ def _ray_slope(problem: Problem, ray: _Ray, tau: float) -> tuple[float, float]:
 
 
 def _ray_argmax(
-    problem: Problem, base: StatePair, direction: StatePair, t_current: float
+    problem: Problem, base: np.ndarray, direction: np.ndarray, t_current: float
 ) -> Optional[float]:
-    """Crest of the energy along base + tau*direction reached from ``t_current``, or None.
+    """Crest of the energy along (b, -b) + tau (q, q) reached from ``t_current``, or None.
+
+    b is ``base`` and q is ``direction`` (see :class:`_Ray`).
 
     A safeguarded Newton iteration on the slope phi' of the ray energy
     (:func:`_ray_slope`), started at max(|t_current|, scale/256) with
@@ -468,40 +473,12 @@ def _flow_update(
         q_tent = q + s * gq
     t_tent = split.diagonal_norm(q_tent.u)
     qhat = _principal_direction(problem) if t_tent <= 1e-300 else (1.0 / t_tent) * q_tent
-    tau_star = _ray_argmax(problem, p_new, qhat, t_cur)
+    tau_star = _ray_argmax(problem, p_new.u, qhat.u, t_cur)
     if tau_star is None:
         tau_new = (1.0 - s) * t_cur
     else:
         tau_new = t_cur + min(1.0, 2.0 * s) * (tau_star - t_cur)
     return p_new + tau_new * qhat
-
-
-def _finish(
-    problem: Problem,
-    x: StatePair,
-    res: StatePair,
-    converged: bool,
-    iterations: int,
-    method: str,
-    message: str,
-    trace: IterateTrace,
-    eta: float,
-) -> SaddleReport:
-    # x is the trace's last entry, whose gradient norm is the dual residual
-    # norm; res is the first-order residual at x
-    return SaddleReport(
-        state=x,
-        critical_value=trace.energies[-1],
-        gradient_norm=trace.gradient_norms[-1],
-        residual_euclidean=float(np.sqrt(res.u @ res.u + res.v @ res.v)),
-        converged=converged,
-        nontrivial=bool(converged and trace.state_norms[-1] >= eta),
-        iterations=iterations,
-        method=method,
-        message=message,
-        trace=trace,
-        residual=res,
-    )
 
 
 def _mu_norm(problem: Problem, x: StatePair) -> float:
@@ -554,7 +531,7 @@ def _iterate(
     budget: int,
     step: float,
     method: str,
-    eta: float,
+    floor: float,
     step_tol: float = math.inf,
     basin: Optional[Callable[[StatePair, StatePair, float, float], Optional[tuple]]] = None,
     start: Optional[tuple[StatePair, float, float]] = None,
@@ -570,15 +547,15 @@ def _iterate(
     iterate.
 
     The loop converges once the gradient norm is at most ``tol`` and the
-    step just accepted has energy norm at most ``step_tol``; a finite
-    ``step_tol`` asks for at least one step. ``basin(x, res, gn, energy)``,
-    when given, is asked before the first step, and again before each step
-    whose gradient norm is at most half the one it last said None to. A
-    ``(trial, res, g, gn, energy)`` it returns is taken as a full step,
-    recorded with step size 1 and that energy, and ends the loop there as
-    converged. ``start``, when
-    given, is the residual, gradient norm and energy known at x; the
-    gradient itself is then not computed, so ``trials`` must not read it.
+    step just accepted has energy norm at most ``step_tol`` (a finite one
+    asks for at least one step), to a nontrivial state past ``floor``.
+    ``basin(x, res, gn, energy)``, when given, is asked before the first
+    step, and again before each step whose gradient norm is at most half
+    the one it last said None to. A ``(trial, res, g, gn, energy)`` it
+    returns is taken as a full step, recorded with step size 1 and that
+    energy, and ends the loop there as converged. ``start``, when given, is
+    the residual, gradient norm and energy known at x; the gradient itself
+    is then not computed, so ``trials`` must not read it.
     """
     trace = IterateTrace()
     converged = False
@@ -619,19 +596,34 @@ def _iterate(
             last_step = pair_norm(problem.op, trial - x)
         x, energy = trial, None
         it += 1
-    return _finish(problem, x, res, converged, it, method, message, trace, eta)
+    # x is the trace's last entry, whose gradient norm is the dual residual
+    # norm; res is the first-order residual at x
+    return SaddleReport(
+        state=x,
+        critical_value=trace.energies[-1],
+        gradient_norm=trace.gradient_norms[-1],
+        residual_euclidean=float(np.sqrt(res.u @ res.u + res.v @ res.v)),
+        converged=converged,
+        nontrivial=bool(converged and trace.state_norms[-1] > floor),
+        iterations=it,
+        method=method,
+        message=message,
+        trace=trace,
+        residual=res,
+    )
 
 
 def _basin_trial(
-    problem: Problem, x: StatePair, res: StatePair, gn: float, energy: float, eta: float
+    problem: Problem, x: StatePair, res: StatePair, gn: float, energy: float, floor: float
 ) -> Optional[tuple[StatePair, StatePair, StatePair, float, float]]:
     """One full Newton step from ``x``, if it shows the basin.
 
     It returns ``(x + d, residual, gradient, gradient norm, energy)`` at x + d.
 
     The step must contract the gradient norm ``gn`` at ``x`` at least
-    tenfold, land on a state of energy norm at least ``eta``, and change
-    the energy ``J(x)`` by at most gn * |d|_E. Near a nondegenerate
+    tenfold, land on a state of energy norm above the triviality ``floor``
+    (:func:`_initial_state`), and change the energy ``J(x)`` by at most
+    gn * |d|_E. Near a nondegenerate
     critical point the quadratic model gives J(x + d) - J(x) = <grad J, d>/2,
     within half that bound. A step that fails, or overflows, shows nothing.
     ``res`` is the first-order residual at ``x``.
@@ -644,7 +636,7 @@ def _basin_trial(
         energy_trial = evaluate_J(problem, trial).total
     except (_StepFailed, EnergyOverflowError):
         return None
-    if (gn_trial <= 0.1 * gn and pair_norm(op, trial) >= eta
+    if (gn_trial <= 0.1 * gn and pair_norm(op, trial) > floor
             and abs(energy_trial - energy) <= gn * pair_norm(op, d)):
         return trial, res_trial, g, gn_trial, energy_trial
     return None
@@ -657,6 +649,7 @@ def newton_solve(
     *,
     _start: Optional[tuple[StatePair, float, float]] = None,
     _pin: bool = False,
+    _floor: Optional[float] = None,
 ) -> SaddleReport:
     """Damped Newton iteration on the first-order system, the second stage of :func:`solve_saddle`.
 
@@ -669,12 +662,13 @@ def newton_solve(
     run ends on two iterates that cluster. ``_start`` is the first-order
     residual, gradient norm and energy at ``x0``, where :func:`solve_saddle`
     knows them. With ``_pin``, :func:`solve_saddle`'s diagonal route, each
-    trial is scaled to the crest of the energy along its own ray
-    (:func:`_ray_argmax`), and a trial whose ray has no crest above the
+    trial, a pair (w, w), is scaled to the crest of the energy along its own
+    ray (:func:`_ray_argmax`), and a trial whose ray has no crest above the
     trivial state is skipped; the report's method is "diagonal-newton".
+    ``_floor`` is the triviality floor, where :func:`solve_saddle` knows it.
     """
     cfg = config if config is not None else SolverConfig()
-    zero = StatePair.zeros(problem.n)
+    zero = np.zeros(problem.n)
 
     def trials(x, res, g, gn, step):
         direction = _newton_step(problem, x, res)
@@ -685,16 +679,16 @@ def newton_solve(
             if not _pin:
                 yield trial, bound, alpha
             else:
-                tau = _ray_argmax(problem, zero, trial, 1.0)
+                tau = _ray_argmax(problem, zero, trial.u, 1.0)
                 # no crest, or a crest at the trivial state: nothing to pin to
                 if tau is not None and tau > 0.0:
                     yield tau * trial, bound, alpha
             alpha *= 0.5
         raise _StepFailed("line search stalled")
 
-    x = _initial_state(problem, x0)
+    x, floor = _initial_state(problem, x0, _floor)
     return _iterate(problem, x, trials, cfg.grad_tol, cfg.max_iter, 0.0,
-                    "diagonal-newton" if _pin else "newton", cfg.eta,
+                    "diagonal-newton" if _pin else "newton", floor,
                     step_tol=TAIL_TOL, start=_start)
 
 
@@ -704,20 +698,22 @@ def signflow_solve(
     x0: Optional[StatePair] = None,
     *,
     _basin: Optional[Callable[[StatePair, StatePair, float, float], Optional[tuple]]] = None,
+    _floor: Optional[float] = None,
 ) -> SaddleReport:
     """Sign-respecting ascent/pinning flow to ``flow_tol``, the first stage of :func:`solve_saddle`.
 
-    Each step takes the trial rule of :func:`_flow_trials`, with adaptive
-    step halving. On a purely quadratic energy the update contracts the
-    state by exactly (1 - step) per iteration, so the trivial state is
-    reached monotonically; superquadratic couplings instead pin the
+    Up to ``FLOW_MAX_ITER`` steps by the trial rule of :func:`_flow_trials`,
+    halving from ``FLOW_STEP``. On a purely quadratic energy the update
+    contracts the state by exactly (1 - step) per iteration, so the trivial
+    state is reached monotonically; superquadratic couplings instead pin the
     diagonal amplitude to the crest of the ray energy, away from zero.
-    ``_basin`` is :func:`solve_saddle`'s handoff test (see :func:`_iterate`).
+    ``_basin`` and ``_floor`` are :func:`solve_saddle`'s handoff test (see
+    :func:`_iterate`) and triviality floor.
     """
     cfg = config if config is not None else SolverConfig()
-    x = _initial_state(problem, x0)
-    return _iterate(problem, x, _flow_trials(problem, cfg.flow_step), cfg.flow_tol,
-                    cfg.flow_max_iter, cfg.flow_step, "signflow", cfg.eta, basin=_basin)
+    x, floor = _initial_state(problem, x0, _floor)
+    return _iterate(problem, x, _flow_trials(problem, FLOW_STEP), cfg.flow_tol,
+                    FLOW_MAX_ITER, FLOW_STEP, "signflow", floor, basin=_basin)
 
 
 def _symmetric(problem: Problem) -> bool:
@@ -775,25 +771,25 @@ def solve_saddle(
     :func:`_basin_trial`, or at ``flow_tol`` if none does, and Newton
     starts from there, with the first-order residual, gradient norm and
     energy of the flow's last trace row. Its own first row repeats that
-    row, and the compactness fit counts both.
+    row, and the compactness fit counts both. All stages share the triviality
+    floor of :func:`_initial_state`, whose one crest search serves both.
     """
     cfg = config if config is not None else SolverConfig()
+    x0, floor = _initial_state(problem, x0)
     declined = ""
-    if _symmetric(problem):
-        x0 = _initial_state(problem, x0)
-        if np.array_equal(x0.u, x0.v) and np.any(x0.u != 0.0):
-            diagonal = newton_solve(problem, cfg, x0, _pin=True)
-            if not diagonal.converged and diagonal.iterations < cfg.max_iter:
-                declined = f"diagonal route: {diagonal.message}; "
-            elif diagonal.converged and (
-                    ratio := _second_curvature_ratio(problem, diagonal.state.u)) >= 1.0:
-                declined = (f"diagonal route: a second negative curvature direction "
-                            f"(nu_2 = {ratio:.6g}); ")
-            else:
-                return diagonal
-    first = signflow_solve(problem, cfg, x0,
-                           _basin=functools.partial(_basin_trial, problem, eta=cfg.eta))
-    second = newton_solve(problem, cfg, x0=first.state,
+    if _symmetric(problem) and np.array_equal(x0.u, x0.v) and np.any(x0.u != 0.0):
+        diagonal = newton_solve(problem, cfg, x0, _pin=True, _floor=floor)
+        if not diagonal.converged and diagonal.iterations < cfg.max_iter:
+            declined = f"diagonal route: {diagonal.message}; "
+        elif diagonal.converged and (
+                ratio := _second_curvature_ratio(problem, diagonal.state.u)) >= 1.0:
+            declined = (f"diagonal route: a second negative curvature direction "
+                        f"(nu_2 = {ratio:.6g}); ")
+        else:
+            return diagonal
+    first = signflow_solve(problem, cfg, x0, _floor=floor,
+                           _basin=functools.partial(_basin_trial, problem, floor=floor))
+    second = newton_solve(problem, cfg, x0=first.state, _floor=floor,
                           _start=(first.residual, first.trace.gradient_norms[-1],
                                   first.trace.energies[-1]))
     first.trace.extend(second.trace)

@@ -4,12 +4,12 @@ Everything here is deliberately built from different numerics than the
 package: fixed-step RK4 plus bisection for the boundary-value problem,
 composite Simpson for integrals, dense O(n^2) arithmetic elsewhere, and
 the algorithms that faster package kernels replaced (the probe-grid
-crest search, the whole-block Newton solve, the full pilot sweeps of
-the radii search and its sampled embedding constant, LAPACK's
-tridiagonal eigensolver, the numpy forms of the chart kernels, the
-state-space displacement residual, the hybr multistart root sweep of
-the degree count, the linear program of the compactness fit and the
-fixed-step flow map). No imports from
+crest search, the four-product ray expansion, the whole-block Newton
+solve, the full pilot sweeps of the radii search and its sampled
+embedding constant, LAPACK's tridiagonal eigensolver, the numpy forms of
+the chart kernels, the state-space displacement residual, the hybr
+multistart root sweep of the degree count, the linear program of the
+compactness fit and the fixed-step flow map). No imports from
 linking_saddle are allowed in this module.
 """
 
@@ -202,6 +202,21 @@ def _span_residual(frame, x, modes) -> float:
     for k in modes:
         recon = recon + coeffs[k] * frame.basis.direction(k)
     return frame.splitting.pair_norm(x - recon)
+
+
+def ray_cross_coefficients(k, base_u: np.ndarray, base_v: np.ndarray, dir_u: np.ndarray,
+                           dir_v: np.ndarray) -> tuple[float, float, float]:
+    """(c0, c1, c2) of the cross term c0 + tau (c1 + tau c2) along any ray, by four products.
+
+    The expansion the package used before every ray it searches had an
+    antidiagonal base and a diagonal direction: each coefficient pairs a
+    u-product with its v-mirror.
+    """
+    kbu, kbv, kdu, kdv = (k @ w for w in (base_u, base_v, dir_u, dir_v))
+    c0 = 0.5 * (base_u @ kbv + base_v @ kbu)
+    c1 = 0.5 * ((base_u @ kdv + dir_u @ kbv) + (base_v @ kdu + dir_v @ kbu))
+    c2 = 0.5 * (dir_u @ kdv + dir_v @ kdu)
+    return float(c0), float(c1), float(c2)
 
 
 def ray_argmax_grid(energy, t_current: float):

@@ -463,14 +463,29 @@ def test_cli_draws_only_the_sample_families_it_reads(tmp_path, monkeypatch, comm
 
 
 @pytest.mark.parametrize("key, value", [("problem.mu", "4"), ("solver.init", "anchor"),
-                                        ("solver.method", "newton")])
+                                        ("solver.method", "newton"), ("solver.eta", "0.1"),
+                                        ("solver.flow_step", "0.25"),
+                                        ("solver.flow_max_iter", "400")])
 def test_cli_rejects_the_exponent_and_start_keys(tmp_path, capsys, key, value):
-    # the power preset's exponent mu is p, and a solve takes one route from the
-    # crest of the principal diagonal mode
+    # the power preset's exponent mu is p, a solve takes one route from the
+    # crest of the principal diagonal mode, the triviality screen scales with
+    # that crest, and the flow's step and budget are constants
     text = LINE.format(63) + f"{key} = {value}\n"
     rc = main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"{key}: unknown key" in capsys.readouterr().err
+
+
+def test_cli_small_coupling_solution_is_nontrivial(tmp_path):
+    # the solution's energy norm is 0.050, below an absolute 0.1 but 0.99 of
+    # the principal crest's, so the screen that scales with the crest passes it
+    text = LINE.format(63) + "problem.scale = 5e4\n"
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    (row,) = read_csv(out / "saddle_report.csv")
+    assert (row["converged"], row["nontrivial"], row["minimax_ok"]) == ("true", "true", "true")
+    assert float(row["state_norm"]) == pytest.approx(0.0502, abs=1e-4)
+    assert float(row["critical_value"]) == pytest.approx(6.2995e-4, rel=1e-4)
 
 
 def test_cli_power_preset_reads_mu_from_p(tmp_path):

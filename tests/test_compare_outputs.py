@@ -75,3 +75,29 @@ def test_a_row_wider_than_the_header_fails(tmp_path):
     lines, ok = compare_outputs.compare_dirs(str(old), str(new))
     assert not ok
     assert any("row 1 is not as wide as the header" in line for line in lines)
+
+
+def test_a_changed_text_cell_does_not_hide_a_numeric_move(tmp_path):
+    old = write_run(tmp_path / "parent")
+    new = write_run(tmp_path / "change", value=VALUE * (1.0 + 1e-9))
+    report = new / "solve-sq128" / "saddle_report.csv"
+    report.write_text(report.read_text().replace("newton,", "diagonal-newton,"))
+    lines, ok = compare_outputs.compare_dirs(str(old), str(new))
+    assert not ok
+    (row,) = [line for line in lines if "saddle_report.csv" in line]
+    assert "max relative move: critical_value 1.000e-09" in row
+    assert "row 1 column 'method': 'newton' -> 'diagonal-newton'" in row
+
+
+def test_a_changed_header_or_row_count_still_compares_the_shared_cells(tmp_path):
+    old = write_run(tmp_path / "parent")
+    new = write_run(tmp_path / "change", value=VALUE * (1.0 + 1e-9))
+    report = new / "solve-sq128" / "saddle_report.csv"
+    head, row = report.read_text().splitlines()
+    report.write_text(f"{head},iterations\n{row},4\n{row},5\n")
+    lines, ok = compare_outputs.compare_dirs(str(old), str(new))
+    assert not ok
+    (row,) = [line for line in lines if "saddle_report.csv" in line]
+    assert "max relative move: critical_value 1.000e-09" in row
+    assert "header differs (removed [], added ['iterations'])" in row
+    assert "row count differs: 1 -> 2" in row

@@ -186,10 +186,13 @@ RAY_GRIDS = (
 def test_ray_energy_matches_evaluate_J(domain, lam, delta, seed, log_scale):
     problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
     rng = np.random.default_rng(seed)
-    base, direction = (StatePair(*rng.standard_normal((2, problem.n))) for _ in range(2))
-    ray = _ray(problem, base, direction)
-    mirror = _ray(problem, StatePair(base.v, base.u), StatePair(direction.v, direction.u))
-    assert (mirror.c0, mirror.c1, mirror.c2) == (ray.c0, ray.c1, ray.c2)
+    # the rays the solver searches: an antidiagonal base (b, -b) and a diagonal direction (q, q)
+    b, q = rng.standard_normal((2, problem.n))
+    base, direction = StatePair(b, -b), StatePair.diagonal(q)
+    ray = _ray(problem, b, q)
+    # swapping u and v negates the base
+    mirror = _ray(problem, -b, q)
+    assert (mirror.c0, mirror.c2) == (ray.c0, ray.c2)
     # the probe grid of the replaced crest search, then the far probe that
     # _ray_argmax still compares; at t_current = 1e72 the far probe
     # overflows the potential and the others do not
@@ -214,21 +217,19 @@ def test_signflow_zero_preset_contracts_exactly(zero_problem):
     rng = np.random.default_rng(3)
     w = rng.standard_normal(zero_problem.n)
     x0 = StatePair(w.copy(), w.copy())
-    cfg = SolverConfig(flow_step=0.25, flow_max_iter=60, flow_tol=1e-12)
-    report = signflow_solve(zero_problem, cfg, x0=x0)
+    report = signflow_solve(zero_problem, SolverConfig(flow_tol=1e-12), x0=x0)
     norms = report.trace.state_norms
     assert norms[0] > 0.0
     for a, b in zip(norms, norms[1:]):
         if a <= 1e-12:
             break
-        assert b / a == pytest.approx(0.75, abs=1e-12)
+        assert b / a == pytest.approx(1.0 - solver.FLOW_STEP, abs=1e-12)
     assert norms[-1] < 1e-6 * norms[0]
 
 
 def test_signflow_toy_reaches_crest_level(toy_problem):
     x0 = StatePair(np.array([2.0]), np.array([2.0]))
-    cfg = SolverConfig(flow_max_iter=400, flow_tol=1e-8)
-    report = signflow_solve(toy_problem, cfg, x0=x0)
+    report = signflow_solve(toy_problem, SolverConfig(flow_tol=1e-8), x0=x0)
     assert report.converged
     assert report.critical_value == pytest.approx(16.0, abs=1e-6)
 
@@ -270,13 +271,14 @@ def _sine_start(problem, amplitude):
     return x, problem.pair_norm(riesz_gradient(problem, x)), evaluate_J(problem, x).total
 
 
-def test_flow_then_newton_reports_failed_flow_stage(shifted_line):
+def test_flow_then_newton_reports_failed_flow_stage(shifted_line, monkeypatch):
     # Newton's full step from the unit sine bump fails the basin test even with
     # the triviality screen off, so the one flow step the budget allows is taken
     x0, gn, energy = _sine_start(shifted_line, 1.0)
     res = euler_lagrange_residual(shifted_line, x0)
-    assert solver._basin_trial(shifted_line, x0, res, gn, energy, eta=0.0) is None
-    report = solve_saddle(shifted_line, SolverConfig(flow_max_iter=1), x0=x0)
+    assert solver._basin_trial(shifted_line, x0, res, gn, energy, floor=0.0) is None
+    monkeypatch.setattr(solver, "FLOW_MAX_ITER", 1)
+    report = solve_saddle(shifted_line, x0=x0)
     assert report.method == "flow-then-newton"
     assert report.converged and report.nontrivial
     assert report.message == (
@@ -284,23 +286,26 @@ def test_flow_then_newton_reports_failed_flow_stage(shifted_line):
     )
 
 
-def _guards(problem, x, step, gn, energy, eta):
+def _guards(problem, x, step, gn, energy, floor):
     """The three handoff conditions for the trial x + step, measured independently."""
     trial = x + step
     return (problem.pair_norm(riesz_gradient(problem, trial)) <= 0.1 * gn,
-            problem.pair_norm(trial) >= eta,
+            problem.pair_norm(trial) > floor,
             abs(evaluate_J(problem, trial).total - energy) <= gn * problem.pair_norm(step))
 
 
 def test_basin_trial_fails_on_each_guard(line_problem, monkeypatch):
-    # from a small bump Newton heads for the trivial state
+    # from a small bump Newton heads for the trivial state, which the floor
+    # solve_saddle sets, 0.1 of the principal crest's energy norm, rejects
     x, gn, energy = _sine_start(line_problem, 0.1)
     res = euler_lagrange_residual(line_problem, x)
+    crest, floor = solver._initial_state(line_problem, None)
+    assert floor == pytest.approx(0.1 * line_problem.pair_norm(crest), rel=1e-12)
     step = solver._newton_step(line_problem, x, res)
-    assert _guards(line_problem, x, step, gn, energy, eta=0.1) == (True, False, True)
-    assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.1) is None
+    assert _guards(line_problem, x, step, gn, energy, floor) == (True, False, True)
+    assert solver._basin_trial(line_problem, x, res, gn, energy, floor=floor) is None
     trial, res_trial, g, gn_trial, energy_trial = solver._basin_trial(line_problem, x, res, gn,
-                                                                      energy, eta=0.0)
+                                                                      energy, floor=0.0)
     assert np.array_equal(trial.u, (x + step).u) and np.array_equal(trial.v, (x + step).v)
     assert gn_trial == line_problem.pair_norm(g) <= 0.1 * gn
     assert energy_trial == evaluate_J(line_problem, trial).total
@@ -310,8 +315,8 @@ def test_basin_trial_fails_on_each_guard(line_problem, monkeypatch):
     # half the Newton step contracts the gradient only about twofold
     newton_step = solver._newton_step
     monkeypatch.setattr(solver, "_newton_step", lambda *args: 0.5 * newton_step(*args))
-    assert _guards(line_problem, x, 0.5 * step, gn, energy, eta=0.0) == (False, True, True)
-    assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0) is None
+    assert _guards(line_problem, x, 0.5 * step, gn, energy, floor=0.0) == (False, True, True)
+    assert solver._basin_trial(line_problem, x, res, gn, energy, floor=0.0) is None
     monkeypatch.undo()
 
     # an energy that leaves the quadratic model at the trial
@@ -320,8 +325,8 @@ def test_basin_trial_fails_on_each_guard(line_problem, monkeypatch):
         return dataclasses.replace(out, cross=out.cross + 10.0 * gn * problem.pair_norm(step))
 
     monkeypatch.setattr(solver, "evaluate_J", shifted)
-    assert _guards(line_problem, x, step, gn, energy, eta=0.0)[:2] == (True, True)
-    assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0) is None
+    assert _guards(line_problem, x, step, gn, energy, floor=0.0)[:2] == (True, True)
+    assert solver._basin_trial(line_problem, x, res, gn, energy, floor=0.0) is None
 
 
 def test_basin_trial_treats_a_failed_step_as_outside(line_problem, monkeypatch):
@@ -332,15 +337,15 @@ def test_basin_trial_treats_a_failed_step_as_outside(line_problem, monkeypatch):
         raise solver._StepFailed("second-variation system is singular")
 
     monkeypatch.setattr(solver, "_newton_step", failing)
-    assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0) is None
+    assert solver._basin_trial(line_problem, x, res, gn, energy, floor=0.0) is None
     monkeypatch.setattr(solver, "_newton_step", lambda problem, x, res: 1e300 * x)
-    assert solver._basin_trial(line_problem, x, res, gn, energy, eta=0.0) is None
+    assert solver._basin_trial(line_problem, x, res, gn, energy, floor=0.0) is None
 
 
 def test_basin_trials_are_due_when_the_gradient_halves(shifted_line, monkeypatch):
     tried = []
 
-    def outside(problem, x, res, gn, energy, eta):
+    def outside(problem, x, res, gn, energy, floor):
         tried.append(gn)
         return None
 
@@ -400,10 +405,11 @@ def test_newton_starts_from_the_handoff_gradient_norm_and_energy(monkeypatch):
     together = dict(counts)
     counts.update(riesz_gradient=0, evaluate_J=0)
     cfg = SolverConfig()
+    _, floor = solver._initial_state(problem, None)
     flow = signflow_solve(problem, cfg, _basin=lambda x, res, gn, energy: solver._basin_trial(
-        problem, x, res, gn, energy, cfg.eta))
+        problem, x, res, gn, energy, floor))
     assert flow.message == "Newton basin reached"
-    newton = newton_solve(problem, cfg, x0=flow.state)
+    newton = newton_solve(problem, cfg, x0=flow.state, _floor=floor)
     assert together == {"riesz_gradient": counts["riesz_gradient"] - 1,
                         "evaluate_J": counts["evaluate_J"] - 1}
     for name in ("energies", "gradient_norms", "step_sizes", "state_norms", "mu_norms"):
@@ -453,7 +459,7 @@ def test_diagonal_route_matches_the_full_flow(domain, lam):
     # past the first eigenvalue the principal ray has no crest, and the zero
     # start takes the flow; the pair route also runs, saying why, where the
     # diagonal route declines its point
-    crest = np.any(solver._initial_state(problem, None).u != 0.0)
+    crest = np.any(solver._initial_state(problem, None)[0].u != 0.0)
     declined = fast.message.startswith("diagonal route: ")
     assert fast.method == ("diagonal-newton" if crest and not declined else "flow-then-newton")
     assert crest or not declined
@@ -486,7 +492,7 @@ def test_diagonal_route_declines_a_second_negative_direction():
     # crest stays symmetric about the middle and stops at a critical point of
     # twice the least level, whose second variation has two negative directions
     problem = discretize(ProblemSpec(DomainSpec.rectangle(6, 3, 1.0, 2.5), power_nonlinearity()))
-    diagonal = newton_solve(problem, x0=solver._initial_state(problem, None), _pin=True)
+    diagonal = newton_solve(problem, x0=solver._initial_state(problem, None)[0], _pin=True)
     assert diagonal.converged and diagonal.nontrivial
     ratio = solver._second_curvature_ratio(problem, diagonal.state.u)
     assert ratio > 2.5
@@ -577,21 +583,21 @@ def test_zero_preset_converges_to_trivial(zero_problem):
     assert report.method == "flow-then-newton"
     assert report.converged
     assert not report.nontrivial
-    relaxed = solve_saddle(zero_problem, SolverConfig(eta=0.0))
-    assert relaxed.nontrivial  # eta = 0 disables the triviality screen
+    # the principal ray has no crest, so the floor is 0 and the solve ends
+    # exactly at the zero start, the one trivial state
+    assert solver._initial_state(zero_problem, None)[1] == 0.0
+    assert report.trace.state_norms[-1] == 0.0
 
 
 def test_solver_config_validation():
-    with pytest.raises(InvalidSpecError):
-        SolverConfig(flow_step=1.0)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidSpecError, match="grad_tol"):
         SolverConfig(grad_tol=0.0)
-    with pytest.raises(InvalidSpecError):
-        SolverConfig(eta=-0.5)
+    with pytest.raises(InvalidSpecError, match="flow_tol"):
+        SolverConfig(flow_tol=-1.0)
     with pytest.raises(InvalidSpecError, match="max_iter"):
         SolverConfig(max_iter=0)
-    with pytest.raises(InvalidSpecError, match="flow_max_iter"):
-        SolverConfig(flow_max_iter=0)
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["grad_tol", "max_iter",
+                                                                  "flow_tol"]
 
 
 def test_trace_bookkeeping():
@@ -755,7 +761,7 @@ def test_flow_update_repins_a_collapsed_diagonal_on_the_principal_mode(line_prob
     p_new = split.antidiagonal_part(x) + 0.25 * split.antidiagonal_part(x)
     direction = solver._principal_direction(line_problem)
     assert line_problem.pair_norm(direction) == pytest.approx(1.0, rel=1e-12)
-    tau = solver._ray_argmax(line_problem, p_new, direction, 0.0)
+    tau = solver._ray_argmax(line_problem, p_new.u, direction.u, 0.0)
     assert tau > 0.0
     want = p_new + (0.5 * tau) * direction
     assert np.array_equal(moved.u, want.u) and np.array_equal(moved.v, want.v)

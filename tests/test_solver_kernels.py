@@ -3,6 +3,10 @@
 ``_ray_argmax`` finds a crest of the ray energy by a safeguarded Newton
 iteration on its slope ``_ray_slope``; before, a geometric probe grid of
 energies and a bounded Brent search found it (``oracles.ray_argmax_grid``).
+Every ray the solver searches has an antidiagonal base (b, -b) and a
+diagonal direction (q, q), so ``_ray`` expands its cross term from two
+stiffness products; before, it took four for any base and direction
+(``oracles.ray_cross_coefficients``).
 ``_newton_step`` solves two n x n blocks where the second variation
 decouples, by K^-1-preconditioned MINRES with a check of the true
 residual; before, it always factored the 2n x 2n block by sparse LU
@@ -37,7 +41,7 @@ from linking_saddle import (
 from linking_saddle import solver
 from linking_saddle.solver import _newton_step, _ray, _ray_argmax, _ray_energy, _ray_slope
 
-from oracles import newton_block_step, ray_argmax_grid
+from oracles import newton_block_step, ray_argmax_grid, ray_cross_coefficients
 
 GRIDS = (
     DomainSpec.interval(1),
@@ -62,17 +66,16 @@ def make_problem(grid_index, preset, lam, delta):
                                   delta=lam if delta is None else delta))
 
 
-def random_ray(problem, seed, base_scale, diagonal):
-    """A base of the given size and a direction of unit energy norm, diagonal on request."""
+def random_ray(problem, seed, base_scale):
+    """The fields b, q of a ray (b, -b) + tau (q, q): b of the given size, (q, q) of norm 1."""
     rng = np.random.default_rng(seed)
-    base = base_scale * StatePair(*rng.standard_normal((2, problem.n)))
-    du, dv = rng.standard_normal((2, problem.n))
-    direction = StatePair(du, du.copy()) if diagonal else StatePair(du, dv)
-    return base, (1.0 / problem.pair_norm(direction)) * direction
+    b, q = rng.standard_normal((2, problem.n))
+    return base_scale * b, q / problem.pair_norm(StatePair.diagonal(q))
 
 
-def swapped(x):
-    return StatePair(x.v, x.u)
+def ray_pairs(b, q):
+    """The base (b, -b) and the direction (q, q) of a ray, as state pairs."""
+    return StatePair(b, -b), StatePair.diagonal(q)
 
 
 def probe_grid(t_current):
@@ -92,17 +95,32 @@ def slope_or_overflow(problem, base, direction, tau):
 ray_args = (
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.0, 0.1, 1.0]),
-    st.booleans(),
 )
+
+
+@settings(max_examples=80)
+@given(st.integers(0, len(GRIDS) - 1), *ray_args, st.sampled_from([1e-3, 1.0, 1e3]))
+def test_ray_coefficients_match_the_four_product_expansion(grid_index, seed, base_scale,
+                                                           size):
+    problem = make_problem(grid_index, "power", 0.0, None)
+    b, q = random_ray(problem, seed, base_scale)
+    b, q = size * b, size * q
+    ray = _ray(problem, b, q)
+    base, direction = ray_pairs(b, q)
+    c0, c1, c2 = ray_cross_coefficients(problem.op.matrix, base.u, base.v,
+                                        direction.u, direction.v)
+    assert (ray.c0, ray.c2) == (c0, c2)
+    assert c1 == 0.0
 
 
 @settings(max_examples=80)
 @given(*problem_args, *ray_args, st.floats(0.0, 1e3))
 def test_ray_slope_matches_directional_derivative(grid_index, preset, lam, delta, seed,
-                                                  base_scale, diagonal, tau):
+                                                  base_scale, tau):
     problem = make_problem(grid_index, preset, lam, delta)
-    base, direction = random_ray(problem, seed, base_scale, diagonal)
-    ray = _ray(problem, base, direction)
+    b, q = random_ray(problem, seed, base_scale)
+    base, direction = ray_pairs(b, q)
+    ray = _ray(problem, b, q)
     slope, curvature = _ray_slope(problem, ray, tau)
     x = base + tau * direction
     vol, nl, op = problem.grid.cell_volume, problem.nl, problem.op
@@ -126,12 +144,13 @@ def test_ray_slope_matches_directional_derivative(grid_index, preset, lam, delta
         + np.abs(dfu * du * du).sum() + np.abs(dgv * dv * dv).sum())
     assert abs(curvature - want) <= 1e-12 * curvature_size
     if delta is None:
-        mirror = _ray(problem, swapped(base), swapped(direction))
+        # swapping u and v negates the base
+        mirror = _ray(problem, -b, q)
         assert _ray_slope(problem, mirror, tau) == (slope, curvature)
 
 
 def test_ray_slope_overflow_is_minus_infinity(toy_problem):
-    ray = _ray(toy_problem, StatePair.zeros(1), StatePair(np.ones(1), np.ones(1)))
+    ray = _ray(toy_problem, np.zeros(1), np.ones(1))
     assert _ray_energy(toy_problem, ray, 1e200) == -np.inf
     assert _ray_slope(toy_problem, ray, 1e200) == (-np.inf, -np.inf)
 
@@ -139,15 +158,16 @@ def test_ray_slope_overflow_is_minus_infinity(toy_problem):
 @settings(max_examples=80)
 @given(*problem_args, *ray_args, st.floats(0.0, 20.0))
 def test_ray_argmax_matches_probe_grid_search(grid_index, preset, lam, delta, seed,
-                                              base_scale, diagonal, t_current):
+                                              base_scale, t_current):
     problem = make_problem(grid_index, preset, lam, delta)
-    base, direction = random_ray(problem, seed, base_scale, diagonal)
+    b, q = random_ray(problem, seed, base_scale)
+    base, direction = ray_pairs(b, q)
     # compare only rays whose slope changes sign at most once, from rising to
     # falling, on the oracle's probes: there the crest is unique
     rising = [slope_or_overflow(problem, base, direction, t) > 0.0 for t in probe_grid(t_current)]
     assume(rising == sorted(rising, reverse=True))
-    ray = _ray(problem, base, direction)
-    got = _ray_argmax(problem, base, direction, t_current)
+    ray = _ray(problem, b, q)
+    got = _ray_argmax(problem, b, q, t_current)
     want = ray_argmax_grid(lambda t: _ray_energy(problem, ray, t), t_current)
     assert (got is None) == (want is None)
     if want is None:
@@ -164,31 +184,38 @@ def test_ray_argmax_matches_probe_grid_search(grid_index, preset, lam, delta, se
 @given(st.integers(0, len(GRIDS) - 1), st.sampled_from(sorted(PRESETS)),
        st.floats(-30.0, 30.0), *ray_args, st.floats(0.0, 20.0))
 def test_ray_argmax_is_swap_symmetric_bitwise(grid_index, preset, lam, seed, base_scale,
-                                              diagonal, t_current):
+                                              t_current):
     problem = make_problem(grid_index, preset, lam, None)
-    base, direction = random_ray(problem, seed, base_scale, diagonal)
-    got = _ray_argmax(problem, base, direction, t_current)
-    assert _ray_argmax(problem, swapped(base), swapped(direction), t_current) == got
+    b, q = random_ray(problem, seed, base_scale)
+    got = _ray_argmax(problem, b, q, t_current)
+    # swapping u and v negates the base
+    assert _ray_argmax(problem, -b, q, t_current) == got
 
 
-def test_ray_argmax_two_crests_takes_the_crest_reached_from_t_current(toy_problem):
-    # on this ray of the one-node problem the slope falls through zero near
-    # 1.04 (a crest), rises through it near 3.71 and falls again near 7.21,
-    # to a crest about twice as high as the first
-    base = StatePair(np.array([2.25]), np.array([4.0]))
-    direction = StatePair(np.array([-0.7]), np.array([-0.95]))
-    ray = _ray(toy_problem, base, direction)
-    first, second = 1.0396, 7.2064
-    assert _ray_energy(toy_problem, ray, second) > 2.0 * _ray_energy(toy_problem, ray, first)
-    for t_current, crest in ((0.0, first), (0.5, first), (2.0, first),
-                             (7.0, second), (7.5, second)):
-        got = _ray_argmax(toy_problem, base, direction, t_current)
-        assert got == pytest.approx(crest, abs=1e-4), t_current
-        slope, curvature = _ray_slope(toy_problem, ray, got)
+def test_ray_argmax_two_crests_takes_the_crest_reached_from_t_current():
+    # on the one-node problem with lam = 2, delta = 0 (K = 4, vol = 1/2) the
+    # ray (1, -1) + tau (1, 1) has slope 4 tau - 1 - tau^3: the energy falls
+    # from the base, so tau = 0 is a crest of the half-line, turns near 0.254
+    # and peaks near 1.861, higher than at the base
+    problem = discretize(ProblemSpec(DomainSpec.interval(1), power_nonlinearity(),
+                                     lam=2.0, delta=0.0))
+    b, q = np.ones(1), np.ones(1)
+    ray = _ray(problem, b, q)
+    inner, outer = 0.25410169, 1.86080585
+    assert _ray_energy(problem, ray, outer) > _ray_energy(problem, ray, 0.0)
+    for t_current in (0.0, 0.1, 0.25):
+        # a collapsed bracket returns its lower end, the base
+        assert _ray_argmax(problem, b, q, t_current) == 0.0, t_current
+    for t_current in (0.3, 1.0, 2.0, 7.5):
+        got = _ray_argmax(problem, b, q, t_current)
+        assert got == pytest.approx(outer, abs=1e-8), t_current
+        slope, curvature = _ray_slope(problem, ray, got)
         assert abs(slope) <= 1e-12 and curvature < 0.0
+    assert _ray_slope(problem, ray, inner)[0] == pytest.approx(0.0, abs=1e-7)
+    for t_current in (0.0, 7.5):
         # the probe grid of the replaced search took the highest crest it resolved
-        want = ray_argmax_grid(lambda t: _ray_energy(toy_problem, ray, t), t_current)
-        assert want == pytest.approx(second, abs=1e-4)
+        want = ray_argmax_grid(lambda t: _ray_energy(problem, ray, t), t_current)
+        assert want == pytest.approx(outer, abs=1e-6)
 
 
 NEWTON_ITERATES = ("symmetric", "antisymmetric", "random")
