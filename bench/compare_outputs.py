@@ -81,6 +81,10 @@ RUNS = (
     ("intersect-line63-dy2-radii", ["intersect"],
      _domain(63) + ["frame.d_y = 2", "frame.r = 4.0", "frame.rho = 32.0"]),
     ("geometry-sq16", ["geometry"], _domain(16, 16)),
+    # the energies are evaluated in blocks of 2^14 nodal values: whole blocks of
+    # 64 rows on the line, and 17-row blocks on 40 x 23 whose last block is partly filled
+    ("geometry-line255-dy2", ["geometry"], _domain(255) + ["frame.d_y = 2"]),
+    ("geometry-rect40x23-dy3", ["geometry"], _domain(40, 23) + ["frame.d_y = 3"]),
     # the sphere is exactly the signed anchor pair; an odd count leaves its last field unpaired
     ("geometry-line1", ["geometry"], _domain(1)),
     ("geometry-sq16-odd", ["geometry"], _domain(16, 16) + ["frame.sphere_samples = 7"]),

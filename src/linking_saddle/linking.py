@@ -96,15 +96,22 @@ SWEEP_RESIDUAL_TOL = 1e-10
 SWEEP_MAX_STEPS = 50
 SWEEP_MIN_DAMPING = 2.0**-16
 SWEEP_STEP_TOL = 1e-13
+# The energies of chart rows and sphere fields are evaluated in blocks of
+# at most this many nodal values, and at least one row: 64 rows of the 1D
+# n = 255 line, one row of a 128 x 128 square. A block pays off where the
+# per-row Python work outweighs the nodal work; a larger one would add
+# memory, and rows a failing pilot sweep evaluates past its first positive one
+ENERGY_BLOCK_VALUES = 2**14
 
 
-def _row_dots(xi: np.ndarray) -> np.ndarray:
-    """x @ x of each row of xi, bitwise as for the row alone.
+def _row_dots(xi: np.ndarray, other: Optional[np.ndarray] = None) -> np.ndarray:
+    """x @ y of each row x of xi and its row y of ``other`` (xi itself by default).
 
-    A stacked matmul calls the same BLAS dot once per row, so a block of
-    rows gets the bits a single row gets; a summed product would not.
+    Each dot is bitwise that of the two rows alone. A stacked matmul calls
+    the same BLAS dot once per row; a summed product would not.
     """
-    return (xi[..., None, :] @ xi[..., :, None])[..., 0, 0]
+    other = xi if other is None else other
+    return (xi[..., None, :] @ other[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -373,35 +380,82 @@ def sample_sets(
     return SampleSets(sphere, boundary, interior)
 
 
+def _blocks(problem: Problem, count: int) -> Iterator[slice]:
+    """Consecutive blocks of ``count`` rows of nodal fields on the problem's grid."""
+    step = max(1, ENERGY_BLOCK_VALUES // problem.n)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _block_energies(problem: Problem, u: np.ndarray, v: np.ndarray,
+                    cross: np.ndarray) -> Iterator[float]:
+    """The energy of each row pair (u[k], v[k]) whose cross term is cross[k], in row order.
+
+    Each value is bitwise ``_energy_from_cross`` of the row alone: the
+    dots are ``_row_dots``, and a potential sums its row as ``np.sum``
+    sums a single field. A row whose energy is not finite is evaluated
+    alone, so a term that is not finite raises there as it does for the
+    row alone, and no sooner.
+    """
+    vol = problem.grid.cell_volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        uu = _row_dots(u)
+        vv = uu if v is u else _row_dots(v)
+        total = cross - ((0.5 * problem.lam * vol * uu + 0.5 * problem.delta * vol * vv)
+                         + (vol * np.sum(problem.nl.F(u), axis=1)
+                            + vol * np.sum(problem.nl.G(v), axis=1)))
+    finite = np.isfinite(total)
+    for k, value in enumerate(total.tolist()):
+        if not finite[k]:
+            value = _energy_from_cross(problem, u[k], v[k], float(cross[k])).total
+        yield value
+
+
 def _sphere_minimum(problem: Problem, fields: np.ndarray) -> float:
     """The least ``evaluate_J`` at (w, w) over the rows w of ``fields``, bitwise.
 
     At u = v its two cross products are one, so a row takes one stiffness
-    product, doubled and halved as their sum is, overflow included.
+    product, doubled and halved as their sum is, overflow included. Rows
+    are evaluated a block at a time (``_block_energies``), each value
+    bitwise the row's own; the first row with a term that is not finite
+    raises :class:`EnergyOverflowError` naming the term.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return min(_energy_from_cross(problem, w, w, 0.5 * (2.0 * (w @ problem.op.apply(w)))).total
-                   for w in fields)
+    def energies() -> Iterator[float]:
+        for block in _blocks(problem, len(fields)):
+            w = fields[block]
+            kw = np.array([problem.op.apply(row) for row in w])
+            with np.errstate(over="ignore", invalid="ignore"):
+                cross = 0.5 * (2.0 * _row_dots(w, kw))
+            yield from _block_energies(problem, w, w, cross)
+
+    return min(energies())
 
 
 def _chart_energies(frame: LinkingFrame, rows: np.ndarray) -> Iterator[float]:
-    """J(xi . B) for each chart row xi, one row at a time.
+    """J(xi . B) for each chart row xi, yielded row by row.
 
-    The nodal fields are those of ``state_from_chart``, and all terms
-    but the cross term are those of ``evaluate_J``. The cross term is
-    xi^T C xi with the frame's cached cross Gram C, so a row takes no
-    stiffness product. A term that is not finite raises
-    :class:`EnergyOverflowError` naming the term and the row.
+    Rows are evaluated a block at a time, each value bitwise the row's
+    own. The nodal fields are those of ``state_from_chart``, built by one
+    stacked product per block, and all terms but the cross term are
+    those of ``evaluate_J``. The cross term is xi^T C xi with the frame's
+    cached cross Gram C, so a row takes no stiffness product. A term that
+    is not finite raises :class:`EnergyOverflowError` naming the term and
+    the row, once the consumer reaches that row; a consumer that stops
+    earlier sees no error.
     """
-    problem, cross = frame.problem, frame._chart_cross
-    for i, xi in enumerate(rows):
-        x = frame.state_from_chart(xi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(xi @ cross @ xi)
-        try:
-            yield _energy_from_cross(problem, x.u, x.v, value).total
-        except EnergyOverflowError as exc:
-            raise EnergyOverflowError(f"{exc} (chart row {i})") from None
+    problem, cross, anchor = frame.problem, frame._chart_cross, frame.anchor
+    i = 0
+    try:
+        for block in _blocks(problem, len(rows)):
+            xi = rows[block]
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = ((xi[:, None, :-1] / np.sqrt(2.0)) @ frame.basis.modes)[:, 0]
+                a = xi[:, -1:] / frame.r
+                values = ((xi[:, None, :] @ cross) @ xi[:, :, None])[:, 0, 0]
+            for value in _block_energies(problem, a * anchor.u - w, a * anchor.v + w, values):
+                yield value
+                i += 1
+    except EnergyOverflowError as exc:
+        raise EnergyOverflowError(f"{exc} (chart row {i})") from None
 
 
 @dataclass
@@ -428,9 +482,10 @@ def estimate_geometry(
     Sphere fields are evaluated by ``_sphere_minimum``. Boundary rows are
     chart points, evaluated by ``_chart_energies`` with no stiffness
     product per row, so the cost of a larger ``boundary_count`` is the
-    nodal work alone. On a one-node grid the diagonal sphere is just
-    the signed anchor pair, so the sphere minimum is exact rather than
-    sampled.
+    nodal work alone. Both evaluate their rows a block at a time, each
+    value bitwise the row's own. On a one-node grid the diagonal sphere
+    is just the signed anchor pair, so the sphere minimum is exact rather
+    than sampled.
     """
     if samples is None:
         samples = sample_sets(frame, seed=seed)
@@ -547,8 +602,10 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     returned r halves the maximizing s for safety; rho doubles r until a
     pilot boundary sweep is nonpositive. One pilot frame and one draw of
     rows at rho = 2r serve every doubling, exactly scaled. A sweep evaluates its chart
-    rows with ``_chart_energies`` and stops at its first positive energy,
-    as only ``max <= 0`` is decided; a passing sweep evaluates every row.
+    rows with ``_chart_energies``, a block at a time and each value bitwise
+    the row's own, and stops at its first positive energy, as only
+    ``max <= 0`` is decided: a failing sweep evaluates no block past that
+    row's, and a passing sweep evaluates every row.
     ``seed`` feeds only the pilot rows.
 
     Raises :class:`GeometryCertificationError` when c0, k, the floor or

@@ -307,14 +307,17 @@ def _initial_state(problem: Problem, x0: Optional[StatePair],
     A state of energy norm at most the floor is trivial. It is ``floor``, or
     else ``TRIVIAL_FRACTION`` * |x_c|_E = TRIVIAL_FRACTION * tau, the ray's
     direction having norm 1. Where the ray has no crest (purely quadratic
-    energies) x_c is the trivial state and the floor 0.
+    energies, or shifts past the first eigenvalue) x_c is the trivial
+    state, and the floor is ``TRIVIAL_FRACTION`` times the start's energy
+    norm: 0 for the zero start.
     """
     if x0 is None or floor is None:
         direction = _principal_direction(problem)
         tau = _ray_argmax(problem, np.zeros(problem.n), direction.u, 1.0)
         crest = StatePair.zeros(problem.n) if tau is None else tau * direction
         x0 = crest if x0 is None else x0
-        floor = TRIVIAL_FRACTION * (tau or 0.0) if floor is None else floor
+        if floor is None:
+            floor = TRIVIAL_FRACTION * (tau or pair_norm(problem.op, x0))
     return x0.copy(), floor
 
 

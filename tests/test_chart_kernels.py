@@ -11,7 +11,10 @@ twin, and the state-to-state deformations that mapped each state back
 to the chart; every kernel must agree with its oracle to 1e-12 relative
 to the size of its inputs. The chart-row energies of the geometry
 certificate take the cross term from the frame's cross Gram matrix;
-their oracle is ``evaluate_J`` on the state xi . B. The displacement
+their oracle is ``evaluate_J`` on the state xi . B. They, and the
+energies of the sphere fields, are evaluated a block of rows at a time;
+each value, and each overflow message, must be bitwise that of the
+one-row loops they replaced. The displacement
 residual of a chart map is sqrt(z^T G z) of its chart displacement z off
 the declared modes; its oracle is the state-space residual it replaced,
 to 1e-12 max(1, r). The homotopy, the
@@ -28,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linking_saddle import (
@@ -50,8 +53,11 @@ from linking_saddle import (
     sample_sets,
     shipped_deformations,
 )
-from linking_saddle.linking import _boundary_clearance, _chart_energies
+from linking_saddle import linking
+from linking_saddle.linking import (ENERGY_BLOCK_VALUES, _boundary_clearance, _chart_energies,
+                                    _sphere_minimum)
 from oracles import (boundary_clearance, chart_contains, homotopy_chart_value, modal_push_chart,
+                     row_chart_energies, row_sphere_minimum,
                      statepair_displacement_residual)
 
 REL = 1e-12
@@ -357,3 +363,95 @@ def test_chart_energies_match_evaluate_J(grid_index, d_y, anchor_seed, seed, lam
         message = str(caught.value)
         assert overflowing_term(message) == expected[0]
         assert message.endswith(f"(chart row {expected[1]})")
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return bool(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+# block sizes from 17 rows (40 x 23) to 2340 (1D n = 7), and one row at 128 x 128
+BLOCK_GRIDS = ENERGY_GRIDS + (DomainSpec.interval(255), DomainSpec.rectangle(40, 23))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(BLOCK_GRIDS), st.integers(1, 4),
+       st.one_of(st.none(), st.integers(0, 2**32 - 1)), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 30.0), st.floats(0.0, 30.0), st.integers(0, 4))
+@example(DomainSpec.square(128), 1, None, 0, 0.0, 0.0, 4)
+def test_blocked_energies_match_the_row_oracles(domain, d_y, anchor_seed, seed, lam, delta,
+                                                which):
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
+    block = max(1, ENERGY_BLOCK_VALUES // problem.n)
+    count = max(1, (1, block - 1, block, block + 1, 96)[which])
+    anchor = None
+    if anchor_seed is not None:
+        anchor = StatePair(*np.random.default_rng(anchor_seed).standard_normal((2, problem.n)))
+    frame = build_frame(problem, 0.7, 3.0, d_y=d_y, anchor_direction=anchor)
+    rng = np.random.default_rng(seed)
+    # rows inside the half-ball and past it, about a third on its base
+    rows = rng.standard_normal((count, d_y + 1)) * rng.uniform(0.05, 2.0, (count, 1))
+    rows[rng.random(count) < 1.0 / 3.0, -1] = 0.0
+    fields = rng.standard_normal((count, problem.n)) * 10.0 ** rng.uniform(-2.0, 1.0)
+    assert same_bits(list(_chart_energies(frame, rows)), list(row_chart_energies(frame, rows)))
+    assert same_bits(_sphere_minimum(problem, fields), row_sphere_minimum(problem, fields))
+
+    # from a drawn row on, the potentials overflow (1e100) or the cross term
+    # does (1e200): the same term of the same row is named
+    start = int(rng.integers(count))
+    for scale in (1e100, 1e200):
+        for kernel, oracle, block_of in ((lambda a: list(_chart_energies(frame, a)),
+                                          lambda a: list(row_chart_energies(frame, a)), rows),
+                                         (lambda a: _sphere_minimum(problem, a),
+                                          lambda a: row_sphere_minimum(problem, a), fields)):
+            big = block_of.copy()
+            big[start:] *= scale
+            with pytest.raises(FloatingPointError) as wanted:
+                oracle(big)
+            with pytest.raises(EnergyOverflowError) as caught:
+                kernel(big)
+            assert str(caught.value) == str(wanted.value)
+
+
+def test_a_consumer_that_stops_early_sees_no_later_overflow(line_problem):
+    # rows 1 (positive energy) and 2 (its cross term overflows) share one block
+    frame = build_frame(line_problem, 0.7, 3.0)
+    assert ENERGY_BLOCK_VALUES // line_problem.n >= 3
+    rows = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 1e200]])
+    seen = []
+    for value in _chart_energies(frame, rows):
+        seen.append(value)
+        if value > 0:
+            break
+    assert seen == list(row_chart_energies(frame, rows[:2])) and seen[1] > 0
+    with pytest.raises(EnergyOverflowError, match=r"^energy term 'cross' .*\(chart row 2\)$"):
+        list(_chart_energies(frame, rows))
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.square(128), DomainSpec.interval(255)])
+def test_a_failing_doubling_evaluates_no_row_past_the_block_of_its_first_positive_row(
+        domain, monkeypatch):
+    problem = discretize(ProblemSpec(domain, power_nonlinearity()))
+    block = max(1, ENERGY_BLOCK_VALUES // problem.n)
+    sweeps = []
+    chart_energies, block_energies = linking._chart_energies, linking._block_energies
+
+    def recording_sweep(frame, rows):
+        sweeps.append((frame, rows, []))
+        return chart_energies(frame, rows)
+
+    def recording_block(problem, u, v, cross):
+        sweeps[-1][2].append(len(cross))
+        return block_energies(problem, u, v, cross)
+
+    monkeypatch.setattr(linking, "_chart_energies", recording_sweep)
+    monkeypatch.setattr(linking, "_block_energies", recording_block)
+    choice = linking.choose_radii(problem)
+    assert len(sweeps) == choice.doublings >= 2
+    for k, (frame, rows, blocks) in enumerate(sweeps, start=1):
+        energies = list(row_chart_energies(frame, rows))
+        positive = [i for i, value in enumerate(energies) if value > 0]
+        assert bool(positive) is (k < choice.doublings)
+        # a failing doubling stops in the block of its first positive row
+        wanted = min(len(rows), (positive[0] // block + 1) * block) if positive else len(rows)
+        assert sum(blocks) == wanted and blocks[:-1] == [block] * (len(blocks) - 1)

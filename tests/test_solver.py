@@ -487,6 +487,23 @@ def test_pinned_newton_rejects_a_trial_pinned_to_the_trivial_state():
     assert fallback.message == "diagonal route: line search stalled; gradient tolerance reached"
 
 
+@pytest.mark.parametrize("lam", [10.0, 12.0, 30.0])
+def test_a_start_on_a_crestless_problem_sets_the_triviality_floor(lam):
+    # past the first eigenvalue the principal ray has no crest; from the sine
+    # bump the solve converges to a state of energy norm below 1e-19, which
+    # the floor of 0.1 times the start's norm calls trivial
+    problem = discretize(ProblemSpec(DomainSpec.interval(31), power_nonlinearity(),
+                                     lam=lam, delta=lam))
+    w = np.sin(np.pi * problem.grid.coords[:, 0])
+    x0 = StatePair(w, w.copy())
+    _, floor = solver._initial_state(problem, x0)
+    assert floor == solver.TRIVIAL_FRACTION * problem.pair_norm(x0) > 0.3
+    assert solver._initial_state(problem, None)[1] == 0.0
+    report = solve_saddle(problem, x0=x0)
+    assert report.converged and not report.nontrivial
+    assert report.trace.state_norms[-1] < 1e-19
+
+
 def test_diagonal_route_declines_a_second_negative_direction():
     # on this coarse, long rectangle the pinned Newton from the principal
     # crest stays symmetric about the middle and stops at a critical point of
