@@ -81,21 +81,24 @@ RUNS = (
     ("intersect-line63-dy2-radii", ["intersect"],
      _domain(63) + ["frame.d_y = 2", "frame.r = 4.0", "frame.rho = 32.0"]),
     ("geometry-sq16", ["geometry"], _domain(16, 16)),
-    # the energies are evaluated in blocks of 2^14 nodal values: whole blocks of
-    # 64 rows on the line, and 17-row blocks on 40 x 23 whose last block is partly filled
+    # the ceiling covers the whole antidiagonal subspace, so d_y does not move it
     ("geometry-line255-dy2", ["geometry"], _domain(255) + ["frame.d_y = 2"]),
     ("geometry-rect40x23-dy3", ["geometry"], _domain(40, 23) + ["frame.d_y = 3"]),
-    # the sphere is exactly the signed anchor pair; an odd count leaves its last field unpaired
+    # the sphere is exactly the signed anchor pair, and the Green bound on c0 is attained
     ("geometry-line1", ["geometry"], _domain(1)),
-    ("geometry-sq16-odd", ["geometry"], _domain(16, 16) + ["frame.sphere_samples = 7"]),
-    # explicit radii build no pilot frame
+    # the sampled sphere and boundary are gone: their count keys exit 2 with "unknown key"
+    ("geometry-sq16-sphere-samples", ["geometry"],
+     _domain(16, 16) + ["frame.sphere_samples = 7"]),
+    # unequal shifts: the ceiling bounds the cross term by completing the square
+    ("geometry-line63-shifted", ["geometry"],
+     _domain(63) + ["problem.lambda = 3.0", "problem.delta = 1.0"]),
+    # explicit radii past the floor's reach: the floor at r = 6.5 is below the cap ceiling
     ("geometry-sq16-radii", ["geometry"], _domain(16, 16) + ["frame.r = 6.5", "frame.rho = 26.0"]),
-    # a large power: certified; on a wide interval the radius search overflows and exits 1
+    # a large power: certified, on a wide interval too, where G = max diag K^-1 is 2.5e5
     ("geometry-line15-p80", ["geometry"], _domain(15) + ["problem.p = 80"]),
     ("geometry-line15-wide-p80", ["geometry"],
      _domain(15) + ["problem.p = 80", "domain.extent_x = 1e6"]),
-    # near p = 2 the floor's closed-form maximizer overflows when squared, and the
-    # radius search takes its grid's best; the small-amplitude hypothesis fails
+    # near p = 2: the margin is positive, but the small-amplitude hypothesis fails
     ("geometry-line15-p2.05", ["geometry"],
      _domain(15) + ["problem.p = 2.05", "problem.scale = 3.5694218829"]),
     ("check-sq16", ["check"], _domain(16, 16)),

@@ -26,7 +26,7 @@ frame = build_frame(problem, radii.r, radii.rho, d_y=2)
 geo = estimate_geometry(frame)
 print(f"frame: r = {frame.r:.4f}, rho = {frame.rho:.4f}, "
       f"chart dimension {frame.d_y + 1}")
-print(f"sphere minimum b = {geo.sphere_min:.6f}\n")
+print(f"sphere floor b = {geo.sphere_floor:.6f}\n")
 
 for gamma in shipped_deformations(frame):
     deg0 = brouwer_degree_small(homotopy_chart_map(gamma, 0.0), frame)
@@ -36,4 +36,4 @@ for gamma in shipped_deformations(frame):
     print(f"             antidiagonal residual {cert.antidiagonal_residual:.2e}, "
           f"radius residual {cert.radius_residual:.2e}")
     print(f"             J at the crossing = {cert.energy:.6f} >= b "
-          f"({cert.energy >= geo.sphere_min - 1e-8})")
+          f"({cert.energy >= geo.sphere_floor})")

@@ -38,7 +38,7 @@ print(f"nontrivial: {rep.nontrivial}, peak amplitude {np.max(rep.state.u):.4f}")
 radii = choose_radii(problem)
 frame = build_frame(problem, radii.r, radii.rho, anchor_direction=rep.state)
 geo = estimate_geometry(frame)
-print(f"\nlevel sits above the sphere minimum: {geo.sphere_min:.4f} <= {rep.critical_value:.4f}")
+print(f"\nlevel sits above J at the anchor of the sphere: {geo.sphere_min:.4f} <= {rep.critical_value:.4f}")
 print(f"minimax consistent: {minimax_consistency(rep.critical_value, geo.sphere_min)}")
 
 ps = ps_monitor(problem, rep.trace, grad_tol=1e-10)

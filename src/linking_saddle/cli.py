@@ -22,7 +22,6 @@ from .errors import ConfigError, LinkingSaddleError
 from .functional import Problem, discretize, validate_hypotheses
 from .linking import (
     MAX_DEGREE_DIMENSION,
-    _sphere_minimum,
     build_frame,
     choose_radii,
     displacement_residual,
@@ -70,27 +69,24 @@ def _frame_for(cfg: RunConfig, problem: Problem, r: float, rho: float):
     return build_frame(problem, r, rho, d_y=cfg.frame.d_y)
 
 
-def _frame_and_samples(cfg: RunConfig, problem: Problem, command: str, failed_steps,
-                       boundary_count: int, interior_count: int):
-    """Radii, frame and samples, the prelude of geometry, intersect and solve.
+def _frame_and_geometry(cfg: RunConfig, problem: Problem, command: str, failed_steps):
+    """Radii, frame and geometry, the prelude of geometry, intersect and solve.
 
-    Returns ``(frame, samples, radii_choice)``. If the radii or the frame
-    fail with a library error, it writes ``failed_steps`` to the manifest,
+    Returns ``(frame, geometry, radii_choice)``. If any of them fails
+    with a library error, it writes ``failed_steps`` to the manifest,
     reports the failure at stage 'geometry' and returns None.
     """
     try:
         r, rho, choice = _resolve_radii(cfg, problem)
         frame = _frame_for(cfg, problem, r, rho)
+        geo = estimate_geometry(frame)
     except ConfigError:
         raise
     except LinkingSaddleError as exc:
         _write_run_manifest(cfg, command, failed_steps)
         _fail("geometry", str(exc))
         return None
-    samples = sample_sets(frame, sphere_count=cfg.frame.sphere_samples,
-                          boundary_count=boundary_count, interior_count=interior_count,
-                          seed=cfg.frame.seed)
-    return frame, samples, choice
+    return frame, geo, choice
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -133,25 +129,21 @@ def cmd_check(cfg: RunConfig, quiet: bool) -> int:
 def cmd_geometry(cfg: RunConfig, quiet: bool) -> int:
     problem = discretize(to_problem_spec(cfg))
     hyp = validate_hypotheses(problem.nl)
-    prelude = _frame_and_samples(cfg, problem, "geometry", [("radii", "failed")],
-                                 cfg.frame.boundary_samples, 0)
+    prelude = _frame_and_geometry(cfg, problem, "geometry", [("radii", "failed")])
     if prelude is None:
         return 1
-    frame, samples, choice = prelude
-    geo = estimate_geometry(frame, samples)
-    signs_ok = problem.lam >= 0 and problem.delta >= 0
-    certified = geo.certified and hyp.all_ok and signs_ok
+    _, geo, choice = prelude
+    certified = geo.certified and hyp.all_ok
     write_csv(
         _out_path(cfg, "geometry_report.csv"),
-        ["sphere_min", "boundary_max", "margin", "separation_ok", "hypotheses_ok",
-         "certified", "base_max", "cap_max", "r", "rho",
-         "sphere_count", "boundary_count", "auto_radii"],
-        [(geo.sphere_min, geo.boundary_max, geo.margin, geo.certified, hyp.all_ok,
-          certified, geo.base_max, geo.cap_max, geo.r, geo.rho,
-          geo.sphere_count, geo.boundary_count, choice is not None)],
+        ["sphere_floor", "sphere_min", "boundary_max", "margin", "separation_ok",
+         "hypotheses_ok", "certified", "base_max", "cap_max", "r", "rho", "auto_radii"],
+        [(geo.sphere_floor, geo.sphere_min, geo.boundary_max, geo.margin, geo.certified,
+          hyp.all_ok, certified, geo.base_max, geo.cap_max, geo.r, geo.rho,
+          choice is not None)],
     )
     _write_run_manifest(cfg, "geometry", [("geometry", "certified" if certified else "not certified")])
-    _say(quiet, f"sphere min {geo.sphere_min:.6g}, boundary max {geo.boundary_max:.6g}, "
+    _say(quiet, f"sphere floor {geo.sphere_floor:.6g}, boundary ceiling {geo.boundary_max:.6g}, "
                 f"margin {geo.margin:.6g}")
     if not certified:
         reasons = []
@@ -159,8 +151,6 @@ def cmd_geometry(cfg: RunConfig, quiet: bool) -> int:
             reasons.append("no positive separation margin")
         if not hyp.all_ok:
             reasons.append("growth hypotheses failed")
-        if not signs_ok:
-            reasons.append("negative linear shifts")
         return _fail("geometry", "not certified: " + "; ".join(reasons))
     _say(quiet, f"geometry certified with margin {geo.margin:.6g}")
     return 0
@@ -173,12 +163,11 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
             f"got frame.d_y = {cfg.frame.d_y}"
         )
     problem = discretize(to_problem_spec(cfg))
-    # the displacements are checked on 12 interior rows; no boundary row is read
-    prelude = _frame_and_samples(cfg, problem, "intersect", [("radii", "failed")], 0, 12)
+    prelude = _frame_and_geometry(cfg, problem, "intersect", [("radii", "failed")])
     if prelude is None:
         return 1
-    frame, samples, _ = prelude
-    sphere_min = _sphere_minimum(problem, samples.sphere_fields)
+    frame, geo, _ = prelude
+    samples = sample_sets(frame, interior_count=12, seed=cfg.frame.seed)
     gammas = shipped_deformations(frame)
     rows = []
     failures = []
@@ -197,9 +186,9 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
             cert = intersection_point(gamma, roots=deg_end.roots)
             disp = displacement_residual(gamma, samples.interior_chart)
             ok = (deg_end.degree == deg_start.degree == 1
-                  and minimax_consistency(cert.energy, sphere_min))
+                  and minimax_consistency(cert.energy, geo.sphere_min))
             rows.append((gamma.name, cert.antidiagonal_residual, cert.radius_residual,
-                         cert.energy, sphere_min, deg_start.degree, deg_end.degree,
+                         cert.energy, geo.sphere_min, deg_start.degree, deg_end.degree,
                          deg_end.boundary_min, disp, ok))
             if not ok:
                 failures.append(gamma.name)
@@ -207,7 +196,7 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
                         f"image energy {cert.energy:.6g}")
         except LinkingSaddleError as exc:
             rows.append((gamma.name, float("nan"), float("nan"), float("nan"),
-                         sphere_min, 0, 0, float("nan"), float("nan"), False))
+                         geo.sphere_min, 0, 0, float("nan"), float("nan"), False))
             failures.append(f"{gamma.name} ({exc})")
     write_csv(
         _out_path(cfg, "intersection_report.csv"),
@@ -235,16 +224,12 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
         bad = ", ".join(sorted(hyp.witnesses)) or "sampled growth checks"
         return _fail("hypotheses", f"preset fails: {bad}")
 
-    prelude = _frame_and_samples(cfg, problem, "solve", steps + [("geometry", "failed")],
-                                 cfg.frame.boundary_samples, 0)
+    prelude = _frame_and_geometry(cfg, problem, "solve", steps + [("geometry", "failed")])
     if prelude is None:
         return 1
-    frame, samples, _ = prelude
-    geo = estimate_geometry(frame, samples)
-    del prelude, samples  # the samples are read by geometry alone
-    geo_ok = geo.certified and problem.lam >= 0 and problem.delta >= 0
-    steps.append(("geometry", "certified" if geo_ok else "failed"))
-    if not geo_ok:
+    _, geo, _ = prelude
+    steps.append(("geometry", "certified" if geo.certified else "failed"))
+    if not geo.certified:
         _write_run_manifest(cfg, "solve", steps)
         return _fail("geometry", f"margin {geo.margin:.6g} not certifiable")
 
@@ -302,7 +287,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
         return _fail("compactness", f"trace checks failed (tail diameter {ps.tail_diameter:.3e})")
     if not mm_ok:
         return _fail("minimax", f"critical value {report.critical_value:.6g} "
-                                f"undercuts sphere minimum {geo.sphere_min:.6g}")
+                                f"undercuts J at the sphere's anchor {geo.sphere_min:.6g}")
     _say(quiet, "pipeline complete: saddle certified")
     return 0
 

@@ -65,8 +65,6 @@ class FrameBlock:
     rho: Union[str, float] = "auto"
     d_y: int = 1
     seed: int = 12345
-    sphere_samples: int = 64
-    boundary_samples: int = 128
 
 
 @dataclass
@@ -179,12 +177,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
     nodes = d.nx if d.dimension == 1 else d.nx * d.ny
     if f.d_y > nodes:
         raise ConfigError(f"frame.d_y must not exceed the grid's node count {nodes}, got {f.d_y}")
-    for label, val in (
-        ("frame.sphere_samples", f.sphere_samples),
-        ("frame.boundary_samples", f.boundary_samples),
-    ):
-        if val < 2:
-            raise ConfigError(f"{label} must be at least 2, got {val}")
 
     try:
         dataclasses.replace(cfg.solver)  # runs SolverConfig's own validation

@@ -379,17 +379,17 @@ def validate_hypotheses(nl: NonlinearitySpec) -> HypothesisReport:
 def small_t_constants(nl: NonlinearitySpec, eps: float) -> float:
     """Smallest sampled constant k with |F|, |G| <= eps/2 t^2 + k |t|^p.
 
-    Sampled at 4001 points per sign on [1e-8, 1e3]. Used to certify that
-    the energy stays positive on small spheres of the diagonal subspace:
-    the quadratic part absorbs eps/2 t^2 and the power tail is controlled
-    by k.
+    Sampled at 4001 points per sign on [1e-8, 1e3]: the constant of the
+    small-sphere estimate for a coupling given only by its values. The
+    geometry certificate does not read it; for F = G = a |t|^p it takes
+    k = a, which holds at every t.
     """
     if not (eps > 0 and np.isfinite(eps)):
         raise InvalidSpecError(f"eps must be positive, got {eps}")
     t = _symmetric_log_grid(1e-8, 1e3, 4001)
     # At a large p, |t|^p over- or underflows at the ends of the window.
     # A quotient is then -inf where the bound holds trivially, or inf or
-    # nan, which makes the result not finite; choose_radii rejects that.
+    # nan, which makes the result not finite.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         fu = np.abs(np.asarray(nl.F(t), dtype=float))
         gv = np.abs(np.asarray(nl.G(t), dtype=float))

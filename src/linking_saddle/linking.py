@@ -3,9 +3,21 @@
 The linking construction takes a small sphere N inside the diagonal
 subspace and a half-ball frame M spanned by finitely many antidiagonal
 modes plus the anchor direction. Saddle geometry means the energy on N
-stays strictly above its maximum on the frame boundary. The frame is
-finite dimensional, so every claim here is checked in an explicit chart
-whose Euclidean norm agrees with the energy norm.
+stays strictly above its maximum on the frame boundary.
+
+That separation is proved, not sampled, over the paper's whole
+half-ball Q in R+ anchor + E-, where E- is the full antidiagonal
+subspace and not only the chart's modes. Below, on N, stands the sphere
+floor: a Green-function bound on the embedding constant feeds the
+small-sphere estimate. Above, on the boundary of Q, stands the ceiling:
+Jensen's inequality moves every point onto the anchor ray, where the
+energy is a closed-form function of one variable. Both hold for
+F = G = a |t|^p, the power and zero presets, with nonnegative shifts
+below resonance; any other coupling is refused.
+
+The degree and intersection certificates work on a finite-dimensional
+frame, checked in an explicit chart whose Euclidean norm agrees with the
+energy norm.
 
 The chart is linear: xi maps to the state xi . B, where the rows of B
 are the first d_y antidiagonal mode directions and anchor / r. The
@@ -45,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +70,7 @@ from .errors import (
     IntersectionNotFoundError,
     InvalidSpecError,
 )
-from .functional import Problem, _energy_from_cross, evaluate_J, small_t_constants
+from .functional import NonlinearitySpec, Problem, evaluate_J
 from .splitting import DiagonalSplitting, ModalBasis, build_modal_basis
 from .state import StatePair
 
@@ -96,12 +108,6 @@ SWEEP_RESIDUAL_TOL = 1e-10
 SWEEP_MAX_STEPS = 50
 SWEEP_MIN_DAMPING = 2.0**-16
 SWEEP_STEP_TOL = 1e-13
-# The energies of chart rows and sphere fields are evaluated in blocks of
-# at most this many nodal values, and at least one row: 64 rows of the 1D
-# n = 255 line, one row of a 128 x 128 square. A block pays off where the
-# per-row Python work outweighs the nodal work; a larger one would add
-# memory, and rows a failing pilot sweep evaluates past its first positive one
-ENERGY_BLOCK_VALUES = 2**14
 
 
 def _row_dots(xi: np.ndarray, other: Optional[np.ndarray] = None) -> np.ndarray:
@@ -168,20 +174,6 @@ class LinkingFrame:
         """
         rows = [self.basis.direction(k) for k in range(self.d_y)] + [self.anchor / self.r]
         return np.array([[self.splitting.pair_dot(a, b) for b in rows] for a in rows])
-
-    @cached_property
-    def _chart_cross(self) -> np.ndarray:
-        """C = (B_u K B_v^T + B_v K B_u^T) / 2, so that <u, v> of xi . B is xi^T C xi.
-
-        B_u and B_v are the u and v components of the rows of B. K is
-        symmetric, so the d_y + 1 products K B_v^T build it.
-        """
-        phi = self.basis.modes / np.sqrt(2.0)
-        rows_u = np.vstack([-phi, self.anchor.u / self.r])
-        k_rows_v = np.array([self.problem.op.apply(row)
-                             for row in np.vstack([phi, self.anchor.v / self.r])])
-        half = rows_u @ k_rows_v.T
-        return 0.5 * (half + half.T)
 
     def _check_chart(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -259,18 +251,8 @@ def build_frame(
 
 @dataclass
 class SampleSets:
-    """Seeded sample families of the linking sets.
+    """Seeded chart rows strictly inside the frame half-ball, for the displacement checks."""
 
-    Each row w of ``sphere_fields`` stands for the point (w, w) of the
-    small diagonal sphere N; the anchor and its negative always lead.
-    ``boundary_chart`` rows cover the frame boundary: base rows carry an
-    exact 0.0 last coordinate, cap rows have Euclidean norm exactly scaled
-    to rho. ``interior_chart`` rows are strictly inside the half-ball.
-    A family that was not asked for is an empty (0, d_y + 1) block.
-    """
-
-    sphere_fields: np.ndarray
-    boundary_chart: np.ndarray
     interior_chart: np.ndarray
 
 
@@ -347,165 +329,192 @@ def _boundary_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -
     ])
 
 
-def sample_sets(
-    frame: LinkingFrame,
-    sphere_count: int = 64,
-    boundary_count: int = 128,
-    interior_count: int = 0,
-    seed: int = 0,
-) -> SampleSets:
-    """Sphere fields, then boundary rows, then interior rows, from one seeded stream.
-
-    A family of count 0 draws nothing, so the rows drawn before it do not depend on it.
-    """
+def sample_sets(frame: LinkingFrame, interior_count: int = 12, seed: int = 0) -> SampleSets:
+    """``interior_count`` rows strictly inside the frame half-ball, from one seeded stream."""
     rng = np.random.default_rng(seed)
-    n = frame.problem.n
-
-    # n == 1: the diagonal sphere is exactly the two signed anchor points.
-    sphere = np.empty((max(sphere_count, 2) if n > 1 else 2, n))
-    sphere[0] = 0.5 * (frame.anchor.u + frame.anchor.v)
-    sphere[1] = -sphere[0]
-    for k in range(2, len(sphere), 2):
-        w = rng.standard_normal(n)
-        while (norm := frame.splitting.diagonal_norm(w)) < 1e-12:
-            w = rng.standard_normal(n)
-        sphere[k] = (frame.r / norm) * w
-        sphere[k + 1:k + 2] = -sphere[k]  # an odd last row has no partner
-
-    d = frame.chart_dim
-    boundary = np.empty((0, d))
-    if boundary_count > 0:
-        boundary = _boundary_rows(rng, d, frame.rho, boundary_count)
-    interior = _interior_rows(rng, d, frame.rho, interior_count)
-    return SampleSets(sphere, boundary, interior)
+    return SampleSets(_interior_rows(rng, frame.chart_dim, frame.rho, interior_count))
 
 
-def _blocks(problem: Problem, count: int) -> Iterator[slice]:
-    """Consecutive blocks of ``count`` rows of nodal fields on the problem's grid."""
-    step = max(1, ENERGY_BLOCK_VALUES // problem.n)
-    return (slice(start, start + step) for start in range(0, count, step))
+def _require_finite(label: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise GeometryCertificationError(f"{label} is not finite: {value}")
 
 
-def _block_energies(problem: Problem, u: np.ndarray, v: np.ndarray,
-                    cross: np.ndarray) -> Iterator[float]:
-    """The energy of each row pair (u[k], v[k]) whose cross term is cross[k], in row order.
+def _power_coefficient(nl: NonlinearitySpec) -> float:
+    """The a >= 0 with F = G = a |t|^p: the couplings whose geometry bounds are proved.
 
-    Each value is bitwise ``_energy_from_cross`` of the row alone: the
-    dots are ``_row_dots``, and a potential sums its row as ``np.sum``
-    sums a single field. A row whose energy is not finite is evaluated
-    alone, so a term that is not finite raises there as it does for the
-    row alone, and no sooner.
+    The power preset has a = scale / p and the zero preset a = 0; both
+    pass one function object as F and G. F is compared with a |t|^p at
+    six probe points, to rounding. Any other coupling raises
+    :class:`GeometryCertificationError` naming it.
     """
-    vol = problem.grid.cell_volume
+    probe = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        uu = _row_dots(u)
-        vv = uu if v is u else _row_dots(v)
-        total = cross - ((0.5 * problem.lam * vol * uu + 0.5 * problem.delta * vol * vv)
-                         + (vol * np.sum(problem.nl.F(u), axis=1)
-                            + vol * np.sum(problem.nl.G(v), axis=1)))
-    finite = np.isfinite(total)
-    for k, value in enumerate(total.tolist()):
-        if not finite[k]:
-            value = _energy_from_cross(problem, u[k], v[k], float(cross[k])).total
-        yield value
+        a = float(nl.F(np.ones(1))[0])
+        homogeneous = (nl.G is nl.F and a >= 0.0 and np.isfinite(a)
+                       and np.allclose(nl.F(probe), a * np.abs(probe) ** nl.p,
+                                       rtol=1e-12, atol=0.0))
+    if not homogeneous:
+        raise GeometryCertificationError(
+            f"coupling '{nl.name}' is not F = G = a|t|^p: the sphere floor and the "
+            "boundary ceiling are proved for the power and zero presets only")
+    return a
 
 
-def _sphere_minimum(problem: Problem, fields: np.ndarray) -> float:
-    """The least ``evaluate_J`` at (w, w) over the rows w of ``fields``, bitwise.
+def _green_diagonal(problem: Problem) -> np.ndarray:
+    """diag K^-1 in node order, in closed form: no solve and no inverse.
 
-    At u = v its two cross products are one, so a row takes one stiffness
-    product, doubled and halved as their sum is, overflow included. Rows
-    are evaluated a block at a time (``_block_energies``), each value
-    bitwise the row's own; the first row with a term that is not finite
-    raises :class:`EnergyOverflowError` naming the term.
+    1D: K = T / h with T = tridiag(-1, 2, -1) of size n, whose inverse
+    has the entries i (n + 1 - j) / (n + 1) for i <= j, so the diagonal
+    is h i (n + 1 - i) / (n + 1). 2D: K = (V_x (x) V_y) diag(Lambda)
+    (V_x (x) V_y)^T with the orthonormal axis factors the stiffness
+    solve caches, so entry (i, j) of diag K^-1 is
+    sum_ab V_x[i, a]^2 V_y[j, b]^2 / Lambda_ab, the product
+    (V_x o V_x) (1 / Lambda) (V_y o V_y)^T.
     """
-    def energies() -> Iterator[float]:
-        for block in _blocks(problem, len(fields)):
-            w = fields[block]
-            kw = np.array([problem.op.apply(row) for row in w])
-            with np.errstate(over="ignore", invalid="ignore"):
-                cross = 0.5 * (2.0 * _row_dots(w, kw))
-            yield from _block_energies(problem, w, w, cross)
+    grid = problem.grid
+    if grid.dimension == 1:
+        n, h = grid.shape[0], grid.h[0]
+        i = np.arange(1.0, n + 1.0)
+        return h * (i * (n + 1.0 - i)) / (n + 1.0)
+    hx, hy = grid.h
+    (wx, vx), (wy, vy) = problem.op._eigen_factors
+    return ((vx * vx) @ (1.0 / (hx * hy * (wx[:, None] + wy[None, :]))) @ (vy * vy).T).ravel()
 
-    return min(energies())
 
+def _floor_constants(problem: Problem) -> tuple[float, float, float]:
+    """(k, c0, eps) of the sphere floor  J(w, w) >= s^2/2 - 2 k c0 s^p  at s = |w|_K.
 
-def _chart_energies(frame: LinkingFrame, rows: np.ndarray) -> Iterator[float]:
-    """J(xi . B) for each chart row xi, yielded row by row.
+    k = a of F = G = a |t|^p (``_power_coefficient``), eps = (lam1 - lam
+    - delta) / 2, and c0 = G^((p - 2)/2) / lam1 with G = max diag K^-1
+    (``_green_diagonal``) and lam1 the principal eigenvalue of
+    K phi = lam vol phi.
 
-    Rows are evaluated a block at a time, each value bitwise the row's
-    own. The nodal fields are those of ``state_from_chart``, built by one
-    stacked product per block, and all terms but the cross term are
-    those of ``evaluate_J``. The cross term is xi^T C xi with the frame's
-    cached cross Gram C, so a row takes no stiffness product. A term that
-    is not finite raises :class:`EnergyOverflowError` naming the term and
-    the row, once the consumer reaches that row; a consumer that stops
-    earlier sees no error.
+    Proof that vol sum |w|^p <= c0 s^p: w_i = e_i^T w = <K^-1 e_i, w>_K,
+    so by Cauchy-Schwarz w_i^2 <= (K^-1)_ii s^2 <= G s^2, and
+    vol |w|^2 <= s^2 / lam1. Hence
+    vol sum |w_i|^p <= max_i |w_i|^(p-2) vol |w|^2 <= G^((p-2)/2) s^(p-2) s^2 / lam1.
+    On one node it is an equality. Proof of the floor, for
+    0 <= lam + delta < lam1: J(w, w) = s^2 - (lam + delta)/2 vol |w|^2
+    - 2 a vol sum |w|^p >= s^2 - s^2/2 - 2 a c0 s^p.
+
+    Raises :class:`GeometryCertificationError` for any other coupling,
+    a negative shift, shifts that reach lam1, or a c0 that is not finite.
     """
-    problem, cross, anchor = frame.problem, frame._chart_cross, frame.anchor
-    i = 0
-    try:
-        for block in _blocks(problem, len(rows)):
-            xi = rows[block]
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = ((xi[:, None, :-1] / np.sqrt(2.0)) @ frame.basis.modes)[:, 0]
-                a = xi[:, -1:] / frame.r
-                values = ((xi[:, None, :] @ cross) @ xi[:, :, None])[:, 0, 0]
-            for value in _block_energies(problem, a * anchor.u - w, a * anchor.v + w, values):
-                yield value
-                i += 1
-    except EnergyOverflowError as exc:
-        raise EnergyOverflowError(f"{exc} (chart row {i})") from None
+    a = _power_coefficient(problem.nl)
+    if problem.lam < 0 or problem.delta < 0:
+        raise GeometryCertificationError("the geometry bounds assume nonnegative linear shifts")
+    lam1 = problem.principal_eigenvalue()
+    eps = 0.5 * lam1 - 0.5 * (problem.lam + problem.delta)
+    if eps <= 0:
+        raise GeometryCertificationError(
+            f"linear shifts resonate with the principal eigenvalue {lam1:.6g}; "
+            "no sphere floor exists"
+        )
+    with np.errstate(over="ignore"):
+        c0 = float(np.max(_green_diagonal(problem)) ** ((problem.nl.p - 2.0) / 2.0) / lam1)
+    _require_finite("embedding constant c0", c0)
+    return a, c0, eps
+
+
+def _cap_ceiling(problem: Problem, a: float, diagonal: np.ndarray) -> Callable[[float], float]:
+    """rho -> an upper bound on J over the cap of Q, the half-ball of radius rho along ``diagonal``.
+
+    Let e be ``diagonal`` scaled so that the pair (e, e) has energy norm
+    1, q = vol |e|^2, and Q = {t (e, e) + (-w, w) : t >= 0,
+    t^2 + 2 |w|_K^2 <= rho^2} over every field w, not only the chart modes.
+    At u = t e - w, v = t e + w the cross term is t^2/2 - |w|_K^2, the
+    shifts give -(lam + delta)/2 (t^2 q + vol |w|^2) + (lam - delta) t
+    vol e.w, and F(t e - w) + F(t e + w) >= 2 F(t e) at every node, as F
+    = G is convex (Jensen). With y = sqrt(vol) |w| and Cauchy-Schwarz,
+
+        J <= J(t (e, e)) - |w|_K^2 - (lam + delta)/2 y^2 + |lam - delta| t sqrt(q) y,
+
+    and completing the square bounds the last two terms by kappa t^2,
+    kappa = (lam - delta)^2 q / (2 (lam + delta)), and 0 if lam = delta.
+    On the base t = 0 this gives J <= 0 = J(0), so the base ceiling is 0.
+    On the cap 2 |w|_K^2 = rho^2 - t^2, so J <= A t^2 - B t^p - rho^2/2
+    with A = 1 - (lam + delta) q / 2 + kappa and B = 2 a vol sum |e|^p,
+    and A > 0 as q <= 1 / (2 lam1). A t^2 - B t^p rises up to its crest
+    t* = (2 A / (p B))^(1/(p - 2)) and falls after it. With
+    R = (rho / t*)^(p - 2), taken by its logarithm so that neither t* nor
+    R overflows, its sup over t in [0, rho] is A rho^2 (1 - 2R/p) at rho
+    when R <= 1, and A t*^2 (1 - 2/p) = A rho^2 R^(-2/(p - 2)) (1 - 2/p)
+    otherwise. B = 0 puts the crest at infinity.
+
+    The shifts must be nonnegative, as ``_floor_constants`` checks.
+    """
+    lam, delta, p, vol = problem.lam, problem.delta, problem.nl.p, problem.grid.cell_volume
+    e = diagonal / math.sqrt(2.0 * problem.op.product(diagonal, diagonal))
+    q = vol * float(e @ e)
+    kappa = 0.0 if lam == delta else (lam - delta) ** 2 * q / (2.0 * (lam + delta))
+    big_a = 1.0 - 0.5 * (lam + delta) * q + kappa
+    with np.errstate(over="ignore"):
+        big_b = 2.0 * a * vol * float(np.sum(np.abs(e) ** p))
+    _require_finite("ray potential coefficient", big_b)
+    # log(p B / (2 A)), so that log R = log_b + (p - 2) log(rho)
+    log_b = math.log(p / (2.0 * big_a)) + math.log(big_b) if big_b > 0.0 else -math.inf
+
+    def ceiling(rho: float) -> float:
+        log_r = log_b + (p - 2.0) * math.log(rho)
+        if log_r <= 0.0:
+            peak = big_a * rho * rho * (1.0 - (2.0 / p) * math.exp(log_r))
+        else:
+            peak = big_a * rho * rho * math.exp(-2.0 * log_r / (p - 2.0)) * (1.0 - 2.0 / p)
+        return peak - 0.5 * rho * rho
+
+    return ceiling
 
 
 @dataclass
 class GeometryReport:
-    """Sampled saddle-geometry certificate: min over N vs max over the frame boundary."""
+    """The linking separation, proved: a floor of J on N above a ceiling of J on the boundary of Q.
 
+    ``sphere_floor`` <= inf J over the sphere N (``_floor_constants``),
+    and ``sphere_min`` is J at the anchor r e, the other side of a
+    bracket on that infimum. Q is the half-ball of radius rho in
+    R+ e + E-, with E- the whole antidiagonal subspace; ``base_max`` = 0
+    and ``cap_max`` bound J from above on its base and cap
+    (``_cap_ceiling``), and ``boundary_max`` is the larger. ``margin`` is
+    ``sphere_floor - boundary_max``, and ``certified`` reads margin > 0.
+    """
+
+    sphere_floor: float
     sphere_min: float
     boundary_max: float
     margin: float
     certified: bool
     base_max: float
     cap_max: float
-    sphere_count: int
-    boundary_count: int
     r: float
     rho: float
 
 
-def estimate_geometry(
-    frame: LinkingFrame, samples: Optional[SampleSets] = None, seed: int = 0
-) -> GeometryReport:
-    """Estimate the linking separation from seeded samples.
+def estimate_geometry(frame: LinkingFrame, *, seed: int = 0) -> GeometryReport:
+    """The proved linking separation of the frame's sphere and half-ball; draws nothing.
 
-    Sphere fields are evaluated by ``_sphere_minimum``. Boundary rows are
-    chart points, evaluated by ``_chart_energies`` with no stiffness
-    product per row, so the cost of a larger ``boundary_count`` is the
-    nodal work alone. Both evaluate their rows a block at a time, each
-    value bitwise the row's own. On a one-node grid the diagonal sphere
-    is just the signed anchor pair, so the sphere minimum is exact rather
-    than sampled.
+    The bounds hold for F = G = a |t|^p with nonnegative shifts below
+    resonance, and are taken in closed form: two stiffness products, for
+    J at the anchor. J is even, so it is the same at -r e. ``seed`` is
+    not read. Raises :class:`GeometryCertificationError` where the proofs
+    do not apply (``_floor_constants``).
     """
-    if samples is None:
-        samples = sample_sets(frame, seed=seed)
     problem = frame.problem
-    sphere_min = _sphere_minimum(problem, samples.sphere_fields)
-    boundary_vals = np.array(list(_chart_energies(frame, samples.boundary_chart)))
-    base_mask = samples.boundary_chart[:, -1] == 0.0
-    boundary_max = float(np.max(boundary_vals))
-    base_max = float(np.max(boundary_vals[base_mask])) if np.any(base_mask) else -np.inf
-    cap_max = float(np.max(boundary_vals[~base_mask])) if np.any(~base_mask) else -np.inf
-    margin = sphere_min - boundary_max
+    k, c0, _ = _floor_constants(problem)
+    s = np.float64(frame.r) / np.sqrt(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = float(0.5 * s * s - 2.0 * k * c0 * s**problem.nl.p)
+    cap_max = _cap_ceiling(problem, k, frame.anchor.u)(frame.rho)
+    boundary_max = max(0.0, cap_max)
+    margin = floor - boundary_max
     return GeometryReport(
-        sphere_min=sphere_min,
+        sphere_floor=floor,
+        sphere_min=evaluate_J(problem, frame.anchor).total,
         boundary_max=boundary_max,
         margin=margin,
         certified=bool(margin > 0),
-        base_max=base_max,
+        base_max=0.0,
         cap_max=cap_max,
-        sphere_count=len(samples.sphere_fields),
-        boundary_count=int(samples.boundary_chart.shape[0]),
         r=frame.r,
         rho=frame.rho,
     )
@@ -513,7 +522,11 @@ def estimate_geometry(
 
 @dataclass
 class RadiiChoice:
-    """Radii chosen from the small-sphere floor with the iterated embedding constant."""
+    """Radii from the proved sphere floor and cap ceiling (``choose_radii``).
+
+    ``floor_value`` is the floor at r, ``embedding_constant`` its c0,
+    ``small_constant`` its k and ``eps`` the spectral margin of the shifts.
+    """
 
     r: float
     rho: float
@@ -522,120 +535,39 @@ class RadiiChoice:
     embedding_constant: float
     small_constant: float
     eps: float
-    boundary_pilot_max: float
     note: str = ""
 
 
-def _looks_identically_zero(problem: Problem) -> bool:
-    probe = np.array([-10.0, -1.0, -1e-3, 1e-3, 1.0, 10.0])
-    nl = problem.nl
-    with np.errstate(over="ignore"):  # inf at a large p, which is not zero either
-        vals = [term(probe) for term in (nl.f, nl.F, nl.g, nl.G)]
-    return all(float(np.max(np.abs(v))) == 0.0 for v in vals)
-
-
-# choose_radii: the most power steps from each start of the embedding
-# constant, the most doublings of r it tries for rho, and boundary rows per
-# pilot sweep
-RADII_POWER_STEPS = 64
+# choose_radii: the most doublings of r it tries for rho
 RADII_MAX_DOUBLINGS = 40
-RADII_PILOT_BOUNDARY = 96
-
-
-def _power_ratio(problem: Problem, w: np.ndarray) -> float:
-    """vol*sum|w|^p at |w|_K = 1 where the power iteration from w stops rising; inf on overflow.
-
-    A step w <- K^-1(|w|^(p-2) w), normalized in the energy norm, never
-    lowers the ratio (Hein and Buehler, NIPS 2010). The iteration stops at
-    the first step that does not raise it or whose right-hand side
-    underflows to zero, and after ``RADII_POWER_STEPS`` solves.
-    """
-    op, vol, p = problem.op, problem.grid.cell_volume, problem.nl.p
-    best = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(RADII_POWER_STEPS + 1):
-            if step:
-                rhs = np.abs(w) ** (p - 2.0) * w
-                if not np.all(np.isfinite(rhs)):
-                    return math.inf
-                w = op.solve(rhs)
-            energy = op.product(w, w)
-            if not np.isfinite(energy):
-                return math.inf
-            if energy <= 0.0:  # the right-hand side underflowed
-                break
-            w = w / math.sqrt(energy)
-            ratio = vol * float(np.sum(np.abs(w) ** p))
-            if not ratio > best:
-                break
-            best = ratio
-    return best
-
-
-def _embedding_constant(problem: Problem) -> float:
-    """Iterated sup of vol*sum|w|^p over |w|_K^p: the larger ``_power_ratio`` of two starts.
-
-    From the principal mode the iteration keeps the grid's reflection
-    symmetries, and can stop at a symmetric field that a concentrated one
-    beats (two nodes, even grids at a large p, 2D grids from p ~ 8). The
-    Green's function K^-1 e_m of the middle node m breaks them.
-    """
-    shape = problem.grid.shape
-    middle = np.zeros(problem.n)
-    middle[np.ravel_multi_index(tuple((m - 1) // 2 for m in shape), shape)] = 1.0
-    return max(_power_ratio(problem, problem.eigenpairs(1)[1][0]),
-               _power_ratio(problem, problem.op.solve(middle)))
-
-
-def _require_finite(label: str, value: float) -> None:
-    if not np.isfinite(value):
-        raise GeometryCertificationError(f"{label} is not finite: {value}")
 
 
 def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
-    """Pick (r, rho) from the small-sphere floor with the iterated c0.
+    """Pick (r, rho) from the sphere floor and the cap ceiling along the principal mode.
 
-    The small-sphere floor is  s^2/2 - 2 k c0 s^p  in the diagonal
-    factor norm s, where c0 is the iterated embedding constant
-    (``_embedding_constant``, which draws nothing at random) and k the
-    small-amplitude constant at eps equal to half the spectral gap. The
-    returned r halves the maximizing s for safety; rho doubles r until a
-    pilot boundary sweep is nonpositive. One pilot frame and one draw of
-    rows at rho = 2r serve every doubling, exactly scaled. A sweep evaluates its chart
-    rows with ``_chart_energies``, a block at a time and each value bitwise
-    the row's own, and stops at its first positive energy, as only
-    ``max <= 0`` is decided: a failing sweep evaluates no block past that
-    row's, and a passing sweep evaluates every row.
-    ``seed`` feeds only the pilot rows.
+    The floor s^2/2 - 2 k c0 s^p (``_floor_constants``) is taken in the
+    diagonal factor norm s; r = sqrt(2) s at half the floor's maximizer,
+    for safety. rho = r 2^k for the least k whose cap ceiling
+    (``_cap_ceiling``) is at most 0, so the boundary ceiling of a frame
+    on these radii, anchored along the principal mode, is 0. The bounds
+    cover the whole antidiagonal subspace and draw nothing, so neither
+    ``d_y`` nor ``seed`` changes the radii.
 
-    Raises :class:`GeometryCertificationError` when c0, k, the floor or
-    r is not finite, as a large p makes them.
+    The zero preset gets r = 1 and rho = 2 with a note, as no radii
+    certify it. Raises :class:`GeometryCertificationError` where the
+    proofs do not apply, and when c0, the floor or r is not finite, as a
+    large p or a wide domain makes them.
     """
-    if _looks_identically_zero(problem):
+    if _power_coefficient(problem.nl) == 0.0:
         return RadiiChoice(
-            r=1.0, rho=2.0, doublings=1, floor_value=0.5,
+            r=1.0, rho=2.0, doublings=1, floor_value=0.25,
             embedding_constant=0.0, small_constant=0.0,
             eps=problem.principal_eigenvalue() / 2.0,
-            boundary_pilot_max=0.0,
             note="no coupling: no radius certifies, as J is r^2/2 on the sphere and "
                  "rho^2/2 > r^2/2 at the cap top; defaults returned",
         )
-    if problem.lam < 0 or problem.delta < 0:
-        raise GeometryCertificationError(
-            "sampled certification assumes nonnegative linear shifts"
-        )
-    lam1 = problem.principal_eigenvalue()
-    eps = 0.5 * lam1 - 0.5 * (problem.lam + problem.delta)
-    if eps <= 0:
-        raise GeometryCertificationError(
-            f"linear shifts resonate with the principal eigenvalue {lam1:.6g}; "
-            "no small-sphere floor exists"
-        )
-    c0 = _embedding_constant(problem)
-    _require_finite("iterated embedding constant c0", c0)
-    k_small = small_t_constants(problem.nl, eps)
-    _require_finite("small-amplitude constant k", k_small)
-    amp = 2.0 * k_small * c0
+    k, c0, eps = _floor_constants(problem)
+    amp = 2.0 * k * c0
     p = problem.nl.p
 
     grid_s = np.geomspace(1e-4, 1e4, 400)
@@ -649,33 +581,24 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
             s_best = grid_s[np.argmax(floors)]
         s_chosen = 0.5 * s_best
         floor_value = float(0.5 * s_chosen**2 - amp * s_chosen**p)
-    _require_finite("small-sphere floor", floor_value)
+    _require_finite("sphere floor", floor_value)
     if floor_value <= 0:
         raise GeometryCertificationError(
-            f"sampled small-sphere floor is nonpositive (best {floor_value:.6g})"
+            f"sphere floor is nonpositive (best {floor_value:.6g})"
         )
     r = float(np.sqrt(2.0) * s_chosen)
     _require_finite("radius r", r)
 
-    pilot = build_frame(problem, r, 2.0 * r, d_y=d_y)
-    # the rows sample_sets(boundary_count=RADII_PILOT_BOUNDARY, seed=seed + 1) draws at 2r
-    pilot_rows = _boundary_rows(np.random.default_rng(seed + 1), pilot.chart_dim, 2.0 * r,
-                                RADII_PILOT_BOUNDARY)
-    for k in range(1, RADII_MAX_DOUBLINGS + 1):
-        rho = r * 2.0**k
-        boundary_max = -np.inf
-        for value in _chart_energies(pilot, pilot_rows * 2.0**(k - 1)):
-            boundary_max = max(boundary_max, value)
-            if value > 0:
-                break
-        if boundary_max <= 0:
+    ceiling = _cap_ceiling(problem, k, problem.eigenpairs(1)[1][0])
+    for doublings in range(1, RADII_MAX_DOUBLINGS + 1):
+        rho = r * 2.0**doublings
+        if ceiling(rho) <= 0:
             return RadiiChoice(
-                r=r, rho=rho, doublings=k, floor_value=floor_value,
-                embedding_constant=c0, small_constant=k_small, eps=eps,
-                boundary_pilot_max=float(boundary_max),
+                r=r, rho=rho, doublings=doublings, floor_value=floor_value,
+                embedding_constant=c0, small_constant=k, eps=eps,
             )
     raise GeometryCertificationError(
-        f"no doubling of r={r:.6g} gave a nonpositive boundary within {RADII_MAX_DOUBLINGS} tries"
+        f"no doubling of r={r:.6g} gave a nonpositive cap ceiling within {RADII_MAX_DOUBLINGS} tries"
     )
 
 

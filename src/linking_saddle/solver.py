@@ -115,7 +115,7 @@ _LANCZOS_NCV = 5
 # energy norm of the last step of a converged Newton run, and the tail
 # diameter ps_monitor accepts
 TAIL_TOL = 1e-6
-# slack by which a critical value may undercut the sampled sphere minimum
+# slack, relative to max(1, |J|), by which a critical value may undercut J at the anchor
 MINIMAX_TOL = 1e-8
 # flow_deformation moves a chart point by the full flow map once both of its
 # boundary clearances (``linking._boundary_clearance``) reach this
@@ -960,8 +960,12 @@ def ps_monitor(problem: Problem, trace: IterateTrace, grad_tol: float) -> PSRepo
 
 
 def minimax_consistency(critical_value: float, sphere_min: float) -> bool:
-    """The computed level must not undercut the sampled sphere minimum, less ``MINIMAX_TOL``."""
-    return bool(critical_value >= sphere_min - MINIMAX_TOL)
+    """The computed level must not undercut J at the anchor of the sphere N, ``sphere_min``.
+
+    The slack is ``MINIMAX_TOL`` max(1, |sphere_min|), so that a level that
+    rounds to within a few ulp of a large ``sphere_min`` passes.
+    """
+    return bool(critical_value >= sphere_min - MINIMAX_TOL * max(1.0, abs(sphere_min)))
 
 
 def witness_predicate(

@@ -220,55 +220,6 @@ def ray_cross_coefficients(k, base_u: np.ndarray, base_v: np.ndarray, dir_u: np.
     return float(c0), float(c1), float(c2)
 
 
-ENERGY_TERMS = ("cross", "quadratic-u", "quadratic-v", "potential-u", "potential-v")
-
-
-def _row_energy(problem, u: np.ndarray, v: np.ndarray, cross: float) -> float:
-    """The energy of one pair of fields with the given cross term, term by term.
-
-    A term that is not finite raises FloatingPointError with the
-    package's message; the terms are checked in ``ENERGY_TERMS`` order.
-    """
-    vol = problem.grid.cell_volume
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = (cross,
-                 0.5 * problem.lam * vol * float(u @ u),
-                 0.5 * problem.delta * vol * float(v @ v),
-                 vol * float(np.sum(problem.nl.F(u))),
-                 vol * float(np.sum(problem.nl.G(v))))
-    for label, value in zip(ENERGY_TERMS, terms):
-        if not np.isfinite(value):
-            raise FloatingPointError(f"energy term '{label}' is not finite: {value}")
-    return terms[0] - ((terms[1] + terms[2]) + (terms[3] + terms[4]))
-
-
-def row_chart_energies(frame, rows):
-    """J(xi . B) of each chart row, one row at a time, as the geometry sweeps took it before.
-
-    The state is (a anchor.u - w, a anchor.v + w) with w = xi[:-1] / sqrt(2)
-    times the frame's modes and a = xi[-1] / r, and the cross term is
-    xi^T C xi with the frame's cross Gram C. A term that is not finite
-    raises FloatingPointError naming the term and the row.
-    """
-    for i, xi in enumerate(rows):
-        w = (xi[:-1] / np.sqrt(2.0)) @ frame.basis.modes
-        a = xi[-1] / frame.r
-        with np.errstate(over="ignore", invalid="ignore"):
-            cross = float(xi @ frame._chart_cross @ xi)
-        try:
-            yield _row_energy(frame.problem, a * frame.anchor.u - w, a * frame.anchor.v + w,
-                              cross)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"{exc} (chart row {i})") from None
-
-
-def row_sphere_minimum(problem, fields: np.ndarray) -> float:
-    """The least energy at (w, w) over the rows w of ``fields``, one row and one product each."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return min(_row_energy(problem, w, w, 0.5 * (2.0 * (w @ (problem.op.matrix @ w))))
-                   for w in fields)
-
-
 def ray_argmax_grid(energy, t_current: float):
     """Crest of a ray energy by the probe grid the package searched with before.
 

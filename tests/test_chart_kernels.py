@@ -9,12 +9,7 @@ are the loops over ``StatePair`` algebra and sparse stiffness applies
 that those kernels replaced, the inverse chart of the ``OracleFrame``
 twin, and the state-to-state deformations that mapped each state back
 to the chart; every kernel must agree with its oracle to 1e-12 relative
-to the size of its inputs. The chart-row energies of the geometry
-certificate take the cross term from the frame's cross Gram matrix;
-their oracle is ``evaluate_J`` on the state xi . B. They, and the
-energies of the sphere fields, are evaluated a block of rows at a time;
-each value, and each overflow message, must be bitwise that of the
-one-row loops they replaced. The displacement
+to the size of its inputs. The displacement
 residual of a chart map is sqrt(z^T G z) of its chart displacement z off
 the declared modes; its oracle is the state-space residual it replaced,
 to 1e-12 max(1, r). The homotopy, the
@@ -26,38 +21,31 @@ block must be bitwise the single-row numpy form of that row.
 """
 
 import dataclasses
-import re
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linking_saddle import (
     DeformationGamma,
     DomainMembershipError,
     DomainSpec,
-    EnergyOverflowError,
     LinkingFrame,
     ProblemSpec,
     StatePair,
     build_frame,
     discretize,
     displacement_residual,
-    evaluate_J,
     flow_deformation,
     flow_map,
     homotopy_chart_map,
     power_nonlinearity,
-    sample_sets,
     shipped_deformations,
 )
-from linking_saddle import linking
-from linking_saddle.linking import (ENERGY_BLOCK_VALUES, _boundary_clearance, _chart_energies,
-                                    _sphere_minimum)
+from linking_saddle.linking import _boundary_clearance
 from oracles import (boundary_clearance, chart_contains, homotopy_chart_value, modal_push_chart,
-                     row_chart_energies, row_sphere_minimum,
                      statepair_displacement_residual)
 
 REL = 1e-12
@@ -311,147 +299,3 @@ def test_batched_homotopy_rows_match_the_single_row_forms(grid_index, d_y, ancho
             want = homotopy_chart_value(frame._chart_gram, frame.r, t, xi, want_eta)
             for a, b in ((eta, want_eta), (value, want)):
                 assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-ENERGY_GRIDS = GRIDS + (DomainSpec.square(5),)
-
-
-def overflowing_term(message):
-    return re.search(r"energy term '([^']+)'", message).group(1)
-
-
-@settings(max_examples=60)
-@given(st.integers(0, len(ENERGY_GRIDS) - 1), st.integers(1, 3),
-       st.one_of(st.none(), st.integers(0, 2**32 - 1)), st.integers(0, 2**32 - 1),
-       st.floats(0.0, 30.0), st.floats(0.0, 30.0))
-def test_chart_energies_match_evaluate_J(grid_index, d_y, anchor_seed, seed, lam, delta):
-    problem = discretize(ProblemSpec(ENERGY_GRIDS[grid_index], power_nonlinearity(),
-                                     lam=lam, delta=delta))
-    anchor = None
-    if anchor_seed is not None:
-        anchor = StatePair(*np.random.default_rng(anchor_seed).standard_normal((2, problem.n)))
-    frame = build_frame(problem, 0.7, 3.0, d_y=d_y, anchor_direction=anchor)
-    samples = sample_sets(frame, sphere_count=2, boundary_count=16, interior_count=6, seed=seed)
-    # corner probes, cap rows, base rows, then interior rows
-    rows = np.vstack([samples.boundary_chart, samples.interior_chart])
-
-    got = list(_chart_energies(frame, rows))
-    assert len(got) == len(rows)
-    for xi, value in zip(rows, got):
-        want = evaluate_J(problem, frame.state_from_chart(xi))
-        size = (abs(want.cross) + abs(want.quad_u) + abs(want.quad_v)
-                + abs(want.potential_u) + abs(want.potential_v))
-        assert abs(value - want.total) <= REL * size
-
-    # rows scaled from a drawn index on overflow a term: the quartic
-    # potentials at 1e100, the cross term itself at 1e200; the first
-    # failing row is named
-    start = 1 + seed % (len(rows) - 1)
-    for scale in (1e100, 1e200):
-        big = rows.copy()
-        big[start:] *= scale
-        expected = None
-        for i, xi in enumerate(big):
-            try:
-                evaluate_J(problem, frame.state_from_chart(xi))
-            except EnergyOverflowError as exc:
-                expected = (overflowing_term(str(exc)), i)
-                break
-        assert expected is not None
-        with pytest.raises(EnergyOverflowError) as caught:
-            list(_chart_energies(frame, big))
-        message = str(caught.value)
-        assert overflowing_term(message) == expected[0]
-        assert message.endswith(f"(chart row {expected[1]})")
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return bool(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
-# block sizes from 17 rows (40 x 23) to 2340 (1D n = 7), and one row at 128 x 128
-BLOCK_GRIDS = ENERGY_GRIDS + (DomainSpec.interval(255), DomainSpec.rectangle(40, 23))
-
-
-@settings(max_examples=40)
-@given(st.sampled_from(BLOCK_GRIDS), st.integers(1, 4),
-       st.one_of(st.none(), st.integers(0, 2**32 - 1)), st.integers(0, 2**32 - 1),
-       st.floats(0.0, 30.0), st.floats(0.0, 30.0), st.integers(0, 4))
-@example(DomainSpec.square(128), 1, None, 0, 0.0, 0.0, 4)
-def test_blocked_energies_match_the_row_oracles(domain, d_y, anchor_seed, seed, lam, delta,
-                                                which):
-    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
-    block = max(1, ENERGY_BLOCK_VALUES // problem.n)
-    count = max(1, (1, block - 1, block, block + 1, 96)[which])
-    anchor = None
-    if anchor_seed is not None:
-        anchor = StatePair(*np.random.default_rng(anchor_seed).standard_normal((2, problem.n)))
-    frame = build_frame(problem, 0.7, 3.0, d_y=d_y, anchor_direction=anchor)
-    rng = np.random.default_rng(seed)
-    # rows inside the half-ball and past it, about a third on its base
-    rows = rng.standard_normal((count, d_y + 1)) * rng.uniform(0.05, 2.0, (count, 1))
-    rows[rng.random(count) < 1.0 / 3.0, -1] = 0.0
-    fields = rng.standard_normal((count, problem.n)) * 10.0 ** rng.uniform(-2.0, 1.0)
-    assert same_bits(list(_chart_energies(frame, rows)), list(row_chart_energies(frame, rows)))
-    assert same_bits(_sphere_minimum(problem, fields), row_sphere_minimum(problem, fields))
-
-    # from a drawn row on, the potentials overflow (1e100) or the cross term
-    # does (1e200): the same term of the same row is named
-    start = int(rng.integers(count))
-    for scale in (1e100, 1e200):
-        for kernel, oracle, block_of in ((lambda a: list(_chart_energies(frame, a)),
-                                          lambda a: list(row_chart_energies(frame, a)), rows),
-                                         (lambda a: _sphere_minimum(problem, a),
-                                          lambda a: row_sphere_minimum(problem, a), fields)):
-            big = block_of.copy()
-            big[start:] *= scale
-            with pytest.raises(FloatingPointError) as wanted:
-                oracle(big)
-            with pytest.raises(EnergyOverflowError) as caught:
-                kernel(big)
-            assert str(caught.value) == str(wanted.value)
-
-
-def test_a_consumer_that_stops_early_sees_no_later_overflow(line_problem):
-    # rows 1 (positive energy) and 2 (its cross term overflows) share one block
-    frame = build_frame(line_problem, 0.7, 3.0)
-    assert ENERGY_BLOCK_VALUES // line_problem.n >= 3
-    rows = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 1e200]])
-    seen = []
-    for value in _chart_energies(frame, rows):
-        seen.append(value)
-        if value > 0:
-            break
-    assert seen == list(row_chart_energies(frame, rows[:2])) and seen[1] > 0
-    with pytest.raises(EnergyOverflowError, match=r"^energy term 'cross' .*\(chart row 2\)$"):
-        list(_chart_energies(frame, rows))
-
-
-@pytest.mark.parametrize("domain", [DomainSpec.square(128), DomainSpec.interval(255)])
-def test_a_failing_doubling_evaluates_no_row_past_the_block_of_its_first_positive_row(
-        domain, monkeypatch):
-    problem = discretize(ProblemSpec(domain, power_nonlinearity()))
-    block = max(1, ENERGY_BLOCK_VALUES // problem.n)
-    sweeps = []
-    chart_energies, block_energies = linking._chart_energies, linking._block_energies
-
-    def recording_sweep(frame, rows):
-        sweeps.append((frame, rows, []))
-        return chart_energies(frame, rows)
-
-    def recording_block(problem, u, v, cross):
-        sweeps[-1][2].append(len(cross))
-        return block_energies(problem, u, v, cross)
-
-    monkeypatch.setattr(linking, "_chart_energies", recording_sweep)
-    monkeypatch.setattr(linking, "_block_energies", recording_block)
-    choice = linking.choose_radii(problem)
-    assert len(sweeps) == choice.doublings >= 2
-    for k, (frame, rows, blocks) in enumerate(sweeps, start=1):
-        energies = list(row_chart_energies(frame, rows))
-        positive = [i for i, value in enumerate(energies) if value > 0]
-        assert bool(positive) is (k < choice.doublings)
-        # a failing doubling stops in the block of its first positive row
-        wanted = min(len(rows), (positive[0] // block + 1) * block) if positive else len(rows)
-        assert sum(blocks) == wanted and blocks[:-1] == [block] * (len(blocks) - 1)

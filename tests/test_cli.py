@@ -222,8 +222,8 @@ def test_cli_intersect_degree_start_is_each_deformations_own(tmp_path):
     assert rc == 0
     rows = read_csv(tmp_path / "i" / "intersection_report.csv")
     cfg = load_config(path)
-    frame, _, _ = cli._frame_and_samples(cfg, discretize(to_problem_spec(cfg)), "intersect",
-                                         [], 0, 12)
+    frame, _, _ = cli._frame_and_geometry(cfg, discretize(to_problem_spec(cfg)), "intersect",
+                                          [])
     gammas = shipped_deformations(frame)
     assert [r["deformation"] for r in rows] == [g.name for g in gammas]
     for row, gamma in zip(rows, gammas):
@@ -287,7 +287,7 @@ def test_cli_solve_square_writes_heatmaps(tmp_path):
 
 
 def test_cli_solve_releases_its_samples_before_the_solve(tmp_path, monkeypatch):
-    # only geometry reads the samples; the sphere fields are n floats per sample
+    # the geometry is proved in closed form, so solve draws no samples to hold
     drawn, solved = [], []
     draw, solve = cli.sample_sets, cli.solve_saddle
 
@@ -305,7 +305,7 @@ def test_cli_solve_releases_its_samples_before_the_solve(tmp_path, monkeypatch):
     rc = main(["solve", "--config", cfg_file(tmp_path, SQUARE), "--out", str(tmp_path / "sq"),
                "--quiet"])
     assert rc == 0
-    assert solved == [[True]]
+    assert solved == [[]]
 
 
 def test_cli_solve_deterministic(tmp_path):
@@ -441,11 +441,9 @@ def test_cli_rejects_the_interior_sample_count(tmp_path, capsys, command):
     assert "frame.interior_samples: unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, boundary, interior", [
-    ("geometry", 128, 0), ("solve", 128, 0), ("intersect", 0, 12),
-])
-def test_cli_draws_only_the_sample_families_it_reads(tmp_path, monkeypatch, command, boundary,
-                                                     interior):
+@pytest.mark.parametrize("command, interior", [("geometry", 0), ("solve", 0), ("intersect", 12)])
+def test_cli_draws_only_the_sample_families_it_reads(tmp_path, monkeypatch, command, interior):
+    # only intersect reads samples, the interior rows of its displacement check
     drawn = []
     draw = cli.sample_sets
 
@@ -457,9 +455,7 @@ def test_cli_draws_only_the_sample_families_it_reads(tmp_path, monkeypatch, comm
     rc = main([command, "--config", cfg_file(tmp_path, LINE_D2), "--out", str(tmp_path / "o"),
                "--quiet"])
     assert rc == 0
-    (samples,) = drawn
-    assert samples.boundary_chart.shape == (boundary, 3)
-    assert samples.interior_chart.shape == (interior, 3)
+    assert [samples.interior_chart.shape for samples in drawn] == [(interior, 3)] * bool(interior)
 
 
 @pytest.mark.parametrize("key, value", [("problem.mu", "4"), ("solver.init", "anchor"),
@@ -603,33 +599,32 @@ def test_cli_adversarial_configs_exit_cleanly(tmp_path, capsys, command, text, e
 
 @pytest.mark.parametrize("p, expected, stderr", [
     (80, 0, ""),
-    (120, 1, "FAILED at stage 'geometry': small-amplitude constant k is not finite: nan\n"),
-    (200, 1, "FAILED at stage 'geometry': small-amplitude constant k is not finite: nan\n"),
-    # the iterated c0 is finite here (about 2.4e-122); k is not
-    (400, 1, "FAILED at stage 'geometry': small-amplitude constant k is not finite: nan\n"),
+    (120, 0, ""),
+    # k = 1/p and c0 (about 1.6e-121 at p = 400) are finite; the sampled growth
+    # bound is not, as 100^(p - 1) overflows
+    (200, 1, "FAILED at stage 'geometry': not certified: growth hypotheses failed\n"),
+    (400, 1, "FAILED at stage 'geometry': not certified: growth hypotheses failed\n"),
 ])
 def test_cli_geometry_at_a_large_power_names_the_constant(tmp_path, p, expected, stderr):
-    _check_geometry_run(tmp_path, f"problem.p = {p}\n", expected, stderr)
+    _check_geometry_run(tmp_path, f"problem.p = {p}\n", expected, stderr,
+                        step="geometry: not certified")
 
 
 def test_cli_geometry_names_an_overflowing_embedding_constant(tmp_path):
-    # on a wide interval the power iteration overflows at its first solve
+    # on a wide interval G = max diag K^-1 = 2.5e5, and G^59 overflows
     _check_geometry_run(
-        tmp_path, "problem.p = 80\ndomain.extent_x = 1e6\n", 1,
-        "FAILED at stage 'geometry': iterated embedding constant c0 is not finite: inf\n")
+        tmp_path, "problem.p = 120\ndomain.extent_x = 1e6\n", 1,
+        "FAILED at stage 'geometry': embedding constant c0 is not finite: inf\n")
 
 
 def test_cli_geometry_takes_the_grid_floor_near_p_2(tmp_path):
-    # at p = 2.05 the closed-form maximizer of the floor (about 2.7e251) overflows
-    # when squared, so the grid's best s = 1e4 sets the radii. The run then fails
-    # only on small amplitudes: |f(t)/t| = 3.57 |t|^0.05 exceeds 1e-2
+    # at p = 2.001 the closed-form maximizer of the floor (5^2000, about 1e1398)
+    # overflows, so the grid's best s = 1e4 sets r = sqrt(2) 5e3. The ray's
+    # crest is as far out, so no doubling of r brings the cap ceiling to 0
     _check_geometry_run(
-        tmp_path, "problem.p = 2.05\nproblem.scale = 3.5694218829\n", 1,
-        "FAILED at stage 'geometry': not certified: growth hypotheses failed\n",
-        step="geometry: not certified")
-    (row,) = read_csv(tmp_path / "o" / "geometry_report.csv")
-    assert float(row["r"]) == pytest.approx(np.sqrt(2.0) * 0.5e4, rel=1e-15)
-    assert float(row["margin"]) > 0 and row["certified"] == "false"
+        tmp_path, "problem.p = 2.001\n", 1,
+        "FAILED at stage 'geometry': no doubling of r=7071.07 gave a nonpositive cap "
+        "ceiling within 40 tries\n")
 
 
 def _check_geometry_run(tmp_path, lines, expected, stderr, step="radii: failed"):

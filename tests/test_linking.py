@@ -56,55 +56,43 @@ def zero_problem():
     return discretize(spec)
 
 
-def test_sample_sets_contracts(line_problem, line_frame):
-    samples = sample_sets(line_frame, sphere_count=40, boundary_count=60, interior_count=30, seed=4)
-    r, rho = line_frame.r, line_frame.rho
-    norms = [line_problem.pair_norm(StatePair.diagonal(w)) for w in samples.sphere_fields]
-    assert np.allclose(norms, r, rtol=1e-10)
-    # the anchor and its negative are always among the sphere probes
-    diffs = [np.max(np.abs(w - line_frame.anchor.u)) for w in samples.sphere_fields]
-    sums = [np.max(np.abs(w + line_frame.anchor.u)) for w in samples.sphere_fields]
-    assert min(diffs) == 0.0 and min(sums) == 0.0
-
-    chart_norms = np.linalg.norm(samples.boundary_chart, axis=1)
-    last = samples.boundary_chart[:, -1]
-    on_base = last == 0.0
-    on_cap = np.abs(chart_norms - rho) <= 1e-9 * rho
-    assert np.all(on_base | on_cap)
-    assert np.any(on_base) and np.any(on_cap)
-    assert np.all(last >= 0.0)
-
+def test_sample_sets_contracts(line_frame):
+    samples = sample_sets(line_frame, interior_count=30, seed=4)
+    assert samples.interior_chart.shape == (30, line_frame.chart_dim)
     interior_last = samples.interior_chart[:, -1]
     assert np.all(interior_last > 0.0)
-    assert np.all(np.linalg.norm(samples.interior_chart, axis=1) < rho)
+    assert np.all(np.linalg.norm(samples.interior_chart, axis=1) < line_frame.rho)
 
 
 def test_sample_sets_deterministic(line_frame):
     a = sample_sets(line_frame, seed=9)
     b = sample_sets(line_frame, seed=9)
-    assert np.array_equal(a.boundary_chart, b.boundary_chart)
     assert np.array_equal(a.interior_chart, b.interior_chart)
-    assert np.array_equal(a.sphere_fields, b.sphere_fields)
 
 
 def test_toy_sphere_minimum_closed_form(toy_problem, toy_frame):
-    # one node: the sphere probe set is exactly {anchor, -anchor}, and
-    # J there is 1/2 - 1/256 on both
-    geo = estimate_geometry(toy_frame, sample_sets(toy_frame, seed=0))
+    # one node: the sphere is exactly {anchor, -anchor}, and J there is
+    # 1/2 - 1/256; the floor 1/4 - 2 (1/4) (1/32) (1/4) is below it
+    geo = estimate_geometry(toy_frame)
     assert geo.sphere_min == pytest.approx(127.0 / 256.0, abs=1e-12)
-    assert geo.base_max <= 0.0
+    assert geo.sphere_floor == pytest.approx(0.25 - 1.0 / 256.0, abs=1e-15)
+    assert geo.base_max == 0.0
     # rho = 2 is too tight for separation; the chosen radii do certify
+    assert not geo.certified
     choice = choose_radii(toy_problem)
     wide = build_frame(toy_problem, choice.r, choice.rho)
-    assert estimate_geometry(wide, sample_sets(wide, seed=0)).certified
+    assert estimate_geometry(wide).certified
 
 
 def test_zero_preset_sphere_value(zero_problem):
     frame = build_frame(zero_problem, 1.0, 2.0)
-    geo = estimate_geometry(frame, sample_sets(frame, seed=1))
-    # without potentials J on the diagonal sphere is exactly r^2/2
+    geo = estimate_geometry(frame)
+    # without potentials J on the diagonal sphere is exactly r^2/2, and
+    # its floor r^2/4; the cap ceiling is rho^2/2, at the cap top
     assert geo.sphere_min == pytest.approx(0.5, rel=1e-12)
-    assert not geo.certified  # the cap reaches rho^2/2 > sphere level
+    assert geo.sphere_floor == pytest.approx(0.25, rel=1e-12)
+    assert geo.cap_max == pytest.approx(2.0, rel=1e-12)
+    assert not geo.certified
 
 
 def test_choose_radii_invariants(line_problem):
@@ -112,11 +100,11 @@ def test_choose_radii_invariants(line_problem):
     assert 0.0 < choice.r < choice.rho
     assert choice.eps > 0.0
     assert choice.floor_value > 0.0
-    assert choice.boundary_pilot_max <= 0.0
     assert choice.note == ""
     frame = build_frame(line_problem, choice.r, choice.rho)
-    geo = estimate_geometry(frame, sample_sets(frame, seed=0))
-    assert geo.certified
+    geo = estimate_geometry(frame)
+    assert geo.certified and geo.boundary_max == 0.0 and geo.cap_max <= 0.0
+    assert geo.sphere_floor == pytest.approx(choice.floor_value, rel=1e-14)
 
 
 def test_choose_radii_zero_preset_flagged(zero_problem):
@@ -142,40 +130,20 @@ def test_choose_radii_rejects_bad_shifts():
     (DomainSpec.interval(1), 1),
 ])
 def test_choose_radii_matches_the_full_pilot_sweep(domain, d_y):
-    # the sweeps stop at their first positive energy and take the cross
-    # term from the chart; the radii are those of the full evaluate_J sweeps
+    # rho is the first doubling whose frame the full geometry certifies, and
+    # the rows the sampled pilot sweep drew on that frame all have J <= 0
     problem = discretize(ProblemSpec(domain, power_nonlinearity()))
-    seed = 5
-    choice = choose_radii(problem, d_y=d_y, seed=seed)
+    choice = choose_radii(problem, d_y=d_y, seed=5)
 
     def boundary_energies(rho):
-        pilot = build_frame(problem, choice.r, rho, d_y=d_y)
-        rows = sample_sets(pilot, sphere_count=2, boundary_count=linking.RADII_PILOT_BOUNDARY,
-                           interior_count=2, seed=seed + 1).boundary_chart
-        return [evaluate_J(problem, pilot.state_from_chart(row)).total for row in rows]
+        return [estimate_geometry(build_frame(problem, choice.r, rho, d_y=d_y)).boundary_max]
 
     rho, doublings, top = doubling_pilot(boundary_energies, choice.r,
                                          linking.RADII_MAX_DOUBLINGS)
-    assert (choice.rho, choice.doublings, choice.boundary_pilot_max) == (rho, doublings, top)
-
-
-@pytest.mark.parametrize("d_y, seed", [(1, 0), (2, 5), (3, 11), (4, 123)])
-def test_choose_radii_draws_the_pilot_rows_once(square_problem, monkeypatch, d_y, seed):
-    # the rows at rho = 2^k r are those at 2r times 2^(k - 1), bitwise
-    draws = []
-    boundary_rows = linking._boundary_rows
-    monkeypatch.setattr(linking, "_boundary_rows",
-                        lambda *args: draws.append(args[1:]) or boundary_rows(*args))
-    choice = choose_radii(square_problem, d_y=d_y, seed=seed)
-    count = linking.RADII_PILOT_BOUNDARY
-    assert draws == [(d_y + 1, 2.0 * choice.r, count)]
-    # the per-doubling draw: each doubling fails on its own rows but the last
-    pilot = build_frame(square_problem, choice.r, 2.0 * choice.r, d_y=d_y)
-    for k in range(1, choice.doublings + 1):
-        rows = boundary_rows(np.random.default_rng(seed + 1), d_y + 1, choice.r * 2.0**k, count)
-        top = max(linking._chart_energies(pilot, rows))
-        assert (top <= 0) is (k == choice.doublings)
-    assert (choice.rho, choice.boundary_pilot_max) == (choice.r * 2.0**choice.doublings, top)
+    assert (choice.rho, choice.doublings, top) == (rho, doublings, 0.0)
+    frame = build_frame(problem, choice.r, choice.rho, d_y=d_y)
+    rows = linking._boundary_rows(np.random.default_rng(6), d_y + 1, choice.rho, 96)
+    assert max(evaluate_J(problem, frame.state_from_chart(row)).total for row in rows) <= 0.0
 
 
 @settings(max_examples=200)
@@ -186,18 +154,6 @@ def test_pilot_rows_scale_exactly_with_rho(seed, dim, k, r):
         return linking._boundary_rows(np.random.default_rng(seed), dim, rho, 2 * dim + 89)
 
     assert np.array_equal(draw(2.0 * r) * 2.0**(k - 1), draw(r * 2.0**k))
-
-
-def test_choose_radii_builds_one_pilot_frame(square_problem, monkeypatch):
-    # each doubling draws rows of its own rho; the pilot's chart does not depend on rho
-    built = []
-    real = linking.build_frame
-    monkeypatch.setattr(linking, "build_frame",
-                        lambda *args, **kwargs: built.append(real(*args, **kwargs)) or built[-1])
-    choice = choose_radii(square_problem, d_y=2, seed=5)
-    assert choice.doublings >= 2
-    (pilot,) = built
-    assert pilot.r == choice.r
 
 
 def _power_problem(domain, p=4.0):
@@ -218,12 +174,11 @@ def _power_problem(domain, p=4.0):
 @example(DomainSpec.rectangle(1, 2), 7.9, 0)
 def test_embedding_constant_is_at_least_the_sampled_one(domain, p, seed):
     # at p = 80 and 120 a smoothed random field beats the principal mode by far,
-    # and on two nodes, 2 x 2 or 1D n = 4 at p = 12 so does its iterated field;
-    # where the principal mode is the extremal field a random field can beat
-    # its rounding by an ulp
+    # and on two nodes, 2 x 2 or 1D n = 4 at p = 12 a concentrated field does;
+    # the Green bound is above every sample, to rounding
     problem = _power_problem(domain, p)
     sampled = sampled_embedding_constant(problem, seed)
-    assert linking._embedding_constant(problem) >= sampled - 4.0 * np.spacing(sampled)
+    assert linking._floor_constants(problem)[1] >= sampled - 4.0 * np.spacing(sampled)
 
 
 def test_choose_radii_does_not_depend_on_the_seed_through_c0():
@@ -232,35 +187,17 @@ def test_choose_radii_does_not_depend_on_the_seed_through_c0():
     assert len({(c.embedding_constant, c.r) for c in choices}) == 1
 
 
-@pytest.mark.parametrize("domain", [DomainSpec.interval(255), DomainSpec.square(32),
-                                    DomainSpec.square(128), DomainSpec.rectangle(12, 5)])
-def test_embedding_constant_takes_at_most_its_step_cap(domain, monkeypatch):
-    problem = _power_problem(domain)
-    solves, per_start = [], []
-    solve, power_ratio = problem.op.solve, linking._power_ratio
-    monkeypatch.setattr(problem.op, "solve", lambda rhs: solves.append(1) or solve(rhs))
-
-    def counting(problem, w):
-        before = len(solves)
-        value = power_ratio(problem, w)
-        per_start.append(len(solves) - before)
-        return value
-
-    monkeypatch.setattr(linking, "_power_ratio", counting)
-    linking._embedding_constant(problem)
-    assert len(per_start) == 2 and max(per_start) <= linking.RADII_POWER_STEPS
-    # from the principal mode the ratio stops rising before the cap
-    assert per_start[0] < linking.RADII_POWER_STEPS
-
-
 @pytest.mark.parametrize("p", [2.5, 4.0, 7.0, 12.0])
 def test_embedding_constant_on_one_node_is_closed_form(p):
-    # h = 1/2, K = 4 and vol = 1/2: the field w = 1/2 has |w|_K = 1
+    # h = 1/2, K = 4 and vol = 1/2: the field w = 1/2 has |w|_K = 1, and the
+    # Green bound G^((p - 2)/2) / lam1 with G = 1/4 and lam1 = 8 is attained
     exact = 0.5 * 0.5**p
-    c0 = linking._embedding_constant(_power_problem(DomainSpec.interval(1), p))
+    problem = _power_problem(DomainSpec.interval(1), p)
+    c0 = linking._floor_constants(problem)[1]
     assert abs(c0 - exact) <= 2.0 * np.spacing(exact)
     if p == 4.0:
-        assert c0 == 0.03125
+        # lam1 = 16 sin^2(pi/4) is 8 to rounding
+        assert c0 == 0.25 / problem.principal_eigenvalue()
 
 
 class CountingMatrix:
@@ -278,17 +215,18 @@ class CountingMatrix:
 @pytest.mark.parametrize("d_y", [1, 2])
 def test_geometry_matvecs_do_not_grow_with_the_boundary_count(square_problem, monkeypatch,
                                                               d_y):
+    # the ceiling covers the whole boundary of Q at a cost that does not depend on rho
+    square_problem.principal_eigenvalue()  # cached once per problem
     counts = []
-    for boundary_count in (32, 128):
-        frame = build_frame(square_problem, 1.0, 4.0, d_y=d_y)
-        samples = sample_sets(frame, sphere_count=8, boundary_count=boundary_count, seed=3)
+    for rho in (4.0, 64.0):
+        frame = build_frame(square_problem, 1.0, rho, d_y=d_y)
         counter = CountingMatrix(square_problem.op.matrix)
         with monkeypatch.context() as patch:
             patch.setattr(square_problem.op, "matrix", counter)
-            estimate_geometry(frame, samples)
+            estimate_geometry(frame)
         counts.append(counter.vectors)
-    # one per sphere field, and the d_y + 1 rows of the cross Gram matrix
-    assert counts == [8 + d_y + 1] * 2
+    # two for J at the anchor, one for the norm of the anchor's field
+    assert counts == [3, 3]
 
 
 def test_frame_validation(line_problem):
@@ -434,11 +372,12 @@ def test_newton_sweep_matches_the_hybr_sweep(domain, d_y):
 
 
 def test_boundary_points_are_fixed_bitwise(line_frame):
-    samples = sample_sets(line_frame, boundary_count=48, seed=2)
+    rows = linking._boundary_rows(np.random.default_rng(2), line_frame.chart_dim,
+                                  line_frame.rho, 48)
     for gamma in shipped_deformations(line_frame):
         if gamma.name == "identity":
             continue
-        for row in samples.boundary_chart:
+        for row in rows:
             x = line_frame.state_from_chart(row)
             gx = gamma(row)
             assert np.array_equal(gx.u, x.u) and np.array_equal(gx.v, x.v)

@@ -6,8 +6,7 @@ eigenpairs of the axes are built once per operator and shared by
 ``eigenpairs`` and the fast-diagonalization solve; before, every call
 factored each axis, as 1D grids still build their modes on each call. The
 power potential is (s/p) |t|^(p-2) t^2; before, it was (s/p) |t|^p. The
-sphere minimum evaluates (w, w) with one stiffness product; before, it was
-``evaluate_J`` of the pair, with two. The solution and heatmap writers
+solution and heatmap writers
 format whole blocks; before, they formatted one row at a time.
 """
 
@@ -15,17 +14,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linking_saddle.grid as grid_module
 from linking_saddle import (
     DiagonalSplitting,
     DomainSpec,
-    EnergyOverflowError,
     LinearSolveError,
     ProblemSpec,
-    StatePair,
     build_frame,
     build_grid,
     build_modal_basis,
@@ -33,11 +30,9 @@ from linking_saddle import (
     discretize,
     eigenpairs,
     estimate_geometry,
-    evaluate_J,
     power_nonlinearity,
     solve_saddle,
 )
-from linking_saddle.linking import _sphere_minimum
 from linking_saddle.reporting import write_float_csv, write_pgm
 
 from oracles import csr_stiffness
@@ -188,35 +183,6 @@ def test_power_potential_at_the_default_exponent_is_within_2_ulp():
     t = np.random.default_rng(3).standard_normal(20000) * 10.0 ** np.linspace(-60, 60, 20000)
     np.testing.assert_array_max_ulp(power_nonlinearity().F(t), 0.25 * np.abs(t) ** 4.0,
                                     maxulp=2)
-
-
-def overflowing_term(error):
-    return re.search(r"energy term '([^']+)'", str(error)).group(1)
-
-
-# Fields from 1e-3 to 1e160 overflow the potentials, at a large p, and the
-# cross term, which evaluate_J checks first. In the example, w K w of the
-# first two rows is finite and its double is not.
-@settings(max_examples=120)
-@given(domains, st.floats(0.0, 30.0), st.floats(0.0, 30.0),
-       st.floats(2.0, 400.0, exclude_min=True), st.floats(-3.0, 160.0), st.integers(0, 2**32 - 1))
-@example(DomainSpec.interval(1), 0.0, 0.0, 4.0, 154.64, 0)
-def test_sphere_energy_is_evaluate_J_on_the_diagonal(spec, lam, delta, p, scale, seed):
-    problem = discretize(ProblemSpec(spec, power_nonlinearity(p), lam=lam, delta=delta))
-    fields = np.random.default_rng(seed).standard_normal((3, problem.n)) * 10.0**scale
-    wanted = []
-    for k, w in enumerate(fields):
-        row = fields[k:k + 1]  # at its offset in the block, as sample_sets stores it
-        try:
-            wanted.append(evaluate_J(problem, StatePair.diagonal(w)).total)
-        except EnergyOverflowError as exc:
-            with pytest.raises(EnergyOverflowError) as caught:
-                _sphere_minimum(problem, row)
-            assert overflowing_term(caught.value) == overflowing_term(exc)
-            continue
-        assert same_bits(_sphere_minimum(problem, row), wanted[-1])
-    if len(wanted) == len(fields):
-        assert same_bits(_sphere_minimum(problem, fields), min(wanted))
 
 
 float_cells = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

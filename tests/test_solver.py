@@ -685,6 +685,16 @@ def test_minimax_consistency_edges():
     assert minimax_consistency(0.5 - 1e-12, 0.5)  # equality up to tolerance
 
 
+def test_minimax_tolerance_is_relative_to_the_level():
+    # intersect on 1D nx = 15 at p = 2.05 and scale 3.5694218829: the identity
+    # image undercuts J at the anchor by 2.4e-8, which is 2e-15 relative
+    assert minimax_consistency(12105276.658075109, 12105276.658075133)
+    assert not minimax_consistency(12105276.0, 12105276.658075133)
+    # below |J| = 1 the slack is MINIMAX_TOL itself
+    assert minimax_consistency(-0.5 - 0.9e-8, -0.5)
+    assert not minimax_consistency(-0.5 - 1.1e-8, -0.5)
+
+
 def test_witness_predicate_strictness():
     level, eps, prox = 10.0, 0.1, 1.0
     ok = witness_predicate(10.05, 0.1, 0.5, level, eps, prox)
@@ -703,9 +713,9 @@ def test_witness_predicate_strictness():
 def witness_setup(line_problem, solved_line):
     choice = choose_radii(line_problem)
     frame = build_frame(line_problem, choice.r, choice.rho, anchor_direction=solved_line.state)
-    from linking_saddle import estimate_geometry, sample_sets
+    from linking_saddle import estimate_geometry
 
-    geo = estimate_geometry(frame, sample_sets(frame, seed=0))
+    geo = estimate_geometry(frame)
     return frame, geo
 
 
@@ -798,7 +808,7 @@ def test_flow_map_is_the_fixed_step_flow_where_no_trial_is_rejected(line_problem
     update = solver._flow_update
     monkeypatch.setattr(solver, "_flow_update",
                         lambda *args: updates.append(args[-1]) or update(*args))
-    rows = sample_sets(frame, boundary_count=0, interior_count=6, seed=3).interior_chart
+    rows = sample_sets(frame, interior_count=6, seed=3).interior_chart
     for xi in rows:
         x0 = frame.state_from_chart(xi)
         updates.clear()
@@ -980,11 +990,10 @@ def test_zero_start_stays_trivial(line63):
 
 def test_flow_deformation_fixes_boundary(line_problem, witness_setup):
     frame, _ = witness_setup
-    from linking_saddle import sample_sets
+    from linking_saddle import linking
 
     gamma = flow_deformation(line_problem, frame, steps=4, step=0.1)
-    samples = sample_sets(frame, boundary_count=24, seed=8)
-    for row in samples.boundary_chart:
+    for row in linking._boundary_rows(np.random.default_rng(8), frame.chart_dim, frame.rho, 24):
         x = frame.state_from_chart(row)
         gx = gamma(row)
         assert np.array_equal(gx.u, x.u) and np.array_equal(gx.v, x.v)
