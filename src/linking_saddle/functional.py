@@ -42,7 +42,6 @@ __all__ = [
     "riesz_gradient",
     "HypothesisReport",
     "validate_hypotheses",
-    "small_t_constants",
 ]
 
 TermFn = Callable[[np.ndarray], np.ndarray]
@@ -374,25 +373,3 @@ def validate_hypotheses(nl: NonlinearitySpec) -> HypothesisReport:
             witnesses[f"superquadratic-{label}"] = (float(far[k]), float(primitive[k]))
 
     return HypothesisReport(growth_ok, small_ok, super_ok, witnesses)
-
-
-def small_t_constants(nl: NonlinearitySpec, eps: float) -> float:
-    """Smallest sampled constant k with |F|, |G| <= eps/2 t^2 + k |t|^p.
-
-    Sampled at 4001 points per sign on [1e-8, 1e3]: the constant of the
-    small-sphere estimate for a coupling given only by its values. The
-    geometry certificate does not read it; for F = G = a |t|^p it takes
-    k = a, which holds at every t.
-    """
-    if not (eps > 0 and np.isfinite(eps)):
-        raise InvalidSpecError(f"eps must be positive, got {eps}")
-    t = _symmetric_log_grid(1e-8, 1e3, 4001)
-    # At a large p, |t|^p over- or underflows at the ends of the window.
-    # A quotient is then -inf where the bound holds trivially, or inf or
-    # nan, which makes the result not finite.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fu = np.abs(np.asarray(nl.F(t), dtype=float))
-        gv = np.abs(np.asarray(nl.G(t), dtype=float))
-        top = np.maximum(fu, gv) - 0.5 * eps * t * t
-        ratios = top / np.abs(t) ** nl.p
-    return float(max(np.max(ratios), 0.0))

@@ -162,17 +162,35 @@ def _stiffness_1d(n: int, h: float) -> sp.dia_matrix:
     return sp.diags([off, main, off], [-1, 0, 1], format="dia")
 
 
+def _stiffness_2d(nx: int, ny: int, hx: float, hy: float) -> sp.dia_matrix:
+    # hy kron(K1x, I) + hx kron(I, K1y), written down by its diagonals: node
+    # (i, j) is row i ny + j, so offsets +-1 couple y-neighbours and +-ny
+    # x-neighbours. Couplings across the boundary and the padding hold 0.
+    n = nx * ny
+    col = np.arange(n)
+    diagonals = {0: np.full(n, hy * (2.0 / hx) + hx * (2.0 / hy))}
+    if ny > 1:
+        y = col % ny
+        diagonals[-1] = np.where(y < ny - 1, hx * (-1.0 / hy), 0.0)
+        diagonals[1] = np.where(y > 0, hx * (-1.0 / hy), 0.0)
+    if nx > 1:
+        diagonals[-ny] = np.where(col < n - ny, hy * (-1.0 / hx), 0.0)
+        diagonals[ny] = np.where(col >= ny, hy * (-1.0 / hx), 0.0)
+    offsets = sorted(diagonals)
+    return sp.dia_matrix((np.array([diagonals[k] for k in offsets]), offsets), shape=(n, n))
+
+
 class StiffnessOperator:
     """Sparse SPD matrix realizing the Dirichlet form on a grid.
 
-    ``matrix`` is stored by its diagonals (scipy DIA), whose product is
-    bitwise that of compressed rows at about half the cost. ``product``
-    evaluates the form, ``apply`` the matrix-vector product, and ``solve``
-    inverts it, by a direct solve built once per operator: on 2D grids fast
-    diagonalization in the axes' 1D eigenbases (also built once), on 1D
-    grids a sparse LU of the tridiagonal matrix, so no dense eigenbasis is
-    kept. A solution is rejected with :class:`LinearSolveError` if its
-    relative residual exceeds ``rtol``.
+    ``matrix`` is assembled from its diagonals and stored by them (scipy
+    DIA), whose product is bitwise that of compressed rows at about half
+    the cost. ``product`` evaluates the form, ``apply`` the matrix-vector
+    product, and ``solve`` inverts it, by a direct solve built once per
+    operator: on 2D grids fast diagonalization in the axes' 1D eigenbases
+    (also built once), on 1D grids a sparse LU of the tridiagonal matrix,
+    so no dense eigenbasis is kept. A solution is rejected with
+    :class:`LinearSolveError` if its relative residual exceeds ``rtol``.
     """
 
     def __init__(self, grid: Grid, rtol: float = 1e-10):
@@ -182,14 +200,7 @@ class StiffnessOperator:
         if spec.dimension == 1:
             self.matrix = _stiffness_1d(spec.interior_counts[0], grid.h[0])
         else:
-            hx, hy = grid.h
-            nx, ny = spec.interior_counts
-            kx = _stiffness_1d(nx, hx)
-            ky = _stiffness_1d(ny, hy)
-            self.matrix = (
-                hy * sp.kron(kx, sp.identity(ny, format="csr"))
-                + hx * sp.kron(sp.identity(nx, format="csr"), ky)
-            ).todia()
+            self.matrix = _stiffness_2d(*spec.interior_counts, *grid.h)
 
     @cached_property
     def _eigen_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

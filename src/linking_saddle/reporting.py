@@ -3,7 +3,9 @@
 Every writer goes through an atomic temp-file-plus-rename, so a crashed
 run never leaves a half-written report. Floats are serialized with 17
 significant digits, which round-trips IEEE doubles exactly; determinism
-tests compare these files byte for byte.
+tests compare these files byte for byte. ``write_float_csv`` formats each
+distinct bit pattern of its block once, and ``write_pgm`` fills one
+template for the whole gray block.
 """
 
 from __future__ import annotations
@@ -62,10 +64,19 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
 
 def write_float_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Float columns side by side, by one template for the block: ``write_csv``'s bytes."""
-    block = np.column_stack(columns)
-    template = "%s\n" + (",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)
-    atomic_write_text(path, template % (",".join(header), *block.ravel().tolist()))
+    """Float columns side by side, in ``write_csv``'s bytes.
+
+    Each distinct bit pattern of the block is formatted once, and one
+    template for the block is filled from those cells. Keys are bits, so
+    0.0 and -0.0 stay apart, as do NaN payloads. A solution's coordinate
+    columns hold only nx + ny distinct values, and v is often u bitwise.
+    """
+    block = np.column_stack(columns).astype(np.float64, copy=False)
+    keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    text = "\n".join(["%.17g"] * keys.size) % tuple(keys.view(np.float64).tolist())
+    cells = np.array(text.split("\n"), dtype=object)
+    template = "%s\n" + (",".join(["%s"] * block.shape[1]) + "\n") * len(block)
+    atomic_write_text(path, template % (",".join(header), *cells[inverse.ravel()].tolist()))
 
 
 def write_pgm(path: str, mesh: np.ndarray, comment: str = "") -> None:
@@ -87,8 +98,8 @@ def write_pgm(path: str, mesh: np.ndarray, comment: str = "") -> None:
         lines.append("# " + comment)
     lines.append(f"{mesh.shape[1]} {mesh.shape[0]}")
     lines.append("255")
-    lines.extend(" ".join(map(str, row)) for row in gray.tolist())
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (" ".join(["%d"] * mesh.shape[1]) + "\n") * mesh.shape[0]
+    atomic_write_text(path, "\n".join(lines) + "\n" + rows % tuple(gray.ravel().tolist()))
 
 
 def _polyline(xs: np.ndarray, ys: np.ndarray, color: str) -> str:

@@ -3,14 +3,14 @@
 Everything here is deliberately built from different numerics than the
 package: fixed-step RK4 plus bisection for the boundary-value problem,
 composite Simpson for integrals, dense O(n^2) arithmetic elsewhere, and
-the algorithms that faster package kernels replaced (the probe-grid
-crest search, the four-product ray expansion, the one-row energies of
-the geometry sweeps, the whole-block Newton solve, the full pilot sweeps
-of the radii search and its sampled embedding constant, LAPACK's
-tridiagonal eigensolver, the numpy forms of the chart kernels, the
-state-space displacement residual, the hybr multistart root sweep of the
-degree count, the linear program of the compactness fit and the
-fixed-step flow map). No imports from
+the algorithms that faster package kernels replaced (the kron assembly
+of the 2D stiffness, the probe-grid crest search, the four-product ray
+expansion, the one-row energies of the geometry sweeps, the whole-block
+Newton solve, the full pilot sweeps of the radii search and its sampled
+embedding constant, LAPACK's tridiagonal eigensolver, the numpy forms of
+the chart kernels, the state-space displacement residual, the hybr
+multistart root sweep of the degree count, the linear program of the
+compactness fit and the fixed-step flow map). No imports from
 linking_saddle are allowed in this module.
 """
 
@@ -129,6 +129,22 @@ def csr_stiffness(counts: tuple[int, ...], widths: tuple[float, ...]):
     (nx, ny), (hx, hy) = counts, widths
     return (hy * sp.kron(factors[0], sp.identity(ny, format="csr"))
             + hx * sp.kron(sp.identity(nx, format="csr"), factors[1])).tocsr()
+
+
+def kron_dia_stiffness(counts: tuple[int, int], widths: tuple[float, float]):
+    """The 2D stiffness matrix as the package built it before: hy kron(K1x, I)
+    + hx kron(I, K1y), converted to diagonal storage with ``todia()``.
+
+    At ny = 2 scipy's block-sparse kron stores explicit zeros, which
+    ``todia()`` keeps as two all-zero diagonals (offsets +-3).
+    """
+    import scipy.sparse as sp
+
+    (nx, ny), (hx, hy) = counts, widths
+    kx, ky = (sp.diags([np.full(n - 1, -1.0 / h), np.full(n, 2.0 / h), np.full(n - 1, -1.0 / h)],
+                       [-1, 0, 1], format="dia") for n, h in zip(counts, widths))
+    return (hy * sp.kron(kx, sp.identity(ny, format="csr"))
+            + hx * sp.kron(sp.identity(nx, format="csr"), ky)).todia()
 
 
 def dirichlet_eigenvalue_1d(k: int, n: int, length: float = 1.0) -> float:

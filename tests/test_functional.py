@@ -18,7 +18,6 @@ from linking_saddle import (
     evaluate_J,
     power_nonlinearity,
     riesz_gradient,
-    small_t_constants,
     validate_hypotheses,
     zero_nonlinearity,
 )
@@ -164,28 +163,6 @@ def test_power_growth_bound_resampled(p):
     t = np.concatenate([rng.uniform(-50, 50, 400), rng.uniform(-1e-3, 1e-3, 100)])
     bound = nl.scale * (1.0 + np.abs(t) ** (p - 1.0))
     assert np.all(np.abs(nl.f(t)) <= bound * (1.0 + 1e-12))
-
-
-def test_small_t_constants_power():
-    c_eps = small_t_constants(power_nonlinearity(), eps=1.0)
-    assert c_eps == pytest.approx(0.25, abs=1e-6)
-
-
-def test_small_t_constants_resampled():
-    nl = power_nonlinearity()
-    eps = 0.5
-    c_eps = small_t_constants(nl, eps=eps)
-    rng = np.random.default_rng(23)
-    t = rng.uniform(-900.0, 900.0, 800)
-    t = t[np.abs(t) > 1e-6]
-    cap = 0.5 * eps * t**2 + c_eps * np.abs(t) ** nl.p
-    top = np.maximum(np.abs(nl.F(t)), np.abs(nl.G(t)))
-    assert np.all(top <= cap * (1.0 + 1e-9))
-
-
-def test_small_t_constants_needs_positive_margin():
-    with pytest.raises(InvalidSpecError):
-        small_t_constants(power_nonlinearity(), eps=0.0)
 
 
 def test_nonlinearity_validation():

@@ -1,20 +1,23 @@
 """The kernels every stage shares, against the code they replaced.
 
 The stiffness matrix is stored by its diagonals; before, it was a
-compressed-row matrix (``oracles.csr_stiffness``). On 2D grids the 1D
+compressed-row matrix (``oracles.csr_stiffness``). The 2D matrix is
+written down by its diagonals; before, it was two kron products converted
+by ``todia()`` (``oracles.kron_dia_stiffness``). On 2D grids the 1D
 eigenpairs of the axes are built once per operator and shared by
 ``eigenpairs`` and the fast-diagonalization solve; before, every call
 factored each axis, as 1D grids still build their modes on each call. The
 power potential is (s/p) |t|^(p-2) t^2; before, it was (s/p) |t|^p. The
-solution and heatmap writers
-format whole blocks; before, they formatted one row at a time.
+solution writer formats each distinct double of its block once, and the
+heatmap writer fills one template for the whole image; before, both
+formatted one row at a time.
 """
 
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linking_saddle.grid as grid_module
@@ -35,7 +38,7 @@ from linking_saddle import (
 )
 from linking_saddle.reporting import write_float_csv, write_pgm
 
-from oracles import csr_stiffness
+from oracles import csr_stiffness, kron_dia_stiffness
 
 domains = st.one_of(
     st.integers(1, 300).map(DomainSpec.interval),
@@ -64,6 +67,28 @@ def test_stiffness_products_match_the_csr_assembly(spec, scale_u, scale_v, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         assert same_bits(op.apply(u), ref @ u)
         assert same_bits(op.product(u, v), float(u @ (ref @ v)))
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 40), st.integers(1, 40), st.floats(0.05, 20.0), st.floats(0.05, 20.0),
+       st.integers(0, 2**32 - 1))
+@example(128, 128, 1.0, 1.0, 0)
+@example(12, 5, 1.0, 2.5, 1)
+@example(20, 13, 0.3, 1.1, 2)
+@example(9, 2, 1.0, 1.0, 3)
+def test_2d_stiffness_diagonals_match_the_kron_build(nx, ny, lx, ly, seed):
+    spec = DomainSpec.rectangle(nx, ny, lx, ly)
+    _, op = build_grid(spec)
+    ref = kron_dia_stiffness(spec.interior_counts, spec.mesh_widths)
+    # at ny = 2 the kron build also stores two diagonals of explicit zeros
+    stored = np.any(ref.data != 0.0, axis=1)
+    assert op.matrix.offsets.dtype == ref.offsets.dtype
+    assert np.array_equal(op.matrix.offsets, ref.offsets[stored])
+    assert op.matrix.data.shape == ref.data[stored].shape
+    assert op.matrix.data.tobytes() == ref.data[stored].tobytes()  # padding included
+    x = np.random.default_rng(seed).standard_normal(nx * ny)
+    assert same_bits(op.matrix @ x, ref @ x)
+    assert same_bits(op.matrix @ x, csr_stiffness(spec.interior_counts, spec.mesh_widths) @ x)
 
 
 def fresh_eigenpairs(grid, count, factors_1d):
@@ -188,6 +213,12 @@ def test_power_potential_at_the_default_exponent_is_within_2_ulp():
 float_cells = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
+def row_format(header, rows) -> bytes:
+    """The CSV as written one row at a time, each cell by ``%.17g``."""
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 4).flatmap(lambda k: st.lists(st.lists(float_cells, min_size=k, max_size=k),
                                                      min_size=1, max_size=30)))
@@ -195,8 +226,28 @@ def test_float_block_matches_the_row_format(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "block.csv"
     header = [f"c{k}" for k in range(len(rows[0]))]
     write_float_csv(str(path), header, [np.array(col) for col in zip(*rows)])
-    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in rows]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_bytes() == row_format(header, rows)
+
+
+# 0.0 and -0.0, two NaN payloads, +-inf, subnormals and two ordinary values
+POOL_BITS = [0x0000000000000000, 0x8000000000000000, 0x7FF8000000000001, 0x7FF8000000000002,
+             0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+             0x3FF0000000000000, 0xBFD5555555555555]
+
+
+@settings(max_examples=60)
+@given(st.lists(float_cells, max_size=3), st.integers(2, 3), st.integers(1, 30),
+       st.integers(0, 2**32 - 1))
+def test_float_block_of_repeated_cells_matches_the_row_format(tmp_path_factory, extra, width,
+                                                              length, seed):
+    pool = np.concatenate([np.array(POOL_BITS, dtype=np.uint64).view(np.float64), extra])
+    block = pool[np.random.default_rng(seed).integers(pool.size, size=(length, width))]
+    block[0, :2] = 0.0, -0.0
+    columns = [*block.T, block[:, 1]]  # the last column repeats one verbatim
+    path = tmp_path_factory.mktemp("csv") / "block.csv"
+    header = [f"c{k}" for k in range(len(columns))]
+    write_float_csv(str(path), header, columns)
+    assert path.read_bytes() == row_format(header, zip(*columns))
 
 
 @settings(max_examples=40)
