@@ -17,7 +17,7 @@ closed-form Dirichlet sine pairs, with eigenvalues (4/h^2) sin^2(k pi h
 / (2L)), exact to rounding and bitwise deterministic. The same 1D
 factors give the direct 2D stiffness solve by fast diagonalization
 (Lynch, Rice and Thomas, Numer. Math. 6, 1964); 1D grids solve their
-tridiagonal matrix by sparse LU.
+tridiagonal matrix by its closed-form LDL^T factorization.
 
 All operations are pure; reductions use numpy's fixed evaluation order,
 so repeated calls on the same inputs give identical floats.
@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import GridMismatchError, InvalidSpecError, LinearSolveError
 
@@ -155,52 +153,50 @@ class Grid:
         return f"Grid(shape={self.shape}, h={self.h})"
 
 
-def _stiffness_1d(n: int, h: float) -> sp.dia_matrix:
-    # (1/h) tridiag(-1, 2, -1): the 1D Dirichlet edge sum in matrix form.
-    main = np.full(n, 2.0 / h)
-    off = np.full(n - 1, -1.0 / h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="dia")
+def _stencil(counts: tuple[int, ...], widths: tuple[float, ...]) -> tuple:
+    """K as terms ``(rows, coefficients, columns)``: ``(K u)[rows] += coefficients * u[columns]``.
 
-
-def _stiffness_2d(nx: int, ny: int, hx: float, hy: float) -> sp.dia_matrix:
-    # hy kron(K1x, I) + hx kron(I, K1y), written down by its diagonals: node
-    # (i, j) is row i ny + j, so offsets +-1 couple y-neighbours and +-ny
-    # x-neighbours. Couplings across the boundary and the padding hold 0.
-    n = nx * ny
-    col = np.arange(n)
-    diagonals = {0: np.full(n, hy * (2.0 / hx) + hx * (2.0 / hy))}
-    if ny > 1:
-        y = col % ny
-        diagonals[-1] = np.where(y < ny - 1, hx * (-1.0 / hy), 0.0)
-        diagonals[1] = np.where(y > 0, hx * (-1.0 / hy), 0.0)
-    if nx > 1:
-        diagonals[-ny] = np.where(col < n - ny, hy * (-1.0 / hx), 0.0)
-        diagonals[ny] = np.where(col >= ny, hy * (-1.0 / hx), 0.0)
-    offsets = sorted(diagonals)
-    return sp.dia_matrix((np.array([diagonals[k] for k in offsets]), offsets), shape=(n, n))
+    One term per stored diagonal, in ascending offset, so each row of K u
+    sums its entries in column order from a zero start. 1D: (1/h)
+    tridiag(-1, 2, -1). 2D: hy kron(K1x, I) + hx kron(I, K1y); node (i, j)
+    is row i ny + j, so offsets +-1 couple y-neighbours (0 across a grid
+    line) and +-ny x-neighbours.
+    """
+    n = int(np.prod(counts))
+    if len(counts) == 1:
+        off = np.full(n - 1, -1.0 / widths[0])
+        diagonals = {-1: off, 0: np.full(n, 2.0 / widths[0]), 1: off}
+    else:
+        (nx, ny), (hx, hy) = counts, widths
+        diagonals = {0: np.full(n, hy * (2.0 / hx) + hx * (2.0 / hy))}
+        if ny > 1:
+            y = np.arange(n - 1) % ny
+            diagonals[-1] = diagonals[1] = np.where(y < ny - 1, hx * (-1.0 / hy), 0.0)
+        if nx > 1:
+            diagonals[-ny] = diagonals[ny] = np.full(n - ny, hy * (-1.0 / hx))
+    return tuple((slice(max(0, -k), n - max(0, k)), diagonals[k], slice(max(0, k), n - max(0, -k)))
+                 for k in sorted(diagonals))
 
 
 class StiffnessOperator:
     """Sparse SPD matrix realizing the Dirichlet form on a grid.
 
-    ``matrix`` is assembled from its diagonals and stored by them (scipy
-    DIA), whose product is bitwise that of compressed rows at about half
-    the cost. ``product`` evaluates the form, ``apply`` the matrix-vector
-    product, and ``solve`` inverts it, by a direct solve built once per
-    operator: on 2D grids fast diagonalization in the axes' 1D eigenbases
-    (also built once), on 1D grids a sparse LU of the tridiagonal matrix,
-    so no dense eigenbasis is kept. A solution is rejected with
+    K is kept as its stencil, the nonzero diagonals, and multiplies a
+    field, or each row of a block of fields, by adding them onto a zero
+    start in ascending offset, bitwise the product of K stored by
+    diagonals or by compressed rows. ``product`` evaluates the form,
+    ``apply`` the matrix-vector product, and ``solve`` inverts it, by a
+    direct solve built once per operator: on 2D grids fast
+    diagonalization in the axes' 1D eigenbases (also built once), on 1D
+    grids the closed-form LDL^T of the tridiagonal matrix, so no dense
+    eigenbasis is kept. A solution is rejected with
     :class:`LinearSolveError` if its relative residual exceeds ``rtol``.
     """
 
     def __init__(self, grid: Grid, rtol: float = 1e-10):
         self.grid = grid
         self.rtol = float(rtol)
-        spec = grid.spec
-        if spec.dimension == 1:
-            self.matrix = _stiffness_1d(spec.interior_counts[0], grid.h[0])
-        else:
-            self.matrix = _stiffness_2d(*spec.interior_counts, *grid.h)
+        self._diagonals = _stencil(grid.shape, grid.h)
 
     @cached_property
     def _eigen_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -214,8 +210,19 @@ class StiffnessOperator:
     @cached_property
     def _factor(self):
         if self.grid.dimension == 1:
-            # tridiagonal: the LU is O(n), a dense eigenbasis O(n^2) per solve
-            return spla.factorized(self.matrix.tocsc())
+            # K = tridiag(-1, 2, -1) / h and tridiag(-1, 2, -1) = L D L^T with
+            # l_i = -i/(i+1), d_i = (i+1)/i, so w = K^-1 b is s = cumsum(i h b) and
+            # w_i = i sum_{j >= i} s_j / (j (j+1)): O(n), where a dense eigenbasis
+            # is O(n^2) per solve
+            (h,) = self.grid.h
+            i = np.arange(1.0, self.grid.n_interior + 1.0)
+            denominators = i * (i + 1.0)
+
+            def solve(rhs: np.ndarray) -> np.ndarray:
+                s = np.cumsum(i * (h * rhs))
+                return i * np.cumsum((s / denominators)[::-1])[::-1]
+
+            return solve
         (nx, ny), (hx, hy) = self.grid.shape, self.grid.h
         (wx, vx), (wy, vy) = self._eigen_factors
         # K = hy (K1x (x) I) + hx (I (x) K1y) with K1 = h V diag(w) V^T per axis
@@ -227,15 +234,28 @@ class StiffnessOperator:
 
         return solve
 
+    def _matvec(self, u: np.ndarray) -> np.ndarray:
+        """K u along the last axis of ``u``, unchecked."""
+        out = np.zeros(u.shape)
+        for rows, coefficients, columns in self._diagonals:
+            out[..., rows] += coefficients * u[..., columns]
+        return out
+
     def apply(self, u) -> np.ndarray:
-        u = self.grid.check_field(u)
-        return self.matrix @ u
+        """K u for a field, or for each row of a ``(k, n_interior)`` block of fields."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2:
+            u = self.grid.check_field(u)
+        elif u.shape[1] != self.grid.n_interior:
+            raise GridMismatchError(f"block rows have {u.shape[1]} entries, grid has "
+                                    f"{self.grid.n_interior} interior nodes")
+        return self._matvec(u)
 
     def product(self, u, v) -> float:
         """Dirichlet form <u, v>, symmetric and positive definite."""
         u = self.grid.check_field(u)
         v = self.grid.check_field(v)
-        return float(u @ (self.matrix @ v))
+        return float(u @ self._matvec(v))
 
     def solve(self, rhs) -> np.ndarray:
         """Solve K w = rhs to relative residual <= rtol."""
@@ -243,7 +263,7 @@ class StiffnessOperator:
         w = self._factor(rhs)
         scale = float(np.linalg.norm(rhs))
         if scale > 0.0:
-            resid = float(np.linalg.norm(self.matrix @ w - rhs))
+            resid = float(np.linalg.norm(self._matvec(w) - rhs))
             if resid > self.rtol * scale:
                 raise LinearSolveError(
                     f"linear solve residual {resid:.3e} exceeds {self.rtol:.1e} * |rhs|"

@@ -69,8 +69,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from .errors import EnergyOverflowError, InvalidSpecError
 from .functional import (Problem, _energy_from_cross, euler_lagrange_residual, evaluate_J,
@@ -110,8 +108,9 @@ _SINGULAR = "second-variation system is singular"
 # MINRES iterations one second-variation solve may take. K^-1 (K -/+ A) is
 # the identity plus a compact operator, so the count does not grow with the mesh.
 _MINRES_MAX_ITER = 200
-# Lanczos basis size of _second_curvature_ratio; ARPACK needs at least this many nodes
-_LANCZOS_NCV = 5
+# _second_curvature_ratio stops once its top two Ritz residuals are at most this
+# fraction of the largest Ritz value
+_RITZ_TOL = 1e-6
 # energy norm of the last step of a converged Newton run, and the tail
 # diameter ps_monitor accepts
 TAIL_TOL = 1e-6
@@ -255,16 +254,16 @@ def _minres_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarr
 
     Block i is signs[i] * K - A; two blocks are coupled by D = diag(off).
     The preconditioner is K^-1 on each block, by the operator's direct
-    solve: fast diagonalization on 2D grids, the tridiagonal LU on 1D.
-    MINRES stops on its own residual estimate, so the true residual is
-    checked against ``op.rtol`` * |rhs| afterwards, as
+    solve: fast diagonalization on 2D grids, the tridiagonal LDL^T on 1D.
+    MINRES (:func:`_minres`) stops on its own residual estimate, so the
+    true residual is checked against ``op.rtol`` * |rhs| afterwards, as
     :meth:`StiffnessOperator.solve` does; a miss raises :class:`_StepFailed`.
     """
-    k, k_inv, n = op.matrix, op._factor, avg.size
+    k, k_inv, n = op._matvec, op._factor, avg.size
 
     def apply(w: np.ndarray) -> np.ndarray:
         parts = w.reshape(len(signs), n)
-        out = np.concatenate([sign * (k @ part) - avg * part
+        out = np.concatenate([sign * k(part) - avg * part
                               for sign, part in zip(signs, parts)])
         if len(signs) == 2:
             out += np.concatenate([off * parts[1], off * parts[0]])
@@ -273,12 +272,9 @@ def _minres_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarr
     def precondition(r: np.ndarray) -> np.ndarray:
         return np.concatenate([k_inv(part) for part in r.reshape(len(signs), n)])
 
-    size = rhs.size
     # the estimate runs ahead of the true residual; asking 1e-14 of it brings
     # the true residual under op.rtol
-    sol, _ = spla.minres(spla.LinearOperator((size, size), matvec=apply, dtype=float), rhs,
-                         rtol=1e-14, maxiter=_MINRES_MAX_ITER,
-                         M=spla.LinearOperator((size, size), matvec=precondition, dtype=float))
+    sol, _ = _minres(apply, precondition, rhs, 1e-14, _MINRES_MAX_ITER)
     resid = float(np.linalg.norm(apply(sol) - rhs))
     scale = float(np.linalg.norm(rhs))
     # written so that a NaN residual fails too
@@ -286,6 +282,104 @@ def _minres_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarr
         raise _StepFailed(f"{_SINGULAR}: MINRES residual {resid:.3e} exceeds "
                           f"{op.rtol:.1e} * |rhs| = {op.rtol * scale:.3e}")
     return sol
+
+
+def _minres(matvec: Callable[[np.ndarray], np.ndarray], psolve: Callable[[np.ndarray], np.ndarray],
+            b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
+    """Preconditioned MINRES for symmetric A x = b from x = 0; returns x and the iterations.
+
+    Paige and Saunders, SIAM J. Numer. Anal. 12, 1975, as scipy 1.17's
+    ``scipy.sparse.linalg.minres`` writes it, with the same numpy calls
+    in the same order, so it returns the same bytes: ``matvec`` applies
+    A and ``psolve`` the SPD preconditioner M ~ A^-1. The iteration
+    stops once the residual estimate is at most ``rtol`` relative to
+    |A| |x|, or that of A r to |A| |r|; after the first step if b spans an
+    invariant subspace; once the condition estimate reaches 0.1 / eps,
+    or eps |A| |x| the preconditioned norm of b; or after ``maxiter``
+    iterations.
+    """
+    n = b.size
+    eps = np.finfo(float).eps
+    x = np.zeros(n)
+    r1 = b.copy()
+    y = psolve(r1)
+    beta1 = np.inner(r1, y)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    elif beta1 == 0:
+        return x, 0
+    if np.linalg.norm(b) == 0:
+        return b, 0
+    beta1 = math.sqrt(beta1)
+
+    itn = 0
+    oldb = 0
+    beta = beta1
+    dbar = 0
+    epsln = 0
+    phibar = beta1
+    tnorm2 = 0
+    gmax = 0
+    gmin = np.finfo(float).max
+    cs = -1
+    sn = 0
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    r2 = r1
+    while itn < maxiter:
+        itn += 1
+        # the Lanczos step in the M^-1 inner product; the 0.0 * v is scipy's shift
+        # term, kept because it turns a -0.0 into +0.0
+        s = 1.0 / beta
+        v = s * y
+        y = matvec(v) - 0.0 * v
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.inner(v, y)
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y = psolve(r2)
+        oldb = beta
+        beta = np.inner(r2, y)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        invariant = itn == 1 and beta / beta1 <= 10 * eps
+
+        # apply the previous rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = - cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        # update x
+        denom = 1.0 / gamma
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) * denom
+        x = x + phi * w
+
+        # estimate the norms and test for convergence
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+        anorm = math.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        epsx = anorm * ynorm * eps
+        test1 = np.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
+        test2 = np.inf if anorm == 0 else root / anorm
+        if invariant or (1 + test2 <= 1 or 1 + test1 <= 1 or gmax / gmin >= 0.1 / eps
+                         or epsx >= beta1 or test2 <= rtol or test1 <= rtol):
+            break
+    return x, itn
 
 
 def _grad_and_norm(problem: Problem, x: StatePair) -> tuple[StatePair, StatePair, float]:
@@ -732,24 +826,44 @@ def _second_curvature_ratio(problem: Problem, w: np.ndarray) -> float:
     so it has one negative direction for each nu above 1. At a critical
     point on the diagonal, w itself is one; nu_2 < 1 says there is no
     other, the Morse index of a mountain pass, that is of a local minimum
-    of the energy on the Nehari manifold. It is found by Lanczos (ARPACK)
-    on K^-1 vol diag(lam + f'(w)), from a seeded start with components in
-    every mode; grids too small for ARPACK's basis are solved densely.
+    of the energy on the Nehari manifold. It is found by Lanczos on
+    K^-1 A, A = vol diag(lam + f'(w)), which is self-adjoint in the K
+    inner product, with full reorthogonalization: after the three-term
+    recurrence, one modified Gram-Schmidt pass in the K inner product
+    against every Lanczos vector (Parlett, The Symmetric Eigenvalue
+    Problem, 1980). It starts from a seeded vector with components in
+    every mode, and stops once the top two Ritz pairs have residual norm
+    at most ``_RITZ_TOL`` times the largest Ritz value, at n steps at
+    the latest.
     """
     a = problem.grid.cell_volume * (problem.lam + np.asarray(problem.nl.df(w), dtype=float))
     op, n = problem.op, problem.n
     if n == 1:
         return -math.inf
-    if n < _LANCZOS_NCV:
-        return float(scipy.linalg.eigh(np.diag(a), op.matrix.toarray(), eigvals_only=True)[-2])
-
-    def operator(matvec):
-        return spla.LinearOperator((n, n), matvec=lambda x: matvec(x.ravel()), dtype=float)
-
-    nu = spla.eigsh(operator(lambda x: a * x), k=2, M=operator(op.apply),
-                    Minv=operator(op._factor), which="LA", ncv=_LANCZOS_NCV, tol=1e-4,
-                    v0=np.random.default_rng(0).standard_normal(n), return_eigenvectors=False)
-    return float(nu.min())
+    q = np.random.default_rng(0).standard_normal(n)
+    kq = op._matvec(q)
+    scale = math.sqrt(q @ kq)
+    basis, k_basis = [q / scale], [kq / scale]  # the Lanczos vectors and their K products
+    alphas, betas = [], []
+    while True:
+        q = basis[-1]
+        aq = a * q
+        alphas.append(q @ aq)
+        r = op._factor(aq) - alphas[-1] * q
+        if betas:
+            r -= betas[-1] * basis[-2]
+        for q_i, kq_i in zip(basis, k_basis):
+            r -= (kq_i @ r) * q_i
+        kr = op._matvec(r)
+        beta = math.sqrt(max(r @ kr, 0.0))
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        # the residual of Ritz pair i is beta |last component of its vector|
+        if (len(basis) == n or beta * np.max(np.abs(vecs[-1, -2:]))
+                <= _RITZ_TOL * np.max(np.abs(ritz))):
+            return float(ritz[-2:][0])  # one Ritz value only if A = 0, where every nu is 0
+        betas.append(beta)
+        basis.append(r / beta)
+        k_basis.append(kr / beta)
 
 
 def solve_saddle(

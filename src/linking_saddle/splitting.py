@@ -115,9 +115,12 @@ class ModalBasis:
         """Rows K phi_k / sqrt(2), built on the first ``coefficients`` call.
 
         Lazy because a solve never asks for coefficients, and the
-        ``(count, n)`` array would only add to its peak memory.
+        ``(count, n)`` array would only add to its peak memory. Column
+        major: the layout picks BLAS's matrix-vector kernel in
+        ``coefficients``, and with it the last bits of every coefficient
+        that ``intersect`` and ``geometry`` write.
         """
-        return (self.splitting.op.matrix @ self.modes.T).T / np.sqrt(2.0)
+        return np.asfortranarray(self.splitting.op.apply(self.modes)) / np.sqrt(2.0)
 
     def coefficients(self, x: StatePair) -> np.ndarray:
         """Inner products of x with every antidiagonal direction.

@@ -721,6 +721,16 @@ def test_write_svg_trace(tmp_path):
     assert text.count("<polyline") == 2
 
 
+def _fresh_python(tmp_path, script, *args):
+    """Run ``script`` in a new interpreter that imports the package from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+
+
 def test_cli_leaves_scipy_optimize_unimported(tmp_path):
     # a fresh interpreter: the suite's own oracles import scipy.optimize
     script = (
@@ -730,12 +740,28 @@ def test_cli_leaves_scipy_optimize_unimported(tmp_path):
         "    assert main([cmd, '--config', sys.argv[1], '--out', f'out{i}', '--quiet']) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
     )
-    cfg = cfg_file(tmp_path, LINE_D2)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                                                 else []))
-    done = subprocess.run([sys.executable, "-c", script, cfg, "solve", "intersect"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    done = _fresh_python(tmp_path, script, cfg_file(tmp_path, LINE_D2), "solve", "intersect")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+SMALL_GRIDS = {
+    "line15": "domain.dimension = 1\ndomain.nx = 15\nproblem.preset = power\n",
+    "rect8x6": "domain.dimension = 2\ndomain.nx = 8\ndomain.ny = 6\nproblem.preset = power\n",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "geometry", "intersect", "solve", "refine"])
+@pytest.mark.parametrize("text", SMALL_GRIDS.values(), ids=SMALL_GRIDS.keys())
+def test_cli_imports_numpy_and_no_scipy(tmp_path, text, command):
+    # the package needs numpy and the standard library only; the suite itself
+    # imports scipy, so each command runs in a fresh interpreter
+    script = (
+        "import sys\n"
+        "from linking_saddle.cli import main\n"
+        "code = main([sys.argv[2], '--config', sys.argv[1], '--out', 'out', '--quiet'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = _fresh_python(tmp_path, script, cfg_file(tmp_path, text), command)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 []"

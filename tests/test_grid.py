@@ -16,14 +16,15 @@ from linking_saddle import (
 )
 
 from linking_saddle.grid import _eigen_factors_1d
-from oracles import dense_dirichlet_matrix, dirichlet_eigenvalue_1d, tridiagonal_eigenvalues
+from oracles import (csr_stiffness, dense_dirichlet_matrix, dirichlet_eigenvalue_1d,
+                     tridiagonal_eigenvalues)
 
 EPS = np.finfo(float).eps
 
 
 def test_single_node_matrix_is_4():
     grid, op = build_grid(DomainSpec.interval(1))
-    assert np.array_equal(op.matrix.toarray(), [[4.0]])
+    assert np.array_equal(op.apply(np.eye(1)), [[4.0]])
     assert grid.cell_volume == 0.5
 
 
@@ -39,7 +40,7 @@ def test_single_node_square_product():
 def test_matrix_matches_dense_assembly(n):
     _, op = build_grid(DomainSpec.interval(n))
     dense = dense_dirichlet_matrix(n)
-    assert np.max(np.abs(op.matrix.toarray() - dense)) == 0.0
+    assert np.max(np.abs(op.apply(np.eye(n)) - dense)) == 0.0
 
 
 def test_2d_form_matches_edge_sums():
@@ -68,10 +69,9 @@ def test_quadrature_of_one():
 
 def test_matrix_is_symmetric():
     for spec in (DomainSpec.interval(31), DomainSpec.rectangle(12, 9)):
-        _, op = build_grid(spec)
-        mat = op.matrix
-        gap = abs((mat - mat.T).tocsr())
-        assert gap.max() <= 1e-12
+        grid, op = build_grid(spec)
+        mat = op.apply(np.eye(grid.n_interior))  # row i is K e_i
+        assert np.abs(mat - mat.T).max() <= 1e-12
 
 
 def test_principal_eigenvalue_closed_form():
@@ -172,12 +172,25 @@ def test_2d_solve_matches_sparse_lu(nx, ny, lx, ly, seed):
     assume(grid.h[0] != grid.h[1])
     rhs = np.random.default_rng(seed).standard_normal(grid.n_interior)
     w = op.solve(rhs)
-    ref = spla.spsolve(op.matrix.tocsc(), rhs)
+    ref = spla.spsolve(csr_stiffness(grid.shape, grid.h).tocsc(), rhs)
     assert np.linalg.norm(w - ref) <= op.rtol * np.linalg.norm(ref)
     assert np.array_equal(op.solve(rhs), w)
     # an equal right-hand side in another buffer, 8 bytes off its alignment
     shifted = np.concatenate([[0.0], rhs])[1:]
     assert np.array_equal(op.solve(shifted), w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4095), st.floats(0.05, 20.0), st.integers(-100, 100),
+       st.integers(0, 2**32 - 1))
+def test_1d_solve_matches_sparse_lu(n, length, exponent, seed):
+    # the closed-form LDL^T against SuperLU; tridiag(-1, 2, -1) has condition
+    # number about 0.4 n^2, so both carry forward errors up to about n^2 eps
+    grid, op = build_grid(DomainSpec.interval(n, length))
+    rhs = np.random.default_rng(seed).standard_normal(n) * 10.0**exponent
+    w = op.solve(rhs)  # its residual check passes
+    ref = spla.spsolve(csr_stiffness(grid.shape, grid.h).tocsc(), rhs)
+    assert np.linalg.norm(w - ref) <= n * n * EPS * np.linalg.norm(ref)
 
 
 def test_2d_solve_keeps_residual_check():
@@ -212,6 +225,8 @@ def test_field_shape_guard():
         grid.check_field(np.ones(9))
     with pytest.raises(GridMismatchError):
         op.apply(np.ones(7))
+    with pytest.raises(GridMismatchError):
+        op.apply(np.ones((2, 7)))
 
 
 def test_nonfinite_integrand_rejected():

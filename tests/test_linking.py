@@ -200,16 +200,16 @@ def test_embedding_constant_on_one_node_is_closed_form(p):
         assert c0 == 0.25 / problem.principal_eigenvalue()
 
 
-class CountingMatrix:
-    """A stiffness matrix that counts the vectors it multiplies."""
+class CountingProducts:
+    """A stiffness operator's K products (``_matvec``), counting the vectors multiplied."""
 
-    def __init__(self, matrix):
-        self.matrix = matrix
+    def __init__(self, matvec):
+        self.matvec = matvec
         self.vectors = 0
 
-    def __matmul__(self, x):
-        self.vectors += 1 if np.ndim(x) == 1 else np.shape(x)[1]
-        return self.matrix @ x
+    def __call__(self, x):
+        self.vectors += 1 if np.ndim(x) == 1 else np.shape(x)[0]
+        return self.matvec(x)
 
 
 @pytest.mark.parametrize("d_y", [1, 2])
@@ -220,9 +220,9 @@ def test_geometry_matvecs_do_not_grow_with_the_boundary_count(square_problem, mo
     counts = []
     for rho in (4.0, 64.0):
         frame = build_frame(square_problem, 1.0, rho, d_y=d_y)
-        counter = CountingMatrix(square_problem.op.matrix)
+        counter = CountingProducts(square_problem.op._matvec)
         with monkeypatch.context() as patch:
-            patch.setattr(square_problem.op, "matrix", counter)
+            patch.setattr(square_problem.op, "_matvec", counter)
             estimate_geometry(frame)
         counts.append(counter.vectors)
     # two for J at the anchor, one for the norm of the anchor's field

@@ -1,9 +1,9 @@
 """The kernels every stage shares, against the code they replaced.
 
-The stiffness matrix is stored by its diagonals; before, it was a
-compressed-row matrix (``oracles.csr_stiffness``). The 2D matrix is
-written down by its diagonals; before, it was two kron products converted
-by ``todia()`` (``oracles.kron_dia_stiffness``). On 2D grids the 1D
+The stiffness operator multiplies by a numpy stencil of its diagonals;
+before, it was a scipy matrix, stored by compressed rows
+(``oracles.csr_stiffness``) and, in 2D, built as two kron products
+converted by ``todia()`` (``oracles.kron_dia_stiffness``). On 2D grids the 1D
 eigenpairs of the axes are built once per operator and shared by
 ``eigenpairs`` and the fast-diagonalization solve; before, every call
 factored each axis, as 1D grids still build their modes on each call. The
@@ -55,40 +55,55 @@ def same_bits(a, b) -> bool:
                 and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+def field_block(rng, rows: int, n: int, scale: float) -> np.ndarray:
+    """Normal draws times ``scale``, with about one entry in six +0.0 and one in six -0.0."""
+    block = rng.standard_normal((rows, n)) * scale
+    zeros = rng.integers(0, 6, size=block.shape)
+    block[zeros == 0] = 0.0
+    block[zeros == 1] = -0.0
+    return block
+
+
+# unit, subnormal, tiny and large fields; products of the last may overflow
+SCALES = st.sampled_from([1.0, 1e-310, 1e-300, 1e300])
+
+
 @settings(max_examples=80)
-@given(domains, st.integers(-200, 200), st.integers(-200, 200), st.integers(0, 2**32 - 1))
-def test_stiffness_products_match_the_csr_assembly(spec, scale_u, scale_v, seed):
+@given(domains, st.integers(-310, 300), st.integers(-200, 200), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_stiffness_products_match_the_csr_assembly(spec, scale_u, scale_v, rows, seed):
+    # 10^-310 draws subnormal fields; large ones overflow some products
     grid, op = build_grid(spec)
     ref = csr_stiffness(spec.interior_counts, spec.mesh_widths)
-    assert op.matrix.format == "dia"
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(grid.n_interior) * 10.0**scale_u
     v = rng.standard_normal(grid.n_interior) * 10.0**scale_v
+    block = field_block(rng, rows, grid.n_interior, 10.0**scale_u)
     with np.errstate(over="ignore", invalid="ignore"):
         assert same_bits(op.apply(u), ref @ u)
+        assert same_bits(op.apply(block), (ref @ block.T).T)
         assert same_bits(op.product(u, v), float(u @ (ref @ v)))
 
 
 @settings(max_examples=120)
 @given(st.integers(1, 40), st.integers(1, 40), st.floats(0.05, 20.0), st.floats(0.05, 20.0),
-       st.integers(0, 2**32 - 1))
-@example(128, 128, 1.0, 1.0, 0)
-@example(12, 5, 1.0, 2.5, 1)
-@example(20, 13, 0.3, 1.1, 2)
-@example(9, 2, 1.0, 1.0, 3)
-def test_2d_stiffness_diagonals_match_the_kron_build(nx, ny, lx, ly, seed):
+       st.integers(1, 5), SCALES, st.integers(0, 2**32 - 1))
+@example(128, 128, 1.0, 1.0, 3, 1.0, 0)
+@example(12, 5, 1.0, 2.5, 1, 1e300, 1)
+@example(20, 13, 0.3, 1.1, 4, 1e-310, 2)
+@example(9, 2, 1.0, 1.0, 2, 1.0, 3)
+def test_2d_stiffness_diagonals_match_the_kron_build(nx, ny, lx, ly, rows, scale, seed):
+    # each field of a block, and a lone field, multiplied bitwise as scipy's
+    # diagonal and compressed-row products multiply them; at ny = 2 the kron
+    # build also stores two diagonals of explicit zeros (offsets +-3)
     spec = DomainSpec.rectangle(nx, ny, lx, ly)
     _, op = build_grid(spec)
-    ref = kron_dia_stiffness(spec.interior_counts, spec.mesh_widths)
-    # at ny = 2 the kron build also stores two diagonals of explicit zeros
-    stored = np.any(ref.data != 0.0, axis=1)
-    assert op.matrix.offsets.dtype == ref.offsets.dtype
-    assert np.array_equal(op.matrix.offsets, ref.offsets[stored])
-    assert op.matrix.data.shape == ref.data[stored].shape
-    assert op.matrix.data.tobytes() == ref.data[stored].tobytes()  # padding included
-    x = np.random.default_rng(seed).standard_normal(nx * ny)
-    assert same_bits(op.matrix @ x, ref @ x)
-    assert same_bits(op.matrix @ x, csr_stiffness(spec.interior_counts, spec.mesh_widths) @ x)
+    block = field_block(np.random.default_rng(seed), rows, nx * ny, scale)
+    for ref in (kron_dia_stiffness(spec.interior_counts, spec.mesh_widths),
+                csr_stiffness(spec.interior_counts, spec.mesh_widths)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(op.apply(block), (ref @ block.T).T)
+            assert same_bits(op.apply(block[0]), ref @ block[0])
 
 
 def fresh_eigenpairs(grid, count, factors_1d):

@@ -39,7 +39,7 @@ from linking_saddle import solver
 from linking_saddle.solver import IterateTrace, _ray, _ray_energy
 
 from conftest import random_state
-from oracles import fixed_step_flow, linprog_affine_fit
+from oracles import csr_stiffness, fixed_step_flow, linprog_affine_fit
 
 CREST = 2.0 * np.sqrt(2.0)
 
@@ -523,14 +523,36 @@ def test_diagonal_route_declines_a_second_negative_direction():
 
 
 @pytest.mark.parametrize("domain", [DomainSpec.interval(5), DomainSpec.interval(255),
-                                    DomainSpec.square(16), DomainSpec.rectangle(8, 14, 0.3, 1.1)],
-                         ids=["1d5", "1d255", "16sq", "rect8x14"])
+                                    DomainSpec.square(16), DomainSpec.rectangle(8, 14, 0.3, 1.1),
+                                    DomainSpec.interval(2), DomainSpec.interval(3),
+                                    DomainSpec.interval(4)],
+                         ids=["1d5", "1d255", "16sq", "rect8x14", "1d2", "1d3", "1d4"])
 def test_second_curvature_ratio_is_the_second_eigenvalue_of_the_pencil(domain):
     problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=2.0, delta=2.0))
     w = signflow_solve(problem).state.u
     a = problem.grid.cell_volume * (2.0 + problem.nl.df(w))
-    dense = scipy.linalg.eigh(np.diag(a), problem.op.matrix.toarray(), eigvals_only=True)
+    k = csr_stiffness(domain.interior_counts, domain.mesh_widths).toarray()
+    dense = scipy.linalg.eigh(np.diag(a), k, eigvals_only=True)
     assert solver._second_curvature_ratio(problem, w) == pytest.approx(dense[-2], rel=1e-8)
+
+
+# the long rectangles the diagonal route declines, with nu_2 to its printed digits
+DECLINED = {
+    "rect6x3": (DomainSpec.rectangle(6, 3, 1.0, 2.5),
+                "diagonal route: a second negative curvature direction (nu_2 = 2.57646); "
+                "gradient tolerance reached"),
+    "rect4x7": (DomainSpec.rectangle(4, 7, 0.3, 1.1),
+                "diagonal route: a second negative curvature direction (nu_2 = 2.96477); "
+                "gradient tolerance reached"),
+}
+
+
+@pytest.mark.parametrize("domain, message", DECLINED.values(), ids=DECLINED.keys())
+def test_diagonal_route_declines_the_long_rectangles(domain, message):
+    report = solve_saddle(discretize(ProblemSpec(domain, power_nonlinearity())))
+    assert report.method == "flow-then-newton"
+    assert report.message == message
+    assert report.converged and report.nontrivial
 
 
 def _twin_coupling():

@@ -12,7 +12,9 @@ decouples, by K^-1-preconditioned MINRES with a check of the true
 residual; before, it always factored the 2n x 2n block by sparse LU
 (``oracles.newton_block_step``). On a symmetric problem the diagonal route
 of ``solve_saddle`` relies on that step keeping a symmetric iterate on the
-diagonal bitwise.
+diagonal bitwise. Its MINRES (``solver._minres``) is a port of scipy's
+``scipy.sparse.linalg.minres``, which it called before, and must return the
+same bytes after the same number of iterations.
 """
 
 import re
@@ -41,7 +43,7 @@ from linking_saddle import (
 from linking_saddle import solver
 from linking_saddle.solver import _newton_step, _ray, _ray_argmax, _ray_energy, _ray_slope
 
-from oracles import newton_block_step, ray_argmax_grid, ray_cross_coefficients
+from oracles import csr_stiffness, newton_block_step, ray_argmax_grid, ray_cross_coefficients
 
 GRIDS = (
     DomainSpec.interval(1),
@@ -107,7 +109,8 @@ def test_ray_coefficients_match_the_four_product_expansion(grid_index, seed, bas
     b, q = size * b, size * q
     ray = _ray(problem, b, q)
     base, direction = ray_pairs(b, q)
-    c0, c1, c2 = ray_cross_coefficients(problem.op.matrix, base.u, base.v,
+    k = csr_stiffness(problem.grid.shape, problem.grid.h)
+    c0, c1, c2 = ray_cross_coefficients(k, base.u, base.v,
                                         direction.u, direction.v)
     assert (ray.c0, ray.c2) == (c0, c2)
     assert c1 == 0.0
@@ -232,7 +235,8 @@ def test_newton_step_matches_block_solve(grid_index, preset, lam, delta, iterate
     vol, nl = problem.grid.cell_volume, problem.nl
     a = vol * (problem.lam + nl.df(x.u))
     b = vol * (problem.delta + nl.dg(x.v))
-    want_u, want_v = newton_block_step(problem.op.matrix, a, b, res.u, res.v)
+    want_u, want_v = newton_block_step(csr_stiffness(problem.grid.shape, problem.grid.h), a, b,
+                                       res.u, res.v)
     got = _newton_step(problem, x, res)
     size = max(np.max(np.abs(want_u)), np.max(np.abs(want_v)))
     assert np.max(np.abs(got.u - want_u)) <= 1e-10 * size
@@ -335,3 +339,88 @@ def test_newton_step_keeps_a_symmetric_iterate_on_the_diagonal(grid_index, p, la
     except solver._StepFailed:
         return
     assert np.array_equal(step.u, step.v)
+
+
+def scipy_minres(matvec, psolve, b):
+    """scipy's MINRES with the settings ``_minres_solve`` uses; returns x and the iterations."""
+    n = b.size
+    iterations = []
+    x, _ = spla.minres(spla.LinearOperator((n, n), matvec=matvec, dtype=float), b,
+                       rtol=1e-14, maxiter=solver._MINRES_MAX_ITER,
+                       M=spla.LinearOperator((n, n), matvec=psolve, dtype=float),
+                       callback=iterations.append)
+    return x, len(iterations)
+
+
+def assert_minres_matches_scipy(matvec, psolve, b):
+    x, iterations = solver._minres(matvec, psolve, b, 1e-14, solver._MINRES_MAX_ITER)
+    want, want_iterations = scipy_minres(matvec, psolve, b)
+    assert x.tobytes() == want.tobytes()
+    assert iterations == want_iterations
+    return iterations
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2))
+def test_minres_port_matches_scipy_on_indefinite_systems(n, seed, negative_share, spread,
+                                                         null_dimension):
+    # A = Q diag(eigenvalues) Q^T with a share of them negative and up to two
+    # zero (a singular A stops MINRES on its least-squares test), M = B B^T + I
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigenvalues = rng.uniform(0.1, 1.0, n) * spread ** rng.uniform(-1.0, 1.0, n)
+    eigenvalues[rng.uniform(size=n) < negative_share] *= -1.0
+    eigenvalues[:min(null_dimension, n - 1)] = 0.0
+    a = (q * eigenvalues) @ q.T
+    m = rng.standard_normal((n, n))
+    m = m @ m.T + np.eye(n)
+    assert_minres_matches_scipy(lambda x: a @ x, lambda r: m @ r, rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_minres_port_matches_scipy_on_newton_systems(blocks, monkeypatch):
+    # the systems _minres_solve hands to MINRES at a state of a 16^2 problem
+    problem = discretize(ProblemSpec(DomainSpec.square(16), power_nonlinearity(),
+                                     lam=3.0, delta=1.5))
+    rng = np.random.default_rng(blocks)
+    x = StatePair(*rng.standard_normal((2, problem.n)))
+    res = euler_lagrange_residual(problem, x)
+    vol, nl = problem.grid.cell_volume, problem.nl
+    a = vol * (problem.lam + nl.df(x.u))
+    b = vol * (problem.delta + nl.dg(x.v))
+    signs, rhs = (((1.0,), -(res.u + res.v)) if blocks == 1 else
+                  ((1.0, -1.0), -np.concatenate([res.u + res.v, res.u - res.v])))
+    systems = []
+    port = solver._minres
+
+    def recording(matvec, psolve, rhs, rtol, maxiter):
+        systems.append((matvec, psolve, rhs))
+        return port(matvec, psolve, rhs, rtol, maxiter)
+
+    monkeypatch.setattr(solver, "_minres", recording)
+    solver._minres_solve(problem.op, signs, 0.5 * (a + b), 0.5 * (b - a), rhs)
+    (system,) = systems
+    assert assert_minres_matches_scipy(*system) >= 5
+
+
+def test_minres_port_matches_scipy_on_an_invariant_subspace():
+    # b lies along one eigenvector of A and M = 1e-10 I, so the second Lanczos
+    # vector is rounding noise (beta / beta1 <= 10 eps). At these scales the
+    # residual estimate after the first step is still above rtol, so only the
+    # invariant-subspace test stops MINRES there; without it the port runs on
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+    a = (q * np.array([1.0, -2.0, 3.0, -4.0, 5.0, 6.0])) @ q.T
+    b = 1e-4 * q[:, 0]
+
+    def matvec(x):
+        return a @ x
+
+    def psolve(r):
+        return 1e-10 * r
+
+    beta1 = np.sqrt(b @ psolve(b))
+    v = psolve(b) / beta1
+    r2 = matvec(v) - ((v @ matvec(v)) / beta1) * b
+    assert np.sqrt(r2 @ psolve(r2)) <= 10 * np.finfo(float).eps * beta1
+    assert assert_minres_matches_scipy(matvec, psolve, b) == 1
