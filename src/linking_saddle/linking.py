@@ -131,8 +131,8 @@ class LinkingFrame:
     half-ball {|xi| <= rho, xi_last >= 0}; the small sphere N is the
     radius-r sphere of the full diagonal subspace. ``basis`` holds
     exactly the d_y chart modes, so d_y is its mode count. The Gram
-    matrices of the chart and the boundary rows of the degree count are
-    cached on first use.
+    matrix of the chart, the boundary rows of the degree count and the
+    start lattice of the root sweeps are cached on first use.
     """
 
     problem: Problem
@@ -197,6 +197,13 @@ class LinkingFrame:
         rows.flags.writeable = False
         return rows
 
+    @cached_property
+    def _sweep_starts(self) -> np.ndarray:
+        """The start lattice of every root sweep on the frame, built once."""
+        starts = _start_lattice(self, SWEEP_STARTS_PER_AXIS)
+        starts.flags.writeable = False
+        return starts
+
     def _inside(self, xi: np.ndarray) -> np.ndarray:
         """Half-ball membership of each chart row, with a slack of 1e-9 rho for rounding."""
         return ((xi[..., -1] >= -1e-9 * self.rho)
@@ -257,16 +264,19 @@ class SampleSets:
 
 
 def _cap_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
-    rows = np.empty((count, dim))
-    made = 0
-    while made < count:
-        g = rng.standard_normal(dim)
-        g[-1] = abs(g[-1])
-        norm = np.linalg.norm(g)
-        if norm < 1e-12:
-            continue
-        rows[made] = (rho / norm) * g
-        made += 1
+    """``count`` seeded rows on the cap of the radius-rho half-ball, from one Gaussian block.
+
+    numpy fills a block in the order of its rows, so these are the rows
+    that one draw per row gives. A row of norm below 1e-12 is skipped,
+    and only then is a further block drawn.
+    """
+    rows = np.empty((0, dim))
+    while len(rows) < count:
+        g = rng.standard_normal((count - len(rows), dim))
+        g[:, -1] = np.abs(g[:, -1])
+        norm = np.sqrt(_row_dots(g))
+        keep = norm >= 1e-12
+        rows = np.vstack([rows, (rho / norm[keep])[:, None] * g[keep]])
     return rows
 
 
@@ -275,7 +285,7 @@ def _base_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np
     made = 0
     while made < count:
         g = rng.standard_normal(dim - 1)
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g @ g)
         if norm < 1e-12:
             continue
         radius = rho * rng.uniform() ** (1.0 / (dim - 1))
@@ -290,7 +300,7 @@ def _interior_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -
     while made < count:
         g = rng.standard_normal(dim)
         g[-1] = abs(g[-1])
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g @ g)
         if norm < 1e-12 or g[-1] < 1e-6 * norm:
             continue
         radius = rho * (1.0 - 1e-6) * rng.uniform() ** (1.0 / dim)
@@ -495,9 +505,11 @@ def estimate_geometry(frame: LinkingFrame, *, seed: int = 0) -> GeometryReport:
 
     The bounds hold for F = G = a |t|^p with nonnegative shifts below
     resonance, and are taken in closed form: two stiffness products, for
-    J at the anchor. J is even, so it is the same at -r e. ``seed`` is
-    not read. Raises :class:`GeometryCertificationError` where the proofs
-    do not apply (``_floor_constants``).
+    J at the anchor. J is even, so it is the same at -r e. ``seed`` feeds
+    nothing, as nothing is drawn; it stays because callers still pass it
+    (``perfbench``'s ``WitnessSquare32`` workload). Raises
+    :class:`GeometryCertificationError` where the proofs do not apply
+    (``_floor_constants``).
     """
     problem = frame.problem
     k, c0, _ = _floor_constants(problem)
@@ -550,8 +562,10 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     for safety. rho = r 2^k for the least k whose cap ceiling
     (``_cap_ceiling``) is at most 0, so the boundary ceiling of a frame
     on these radii, anchored along the principal mode, is 0. The bounds
-    cover the whole antidiagonal subspace and draw nothing, so neither
-    ``d_y`` nor ``seed`` changes the radii.
+    cover the whole antidiagonal subspace and draw nothing, so ``d_y``
+    and ``seed`` feed nothing and never change the radii. They stay
+    because callers still pass them: ``seed`` the CLI and ``perfbench``'s
+    ``WitnessSquare32`` workload, ``d_y`` the CLI and ``test_c07``.
 
     The zero preset gets r = 1 and rho = 2 with a note, as no radii
     certify it. Raises :class:`GeometryCertificationError` where the
@@ -759,17 +773,22 @@ def _stencil(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([xi[:, None, :] + shift, xi[:, None, :] - shift], axis=1), h
 
 
-def _central_jacobians(map_fn: Callable[[np.ndarray], np.ndarray],
-                       xi: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians of ``map_fn`` at the chart rows xi, (m, d, d).
+def _stencil_jacobians(map_fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
+                       h: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians, (m, d, d), from the ``_stencil`` points and steps of m rows.
 
     The whole stencil of every row is mapped in one call.
     """
-    m, d = xi.shape
-    points, h = _stencil(xi)
+    m, d = h.shape
     values = map_fn(points.reshape(-1, d)).reshape(m, 2, d, d)
     # values[i, 0, j] - values[i, 1, j] is column j of row i's Jacobian
     return np.swapaxes((values[:, 0] - values[:, 1]) / (2.0 * h[:, :, None]), 1, 2)
+
+
+def _central_jacobians(map_fn: Callable[[np.ndarray], np.ndarray],
+                       xi: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians of ``map_fn`` at the chart rows xi, (m, d, d)."""
+    return _stencil_jacobians(map_fn, *_stencil(xi))
 
 
 def _newton_sweep(map_fn: Callable[[np.ndarray], np.ndarray], frame: LinkingFrame,
@@ -790,11 +809,12 @@ def _newton_sweep(map_fn: Callable[[np.ndarray], np.ndarray], frame: LinkingFram
     sq = _row_dots(values)
     running = np.flatnonzero(np.isfinite(sq))
     for _ in range(SWEEP_MAX_STEPS):
-        points, _ = _stencil(x[running])
-        running = running[frame._inside(points).all(axis=1)]
+        points, h = _stencil(x[running])
+        inside = frame._inside(points).all(axis=1)
+        running = running[inside]
         if running.size == 0:
             break
-        jac = _central_jacobians(map_fn, x[running])
+        jac = _stencil_jacobians(map_fn, points[inside], h[inside])
         det = np.linalg.det(jac)
         solvable = np.isfinite(det) & (det != 0.0)
         running, jac = running[solvable], jac[solvable]
@@ -827,23 +847,32 @@ def _newton_sweep(map_fn: Callable[[np.ndarray], np.ndarray], frame: LinkingFram
     return x, values
 
 
+def _first_come_rows(rows: np.ndarray, tol: float) -> np.ndarray:
+    """The rows farther than ``tol`` from every row kept before them, in order, (k, d).
+
+    Greedy: keep the first row left, drop every row within ``tol`` of it,
+    repeat. A row is kept exactly when a first-come pass over the rows
+    would keep it.
+    """
+    kept = []
+    while len(rows):
+        kept.append(rows[0])
+        rows = rows[np.sqrt(_row_dots(rows - rows[0])) > tol]
+    return np.array(kept, dtype=float).reshape(-1, rows.shape[1])
+
+
 def _root_sweep(map_fn: Callable[[np.ndarray], np.ndarray],
                 frame: LinkingFrame) -> np.ndarray:
     """Distinct interior roots of map_fn found from the start lattice, in sorted order, (k, d)."""
     scale = max(1.0, frame.r)
     tol = max(1e-6, 1e-5 * frame.rho)
-    ends, values = _newton_sweep(map_fn, frame, _start_lattice(frame, SWEEP_STARTS_PER_AXIS))
+    ends, values = _newton_sweep(map_fn, frame, frame._sweep_starts)
     # a start whose value is not finite never moves, and is no root
     keep = (np.isfinite(ends).all(axis=1)
             & (np.abs(values).max(axis=1) <= SWEEP_RESIDUAL_TOL * scale)
             & (ends[:, -1] >= 1e-9 * frame.r)
             & (np.sqrt(_row_dots(ends)) <= frame.rho * (1 - 1e-9)))
-    roots: List[np.ndarray] = []
-    for root in ends[keep]:
-        gaps = [root - kept for kept in roots]
-        if all(math.sqrt(gap @ gap) > tol for gap in gaps):
-            roots.append(root)
-    roots.sort(key=lambda row: tuple(np.round(row, 9)))
+    roots = sorted(_first_come_rows(ends[keep], tol), key=lambda row: tuple(np.round(row, 9)))
     return np.array(roots, dtype=float).reshape(-1, frame.chart_dim)
 
 

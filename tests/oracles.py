@@ -9,8 +9,9 @@ expansion, the one-row energies of the geometry sweeps, the whole-block
 Newton solve, the full pilot sweeps of the radii search and its sampled
 embedding constant, LAPACK's tridiagonal eigensolver, the numpy forms of
 the chart kernels, the state-space displacement residual, the hybr
-multistart root sweep of the degree count, the linear program of the
-compactness fit and the fixed-step flow map). No imports from
+multistart root sweep of the degree count and its first-come root loop,
+the ``np.linalg.norm`` forms of the chart samplers, the linear program of
+the compactness fit and the fixed-step flow map). No imports from
 linking_saddle are allowed in this module.
 """
 
@@ -387,6 +388,86 @@ def hybr_root_sweep(map_fn, starts: np.ndarray, r: float, rho: float,
             roots.append(root)
     roots.sort(key=lambda row: tuple(np.round(row, 9)))
     return np.array(roots, dtype=float).reshape(-1, len(starts[0]))
+
+
+def first_come_roots(ends: np.ndarray, tol: float) -> np.ndarray:
+    """The root sweep's merge as it ran before: one end at a time, against every root kept.
+
+    An end is kept when it is farther than ``tol`` from each kept root;
+    the kept ends are returned in their order, (k, d).
+    """
+    roots = []
+    for root in ends:
+        gaps = [root - kept for kept in roots]
+        if all(math.sqrt(gap @ gap) > tol for gap in gaps):
+            roots.append(root)
+    return np.array(roots, dtype=float).reshape(-1, ends.shape[1])
+
+
+def norm_cap_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
+    """Seeded rows on the cap of the radius-rho half-ball, normalized by ``np.linalg.norm``."""
+    rows = np.empty((count, dim))
+    made = 0
+    while made < count:
+        g = rng.standard_normal(dim)
+        g[-1] = abs(g[-1])
+        norm = np.linalg.norm(g)
+        if norm < 1e-12:
+            continue
+        rows[made] = (rho / norm) * g
+        made += 1
+    return rows
+
+
+def norm_base_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
+    """Seeded rows on the base disk of the half-ball, normalized by ``np.linalg.norm``."""
+    rows = np.zeros((count, dim))
+    made = 0
+    while made < count:
+        g = rng.standard_normal(dim - 1)
+        norm = np.linalg.norm(g)
+        if norm < 1e-12:
+            continue
+        radius = rho * rng.uniform() ** (1.0 / (dim - 1))
+        rows[made, :-1] = (radius / norm) * g
+        made += 1
+    return rows
+
+
+def norm_boundary_rows(rng: np.random.Generator, dim: int, rho: float,
+                       count: int) -> np.ndarray:
+    """The 2 dim corner probes, then ceil(fill/2) cap and floor(fill/2) base rows."""
+    corners = [np.zeros(dim)]
+    top = np.zeros(dim)
+    top[-1] = rho
+    corners.append(top)
+    for k in range(dim - 1):
+        for sign in (1.0, -1.0):
+            edge = np.zeros(dim)
+            edge[k] = sign * rho
+            corners.append(edge)
+    fill = max(count - 2 * dim, 0)
+    return np.vstack([np.array(corners), norm_cap_rows(rng, dim, rho, (fill + 1) // 2),
+                      norm_base_rows(rng, dim, rho, fill // 2)])
+
+
+def norm_interior_rows(rng: np.random.Generator, dim: int, rho: float,
+                       count: int) -> np.ndarray:
+    """Seeded rows strictly inside the half-ball, normalized by ``np.linalg.norm``."""
+    rows = np.empty((count, dim))
+    made = 0
+    while made < count:
+        g = rng.standard_normal(dim)
+        g[-1] = abs(g[-1])
+        norm = np.linalg.norm(g)
+        if norm < 1e-12 or g[-1] < 1e-6 * norm:
+            continue
+        radius = rho * (1.0 - 1e-6) * rng.uniform() ** (1.0 / dim)
+        if radius <= 0:
+            continue
+        rows[made] = (radius / norm) * g
+        made += 1
+    return rows
 
 
 def linprog_affine_fit(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:

@@ -17,7 +17,11 @@ half-ball membership test and the boundary clearance of the tapers take
 Python scalars and ``x @ x`` norms on their chart vectors; they must
 agree bitwise with the numpy forms they replaced. The homotopy and the
 modal pushes map a block of chart rows in one call; each row of the
-block must be bitwise the single-row numpy form of that row.
+block must be bitwise the single-row numpy form of that row. The root
+sweep maps the central-difference stencil it builds for its membership
+test, with the rows outside dropped; those Jacobians must be bitwise the
+ones ``_central_jacobians`` builds on the kept rows alone, and the
+one-column-at-a-time differences of each row.
 """
 
 import dataclasses
@@ -44,9 +48,10 @@ from linking_saddle import (
     power_nonlinearity,
     shipped_deformations,
 )
-from linking_saddle.linking import _boundary_clearance
-from oracles import (boundary_clearance, chart_contains, homotopy_chart_value, modal_push_chart,
-                     statepair_displacement_residual)
+from linking_saddle.linking import (_boundary_clearance, _central_jacobians, _stencil,
+                                    _stencil_jacobians)
+from oracles import (boundary_clearance, chart_contains, fd_jacobian, homotopy_chart_value,
+                     modal_push_chart, statepair_displacement_residual)
 
 REL = 1e-12
 
@@ -299,3 +304,24 @@ def test_batched_homotopy_rows_match_the_single_row_forms(grid_index, d_y, ancho
             want = homotopy_chart_value(frame._chart_gram, frame.r, t, xi, want_eta)
             for a, b in ((eta, want_eta), (value, want)):
                 assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=60)
+@given(*frame_args, st.integers(0, 2**32 - 1), st.integers(1, 8),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+def test_sweep_jacobians_are_the_central_jacobians(grid_index, d_y, anchor_seed, seed, m, t):
+    frame, _ = frames(grid_index, d_y, anchor_seed)
+    rng = np.random.default_rng(seed)
+    # a row on the cap has stencil points outside the half-ball; the sweep drops it
+    fractions = np.where(rng.integers(0, 2, m), 1.0, rng.uniform(0.0, 0.99, m))
+    rows = np.array([half_ball_point(frame, rng, f) for f in fractions])
+    points, h = _stencil(rows)
+    kept = frame._inside(points).all(axis=1)
+    for gamma in shipped_deformations(frame):
+        map_fn = homotopy_chart_map(gamma, t)
+        got = _stencil_jacobians(map_fn, points[kept], h[kept])
+        want = _central_jacobians(map_fn, rows[kept])
+        assert got.shape == want.shape == (int(kept.sum()), frame.chart_dim, frame.chart_dim)
+        assert got.tobytes() == want.tobytes()
+        for jac, row in zip(got, rows[kept]):
+            assert jac.tobytes() == fd_jacobian(map_fn, row).tobytes()

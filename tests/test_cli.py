@@ -216,6 +216,28 @@ def test_cli_intersect_draws_the_degree_boundary_once_per_frame(tmp_path, monkey
     assert [d for d in draws if d[2] == 306] == [(3, degrees[0][1], 306)]
 
 
+def test_cli_intersect_builds_the_start_lattice_once_per_frame(tmp_path, monkeypatch):
+    builds, degrees = [], []
+    start_lattice, degree = linking._start_lattice, cli.brouwer_degree_small
+
+    def counting_lattice(frame, per_axis):
+        builds.append((id(frame), per_axis))
+        return start_lattice(frame, per_axis)
+
+    def counting_degree(map_fn, frame):
+        degrees.append(id(frame))
+        return degree(map_fn, frame)
+
+    monkeypatch.setattr(linking, "_start_lattice", counting_lattice)
+    monkeypatch.setattr(cli, "brouwer_degree_small", counting_degree)
+    rc = main(["intersect", "--config", cfg_file(tmp_path, LINE_D2), "--out",
+               str(tmp_path / "i"), "--quiet"])
+    assert rc == 0
+    # four degree counts on one frame share one lattice
+    assert len(degrees) == 4 and len(set(degrees)) == 1
+    assert builds == [(degrees[0], linking.SWEEP_STARTS_PER_AXIS)]
+
+
 def test_cli_intersect_degree_start_is_each_deformations_own(tmp_path):
     path = cfg_file(tmp_path, LINE_D2)
     rc = main(["intersect", "--config", path, "--out", str(tmp_path / "i"), "--quiet"])

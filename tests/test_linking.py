@@ -36,7 +36,9 @@ from linking_saddle import (
     shipped_deformations,
     zero_nonlinearity,
 )
-from oracles import doubling_pilot, fd_jacobian, hybr_root_sweep, sampled_embedding_constant
+from oracles import (doubling_pilot, fd_jacobian, first_come_roots, hybr_root_sweep,
+                     norm_boundary_rows, norm_cap_rows, norm_interior_rows,
+                     sampled_embedding_constant)
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +371,105 @@ def test_newton_sweep_matches_the_hybr_sweep(domain, d_y):
             # the batched Jacobian is the single-row one, bitwise
             for root, det in zip(report.roots, report.determinants):
                 assert det == np.linalg.det(fd_jacobian(map_fn, root))
+
+
+@st.composite
+def end_sets(draw):
+    """Sweep ends in chart dimension 2 to 4 and a merge distance tol.
+
+    Bases sit on a dyadic lattice, so with tol = 2^-10 an end moved by tol
+    along one axis lies exactly tol away. Kinds: a lone end; a tight
+    cluster, repeats included; a pair exactly tol apart; and a chain
+    e1, e2, e3 whose neighbours lie within tol while e1 and e3 do not.
+    """
+    dim = draw(st.integers(2, 4))
+    tol = draw(st.sampled_from([2.0**-10, 1e-6, 3e-5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["lone", "cluster", "gap", "chain"]),
+                              max_size=6)):
+        base = rng.integers(-64, 65, dim) / 64.0
+        axis = np.eye(dim)[rng.integers(dim)]
+        if kind == "lone":
+            rows.append(base)
+        elif kind == "cluster":
+            size = int(rng.integers(2, 6))
+            rows.extend(base + rng.uniform(-0.25, 0.25, (size, dim)) * tol * rng.integers(0, 2))
+        elif kind == "gap":
+            rows.extend([base, base + tol * axis])
+        else:
+            rows.extend([base, base + 0.75 * tol * axis, base + 1.5 * tol * axis])
+    order = draw(st.permutations(range(len(rows))))
+    return np.array(rows, dtype=float).reshape(-1, dim)[list(order)], tol
+
+
+@settings(max_examples=300)
+@given(end_sets())
+def test_first_come_rows_match_the_first_come_loop(ends_tol):
+    ends, tol = ends_tol
+    got, want = linking._first_come_rows(ends, tol), first_come_roots(ends, tol)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_first_come_rows_keep_chain_ends_and_drop_exact_gaps(dim):
+    tol = 2.0**-10
+    axis = np.eye(dim)[0]
+    base = np.full(dim, 0.5)
+    assert linking._first_come_rows(np.empty((0, dim)), tol).shape == (0, dim)
+    assert np.array_equal(linking._first_come_rows(base[None], tol), base[None])
+    # a chain: e2 is within tol of e1 and e3, but e1 and e3 are 1.5 tol apart
+    chain = np.array([base, base + 0.75 * tol * axis, base + 1.5 * tol * axis])
+    assert np.array_equal(linking._first_come_rows(chain, tol), chain[[0, 2]])
+    assert np.array_equal(linking._first_come_rows(chain[[1, 0, 2]], tol), chain[[1]])
+    # a repeated end is merged, and an end exactly tol away is too
+    assert np.array_equal(linking._first_come_rows(chain[[0, 0, 2]], tol), chain[[0, 2]])
+    gap = np.array([base, base + tol * axis])
+    assert np.sqrt(np.sum((gap[1] - gap[0]) ** 2)) == tol
+    assert np.array_equal(linking._first_come_rows(gap, tol), gap[:1])
+
+
+@pytest.mark.parametrize("d_y", [1, 2, 3])
+def test_sweep_starts_are_the_start_lattice_built_once(line_problem, d_y):
+    frame = build_frame(line_problem, 0.7, 3.0, d_y=d_y)
+    starts = frame._sweep_starts
+    assert not starts.flags.writeable and frame._sweep_starts is starts
+    want = linking._start_lattice(frame, linking.SWEEP_STARTS_PER_AXIS)
+    assert starts.shape == want.shape and starts.tobytes() == want.tobytes()
+
+
+@settings(max_examples=120)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.floats(1e-3, 1e3), st.integers(0, 40))
+def test_chart_samplers_match_the_norm_forms(seed, dim, rho, count):
+    for ours, theirs in ((linking._boundary_rows, norm_boundary_rows),
+                         (linking._interior_rows, norm_interior_rows)):
+        got = ours(np.random.default_rng(seed), dim, rho, count)
+        want = theirs(np.random.default_rng(seed), dim, rho, count)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class ScriptedNormals:
+    """Gaussian draws from one fixed sequence, with the chosen rows shrunk below 1e-12."""
+
+    def __init__(self, seed, dim, tiny_rows):
+        values = np.random.default_rng(seed).standard_normal((100, dim))
+        values[tiny_rows] *= 1e-13
+        self.values, self.at = values.ravel(), 0
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        self.at += n
+        return self.values[self.at - n:self.at].reshape(size).copy()
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 40),
+       st.lists(st.integers(0, 59), max_size=20))
+def test_cap_rows_skip_short_draws_as_the_row_loop_did(seed, dim, count, tiny_rows):
+    got = linking._cap_rows(ScriptedNormals(seed, dim, tiny_rows), dim, 3.0, count)
+    want = norm_cap_rows(ScriptedNormals(seed, dim, tiny_rows), dim, 3.0, count)
+    assert got.shape == want.shape == (count, dim) and got.tobytes() == want.tobytes()
 
 
 def test_boundary_points_are_fixed_bitwise(line_frame):

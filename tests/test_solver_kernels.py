@@ -22,7 +22,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -267,37 +266,68 @@ KRYLOV_PROBLEMS = ((DomainSpec.square(10), 0.0, 0.0),
                    (DomainSpec.rectangle(12, 9), 1.0, 3.0))
 
 
-@pytest.mark.parametrize("domain, lam, delta", KRYLOV_PROBLEMS, ids=("symmetric", "coupled"))
-def test_newton_on_2d_grids_factors_nothing(domain, lam, delta, monkeypatch):
-    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
+def assert_newton_runs_preconditioned_minres(problem, monkeypatch):
+    """Newton from the default start, with its linear algebra counted and guarded.
 
-    def refusing(name):
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"{name} ran on a 2D grid")
-        return refuse
+    Every Newton system is one ``_minres`` run, each of its preconditioner
+    applications calls ``op._factor`` once per block, and no dense solve,
+    inverse or least-squares fit sees a matrix of n or more rows.
+    """
+    n, op = problem.n, problem.op
+    systems, runs, factored, applications = [], [], [], []
+    minres_solve, minres, factor = solver._minres_solve, solver._minres, op._factor
 
-    for module, name in ((spla, "spsolve"), (spla, "splu"), (spla, "factorized"),
-                         (sp, "bmat"), (sp, "diags")):
-        monkeypatch.setattr(module, name, refusing(name))
+    def counting_solve(*args, **kwargs):
+        systems.append(len(args[1]))
+        return minres_solve(*args, **kwargs)
+
+    def counting_minres(matvec, psolve, b, rtol, maxiter):
+        def counted_psolve(r):
+            before = len(factored)
+            out = psolve(r)
+            applications.append((len(factored) - before, r.size // n))
+            return out
+        runs.append(b.size // n)
+        return minres(matvec, counted_psolve, b, rtol, maxiter)
+
+    def counting_factor(rhs):
+        factored.append(rhs.size)
+        return factor(rhs)
+
+    def guarded(name, original):
+        def guard(a, *args, **kwargs):
+            if np.ndim(a) >= 2 and np.shape(a)[-2] >= n:
+                raise AssertionError(f"np.linalg.{name} ran on a {np.shape(a)} matrix")
+            return original(a, *args, **kwargs)
+        return guard
+
+    monkeypatch.setattr(solver, "_minres_solve", counting_solve)
+    monkeypatch.setattr(solver, "_minres", counting_minres)
+    monkeypatch.setitem(op.__dict__, "_factor", counting_factor)
+    for name in ("solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, guarded(name, getattr(np.linalg, name)))
     report = newton_solve(problem)
     assert report.converged and report.nontrivial
     assert report.iterations >= 2
+    # one MINRES run per Newton system, on the system's blocks
+    assert systems and runs == systems
+    # each preconditioner application solves K once per block, and only through _factor
+    assert applications and all(calls == blocks for calls, blocks in applications)
+    assert set(factored) == {n}
+
+
+@pytest.mark.parametrize("domain, lam, delta", KRYLOV_PROBLEMS, ids=("symmetric", "coupled"))
+def test_newton_on_2d_grids_factors_nothing(domain, lam, delta, monkeypatch):
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
+    assert_newton_runs_preconditioned_minres(problem, monkeypatch)
 
 
 @pytest.mark.parametrize("lam, delta", ((0.0, 0.0), (1.0, 3.0)), ids=("symmetric", "coupled"))
 def test_newton_on_1d_grids_assembles_no_block(lam, delta, monkeypatch):
-    # 1D grids take the same MINRES path; only K itself is factored, once
+    # 1D grids take the same MINRES path; only K itself is factored, by its LDL^T
     problem = discretize(ProblemSpec(DomainSpec.interval(63), power_nonlinearity(),
                                      lam=lam, delta=delta))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the second variation was assembled or factored")
-
-    for module, name in ((spla, "spsolve"), (sp, "bmat"), (sp, "diags")):
-        monkeypatch.setattr(module, name, refuse)
-    report = newton_solve(problem)
-    assert report.converged and report.nontrivial
-    assert report.iterations >= 2
+    assert_newton_runs_preconditioned_minres(problem, monkeypatch)
 
 
 @pytest.mark.parametrize("lam, delta", ((0.0, 0.0), (1.0, 3.0)), ids=("symmetric", "coupled"))
