@@ -71,6 +71,14 @@ RUNS = (
      _domain(32, 32) + ["problem.lambda = 3.0", "problem.delta = 3.0"]),
     # the exponent mu of the power preset is p
     ("solve-p3-line63", ["solve"], _domain(63) + ["problem.p = 3"]),
+    # a symmetric problem whose diagonal point is declined: the flow finishes the
+    # solve, and its iterates alternate between mirrored (u == v bitwise) and not
+    ("solve-rect12x6", ["solve"],
+     _domain(12, 6) + ["domain.extent_x = 1.0", "domain.extent_y = 2.5"]),
+    # the same rectangle off the diagonal route, with unequal shifts
+    ("solve-shifted-rect12x6", ["solve"],
+     _domain(12, 6) + ["domain.extent_x = 1.0", "domain.extent_y = 2.5",
+                       "problem.lambda = 2.0", "problem.delta = 0.0"]),
     ("intersect-line255-dy1", ["intersect"], _domain(255) + ["frame.d_y = 1"]),
     ("intersect-line255-dy2", ["intersect"], _domain(255) + ["frame.d_y = 2"]),
     ("intersect-rect12x5-dy1", ["intersect"], _domain(12, 5) + ["frame.d_y = 1"]),

@@ -34,6 +34,7 @@ from .linking import (
 )
 from .reporting import write_csv, write_float_csv, write_manifest, write_pgm, write_svg_trace
 from .solver import minimax_consistency, ps_monitor, solve_saddle
+from .state import mirrored
 
 __all__ = ["main"]
 
@@ -267,9 +268,11 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
           ps.bounded, ps.tail_cauchy, ps.fit_c1, ps.fit_c2, ps.fit_slack)],
     )
     if cfg.output.heatmaps and grid.dimension == 2:
-        write_pgm(_out_path(cfg, "solution_u.pgm"), grid.as_mesh(report.state.u),
-                  comment="u component")
-        write_pgm(_out_path(cfg, "solution_v.pgm"), grid.as_mesh(report.state.v),
+        u, v = report.state.u, report.state.v
+        image = write_pgm(_out_path(cfg, "solution_u.pgm"), grid.as_mesh(u),
+                          comment="u component")
+        # on the diagonal route v is u bitwise: the two images differ in their comments only
+        write_pgm(_out_path(cfg, "solution_v.pgm"), image if mirrored(u, v) else grid.as_mesh(v),
                   comment="v component")
     if cfg.output.svg:
         write_svg_trace(_out_path(cfg, "trace.svg"),

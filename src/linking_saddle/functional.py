@@ -19,6 +19,7 @@ are mesh-consistent and comparable across refinement levels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import EnergyOverflowError, InvalidSpecError
 from .grid import DomainSpec, Grid, StiffnessOperator, build_grid, eigenpairs
-from .state import StatePair, pair_dot, pair_norm
+from .state import StatePair, mirrored, pair_dot, pair_norm
 
 __all__ = [
     "NonlinearitySpec",
@@ -153,6 +154,13 @@ class Problem:
         self.lam = float(spec.lam)
         self.delta = float(spec.delta)
         self.nl = spec.nonlinearity
+        nl = self.nl
+        # swapping u and v leaves J unchanged, and each kernel's v-terms are its
+        # u-terms' floating-point operations: f = g, F = G and f' = g' as the same
+        # objects, and lam and delta the same double (0.0 and -0.0 differ)
+        self.symmetric = (nl.f is nl.g and nl.F is nl.G and nl.df is nl.dg
+                          and self.lam == self.delta
+                          and math.copysign(1.0, self.lam) == math.copysign(1.0, self.delta))
         self._eigen_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -213,32 +221,44 @@ def evaluate_J(problem: Problem, x: StatePair) -> EnergyBreakdown:
     """Evaluate the indefinite energy, term by term.
 
     Raises :class:`EnergyOverflowError` naming the first non-finite term.
+    By the mirror rule (:func:`~linking_saddle.state.mirrored`), where
+    u == v bitwise the cross term takes one stiffness product d = u K u,
+    as 0.5 (d + d).
     """
     op = problem.op
     u = problem.grid.check_field(x.u)
     v = problem.grid.check_field(x.v)
+    mirror = mirrored(u, v)
     with np.errstate(over="ignore", invalid="ignore"):
         Ku = op.apply(u)
-        Kv = op.apply(v)
-        cross = 0.5 * (u @ Kv + v @ Ku)
-    return _energy_from_cross(problem, u, v, cross)
+        if mirror:
+            d = u @ Ku
+            cross = 0.5 * (d + d)
+        else:
+            cross = 0.5 * (u @ op.apply(v) + v @ Ku)
+    return _energy_from_cross(problem, u, v, cross, mirror)
 
 
 def _energy_from_cross(problem: Problem, u: np.ndarray, v: np.ndarray,
-                       cross: float) -> EnergyBreakdown:
+                       cross: float, mirror: bool) -> EnergyBreakdown:
     """The energy of the grid fields (u, v) whose cross term <u, v> is given.
 
     ``evaluate_J`` takes the cross term from the stiffness matrix; a
     caller that knows it in closed form passes that. The terms are
-    checked in the order of ``EnergyBreakdown``'s fields.
+    checked in the order of ``EnergyBreakdown``'s fields. ``mirror`` says
+    whether u == v bitwise (:func:`~linking_saddle.state.mirrored`); on a
+    symmetric problem the v-terms are then the u-terms, taken once.
     """
     vol = problem.grid.cell_volume
+    mirror = mirror and problem.symmetric
     with np.errstate(over="ignore", invalid="ignore"):
         cross = _check_term(cross, "cross")
         quad_u = _check_term(0.5 * problem.lam * vol * float(u @ u), "quadratic-u")
-        quad_v = _check_term(0.5 * problem.delta * vol * float(v @ v), "quadratic-v")
+        quad_v = (quad_u if mirror else
+                  _check_term(0.5 * problem.delta * vol * float(v @ v), "quadratic-v"))
         potential_u = _check_term(vol * float(np.sum(problem.nl.F(u))), "potential-u")
-        potential_v = _check_term(vol * float(np.sum(problem.nl.G(v))), "potential-v")
+        potential_v = (potential_u if mirror else
+                       _check_term(vol * float(np.sum(problem.nl.G(v))), "potential-v"))
     return EnergyBreakdown(cross, quad_u, quad_v, potential_u, potential_v)
 
 
@@ -268,7 +288,9 @@ def euler_lagrange_residual(problem: Problem, x: StatePair) -> StatePair:
     Components are the partial gradients of the energy with respect to
     the nodal values of u and v; the component paired with u reads
     K v - vol (lam u + f(u)), the discrete form of the cross-coupled
-    elliptic system. Zero residual is exactly a critical point.
+    elliptic system. Zero residual is exactly a critical point. By the
+    mirror rule, on a symmetric problem at u == v bitwise the v component
+    is a copy of the u component.
     """
     grid, op = problem.grid, problem.op
     u = grid.check_field(x.u)
@@ -276,7 +298,10 @@ def euler_lagrange_residual(problem: Problem, x: StatePair) -> StatePair:
     vol = grid.cell_volume
     with np.errstate(over="ignore", invalid="ignore"):
         res_u = op.apply(v) - vol * (problem.lam * u + problem.nl.f(u))
-        res_v = op.apply(u) - vol * (problem.delta * v + problem.nl.g(v))
+        if problem.symmetric and mirrored(u, v):
+            res_v = res_u.copy()
+        else:
+            res_v = op.apply(u) - vol * (problem.delta * v + problem.nl.g(v))
     out = StatePair(res_u, res_v)
     if not out.is_finite():
         raise EnergyOverflowError("energy term 'first-order residual' is not finite")

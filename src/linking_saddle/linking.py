@@ -281,16 +281,26 @@ def _cap_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.
 
 
 def _base_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
-    rows = np.zeros((count, dim))
+    """``count`` seeded rows on the base disk of the radius-rho half-ball, last entry 0.
+
+    Each row draws dim - 1 normals g, skipped if |g| < 1e-12, and then one
+    uniform u, for the radius rho u^(1/(dim - 1)); the power is libm's, on
+    a Python float, as numpy's vector power can differ from it by an ulp.
+    The norms and the scaling are then taken for the whole block.
+    """
+    normals = np.empty((count, dim - 1))
+    radii = np.empty(count)
     made = 0
     while made < count:
         g = rng.standard_normal(dim - 1)
-        norm = math.sqrt(g @ g)
-        if norm < 1e-12:
+        # |g| >= |g_0| in floating point too, so only a draw with |g_0| < 1e-12 can be short
+        if abs(g[0]) < 1e-12 and math.sqrt(g @ g) < 1e-12:
             continue
-        radius = rho * rng.uniform() ** (1.0 / (dim - 1))
-        rows[made, :-1] = (radius / norm) * g
+        normals[made] = g
+        radii[made] = rho * rng.random() ** (1.0 / (dim - 1))
         made += 1
+    rows = np.zeros((count, dim))
+    rows[:, :-1] = (radii / np.sqrt(_row_dots(normals)))[:, None] * normals
     return rows
 
 

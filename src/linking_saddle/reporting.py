@@ -5,7 +5,8 @@ run never leaves a half-written report. Floats are serialized with 17
 significant digits, which round-trips IEEE doubles exactly; determinism
 tests compare these files byte for byte. ``write_float_csv`` formats each
 distinct bit pattern of its block once, and ``write_pgm`` fills one
-template for the whole gray block.
+template for the whole gray block, which it can write to more than one
+file.
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ def write_float_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarr
     atomic_write_text(path, template % (",".join(header), *cells[inverse.ravel()].tolist()))
 
 
-def write_pgm(path: str, mesh: np.ndarray, comment: str = "") -> None:
-    """Plain (P2) grayscale image of a 2D interior mesh, row-major.
+def _pgm_image(mesh: np.ndarray) -> str:
+    """The plain (P2) grayscale image of a 2D interior mesh, row-major, after its comment line.
 
+    That is the size line, the maximum gray value 255 and the gray rows.
     Values are linearly rescaled to 0..255; a constant field maps to
     mid-gray. Only meaningful for 2D fields.
     """
@@ -93,13 +95,20 @@ def write_pgm(path: str, mesh: np.ndarray, comment: str = "") -> None:
         gray = np.rint((mesh - lo) / (hi - lo) * 255.0).astype(int)
     else:
         gray = np.full(mesh.shape, 128, dtype=int)
-    lines = ["P2"]
-    if comment:
-        lines.append("# " + comment)
-    lines.append(f"{mesh.shape[1]} {mesh.shape[0]}")
-    lines.append("255")
     rows = (" ".join(["%d"] * mesh.shape[1]) + "\n") * mesh.shape[0]
-    atomic_write_text(path, "\n".join(lines) + "\n" + rows % tuple(gray.ravel().tolist()))
+    return f"{mesh.shape[1]} {mesh.shape[0]}\n255\n" + rows % tuple(gray.ravel().tolist())
+
+
+def write_pgm(path: str, mesh, comment: str = "") -> str:
+    """Plain (P2) grayscale image of a 2D interior mesh (see :func:`_pgm_image`).
+
+    ``comment``, if any, is written as a comment line. Returns the image
+    after that line, which a later call may take in place of ``mesh`` to
+    write the same image under another comment.
+    """
+    image = mesh if isinstance(mesh, str) else _pgm_image(mesh)
+    atomic_write_text(path, "P2\n" + (f"# {comment}\n" if comment else "") + image)
+    return image
 
 
 def _polyline(xs: np.ndarray, ys: np.ndarray, color: str) -> str:

@@ -4,14 +4,16 @@ Two routes, chosen from the problem and the start. Every solve starts,
 by default, at the crest of the energy along the ray of the principal
 diagonal mode.
 
-A symmetric problem (f = g, F = G, f' = g' as the same objects, and
-lam = delta) from a nonzero start with u == v is solved on the diagonal:
-swapping u and v leaves J unchanged, so by Palais' principle of
-symmetric criticality a critical point of w |-> J(w, w) is one of J.
-Damped Newton runs from the start, and each trial is pinned to the crest
-of the energy along its own ray, which keeps it off the trivial state.
-At a symmetric iterate the Newton step keeps u == v bitwise, so every
-iterate is some (w, w). Newton goes to the nearest critical point, which
+A symmetric problem (``Problem.symmetric``: f = g, F = G, f' = g' as the
+same objects, and lam and delta the same double) from a nonzero start
+with u == v is solved on the diagonal: swapping u and v leaves J
+unchanged, so by Palais' principle of symmetric criticality a critical
+point of w |-> J(w, w) is one of J. Damped Newton runs from the start,
+and each trial is pinned to the crest of the energy along its own ray,
+which keeps it off the trivial state. At a symmetric iterate the Newton
+step keeps u == v bitwise, so every iterate is some (w, w), and each pair
+kernel takes its v-half from its u-half (the mirror rule of
+:func:`~linking_saddle.state.mirrored`). Newton goes to the nearest critical point, which
 need not be a mountain pass: on coarse, long rectangles it stays symmetric
 about the middle and stops at twice the least level. So the route keeps
 its point only if the second variation of w |-> J(w, w) there has a
@@ -76,7 +78,7 @@ from .functional import (Problem, _energy_from_cross, euler_lagrange_residual, e
 from .grid import StiffnessOperator
 from .linking import LinkingFrame, _boundary_clearance, _boundary_corner_rows, _interior_rows
 from .splitting import DiagonalSplitting
-from .state import StatePair, pair_norm
+from .state import StatePair, mirrored, pair_norm
 
 __all__ = [
     "SolverConfig",
@@ -225,12 +227,16 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     iterate) keeps u == v bitwise. Otherwise the 2n x 2n block is solved
     whole, by MINRES preconditioned with K^-1 on each block
     (:func:`_minres_solve`). A singular system raises :class:`_StepFailed`.
+    By the mirror rule, on a symmetric problem at u == v bitwise b is a.
     """
     op, nl = problem.op, problem.nl
     vol = problem.grid.cell_volume
     n = problem.n
     a = vol * (problem.lam + np.asarray(nl.df(x.u), dtype=float))
-    b = vol * (problem.delta + np.asarray(nl.dg(x.v), dtype=float))
+    if problem.symmetric and mirrored(x.u, x.v):
+        b = a
+    else:
+        b = vol * (problem.delta + np.asarray(nl.dg(x.v), dtype=float))
     avg = 0.5 * (a + b)
     off = 0.5 * (b - a)
     rhs_p = -(res.u + res.v)
@@ -258,19 +264,27 @@ def _minres_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarr
     MINRES (:func:`_minres`) stops on its own residual estimate, so the
     true residual is checked against ``op.rtol`` * |rhs| afterwards, as
     :meth:`StiffnessOperator.solve` does; a miss raises :class:`_StepFailed`.
+    One block is applied and preconditioned as it is, with no concatenation.
     """
     k, k_inv, n = op._matvec, op._factor, avg.size
 
-    def apply(w: np.ndarray) -> np.ndarray:
-        parts = w.reshape(len(signs), n)
-        out = np.concatenate([sign * k(part) - avg * part
-                              for sign, part in zip(signs, parts)])
-        if len(signs) == 2:
-            out += np.concatenate([off * parts[1], off * parts[0]])
-        return out
+    if len(signs) == 1:
+        (sign,) = signs
 
-    def precondition(r: np.ndarray) -> np.ndarray:
-        return np.concatenate([k_inv(part) for part in r.reshape(len(signs), n)])
+        def apply(w: np.ndarray) -> np.ndarray:
+            return sign * k(w) - avg * w
+
+        precondition = k_inv
+    else:
+        def apply(w: np.ndarray) -> np.ndarray:
+            parts = w.reshape(2, n)
+            out = np.concatenate([sign * k(part) - avg * part
+                                  for sign, part in zip(signs, parts)])
+            out += np.concatenate([off * parts[1], off * parts[0]])
+            return out
+
+        def precondition(r: np.ndarray) -> np.ndarray:
+            return np.concatenate([k_inv(part) for part in r.reshape(2, n)])
 
     # the estimate runs ahead of the true residual; asking 1e-14 of it brings
     # the true residual under op.rtol
@@ -430,11 +444,14 @@ class _Ray:
 
 
 def _ray(problem: Problem, base: np.ndarray, direction: np.ndarray) -> _Ray:
-    """Validate the :class:`_Ray` of b = ``base`` and q = ``direction``; expand its cross term."""
+    """Validate the :class:`_Ray` of b = ``base`` and q = ``direction``; expand its cross term.
+
+    A base of +0.0 entries only has K b = +0.0 too, so its c0 is -0.0 with no product.
+    """
     grid, op = problem.grid, problem.op
     b, q = grid.check_field(base), grid.check_field(direction)
     with np.errstate(over="ignore", invalid="ignore"):
-        c0 = -(b @ op.apply(b))
+        c0 = -0.0 if not b.view(np.int64).any() else -(b @ op.apply(b))
         c2 = q @ op.apply(q)
     return _Ray(b, q, float(c0), float(c2))
 
@@ -451,7 +468,7 @@ def _ray_energy(problem: Problem, ray: _Ray, tau: float) -> float:
         u, v = ray.base + qt, qt - ray.base
         cross = ray.c0 + tau * (tau * ray.c2)
     try:
-        return _energy_from_cross(problem, u, v, cross).total
+        return _energy_from_cross(problem, u, v, cross, mirrored(u, v)).total
     except EnergyOverflowError:
         return -np.inf
 
@@ -461,7 +478,8 @@ def _ray_slope(problem: Problem, ray: _Ray, tau: float) -> tuple[float, float]:
 
     Each u-term is grouped with its v-mirror, so on a symmetric problem
     swapping the components, that is negating the base, leaves both values
-    bitwise unchanged.
+    bitwise unchanged. By the mirror rule, there at u == v bitwise each
+    pair is one term doubled, as x + x.
     """
     nl, vol = problem.nl, problem.grid.cell_volume
     q = ray.direction
@@ -469,14 +487,20 @@ def _ray_slope(problem: Problem, ray: _Ray, tau: float) -> tuple[float, float]:
         qt = q * tau
         u, v = ray.base + qt, qt - ray.base
         qq, q2 = float(q @ q), q * q
-        slope = 2.0 * tau * ray.c2 - vol * (
-            (problem.lam * float(u @ q) + problem.delta * float(v @ q))
-            + (float(nl.f(u) @ q) + float(nl.g(v) @ q))
-        )
-        curvature = 2.0 * ray.c2 - vol * (
-            (problem.lam * qq + problem.delta * qq)
-            + (float(nl.df(u) @ q2) + float(nl.dg(v) @ q2))
-        )
+        if problem.symmetric and mirrored(u, v):
+            shift, coupling = problem.lam * float(u @ q), float(nl.f(u) @ q)
+            shift2, coupling2 = problem.lam * qq, float(nl.df(u) @ q2)
+            slope = 2.0 * tau * ray.c2 - vol * ((shift + shift) + (coupling + coupling))
+            curvature = 2.0 * ray.c2 - vol * ((shift2 + shift2) + (coupling2 + coupling2))
+        else:
+            slope = 2.0 * tau * ray.c2 - vol * (
+                (problem.lam * float(u @ q) + problem.delta * float(v @ q))
+                + (float(nl.f(u) @ q) + float(nl.g(v) @ q))
+            )
+            curvature = 2.0 * ray.c2 - vol * (
+                (problem.lam * qq + problem.delta * qq)
+                + (float(nl.df(u) @ q2) + float(nl.dg(v) @ q2))
+            )
     if not (math.isfinite(slope) and math.isfinite(curvature)):
         return -np.inf, -np.inf
     return slope, curvature
@@ -559,16 +583,16 @@ def _flow_update(
     gp = split.antidiagonal_part(g)
     gq = split.diagonal_part(g)
     p_new = p + s * gp
-    # q, gq and q_tent are diagonal pairs, one product each
-    qq = split.diagonal_dot(q.u, q.u)
+    # q, gq and q_tent are mirrored pairs, one product each
+    qq = split.pair_dot(q, q)
     t_cur = float(np.sqrt(max(qq, 0.0)))
     if t_cur > 1e-300:
-        coeff = split.diagonal_dot(gq.u, q.u) / qq
+        coeff = split.pair_dot(gq, q) / qq
         transverse = gq - coeff * q
         q_tent = q - s * transverse
     else:
         q_tent = q + s * gq
-    t_tent = split.diagonal_norm(q_tent.u)
+    t_tent = split.pair_norm(q_tent)
     qhat = _principal_direction(problem) if t_tent <= 1e-300 else (1.0 / t_tent) * q_tent
     tau_star = _ray_argmax(problem, p_new.u, qhat.u, t_cur)
     if tau_star is None:
@@ -579,8 +603,11 @@ def _flow_update(
 
 
 def _mu_norm(problem: Problem, x: StatePair) -> float:
+    """vol * (sum |u|^mu + sum |v|^mu); by the mirror rule, one sum s as s + s where u == v bitwise."""
     mu = problem.nl.mu
-    return problem.grid.cell_volume * (np.sum(np.abs(x.u) ** mu) + np.sum(np.abs(x.v) ** mu))
+    su = np.sum(np.abs(x.u) ** mu)
+    sv = su if mirrored(x.u, x.v) else np.sum(np.abs(x.v) ** mu)
+    return problem.grid.cell_volume * (su + sv)
 
 
 def _accept(problem: Problem, trials: Iterator[tuple]) -> tuple:
@@ -813,12 +840,6 @@ def signflow_solve(
                     FLOW_MAX_ITER, FLOW_STEP, "signflow", floor, basin=_basin)
 
 
-def _symmetric(problem: Problem) -> bool:
-    """Whether swapping u and v leaves J unchanged: f = g, F = G, f' = g' and lam = delta."""
-    nl = problem.nl
-    return nl.f is nl.g and nl.F is nl.G and nl.df is nl.dg and problem.lam == problem.delta
-
-
 def _second_curvature_ratio(problem: Problem, w: np.ndarray) -> float:
     """nu_2, the second largest eigenvalue of vol (lam + f'(w)) x = nu K x; -inf on one node.
 
@@ -873,7 +894,7 @@ def solve_saddle(
 ) -> SaddleReport:
     """A saddle point of J, from the principal diagonal crest by default.
 
-    A symmetric problem (:func:`_symmetric`) from a nonzero start with
+    A symmetric problem (``Problem.symmetric``) from a nonzero start with
     u == v is solved on the diagonal: Newton from that start, each trial
     pinned to the crest of its ray (:func:`newton_solve`). At a symmetric
     iterate the Newton step keeps u == v bitwise (:func:`_newton_step`),
@@ -894,7 +915,7 @@ def solve_saddle(
     cfg = config if config is not None else SolverConfig()
     x0, floor = _initial_state(problem, x0)
     declined = ""
-    if _symmetric(problem) and np.array_equal(x0.u, x0.v) and np.any(x0.u != 0.0):
+    if problem.symmetric and np.array_equal(x0.u, x0.v) and np.any(x0.u != 0.0):
         diagonal = newton_solve(problem, cfg, x0, _pin=True, _floor=floor)
         if not diagonal.converged and diagonal.iterations < cfg.max_iter:
             declined = f"diagonal route: {diagonal.message}; "

@@ -60,17 +60,6 @@ class DiagonalSplitting:
     def pair_norm(self, x: StatePair) -> float:
         return pair_norm(self.op, x)
 
-    def diagonal_dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """``pair_dot`` of the diagonal pairs (a, a) and (b, b), by one product.
-
-        Bitwise equal to it: its two products are equal, and x + x == 2x.
-        """
-        return 2.0 * self.op.product(a, b)
-
-    def diagonal_norm(self, w: np.ndarray) -> float:
-        """``pair_norm`` of the diagonal pair (w, w), bitwise, by one product."""
-        return float(np.sqrt(max(self.diagonal_dot(w, w), 0.0)))
-
     def cross_form(self, x: StatePair) -> float:
         """The indefinite quadratic <u, v>, as a difference of squares."""
         plus = self.diagonal_part(x)

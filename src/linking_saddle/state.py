@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StatePair", "pair_dot", "pair_norm"]
+__all__ = ["StatePair", "mirrored", "pair_dot", "pair_norm"]
 
 
 @dataclass
@@ -65,8 +65,27 @@ class StatePair:
         return StatePair(self.u / a, self.v / a)
 
 
+def mirrored(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the fields a and b hold the same doubles, bit for bit.
+
+    0.0 and -0.0 differ, and so do NaN payloads, so a kernel fed two
+    mirrored fields makes the same floating-point operations on each and
+    may compute one side from the other. The mirror rule of a kernel: where
+    its u- and v-terms are the same operations on mirrored fields, it takes
+    them once.
+    """
+    return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
 def pair_dot(op, a: StatePair, b: StatePair) -> float:
-    """Product inner product: Dirichlet form on each component, summed."""
+    """Product inner product: Dirichlet form on each component, summed.
+
+    By the mirror rule (:func:`mirrored`), where a and b each have u == v
+    bitwise it takes one product d and returns d + d.
+    """
+    if mirrored(a.u, a.v) and (b is a or mirrored(b.u, b.v)):
+        d = op.product(a.u, b.u)
+        return d + d
     return op.product(a.u, b.u) + op.product(a.v, b.v)
 
 

@@ -11,7 +11,8 @@ embedding constant, LAPACK's tridiagonal eigensolver, the numpy forms of
 the chart kernels, the state-space displacement residual, the hybr
 multistart root sweep of the degree count and its first-come root loop,
 the ``np.linalg.norm`` forms of the chart samplers, the linear program of
-the compactness fit and the fixed-step flow map). No imports from
+the compactness fit, the fixed-step flow map, and the two-sided u/v kernels
+that took each v-term apart from its u-mirror). No imports from
 linking_saddle are allowed in this module.
 """
 
@@ -490,3 +491,108 @@ def linprog_affine_fit(a: np.ndarray, b: np.ndarray) -> tuple[float, float, floa
     c1, c2 = float(lp.x[0]), float(lp.x[1])
     c2 += max(float(np.max(a - (c1 * b + c2))), 0.0)
     return c1, c2, c1 * float(np.mean(b)) + c2
+
+
+def two_sided_pair_dot(op, a_u: np.ndarray, a_v: np.ndarray, b_u: np.ndarray,
+                       b_v: np.ndarray) -> float:
+    """``pair_dot`` of (a_u, a_v) and (b_u, b_v) as two products, one per component."""
+    return op.product(a_u, b_u) + op.product(a_v, b_v)
+
+
+def two_sided_energy_terms(problem, u: np.ndarray, v: np.ndarray) -> tuple[float, ...]:
+    """cross, quad_u, quad_v, potential_u and potential_v of ``evaluate_J``, unchecked.
+
+    Two stiffness products for the cross term, and each v-term from v.
+    """
+    op, nl, vol = problem.op, problem.nl, problem.grid.cell_volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        ku = op.apply(u)
+        kv = op.apply(v)
+        return (float(0.5 * (u @ kv + v @ ku)),
+                0.5 * problem.lam * vol * float(u @ u),
+                0.5 * problem.delta * vol * float(v @ v),
+                vol * float(np.sum(nl.F(u))),
+                vol * float(np.sum(nl.G(v))))
+
+
+def two_sided_residual(problem, u: np.ndarray,
+                       v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The components of ``euler_lagrange_residual``, each from its own product, unchecked."""
+    op, nl, vol = problem.op, problem.nl, problem.grid.cell_volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_u = op.apply(v) - vol * (problem.lam * u + nl.f(u))
+        res_v = op.apply(u) - vol * (problem.delta * v + nl.g(v))
+    return res_u, res_v
+
+
+def two_sided_ray_slope(problem, base: np.ndarray, q: np.ndarray, c2: float,
+                        tau: float) -> tuple[float, float]:
+    """``_ray_slope`` at tau on the ray (b, -b) + tau (q, q), each u-term beside its v-mirror."""
+    nl, vol = problem.nl, problem.grid.cell_volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        qt = q * tau
+        u, v = base + qt, qt - base
+        qq, q2 = float(q @ q), q * q
+        slope = 2.0 * tau * c2 - vol * (
+            (problem.lam * float(u @ q) + problem.delta * float(v @ q))
+            + (float(nl.f(u) @ q) + float(nl.g(v) @ q))
+        )
+        curvature = 2.0 * c2 - vol * (
+            (problem.lam * qq + problem.delta * qq)
+            + (float(nl.df(u) @ q2) + float(nl.dg(v) @ q2))
+        )
+    if not (math.isfinite(slope) and math.isfinite(curvature)):
+        return -np.inf, -np.inf
+    return slope, curvature
+
+
+def two_sided_mu_norm(problem, u: np.ndarray, v: np.ndarray) -> float:
+    """vol * (sum |u|^mu + sum |v|^mu), one power sum per component."""
+    mu = problem.nl.mu
+    return problem.grid.cell_volume * (np.sum(np.abs(u) ** mu) + np.sum(np.abs(v) ** mu))
+
+
+def two_sided_newton_step(problem, u: np.ndarray, v: np.ndarray, res_u: np.ndarray,
+                          res_v: np.ndarray, minres) -> tuple[np.ndarray, np.ndarray]:
+    """``_newton_step`` with b taken from v, and its MINRES blocks always concatenated.
+
+    ``minres`` is the package's MINRES, called as it calls it. A singular
+    system raises RuntimeError with the package's message.
+    """
+    op, nl, vol, n = problem.op, problem.nl, problem.grid.cell_volume, problem.n
+    singular = "second-variation system is singular"
+    a = vol * (problem.lam + np.asarray(nl.df(u), dtype=float))
+    b = vol * (problem.delta + np.asarray(nl.dg(v), dtype=float))
+    avg, off = 0.5 * (a + b), 0.5 * (b - a)
+
+    def solve(signs, rhs):
+        def apply(w):
+            parts = w.reshape(len(signs), n)
+            out = np.concatenate([sign * op._matvec(part) - avg * part
+                                  for sign, part in zip(signs, parts)])
+            if len(signs) == 2:
+                out += np.concatenate([off * parts[1], off * parts[0]])
+            return out
+
+        def precondition(r):
+            return np.concatenate([op._factor(part) for part in r.reshape(len(signs), n)])
+
+        sol, _ = minres(apply, precondition, rhs, 1e-14, 200)
+        resid = float(np.linalg.norm(apply(sol) - rhs))
+        scale = float(np.linalg.norm(rhs))
+        if not resid <= op.rtol * scale:
+            raise RuntimeError(f"{singular}: MINRES residual {resid:.3e} exceeds "
+                               f"{op.rtol:.1e} * |rhs| = {op.rtol * scale:.3e}")
+        return sol
+
+    rhs_p, rhs_q = -(res_u + res_v), -(res_u - res_v)
+    if np.any(off != 0.0):
+        sol = solve((1.0, -1.0), np.concatenate([rhs_p, rhs_q]))
+        p, q = sol[:n], sol[n:]
+    else:
+        p = solve((1.0,), rhs_p)
+        q = solve((-1.0,), rhs_q) if np.any(rhs_q != 0.0) else np.zeros(n)
+    step_u, step_v = 0.5 * (p + q), 0.5 * (p - q)
+    if not (np.all(np.isfinite(step_u)) and np.all(np.isfinite(step_v))):
+        raise RuntimeError(singular)
+    return step_u, step_v

@@ -300,9 +300,13 @@ def test_cli_solve_square_writes_heatmaps(tmp_path):
     out = tmp_path / "sq"
     rc = main(["solve", "--config", cfg_file(tmp_path, SQUARE), "--out", str(out), "--quiet"])
     assert rc == 0
-    header = (out / "solution_u.pgm").read_text().splitlines()
-    assert header[0] == "P2"
-    assert (out / "solution_v.pgm").exists()
+    u_lines = (out / "solution_u.pgm").read_text().splitlines()
+    v_lines = (out / "solution_v.pgm").read_text().splitlines()
+    assert u_lines[0] == "P2"
+    # the diagonal route ends at u == v bitwise: one image under two comments
+    assert read_csv(out / "saddle_report.csv")[0]["method"] == "diagonal-newton"
+    assert (u_lines[1], v_lines[1]) == ("# u component", "# v component")
+    assert u_lines[:1] + u_lines[2:] == v_lines[:1] + v_lines[2:]
     sol = read_csv(out / "solution.csv")
     assert len(sol) == 64
     assert set(sol[0]) == {"x", "y", "u", "v"}

@@ -101,7 +101,7 @@ def test_sphere_floor_is_below_J_on_the_sphere(domain, p, scale, total, split, r
     rng = np.random.default_rng(seed)
     for _ in range(4):
         w = diagonal_field(problem, rng, kind)
-        w *= r / frame.splitting.diagonal_norm(w)
+        w *= r / frame.splitting.pair_norm(StatePair.diagonal(w))
         energy = evaluate_J(problem, StatePair.diagonal(w)).total
         assert geo.sphere_floor <= energy + 1e-12 * max(1.0, abs(energy))
 
@@ -130,7 +130,7 @@ def assert_ceilings_hold(frame, rng, fraction, kind):
     modes = frame.basis.modes
     w = diagonal_field(problem, rng, kind)
     w = w - (modes @ problem.op.apply(w)) @ modes
-    half_norm = frame.splitting.diagonal_norm(w) / np.sqrt(2.0)  # |w|_K
+    half_norm = frame.splitting.pair_norm(StatePair.diagonal(w)) / np.sqrt(2.0)  # |w|_K
     t = fraction * rho
     unit = frame.anchor / frame.r
     # on the cap t^2 + 2 |w|_K^2 = rho^2; on the base t = 0

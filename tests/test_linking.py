@@ -37,7 +37,7 @@ from linking_saddle import (
     zero_nonlinearity,
 )
 from oracles import (doubling_pilot, fd_jacobian, first_come_roots, hybr_root_sweep,
-                     norm_boundary_rows, norm_cap_rows, norm_interior_rows,
+                     norm_base_rows, norm_boundary_rows, norm_cap_rows, norm_interior_rows,
                      sampled_embedding_constant)
 
 
@@ -227,8 +227,9 @@ def test_geometry_matvecs_do_not_grow_with_the_boundary_count(square_problem, mo
             patch.setattr(square_problem.op, "_matvec", counter)
             estimate_geometry(frame)
         counts.append(counter.vectors)
-    # two for J at the anchor, one for the norm of the anchor's field
-    assert counts == [3, 3]
+    # one for J at the anchor, whose u and v are mirrored, and one for the
+    # norm of the anchor's field
+    assert counts == [2, 2]
 
 
 def test_frame_validation(line_problem):
@@ -443,6 +444,7 @@ def test_sweep_starts_are_the_start_lattice_built_once(line_problem, d_y):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.floats(1e-3, 1e3), st.integers(0, 40))
 def test_chart_samplers_match_the_norm_forms(seed, dim, rho, count):
     for ours, theirs in ((linking._boundary_rows, norm_boundary_rows),
+                         (linking._base_rows, norm_base_rows),
                          (linking._interior_rows, norm_interior_rows)):
         got = ours(np.random.default_rng(seed), dim, rho, count)
         want = theirs(np.random.default_rng(seed), dim, rho, count)
@@ -450,17 +452,29 @@ def test_chart_samplers_match_the_norm_forms(seed, dim, rho, count):
 
 
 class ScriptedNormals:
-    """Gaussian draws from one fixed sequence, with the chosen rows shrunk below 1e-12."""
+    """Gaussian draws from one fixed sequence, and uniform draws from another.
 
-    def __init__(self, seed, dim, tiny_rows):
-        values = np.random.default_rng(seed).standard_normal((100, dim))
+    The chosen ``tiny_rows`` are shrunk below 1e-12, and the first entry of
+    each of the ``tiny_leads`` rows alone.
+    """
+
+    def __init__(self, seed, dim, tiny_rows, tiny_leads=()):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((100, dim))
         values[tiny_rows] *= 1e-13
+        values[list(tiny_leads), 0] *= 1e-13
         self.values, self.at = values.ravel(), 0
+        self.uniforms = iter(rng.random(100).tolist())
 
     def standard_normal(self, size):
         n = int(np.prod(size))
         self.at += n
         return self.values[self.at - n:self.at].reshape(size).copy()
+
+    def random(self):
+        return next(self.uniforms)
+
+    uniform = random
 
 
 @settings(max_examples=80)
@@ -469,6 +483,19 @@ class ScriptedNormals:
 def test_cap_rows_skip_short_draws_as_the_row_loop_did(seed, dim, count, tiny_rows):
     got = linking._cap_rows(ScriptedNormals(seed, dim, tiny_rows), dim, 3.0, count)
     want = norm_cap_rows(ScriptedNormals(seed, dim, tiny_rows), dim, 3.0, count)
+    assert got.shape == want.shape == (count, dim) and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 40),
+       st.lists(st.integers(0, 59), max_size=20), st.lists(st.integers(0, 59), max_size=20))
+def test_base_rows_skip_short_draws_as_the_row_loop_did(seed, dim, count, tiny_rows,
+                                                        tiny_leads):
+    # a short draw takes no uniform; a draw with only its first entry tiny is kept
+    got = linking._base_rows(ScriptedNormals(seed, dim - 1, tiny_rows, tiny_leads), dim, 3.0,
+                             count)
+    want = norm_base_rows(ScriptedNormals(seed, dim - 1, tiny_rows, tiny_leads), dim, 3.0,
+                          count)
     assert got.shape == want.shape == (count, dim) and got.tobytes() == want.tobytes()
 
 

@@ -270,10 +270,15 @@ def test_float_block_of_repeated_cells_matches_the_row_format(tmp_path_factory, 
 def test_heatmap_rows_match_the_row_format(tmp_path_factory, rows, cols, seed, flat):
     path = tmp_path_factory.mktemp("pgm") / "map.pgm"
     mesh = np.full((rows, cols), 0.5) if flat else np.random.default_rng(seed).standard_normal((rows, cols))
-    write_pgm(str(path), mesh, comment="u component")
+    image = write_pgm(str(path), mesh, comment="u component")
     lo, hi = mesh.min(), mesh.max()
     gray = (np.rint((mesh - lo) / (hi - lo) * 255.0).astype(int) if hi > lo
             else np.full(mesh.shape, 128, dtype=int))
     lines = ["P2", "# u component", f"{cols} {rows}", "255"]
     lines += [" ".join(str(v) for v in row) for row in gray]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    # the returned image, written again under another comment
+    again = path.with_name("again.pgm")
+    write_pgm(str(again), image, comment="v component")
+    lines[1] = "# v component"
+    assert again.read_bytes() == ("\n".join(lines) + "\n").encode()
