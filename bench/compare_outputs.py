@@ -88,6 +88,10 @@ RUNS = (
     # explicit radii skip the radius search
     ("intersect-line63-dy2-radii", ["intersect"],
      _domain(63) + ["frame.d_y = 2", "frame.r = 4.0", "frame.rho = 32.0"]),
+    # H_1 comes within 1e-6 of zero at the base center, so every row fails with its
+    # own t = 1 degree count's boundary message, and the run exits 1 at stage 'intersect'
+    ("intersect-line63-tiny-r", ["intersect"],
+     _domain(63) + ["frame.d_y = 1", "frame.r = 1e-7", "frame.rho = 1.0"]),
     ("geometry-sq16", ["geometry"], _domain(16, 16)),
     # the ceiling covers the whole antidiagonal subspace, so d_y does not move it
     ("geometry-line255-dy2", ["geometry"], _domain(255) + ["frame.d_y = 2"]),

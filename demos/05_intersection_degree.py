@@ -21,7 +21,7 @@ from linking_saddle import (
 
 problem = discretize(ProblemSpec(DomainSpec.interval(31), power_nonlinearity(),
                                  lam=0.0, delta=0.0))
-radii = choose_radii(problem, d_y=2)
+radii = choose_radii(problem)
 frame = build_frame(problem, radii.r, radii.rho, d_y=2)
 geo = estimate_geometry(frame)
 print(f"frame: r = {frame.r:.4f}, rho = {frame.rho:.4f}, "

@@ -21,6 +21,7 @@ from .diagnostics import run_all_checks
 from .errors import ConfigError, LinkingSaddleError
 from .functional import Problem, discretize, validate_hypotheses
 from .linking import (
+    AFFINE_START_DEGREE,
     MAX_DEGREE_DIMENSION,
     build_frame,
     choose_radii,
@@ -59,11 +60,10 @@ def _load(args: argparse.Namespace) -> RunConfig:
 
 
 def _resolve_radii(cfg: RunConfig, problem: Problem):
-    f = cfg.frame
-    if f.r == "auto":
-        choice = choose_radii(problem, d_y=f.d_y, seed=f.seed)
-        return choice.r, choice.rho, choice
-    return float(f.r), float(f.rho), None
+    if cfg.frame.r != "auto":
+        return float(cfg.frame.r), float(cfg.frame.rho), None
+    choice = choose_radii(problem)
+    return choice.r, choice.rho, choice
 
 
 def _frame_for(cfg: RunConfig, problem: Problem, r: float, rho: float):
@@ -172,28 +172,21 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
     gammas = shipped_deformations(frame)
     rows = []
     failures = []
-    try:
-        # H_0 weighs gamma by exactly 0, so one sweep serves every deformation
-        deg_start = brouwer_degree_small(homotopy_chart_map(gammas[0], 0.0), frame)
-        start_error = None
-    except LinkingSaddleError as exc:
-        start_error = exc
+    # H_0 is xi - r e_last for every gamma: its degree is proved, not counted
     for gamma in gammas:
         try:
-            if start_error is not None:
-                raise start_error
             # the end degree and the certificate share the t = 1 root sweep
             deg_end = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), frame)
             cert = intersection_point(gamma, roots=deg_end.roots)
             disp = displacement_residual(gamma, samples.interior_chart)
-            ok = (deg_end.degree == deg_start.degree == 1
+            ok = (deg_end.degree == AFFINE_START_DEGREE
                   and minimax_consistency(cert.energy, geo.sphere_min))
             rows.append((gamma.name, cert.antidiagonal_residual, cert.radius_residual,
-                         cert.energy, geo.sphere_min, deg_start.degree, deg_end.degree,
+                         cert.energy, geo.sphere_min, AFFINE_START_DEGREE, deg_end.degree,
                          deg_end.boundary_min, disp, ok))
             if not ok:
                 failures.append(gamma.name)
-            _say(quiet, f"{gamma.name}: degree {deg_start.degree} -> {deg_end.degree}, "
+            _say(quiet, f"{gamma.name}: degree {AFFINE_START_DEGREE} -> {deg_end.degree}, "
                         f"image energy {cert.energy:.6g}")
         except LinkingSaddleError as exc:
             rows.append((gamma.name, float("nan"), float("nan"), float("nan"),

@@ -169,7 +169,8 @@ class Problem:
 
     def eigenpairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         if count not in self._eigen_cache:
-            self._eigen_cache[count] = eigenpairs(self.grid, self.op, count)
+            evals, vecs = self._eigen_cache[count] = eigenpairs(self.grid, self.op, count)
+            evals.flags.writeable = vecs.flags.writeable = False  # every caller shares them
         return self._eigen_cache[count]
 
     def principal_eigenvalue(self) -> float:

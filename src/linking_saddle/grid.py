@@ -193,9 +193,10 @@ class StiffnessOperator:
     :class:`LinearSolveError` if its relative residual exceeds ``rtol``.
     """
 
-    def __init__(self, grid: Grid, rtol: float = 1e-10):
+    rtol = 1e-10
+
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.rtol = float(rtol)
         self._diagonals = _stencil(grid.shape, grid.h)
 
     @cached_property

@@ -43,9 +43,9 @@ outside the half-ball. Degrees are sums of Jacobian determinant signs
 at the roots, so they are exact provided the sweep finds every root,
 which the lattice is sized for in the shipped frames.
 
-H_0 weighs gamma by exactly zero, so for a finite gamma its values do
-not depend on gamma: the start degree is that of the affine map, and
-the CLI counts it once per frame. At t = 1 the end degree and the
+H_0 weighs gamma by exactly zero, so for a finite gamma it is the
+affine map xi - r e_last, whose degree is proved, not counted
+(``AFFINE_START_DEGREE``). At t = 1 the end degree and the
 intersection certificate need the same roots, so they share one sweep
 (``intersection_point(gamma, roots=degree.roots)``). The displacement
 (eta - xi) . B of gamma is measured with G. The certificate itself is
@@ -71,7 +71,7 @@ from .errors import (
     InvalidSpecError,
 )
 from .functional import NonlinearitySpec, Problem, evaluate_J
-from .splitting import DiagonalSplitting, ModalBasis, build_modal_basis
+from .splitting import DiagonalSplitting, ModalBasis
 from .state import StatePair
 
 __all__ = [
@@ -97,6 +97,11 @@ __all__ = [
 ]
 
 MAX_DEGREE_DIMENSION = 4
+# deg(H_0, M, 0) for every finite gamma, proved (Willem 1996, Thm 2.21; Deimling
+# 1985, ch. 1): homotopy_chart_map at t = 0.0 weighs gamma by exactly 0, so H_0 is
+# xi - r e_last; its one root r e_last lies inside M, as LinkingFrame enforces
+# 0 < r < rho; its Jacobian is the identity; and |H_0| >= min(r, rho - r) on ∂M.
+AFFINE_START_DEGREE = 1
 # The root sweep behind both the degree count and the intersection
 # certificate: lattice points per chart axis, and the largest map residual
 # (relative to max(1, r)) of a root it keeps.
@@ -239,12 +244,14 @@ def build_frame(
 ) -> LinkingFrame:
     """Assemble a frame on the problem's grid, with a basis of its d_y chart modes.
 
-    The default anchor points along the principal mode; an explicit
-    direction is projected onto the diagonal subspace and normalized, so
-    re-anchoring along a computed solution is a one-liner.
+    Its modes are the problem's cached ``eigenpairs(d_y)``. The default
+    anchor points along the principal mode; an explicit direction is
+    projected onto the diagonal subspace and normalized, so re-anchoring
+    along a computed solution is a one-liner.
     """
     split = DiagonalSplitting(problem.grid, problem.op)
-    basis = build_modal_basis(split, d_y)
+    evals, modes = problem.eigenpairs(d_y)
+    basis = ModalBasis(split, modes, evals)
     if anchor_direction is None:
         anchor = float(r) * basis.diagonal_direction(0)
     else:
@@ -516,8 +523,8 @@ def estimate_geometry(frame: LinkingFrame, *, seed: int = 0) -> GeometryReport:
     The bounds hold for F = G = a |t|^p with nonnegative shifts below
     resonance, and are taken in closed form: two stiffness products, for
     J at the anchor. J is even, so it is the same at -r e. ``seed`` feeds
-    nothing, as nothing is drawn; it stays because callers still pass it
-    (``perfbench``'s ``WitnessSquare32`` workload). Raises
+    nothing, as nothing is drawn; it stays only because ``perfbench``'s
+    ``WitnessSquare32`` workload passes it. Raises
     :class:`GeometryCertificationError` where the proofs do not apply
     (``_floor_constants``).
     """
@@ -564,7 +571,7 @@ class RadiiChoice:
 RADII_MAX_DOUBLINGS = 40
 
 
-def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
+def choose_radii(problem: Problem, *, seed: int = 0) -> RadiiChoice:
     """Pick (r, rho) from the sphere floor and the cap ceiling along the principal mode.
 
     The floor s^2/2 - 2 k c0 s^p (``_floor_constants``) is taken in the
@@ -572,10 +579,9 @@ def choose_radii(problem: Problem, d_y: int = 1, seed: int = 0) -> RadiiChoice:
     for safety. rho = r 2^k for the least k whose cap ceiling
     (``_cap_ceiling``) is at most 0, so the boundary ceiling of a frame
     on these radii, anchored along the principal mode, is 0. The bounds
-    cover the whole antidiagonal subspace and draw nothing, so ``d_y``
-    and ``seed`` feed nothing and never change the radii. They stay
-    because callers still pass them: ``seed`` the CLI and ``perfbench``'s
-    ``WitnessSquare32`` workload, ``d_y`` the CLI and ``test_c07``.
+    cover the whole antidiagonal subspace, so they hold at every d_y, and
+    draw nothing: ``seed`` feeds nothing, and stays only because
+    ``perfbench``'s ``WitnessSquare32`` workload passes it.
 
     The zero preset gets r = 1 and rho = 2 with a note, as no radii
     certify it. Raises :class:`GeometryCertificationError` where the

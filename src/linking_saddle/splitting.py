@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainMembershipError, InvalidSpecError
-from .grid import Grid, StiffnessOperator
+from .grid import Grid, StiffnessOperator, eigenpairs
 from .state import StatePair, pair_dot, pair_norm
 
 __all__ = [
@@ -126,8 +126,6 @@ def build_modal_basis(
     n = splitting.grid.n_interior
     if count is None:
         count = min(DEFAULT_MODE_COUNT, n)
-    from .grid import eigenpairs  # local import keeps module deps one-way
-
     evals, vecs = eigenpairs(splitting.grid, splitting.op, count)
     return ModalBasis(splitting, vecs, evals)
 

@@ -222,7 +222,7 @@ def test_c07_intersection_and_degree():
     problem = cubic_problem(DomainSpec.interval(31))
     rows = []
     for d_y in (1, 2):
-        radii = choose_radii(problem, d_y=d_y)
+        radii = choose_radii(problem)
         frame = build_frame(problem, radii.r, radii.rho, d_y=d_y)
         geo = estimate_geometry(frame)
         gammas = shipped_deformations(frame)

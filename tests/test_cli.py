@@ -9,12 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import linking_saddle.grid as grid_module
+import linking_saddle.splitting as splitting_module
 from linking_saddle import (
     ConfigError,
     RunConfig,
     brouwer_degree_small,
     cli,
     discretize,
+    functional,
     homotopy_chart_map,
     linking,
     load_config,
@@ -190,13 +193,14 @@ def test_cli_intersect_sweeps_each_distinct_map_once(tmp_path, monkeypatch):
     rc = main(["intersect", "--config", cfg_file(tmp_path, TOY), "--out", str(tmp_path / "i"),
                "--quiet"])
     assert rc == 0
-    # one t = 0 sweep for the frame, one t = 1 sweep per shipped deformation
-    assert len(sweeps) == 1 + 3
+    # one t = 1 sweep per shipped deformation; the t = 0 degree is proved, not swept
+    assert len(sweeps) == 3
 
 
 def test_cli_intersect_draws_the_degree_boundary_once_per_frame(tmp_path, monkeypatch):
-    draws, degrees = [], []
+    draws, degrees, times = [], [], []
     boundary_rows, degree = linking._boundary_rows, cli.brouwer_degree_small
+    chart_map = cli.homotopy_chart_map
 
     def counting_rows(rng, dim, rho, count):
         draws.append((dim, rho, count))
@@ -206,13 +210,20 @@ def test_cli_intersect_draws_the_degree_boundary_once_per_frame(tmp_path, monkey
         degrees.append((id(frame), frame.rho))
         return degree(map_fn, frame)
 
+    def timed_chart_map(gamma, t):
+        times.append(t)
+        return chart_map(gamma, t)
+
     monkeypatch.setattr(linking, "_boundary_rows", counting_rows)
     monkeypatch.setattr(cli, "brouwer_degree_small", counting_degree)
+    monkeypatch.setattr(cli, "homotopy_chart_map", timed_chart_map)
     rc = main(["intersect", "--config", cfg_file(tmp_path, LINE_D2), "--out",
                str(tmp_path / "i"), "--quiet"])
     assert rc == 0
-    # four degree counts on one frame and rho; its 6 corners and 150 + 150 rows are drawn once
-    assert len(degrees) == 4 and len(set(degrees)) == 1
+    # three degree counts on one frame and rho, all at t = 1: the start degree is
+    # proved; the 6 corners and 150 + 150 rows are drawn once
+    assert len(degrees) == 3 and len(set(degrees)) == 1
+    assert times == [1.0] * 3
     assert [d for d in draws if d[2] == 306] == [(3, degrees[0][1], 306)]
 
 
@@ -233,8 +244,8 @@ def test_cli_intersect_builds_the_start_lattice_once_per_frame(tmp_path, monkeyp
     rc = main(["intersect", "--config", cfg_file(tmp_path, LINE_D2), "--out",
                str(tmp_path / "i"), "--quiet"])
     assert rc == 0
-    # four degree counts on one frame share one lattice
-    assert len(degrees) == 4 and len(set(degrees)) == 1
+    # three degree counts on one frame share one lattice
+    assert len(degrees) == 3 and len(set(degrees)) == 1
     assert builds == [(degrees[0], linking.SWEEP_STARTS_PER_AXIS)]
 
 
@@ -253,16 +264,11 @@ def test_cli_intersect_degree_start_is_each_deformations_own(tmp_path):
         assert int(row["degree_start"]) == own.degree
 
 
-def test_cli_intersect_start_degree_failure_fails_every_row(tmp_path, monkeypatch, capsys):
-    chart_map = cli.homotopy_chart_map
-
-    def vanishing_start(gamma, t):
-        if t == 0.0:
-            return lambda xi: np.zeros_like(xi)
-        return chart_map(gamma, t)
-
-    monkeypatch.setattr(cli, "homotopy_chart_map", vanishing_start)
-    rc = main(["intersect", "--config", cfg_file(tmp_path, TOY), "--out", str(tmp_path / "i"),
+def test_cli_intersect_boundary_failure_fails_every_row(tmp_path, capsys):
+    # r = 1e-7 puts H_1 within 1e-6 of zero at the base center, sample 0, for every
+    # deformation; each t = 1 degree count reports it on its own row
+    text = TOY.replace("domain.nx = 1", "domain.nx = 63") + "frame.r = 1e-7\nframe.rho = 1.0\n"
+    rc = main(["intersect", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "i"),
                "--quiet"])
     assert rc == 1
     err = capsys.readouterr().err
@@ -271,7 +277,26 @@ def test_cli_intersect_start_degree_failure_fails_every_row(tmp_path, monkeypatc
     assert len(rows) == 3
     for row in rows:
         assert row["ok"] == "false"
-        assert f"{row['deformation']} (map vanishes on the frame boundary" in err
+        assert (f"{row['deformation']} (map vanishes on the frame boundary "
+                "(min 1.000e-07 at sample 0))") in err
+
+
+def test_cli_solve_computes_the_principal_pair_once(tmp_path, monkeypatch):
+    # radii, frame and solver read one cached pair; the frame's chart modes included
+    calls = []
+    eigenpairs = grid_module.eigenpairs
+
+    def counting_eigenpairs(grid, op, count):
+        calls.append(count)
+        return eigenpairs(grid, op, count)
+
+    for module in (grid_module, functional, splitting_module):
+        monkeypatch.setattr(module, "eigenpairs", counting_eigenpairs)
+    text = TOY.replace("domain.nx = 1", "domain.nx = 63")
+    rc = main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "s"),
+               "--quiet"])
+    assert rc == 0
+    assert calls == [1]
 
 
 def test_cli_solve_toy(tmp_path, capsys):

@@ -195,7 +195,8 @@ def test_1d_solve_matches_sparse_lu(n, length, exponent, seed):
 
 def test_2d_solve_keeps_residual_check():
     grid, _ = build_grid(DomainSpec.rectangle(11, 7, 1.0, 2.0))
-    strict = StiffnessOperator(grid, rtol=1e-18)
+    strict = StiffnessOperator(grid)
+    strict.rtol = 1e-18
     with pytest.raises(LinearSolveError):
         strict.solve(np.random.default_rng(4).standard_normal(grid.n_interior))
 

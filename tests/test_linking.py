@@ -135,7 +135,7 @@ def test_choose_radii_matches_the_full_pilot_sweep(domain, d_y):
     # rho is the first doubling whose frame the full geometry certifies, and
     # the rows the sampled pilot sweep drew on that frame all have J <= 0
     problem = discretize(ProblemSpec(domain, power_nonlinearity()))
-    choice = choose_radii(problem, d_y=d_y, seed=5)
+    choice = choose_radii(problem, seed=5)
 
     def boundary_energies(rho):
         return [estimate_geometry(build_frame(problem, choice.r, rho, d_y=d_y)).boundary_max]
@@ -328,7 +328,7 @@ def test_certificate_residuals_on_the_benchmark_grid(d_y):
     # on n = 255 the rows of B are energy-orthonormal only to about 1e-12;
     # the homotopy's Gram matrix keeps both residuals at rounding level
     problem = discretize(ProblemSpec(DomainSpec.interval(255), power_nonlinearity()))
-    choice = choose_radii(problem, d_y=d_y)
+    choice = choose_radii(problem)
     frame = build_frame(problem, choice.r, choice.rho, d_y=d_y)
     for gamma in shipped_deformations(frame):
         cert = intersection_point(gamma)
@@ -338,7 +338,7 @@ def test_certificate_residuals_on_the_benchmark_grid(d_y):
 
 @pytest.mark.parametrize("d_y", [1, 2])
 def test_shipped_deformations_certify(line_problem, d_y):
-    choice = choose_radii(line_problem, d_y=d_y)
+    choice = choose_radii(line_problem)
     frame = build_frame(line_problem, choice.r, choice.rho, d_y=d_y)
     for gamma in shipped_deformations(frame):
         cert = intersection_point(gamma)
@@ -350,6 +350,23 @@ def test_shipped_deformations_certify(line_problem, d_y):
         assert end.degree == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.builds(DomainSpec.interval, st.integers(3, 40)),
+                 st.builds(DomainSpec.rectangle, st.integers(2, 8), st.integers(2, 8))),
+       st.integers(1, 3), st.floats(2e-5, 10.0), st.floats(0.0, 1.0))
+@example(DomainSpec.interval(3), 3, 2e-5, 0.0)
+@example(DomainSpec.rectangle(2, 2), 1, 10.0, 1.0)
+def test_every_shipped_start_map_has_the_proved_degree(domain, d_y, rho, fraction):
+    # the CLI writes AFFINE_START_DEGREE without a sweep; the library's root count
+    # must agree on every frame with min(r, rho - r) >= 1e-5
+    r = 1e-5 + fraction * (rho - 2e-5)
+    frame = build_frame(_power_problem(domain), r, rho, d_y=d_y)
+    assert min(frame.r, frame.rho - frame.r) >= 1e-5 - 2.0 * np.spacing(rho)
+    for gamma in shipped_deformations(frame):
+        report = brouwer_degree_small(homotopy_chart_map(gamma, 0.0), frame)
+        assert report.degree == linking.AFFINE_START_DEGREE == 1, gamma.name
+
+
 @pytest.mark.parametrize("domain,d_y", [
     *(pytest.param(DomainSpec.interval(255), d_y, id=f"line255-dy{d_y}") for d_y in (1, 2, 3)),
     *(pytest.param(DomainSpec.rectangle(12, 5), d_y, id=f"rect12x5-dy{d_y}") for d_y in (1, 2)),
@@ -357,7 +374,7 @@ def test_shipped_deformations_certify(line_problem, d_y):
 ])
 def test_newton_sweep_matches_the_hybr_sweep(domain, d_y):
     problem = discretize(ProblemSpec(domain, power_nonlinearity()))
-    choice = choose_radii(problem, d_y=d_y)
+    choice = choose_radii(problem)
     frame = build_frame(problem, choice.r, choice.rho, d_y=d_y)
     starts = linking._start_lattice(frame, linking.SWEEP_STARTS_PER_AXIS)
     for gamma in shipped_deformations(frame):

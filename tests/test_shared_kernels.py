@@ -180,11 +180,26 @@ def test_1d_operators_keep_no_dense_eigenbasis(monkeypatch):
 def test_a_2d_pipeline_factors_its_axis_once(monkeypatch):
     calls, _ = counting_factors(monkeypatch)
     problem = discretize(ProblemSpec(DomainSpec.square(16), power_nonlinearity()))
-    choice = choose_radii(problem, d_y=2, seed=7)
+    choice = choose_radii(problem, seed=7)
     frame = build_frame(problem, choice.r, choice.rho, d_y=2)
     assert estimate_geometry(frame, seed=7).certified
     assert solve_saddle(problem).converged
     assert calls == [(16, 1.0 / 17)]
+
+
+@pytest.mark.parametrize("spec, d_y", [(DomainSpec.interval(31), 2),
+                                       (DomainSpec.rectangle(12, 5), 3)])
+def test_frames_take_their_modes_from_the_problems_read_only_cache(spec, d_y):
+    grid, op = build_grid(spec)
+    problem = discretize(ProblemSpec(spec, power_nonlinearity()))
+    frame = build_frame(problem, 1.0, 2.0, d_y=d_y)
+    evals, modes = problem.eigenpairs(d_y)
+    assert frame.basis.modes is modes and frame.basis.eigenvalues is evals
+    # the same pairs build_modal_basis computes, to the bit
+    ref = build_modal_basis(DiagonalSplitting(grid, op), d_y)
+    assert np.array_equal(modes, ref.modes) and np.array_equal(evals, ref.eigenvalues)
+    for array in (evals, modes, *problem.eigenpairs(1)):
+        assert not array.flags.writeable
 
 
 def test_eigenpair_failure_names_the_relative_residual():
