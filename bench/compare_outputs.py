@@ -85,6 +85,10 @@ RUNS = (
     ("intersect-rect12x5-dy2", ["intersect"], _domain(12, 5) + ["frame.d_y = 2"]),
     # chart dimension 4, the largest intersect counts degrees on
     ("intersect-line63-dy3", ["intersect"], _domain(63) + ["frame.d_y = 3"]),
+    ("intersect-sq16-dy3", ["intersect"], _domain(16, 16) + ["frame.d_y = 3"]),
+    # r close to rho, so the root sits near the cap
+    ("intersect-line63-dy3-near-cap", ["intersect"],
+     _domain(63) + ["frame.d_y = 3", "frame.r = 31.0", "frame.rho = 32.0"]),
     # explicit radii skip the radius search
     ("intersect-line63-dy2-radii", ["intersect"],
      _domain(63) + ["frame.d_y = 2", "frame.r = 4.0", "frame.rho = 32.0"]),

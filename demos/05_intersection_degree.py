@@ -1,9 +1,10 @@
-"""Certify that deformed half-balls still cross the sphere, by counting signed roots.
+"""Certify that deformed half-balls still cross the sphere, by a homotopy check and one path.
 
 Any admissible deformation of the half-ball must intersect the small sphere.  The
-check reduces to a finite-dimensional root count: build the homotopy between the
-identity chart map and the deformed one, compute the Brouwer degree at both ends,
-and certify the root it finds.
+check reduces to a finite-dimensional degree argument: the homotopy from the affine
+map xi - r e_last to the deformed chart map must stay off zero on the frame boundary,
+so both ends have degree 1, and one continuation path from r e_last follows that
+homotopy to the root, which is then certified on the state.
 """
 from linking_saddle import (
     DomainSpec,
@@ -31,7 +32,7 @@ print(f"sphere floor b = {geo.sphere_floor:.6f}\n")
 for gamma in shipped_deformations(frame):
     deg0 = brouwer_degree_small(homotopy_chart_map(gamma, 0.0), frame)
     deg1 = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), frame)
-    cert = intersection_point(gamma)
+    cert = intersection_point(gamma, roots=deg1.roots)
     print(f"{gamma.name:12s} deg(H0) = {deg0.degree}, deg(H1) = {deg1.degree}")
     print(f"             antidiagonal residual {cert.antidiagonal_residual:.2e}, "
           f"radius residual {cert.radius_residual:.2e}")

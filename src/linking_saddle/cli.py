@@ -172,10 +172,10 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
     gammas = shipped_deformations(frame)
     rows = []
     failures = []
-    # H_0 is xi - r e_last for every gamma: its degree is proved, not counted
+    # H_0 = xi - r e_last has a proved degree; the t = 1 degree follows from a homotopy
+    # check on the frame boundary, and the certificate reuses its one path's root
     for gamma in gammas:
         try:
-            # the end degree and the certificate share the t = 1 root sweep
             deg_end = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), frame)
             cert = intersection_point(gamma, roots=deg_end.roots)
             disp = displacement_residual(gamma, samples.interior_chart)

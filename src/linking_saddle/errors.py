@@ -50,7 +50,7 @@ class GeometryCertificationError(LinkingSaddleError, RuntimeError):
 
 
 class IntersectionNotFoundError(LinkingSaddleError, RuntimeError):
-    """Multistart root search exhausted without an intersection certificate."""
+    """The continuation path found no root, or its root did not certify an intersection."""
 
 
 class DegenerateRootError(LinkingSaddleError, RuntimeError):
@@ -58,7 +58,7 @@ class DegenerateRootError(LinkingSaddleError, RuntimeError):
 
 
 class BoundaryZeroError(LinkingSaddleError, RuntimeError):
-    """A degree computation found the map vanishing on the sampled boundary."""
+    """The map of a degree computation, or its homotopy, vanishes on the sampled boundary."""
 
 
 class ConfigError(LinkingSaddleError, ValueError):

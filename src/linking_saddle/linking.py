@@ -34,19 +34,17 @@ work on the chart homotopy
 the energy inner products of gamma(xi) with the mode rows, and the norm
 of its diagonal part, which is eta_last times the anchor row. No state
 is built. At t = 0 this is the affine map xi - r e_last, and at t = 1
-it vanishes exactly when gamma(xi) hits the sphere N. Roots are located
-by a damped Newton iteration run from every point of a start lattice at
-once: the chart maps take an (m, d_y + 1) block of chart rows, so one
-map call serves a whole batch of iterates, trial points or
-central-difference stencils, and the iteration never evaluates the map
-outside the half-ball. Degrees are sums of Jacobian determinant signs
-at the roots, so they are exact provided the sweep finds every root,
-which the lattice is sized for in the shipped frames.
+it vanishes exactly when gamma(xi) hits the sphere N.
 
 H_0 weighs gamma by exactly zero, so for a finite gamma it is the
 affine map xi - r e_last, whose degree is proved, not counted
-(``AFFINE_START_DEGREE``). At t = 1 the end degree and the
-intersection certificate need the same roots, so they share one sweep
+(``AFFINE_START_DEGREE``). H_1 has the same degree once H_t stays off
+zero on the frame boundary for every t, which ``brouwer_degree_small``
+checks on seeded boundary rows, in closed form in t. Its root comes from
+one continuation path from r e_last (``_path_root``), which maps each
+Newton iterate with its difference stencil in one call, as the chart
+maps take blocks of rows, and never outside the half-ball. The end
+degree and the intersection certificate share that path
 (``intersection_point(gamma, roots=degree.roots)``). The displacement
 (eta - xi) . B of gamma is measured with G. The certificate itself is
 checked on the state gamma(xi), independently of G.
@@ -96,23 +94,22 @@ __all__ = [
     "brouwer_degree_small",
 ]
 
+# No longer serves sweep density: the homotopy check and the one path need no such
+# bound. Kept so that no exit code moves; lifting it is a follow-up.
 MAX_DEGREE_DIMENSION = 4
 # deg(H_0, M, 0) for every finite gamma, proved (Willem 1996, Thm 2.21; Deimling
 # 1985, ch. 1): homotopy_chart_map at t = 0.0 weighs gamma by exactly 0, so H_0 is
 # xi - r e_last; its one root r e_last lies inside M, as LinkingFrame enforces
 # 0 < r < rho; its Jacobian is the identity; and |H_0| >= min(r, rho - r) on ∂M.
 AFFINE_START_DEGREE = 1
-# The root sweep behind both the degree count and the intersection
-# certificate: lattice points per chart axis, and the largest map residual
-# (relative to max(1, r)) of a root it keeps.
-SWEEP_STARTS_PER_AXIS = 4
-SWEEP_RESIDUAL_TOL = 1e-10
-# The Newton iteration of the sweep: iterations per sweep, the smallest
-# damping factor a backtracking step tries, and the step size, relative to
-# max(1, |xi|), below which an iterate has converged
-SWEEP_MAX_STEPS = 50
-SWEEP_MIN_DAMPING = 2.0**-16
+# The continuation path of the degree and the certificate (_path_root): equal
+# t-steps, the least halved t-step, Newton steps per t, the converged step size
+# (relative to max(1, |xi|)) and the end point's residual (relative to max(1, r))
+PATH_T_STEPS = 4
+PATH_MIN_T_STEP = 2.0**-12
+PATH_NEWTON_STEPS = 50
 SWEEP_STEP_TOL = 1e-13
+SWEEP_RESIDUAL_TOL = 1e-10
 
 
 def _row_dots(xi: np.ndarray, other: Optional[np.ndarray] = None) -> np.ndarray:
@@ -136,8 +133,8 @@ class LinkingFrame:
     half-ball {|xi| <= rho, xi_last >= 0}; the small sphere N is the
     radius-r sphere of the full diagonal subspace. ``basis`` holds
     exactly the d_y chart modes, so d_y is its mode count. The Gram
-    matrix of the chart, the boundary rows of the degree count and the
-    start lattice of the root sweeps are cached on first use.
+    matrix of the chart and the boundary rows of the degree's boundary
+    and homotopy checks are cached on first use.
     """
 
     problem: Problem
@@ -196,18 +193,11 @@ class LinkingFrame:
 
     @cached_property
     def _degree_rows(self) -> np.ndarray:
-        """The corners, 150 cap and 150 base rows of ``brouwer_degree_small``, drawn once."""
+        """The corners, 150 cap and 150 base rows of the degree's checks, drawn once."""
         rows = _boundary_rows(np.random.default_rng(7), self.chart_dim, self.rho,
                               300 + 2 * self.chart_dim)
         rows.flags.writeable = False
         return rows
-
-    @cached_property
-    def _sweep_starts(self) -> np.ndarray:
-        """The start lattice of every root sweep on the frame, built once."""
-        starts = _start_lattice(self, SWEEP_STARTS_PER_AXIS)
-        starts.flags.writeable = False
-        return starts
 
     def _inside(self, xi: np.ndarray) -> np.ndarray:
         """Half-ball membership of each chart row, with a slack of 1e-9 rho for rounding."""
@@ -765,7 +755,11 @@ def homotopy_chart_map(gamma: DeformationGamma, t: float) -> Callable[[np.ndarra
 
 
 def _start_lattice(frame: LinkingFrame, per_axis: int) -> np.ndarray:
-    """Deterministic multistart grid over the open half-ball."""
+    """Deterministic multistart grid over the open half-ball.
+
+    Nothing certified starts from it; it stays for the tests' hybr oracle
+    and ``perfbench``'s tracer hook until ROADMAP item 4.
+    """
     d = frame.chart_dim
     side = np.linspace(-0.6 * frame.rho, 0.6 * frame.rho, per_axis)
     last = np.unique(np.concatenate([
@@ -789,107 +783,84 @@ def _stencil(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([xi[:, None, :] + shift, xi[:, None, :] - shift], axis=1), h
 
 
-def _stencil_jacobians(map_fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
-                       h: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians, (m, d, d), from the ``_stencil`` points and steps of m rows.
+def _stencil_jacobians(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians, (m, d, d), from map values at the ``_stencil`` points.
 
-    The whole stencil of every row is mapped in one call.
+    ``values`` holds the 2d values of each of m rows in stencil order, (2 m d, d).
     """
     m, d = h.shape
-    values = map_fn(points.reshape(-1, d)).reshape(m, 2, d, d)
+    values = values.reshape(m, 2, d, d)
     # values[i, 0, j] - values[i, 1, j] is column j of row i's Jacobian
     return np.swapaxes((values[:, 0] - values[:, 1]) / (2.0 * h[:, :, None]), 1, 2)
 
 
-def _central_jacobians(map_fn: Callable[[np.ndarray], np.ndarray],
-                       xi: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians of ``map_fn`` at the chart rows xi, (m, d, d)."""
-    return _stencil_jacobians(map_fn, *_stencil(xi))
+def _path_root(map_fn: Callable[[np.ndarray], np.ndarray],
+               frame: LinkingFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The root of ``map_fn`` reached from r e_last, and its central-difference Jacobian.
 
-
-def _newton_sweep(map_fn: Callable[[np.ndarray], np.ndarray], frame: LinkingFrame,
-                  starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton on every start row at once; the last iterates and their map values.
-
-    Each step solves J d = -H at every running row, with J by central
-    differences, and takes the first of xi + d, xi + d/2, ... whose
-    |H|^2 is lower, down to ``SWEEP_MIN_DAMPING``. A trial point outside
-    the half-ball is not evaluated and counts as no better. A row stops
-    when its step is at most ``SWEEP_STEP_TOL`` max(1, |xi|) (that step
-    is still taken if |H|^2 does not rise), when no trial improves, when
-    its Jacobian is singular or its stencil leaves the half-ball, or
-    after ``SWEEP_MAX_STEPS`` steps.
+    Natural-parameter continuation (Allgower and Georg 2003) on
+    H_t = (1 - t)(xi - r e_last) + t map_fn(xi), the module's H_t for
+    ``homotopy_chart_map(gamma, 1.0)``, and ``map_fn`` bitwise at t = 1:
+    t rises in ``PATH_T_STEPS`` equal steps, and at each t Newton runs
+    from the last root, mapping each iterate with its ``_stencil`` rows
+    in one call. A Newton step must lower |H_t|^2. A step of at most
+    ``SWEEP_STEP_TOL`` max(1, |xi|) ends Newton: before t = 1 it is not
+    taken, and at t = 1 it is taken unless |H_1|^2 rises. A t-step whose
+    Newton fails, leaves the half-ball or meets a singular Jacobian is
+    halved; below ``PATH_MIN_T_STEP``, or at an end point off the open
+    half-ball or with a residual above ``SWEEP_RESIDUAL_TOL`` max(1, r),
+    :class:`IntersectionNotFoundError` names t and |H_t|.
     """
-    x = np.array(starts, dtype=float)
-    values = map_fn(x)
-    sq = _row_dots(values)
-    running = np.flatnonzero(np.isfinite(sq))
-    for _ in range(SWEEP_MAX_STEPS):
-        points, h = _stencil(x[running])
-        inside = frame._inside(points).all(axis=1)
-        running = running[inside]
-        if running.size == 0:
+    offset = frame.r * np.eye(frame.chart_dim)[-1]
+
+    def mapped(x: np.ndarray):
+        """x and its ``_stencil`` rows, their values from one map call, and h; None off M."""
+        points, h = _stencil(x[None])
+        rows = np.vstack([x[None], points[0]])
+        return (rows, map_fn(rows), h) if frame._inside(rows).all() else None
+
+    def blend(t: float, rows: np.ndarray, values: np.ndarray, h: np.ndarray):
+        """H_t at x and its Jacobian, from x's ``mapped`` block."""
+        if t < 1.0:
+            values = t * values + (1.0 - t) * (rows - offset)
+        return values[0], _stencil_jacobians(values[1:], h)[0]
+
+    def newton(t: float, x: np.ndarray, block: tuple):
+        """Newton on H_t from x: (x, block, H_t(x), Jacobian, converged) at its last iterate."""
+        value, jac = blend(t, *block)
+        for _ in range(PATH_NEWTON_STEPS):
+            if not abs(np.linalg.det(jac)) > 0.0:
+                break
+            step = np.linalg.solve(jac, -value)
+            done = math.sqrt(step @ step) <= SWEEP_STEP_TOL * max(1.0, math.sqrt(x @ x))
+            if done and t < 1.0:
+                return x, block, value, jac, True
+            trial = mapped(x + step)
+            new = trial and blend(t, *trial)
+            if new and ((sq := new[0] @ new[0]) < value @ value or done and sq <= value @ value):
+                x, block, (value, jac) = x + step, trial, new
+            elif not done:
+                break
+            if done:
+                return x, block, value, jac, True
+        return x, block, value, jac, False
+
+    # the map values of each accepted root serve the next t too
+    x, block, value = offset, mapped(offset), np.full(offset.size, math.nan)
+    t, dt, target = 0.0, 1.0 / PATH_T_STEPS, 0.0
+    while block is not None and t < 1.0:
+        target = min(t + dt, 1.0)
+        end, end_block, value, jac, converged = newton(target, x, block)
+        if converged:
+            x, block, t = end, end_block, target
+        elif (dt := 0.5 * dt) < PATH_MIN_T_STEP:
             break
-        jac = _stencil_jacobians(map_fn, points[inside], h[inside])
-        det = np.linalg.det(jac)
-        solvable = np.isfinite(det) & (det != 0.0)
-        running, jac = running[solvable], jac[solvable]
-        if running.size == 0:
-            break
-        step = np.linalg.solve(jac, -values[running][:, :, None])[:, :, 0]
-        reach = np.maximum(1.0, np.sqrt(_row_dots(x[running])))
-        done = np.sqrt(_row_dots(step)) <= SWEEP_STEP_TOL * reach
-        damping = 1.0
-        pending = np.ones(running.size, dtype=bool)
-        while damping >= SWEEP_MIN_DAMPING and pending.any():
-            trial = x[running] + damping * step
-            # _inside is False on a row that is not finite
-            idx = np.flatnonzero(pending & frame._inside(trial))
-            if idx.size:
-                trial_values = map_fn(trial[idx])
-                sq_trial = _row_dots(trial_values)
-                rows = running[idx]
-                better = np.where(done[idx], sq_trial <= sq[rows], sq_trial < sq[rows])
-                rows, idx = rows[better], idx[better]
-                x[rows], values[rows] = trial[idx], trial_values[better]
-                sq[rows] = sq_trial[better]
-                pending[idx] = False
-            # a converged row tries only the full step
-            pending &= ~done
-            damping *= 0.5
-        running = running[~pending & ~done]
-        if running.size == 0:
-            break
-    return x, values
-
-
-def _first_come_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    """The rows farther than ``tol`` from every row kept before them, in order, (k, d).
-
-    Greedy: keep the first row left, drop every row within ``tol`` of it,
-    repeat. A row is kept exactly when a first-come pass over the rows
-    would keep it.
-    """
-    kept = []
-    while len(rows):
-        kept.append(rows[0])
-        rows = rows[np.sqrt(_row_dots(rows - rows[0])) > tol]
-    return np.array(kept, dtype=float).reshape(-1, rows.shape[1])
-
-
-def _root_sweep(map_fn: Callable[[np.ndarray], np.ndarray],
-                frame: LinkingFrame) -> np.ndarray:
-    """Distinct interior roots of map_fn found from the start lattice, in sorted order, (k, d)."""
-    scale = max(1.0, frame.r)
-    tol = max(1e-6, 1e-5 * frame.rho)
-    ends, values = _newton_sweep(map_fn, frame, frame._sweep_starts)
-    # a start whose value is not finite never moves, and is no root
-    keep = (np.isfinite(ends).all(axis=1)
-            & (np.abs(values).max(axis=1) <= SWEEP_RESIDUAL_TOL * scale)
-            & (ends[:, -1] >= 1e-9 * frame.r)
-            & (np.sqrt(_row_dots(ends)) <= frame.rho * (1 - 1e-9)))
-    roots = sorted(_first_come_rows(ends[keep], tol), key=lambda row: tuple(np.round(row, 9)))
-    return np.array(roots, dtype=float).reshape(-1, frame.chart_dim)
+    if not (t == 1.0 and np.max(np.abs(value)) <= SWEEP_RESIDUAL_TOL * max(1.0, frame.r)
+            and x[-1] >= 1e-9 * frame.r and math.sqrt(x @ x) <= frame.rho * (1 - 1e-9)):
+        raise IntersectionNotFoundError(
+            f"the path from r e_last stalled or left the frame half-ball at t = {target:.6g} "
+            f"(|H| = {math.sqrt(value @ value):.3e})")
+    return x, jac
 
 
 @dataclass
@@ -913,13 +884,14 @@ def intersection_point(gamma: DeformationGamma,
     the image must vanish and its norm must equal r, both to within 1e-8.
 
     ``roots`` are candidate roots of the t = 1 chart map, one per row:
-    ``brouwer_degree_small`` on that map sweeps exactly these, so its
-    ``DegreeReport.roots`` can be passed to skip a second sweep. With
-    ``None`` the roots are swept here.
+    ``brouwer_degree_small`` on that map follows the path to exactly this
+    root, so its ``DegreeReport.roots`` can be passed to skip a second
+    path. With ``None`` the path from r e_last is followed here
+    (``_path_root``).
     """
     frame = _require_chart_map(gamma).frame
     if roots is None:
-        roots = _root_sweep(homotopy_chart_map(gamma, 1.0), frame)
+        roots = _path_root(homotopy_chart_map(gamma, 1.0), frame)[0][None]
     else:
         roots = np.array(roots, dtype=float).reshape(-1, frame.chart_dim)
 
@@ -945,46 +917,62 @@ def intersection_point(gamma: DeformationGamma,
 
 @dataclass
 class DegreeReport:
-    """Brouwer degree as a signed count of nondegenerate roots."""
+    """Brouwer degree by homotopy to the affine start map, and the one root its path reached.
+
+    ``roots`` is that root as a (1, d_y + 1) block.
+    """
 
     degree: int
     roots: np.ndarray
-    determinants: np.ndarray
     boundary_min: float
 
 
 def brouwer_degree_small(
     map_fn: Callable[[np.ndarray], np.ndarray], frame: LinkingFrame
 ) -> DegreeReport:
-    """Degree of a chart map on the open half-ball, by root counting.
+    """Degree of a chart map on the open half-ball, by homotopy to xi - r e_last.
 
-    ``map_fn`` takes an (m, d_y + 1) block of chart rows and returns the
-    block of its values, row by row, as the maps of
-    :func:`homotopy_chart_map` do. Requires chart dimension at most 4 so
-    the multistart sweep can be dense enough to be treated as
-    exhaustive. The map must stay at least 1e-6 away from zero on 300
-    seeded boundary samples plus the corner probes, which it maps in one
-    call; each root must have a central-difference Jacobian determinant
-    of size at least 1e-8.
+    ``map_fn`` maps an (m, d_y + 1) block of chart rows row by row, as
+    :func:`homotopy_chart_map`'s maps do; the chart dimension is at most
+    ``MAX_DEGREE_DIMENSION``. On 300 seeded boundary rows plus the corner
+    probes, mapped in one call, the map and the homotopy
+    (1 - t)(xi - r e_last) + t map_fn(xi) (the module's H_t for
+    ``homotopy_chart_map(gamma, 1.0)``; its minimum over t in [0, 1] in
+    closed form) must stay at least 1e-6 from zero, so the degree is
+    ``AFFINE_START_DEGREE`` by homotopy invariance (Poincaré-Bohl). The
+    one root is where ``_path_root`` follows that homotopy from r e_last;
+    its central-difference Jacobian determinant must have size at least 1e-8.
     """
     if frame.chart_dim > MAX_DEGREE_DIMENSION:
         raise InvalidSpecError(
             f"degree counting supports chart dimension <= {MAX_DEGREE_DIMENSION}, "
             f"got {frame.chart_dim}"
         )
-    boundary_vals = np.sqrt(_row_dots(map_fn(frame._degree_rows)))
+    rows = frame._degree_rows
+    ends = map_fn(rows)
+    boundary_vals = np.sqrt(_row_dots(ends))
     boundary_min = float(np.min(boundary_vals))
     if boundary_min < 1e-6:
         raise BoundaryZeroError(
             f"map vanishes on the frame boundary (min {boundary_min:.3e} "
             f"at sample {int(np.argmin(boundary_vals))})"
         )
+    # the point of each segment b + t (a - b), b = xi - r e_last, a = map_fn(xi), nearest 0
+    starts = rows - frame.r * np.eye(frame.chart_dim)[-1]
+    gap = ends - starts
+    t = np.clip(-_row_dots(starts, gap) / np.maximum(_row_dots(gap), 1e-300), 0.0, 1.0)
+    path_vals = np.sqrt(_row_dots(starts + t[:, None] * gap))
+    i = int(np.argmin(path_vals))
+    if path_vals[i] < 1e-6:
+        raise BoundaryZeroError(
+            f"homotopy from xi - r e_last vanishes on the frame boundary "
+            f"(min {path_vals[i]:.3e} at sample {i}, t = {t[i]:.6g})"
+        )
 
-    roots = _root_sweep(map_fn, frame)
-    dets = np.linalg.det(_central_jacobians(map_fn, roots)) if len(roots) else np.empty(0)
-    for root, det in zip(roots, dets):
-        if abs(det) < 1e-8:
-            raise DegenerateRootError(
-                f"root {np.round(root, 6)} has near-singular Jacobian (|det|={abs(det):.3e})"
-            )
-    return DegreeReport(int(np.sum(np.sign(dets))), roots, dets, boundary_min)
+    root, jac = _path_root(map_fn, frame)
+    det = np.linalg.det(jac)
+    if abs(det) < 1e-8:
+        raise DegenerateRootError(
+            f"root {np.round(root, 6)} has near-singular Jacobian (|det|={abs(det):.3e})"
+        )
+    return DegreeReport(AFFINE_START_DEGREE, root[None], boundary_min)

@@ -8,8 +8,8 @@ of the 2D stiffness, the probe-grid crest search, the four-product ray
 expansion, the one-row energies of the geometry sweeps, the whole-block
 Newton solve, the full pilot sweeps of the radii search and its sampled
 embedding constant, LAPACK's tridiagonal eigensolver, the numpy forms of
-the chart kernels, the state-space displacement residual, the hybr
-multistart root sweep of the degree count and its first-come root loop,
+the chart kernels, the state-space displacement residual, a hybr
+multistart root sweep for the root of the degree's continuation path,
 the ``np.linalg.norm`` forms of the chart samplers, the linear program of
 the compactness fit, the fixed-step flow map, and the two-sided u/v kernels
 that took each v-term apart from its u-mirror). No imports from
@@ -364,9 +364,11 @@ def fd_jacobian(map_fn, xi: np.ndarray) -> np.ndarray:
 
 def hybr_root_sweep(map_fn, starts: np.ndarray, r: float, rho: float,
                     residual_tol: float) -> np.ndarray:
-    """The degree count's root sweep as it ran before: MINPACK hybr from each start.
+    """A multistart root sweep, as the degree count once ran it: MINPACK hybr from each start.
 
-    ``map_fn`` maps one chart point. A root is kept when it is finite, its
+    ``map_fn`` maps one chart point, and may raise ``ValueError`` off the
+    half-ball; a start whose iteration goes there finds no root. A root is
+    kept when it is finite, its
     residual is at most ``residual_tol`` max(1, r), it lies inside the
     half-ball of radius rho (last coordinate at least 1e-9 r, norm at most
     rho (1 - 1e-9)), and it is farther than max(1e-6, 1e-5 rho) from every
@@ -378,10 +380,11 @@ def hybr_root_sweep(map_fn, starts: np.ndarray, r: float, rho: float,
     tol = max(1e-6, 1e-5 * rho)
     roots = []
     for start in starts:
-        root = find_root(map_fn, start, method="hybr", tol=1e-13).x
-        if not np.isfinite(root).all():
-            continue
-        if np.abs(map_fn(root)).max() > residual_tol * scale:
+        try:
+            root = find_root(map_fn, start, method="hybr", tol=1e-13).x
+            if not np.isfinite(root).all() or np.abs(map_fn(root)).max() > residual_tol * scale:
+                continue
+        except ValueError:
             continue
         if root[-1] < 1e-9 * r or math.sqrt(root @ root) > rho * (1 - 1e-9):
             continue
@@ -389,20 +392,6 @@ def hybr_root_sweep(map_fn, starts: np.ndarray, r: float, rho: float,
             roots.append(root)
     roots.sort(key=lambda row: tuple(np.round(row, 9)))
     return np.array(roots, dtype=float).reshape(-1, len(starts[0]))
-
-
-def first_come_roots(ends: np.ndarray, tol: float) -> np.ndarray:
-    """The root sweep's merge as it ran before: one end at a time, against every root kept.
-
-    An end is kept when it is farther than ``tol`` from each kept root;
-    the kept ends are returned in their order, (k, d).
-    """
-    roots = []
-    for root in ends:
-        gaps = [root - kept for kept in roots]
-        if all(math.sqrt(gap @ gap) > tol for gap in gaps):
-            roots.append(root)
-    return np.array(roots, dtype=float).reshape(-1, ends.shape[1])
 
 
 def norm_cap_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:

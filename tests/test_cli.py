@@ -182,19 +182,23 @@ def test_cli_intersect(tmp_path):
 
 
 def test_cli_intersect_sweeps_each_distinct_map_once(tmp_path, monkeypatch):
-    sweeps = []
-    sweep = linking._root_sweep
+    paths, lattices = [], []
+    path_root, start_lattice = linking._path_root, linking._start_lattice
 
-    def counting_sweep(*args, **kwargs):
-        sweeps.append(args[0])
-        return sweep(*args, **kwargs)
+    def counting_path(*args, **kwargs):
+        paths.append(args[0])
+        return path_root(*args, **kwargs)
 
-    monkeypatch.setattr(linking, "_root_sweep", counting_sweep)
+    monkeypatch.setattr(linking, "_path_root", counting_path)
+    monkeypatch.setattr(linking, "_start_lattice",
+                        lambda *args: lattices.append(args) or start_lattice(*args))
     rc = main(["intersect", "--config", cfg_file(tmp_path, TOY), "--out", str(tmp_path / "i"),
                "--quiet"])
     assert rc == 0
-    # one t = 1 sweep per shipped deformation; the t = 0 degree is proved, not swept
-    assert len(sweeps) == 3
+    # one t = 1 path per shipped deformation, which the certificate reuses; the
+    # t = 0 degree is proved, and no start lattice is built
+    assert len(paths) == 3 and len(set(map(id, paths))) == 3
+    assert lattices == []
 
 
 def test_cli_intersect_draws_the_degree_boundary_once_per_frame(tmp_path, monkeypatch):
@@ -227,28 +231,6 @@ def test_cli_intersect_draws_the_degree_boundary_once_per_frame(tmp_path, monkey
     assert [d for d in draws if d[2] == 306] == [(3, degrees[0][1], 306)]
 
 
-def test_cli_intersect_builds_the_start_lattice_once_per_frame(tmp_path, monkeypatch):
-    builds, degrees = [], []
-    start_lattice, degree = linking._start_lattice, cli.brouwer_degree_small
-
-    def counting_lattice(frame, per_axis):
-        builds.append((id(frame), per_axis))
-        return start_lattice(frame, per_axis)
-
-    def counting_degree(map_fn, frame):
-        degrees.append(id(frame))
-        return degree(map_fn, frame)
-
-    monkeypatch.setattr(linking, "_start_lattice", counting_lattice)
-    monkeypatch.setattr(cli, "brouwer_degree_small", counting_degree)
-    rc = main(["intersect", "--config", cfg_file(tmp_path, LINE_D2), "--out",
-               str(tmp_path / "i"), "--quiet"])
-    assert rc == 0
-    # three degree counts on one frame share one lattice
-    assert len(degrees) == 3 and len(set(degrees)) == 1
-    assert builds == [(degrees[0], linking.SWEEP_STARTS_PER_AXIS)]
-
-
 def test_cli_intersect_degree_start_is_each_deformations_own(tmp_path):
     path = cfg_file(tmp_path, LINE_D2)
     rc = main(["intersect", "--config", path, "--out", str(tmp_path / "i"), "--quiet"])
@@ -279,6 +261,18 @@ def test_cli_intersect_boundary_failure_fails_every_row(tmp_path, capsys):
         assert row["ok"] == "false"
         assert (f"{row['deformation']} (map vanishes on the frame boundary "
                 "(min 1.000e-07 at sample 0))") in err
+
+
+def test_cli_intersect_certifies_a_root_near_the_cap(tmp_path):
+    # r = 31 of rho = 32: the path's root and its stencil sit 1 from the cap
+    text = (TOY.replace("domain.nx = 1", "domain.nx = 63")
+            + "frame.d_y = 3\nframe.r = 31.0\nframe.rho = 32.0\n")
+    rc = main(["intersect", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "i"),
+               "--quiet"])
+    assert rc == 0
+    rows = read_csv(tmp_path / "i" / "intersection_report.csv")
+    assert [r["ok"] for r in rows] == ["true"] * 3
+    assert all(r["degree_end"] == "1" and float(r["radius_residual"]) <= 1e-8 for r in rows)
 
 
 def test_cli_solve_computes_the_principal_pair_once(tmp_path, monkeypatch):

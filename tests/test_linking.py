@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from linking_saddle import (
     shipped_deformations,
     zero_nonlinearity,
 )
-from oracles import (doubling_pilot, fd_jacobian, first_come_roots, hybr_root_sweep,
+from oracles import (doubling_pilot, fd_jacobian, hybr_root_sweep,
                      norm_base_rows, norm_boundary_rows, norm_cap_rows, norm_interior_rows,
                      sampled_embedding_constant)
 
@@ -357,8 +358,9 @@ def test_shipped_deformations_certify(line_problem, d_y):
 @example(DomainSpec.interval(3), 3, 2e-5, 0.0)
 @example(DomainSpec.rectangle(2, 2), 1, 10.0, 1.0)
 def test_every_shipped_start_map_has_the_proved_degree(domain, d_y, rho, fraction):
-    # the CLI writes AFFINE_START_DEGREE without a sweep; the library's root count
-    # must agree on every frame with min(r, rho - r) >= 1e-5
+    # the CLI writes AFFINE_START_DEGREE without a degree call at t = 0; the
+    # library's homotopy check and path must agree on every frame with
+    # min(r, rho - r) >= 1e-5
     r = 1e-5 + fraction * (rho - 2e-5)
     frame = build_frame(_power_problem(domain), r, rho, d_y=d_y)
     assert min(frame.r, frame.rho - frame.r) >= 1e-5 - 2.0 * np.spacing(rho)
@@ -370,91 +372,38 @@ def test_every_shipped_start_map_has_the_proved_degree(domain, d_y, rho, fractio
 @pytest.mark.parametrize("domain,d_y", [
     *(pytest.param(DomainSpec.interval(255), d_y, id=f"line255-dy{d_y}") for d_y in (1, 2, 3)),
     *(pytest.param(DomainSpec.rectangle(12, 5), d_y, id=f"rect12x5-dy{d_y}") for d_y in (1, 2)),
-    *(pytest.param(DomainSpec.square(16), d_y, id=f"sq16-dy{d_y}") for d_y in (1, 2)),
+    *(pytest.param(DomainSpec.square(16), d_y, id=f"sq16-dy{d_y}") for d_y in (1, 2, 3)),
 ])
-def test_newton_sweep_matches_the_hybr_sweep(domain, d_y):
-    problem = discretize(ProblemSpec(domain, power_nonlinearity()))
-    choice = choose_radii(problem)
-    frame = build_frame(problem, choice.r, choice.rho, d_y=d_y)
-    starts = linking._start_lattice(frame, linking.SWEEP_STARTS_PER_AXIS)
+@settings(max_examples=4, deadline=None)
+@given(st.one_of(st.none(), st.floats(0.5, 50.0)), st.floats(0.02, 0.98))
+@example(None, 0.5)
+def test_newton_sweep_matches_the_hybr_sweep(domain, d_y, rho, fraction):
+    # the one root the path reaches is the only root a hybr sweep from the old
+    # start lattice finds, on choose_radii's radii (rho None) and on drawn ones
+    problem = _power_problem(domain)
+    if rho is None:
+        choice = choose_radii(problem)
+        r, rho = choice.r, choice.rho
+    else:
+        r = fraction * rho
+    frame = build_frame(problem, r, rho, d_y=d_y)
+    starts = linking._start_lattice(frame, 4)
     for gamma in shipped_deformations(frame):
         for t in (0.0, 1.0):
             map_fn = homotopy_chart_map(gamma, t)
             report = brouwer_degree_small(map_fn, frame)
             want = hybr_root_sweep(map_fn, starts, frame.r, frame.rho, linking.SWEEP_RESIDUAL_TOL)
-            assert report.roots.shape == want.shape, (gamma.name, t)
+            assert report.roots.shape == want.shape == (1, frame.chart_dim), (gamma.name, t)
             assert np.max(np.abs(report.roots - want)) <= 1e-12 * frame.rho, (gamma.name, t)
-            dets = [np.linalg.det(fd_jacobian(map_fn, root)) for root in want]
-            assert report.degree == int(np.sum(np.sign(dets)))
-            # the batched Jacobian is the single-row one, bitwise
-            for root, det in zip(report.roots, report.determinants):
-                assert det == np.linalg.det(fd_jacobian(map_fn, root))
-
-
-@st.composite
-def end_sets(draw):
-    """Sweep ends in chart dimension 2 to 4 and a merge distance tol.
-
-    Bases sit on a dyadic lattice, so with tol = 2^-10 an end moved by tol
-    along one axis lies exactly tol away. Kinds: a lone end; a tight
-    cluster, repeats included; a pair exactly tol apart; and a chain
-    e1, e2, e3 whose neighbours lie within tol while e1 and e3 do not.
-    """
-    dim = draw(st.integers(2, 4))
-    tol = draw(st.sampled_from([2.0**-10, 1e-6, 3e-5]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = []
-    for kind in draw(st.lists(st.sampled_from(["lone", "cluster", "gap", "chain"]),
-                              max_size=6)):
-        base = rng.integers(-64, 65, dim) / 64.0
-        axis = np.eye(dim)[rng.integers(dim)]
-        if kind == "lone":
-            rows.append(base)
-        elif kind == "cluster":
-            size = int(rng.integers(2, 6))
-            rows.extend(base + rng.uniform(-0.25, 0.25, (size, dim)) * tol * rng.integers(0, 2))
-        elif kind == "gap":
-            rows.extend([base, base + tol * axis])
-        else:
-            rows.extend([base, base + 0.75 * tol * axis, base + 1.5 * tol * axis])
-    order = draw(st.permutations(range(len(rows))))
-    return np.array(rows, dtype=float).reshape(-1, dim)[list(order)], tol
-
-
-@settings(max_examples=300)
-@given(end_sets())
-def test_first_come_rows_match_the_first_come_loop(ends_tol):
-    ends, tol = ends_tol
-    got, want = linking._first_come_rows(ends, tol), first_come_roots(ends, tol)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_first_come_rows_keep_chain_ends_and_drop_exact_gaps(dim):
-    tol = 2.0**-10
-    axis = np.eye(dim)[0]
-    base = np.full(dim, 0.5)
-    assert linking._first_come_rows(np.empty((0, dim)), tol).shape == (0, dim)
-    assert np.array_equal(linking._first_come_rows(base[None], tol), base[None])
-    # a chain: e2 is within tol of e1 and e3, but e1 and e3 are 1.5 tol apart
-    chain = np.array([base, base + 0.75 * tol * axis, base + 1.5 * tol * axis])
-    assert np.array_equal(linking._first_come_rows(chain, tol), chain[[0, 2]])
-    assert np.array_equal(linking._first_come_rows(chain[[1, 0, 2]], tol), chain[[1]])
-    # a repeated end is merged, and an end exactly tol away is too
-    assert np.array_equal(linking._first_come_rows(chain[[0, 0, 2]], tol), chain[[0, 2]])
-    gap = np.array([base, base + tol * axis])
-    assert np.sqrt(np.sum((gap[1] - gap[0]) ** 2)) == tol
-    assert np.array_equal(linking._first_come_rows(gap, tol), gap[:1])
-
-
-@pytest.mark.parametrize("d_y", [1, 2, 3])
-def test_sweep_starts_are_the_start_lattice_built_once(line_problem, d_y):
-    frame = build_frame(line_problem, 0.7, 3.0, d_y=d_y)
-    starts = frame._sweep_starts
-    assert not starts.flags.writeable and frame._sweep_starts is starts
-    want = linking._start_lattice(frame, linking.SWEEP_STARTS_PER_AXIS)
-    assert starts.shape == want.shape and starts.tobytes() == want.tobytes()
+            assert np.linalg.det(fd_jacobian(map_fn, want[0])) > 0.0
+            assert report.degree == linking.AFFINE_START_DEGREE
+            # the path's Jacobian at its end is the single-row one, bitwise
+            root, jac = linking._path_root(map_fn, frame)
+            assert root.tobytes() == report.roots[0].tobytes()
+            assert jac.tobytes() == fd_jacobian(map_fn, root).tobytes()
+        # without roots, the certificate follows the same path to the same root
+        cert = intersection_point(gamma)
+        assert cert.chart.tobytes() == report.roots[0].tobytes()
 
 
 @settings(max_examples=120)
@@ -549,19 +498,62 @@ def test_affine_degree_conventions(line_frame):
     z[0] = 0.1 * line_frame.rho
 
     plus = brouwer_degree_small(lambda xi: xi - z, line_frame)
-    assert plus.degree == 1 and len(plus.roots) == 1
+    assert plus.degree == 1 and plus.roots.shape == (1, line_frame.chart_dim)
+    assert np.max(np.abs(plus.roots[0] - z)) <= 1e-12 * line_frame.rho
 
-    # chart dimension is even here, so full reflection preserves orientation
-    minus = brouwer_degree_small(lambda xi: z - xi, line_frame)
-    assert minus.degree == 1
+    # the straight homotopy from xi - r e_last to z - xi vanishes at one boundary
+    # point, which no sample meets; its root runs out of the half-ball before
+    # t = 1/2, and the path stops there
+    with pytest.raises(IntersectionNotFoundError,
+                       match=r"^the path from r e_last stalled or left the frame half-ball at t = 0\."):
+        brouwer_degree_small(lambda xi: z - xi, line_frame)
 
-    # root pushed outside the half-ball: nothing to count
+    # root pushed outside the half-ball: the homotopy to xi - far crosses 0 at the
+    # base center, sample 0, at t = r / (2 rho + r)
     far = np.zeros(line_frame.chart_dim)
     far[-1] = -2.0 * line_frame.rho
-    none = brouwer_degree_small(lambda xi: xi - far, line_frame)
-    assert none.degree == 0 and len(none.roots) == 0
-    assert none.roots.shape == (0, line_frame.chart_dim) and none.determinants.shape == (0,)
-    assert none.roots.dtype == none.determinants.dtype == np.float64
+    t = line_frame.r / (2.0 * line_frame.rho + line_frame.r)
+    with pytest.raises(BoundaryZeroError, match=re.escape(
+            f"homotopy from xi - r e_last vanishes on the frame boundary "
+            f"(min 0.000e+00 at sample 0, t = {t:.6g})")):
+        brouwer_degree_small(lambda xi: xi - far, line_frame)
+
+
+def _decoupled(first):
+    """The chart map xi -> (first(xi_0), xi_1 - 2) of a two-dimensional chart."""
+    return lambda xi: np.stack([first(xi[..., 0]), xi[..., 1] - 2.0], axis=-1)
+
+
+@pytest.mark.parametrize("d_y", [1, 2, 3])
+def test_path_of_the_start_map_stays_at_r_e_last(line_problem, d_y):
+    frame = build_frame(line_problem, 0.7, 3.0, d_y=d_y)
+    for gamma in shipped_deformations(frame):
+        root, jac = linking._path_root(homotopy_chart_map(gamma, 0.0), frame)
+        assert root.tobytes() == (0.7 * np.eye(d_y + 1)[-1]).tobytes()
+        assert np.max(np.abs(jac - np.eye(d_y + 1))) <= 1e-9
+
+
+def test_path_halves_its_t_step_where_newton_overshoots(line_problem, monkeypatch):
+    frame = build_frame(line_problem, 1.0, 4.0)
+    # Newton on arctan overshoots from afar; shorter t-steps keep each start close
+    map_fn = _decoupled(lambda x: np.arctan(10.0 * (x - 0.8)))
+    report = brouwer_degree_small(map_fn, frame)
+    assert np.max(np.abs(report.roots[0] - [0.8, 2.0])) <= 1e-12
+    monkeypatch.setattr(linking, "PATH_T_STEPS", 1)
+    monkeypatch.setattr(linking, "PATH_MIN_T_STEP", 1.0)
+    with pytest.raises(IntersectionNotFoundError, match=r"at t = 1 \("):
+        linking._path_root(map_fn, frame)
+
+
+def test_path_stops_at_a_fold(line_problem):
+    # H_t vanishes where t = x (2 exp(-x^2) + x^2 / 8): along the root curve t
+    # rises to 0.908 at x = 0.78, falls to 0.735 and reaches 1 at x = 1.94; no
+    # boundary zero, so the degree is 1, but a path in t cannot turn at the fold
+    frame = build_frame(line_problem, 1.0, 4.0)
+    map_fn = _decoupled(lambda x: x - 1.0 / (2.0 * np.exp(-x * x) + x * x / 8.0))
+    with pytest.raises(IntersectionNotFoundError, match=r"^the path from r e_last stalled") as err:
+        brouwer_degree_small(map_fn, frame)
+    assert 0.9083 < float(re.search(r"at t = ([0-9.]+) ", str(err.value)).group(1)) < 0.91
 
 
 def test_degenerate_root_detected(line_frame):
