@@ -58,7 +58,7 @@ class DegenerateRootError(LinkingSaddleError, RuntimeError):
 
 
 class BoundaryZeroError(LinkingSaddleError, RuntimeError):
-    """The map of a degree computation, or its homotopy, vanishes on the sampled boundary."""
+    """A degree's map vanishes on the sampled boundary, or its homotopy's bound there is < 1e-6."""
 
 
 class ConfigError(LinkingSaddleError, ValueError):

@@ -38,9 +38,9 @@ it vanishes exactly when gamma(xi) hits the sphere N.
 
 H_0 weighs gamma by exactly zero, so for a finite gamma it is the
 affine map xi - r e_last, whose degree is proved, not counted
-(``AFFINE_START_DEGREE``). H_1 has the same degree once H_t stays off
-zero on the frame boundary for every t, which ``brouwer_degree_small``
-checks on seeded boundary rows, in closed form in t. Its root comes from
+(``AFFINE_START_DEGREE``). H_1 has the same degree when gamma fixes the
+frame boundary: H_t then stays off zero there for every t, by a bound
+``brouwer_degree_small`` checks in closed form. Its root comes from
 one continuation path from r e_last (``_path_root``), which maps each
 Newton iterate with its difference stencil in one call, as the chart
 maps take blocks of rows, and never outside the half-ball. The end
@@ -95,7 +95,7 @@ __all__ = [
 ]
 
 # No longer serves sweep density: the homotopy check and the one path need no such
-# bound. Kept so that no exit code moves; lifting it is a follow-up.
+# bound. Kept so that no exit code moves; lifting it waits on ROADMAP item 4.
 MAX_DEGREE_DIMENSION = 4
 # deg(H_0, M, 0) for every finite gamma, proved (Willem 1996, Thm 2.21; Deimling
 # 1985, ch. 1): homotopy_chart_map at t = 0.0 weighs gamma by exactly 0, so H_0 is
@@ -108,8 +108,8 @@ AFFINE_START_DEGREE = 1
 PATH_T_STEPS = 4
 PATH_MIN_T_STEP = 2.0**-12
 PATH_NEWTON_STEPS = 50
-SWEEP_STEP_TOL = 1e-13
-SWEEP_RESIDUAL_TOL = 1e-10
+PATH_STEP_TOL = 1e-13
+PATH_RESIDUAL_TOL = 1e-10
 
 
 def _row_dots(xi: np.ndarray, other: Optional[np.ndarray] = None) -> np.ndarray:
@@ -133,8 +133,8 @@ class LinkingFrame:
     half-ball {|xi| <= rho, xi_last >= 0}; the small sphere N is the
     radius-r sphere of the full diagonal subspace. ``basis`` holds
     exactly the d_y chart modes, so d_y is its mode count. The Gram
-    matrix of the chart and the boundary rows of the degree's boundary
-    and homotopy checks are cached on first use.
+    matrix of the chart and the boundary rows of the degree's checks are
+    cached on first use.
     """
 
     problem: Problem
@@ -804,11 +804,11 @@ def _path_root(map_fn: Callable[[np.ndarray], np.ndarray],
     t rises in ``PATH_T_STEPS`` equal steps, and at each t Newton runs
     from the last root, mapping each iterate with its ``_stencil`` rows
     in one call. A Newton step must lower |H_t|^2. A step of at most
-    ``SWEEP_STEP_TOL`` max(1, |xi|) ends Newton: before t = 1 it is not
+    ``PATH_STEP_TOL`` max(1, |xi|) ends Newton: before t = 1 it is not
     taken, and at t = 1 it is taken unless |H_1|^2 rises. A t-step whose
     Newton fails, leaves the half-ball or meets a singular Jacobian is
     halved; below ``PATH_MIN_T_STEP``, or at an end point off the open
-    half-ball or with a residual above ``SWEEP_RESIDUAL_TOL`` max(1, r),
+    half-ball or with a residual above ``PATH_RESIDUAL_TOL`` max(1, r),
     :class:`IntersectionNotFoundError` names t and |H_t|.
     """
     offset = frame.r * np.eye(frame.chart_dim)[-1]
@@ -832,7 +832,7 @@ def _path_root(map_fn: Callable[[np.ndarray], np.ndarray],
             if not abs(np.linalg.det(jac)) > 0.0:
                 break
             step = np.linalg.solve(jac, -value)
-            done = math.sqrt(step @ step) <= SWEEP_STEP_TOL * max(1.0, math.sqrt(x @ x))
+            done = math.sqrt(step @ step) <= PATH_STEP_TOL * max(1.0, math.sqrt(x @ x))
             if done and t < 1.0:
                 return x, block, value, jac, True
             trial = mapped(x + step)
@@ -855,7 +855,7 @@ def _path_root(map_fn: Callable[[np.ndarray], np.ndarray],
             x, block, t = end, end_block, target
         elif (dt := 0.5 * dt) < PATH_MIN_T_STEP:
             break
-    if not (t == 1.0 and np.max(np.abs(value)) <= SWEEP_RESIDUAL_TOL * max(1.0, frame.r)
+    if not (t == 1.0 and np.max(np.abs(value)) <= PATH_RESIDUAL_TOL * max(1.0, frame.r)
             and x[-1] >= 1e-9 * frame.r and math.sqrt(x @ x) <= frame.rho * (1 - 1e-9)):
         raise IntersectionNotFoundError(
             f"the path from r e_last stalled or left the frame half-ball at t = {target:.6g} "
@@ -933,15 +933,19 @@ def brouwer_degree_small(
     """Degree of a chart map on the open half-ball, by homotopy to xi - r e_last.
 
     ``map_fn`` maps an (m, d_y + 1) block of chart rows row by row, as
-    :func:`homotopy_chart_map`'s maps do; the chart dimension is at most
-    ``MAX_DEGREE_DIMENSION``. On 300 seeded boundary rows plus the corner
-    probes, mapped in one call, the map and the homotopy
-    (1 - t)(xi - r e_last) + t map_fn(xi) (the module's H_t for
-    ``homotopy_chart_map(gamma, 1.0)``; its minimum over t in [0, 1] in
-    closed form) must stay at least 1e-6 from zero, so the degree is
-    ``AFFINE_START_DEGREE`` by homotopy invariance (Poincaré-Bohl). The
-    one root is where ``_path_root`` follows that homotopy from r e_last;
-    its central-difference Jacobian determinant must have size at least 1e-8.
+    :func:`homotopy_chart_map`'s maps do, on a chart of dimension at most
+    ``MAX_DEGREE_DIMENSION``. It must stay within delta = rho (|E|_F + 1e-12)
+    of xi - r e_last on the frame boundary, E xi = ((G xi)[:d_y],
+    sqrt(G[-1, -1]) xi_last) - xi being the chart's Gram defect, as every
+    H_t of a gamma that fixes the boundary does. Then (1 - t)(xi - r e_last)
+    + t map_fn(xi) stays min(r, rho - r) - delta or more from zero on the
+    boundary for every t, so the degree is ``AFFINE_START_DEGREE``
+    (Poincaré-Bohl). On the cached boundary rows, mapped in one call, the
+    map must stay 1e-6 or more from zero, as must that bound
+    (:class:`BoundaryZeroError`), and a row farther than delta from
+    xi - r e_last refuses the map (:class:`DomainMembershipError`). The
+    root is where ``_path_root`` follows the homotopy from r e_last; its
+    Jacobian determinant must have size at least 1e-8.
     """
     if frame.chart_dim > MAX_DEGREE_DIMENSION:
         raise InvalidSpecError(
@@ -957,16 +961,21 @@ def brouwer_degree_small(
             f"map vanishes on the frame boundary (min {boundary_min:.3e} "
             f"at sample {int(np.argmin(boundary_vals))})"
         )
-    # the point of each segment b + t (a - b), b = xi - r e_last, a = map_fn(xi), nearest 0
-    starts = rows - frame.r * np.eye(frame.chart_dim)[-1]
-    gap = ends - starts
-    t = np.clip(-_row_dots(starts, gap) / np.maximum(_row_dots(gap), 1e-300), 0.0, 1.0)
-    path_vals = np.sqrt(_row_dots(starts + t[:, None] * gap))
-    i = int(np.argmin(path_vals))
-    if path_vals[i] < 1e-6:
+    eye = np.eye(frame.chart_dim)
+    defect = np.vstack([frame._chart_gram[:-1], math.sqrt(frame._chart_gram[-1, -1]) * eye[-1]])
+    delta = frame.rho * (float(np.linalg.norm(defect - eye)) + 1e-12)
+    moved = np.sqrt(_row_dots(ends - (rows - frame.r * eye[-1])))
+    i = int(np.argmax(moved))
+    if moved[i] > delta:
+        raise DomainMembershipError(
+            f"map moves the frame boundary: {moved[i]:.3e} from xi - r e_last at sample {i}, "
+            f"beyond the Gram defect bound {delta:.3e}"
+        )
+    bound = min(frame.r, frame.rho - frame.r) - delta
+    if bound < 1e-6:
         raise BoundaryZeroError(
-            f"homotopy from xi - r e_last vanishes on the frame boundary "
-            f"(min {path_vals[i]:.3e} at sample {i}, t = {t[i]:.6g})"
+            f"homotopy from xi - r e_last is not proved off zero on the frame boundary "
+            f"(bound {bound:.3e})"
         )
 
     root, jac = _path_root(map_fn, frame)

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import RunConfig, format_config
-from .state import mirrored
 
 __all__ = [
     "format_float",
@@ -71,22 +70,14 @@ def write_float_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarr
     Each distinct bit pattern of the block is formatted once, and one
     template for the block is filled from those cells. Keys are bits, so
     0.0 and -0.0 stay apart, as do NaN payloads. A solution's coordinate
-    columns hold only nx + ny distinct values, and v is often u bitwise:
-    a column that mirrors an earlier one (:func:`~.state.mirrored`) reuses
-    its cells and does not enter the sort.
+    columns hold only nx + ny distinct values, and v is often u bitwise.
     """
-    columns = [np.asarray(column, dtype=np.float64) for column in columns]
-    # the first column that each one mirrors: itself, or an earlier one
-    first = [next(j for j in range(k + 1) if mirrored(columns[j], column))
-             for k, column in enumerate(columns)]
-    kept = sorted(set(first))
-    block = np.column_stack([columns[j] for j in kept])
+    block = np.column_stack(columns).astype(np.float64, copy=False)
     keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
     text = "\n".join(["%.17g"] * keys.size) % tuple(keys.view(np.float64).tolist())
     cells = np.array(text.split("\n"), dtype=object)
-    template = "%s\n" + (",".join(["%s"] * len(first)) + "\n") * len(block)
-    index = inverse.reshape(block.shape)[:, [kept.index(j) for j in first]]
-    atomic_write_text(path, template % (",".join(header), *cells[index.ravel()].tolist()))
+    template = "%s\n" + (",".join(["%s"] * block.shape[1]) + "\n") * len(block)
+    atomic_write_text(path, template % (",".join(header), *cells[inverse.ravel()].tolist()))
 
 
 def _pgm_image(mesh: np.ndarray) -> str:

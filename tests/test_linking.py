@@ -392,7 +392,7 @@ def test_newton_sweep_matches_the_hybr_sweep(domain, d_y, rho, fraction):
         for t in (0.0, 1.0):
             map_fn = homotopy_chart_map(gamma, t)
             report = brouwer_degree_small(map_fn, frame)
-            want = hybr_root_sweep(map_fn, starts, frame.r, frame.rho, linking.SWEEP_RESIDUAL_TOL)
+            want = hybr_root_sweep(map_fn, starts, frame.r, frame.rho, linking.PATH_RESIDUAL_TOL)
             assert report.roots.shape == want.shape == (1, frame.chart_dim), (gamma.name, t)
             assert np.max(np.abs(report.roots - want)) <= 1e-12 * frame.rho, (gamma.name, t)
             assert np.linalg.det(fd_jacobian(map_fn, want[0])) > 0.0
@@ -492,31 +492,30 @@ def test_displacement_residual_accounts_for_motion(line_frame):
         assert displacement_residual(gamma, samples.interior_chart) <= 1e-10
 
 
-def test_affine_degree_conventions(line_frame):
+def test_affine_degree_conventions(line_problem, line_frame):
+    # the affine start map itself: degree 1, its root r e_last
+    start = line_frame.r * np.eye(line_frame.chart_dim)[-1]
+    report = brouwer_degree_small(lambda xi: xi - start, line_frame)
+    assert report.degree == linking.AFFINE_START_DEGREE == 1
+    assert report.roots.tobytes() == start[None].tobytes()
+
+    # maps that move the boundary are refused, whatever their degree: a sample
+    # cannot show that their homotopy stays off zero between the rows
     z = np.zeros(line_frame.chart_dim)
     z[-1] = 0.5 * line_frame.rho
     z[0] = 0.1 * line_frame.rho
-
-    plus = brouwer_degree_small(lambda xi: xi - z, line_frame)
-    assert plus.degree == 1 and plus.roots.shape == (1, line_frame.chart_dim)
-    assert np.max(np.abs(plus.roots[0] - z)) <= 1e-12 * line_frame.rho
-
-    # the straight homotopy from xi - r e_last to z - xi vanishes at one boundary
-    # point, which no sample meets; its root runs out of the half-ball before
-    # t = 1/2, and the path stops there
-    with pytest.raises(IntersectionNotFoundError,
-                       match=r"^the path from r e_last stalled or left the frame half-ball at t = 0\."):
-        brouwer_degree_small(lambda xi: z - xi, line_frame)
-
-    # root pushed outside the half-ball: the homotopy to xi - far crosses 0 at the
-    # base center, sample 0, at t = r / (2 rho + r)
     far = np.zeros(line_frame.chart_dim)
     far[-1] = -2.0 * line_frame.rho
-    t = line_frame.r / (2.0 * line_frame.rho + line_frame.r)
-    with pytest.raises(BoundaryZeroError, match=re.escape(
-            f"homotopy from xi - r e_last vanishes on the frame boundary "
-            f"(min 0.000e+00 at sample 0, t = {t:.6g})")):
-        brouwer_degree_small(lambda xi: xi - far, line_frame)
+    for map_fn in (lambda xi: xi - z, lambda xi: z - xi, lambda xi: xi - far):
+        with pytest.raises(DomainMembershipError, match=r"^map moves the frame boundary: "):
+            brouwer_degree_small(map_fn, line_frame)
+
+    # degree 0: roots (-1, 2) and (1, 2) with det -2 and +2; its straight homotopy
+    # vanishes on the cap near xi_0 = -3.81, t = 0.22, between the rows, while the
+    # path from r e_last reaches (1, 2) with no fold
+    frame = build_frame(line_problem, 1.0, 4.0)
+    with pytest.raises(DomainMembershipError, match=r"^map moves the frame boundary: "):
+        brouwer_degree_small(_decoupled(lambda x: x * x - 1.0), frame)
 
 
 def _decoupled(first):
@@ -537,8 +536,8 @@ def test_path_halves_its_t_step_where_newton_overshoots(line_problem, monkeypatc
     frame = build_frame(line_problem, 1.0, 4.0)
     # Newton on arctan overshoots from afar; shorter t-steps keep each start close
     map_fn = _decoupled(lambda x: np.arctan(10.0 * (x - 0.8)))
-    report = brouwer_degree_small(map_fn, frame)
-    assert np.max(np.abs(report.roots[0] - [0.8, 2.0])) <= 1e-12
+    root, _ = linking._path_root(map_fn, frame)
+    assert np.max(np.abs(root - [0.8, 2.0])) <= 1e-12
     monkeypatch.setattr(linking, "PATH_T_STEPS", 1)
     monkeypatch.setattr(linking, "PATH_MIN_T_STEP", 1.0)
     with pytest.raises(IntersectionNotFoundError, match=r"at t = 1 \("):
@@ -552,25 +551,36 @@ def test_path_stops_at_a_fold(line_problem):
     frame = build_frame(line_problem, 1.0, 4.0)
     map_fn = _decoupled(lambda x: x - 1.0 / (2.0 * np.exp(-x * x) + x * x / 8.0))
     with pytest.raises(IntersectionNotFoundError, match=r"^the path from r e_last stalled") as err:
-        brouwer_degree_small(map_fn, frame)
+        linking._path_root(map_fn, frame)
     assert 0.9083 < float(re.search(r"at t = ([0-9.]+) ", str(err.value)).group(1)) < 0.91
 
 
 def test_degenerate_root_detected(line_frame):
-    z = np.zeros(line_frame.chart_dim)
-    z[-1] = 0.5 * line_frame.rho
-    squash = np.ones(line_frame.chart_dim)
-    squash[0] = 1e-9
+    # xi - p plus a bump that vanishes on the boundary: the boundary stays put,
+    # the root stays at p = r e_last and its Jacobian is diag(1e-10, 1, ...)
+    r, rho = line_frame.r, line_frame.rho
+    p = r * np.eye(line_frame.chart_dim)[-1]
+    squash = np.zeros(line_frame.chart_dim)
+    squash[0] = -(1.0 - 1e-10) * rho**3 / (r * (rho**2 - r**2))
+
+    def map_fn(xi):
+        bump = xi[..., -1] * (rho**2 - np.sum(xi * xi, axis=-1)) / rho**3
+        return (xi - p) * (1.0 + bump[..., None] * squash)
 
     with pytest.raises(DegenerateRootError):
-        brouwer_degree_small(lambda xi: squash * (xi - z), line_frame)
+        brouwer_degree_small(map_fn, line_frame)
 
 
-def test_boundary_zero_detected(line_frame):
+def test_boundary_zero_detected(line_problem, line_frame):
     top = np.zeros(line_frame.chart_dim)
     top[-1] = line_frame.rho
     with pytest.raises(BoundaryZeroError):
         brouwer_degree_small(lambda xi: xi - top, line_frame)
+    # at r = 1e-6 the base center keeps |H_1| = 1e-6, but the homotopy's
+    # bound, r less the Gram defect, falls below it
+    frame = build_frame(line_problem, 1e-6, 3.0)
+    with pytest.raises(BoundaryZeroError, match=r"^homotopy from xi - r e_last is not proved"):
+        brouwer_degree_small(homotopy_chart_map(identity_deformation(frame), 1.0), frame)
 
 
 def test_degree_boundary_is_drawn_once_per_frame(line_problem, monkeypatch):

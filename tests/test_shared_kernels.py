@@ -280,19 +280,6 @@ def test_float_block_of_repeated_cells_matches_the_row_format(tmp_path_factory, 
     assert path.read_bytes() == row_format(header, zip(*columns))
 
 
-def test_float_block_sorts_a_mirrored_column_once(tmp_path, monkeypatch):
-    unique, widths = np.unique, []
-    monkeypatch.setattr(np, "unique",
-                        lambda block, **kw: widths.append(block.shape[1]) or unique(block, **kw))
-    u = np.array([0.5, -0.0, 0.0])
-    # v is u bitwise and reuses its cells; -u differs from u in the sign of each zero
-    columns = [np.arange(3.0), u, u.copy(), -u]
-    path = tmp_path / "mirrored.csv"
-    write_float_csv(str(path), ["x", "u", "v", "w"], columns)
-    assert widths == [3]
-    assert path.read_bytes() == row_format(["x", "u", "v", "w"], zip(*columns))
-
-
 @settings(max_examples=40)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
 def test_heatmap_rows_match_the_row_format(tmp_path_factory, rows, cols, seed, flat):
