@@ -83,9 +83,11 @@ RUNS = (
     ("intersect-line255-dy2", ["intersect"], _domain(255) + ["frame.d_y = 2"]),
     ("intersect-rect12x5-dy1", ["intersect"], _domain(12, 5) + ["frame.d_y = 1"]),
     ("intersect-rect12x5-dy2", ["intersect"], _domain(12, 5) + ["frame.d_y = 2"]),
-    # chart dimension 4, the largest intersect counts degrees on
+    # chart dimension 4; intersect takes any d_y up to the node count
     ("intersect-line63-dy3", ["intersect"], _domain(63) + ["frame.d_y = 3"]),
     ("intersect-sq16-dy3", ["intersect"], _domain(16, 16) + ["frame.d_y = 3"]),
+    ("intersect-line255-dy8", ["intersect"], _domain(255) + ["frame.d_y = 8"]),
+    ("intersect-sq16-dy6", ["intersect"], _domain(16, 16) + ["frame.d_y = 6"]),
     # r close to rho, so the root sits near the cap
     ("intersect-line63-dy3-near-cap", ["intersect"],
      _domain(63) + ["frame.d_y = 3", "frame.r = 31.0", "frame.rho = 32.0"]),

@@ -32,7 +32,7 @@ print(f"sphere floor b = {geo.sphere_floor:.6f}\n")
 for gamma in shipped_deformations(frame):
     deg0 = brouwer_degree_small(homotopy_chart_map(gamma, 0.0), frame)
     deg1 = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), frame)
-    cert = intersection_point(gamma, roots=deg1.roots)
+    cert = intersection_point(gamma, root=deg1.roots[0])
     print(f"{gamma.name:12s} deg(H0) = {deg0.degree}, deg(H1) = {deg1.degree}")
     print(f"             antidiagonal residual {cert.antidiagonal_residual:.2e}, "
           f"radius residual {cert.radius_residual:.2e}")

@@ -16,13 +16,12 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .config import RunConfig, load_config, to_problem_spec
+from .config import RunConfig, load_config, to_problem_spec, validate_config
 from .diagnostics import run_all_checks
 from .errors import ConfigError, LinkingSaddleError
 from .functional import Problem, discretize, validate_hypotheses
 from .linking import (
     AFFINE_START_DEGREE,
-    MAX_DEGREE_DIMENSION,
     build_frame,
     choose_radii,
     displacement_residual,
@@ -56,7 +55,7 @@ def _load(args: argparse.Namespace) -> RunConfig:
         cfg.frame.seed = args.seed
     if args.out is not None:
         cfg.output.dir = args.out
-    return cfg
+    return validate_config(cfg)
 
 
 def _resolve_radii(cfg: RunConfig, problem: Problem):
@@ -158,17 +157,12 @@ def cmd_geometry(cfg: RunConfig, quiet: bool) -> int:
 
 
 def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
-    if cfg.frame.d_y + 1 > MAX_DEGREE_DIMENSION:
-        raise ConfigError(
-            f"intersect counts degrees on charts of dimension d_y + 1 <= {MAX_DEGREE_DIMENSION}, "
-            f"got frame.d_y = {cfg.frame.d_y}"
-        )
     problem = discretize(to_problem_spec(cfg))
     prelude = _frame_and_geometry(cfg, problem, "intersect", [("radii", "failed")])
     if prelude is None:
         return 1
     frame, geo, _ = prelude
-    samples = sample_sets(frame, interior_count=12, seed=cfg.frame.seed)
+    interior = sample_sets(frame, interior_count=12, seed=cfg.frame.seed)
     gammas = shipped_deformations(frame)
     rows = []
     failures = []
@@ -177,8 +171,8 @@ def cmd_intersect(cfg: RunConfig, quiet: bool) -> int:
     for gamma in gammas:
         try:
             deg_end = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), frame)
-            cert = intersection_point(gamma, roots=deg_end.roots)
-            disp = displacement_residual(gamma, samples.interior_chart)
+            cert = intersection_point(gamma, deg_end.roots[0])
+            disp = displacement_residual(gamma, interior)
             ok = (deg_end.degree == AFFINE_START_DEGREE
                   and minimax_consistency(cert.energy, geo.sphere_min))
             rows.append((gamma.name, cert.antidiagonal_residual, cert.radius_residual,
@@ -341,28 +335,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certified saddle points of strongly indefinite coupled energies.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("check", "run the self-check suites and write check_report.csv"),
-        ("geometry", "estimate and certify the linking separation"),
-        ("intersect", "certify intersections and homotopy degrees for shipped deformations"),
-        ("solve", "full pipeline: hypotheses, geometry, solve, compactness, minimax"),
-        ("refine", "re-solve on doubled grids and tabulate level differences"),
-    ):
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--config", help="path to a key=value configuration file")
-        cmd.add_argument("--seed", type=int, help="override frame.seed")
-        cmd.add_argument("--out", help="override output.dir")
-        cmd.add_argument("--quiet", action="store_true", help="suppress progress output")
-        if name == "refine":
-            cmd.add_argument("--levels", type=int, default=4,
-                             help="number of refinement levels (default 4)")
+    parser.add_argument("command", choices=("check", "geometry", "intersect", "solve", "refine"),
+                        help="check: self-checks; geometry: the linking separation; intersect: "
+                             "intersections and degrees; solve: the full pipeline; refine: "
+                             "re-solve on doubled grids")
+    parser.add_argument("--config", help="path to a key=value configuration file")
+    parser.add_argument("--seed", type=int, help="override frame.seed")
+    parser.add_argument("--out", help="override output.dir")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    parser.add_argument("--levels", type=int, help="refine only: number of levels (default 4)")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.levels is not None and args.command != "refine":
+        parser.error(f"--levels applies to refine only, not {args.command}")
     try:
         cfg = _load(args)
         if args.command == "check":
@@ -373,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_intersect(cfg, args.quiet)
         if args.command == "solve":
             return cmd_solve(cfg, args.quiet)
-        return cmd_refine(cfg, args.quiet, args.levels)
+        return cmd_refine(cfg, args.quiet, 4 if args.levels is None else args.levels)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -34,6 +34,7 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "load_config",
+    "validate_config",
     "format_config",
     "to_problem_spec",
 ]
@@ -145,7 +146,8 @@ def _assign(cfg: RunConfig, section: str, key: str, raw: str, lineno: int) -> No
     setattr(block, attr, _convert(raw, target, where))
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
+def validate_config(cfg: RunConfig) -> RunConfig:
+    """``cfg`` itself, once every value in it is one a run can use; else :class:`ConfigError`."""
     d = cfg.domain
     if d.dimension not in (1, 2):
         raise ConfigError(f"domain.dimension must be 1 or 2, got {d.dimension}")
@@ -177,6 +179,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
     nodes = d.nx if d.dimension == 1 else d.nx * d.ny
     if f.d_y > nodes:
         raise ConfigError(f"frame.d_y must not exceed the grid's node count {nodes}, got {f.d_y}")
+    if f.seed < 0:
+        raise ConfigError(f"frame.seed must be nonnegative, got {f.seed}")
 
     try:
         dataclasses.replace(cfg.solver)  # runs SolverConfig's own validation
@@ -203,7 +207,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: {lhs} has no value")
         section, key = lhs.split(".", 1)
         _assign(cfg, section.strip(), key.strip(), raw, lineno)
-    return _validate(cfg)
+    return validate_config(cfg)
 
 
 def load_config(path) -> RunConfig:

@@ -40,14 +40,15 @@ H_0 weighs gamma by exactly zero, so for a finite gamma it is the
 affine map xi - r e_last, whose degree is proved, not counted
 (``AFFINE_START_DEGREE``). H_1 has the same degree when gamma fixes the
 frame boundary: H_t then stays off zero there for every t, by a bound
-``brouwer_degree_small`` checks in closed form. Its root comes from
-one continuation path from r e_last (``_path_root``), which maps each
-Newton iterate with its difference stencil in one call, as the chart
-maps take blocks of rows, and never outside the half-ball. The end
-degree and the intersection certificate share that path
-(``intersection_point(gamma, roots=degree.roots)``). The displacement
-(eta - xi) . B of gamma is measured with G. The certificate itself is
-checked on the state gamma(xi), independently of G.
+``brouwer_degree_small`` checks in closed form, at every chart
+dimension. Its root comes from one continuation path from r e_last
+(``_path_root``), which maps each Newton iterate with its difference
+stencil in one call, as the chart maps take blocks of rows, and never
+outside the half-ball. The end degree and the intersection certificate
+share that path (``intersection_point(gamma, degree.roots[0])``). The
+displacement (eta - xi) . B of gamma is measured with G. The
+certificate itself is checked on the state gamma(xi), independently of
+G.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ from .state import StatePair
 __all__ = [
     "LinkingFrame",
     "build_frame",
-    "SampleSets",
     "sample_sets",
     "GeometryReport",
     "estimate_geometry",
@@ -94,9 +94,6 @@ __all__ = [
     "brouwer_degree_small",
 ]
 
-# No longer serves sweep density: the homotopy check and the one path need no such
-# bound. Kept so that no exit code moves; lifting it waits on ROADMAP item 4.
-MAX_DEGREE_DIMENSION = 4
 # deg(H_0, M, 0) for every finite gamma, proved (Willem 1996, Thm 2.21; Deimling
 # 1985, ch. 1): homotopy_chart_map at t = 0.0 weighs gamma by exactly 0, so H_0 is
 # xi - r e_last; its one root r e_last lies inside M, as LinkingFrame enforces
@@ -253,54 +250,6 @@ def build_frame(
     return LinkingFrame(problem, split, basis, anchor, float(r), float(rho))
 
 
-@dataclass
-class SampleSets:
-    """Seeded chart rows strictly inside the frame half-ball, for the displacement checks."""
-
-    interior_chart: np.ndarray
-
-
-def _cap_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
-    """``count`` seeded rows on the cap of the radius-rho half-ball, from one Gaussian block.
-
-    numpy fills a block in the order of its rows, so these are the rows
-    that one draw per row gives. A row of norm below 1e-12 is skipped,
-    and only then is a further block drawn.
-    """
-    rows = np.empty((0, dim))
-    while len(rows) < count:
-        g = rng.standard_normal((count - len(rows), dim))
-        g[:, -1] = np.abs(g[:, -1])
-        norm = np.sqrt(_row_dots(g))
-        keep = norm >= 1e-12
-        rows = np.vstack([rows, (rho / norm[keep])[:, None] * g[keep]])
-    return rows
-
-
-def _base_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
-    """``count`` seeded rows on the base disk of the radius-rho half-ball, last entry 0.
-
-    Each row draws dim - 1 normals g, skipped if |g| < 1e-12, and then one
-    uniform u, for the radius rho u^(1/(dim - 1)); the power is libm's, on
-    a Python float, as numpy's vector power can differ from it by an ulp.
-    The norms and the scaling are then taken for the whole block.
-    """
-    normals = np.empty((count, dim - 1))
-    radii = np.empty(count)
-    made = 0
-    while made < count:
-        g = rng.standard_normal(dim - 1)
-        # |g| >= |g_0| in floating point too, so only a draw with |g_0| < 1e-12 can be short
-        if abs(g[0]) < 1e-12 and math.sqrt(g @ g) < 1e-12:
-            continue
-        normals[made] = g
-        radii[made] = rho * rng.random() ** (1.0 / (dim - 1))
-        made += 1
-    rows = np.zeros((count, dim))
-    rows[:, :-1] = (radii / np.sqrt(_row_dots(normals)))[:, None] * normals
-    return rows
-
-
 def _interior_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
     rows = np.empty((count, dim))
     made = 0
@@ -333,23 +282,31 @@ def _boundary_corner_rows(dim: int, rho: float) -> np.ndarray:
 
 
 def _boundary_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
-    """``count`` boundary rows, and never fewer than the 2 * dim corner probes.
+    """``count`` rows on the boundary of the radius-rho half-ball, and never fewer than 2 dim.
 
-    The corner probes come first; the rest is filled by ceil(fill/2) cap
-    rows and then floor(fill/2) base rows, drawn in that order.
+    The 2 dim corner probes come first. The other fill rows come from one
+    Gaussian block: ceil(fill/2) cap rows, their last entry made
+    nonnegative, at radius rho; then floor(fill/2) base rows, their last
+    entry 0.0, at radius rho u^(1/(dim - 1)) with u from one uniform
+    block. A direction shorter than 1e-12 is drawn again.
     """
     fill = max(count - 2 * dim, 0)
-    return np.vstack([
-        _boundary_corner_rows(dim, rho),
-        _cap_rows(rng, dim, rho, (fill + 1) // 2),
-        _base_rows(rng, dim, rho, fill // 2),
-    ])
+    caps = (fill + 1) // 2
+    g, norm = np.empty((fill, dim)), np.zeros(fill)
+    while (short := norm < 1e-12).any():
+        g[short] = rng.standard_normal((int(short.sum()), dim))
+        g[:caps, -1] = np.abs(g[:caps, -1])
+        g[caps:, -1] = 0.0
+        norm = np.sqrt(_row_dots(g))
+    radii = np.full(fill, rho)
+    radii[caps:] *= rng.random(fill - caps) ** (1.0 / (dim - 1))
+    return np.vstack([_boundary_corner_rows(dim, rho), (radii / norm)[:, None] * g])
 
 
-def sample_sets(frame: LinkingFrame, interior_count: int = 12, seed: int = 0) -> SampleSets:
-    """``interior_count`` rows strictly inside the frame half-ball, from one seeded stream."""
+def sample_sets(frame: LinkingFrame, interior_count: int = 12, seed: int = 0) -> np.ndarray:
+    """The (interior_count, d_y + 1) chart rows strictly inside the half-ball, from one seeded stream."""
     rng = np.random.default_rng(seed)
-    return SampleSets(_interior_rows(rng, frame.chart_dim, frame.rho, interior_count))
+    return _interior_rows(rng, frame.chart_dim, frame.rho, interior_count)
 
 
 def _require_finite(label: str, value: float) -> None:
@@ -773,25 +730,20 @@ def _start_lattice(frame: LinkingFrame, per_axis: int) -> np.ndarray:
 
 
 def _stencil(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference points of each chart row, (m, 2d, d), and the steps h, (m, d).
+    """Central-difference points of one chart row, (2d, d), and the steps h, (d,).
 
-    Point j of a row is xi + h_j e_j and point d + j is xi - h_j e_j, with
+    Point j is xi + h_j e_j and point d + j is xi - h_j e_j, with
     h_j = 1e-6 max(1, |xi_j|).
     """
     h = 1e-6 * np.maximum(1.0, np.abs(xi))
-    shift = h[:, :, None] * np.eye(xi.shape[1])
-    return np.concatenate([xi[:, None, :] + shift, xi[:, None, :] - shift], axis=1), h
+    shift = h[:, None] * np.eye(xi.size)
+    return np.vstack([xi + shift, xi - shift]), h
 
 
-def _stencil_jacobians(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians, (m, d, d), from map values at the ``_stencil`` points.
-
-    ``values`` holds the 2d values of each of m rows in stencil order, (2 m d, d).
-    """
-    m, d = h.shape
-    values = values.reshape(m, 2, d, d)
-    # values[i, 0, j] - values[i, 1, j] is column j of row i's Jacobian
-    return np.swapaxes((values[:, 0] - values[:, 1]) / (2.0 * h[:, :, None]), 1, 2)
+def _stencil_jacobian(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The central-difference Jacobian, (d, d), from the map's (2d, d) values at the ``_stencil`` points."""
+    # values[j] - values[d + j] is column j
+    return ((values[:h.size] - values[h.size:]) / (2.0 * h[:, None])).T
 
 
 def _path_root(map_fn: Callable[[np.ndarray], np.ndarray],
@@ -815,15 +767,15 @@ def _path_root(map_fn: Callable[[np.ndarray], np.ndarray],
 
     def mapped(x: np.ndarray):
         """x and its ``_stencil`` rows, their values from one map call, and h; None off M."""
-        points, h = _stencil(x[None])
-        rows = np.vstack([x[None], points[0]])
+        points, h = _stencil(x)
+        rows = np.vstack([x, points])
         return (rows, map_fn(rows), h) if frame._inside(rows).all() else None
 
     def blend(t: float, rows: np.ndarray, values: np.ndarray, h: np.ndarray):
         """H_t at x and its Jacobian, from x's ``mapped`` block."""
         if t < 1.0:
             values = t * values + (1.0 - t) * (rows - offset)
-        return values[0], _stencil_jacobians(values[1:], h)[0]
+        return values[0], _stencil_jacobian(values[1:], h)
 
     def newton(t: float, x: np.ndarray, block: tuple):
         """Newton on H_t from x: (x, block, H_t(x), Jacobian, converged) at its last iterate."""
@@ -876,42 +828,39 @@ class IntersectionCertificate:
 
 
 def intersection_point(gamma: DeformationGamma,
-                       roots: Optional[np.ndarray] = None) -> IntersectionCertificate:
-    """Find and certify a chart point of gamma's frame whose image under gamma lies on N.
+                       root: Optional[np.ndarray] = None) -> IntersectionCertificate:
+    """Certify the chart point of gamma's frame whose image under gamma lies on N.
 
     The certificate is computed on the state itself, independently of
     the chart algebra used to locate the root: the antidiagonal part of
-    the image must vanish and its norm must equal r, both to within 1e-8.
+    the image must vanish and its norm must equal r, both to within 1e-8,
+    or :class:`IntersectionNotFoundError` names both residuals.
 
-    ``roots`` are candidate roots of the t = 1 chart map, one per row:
-    ``brouwer_degree_small`` on that map follows the path to exactly this
-    root, so its ``DegreeReport.roots`` can be passed to skip a second
-    path. With ``None`` the path from r e_last is followed here
-    (``_path_root``).
+    ``root`` is a root of the t = 1 chart map: ``brouwer_degree_small`` on
+    that map follows the path to exactly this root, so its
+    ``DegreeReport.roots[0]`` can be passed to skip a second path. With
+    ``None`` the path from r e_last is followed here (``_path_root``).
     """
     frame = _require_chart_map(gamma).frame
-    if roots is None:
-        roots = _path_root(homotopy_chart_map(gamma, 1.0), frame)[0][None]
-    else:
-        roots = np.array(roots, dtype=float).reshape(-1, frame.chart_dim)
-
+    if root is None:
+        root = _path_root(homotopy_chart_map(gamma, 1.0), frame)[0]
+    root = frame._check_chart(root)
     split = frame.splitting
-    for root in roots:
-        image = gamma(root)
-        anti = split.pair_norm(split.antidiagonal_part(image))
-        rad = abs(split.pair_norm(image) - frame.r)
-        if anti <= 1e-8 and rad <= 1e-8:
-            return IntersectionCertificate(
-                chart=root,
-                state=frame.state_from_chart(root),
-                image=image,
-                antidiagonal_residual=anti,
-                radius_residual=rad,
-                energy=evaluate_J(frame.problem, image).total,
-            )
-    raise IntersectionNotFoundError(
-        f"no certified intersection for deformation '{gamma.name}' "
-        f"({len(roots)} candidate roots)"
+    image = gamma(root)
+    anti = split.pair_norm(split.antidiagonal_part(image))
+    rad = abs(split.pair_norm(image) - frame.r)
+    if not (anti <= 1e-8 and rad <= 1e-8):
+        raise IntersectionNotFoundError(
+            f"no certified intersection for deformation '{gamma.name}': its root has "
+            f"antidiagonal residual {anti:.3e} and radius residual {rad:.3e}"
+        )
+    return IntersectionCertificate(
+        chart=root,
+        state=frame.state_from_chart(root),
+        image=image,
+        antidiagonal_residual=anti,
+        radius_residual=rad,
+        energy=evaluate_J(frame.problem, image).total,
     )
 
 
@@ -933,25 +882,20 @@ def brouwer_degree_small(
     """Degree of a chart map on the open half-ball, by homotopy to xi - r e_last.
 
     ``map_fn`` maps an (m, d_y + 1) block of chart rows row by row, as
-    :func:`homotopy_chart_map`'s maps do, on a chart of dimension at most
-    ``MAX_DEGREE_DIMENSION``. It must stay within delta = rho (|E|_F + 1e-12)
-    of xi - r e_last on the frame boundary, E xi = ((G xi)[:d_y],
-    sqrt(G[-1, -1]) xi_last) - xi being the chart's Gram defect, as every
-    H_t of a gamma that fixes the boundary does. Then (1 - t)(xi - r e_last)
-    + t map_fn(xi) stays min(r, rho - r) - delta or more from zero on the
-    boundary for every t, so the degree is ``AFFINE_START_DEGREE``
-    (Poincaré-Bohl). On the cached boundary rows, mapped in one call, the
-    map must stay 1e-6 or more from zero, as must that bound
-    (:class:`BoundaryZeroError`), and a row farther than delta from
-    xi - r e_last refuses the map (:class:`DomainMembershipError`). The
-    root is where ``_path_root`` follows the homotopy from r e_last; its
-    Jacobian determinant must have size at least 1e-8.
+    :func:`homotopy_chart_map`'s maps do, on a chart of any dimension. It
+    must stay within delta = rho (|E|_F + 1e-12) of xi - r e_last on the
+    frame boundary, E xi = ((G xi)[:d_y], sqrt(G[-1, -1]) xi_last) - xi
+    being the chart's Gram defect, as every H_t of a gamma that fixes the
+    boundary does. Then (1 - t)(xi - r e_last) + t map_fn(xi) stays
+    min(r, rho - r) - delta or more from zero on the boundary for every t,
+    so the degree is ``AFFINE_START_DEGREE`` (Poincaré-Bohl). On the
+    frame's boundary rows (its 2 (d_y + 1) corners and 300 rows of seed 7,
+    mapped in one call) the map must stay 1e-6 or more from zero, as must
+    that bound (:class:`BoundaryZeroError`), and a row farther than delta
+    from xi - r e_last refuses the map (:class:`DomainMembershipError`).
+    The root is where ``_path_root`` follows the homotopy from r e_last;
+    its Jacobian determinant must have size at least 1e-8.
     """
-    if frame.chart_dim > MAX_DEGREE_DIMENSION:
-        raise InvalidSpecError(
-            f"degree counting supports chart dimension <= {MAX_DEGREE_DIMENSION}, "
-            f"got {frame.chart_dim}"
-        )
     rows = frame._degree_rows
     ends = map_fn(rows)
     boundary_vals = np.sqrt(_row_dots(ends))

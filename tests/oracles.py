@@ -10,7 +10,7 @@ Newton solve, the full pilot sweeps of the radii search and its sampled
 embedding constant, LAPACK's tridiagonal eigensolver, the numpy forms of
 the chart kernels, the state-space displacement residual, a hybr
 multistart root sweep for the root of the degree's continuation path,
-the ``np.linalg.norm`` forms of the chart samplers, the linear program of
+the ``np.linalg.norm`` form of the interior sampler, the linear program of
 the compactness fit, the fixed-step flow map, and the two-sided u/v kernels
 that took each v-term apart from its u-mirror). No imports from
 linking_saddle are allowed in this module.
@@ -392,53 +392,6 @@ def hybr_root_sweep(map_fn, starts: np.ndarray, r: float, rho: float,
             roots.append(root)
     roots.sort(key=lambda row: tuple(np.round(row, 9)))
     return np.array(roots, dtype=float).reshape(-1, len(starts[0]))
-
-
-def norm_cap_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
-    """Seeded rows on the cap of the radius-rho half-ball, normalized by ``np.linalg.norm``."""
-    rows = np.empty((count, dim))
-    made = 0
-    while made < count:
-        g = rng.standard_normal(dim)
-        g[-1] = abs(g[-1])
-        norm = np.linalg.norm(g)
-        if norm < 1e-12:
-            continue
-        rows[made] = (rho / norm) * g
-        made += 1
-    return rows
-
-
-def norm_base_rows(rng: np.random.Generator, dim: int, rho: float, count: int) -> np.ndarray:
-    """Seeded rows on the base disk of the half-ball, normalized by ``np.linalg.norm``."""
-    rows = np.zeros((count, dim))
-    made = 0
-    while made < count:
-        g = rng.standard_normal(dim - 1)
-        norm = np.linalg.norm(g)
-        if norm < 1e-12:
-            continue
-        radius = rho * rng.uniform() ** (1.0 / (dim - 1))
-        rows[made, :-1] = (radius / norm) * g
-        made += 1
-    return rows
-
-
-def norm_boundary_rows(rng: np.random.Generator, dim: int, rho: float,
-                       count: int) -> np.ndarray:
-    """The 2 dim corner probes, then ceil(fill/2) cap and floor(fill/2) base rows."""
-    corners = [np.zeros(dim)]
-    top = np.zeros(dim)
-    top[-1] = rho
-    corners.append(top)
-    for k in range(dim - 1):
-        for sign in (1.0, -1.0):
-            edge = np.zeros(dim)
-            edge[k] = sign * rho
-            corners.append(edge)
-    fill = max(count - 2 * dim, 0)
-    return np.vstack([np.array(corners), norm_cap_rows(rng, dim, rho, (fill + 1) // 2),
-                      norm_base_rows(rng, dim, rho, fill // 2)])
 
 
 def norm_interior_rows(rng: np.random.Generator, dim: int, rho: float,

@@ -500,7 +500,7 @@ def test_cli_draws_only_the_sample_families_it_reads(tmp_path, monkeypatch, comm
     rc = main([command, "--config", cfg_file(tmp_path, LINE_D2), "--out", str(tmp_path / "o"),
                "--quiet"])
     assert rc == 0
-    assert [samples.interior_chart.shape for samples in drawn] == [(interior, 3)] * bool(interior)
+    assert [rows.shape for rows in drawn] == [(interior, 3)] * bool(interior)
 
 
 @pytest.mark.parametrize("key, value", [("problem.mu", "4"), ("solver.init", "anchor"),
@@ -620,7 +620,7 @@ NO_NEWTON_BUDGET = TOY + "solver.max_iter = 0\n"
     ("solve", RESONANT, 1),
     ("solve", HUGE_EXTENT, 1),
     ("intersect", WIDE_CHART, 2),
-    ("intersect", WIDE_CHART_31, 2),
+    ("intersect", WIDE_CHART_31, 0),
     ("geometry", WIDE_CHART_31, 0),
     ("solve", WIDE_CHART_31, 0),
     ("solve", NO_NEWTON_BUDGET, 2),
@@ -691,15 +691,43 @@ def _check_geometry_run(tmp_path, lines, expected, stderr, step="radii: failed")
         assert f"# step {step}" in (tmp_path / "o" / "manifest.cfg").read_text()
 
 
-def test_cli_intersect_rejects_wide_chart_before_any_work(tmp_path, capsys, monkeypatch):
-    def unreachable(spec):
-        raise AssertionError("intersect discretized a config it cannot certify")
+@pytest.mark.parametrize("text, d_y", [
+    (LINE.format(31), 5), (LINE.format(255), 8),
+    ("domain.dimension = 2\ndomain.nx = 16\ndomain.ny = 16\n", 6),
+], ids=["line31-dy5", "line255-dy8", "sq16-dy6"])
+def test_cli_intersect_certifies_wide_charts(tmp_path, text, d_y):
+    # the degree's boundary check and its one path hold at every chart dimension
+    out = tmp_path / "o"
+    assert main(["intersect", "--config", cfg_file(tmp_path, text + f"frame.d_y = {d_y}\n"),
+                 "--out", str(out), "--quiet"]) == 0
+    rows = read_csv(out / "intersection_report.csv")
+    assert len(rows) == 3
+    for row in rows:
+        assert (row["degree_start"], row["degree_end"], row["ok"]) == ("1", "1", "true")
+        assert float(row["antidiagonal_residual"]) <= 1e-8
+        assert float(row["radius_residual"]) <= 1e-8
 
-    monkeypatch.setattr(cli, "discretize", unreachable)
-    rc = main(["intersect", "--config", cfg_file(tmp_path, WIDE_CHART_31),
-               "--out", str(tmp_path / "o"), "--quiet"])
+
+@pytest.mark.parametrize("command", ["intersect", "check", "solve"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, command, source):
+    text, extra = (TOY + "frame.seed = -3\n", []) if source == "config" else (TOY, ["--seed", "-1"])
+    rc = main([command, "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "o"),
+               "--quiet", *extra])
     assert rc == 2
-    assert "d_y + 1 <= 4" in capsys.readouterr().err
+    assert "frame.seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_levels_is_refine_only_and_defaults_to_4(tmp_path, capsys):
+    cfg = cfg_file(tmp_path, TOY)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--config", cfg, "--levels", "2", "--quiet"])
+    assert exit_info.value.code == 2
+    assert "--levels applies to refine only" in capsys.readouterr().err
+    out = tmp_path / "r"
+    assert main(["refine", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert [r["n"] for r in read_csv(out / "refine_table.csv")] == ["1", "3", "7", "15"]
 
 
 def test_parse_rejects_d_y_above_node_count():

@@ -121,9 +121,11 @@ def assert_ceilings_hold(frame, rng, fraction, kind):
         return evaluate_J(problem, x).total
 
     dim = frame.chart_dim
-    for xi in linking._cap_rows(rng, dim, rho, 12):
+    # after the 2 dim corners, 12 cap rows and then 12 base rows
+    caps, bases = np.split(linking._boundary_rows(rng, dim, rho, 2 * dim + 24)[2 * dim:], 2)
+    for xi in caps:
         assert energy(frame.state_from_chart(xi)) <= geo.cap_max + tol
-    for xi in linking._base_rows(rng, dim, rho, 12):
+    for xi in bases:
         assert energy(frame.state_from_chart(xi)) <= geo.base_max + tol
 
     # w off the chart modes phi_k: w - sum_k <w, phi_k>_K phi_k

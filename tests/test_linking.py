@@ -37,8 +37,7 @@ from linking_saddle import (
     shipped_deformations,
     zero_nonlinearity,
 )
-from oracles import (doubling_pilot, fd_jacobian, hybr_root_sweep,
-                     norm_base_rows, norm_boundary_rows, norm_cap_rows, norm_interior_rows,
+from oracles import (doubling_pilot, fd_jacobian, hybr_root_sweep, norm_interior_rows,
                      sampled_embedding_constant)
 
 
@@ -60,17 +59,16 @@ def zero_problem():
 
 
 def test_sample_sets_contracts(line_frame):
-    samples = sample_sets(line_frame, interior_count=30, seed=4)
-    assert samples.interior_chart.shape == (30, line_frame.chart_dim)
-    interior_last = samples.interior_chart[:, -1]
-    assert np.all(interior_last > 0.0)
-    assert np.all(np.linalg.norm(samples.interior_chart, axis=1) < line_frame.rho)
+    rows = sample_sets(line_frame, interior_count=30, seed=4)
+    assert rows.shape == (30, line_frame.chart_dim)
+    assert np.all(rows[:, -1] > 0.0)
+    assert np.all(np.linalg.norm(rows, axis=1) < line_frame.rho)
 
 
 def test_sample_sets_deterministic(line_frame):
     a = sample_sets(line_frame, seed=9)
     b = sample_sets(line_frame, seed=9)
-    assert np.array_equal(a.interior_chart, b.interior_chart)
+    assert a.shape == (12, line_frame.chart_dim) and np.array_equal(a, b)
 
 
 def test_toy_sphere_minimum_closed_form(toy_problem, toy_frame):
@@ -409,26 +407,53 @@ def test_newton_sweep_matches_the_hybr_sweep(domain, d_y, rho, fraction):
 @settings(max_examples=120)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.floats(1e-3, 1e3), st.integers(0, 40))
 def test_chart_samplers_match_the_norm_forms(seed, dim, rho, count):
-    for ours, theirs in ((linking._boundary_rows, norm_boundary_rows),
-                         (linking._base_rows, norm_base_rows),
-                         (linking._interior_rows, norm_interior_rows)):
-        got = ours(np.random.default_rng(seed), dim, rho, count)
-        want = theirs(np.random.default_rng(seed), dim, rho, count)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got = linking._interior_rows(np.random.default_rng(seed), dim, rho, count)
+    want = norm_interior_rows(np.random.default_rng(seed), dim, rho, count)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_boundary_rows(rows, dim, rho, count):
+    """The corner probes first, bitwise; then ceil(fill/2) cap rows and floor(fill/2) base rows.
+
+    A cap row has |xi| = rho to rounding and a nonnegative last entry; a
+    base row has last entry 0.0 and |xi| <= rho, to rounding.
+    """
+    fill = max(count - 2 * dim, 0)
+    assert rows.shape == (2 * dim + fill, dim) and np.isfinite(rows).all()
+    corners = np.zeros((2 * dim, dim))
+    corners[1, -1] = rho
+    for k in range(dim - 1):
+        corners[2 + 2 * k, k], corners[3 + 2 * k, k] = rho, -rho
+    assert rows[:2 * dim].tobytes() == corners.tobytes()
+    caps, bases = np.split(rows[2 * dim:], [(fill + 1) // 2])
+    assert np.all(np.abs(np.linalg.norm(caps, axis=1) - rho) <= 1e-15 * dim * rho)
+    assert np.all(caps[:, -1] >= 0.0)
+    assert np.all(bases[:, -1] == 0.0)
+    assert np.all(np.linalg.norm(bases, axis=1) <= rho * (1.0 + 1e-15 * dim))
+
+
+@settings(max_examples=120)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.floats(1e-3, 1e3), st.integers(0, 40))
+def test_boundary_rows_lie_on_the_boundary(seed, dim, rho, count):
+    rows = linking._boundary_rows(np.random.default_rng(seed), dim, rho, count)
+    assert_boundary_rows(rows, dim, rho, count)
+    again = linking._boundary_rows(np.random.default_rng(seed), dim, rho, count)
+    assert again.tobytes() == rows.tobytes()
 
 
 class ScriptedNormals:
     """Gaussian draws from one fixed sequence, and uniform draws from another.
 
-    The chosen ``tiny_rows`` are shrunk below 1e-12, and the first entry of
-    each of the ``tiny_leads`` rows alone.
+    The chosen ``tiny_rows`` are set to zero, and the first entry of each
+    of the ``tiny_leads`` rows alone, so a row kept without a redraw would
+    scale 0 / 0.
     """
 
     def __init__(self, seed, dim, tiny_rows, tiny_leads=()):
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((100, dim))
-        values[tiny_rows] *= 1e-13
-        values[list(tiny_leads), 0] *= 1e-13
+        values[tiny_rows] = 0.0
+        values[list(tiny_leads), 0] = 0.0
         self.values, self.at = values.ravel(), 0
         self.uniforms = iter(rng.random(100).tolist())
 
@@ -437,19 +462,41 @@ class ScriptedNormals:
         self.at += n
         return self.values[self.at - n:self.at].reshape(size).copy()
 
-    def random(self):
-        return next(self.uniforms)
+    def random(self, size):
+        return np.array([next(self.uniforms) for _ in range(size)])
 
-    uniform = random
+
+def first_pass_rows(normals, dim, rho, count):
+    """The fill rows ``_boundary_rows`` makes of its first Gaussian block, and which are short.
+
+    Cap rows take |g| with a nonnegative last entry, base rows g with a last
+    entry 0.0; the base radii take the first floor(fill/2) uniforms, which
+    the sampler draws after every redraw. A row that is not short must come
+    out bitwise as here, as the row loop kept every draw it did not skip.
+    """
+    fill = max(count - 2 * dim, 0)
+    caps = (fill + 1) // 2
+    g = normals.standard_normal((fill, dim))
+    g[:caps, -1] = np.abs(g[:caps, -1])
+    g[caps:, -1] = 0.0
+    norm = np.sqrt(linking._row_dots(g))
+    radii = np.full(fill, rho)
+    radii[caps:] *= np.array(list(normals.uniforms)[:fill - caps]) ** (1.0 / (dim - 1))
+    return (radii / norm)[:, None] * g, norm < 1e-12, caps
 
 
 @settings(max_examples=80)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 40),
        st.lists(st.integers(0, 59), max_size=20))
 def test_cap_rows_skip_short_draws_as_the_row_loop_did(seed, dim, count, tiny_rows):
-    got = linking._cap_rows(ScriptedNormals(seed, dim, tiny_rows), dim, 3.0, count)
-    want = norm_cap_rows(ScriptedNormals(seed, dim, tiny_rows), dim, 3.0, count)
-    assert got.shape == want.shape == (count, dim) and got.tobytes() == want.tobytes()
+    # a zero row is short on the cap; it is drawn again, and no other row moves
+    rows = linking._boundary_rows(ScriptedNormals(seed, dim, tiny_rows), dim, 3.0, count)
+    assert_boundary_rows(rows, dim, 3.0, count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want, short, caps = first_pass_rows(ScriptedNormals(seed, dim, tiny_rows), dim, 3.0,
+                                            count)
+    kept = ~short[:caps]
+    assert rows[2 * dim:][:caps][kept].tobytes() == want[:caps][kept].tobytes()
 
 
 @settings(max_examples=80)
@@ -457,12 +504,17 @@ def test_cap_rows_skip_short_draws_as_the_row_loop_did(seed, dim, count, tiny_ro
        st.lists(st.integers(0, 59), max_size=20), st.lists(st.integers(0, 59), max_size=20))
 def test_base_rows_skip_short_draws_as_the_row_loop_did(seed, dim, count, tiny_rows,
                                                         tiny_leads):
-    # a short draw takes no uniform; a draw with only its first entry tiny is kept
-    got = linking._base_rows(ScriptedNormals(seed, dim - 1, tiny_rows, tiny_leads), dim, 3.0,
-                             count)
-    want = norm_base_rows(ScriptedNormals(seed, dim - 1, tiny_rows, tiny_leads), dim, 3.0,
-                          count)
-    assert got.shape == want.shape == (count, dim) and got.tobytes() == want.tobytes()
+    # a zero row is short on the base; a zero first entry alone is short on
+    # the base when dim = 2, as the base drops the last entry. A short draw
+    # takes no uniform, and a draw with only its first entry zero at dim > 2 is kept
+    rows = linking._boundary_rows(ScriptedNormals(seed, dim, tiny_rows, tiny_leads), dim, 3.0,
+                                  count)
+    assert_boundary_rows(rows, dim, 3.0, count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want, short, caps = first_pass_rows(ScriptedNormals(seed, dim, tiny_rows, tiny_leads),
+                                            dim, 3.0, count)
+    kept = ~short[caps:]
+    assert rows[2 * dim + caps:][kept].tobytes() == want[caps:][kept].tobytes()
 
 
 def test_boundary_points_are_fixed_bitwise(line_frame):
@@ -487,9 +539,9 @@ def test_interior_points_do_move(line_frame):
 
 
 def test_displacement_residual_accounts_for_motion(line_frame):
-    samples = sample_sets(line_frame, interior_count=16, seed=5)
+    rows = sample_sets(line_frame, interior_count=16, seed=5)
     for gamma in shipped_deformations(line_frame):
-        assert displacement_residual(gamma, samples.interior_chart) <= 1e-10
+        assert displacement_residual(gamma, rows) <= 1e-10
 
 
 def test_affine_degree_conventions(line_problem, line_frame):
@@ -523,7 +575,7 @@ def _decoupled(first):
     return lambda xi: np.stack([first(xi[..., 0]), xi[..., 1] - 2.0], axis=-1)
 
 
-@pytest.mark.parametrize("d_y", [1, 2, 3])
+@pytest.mark.parametrize("d_y", range(1, 9))
 def test_path_of_the_start_map_stays_at_r_e_last(line_problem, d_y):
     frame = build_frame(line_problem, 0.7, 3.0, d_y=d_y)
     for gamma in shipped_deformations(frame):
@@ -593,12 +645,9 @@ def test_degree_boundary_is_drawn_once_per_frame(line_problem, monkeypatch):
     report = brouwer_degree_small(map_fn, frame)
     rows = frame._degree_rows
     assert not rows.flags.writeable
-    # the corners, then 150 cap rows and 150 base rows from one stream
-    rng = np.random.default_rng(7)
-    assert np.array_equal(rows, np.vstack([linking._boundary_corner_rows(3, 3.0),
-                                           linking._cap_rows(rng, 3, 3.0, 150),
-                                           linking._base_rows(rng, 3, 3.0, 150)]))
-    assert np.max(np.linalg.norm(rows, axis=1)) == pytest.approx(3.0)
+    # the 6 corners, then 150 cap rows and 150 base rows, of seed 7
+    assert_boundary_rows(rows, 3, 3.0, 306)
+    assert rows.tobytes() == boundary_rows(np.random.default_rng(7), 3, 3.0, 306).tobytes()
     # the boundary minimum is the least Euclidean norm of the map on those rows
     assert report.boundary_min == min(np.linalg.norm(map_fn(row)) for row in rows)
     brouwer_degree_small(map_fn, frame)
@@ -645,7 +694,7 @@ def test_a_deformation_is_one_map(line_frame):
 
 def test_certificates_refuse_the_flow_map(line_problem, line_frame):
     flow = flow_deformation(line_problem, line_frame, steps=1)
-    rows = sample_sets(line_frame, interior_count=4, seed=5).interior_chart
+    rows = sample_sets(line_frame, interior_count=4, seed=5)
     for certify in (lambda: homotopy_chart_map(flow, 1.0), lambda: intersection_point(flow),
                     lambda: displacement_residual(flow, rows)):
         with pytest.raises(DomainMembershipError, match="not chart compatible"):
@@ -666,13 +715,13 @@ def test_certificates_read_the_frame_of_the_deformation(line_problem):
     assert start.roots == pytest.approx(want[None], abs=1e-12)
     cert = intersection_point(gamma)
     assert frame.splitting.pair_norm(cert.image) == pytest.approx(0.7, rel=1e-10)
-    rows = sample_sets(frame, interior_count=8, seed=3).interior_chart
+    rows = sample_sets(frame, interior_count=8, seed=3)
     assert displacement_residual(gamma, rows) == 0.0
 
 
 def test_start_map_does_not_depend_on_the_deformation(line_frame):
     maps = [homotopy_chart_map(g, 0.0) for g in shipped_deformations(line_frame)]
-    for xi in sample_sets(line_frame, interior_count=16, seed=9).interior_chart:
+    for xi in sample_sets(line_frame, interior_count=16, seed=9):
         first = maps[0](xi)
         for chart_map in maps[1:]:
             assert np.array_equal(chart_map(xi), first)
@@ -681,12 +730,15 @@ def test_start_map_does_not_depend_on_the_deformation(line_frame):
 def test_intersection_point_takes_the_degree_roots(line_frame):
     for gamma in shipped_deformations(line_frame):
         deg = brouwer_degree_small(homotopy_chart_map(gamma, 1.0), line_frame)
-        shared = intersection_point(gamma, roots=deg.roots)
-        swept = intersection_point(gamma)
-        assert np.array_equal(shared.chart, swept.chart)
-        assert shared.energy == swept.energy
-    with pytest.raises(IntersectionNotFoundError):
-        intersection_point(gamma, roots=np.empty((0, line_frame.chart_dim)))
+        shared = intersection_point(gamma, deg.roots[0])
+        followed = intersection_point(gamma)
+        assert np.array_equal(shared.chart, followed.chart)
+        assert shared.energy == followed.energy
+    # a point off N is refused, and the failure names its residuals: the base
+    # centre maps to the zero state, whose radius residual is r
+    with pytest.raises(IntersectionNotFoundError,
+                       match=r"antidiagonal residual 0\.000e\+00 and radius residual "):
+        intersection_point(gamma, np.zeros(line_frame.chart_dim))
 
 
 def test_intersection_certificate_reconstructs_state(line_frame):

@@ -830,7 +830,7 @@ def test_flow_map_is_the_fixed_step_flow_where_no_trial_is_rejected(line_problem
     update = solver._flow_update
     monkeypatch.setattr(solver, "_flow_update",
                         lambda *args: updates.append(args[-1]) or update(*args))
-    rows = sample_sets(frame, interior_count=6, seed=3).interior_chart
+    rows = sample_sets(frame, interior_count=6, seed=3)
     for xi in rows:
         x0 = frame.state_from_chart(xi)
         updates.clear()
