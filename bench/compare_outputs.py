@@ -64,6 +64,11 @@ RUNS = (
     ("solve-scale5e4-shifted-line63", ["solve"],
      _domain(63) + ["problem.scale = 5e4", "problem.lambda = 3.0", "problem.delta = 1.0"]),
     ("solve-p120-line63", ["solve"], _domain(63) + ["problem.p = 120"]),
+    # a small coupling puts the crest far out, so the ray search runs its far
+    # probe, on the diagonal route and on the flow route
+    ("solve-scale1e-3-line63", ["solve"], _domain(63) + ["problem.scale = 1e-3"]),
+    ("solve-scale1e-6-shifted-line63", ["solve"],
+     _domain(63) + ["problem.scale = 1e-6", "problem.lambda = 3.0", "problem.delta = 1.0"]),
     # a large power, where the flow took 39 iterations to the diagonal Newton's 6
     ("solve-p8-sq32", ["solve"], _domain(32, 32) + ["problem.p = 8"]),
     # equal shifts keep the problem symmetric, so it is solved on the diagonal
@@ -119,6 +124,10 @@ RUNS = (
     # near p = 2: the margin is positive, but the small-amplitude hypothesis fails
     ("geometry-line15-p2.05", ["geometry"],
      _domain(15) + ["problem.p = 2.05", "problem.scale = 3.5694218829"]),
+    # rho^2 overflows, so the cap ceiling is not finite: the run exits 1 at stage 'geometry'
+    ("geometry-line63-p2.5-rho1e155", ["geometry"],
+     _domain(63) + ["problem.p = 2.5", "problem.scale = 1e-80", "frame.r = 1.0",
+                    "frame.rho = 1e155"]),
     ("check-sq16", ["check"], _domain(16, 16)),
     ("refine-sq16", ["refine", "--levels", "4"], _domain(16, 16)),
 )

@@ -221,12 +221,14 @@ def _check_term(value: float, label: str) -> float:
 def evaluate_J(problem: Problem, x: StatePair) -> EnergyBreakdown:
     """Evaluate the indefinite energy, term by term.
 
-    Raises :class:`EnergyOverflowError` naming the first non-finite term.
+    Raises :class:`EnergyOverflowError` naming the first non-finite term;
+    the terms are checked in the order of ``EnergyBreakdown``'s fields.
     By the mirror rule (:func:`~linking_saddle.state.mirrored`), where
     u == v bitwise the cross term takes one stiffness product d = u K u,
-    as 0.5 (d + d).
+    as 0.5 (d + d), and on a symmetric problem the v-terms are the
+    u-terms, taken once.
     """
-    op = problem.op
+    op, vol = problem.op, problem.grid.cell_volume
     u = problem.grid.check_field(x.u)
     v = problem.grid.check_field(x.v)
     mirror = mirrored(u, v)
@@ -237,28 +239,13 @@ def evaluate_J(problem: Problem, x: StatePair) -> EnergyBreakdown:
             cross = 0.5 * (d + d)
         else:
             cross = 0.5 * (u @ op.apply(v) + v @ Ku)
-    return _energy_from_cross(problem, u, v, cross, mirror)
-
-
-def _energy_from_cross(problem: Problem, u: np.ndarray, v: np.ndarray,
-                       cross: float, mirror: bool) -> EnergyBreakdown:
-    """The energy of the grid fields (u, v) whose cross term <u, v> is given.
-
-    ``evaluate_J`` takes the cross term from the stiffness matrix; a
-    caller that knows it in closed form passes that. The terms are
-    checked in the order of ``EnergyBreakdown``'s fields. ``mirror`` says
-    whether u == v bitwise (:func:`~linking_saddle.state.mirrored`); on a
-    symmetric problem the v-terms are then the u-terms, taken once.
-    """
-    vol = problem.grid.cell_volume
-    mirror = mirror and problem.symmetric
-    with np.errstate(over="ignore", invalid="ignore"):
         cross = _check_term(cross, "cross")
+        shared = mirror and problem.symmetric
         quad_u = _check_term(0.5 * problem.lam * vol * float(u @ u), "quadratic-u")
-        quad_v = (quad_u if mirror else
+        quad_v = (quad_u if shared else
                   _check_term(0.5 * problem.delta * vol * float(v @ v), "quadratic-v"))
         potential_u = _check_term(vol * float(np.sum(problem.nl.F(u))), "potential-u")
-        potential_v = (potential_u if mirror else
+        potential_v = (potential_u if shared else
                        _check_term(vol * float(np.sum(problem.nl.G(v))), "potential-v"))
     return EnergyBreakdown(cross, quad_u, quad_v, potential_u, potential_v)
 

@@ -109,14 +109,13 @@ PATH_STEP_TOL = 1e-13
 PATH_RESIDUAL_TOL = 1e-10
 
 
-def _row_dots(xi: np.ndarray, other: Optional[np.ndarray] = None) -> np.ndarray:
-    """x @ y of each row x of xi and its row y of ``other`` (xi itself by default).
+def _row_dots(xi: np.ndarray) -> np.ndarray:
+    """x @ x of each row x of xi.
 
-    Each dot is bitwise that of the two rows alone. A stacked matmul calls
+    Each dot is bitwise that of the row alone. A stacked matmul calls
     the same BLAS dot once per row; a summed product would not.
     """
-    other = xi if other is None else other
-    return (xi[..., None, :] @ other[..., :, None])[..., 0, 0]
+    return (xi[..., None, :] @ xi[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -414,7 +413,9 @@ def _cap_ceiling(problem: Problem, a: float, diagonal: np.ndarray) -> Callable[[
     R = (rho / t*)^(p - 2), taken by its logarithm so that neither t* nor
     R overflows, its sup over t in [0, rho] is A rho^2 (1 - 2R/p) at rho
     when R <= 1, and A t*^2 (1 - 2/p) = A rho^2 R^(-2/(p - 2)) (1 - 2/p)
-    otherwise. B = 0 puts the crest at infinity.
+    otherwise. B = 0 puts the crest at infinity. A ceiling that is not
+    finite, as where rho^2 overflows, raises
+    :class:`GeometryCertificationError`.
 
     The shifts must be nonnegative, as ``_floor_constants`` checks.
     """
@@ -435,7 +436,10 @@ def _cap_ceiling(problem: Problem, a: float, diagonal: np.ndarray) -> Callable[[
             peak = big_a * rho * rho * (1.0 - (2.0 / p) * math.exp(log_r))
         else:
             peak = big_a * rho * rho * math.exp(-2.0 * log_r / (p - 2.0)) * (1.0 - 2.0 / p)
-        return peak - 0.5 * rho * rho
+        value = peak - 0.5 * rho * rho
+        # rho * rho overflows first, and inf - inf is nan
+        _require_finite("cap ceiling", value)
+        return value
 
     return ceiling
 

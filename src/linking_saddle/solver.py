@@ -73,8 +73,7 @@ from typing import Callable, Iterator, List, Optional
 import numpy as np
 
 from .errors import EnergyOverflowError, InvalidSpecError
-from .functional import (Problem, _energy_from_cross, euler_lagrange_residual, evaluate_J,
-                         riesz_gradient)
+from .functional import Problem, euler_lagrange_residual, evaluate_J, riesz_gradient
 from .grid import StiffnessOperator
 from .linking import LinkingFrame, _boundary_clearance, _boundary_corner_rows, _interior_rows
 from .splitting import DiagonalSplitting
@@ -242,45 +241,47 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     rhs_p = -(res.u + res.v)
     rhs_q = -(res.u - res.v)
     if np.any(off != 0.0):
-        sol = _minres_solve(op, (1.0, -1.0), avg, off, np.concatenate([rhs_p, rhs_q]))
+        sol = _minres_solve(op, avg, off, np.concatenate([rhs_p, rhs_q]))
         p, q = sol[:n], sol[n:]
     else:
-        p = _minres_solve(op, (1.0,), avg, off, rhs_p)
-        q = (_minres_solve(op, (-1.0,), avg, off, rhs_q) if np.any(rhs_q != 0.0)
-             else np.zeros(n))
+        p = _minres_solve(op, avg, off, rhs_p)
+        # -(K + A) q = rhs_q, solved as (K + A) q = -rhs_q
+        q = _minres_solve(op, -avg, off, -rhs_q) if np.any(rhs_q != 0.0) else np.zeros(n)
     step = StatePair(0.5 * (p + q), 0.5 * (p - q))
     if not step.is_finite():
         raise _StepFailed(_SINGULAR)
     return step
 
 
-def _minres_solve(op: StiffnessOperator, signs: tuple[float, ...], avg: np.ndarray,
-                  off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """MINRES on one or two blocks of the second variation, applied matrix-free.
+def _minres_solve(op: StiffnessOperator, avg: np.ndarray, off: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """MINRES on the second-variation system of size ``rhs.size``, applied matrix-free.
 
-    Block i is signs[i] * K - A; two blocks are coupled by D = diag(off).
-    The preconditioner is K^-1 on each block, by the operator's direct
-    solve: fast diagonalization on 2D grids, the tridiagonal LDL^T on 1D.
-    MINRES (:func:`_minres`) stops on its own residual estimate, so the
-    true residual is checked against ``op.rtol`` * |rhs| afterwards, as
-    :meth:`StiffnessOperator.solve` does; a miss raises :class:`_StepFailed`.
-    One block is applied and preconditioned as it is, with no concatenation.
+    With A = diag(avg) and n = avg.size, an rhs of n entries solves
+    (K - A) w = rhs; one of 2n entries solves the coupled system
+
+        [K - A   D       ]
+        [D       -(K + A)] w = rhs,   D = diag(off),
+
+    and ``off`` is read only there. The preconditioner is K^-1 on each
+    block, by the operator's direct solve: fast diagonalization on 2D
+    grids, the tridiagonal LDL^T on 1D. MINRES (:func:`_minres`) stops on
+    its own residual estimate, so the true residual is checked against
+    ``op.rtol`` * |rhs| afterwards, as :meth:`StiffnessOperator.solve`
+    does; a miss raises :class:`_StepFailed`.
     """
     k, k_inv, n = op._matvec, op._factor, avg.size
 
-    if len(signs) == 1:
-        (sign,) = signs
-
+    if rhs.size == n:
         def apply(w: np.ndarray) -> np.ndarray:
-            return sign * k(w) - avg * w
+            return k(w) - avg * w
 
         precondition = k_inv
     else:
         def apply(w: np.ndarray) -> np.ndarray:
-            parts = w.reshape(2, n)
-            out = np.concatenate([sign * k(part) - avg * part
-                                  for sign, part in zip(signs, parts)])
-            out += np.concatenate([off * parts[1], off * parts[0]])
+            p, q = w.reshape(2, n)
+            out = np.concatenate([k(p) - avg * p, -k(q) - avg * q])
+            out += np.concatenate([off * q, off * p])
             return out
 
         def precondition(r: np.ndarray) -> np.ndarray:
@@ -431,44 +432,34 @@ def _initial_state(problem: Problem, x0: Optional[StatePair],
 
 @dataclass(frozen=True)
 class _Ray:
-    """The line (b, -b) + tau (q, q), with its cross term c0 + tau^2 c2.
+    """The line (b, -b) + tau (q, q), with c2 = <q, K q>.
 
     Every ray the solver searches has such an antidiagonal (or zero) base
-    and diagonal direction: c0 = -<b, K b>, c2 = <q, K q>, and no linear term.
+    and diagonal direction, so its cross term is c2 tau^2 - <b, K b>;
+    the crest slope (:func:`_ray_slope`) reads c2.
     """
 
     base: np.ndarray
     direction: np.ndarray
-    c0: float
     c2: float
 
 
 def _ray(problem: Problem, base: np.ndarray, direction: np.ndarray) -> _Ray:
-    """Validate the :class:`_Ray` of b = ``base`` and q = ``direction``; expand its cross term.
-
-    A base of +0.0 entries only has K b = +0.0 too, so its c0 is -0.0 with no product.
-    """
-    grid, op = problem.grid, problem.op
+    """Validate the :class:`_Ray` of b = ``base`` and q = ``direction``: one K product, for c2."""
+    grid = problem.grid
     b, q = grid.check_field(base), grid.check_field(direction)
     with np.errstate(over="ignore", invalid="ignore"):
-        c0 = -0.0 if not b.view(np.int64).any() else -(b @ op.apply(b))
-        c2 = q @ op.apply(q)
-    return _Ray(b, q, float(c0), float(c2))
+        c2 = q @ problem.op.apply(q)
+    return _Ray(b, q, float(c2))
 
 
 def _ray_energy(problem: Problem, ray: _Ray, tau: float) -> float:
-    """``evaluate_J`` of the ray's point (b + tau q, tau q - b), or -inf where that overflows.
-
-    The nodal values and the energy kernel are those of :func:`evaluate_J`;
-    only the cross term comes from the ray's coefficients instead of two
-    stiffness products.
-    """
+    """:func:`evaluate_J` at the ray's point (b + tau q, tau q - b), or -inf on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         qt = ray.direction * tau
-        u, v = ray.base + qt, qt - ray.base
-        cross = ray.c0 + tau * (tau * ray.c2)
+        x = StatePair(ray.base + qt, qt - ray.base)
     try:
-        return _energy_from_cross(problem, u, v, cross, mirrored(u, v)).total
+        return evaluate_J(problem, x).total
     except EnergyOverflowError:
         return -np.inf
 
@@ -478,8 +469,8 @@ def _ray_slope(problem: Problem, ray: _Ray, tau: float) -> tuple[float, float]:
 
     Each u-term is grouped with its v-mirror, so on a symmetric problem
     swapping the components, that is negating the base, leaves both values
-    bitwise unchanged. By the mirror rule, there at u == v bitwise each
-    pair is one term doubled, as x + x.
+    bitwise unchanged. By the mirror rule, there at u == v bitwise the
+    v-terms are the u-terms, so each pair is one term doubled, as x + x.
     """
     nl, vol = problem.nl, problem.grid.cell_volume
     q = ray.direction
@@ -487,20 +478,15 @@ def _ray_slope(problem: Problem, ray: _Ray, tau: float) -> tuple[float, float]:
         qt = q * tau
         u, v = ray.base + qt, qt - ray.base
         qq, q2 = float(q @ q), q * q
+        shift_u, coupling_u = problem.lam * float(u @ q), float(nl.f(u) @ q)
+        shift2_u, coupling2_u = problem.lam * qq, float(nl.df(u) @ q2)
         if problem.symmetric and mirrored(u, v):
-            shift, coupling = problem.lam * float(u @ q), float(nl.f(u) @ q)
-            shift2, coupling2 = problem.lam * qq, float(nl.df(u) @ q2)
-            slope = 2.0 * tau * ray.c2 - vol * ((shift + shift) + (coupling + coupling))
-            curvature = 2.0 * ray.c2 - vol * ((shift2 + shift2) + (coupling2 + coupling2))
+            shift_v, coupling_v, shift2_v, coupling2_v = shift_u, coupling_u, shift2_u, coupling2_u
         else:
-            slope = 2.0 * tau * ray.c2 - vol * (
-                (problem.lam * float(u @ q) + problem.delta * float(v @ q))
-                + (float(nl.f(u) @ q) + float(nl.g(v) @ q))
-            )
-            curvature = 2.0 * ray.c2 - vol * (
-                (problem.lam * qq + problem.delta * qq)
-                + (float(nl.df(u) @ q2) + float(nl.dg(v) @ q2))
-            )
+            shift_v, coupling_v = problem.delta * float(v @ q), float(nl.g(v) @ q)
+            shift2_v, coupling2_v = problem.delta * qq, float(nl.dg(v) @ q2)
+        slope = 2.0 * tau * ray.c2 - vol * ((shift_u + shift_v) + (coupling_u + coupling_v))
+        curvature = 2.0 * ray.c2 - vol * ((shift2_u + shift2_v) + (coupling2_u + coupling2_v))
     if not (math.isfinite(slope) and math.isfinite(curvature)):
         return -np.inf, -np.inf
     return slope, curvature

@@ -107,7 +107,7 @@ class ModalBasis:
         ``(count, n)`` array would only add to its peak memory. Column
         major: the layout picks BLAS's matrix-vector kernel in
         ``coefficients``, and with it the last bits of every coefficient
-        that ``intersect`` and ``geometry`` write.
+        it returns, as ``check`` reads them in its ``weak-norm-bounds`` row.
         """
         return np.asfortranarray(self.splitting.op.apply(self.modes)) / np.sqrt(2.0)
 

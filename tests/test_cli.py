@@ -672,6 +672,28 @@ def test_cli_geometry_takes_the_grid_floor_near_p_2(tmp_path):
         "ceiling within 40 tries\n")
 
 
+@pytest.mark.parametrize("lines", [
+    "problem.p = 2.5\nproblem.scale = 1e-80\nframe.r = 1.0\nframe.rho = 1e155\n",
+    "problem.p = 4\nframe.r = 1.0\nframe.rho = 1e160\n",
+], ids=["p2.5-rho1e155", "p4-rho1e160"])
+def test_cli_geometry_refuses_an_overflowing_cap_ceiling(tmp_path, lines):
+    # rho * rho overflows, so the ceiling peak - rho^2 / 2 is inf - inf; a nan
+    # ceiling once read as a boundary maximum of 0 and certified the frame
+    _check_geometry_run(tmp_path, lines, 1,
+                        "FAILED at stage 'geometry': cap ceiling is not finite: nan\n")
+
+
+@pytest.mark.parametrize("command", ["intersect", "solve"])
+def test_cli_stops_at_an_overflowing_cap_ceiling(tmp_path, capsys, command):
+    text = LINE.format(63) + "problem.p = 2.5\nproblem.scale = 1e-80\nframe.r = 1.0\n" \
+                             "frame.rho = 1e155\n"
+    rc = main([command, "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "FAILED at stage 'geometry': cap ceiling is not finite: nan\n")
+
+
 def _check_geometry_run(tmp_path, lines, expected, stderr, step="radii: failed"):
     """Run ``geometry`` on the power preset over 1D nx = 15 plus ``lines``, in a subprocess.
 

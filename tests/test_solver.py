@@ -190,9 +190,6 @@ def test_ray_energy_matches_evaluate_J(domain, lam, delta, seed, log_scale):
     b, q = rng.standard_normal((2, problem.n))
     base, direction = StatePair(b, -b), StatePair.diagonal(q)
     ray = _ray(problem, b, q)
-    # swapping u and v negates the base
-    mirror = _ray(problem, -b, q)
-    assert (mirror.c0, mirror.c2) == (ray.c0, ray.c2)
     # the probe grid of the replaced crest search, then the far probe that
     # _ray_argmax still compares; at t_current = 1e72 the far probe
     # overflows the potential and the others do not
@@ -204,13 +201,10 @@ def test_ray_energy_matches_evaluate_J(domain, lam, delta, seed, log_scale):
     for tau in taus:
         got = _ray_energy(problem, ray, tau)
         try:
-            ref = evaluate_J(problem, base + tau * direction)
+            want = evaluate_J(problem, base + tau * direction).total
         except EnergyOverflowError:
-            assert got == -np.inf
-            continue
-        size = (abs(ref.cross) + abs(ref.quad_u) + abs(ref.quad_v)
-                + abs(ref.potential_u) + abs(ref.potential_v))
-        assert abs(got - ref.total) <= 1e-12 * size
+            want = -np.inf
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_signflow_zero_preset_contracts_exactly(zero_problem):

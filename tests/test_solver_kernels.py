@@ -111,7 +111,8 @@ def test_ray_coefficients_match_the_four_product_expansion(grid_index, seed, bas
     k = csr_stiffness(problem.grid.shape, problem.grid.h)
     c0, c1, c2 = ray_cross_coefficients(k, base.u, base.v,
                                         direction.u, direction.v)
-    assert (ray.c0, ray.c2) == (c0, c2)
+    # no linear term, so 2 tau c2 is the whole slope of the cross term
+    assert ray.c2 == c2
     assert c1 == 0.0
 
 
@@ -277,9 +278,9 @@ def assert_newton_runs_preconditioned_minres(problem, monkeypatch):
     systems, runs, factored, applications = [], [], [], []
     minres_solve, minres, factor = solver._minres_solve, solver._minres, op._factor
 
-    def counting_solve(*args, **kwargs):
-        systems.append(len(args[1]))
-        return minres_solve(*args, **kwargs)
+    def counting_solve(op, avg, off, rhs):
+        systems.append(rhs.size // n)
+        return minres_solve(op, avg, off, rhs)
 
     def counting_minres(matvec, psolve, b, rtol, maxiter):
         def counted_psolve(r):
@@ -408,19 +409,22 @@ def test_minres_port_matches_scipy_on_indefinite_systems(n, seed, negative_share
     assert_minres_matches_scipy(lambda x: a @ x, lambda r: m @ r, rng.standard_normal(n))
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("blocks", [1, 2, "q"])
 def test_minres_port_matches_scipy_on_newton_systems(blocks, monkeypatch):
-    # the systems _minres_solve hands to MINRES at a state of a 16^2 problem
+    # the systems _minres_solve hands to MINRES at a state of a 16^2 problem: the
+    # p block (K - A) p = rhs_p, the coupled block, and the q block -(K + A) q = rhs_q
+    # in the form (K + A) q = -rhs_q that _newton_step passes
     problem = discretize(ProblemSpec(DomainSpec.square(16), power_nonlinearity(),
                                      lam=3.0, delta=1.5))
-    rng = np.random.default_rng(blocks)
+    rng = np.random.default_rng(3 if blocks == "q" else blocks)
     x = StatePair(*rng.standard_normal((2, problem.n)))
     res = euler_lagrange_residual(problem, x)
     vol, nl = problem.grid.cell_volume, problem.nl
     a = vol * (problem.lam + nl.df(x.u))
     b = vol * (problem.delta + nl.dg(x.v))
-    signs, rhs = (((1.0,), -(res.u + res.v)) if blocks == 1 else
-                  ((1.0, -1.0), -np.concatenate([res.u + res.v, res.u - res.v])))
+    avg, rhs = {1: (0.5 * (a + b), -(res.u + res.v)),
+                2: (0.5 * (a + b), -np.concatenate([res.u + res.v, res.u - res.v])),
+                "q": (-0.5 * (a + b), res.u - res.v)}[blocks]
     systems = []
     port = solver._minres
 
@@ -429,7 +433,7 @@ def test_minres_port_matches_scipy_on_newton_systems(blocks, monkeypatch):
         return port(matvec, psolve, rhs, rtol, maxiter)
 
     monkeypatch.setattr(solver, "_minres", recording)
-    solver._minres_solve(problem.op, signs, 0.5 * (a + b), 0.5 * (b - a), rhs)
+    solver._minres_solve(problem.op, avg, 0.5 * (b - a), rhs)
     (system,) = systems
     assert assert_minres_matches_scipy(*system) >= 5
 
