@@ -57,6 +57,9 @@ RUNS = (
     ("solve-line2047", ["solve"], _domain(2047)),
     ("solve-shifted-sq32", ["solve"],
      _domain(32, 32) + ["problem.lambda = 3.0", "problem.delta = 1.5"]),
+    # the flow route's Newton stage at 128^2, the size of the benchmark's solve
+    ("solve-shifted-sq128", ["solve"],
+     _domain(128, 128) + ["problem.lambda = 3.0", "problem.delta = 1.5"]),
     ("solve-shifted-line255", ["solve"],
      _domain(255) + ["problem.lambda = 2.0", "problem.delta = 4.0"]),
     # a small solution (energy norm 0.045) on the flow route: the triviality

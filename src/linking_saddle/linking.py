@@ -911,7 +911,8 @@ def brouwer_degree_small(
         )
     eye = np.eye(frame.chart_dim)
     defect = np.vstack([frame._chart_gram[:-1], math.sqrt(frame._chart_gram[-1, -1]) * eye[-1]])
-    delta = frame.rho * (float(np.linalg.norm(defect - eye)) + 1e-12)
+    gram_defect = float(np.linalg.norm(defect - eye))
+    delta = frame.rho * (gram_defect + 1e-12)
     moved = np.sqrt(_row_dots(ends - (rows - frame.r * eye[-1])))
     i = int(np.argmax(moved))
     if moved[i] > delta:
@@ -923,7 +924,9 @@ def brouwer_degree_small(
     if bound < 1e-6:
         raise BoundaryZeroError(
             f"homotopy from xi - r e_last is not proved off zero on the frame boundary "
-            f"(bound {bound:.3e})"
+            f"(bound {bound:.3e} = min(r, rho - r) - delta at rho/r = {frame.rho / frame.r:.3e}; "
+            f"delta = rho |E|_F + rho 1e-12 = {frame.rho * gram_defect:.3e} + "
+            f"{frame.rho * 1e-12:.3e})"
         )
 
     root, jac = _path_root(map_fn, frame)

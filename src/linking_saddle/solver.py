@@ -54,7 +54,16 @@ and Saunders, SIAM J. Numer. Anal. 12, 1975) with the block-diagonal
 preconditioner diag(K^-1, K^-1) (Benzi, Golub and Liesen, Acta Numerica
 2005), applied by the stiffness operator's direct solve; K^-1 (K -/+ A)
 is the identity plus a compact operator, so the iteration count does not
-grow with the mesh. The true residual is checked after every solve.
+grow with the mesh. Newton's steps are inexact far from the solution
+(Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982): at
+gradient norm gn, MINRES stops once its residual is at most
+eta = min(0.01, gn^2) of the right-hand side's, both in the dual norm
+sqrt(r . K^-1 r) that the gradient norm reads. Near the solution, once
+gn^2 is at most 1e-10, each step is exact to MINRES's 1e-14, so the step
+that ends a converged solve is. The basin test's trial steps are always
+exact. The true residual is checked after every solve: against 2 eta of
+the right-hand side in the dual norm for an inexact step, against 1e-10
+of it in the Euclidean norm for an exact one.
 
 Convergence bookkeeping follows the compactness template: bounded
 energies along the trace, gradient norm under tolerance, a Cauchy tail,
@@ -109,6 +118,10 @@ _SINGULAR = "second-variation system is singular"
 # MINRES iterations one second-variation solve may take. K^-1 (K -/+ A) is
 # the identity plus a compact operator, so the count does not grow with the mesh.
 _MINRES_MAX_ITER = 200
+# newton_solve's forcing term is min(_FORCING_MAX, gn^2) at gradient norm gn; a
+# forcing term at or below _EXACT_FORCING asks for the exact step
+_FORCING_MAX = 0.01
+_EXACT_FORCING = 1e-10
 # _second_curvature_ratio stops once its top two Ritz residuals are at most this
 # fraction of the largest Ritz value
 _RITZ_TOL = 1e-6
@@ -208,8 +221,9 @@ class _StepFailed(Exception):
     """A step rule has no trial left; the message says why."""
 
 
-def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
-    """Solve the second-variation system in sum/difference variables.
+def _newton_step(problem: Problem, x: StatePair, res: StatePair,
+                 eta: Optional[float] = None) -> StatePair:
+    """Solve the second-variation system in sum/difference variables, to forcing term ``eta``.
 
     With A = diag((a + b)/2) and D = diag((b - a)/2), where a and b are
     vol * (lam + f'(u)) and vol * (delta + g'(v)), the sum p and the
@@ -227,6 +241,9 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     whole, by MINRES preconditioned with K^-1 on each block
     (:func:`_minres_solve`). A singular system raises :class:`_StepFailed`.
     By the mirror rule, on a symmetric problem at u == v bitwise b is a.
+    Each block is solved to the forcing term ``eta`` in the dual norm
+    (:func:`_minres_solve`); with no ``eta``, or one at most
+    ``_EXACT_FORCING``, the step is exact.
     """
     op, nl = problem.op, problem.nl
     vol = problem.grid.cell_volume
@@ -241,12 +258,12 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
     rhs_p = -(res.u + res.v)
     rhs_q = -(res.u - res.v)
     if np.any(off != 0.0):
-        sol = _minres_solve(op, avg, off, np.concatenate([rhs_p, rhs_q]))
+        sol = _minres_solve(op, avg, off, np.concatenate([rhs_p, rhs_q]), eta)
         p, q = sol[:n], sol[n:]
     else:
-        p = _minres_solve(op, avg, off, rhs_p)
+        p = _minres_solve(op, avg, off, rhs_p, eta)
         # -(K + A) q = rhs_q, solved as (K + A) q = -rhs_q
-        q = _minres_solve(op, -avg, off, -rhs_q) if np.any(rhs_q != 0.0) else np.zeros(n)
+        q = _minres_solve(op, -avg, off, -rhs_q, eta) if np.any(rhs_q != 0.0) else np.zeros(n)
     step = StatePair(0.5 * (p + q), 0.5 * (p - q))
     if not step.is_finite():
         raise _StepFailed(_SINGULAR)
@@ -254,7 +271,7 @@ def _newton_step(problem: Problem, x: StatePair, res: StatePair) -> StatePair:
 
 
 def _minres_solve(op: StiffnessOperator, avg: np.ndarray, off: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
+                  rhs: np.ndarray, eta: Optional[float] = None) -> np.ndarray:
     """MINRES on the second-variation system of size ``rhs.size``, applied matrix-free.
 
     With A = diag(avg) and n = avg.size, an rhs of n entries solves
@@ -266,9 +283,21 @@ def _minres_solve(op: StiffnessOperator, avg: np.ndarray, off: np.ndarray,
     and ``off`` is read only there. The preconditioner is K^-1 on each
     block, by the operator's direct solve: fast diagonalization on 2D
     grids, the tridiagonal LDL^T on 1D. MINRES (:func:`_minres`) stops on
-    its own residual estimate, so the true residual is checked against
-    ``op.rtol`` * |rhs| afterwards, as :meth:`StiffnessOperator.solve`
-    does; a miss raises :class:`_StepFailed`.
+    its own residual estimate, so the true residual is checked afterwards;
+    a miss raises :class:`_StepFailed`.
+
+    With no forcing term ``eta``, or one at most ``_EXACT_FORCING``, the
+    solve is exact: MINRES asks 1e-14 of its estimate, and the true
+    residual is checked against ``op.rtol`` * |rhs| in the Euclidean
+    norm, as :meth:`StiffnessOperator.solve` does. Otherwise it is an
+    inexact Newton solve (Dembo, Eisenstat and Steihaug, SIAM J. Numer.
+    Anal. 19, 1982): MINRES also stops once its estimate of the residual
+    in the dual norm |r|_* = sqrt(r . K^-1 r) per block, the norm the
+    gradient norm reads, is at most eta * |rhs|_*, and the true residual
+    is checked in that norm against 2 eta * |rhs|_*, which leaves the
+    estimate room to drift. :func:`newton_solve` asks eta = min(0.01, gn^2)
+    at gradient norm gn, so the step that ends a converged solve, from gn
+    at most 1e-5, is exact.
     """
     k, k_inv, n = op._matvec, op._factor, avg.size
 
@@ -287,21 +316,32 @@ def _minres_solve(op: StiffnessOperator, avg: np.ndarray, off: np.ndarray,
         def precondition(r: np.ndarray) -> np.ndarray:
             return np.concatenate([k_inv(part) for part in r.reshape(2, n)])
 
+    exact = eta is None or eta <= _EXACT_FORCING
     # the estimate runs ahead of the true residual; asking 1e-14 of it brings
-    # the true residual under op.rtol
-    sol, _ = _minres(apply, precondition, rhs, 1e-14, _MINRES_MAX_ITER)
-    resid = float(np.linalg.norm(apply(sol) - rhs))
-    scale = float(np.linalg.norm(rhs))
+    # the true residual of an exact solve under op.rtol
+    sol, _, beta1 = _minres(apply, precondition, rhs, 1e-14, _MINRES_MAX_ITER,
+                            0.0 if exact else eta)
+    r = apply(sol) - rhs
+    if exact:
+        resid, bound = float(np.linalg.norm(r)), op.rtol * float(np.linalg.norm(rhs))
+        within = f"{op.rtol:.1e} * |rhs| = {bound:.3e}"
+    else:
+        # beta1 is |rhs|_*, from MINRES's first preconditioner application
+        resid, bound = math.sqrt(max(float(r @ precondition(r)), 0.0)), 2.0 * eta * beta1
+        within = f"2 * eta * |rhs|_* = {bound:.3e} in the dual norm at eta = {eta:.1e}"
     # written so that a NaN residual fails too
-    if not resid <= op.rtol * scale:
-        raise _StepFailed(f"{_SINGULAR}: MINRES residual {resid:.3e} exceeds "
-                          f"{op.rtol:.1e} * |rhs| = {op.rtol * scale:.3e}")
+    if not resid <= bound:
+        raise _StepFailed(f"{_SINGULAR}: MINRES residual {resid:.3e} exceeds {within}")
     return sol
 
 
 def _minres(matvec: Callable[[np.ndarray], np.ndarray], psolve: Callable[[np.ndarray], np.ndarray],
-            b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
-    """Preconditioned MINRES for symmetric A x = b from x = 0; returns x and the iterations.
+            b: np.ndarray, rtol: float, maxiter: int,
+            eta: float = 0.0) -> tuple[np.ndarray, int, float]:
+    """Preconditioned MINRES for symmetric A x = b from x = 0.
+
+    It returns x, the iterations and beta1 = sqrt(b . M b), the norm of b
+    in the preconditioner's inner product.
 
     Paige and Saunders, SIAM J. Numer. Anal. 12, 1975, as scipy 1.17's
     ``scipy.sparse.linalg.minres`` writes it, with the same numpy calls
@@ -311,7 +351,10 @@ def _minres(matvec: Callable[[np.ndarray], np.ndarray], psolve: Callable[[np.nda
     |A| |x|, or that of A r to |A| |r|; after the first step if b spans an
     invariant subspace; once the condition estimate reaches 0.1 / eps,
     or eps |A| |x| the preconditioned norm of b; or after ``maxiter``
-    iterations.
+    iterations. One stop is not scipy's: the forcing stop, once phibar,
+    the estimate of sqrt(r . M r) for the residual r, is at most ``eta``
+    times beta1. Its default ``eta`` of 0 turns it off, and the iteration
+    is then scipy's, bit for bit.
     """
     n = b.size
     eps = np.finfo(float).eps
@@ -322,10 +365,10 @@ def _minres(matvec: Callable[[np.ndarray], np.ndarray], psolve: Callable[[np.nda
     if beta1 < 0:
         raise ValueError("indefinite preconditioner")
     elif beta1 == 0:
-        return x, 0
-    if np.linalg.norm(b) == 0:
-        return b, 0
+        return x, 0, 0.0
     beta1 = math.sqrt(beta1)
+    if np.linalg.norm(b) == 0:
+        return b, 0, beta1
 
     itn = 0
     oldb = 0
@@ -392,9 +435,10 @@ def _minres(matvec: Callable[[np.ndarray], np.ndarray], psolve: Callable[[np.nda
         test1 = np.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
         test2 = np.inf if anorm == 0 else root / anorm
         if invariant or (1 + test2 <= 1 or 1 + test1 <= 1 or gmax / gmin >= 0.1 / eps
-                         or epsx >= beta1 or test2 <= rtol or test1 <= rtol):
+                         or epsx >= beta1 or test2 <= rtol or test1 <= rtol
+                         or phibar <= eta * beta1):
             break
-    return x, itn
+    return x, itn, beta1
 
 
 def _grad_and_norm(problem: Problem, x: StatePair) -> tuple[StatePair, StatePair, float]:
@@ -736,7 +780,8 @@ def _basin_trial(
     gn * |d|_E. Near a nondegenerate
     critical point the quadratic model gives J(x + d) - J(x) = <grad J, d>/2,
     within half that bound. A step that fails, or overflows, shows nothing.
-    ``res`` is the first-order residual at ``x``.
+    ``res`` is the first-order residual at ``x``. The step is exact: an
+    inexact one, held to a forcing term, hands off later.
     """
     op = problem.op
     try:
@@ -766,7 +811,9 @@ def newton_solve(
     The merit function for the damping is the dual residual norm, which
     coincides with the gradient norm: a step is accepted once it lowers
     that norm by a factor 1 - 1e-4 * alpha, or keeps it within
-    ``grad_tol``. The iteration stops once the gradient norm meets
+    ``grad_tol``. The Newton direction at gradient norm gn is solved to
+    the forcing term min(0.01, gn^2) (:func:`_minres_solve`), so it is
+    exact once gn is at most 1e-5. The iteration stops once the gradient norm meets
     ``grad_tol`` and the step just accepted has energy norm at most
     ``TAIL_TOL``, so it always takes at least one step, and a converged
     run ends on two iterates that cluster. ``_start`` is the first-order
@@ -781,7 +828,8 @@ def newton_solve(
     zero = np.zeros(problem.n)
 
     def trials(x, res, g, gn, step):
-        direction = _newton_step(problem, x, res)
+        # the forcing term of an inexact step, exact once gn <= 1e-5
+        direction = _newton_step(problem, x, res, min(_FORCING_MAX, gn * gn))
         alpha = 1.0
         while alpha >= 1e-4:
             trial = x + alpha * direction

@@ -519,7 +519,7 @@ def two_sided_newton_step(problem, u: np.ndarray, v: np.ndarray, res_u: np.ndarr
         def precondition(r):
             return np.concatenate([op._factor(part) for part in r.reshape(len(signs), n)])
 
-        sol, _ = minres(apply, precondition, rhs, 1e-14, 200)
+        sol = minres(apply, precondition, rhs, 1e-14, 200)[0]
         resid = float(np.linalg.norm(apply(sol) - rhs))
         scale = float(np.linalg.norm(rhs))
         if not resid <= op.rtol * scale:

@@ -635,6 +635,23 @@ def test_boundary_zero_detected(line_problem, line_frame):
         brouwer_degree_small(homotopy_chart_map(identity_deformation(frame), 1.0), frame)
 
 
+def test_boundary_bound_refusal_names_its_parts():
+    # at rho = 1e12 r the rounding slack rho 1e-12 alone reaches r = 1, so the
+    # bound min(r, rho - r) - delta is negative whatever the Gram defect
+    problem = discretize(ProblemSpec(DomainSpec.interval(15), power_nonlinearity()))
+    frame = build_frame(problem, 1.0, 1e12)
+    with pytest.raises(BoundaryZeroError) as err:
+        brouwer_degree_small(homotopy_chart_map(identity_deformation(frame), 1.0), frame)
+    match = re.fullmatch(
+        r"homotopy from xi - r e_last is not proved off zero on the frame boundary "
+        r"\(bound (\S+) = min\(r, rho - r\) - delta at rho/r = 1\.000e\+12; "
+        r"delta = rho \|E\|_F \+ rho 1e-12 = (\S+) \+ 1\.000e\+00\)", str(err.value))
+    assert match, str(err.value)
+    bound, gram_part = (float(group) for group in match.groups())
+    assert 0.0 <= gram_part < 1.0
+    assert bound == pytest.approx(1.0 - (gram_part + 1.0), rel=1e-3)
+
+
 def test_degree_boundary_is_drawn_once_per_frame(line_problem, monkeypatch):
     draws = []
     boundary_rows = linking._boundary_rows

@@ -120,8 +120,8 @@ def _newton_symmetric_steps(problem, monkeypatch):
     newton_step = solver._newton_step
     steps = []
 
-    def checked(problem, x, res):
-        step = newton_step(problem, x, res)
+    def checked(problem, x, res, eta=None):
+        step = newton_step(problem, x, res, eta)
         assert np.array_equal(x.u, x.v)
         assert np.array_equal(step.u, step.v)
         steps.append(step)
@@ -1013,3 +1013,41 @@ def test_flow_deformation_fixes_boundary(line_problem, witness_setup):
         x = frame.state_from_chart(row)
         gx = gamma(row)
         assert np.array_equal(gx.u, x.u) and np.array_equal(gx.v, x.v)
+
+
+# (domain, lam, delta): a diagonal solve; a symmetric rectangle whose diagonal
+# point is declined, and the same rectangle shifted, both finished by the flow
+# route's Newton stage; a shifted line; a symmetric shift on the diagonal
+FORCING_SOLVES = {
+    "sq32": (DomainSpec.square(32), 0.0, 0.0),
+    "rect12x6": (DomainSpec.rectangle(12, 6, 1.0, 2.5), 0.0, 0.0),
+    "shifted-rect12x6": (DomainSpec.rectangle(12, 6, 1.0, 2.5), 2.0, 0.0),
+    "shifted-line63": (DomainSpec.interval(63), 3.0, 1.0),
+    "symshift-sq32": (DomainSpec.square(32), 5.0, 5.0),
+}
+
+
+@pytest.mark.parametrize("name", FORCING_SOLVES)
+def test_inexact_newton_solves_as_the_exact_newton(name, monkeypatch):
+    # the same solve with every Newton step exact, as when the forcing term is 0
+    domain, lam, delta = FORCING_SOLVES[name]
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
+    minres, counts = solver._minres, []
+
+    def counting(*args):
+        out = minres(*args)
+        counts.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_minres", counting)
+    got = solve_saddle(problem)
+    inexact_iterations = sum(counts)
+    counts.clear()
+    monkeypatch.setattr(solver, "_FORCING_MAX", 0.0)
+    want = solve_saddle(problem)
+    assert (got.method, got.converged, got.nontrivial) == (want.method, want.converged,
+                                                           want.nontrivial)
+    assert got.converged and got.nontrivial
+    assert abs(got.critical_value - want.critical_value) <= 1e-12 * abs(want.critical_value)
+    assert problem.pair_norm(got.state - want.state) <= 1e-12 * problem.pair_norm(want.state)
+    assert inexact_iterations < sum(counts)

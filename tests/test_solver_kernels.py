@@ -224,14 +224,19 @@ def test_ray_argmax_two_crests_takes_the_crest_reached_from_t_current():
 NEWTON_ITERATES = ("symmetric", "antisymmetric", "random")
 
 
-@settings(max_examples=80)
-@given(*problem_args, st.sampled_from(NEWTON_ITERATES), st.integers(0, 2**32 - 1))
-def test_newton_step_matches_block_solve(grid_index, preset, lam, delta, iterate, seed):
+def random_newton_system(grid_index, preset, lam, delta, iterate, seed):
+    """A problem, an iterate of the given kind and a random first-order residual there."""
     problem = make_problem(grid_index, preset, lam, delta)
     rng = np.random.default_rng(seed)
     w, z = rng.standard_normal((2, problem.n))
     x = StatePair(w, {"symmetric": w, "antisymmetric": -w, "random": z}[iterate].copy())
-    res = StatePair(*rng.standard_normal((2, problem.n)))
+    return problem, x, StatePair(*rng.standard_normal((2, problem.n)))
+
+
+@settings(max_examples=80)
+@given(*problem_args, st.sampled_from(NEWTON_ITERATES), st.integers(0, 2**32 - 1))
+def test_newton_step_matches_block_solve(grid_index, preset, lam, delta, iterate, seed):
+    problem, x, res = random_newton_system(grid_index, preset, lam, delta, iterate, seed)
     vol, nl = problem.grid.cell_volume, problem.nl
     a = vol * (problem.lam + nl.df(x.u))
     b = vol * (problem.delta + nl.dg(x.v))
@@ -244,6 +249,52 @@ def test_newton_step_matches_block_solve(grid_index, preset, lam, delta, iterate
     if delta is None and iterate == "symmetric":
         step = _newton_step(problem, x, euler_lagrange_residual(problem, x))
         assert np.array_equal(step.u, step.v)
+
+
+# forcing terms of inexact steps; newton_solve asks min(0.01, gn^2)
+FORCING_TERMS = (1e-8, 1e-4, 1e-2, 0.1)
+
+
+@settings(max_examples=80)
+@given(*problem_args, st.sampled_from(NEWTON_ITERATES), st.sampled_from(FORCING_TERMS),
+       st.integers(0, 2**32 - 1))
+def test_inexact_newton_step_meets_its_forcing_term(grid_index, preset, lam, delta, iterate,
+                                                    eta, seed):
+    # |F's + F|_* <= 2 eta |F|_* in the dual norm sqrt(r . K^-1 r) per block, with
+    # F' the dense sum/difference block and K^-1 a dense inverse
+    problem, x, res = random_newton_system(grid_index, preset, lam, delta, iterate, seed)
+    try:
+        step = _newton_step(problem, x, res, eta)
+    except solver._StepFailed:
+        # only a system the exact step refuses too, such as one node at K = a
+        with pytest.raises(solver._StepFailed):
+            _newton_step(problem, x, res)
+        return
+    vol, nl, n = problem.grid.cell_volume, problem.nl, problem.n
+    a = vol * (problem.lam + nl.df(x.u))
+    b = vol * (problem.delta + nl.dg(x.v))
+    k = csr_stiffness(problem.grid.shape, problem.grid.h).toarray()
+    avg, off = np.diag(0.5 * (a + b)), np.diag(0.5 * (b - a))
+    system = np.block([[k - avg, off], [off, -(k + avg)]])
+    rhs = -np.concatenate([res.u + res.v, res.u - res.v])
+    linear = system @ np.concatenate([step.u + step.v, step.u - step.v]) - rhs
+    k_inv = np.linalg.inv(k)
+
+    def dual_norm(r):
+        return np.sqrt(sum(part @ k_inv @ part for part in r.reshape(2, n)))
+
+    assert dual_norm(linear) <= 2.0 * eta * dual_norm(rhs)
+
+
+@settings(max_examples=80)
+@given(*problem_args, st.sampled_from(NEWTON_ITERATES),
+       st.sampled_from([0.0, 1e-300, 1e-12, solver._EXACT_FORCING]), st.integers(0, 2**32 - 1))
+def test_newton_step_at_the_forcing_floor_is_the_exact_step(grid_index, preset, lam, delta,
+                                                            iterate, eta, seed):
+    problem, x, res = random_newton_system(grid_index, preset, lam, delta, iterate, seed)
+    want = _newton_step(problem, x, res)
+    got = _newton_step(problem, x, res, eta)
+    assert got.u.tobytes() == want.u.tobytes() and got.v.tobytes() == want.v.tobytes()
 
 
 def test_newton_reports_a_singular_decoupled_block():
@@ -278,18 +329,18 @@ def assert_newton_runs_preconditioned_minres(problem, monkeypatch):
     systems, runs, factored, applications = [], [], [], []
     minres_solve, minres, factor = solver._minres_solve, solver._minres, op._factor
 
-    def counting_solve(op, avg, off, rhs):
+    def counting_solve(op, avg, off, rhs, eta=None):
         systems.append(rhs.size // n)
-        return minres_solve(op, avg, off, rhs)
+        return minres_solve(op, avg, off, rhs, eta)
 
-    def counting_minres(matvec, psolve, b, rtol, maxiter):
+    def counting_minres(matvec, psolve, b, rtol, maxiter, eta=0.0):
         def counted_psolve(r):
             before = len(factored)
             out = psolve(r)
             applications.append((len(factored) - before, r.size // n))
             return out
         runs.append(b.size // n)
-        return minres(matvec, counted_psolve, b, rtol, maxiter)
+        return minres(matvec, counted_psolve, b, rtol, maxiter, eta)
 
     def counting_factor(rhs):
         factored.append(rhs.size)
@@ -343,30 +394,47 @@ def test_minres_count_does_not_grow_with_the_mesh(nx, ny, lam, delta, monkeypatc
     assert newton_solve(problem).converged
 
 
-@pytest.mark.parametrize("domain, lam, delta", KRYLOV_PROBLEMS, ids=("symmetric", "coupled"))
-def test_newton_names_a_minres_miss(domain, lam, delta, monkeypatch):
+# the exact step's miss is Euclidean, against op.rtol; the first, inexact step
+# (its gradient norm is above 0.1, so eta = 0.01) misses in the dual norm
+MINRES_MISSES = {
+    "exact": r"MINRES residual \S+ exceeds 1\.0e-10 \* \|rhs\| = \S+",
+    "inexact": r"MINRES residual \S+ exceeds 2 \* eta \* \|rhs\|_\* = \S+ in the dual norm "
+               r"at eta = 1\.0e-02",
+}
+
+
+@pytest.mark.parametrize("domain, lam, delta, step", [
+    (*args, step) for step in MINRES_MISSES for args in KRYLOV_PROBLEMS
+], ids=("symmetric", "coupled", "symmetric-inexact", "coupled-inexact"))
+def test_newton_names_a_minres_miss(domain, lam, delta, step, monkeypatch):
     problem = discretize(ProblemSpec(domain, power_nonlinearity(), lam=lam, delta=delta))
     monkeypatch.setattr(solver, "_MINRES_MAX_ITER", 1)
+    if step == "exact":
+        # a forcing term of 0 asks every step to be exact
+        monkeypatch.setattr(solver, "_FORCING_MAX", 0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = newton_solve(problem)
     assert not report.converged and report.iterations == 0
-    assert re.fullmatch(r"second-variation system is singular: MINRES residual \S+ exceeds "
-                        r"1\.0e-10 \* \|rhs\| = \S+", report.message), report.message
+    assert re.fullmatch(r"second-variation system is singular: " + MINRES_MISSES[step],
+                        report.message), report.message
     assert not caught, [str(w.message) for w in caught]
 
 
 @settings(max_examples=80)
 @given(st.integers(0, len(GRIDS) - 1), st.floats(3.0, 8.0), st.floats(0.0, 30.0),
-       st.sampled_from([0.1, 1.0, 4.0]), st.integers(0, 2**32 - 1))
-def test_newton_step_keeps_a_symmetric_iterate_on_the_diagonal(grid_index, p, lam, scale, seed):
+       st.sampled_from([0.1, 1.0, 4.0]), st.sampled_from([None, *FORCING_TERMS]),
+       st.integers(0, 2**32 - 1))
+def test_newton_step_keeps_a_symmetric_iterate_on_the_diagonal(grid_index, p, lam, scale, eta,
+                                                               seed):
+    # exact (eta None) and inexact steps alike
     problem = discretize(ProblemSpec(GRIDS[grid_index], power_nonlinearity(p), lam=lam, delta=lam))
     w = scale * np.random.default_rng(seed).standard_normal(problem.n)
     x = StatePair.diagonal(w)
     res, g, _ = solver._grad_and_norm(problem, x)
     assert np.array_equal(res.u, res.v) and np.array_equal(g.u, g.v)
     try:
-        step = _newton_step(problem, x, res)
+        step = _newton_step(problem, x, res, eta)
     except solver._StepFailed:
         return
     assert np.array_equal(step.u, step.v)
@@ -384,7 +452,8 @@ def scipy_minres(matvec, psolve, b):
 
 
 def assert_minres_matches_scipy(matvec, psolve, b):
-    x, iterations = solver._minres(matvec, psolve, b, 1e-14, solver._MINRES_MAX_ITER)
+    # a forcing term of 0 turns the one stop that is not scipy's off
+    x, iterations, _ = solver._minres(matvec, psolve, b, 1e-14, solver._MINRES_MAX_ITER, 0.0)
     want, want_iterations = scipy_minres(matvec, psolve, b)
     assert x.tobytes() == want.tobytes()
     assert iterations == want_iterations
@@ -409,16 +478,14 @@ def test_minres_port_matches_scipy_on_indefinite_systems(n, seed, negative_share
     assert_minres_matches_scipy(lambda x: a @ x, lambda r: m @ r, rng.standard_normal(n))
 
 
-@pytest.mark.parametrize("blocks", [1, 2, "q"])
-def test_minres_port_matches_scipy_on_newton_systems(blocks, monkeypatch):
-    # the systems _minres_solve hands to MINRES at a state of a 16^2 problem: the
-    # p block (K - A) p = rhs_p, the coupled block, and the q block -(K + A) q = rhs_q
-    # in the form (K + A) q = -rhs_q that _newton_step passes
-    problem = discretize(ProblemSpec(DomainSpec.square(16), power_nonlinearity(),
-                                     lam=3.0, delta=1.5))
-    rng = np.random.default_rng(3 if blocks == "q" else blocks)
-    x = StatePair(*rng.standard_normal((2, problem.n)))
-    res = euler_lagrange_residual(problem, x)
+def newton_minres_system(problem, x, res, blocks):
+    """The ``(matvec, psolve, rhs)`` that ``_minres_solve`` hands to MINRES at x,
+    and whether ``_minres_solve`` refused the solve's true residual.
+
+    ``blocks`` picks the p block (K - A) p = rhs_p, the coupled block, or the
+    q block -(K + A) q = rhs_q in the form (K + A) q = -rhs_q that
+    ``_newton_step`` passes.
+    """
     vol, nl = problem.grid.cell_volume, problem.nl
     a = vol * (problem.lam + nl.df(x.u))
     b = vol * (problem.delta + nl.dg(x.v))
@@ -428,14 +495,44 @@ def test_minres_port_matches_scipy_on_newton_systems(blocks, monkeypatch):
     systems = []
     port = solver._minres
 
-    def recording(matvec, psolve, rhs, rtol, maxiter):
+    def recording(matvec, psolve, rhs, rtol, maxiter, eta=0.0):
         systems.append((matvec, psolve, rhs))
-        return port(matvec, psolve, rhs, rtol, maxiter)
+        return port(matvec, psolve, rhs, rtol, maxiter, eta)
 
-    monkeypatch.setattr(solver, "_minres", recording)
-    solver._minres_solve(problem.op, avg, 0.5 * (b - a), rhs)
+    refused = False
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_minres", recording)
+        try:
+            solver._minres_solve(problem.op, avg, 0.5 * (b - a), rhs)
+        except solver._StepFailed:
+            refused = True
     (system,) = systems
+    return system, refused
+
+
+@pytest.mark.parametrize("blocks", [1, 2, "q"])
+def test_minres_port_matches_scipy_on_newton_systems(blocks):
+    # the systems _minres_solve hands to MINRES at a state of a 16^2 problem
+    problem = discretize(ProblemSpec(DomainSpec.square(16), power_nonlinearity(),
+                                     lam=3.0, delta=1.5))
+    rng = np.random.default_rng(3 if blocks == "q" else blocks)
+    x = StatePair(*rng.standard_normal((2, problem.n)))
+    res = euler_lagrange_residual(problem, x)
+    system, refused = newton_minres_system(problem, x, res, blocks)
+    assert not refused
     assert assert_minres_matches_scipy(*system) >= 5
+
+
+@settings(max_examples=60)
+@given(*problem_args, st.sampled_from(NEWTON_ITERATES), st.sampled_from([1, 2, "q"]),
+       st.integers(0, 2**32 - 1))
+def test_minres_without_the_forcing_stop_matches_scipy(grid_index, preset, lam, delta, iterate,
+                                                       blocks, seed):
+    # the Newton systems of 1D, square and rectangle grids at random states, whether
+    # or not the true residual check passes afterwards
+    problem, x, res = random_newton_system(grid_index, preset, lam, delta, iterate, seed)
+    system, _ = newton_minres_system(problem, x, res, blocks)
+    assert_minres_matches_scipy(*system)
 
 
 def test_minres_port_matches_scipy_on_an_invariant_subspace():
