@@ -96,6 +96,10 @@ RUNS = (
     ("intersect-sq16-dy3", ["intersect"], _domain(16, 16) + ["frame.d_y = 3"]),
     ("intersect-line255-dy8", ["intersect"], _domain(255) + ["frame.d_y = 8"]),
     ("intersect-sq16-dy6", ["intersect"], _domain(16, 16) + ["frame.d_y = 6"]),
+    # unequal shifts: the one intersect run with lambda != delta
+    ("intersect-shifted-line63-dy2", ["intersect"],
+     _domain(63) + ["frame.d_y = 2", "problem.lambda = 3.0", "problem.delta = 1.5"]),
+    ("intersect-rect40x23-dy3", ["intersect"], _domain(40, 23) + ["frame.d_y = 3"]),
     # r close to rho, so the root sits near the cap
     ("intersect-line63-dy3-near-cap", ["intersect"],
      _domain(63) + ["frame.d_y = 3", "frame.r = 31.0", "frame.rho = 32.0"]),

@@ -42,13 +42,13 @@ affine map xi - r e_last, whose degree is proved, not counted
 frame boundary: H_t then stays off zero there for every t, by a bound
 ``brouwer_degree_small`` checks in closed form, at every chart
 dimension. Its root comes from one continuation path from r e_last
-(``_path_root``), which maps each Newton iterate with its difference
-stencil in one call, as the chart maps take blocks of rows, and never
-outside the half-ball. The end degree and the intersection certificate
-share that path (``intersection_point(gamma, degree.roots[0])``). The
-displacement (eta - xi) . B of gamma is measured with G. The
-certificate itself is checked on the state gamma(xi), independently of
-G.
+(``_path_root``): t = 1 first, the t-step halved on failure. The path
+maps each Newton iterate with its difference stencil in one call, as
+the chart maps take blocks of rows, and never outside the half-ball.
+The end degree and the intersection certificate share that path
+(``intersection_point(gamma, degree.roots[0])``). The displacement
+(eta - xi) . B of gamma is measured with G. The certificate itself is
+checked on the state gamma(xi), independently of G.
 """
 
 from __future__ import annotations
@@ -99,10 +99,9 @@ __all__ = [
 # xi - r e_last; its one root r e_last lies inside M, as LinkingFrame enforces
 # 0 < r < rho; its Jacobian is the identity; and |H_0| >= min(r, rho - r) on ∂M.
 AFFINE_START_DEGREE = 1
-# The continuation path of the degree and the certificate (_path_root): equal
-# t-steps, the least halved t-step, Newton steps per t, the converged step size
-# (relative to max(1, |xi|)) and the end point's residual (relative to max(1, r))
-PATH_T_STEPS = 4
+# The continuation path of the degree and the certificate (_path_root): the
+# least halved t-step, Newton steps per t, the converged step size (relative to
+# max(1, |xi|)) and the end point's residual (relative to max(1, r))
 PATH_MIN_T_STEP = 2.0**-12
 PATH_NEWTON_STEPS = 50
 PATH_STEP_TOL = 1e-13
@@ -756,14 +755,15 @@ def _path_root(map_fn: Callable[[np.ndarray], np.ndarray],
 
     Natural-parameter continuation (Allgower and Georg 2003) on
     H_t = (1 - t)(xi - r e_last) + t map_fn(xi), the module's H_t for
-    ``homotopy_chart_map(gamma, 1.0)``, and ``map_fn`` bitwise at t = 1:
-    t rises in ``PATH_T_STEPS`` equal steps, and at each t Newton runs
-    from the last root, mapping each iterate with its ``_stencil`` rows
-    in one call. A Newton step must lower |H_t|^2. A step of at most
-    ``PATH_STEP_TOL`` max(1, |xi|) ends Newton: before t = 1 it is not
-    taken, and at t = 1 it is taken unless |H_1|^2 rises. A t-step whose
-    Newton fails, leaves the half-ball or meets a singular Jacobian is
-    halved; below ``PATH_MIN_T_STEP``, or at an end point off the open
+    ``homotopy_chart_map(gamma, 1.0)``, and ``map_fn`` bitwise at t = 1.
+    It tries t = 1 first, with Newton on H_1 from r e_last. At each t
+    Newton runs from the last root, mapping each iterate with its
+    ``_stencil`` rows in one call. A Newton step must lower |H_t|^2. A
+    step of at most ``PATH_STEP_TOL`` max(1, |xi|) ends Newton: before
+    t = 1 it is not taken, and at t = 1 it is taken unless |H_1|^2 rises.
+    A t-step whose Newton fails, leaves the half-ball or meets a singular
+    Jacobian is halved, and t rises from its last root by the halved
+    step; below ``PATH_MIN_T_STEP``, or at an end point off the open
     half-ball or with a residual above ``PATH_RESIDUAL_TOL`` max(1, r),
     :class:`IntersectionNotFoundError` names t and |H_t|.
     """
@@ -803,7 +803,7 @@ def _path_root(map_fn: Callable[[np.ndarray], np.ndarray],
 
     # the map values of each accepted root serve the next t too
     x, block, value = offset, mapped(offset), np.full(offset.size, math.nan)
-    t, dt, target = 0.0, 1.0 / PATH_T_STEPS, 0.0
+    t, dt, target = 0.0, 1.0, 0.0
     while block is not None and t < 1.0:
         target = min(t + dt, 1.0)
         end, end_block, value, jac, converged = newton(target, x, block)

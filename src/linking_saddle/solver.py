@@ -697,8 +697,9 @@ def _iterate(
     ``res`` at x and the gradient ``g`` solved from it; :func:`_accept`
     picks the trial to take, and its residual and gradient carry into the
     next iterate. The rule raises :class:`_StepFailed` when it has no
-    trial left. ``step`` is the step size recorded with the starting
-    iterate.
+    trial left, which ends the loop with that message, the gradient norm
+    reached and ``tol`` appended. ``step`` is the step size recorded with
+    the starting iterate.
 
     The loop converges once the gradient norm is at most ``tol`` and the
     step just accepted has energy norm at most ``step_tol`` (a finite one
@@ -743,7 +744,7 @@ def _iterate(
         try:
             trial, res, g, gn, step = _accept(problem, trials(x, res, g, gn, step))
         except _StepFailed as exc:
-            message = str(exc)
+            message = f"{exc} at gradient norm {gn:.4g}, tolerance {tol:.4g}"
             break
         if step_tol < math.inf:
             # the same difference ps_monitor measures between the last two states

@@ -10,10 +10,11 @@ Newton solve, the full pilot sweeps of the radii search and its sampled
 embedding constant, LAPACK's tridiagonal eigensolver, the numpy forms of
 the chart kernels, the state-space displacement residual, a hybr
 multistart root sweep for the root of the degree's continuation path,
-the ``np.linalg.norm`` form of the interior sampler, the linear program of
-the compactness fit, the fixed-step flow map, and the two-sided u/v kernels
-that took each v-term apart from its u-mirror). No imports from
-linking_saddle are allowed in this module.
+that path as it ran in four equal t-steps, the ``np.linalg.norm`` form
+of the interior sampler, the linear program of the compactness fit, the
+fixed-step flow map, and the two-sided u/v kernels that took each v-term
+apart from its u-mirror). No imports from linking_saddle are allowed in
+this module.
 """
 
 from __future__ import annotations
@@ -392,6 +393,71 @@ def hybr_root_sweep(map_fn, starts: np.ndarray, r: float, rho: float,
             roots.append(root)
     roots.sort(key=lambda row: tuple(np.round(row, 9)))
     return np.array(roots, dtype=float).reshape(-1, len(starts[0]))
+
+
+def equal_step_path_root(map_fn, frame, tolerances: tuple,
+                         error: type) -> tuple[np.ndarray, np.ndarray]:
+    """The continuation path's root and Jacobian as it ran in four equal t-steps.
+
+    Newton on H_t = (1 - t)(xi - r e_last) + t map_fn(xi) from r e_last,
+    as t rises by 1/4, each t-step halved where Newton fails, leaves
+    the half-ball or meets a singular Jacobian. ``map_fn`` maps a block of
+    chart rows; each iterate and its central-difference stencil are mapped
+    in one call. ``tolerances`` is (least t-step, Newton steps per t,
+    converged step size, end residual), the package's ``PATH_*`` values;
+    ``frame`` supplies chart_dim, r and rho. A stalled path raises
+    ``error`` with its t.
+    """
+    min_t_step, newton_steps, step_tol, residual_tol = tolerances
+    d, r, rho = frame.chart_dim, frame.r, frame.rho
+    offset = np.zeros(d)
+    offset[-1] = r
+
+    def mapped(x):
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        shift = h[:, None] * np.eye(d)
+        rows = np.vstack([x, x + shift, x - shift])
+        norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+        inside = (rows[:, -1] >= -1e-9 * rho) & (norms <= rho * (1.0 + 1e-9))
+        return (rows, map_fn(rows), h) if inside.all() else None
+
+    def blend(t, rows, values, h):
+        if t < 1.0:
+            values = t * values + (1.0 - t) * (rows - offset)
+        return values[0], ((values[1:d + 1] - values[d + 1:]) / (2.0 * h[:, None])).T
+
+    def newton(t, x, block):
+        value, jac = blend(t, *block)
+        for _ in range(newton_steps):
+            if not abs(np.linalg.det(jac)) > 0.0:
+                break
+            step = np.linalg.solve(jac, -value)
+            done = math.sqrt(step @ step) <= step_tol * max(1.0, math.sqrt(x @ x))
+            if done and t < 1.0:
+                return x, block, value, jac, True
+            trial = mapped(x + step)
+            new = trial and blend(t, *trial)
+            if new and ((sq := new[0] @ new[0]) < value @ value or done and sq <= value @ value):
+                x, block, (value, jac) = x + step, trial, new
+            elif not done:
+                break
+            if done:
+                return x, block, value, jac, True
+        return x, block, value, jac, False
+
+    x, block, value = offset, mapped(offset), np.full(d, math.nan)
+    t, dt, target = 0.0, 0.25, 0.0
+    while block is not None and t < 1.0:
+        target = min(t + dt, 1.0)
+        end, end_block, value, jac, converged = newton(target, x, block)
+        if converged:
+            x, block, t = end, end_block, target
+        elif (dt := 0.5 * dt) < min_t_step:
+            break
+    if not (t == 1.0 and np.max(np.abs(value)) <= residual_tol * max(1.0, r)
+            and x[-1] >= 1e-9 * r and math.sqrt(x @ x) <= rho * (1 - 1e-9)):
+        raise error(f"the equal-step path stalled at t = {target:.6g}")
+    return x, jac
 
 
 def norm_interior_rows(rng: np.random.Generator, dim: int, rho: float,

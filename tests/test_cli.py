@@ -201,6 +201,20 @@ def test_cli_intersect_sweeps_each_distinct_map_once(tmp_path, monkeypatch):
     assert lattices == []
 
 
+def test_cli_intersect_line255_maps_twenty_stencil_blocks(tmp_path, monkeypatch):
+    # the benchmark's intersect job: d_y 1 and 2 on a 255-node line, six paths;
+    # each maps its start and every Newton iterate at t = 1 with its stencil
+    stencils = []
+    stencil = linking._stencil
+    monkeypatch.setattr(linking, "_stencil", lambda xi: stencils.append(xi.size) or stencil(xi))
+    for d_y in (1, 2):
+        text = f"domain.dimension = 1\ndomain.nx = 255\nproblem.preset = power\nframe.d_y = {d_y}\n"
+        assert main(["intersect", "--config", cfg_file(tmp_path, text, f"dy{d_y}.cfg"),
+                     "--out", str(tmp_path / f"dy{d_y}"), "--quiet"]) == 0
+    assert len(stencils) == 20
+    assert sorted(set(stencils)) == [2, 3]
+
+
 def test_cli_intersect_draws_the_degree_boundary_once_per_frame(tmp_path, monkeypatch):
     draws, degrees, times = [], [], []
     boundary_rows, degree = linking._boundary_rows, cli.brouwer_degree_small
@@ -313,6 +327,21 @@ def test_cli_solve_zero_names_stage(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "hypotheses" in err
+
+
+def test_cli_solve_stall_names_its_gradient_norm_and_tolerance(tmp_path, capsys):
+    # a tolerance far below rounding: both Newton runs stall near 1e-14, and each
+    # stall says where, on stderr and in the manifest's solve step
+    text = TOY.replace("domain.nx = 1", "domain.nx = 63") + "solver.grad_tol = 1e-30\n"
+    rc = main(["solve", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "s"),
+               "--quiet"])
+    assert rc == 1
+    stall = r"line search stalled at gradient norm (\S+), tolerance 1e-30"
+    err = capsys.readouterr().err
+    found = re.fullmatch(rf"FAILED at stage 'solve': diagonal route: {stall}; {stall}\n", err)
+    assert found and all(0.0 < float(gn) < 1e-12 for gn in found.groups()), err
+    manifest = (tmp_path / "s" / "manifest.cfg").read_text()
+    assert f"# step solve: {err.split(': ', 1)[1]}" in manifest
 
 
 def test_cli_solve_square_writes_heatmaps(tmp_path):

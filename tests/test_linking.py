@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from linking_saddle import (
@@ -15,6 +15,7 @@ from linking_saddle import (
     GeometryCertificationError,
     IntersectionNotFoundError,
     InvalidSpecError,
+    LinkingSaddleError,
     ProblemSpec,
     StatePair,
     anchor_shear_deformation,
@@ -37,8 +38,8 @@ from linking_saddle import (
     shipped_deformations,
     zero_nonlinearity,
 )
-from oracles import (doubling_pilot, fd_jacobian, hybr_root_sweep, norm_interior_rows,
-                     sampled_embedding_constant)
+from oracles import (doubling_pilot, equal_step_path_root, fd_jacobian, hybr_root_sweep,
+                     norm_interior_rows, sampled_embedding_constant)
 
 
 @pytest.fixture(scope="module")
@@ -590,10 +591,62 @@ def test_path_halves_its_t_step_where_newton_overshoots(line_problem, monkeypatc
     map_fn = _decoupled(lambda x: np.arctan(10.0 * (x - 0.8)))
     root, _ = linking._path_root(map_fn, frame)
     assert np.max(np.abs(root - [0.8, 2.0])) <= 1e-12
-    monkeypatch.setattr(linking, "PATH_T_STEPS", 1)
     monkeypatch.setattr(linking, "PATH_MIN_T_STEP", 1.0)
     with pytest.raises(IntersectionNotFoundError, match=r"at t = 1 \("):
         linking._path_root(map_fn, frame)
+
+
+def _path_outcome(path, *args):
+    """(error class, root, Jacobian) of one path; the error class is None where it succeeds."""
+    try:
+        return (None, *path(*args))
+    except LinkingSaddleError as exc:
+        return type(exc), None, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.builds(DomainSpec.interval, st.integers(6, 63)),
+                 st.builds(DomainSpec.rectangle, st.integers(4, 19), st.integers(4, 19))),
+       st.integers(1, 6), st.sampled_from([3.0, 4.0, 6.0]),
+       st.floats(0.0, 3.0, exclude_max=True), st.floats(0.25, 4.0), st.floats(0.05, 0.95))
+@example(DomainSpec.rectangle(19, 19), 6, 6.0, 2.99, 4.0, 0.95)
+@example(DomainSpec.interval(63), 6, 3.0, 0.0, 0.25, 0.05)
+def test_path_from_t_one_matches_the_four_step_path(domain, d_y, p, shift, scale, fraction):
+    # trying t = 1 first reaches the root the four equal t-steps reached, on
+    # choose_radii's radii scaled, at lam = delta; the two schedules can end on
+    # different last Newton iterates, so the roots agree to rounding, often bitwise
+    problem = discretize(ProblemSpec(domain, power_nonlinearity(p=p), lam=shift, delta=shift))
+    rho = scale * choose_radii(problem).rho
+    frame = build_frame(problem, fraction * rho, rho, d_y=d_y)
+    tolerances = (linking.PATH_MIN_T_STEP, linking.PATH_NEWTON_STEPS, linking.PATH_STEP_TOL,
+                  linking.PATH_RESIDUAL_TOL)
+    for gamma in shipped_deformations(frame):
+        map_fn = homotopy_chart_map(gamma, 1.0)
+        error, root, jac = _path_outcome(linking._path_root, map_fn, frame)
+        want = _path_outcome(equal_step_path_root, map_fn, frame, tolerances,
+                             IntersectionNotFoundError)
+        assert error is want[0], gamma.name
+        if error is None:
+            assert np.max(np.abs(root - want[1])) <= 1e-12 * np.max(np.abs(want[1])), gamma.name
+            assert np.sign(np.linalg.det(jac)) == np.sign(np.linalg.det(want[2])), gamma.name
+            event("root bitwise equal" if root.tobytes() == want[1].tobytes() else "root moved")
+
+
+@pytest.mark.parametrize("domain,d_y", [
+    *(pytest.param(DomainSpec.interval(255), d_y, id=f"line255-dy{d_y}") for d_y in (1, 2)),
+    pytest.param(DomainSpec.square(16), 3, id="sq16-dy3"),
+])
+def test_shipped_paths_reach_t_one_without_halving(domain, d_y, monkeypatch):
+    # on the benchmark's line255 frames and on sq16 at d_y 3, Newton on H_1
+    # converges from r e_last: a least t-step of 1 refuses any halved step,
+    # and every path still ends
+    problem = _power_problem(domain)
+    choice = choose_radii(problem)
+    frame = build_frame(problem, choice.r, choice.rho, d_y=d_y)
+    monkeypatch.setattr(linking, "PATH_MIN_T_STEP", 1.0)
+    for gamma in shipped_deformations(frame):
+        root, _ = linking._path_root(homotopy_chart_map(gamma, 1.0), frame)
+        intersection_point(gamma, root)
 
 
 def test_path_stops_at_a_fold(line_problem):

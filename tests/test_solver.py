@@ -472,13 +472,16 @@ def test_pinned_newton_rejects_a_trial_pinned_to_the_trivial_state():
     x0 = StatePair(w, w.copy())
     report = newton_solve(problem, x0=x0, _pin=True)
     assert report.method == "diagonal-newton"
-    assert report.message == "line search stalled"
+    # the stall names the gradient norm it stopped at and the tolerance
+    stalled = (f"line search stalled at gradient norm {report.gradient_norm:.4g}, "
+               f"tolerance {SolverConfig().grad_tol:.4g}")
+    assert report.message == stalled
     assert not report.converged and not report.nontrivial
     assert np.array_equal(report.state.u, w) and np.array_equal(report.state.v, w)
     # solve_saddle then takes the pair route from the same start
     fallback = solve_saddle(problem, x0=x0)
     assert fallback.method == "flow-then-newton"
-    assert fallback.message == "diagonal route: line search stalled; gradient tolerance reached"
+    assert fallback.message == f"diagonal route: {stalled}; gradient tolerance reached"
 
 
 @pytest.mark.parametrize("lam", [10.0, 12.0, 30.0])
